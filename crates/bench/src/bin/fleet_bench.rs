@@ -27,6 +27,7 @@ use std::time::Instant;
 use vtpm_bench::exp::m2;
 use vtpm_cluster::{Cluster, ClusterConfig};
 use vtpm_fleet::{FailureDetectorConfig, Fleet, FleetConfig, PhiAccrualDetector};
+use vtpm_harness::json_str;
 
 /// Wall ns per heartbeat ingested and per phi query, median of `reps`
 /// passes over `hosts` hosts x `beats` heartbeats each.
@@ -83,21 +84,6 @@ fn tick_ns(hosts: usize, vms: usize, ticks: usize, reps: usize) -> f64 {
         .collect();
     samples.sort_by(|a, b| a.total_cmp(b));
     samples[samples.len() / 2]
-}
-
-fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
 }
 
 fn main() {

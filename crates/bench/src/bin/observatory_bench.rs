@@ -23,21 +23,7 @@
 //! CI observatory stage rely on that.
 
 use vtpm_bench::exp::o2;
-
-fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
+use vtpm_harness::json_str;
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();

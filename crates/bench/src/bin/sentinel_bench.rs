@@ -24,6 +24,7 @@
 use std::time::Instant;
 
 use vtpm_bench::exp::{d1, o1};
+use vtpm_harness::json_str;
 use vtpm_sentinel::{Sentinel, SentinelConfig, StreamEvent};
 use vtpm_telemetry::{Outcome, SpanRecord};
 
@@ -75,21 +76,6 @@ fn throughput_ns_per_event(events: usize, reps: usize) -> f64 {
         .collect();
     samples.sort_by(|a, b| a.total_cmp(b));
     samples[samples.len() / 2]
-}
-
-fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
 }
 
 fn main() {

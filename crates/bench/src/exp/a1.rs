@@ -17,7 +17,7 @@
 //!   accepted, and the per-submission latency distribution is reported
 //!   from the shared attestation-telemetry histogram.
 //! * **Defense** — seeded attest-chaos scenarios
-//!   ([`vtpm_harness::run_attest_chaos`]): every replay and stale
+//!   ([`vtpm_harness::AttestChaosConfig`]): every replay and stale
 //!   injection must be refused *and* raised by the sentinel, the
 //!   scripted quote storm must end with the sentinel-driven admission
 //!   loop throttling the storming verifier, and attack-free seeds must
@@ -30,7 +30,7 @@ use std::time::Instant;
 
 use vtpm::Platform;
 use vtpm_attest::{IssuerConfig, QuoteIssuer, Submission, VerifierConfig, VerifierPool};
-use vtpm_harness::{run_attest_chaos, AttestChaosConfig};
+use vtpm_harness::{AttestChaosConfig, Scenario};
 
 /// The cached plane must clear this multiple of the per-request qps at
 /// unchanged PCR state.
@@ -209,7 +209,7 @@ pub fn run(
     {
         let label = if attack { format!("a1-att-{n}") } else { format!("a1-clean-{n}") };
         let scenario = if attack { cfg.clone() } else { cfg.attack_free() };
-        let rep = run_attest_chaos(label.as_bytes(), &scenario).expect("attest chaos");
+        let rep = scenario.run(label.as_bytes()).expect("attest chaos");
         defense.push(DefenseRow {
             seed: label,
             attack,

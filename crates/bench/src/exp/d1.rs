@@ -30,8 +30,7 @@ use vtpm::MirrorMode;
 use vtpm_ac::SecurePlatform;
 use vtpm_cluster::{Cluster, ClusterConfig, MigrateOutcome, MigMessage};
 use vtpm_harness::{
-    audit_event, dump_event, run_chaos, run_crash_matrix, run_migration_chaos, ChaosConfig,
-    MigrationChaosConfig,
+    audit_event, dump_event, ChaosConfig, CrashMatrix, MigrationChaosConfig, Scenario,
 };
 use vtpm_sentinel::{Sentinel, SentinelConfig, StreamEvent};
 use workload::generate_trace;
@@ -104,7 +103,7 @@ pub fn run(mirror_seeds: usize, migration_seeds: usize, events: usize, faults: u
             mirror_mode: MirrorMode::Encrypted,
             ..ChaosConfig::default()
         };
-        let rep = run_chaos(label.as_bytes(), &cfg).expect("chaos run");
+        let rep = cfg.run(label.as_bytes()).expect("chaos run");
         clean.push(CleanRow {
             family: "mirror",
             seed: label,
@@ -114,8 +113,8 @@ pub fn run(mirror_seeds: usize, migration_seeds: usize, events: usize, faults: u
     }
     for s in 0..migration_seeds {
         let label = format!("d1-mig-{s}");
-        let rep = run_migration_chaos(label.as_bytes(), &MigrationChaosConfig::default())
-            .expect("migration chaos run");
+        let rep =
+            MigrationChaosConfig::default().run(label.as_bytes()).expect("migration chaos run");
         clean.push(CleanRow {
             family: "migration",
             seed: label,
@@ -124,7 +123,7 @@ pub fn run(mirror_seeds: usize, migration_seeds: usize, events: usize, faults: u
         });
     }
     {
-        let rep = run_crash_matrix(b"d1-matrix", true).expect("crash matrix");
+        let rep = CrashMatrix { sealed: true }.run(b"d1-matrix").expect("crash matrix");
         clean.push(CleanRow {
             family: "matrix",
             seed: "d1-matrix".into(),

@@ -7,7 +7,7 @@
 //! drivers with per-VM epoch arbitration, and the suspicion-driven
 //! rebalancer — then crashes, revives, and joins hosts underneath it
 //! for the whole run. The workload is the fleet chaos family
-//! ([`vtpm_harness::run_fleet_chaos`]) at survey scale, not the
+//! ([`vtpm_harness::FleetChaosConfig`]) at survey scale, not the
 //! smoke-test scale the CI chaos stage replays.
 //!
 //! Three things are the result:
@@ -40,7 +40,7 @@
 //! regressing either fix reopens the gap and fails the sweep.
 
 use vtpm_fleet::FleetConfig;
-use vtpm_harness::{run_fleet_chaos, FleetChaosConfig, FleetChaosReport};
+use vtpm_harness::{replay, FleetChaosConfig, FleetChaosReport};
 use vtpm_sentinel::SentinelConfig;
 
 /// Cluster-wide p99 quiesce→commit blackout budget (virtual ns). At
@@ -182,9 +182,7 @@ pub fn run(hosts: usize, vms: usize, rounds: usize, seeds: usize) -> M2Report {
     let rows = (0..seeds)
         .map(|s| {
             let label = format!("m2-{hosts}x{vms}-{s}");
-            let a = run_fleet_chaos(label.as_bytes(), &cfg).expect("fleet chaos run");
-            let b = run_fleet_chaos(label.as_bytes(), &cfg).expect("fleet chaos replay");
-            let replay_ok = a == b;
+            let (a, replay_ok) = replay(&cfg, label.as_bytes()).expect("fleet chaos run");
             row(label, &a, replay_ok)
         })
         .collect();

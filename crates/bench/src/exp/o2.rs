@@ -39,7 +39,7 @@ use std::time::Instant;
 
 use vtpm_cluster::{Cluster, ClusterConfig};
 use vtpm_fleet::{Fleet, FleetConfig, CONTROLLER_HOST};
-use vtpm_harness::{apply_slo_alerts, run_fleet_chaos, FleetChaosConfig};
+use vtpm_harness::{apply_slo_alerts, replay, FleetChaosConfig};
 use vtpm_observatory::{BurnEvent, Observatory, ObservatoryConfig};
 use vtpm_sentinel::{Alert, Sentinel, SentinelConfig, StreamEvent};
 use vtpm_telemetry::Histogram;
@@ -178,9 +178,7 @@ fn clean_sweep(hosts: usize, vms: usize, rounds: usize, seeds: usize) -> Vec<O2C
     (0..seeds)
         .map(|s| {
             let label = format!("o2-{hosts}x{vms}-{s}");
-            let a = run_fleet_chaos(label.as_bytes(), &cfg).expect("fleet chaos run");
-            let b = run_fleet_chaos(label.as_bytes(), &cfg).expect("fleet chaos replay");
-            let replay_ok = a == b;
+            let (a, replay_ok) = replay(&cfg, label.as_bytes()).expect("fleet chaos run");
             O2CleanRow {
                 seed: label,
                 scrapes: a.scrapes,

@@ -44,12 +44,13 @@ use vtpm_ac::AuditLog;
 use vtpm_attest::{
     IssuerConfig, QuoteIssuer, Submission, Verdict, VerifierConfig, VerifierPool,
 };
-use vtpm_sentinel::{Sentinel, SentinelConfig, Severity};
+use vtpm_sentinel::{Sentinel, SentinelConfig};
 use vtpm_telemetry::Telemetry;
 use xen_sim::Result as XenResult;
 
+use crate::json::{hex, Field};
+use crate::runner::{sentinel_tail, Scenario, ScenarioReport};
 use crate::sentinel_feed::{apply_verifier_alerts, attest_event, audit_event};
-use crate::{json_str, json_str_array};
 
 /// Tunables for one attestation chaos run.
 #[derive(Debug, Clone)]
@@ -101,7 +102,7 @@ impl AttestChaosConfig {
 
 /// Everything observable about one attestation chaos run. Two runs of
 /// the same seed and config must compare equal.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct AttestChaosReport {
     /// Hex of the seed.
     pub seed: String,
@@ -146,305 +147,291 @@ pub struct AttestChaosReport {
     pub transcript: [u8; 32],
 }
 
-impl AttestChaosReport {
-    /// One machine-readable JSON object (single line, stable order).
-    pub fn to_json(&self) -> String {
-        format!(
-            "{{\"family\":\"attest\",\"seed\":{},\"rounds\":{},\"submissions\":{},\
-             \"accepted\":{},\"injected_replays\":{},\"replays_refused\":{},\
-             \"injected_stale\":{},\"stale_refused\":{},\"storm_submissions\":{},\
-             \"storm_throttled\":{},\"signing_passes\":{},\"cache_absorbed\":{},\
-             \"pcr_extends\":{},\"stale_denials\":{},\"replay_denials\":{},\
-             \"audit_chain_ok\":{},\"divergences\":{},\"sentinel_alerts\":{},\
-             \"sentinel_critical\":{},\"transcript\":{}}}",
-            json_str(&self.seed),
-            self.rounds,
-            self.submissions,
-            self.accepted,
-            self.injected_replays,
-            self.replays_refused,
-            self.injected_stale,
-            self.stale_refused,
-            self.storm_submissions,
-            self.storm_throttled,
-            self.signing_passes,
-            self.cache_absorbed,
-            self.pcr_extends,
-            self.stale_denials,
-            self.replay_denials,
-            self.audit_chain_ok,
-            json_str_array(&self.divergences),
-            json_str_array(&self.sentinel_alerts),
-            self.sentinel_critical,
-            json_str(&self.transcript.iter().map(|b| format!("{b:02x}")).collect::<String>()),
-        )
+impl ScenarioReport for AttestChaosReport {
+    const FAMILY: &'static str = "attest";
+
+    fn fields(&self) -> Vec<(&'static str, Field)> {
+        vec![
+            ("seed", self.seed.as_str().into()),
+            ("rounds", self.rounds.into()),
+            ("submissions", self.submissions.into()),
+            ("accepted", self.accepted.into()),
+            ("injected_replays", self.injected_replays.into()),
+            ("replays_refused", self.replays_refused.into()),
+            ("injected_stale", self.injected_stale.into()),
+            ("stale_refused", self.stale_refused.into()),
+            ("storm_submissions", self.storm_submissions.into()),
+            ("storm_throttled", self.storm_throttled.into()),
+            ("signing_passes", self.signing_passes.into()),
+            ("cache_absorbed", self.cache_absorbed.into()),
+            ("pcr_extends", self.pcr_extends.into()),
+            ("stale_denials", self.stale_denials.into()),
+            ("replay_denials", self.replay_denials.into()),
+            ("audit_chain_ok", self.audit_chain_ok.into()),
+            ("divergences", Field::strs(&self.divergences)),
+            ("sentinel_alerts", Field::strs(&self.sentinel_alerts)),
+            ("sentinel_critical", self.sentinel_critical.into()),
+            ("transcript", Field::Digest(self.transcript)),
+        ]
+    }
+
+    /// Divergence-free, nothing more. Critical alerts are *expected*
+    /// here (injected attacks must be detected); a missed detection, and
+    /// any critical alert on an attack-free run, is already reported as
+    /// a divergence by the run itself.
+    fn clean(&self) -> bool {
+        self.divergences.is_empty()
     }
 }
 
-/// Run one seeded attestation chaos scenario. Deterministic in `seed`
-/// and `cfg`.
-pub fn run_attest_chaos(seed: &[u8], cfg: &AttestChaosConfig) -> XenResult<AttestChaosReport> {
-    let mut rng = Drbg::new(&[seed, b"/attest-plan"].concat());
-    let platform = Platform::improved(seed)?;
-    let clock = &platform.hv.clock;
+impl Scenario for AttestChaosConfig {
+    type Report = AttestChaosReport;
 
-    let mut guests = Vec::with_capacity(cfg.instances);
-    for i in 0..cfg.instances {
-        guests.push(platform.launch_guest(&format!("attest-{i}"))?);
-    }
+    /// Run one seeded attestation chaos scenario. Deterministic in `seed`
+    /// and `self`.
+    fn run(&self, seed: &[u8]) -> XenResult<AttestChaosReport> {
+        let mut rng = Drbg::new(&[seed, b"/attest-plan"].concat());
+        let platform = Platform::improved(seed)?;
+        let clock = &platform.hv.clock;
 
-    let issuer = QuoteIssuer::new(IssuerConfig { window_ns: cfg.window_ns, ..Default::default() });
-    for g in &guests {
-        issuer
-            .provision(&platform, g.instance)
-            .unwrap_or_else(|e| panic!("provision instance {}: {e}", g.instance));
-    }
+        let mut guests = Vec::with_capacity(self.instances);
+        for i in 0..self.instances {
+            guests.push(platform.launch_guest(&format!("attest-{i}"))?);
+        }
 
-    let mut pool = VerifierPool::with_telemetry(
-        VerifierConfig {
-            window_ns: cfg.window_ns,
-            admission: AdmissionConfig { enabled: true, ..Default::default() },
+        let issuer = QuoteIssuer::new(IssuerConfig { window_ns: self.window_ns, ..Default::default() });
+        for g in &guests {
+            issuer
+                .provision(&platform, g.instance)
+                .unwrap_or_else(|e| panic!("provision instance {}: {e}", g.instance));
+        }
+
+        let mut pool = VerifierPool::with_telemetry(
+            VerifierConfig {
+                window_ns: self.window_ns,
+                admission: AdmissionConfig { enabled: true, ..Default::default() },
+                ..Default::default()
+            },
+            Arc::clone(issuer.telemetry()),
+        );
+        let telemetry = Arc::new(Telemetry::new());
+        let audit = Arc::new(AuditLog::new());
+        pool.attach_telemetry(Arc::clone(&telemetry));
+        pool.attach_audit(Arc::clone(&audit));
+
+        let mut sentinel = Sentinel::new(SentinelConfig::default());
+        let mut transcript: Vec<u8> = Vec::new();
+        let mut report = AttestChaosReport {
+            seed: hex(seed),
+            rounds: self.rounds,
             ..Default::default()
-        },
-        Arc::clone(issuer.telemetry()),
-    );
-    let telemetry = Arc::new(Telemetry::new());
-    let audit = Arc::new(AuditLog::new());
-    pool.attach_telemetry(Arc::clone(&telemetry));
-    pool.attach_audit(Arc::clone(&audit));
+        };
 
-    let mut sentinel = Sentinel::new(SentinelConfig::default());
-    let mut transcript: Vec<u8> = Vec::new();
-    let mut report = AttestChaosReport {
-        seed: seed.iter().map(|b| format!("{b:02x}")).collect(),
-        rounds: cfg.rounds,
-        submissions: 0,
-        accepted: 0,
-        injected_replays: 0,
-        replays_refused: 0,
-        injected_stale: 0,
-        stale_refused: 0,
-        storm_submissions: 0,
-        storm_throttled: false,
-        signing_passes: 0,
-        cache_absorbed: 0,
-        pcr_extends: 0,
-        stale_denials: 0,
-        replay_denials: 0,
-        audit_chain_ok: false,
-        sentinel_alerts: Vec::new(),
-        sentinel_critical: 0,
-        divergences: Vec::new(),
-        transcript: [0; 32],
-    };
+        let submit = |pool: &VerifierPool,
+                      verifier: u32,
+                      bytes: Vec<u8>,
+                      now_ns: u64,
+                      transcript: &mut Vec<u8>| {
+            let digest = sha256(&bytes);
+            let verdict = pool.verify_one(&Submission { verifier, bytes }, now_ns);
+            transcript.extend_from_slice(&verifier.to_be_bytes());
+            transcript.extend_from_slice(&digest);
+            transcript.push(verdict.code());
+            verdict
+        };
 
-    let submit = |pool: &VerifierPool,
-                  verifier: u32,
-                  bytes: Vec<u8>,
-                  now_ns: u64,
-                  transcript: &mut Vec<u8>| {
-        let digest = sha256(&bytes);
-        let verdict = pool.verify_one(&Submission { verifier, bytes }, now_ns);
-        transcript.extend_from_slice(&verifier.to_be_bytes());
-        transcript.extend_from_slice(&digest);
-        transcript.push(verdict.code());
-        verdict
-    };
-
-    // Phase 1: honest polling, one round per nonce-window, with
-    // seed-chosen PCR churn between rounds. Evidence from the first
-    // round is held back for the stale-injection burst; the first few
-    // submissions are replayed immediately while still fresh.
-    let mut held: Vec<Vec<u8>> = Vec::new();
-    for round in 0..cfg.rounds {
-        clock.advance_ns(cfg.window_ns);
-        for v in 0..cfg.verifiers as u32 {
-            let pick = rng.below(guests.len() as u64) as usize;
-            let instance = guests[pick].instance;
-            let now = clock.now_ns();
-            let evidence = issuer
-                .issue(&platform, instance, now)
-                .unwrap_or_else(|e| panic!("issue for instance {instance}: {e}"));
-            if evidence.quote.vtpm_pcr_values.is_empty() {
-                report.divergences.push(format!("round {round}: evidence without PCR values"));
-            }
-            let bytes = evidence.encode();
-            if round == 0 {
-                held.push(bytes.clone());
-            }
-            let verdict = submit(&pool, v, bytes.clone(), now, &mut transcript);
-            report.submissions += 1;
-            if verdict.accepted() {
-                report.accepted += 1;
-            } else {
-                report
-                    .divergences
-                    .push(format!("round {round}: honest submission by {v} judged {verdict}"));
-            }
-            // Replay injection: re-present the identical, still-fresh
-            // evidence under the same verifier identity.
-            if report.injected_replays < cfg.replay_injections as u64 {
-                report.injected_replays += 1;
-                match submit(&pool, v, bytes, now, &mut transcript) {
-                    Verdict::Replayed => report.replays_refused += 1,
-                    other => report
+        // Phase 1: honest polling, one round per nonce-window, with
+        // seed-chosen PCR churn between rounds. Evidence from the first
+        // round is held back for the stale-injection burst; the first few
+        // submissions are replayed immediately while still fresh.
+        let mut held: Vec<Vec<u8>> = Vec::new();
+        for round in 0..self.rounds {
+            clock.advance_ns(self.window_ns);
+            for v in 0..self.verifiers as u32 {
+                let pick = rng.below(guests.len() as u64) as usize;
+                let instance = guests[pick].instance;
+                let now = clock.now_ns();
+                let evidence = issuer
+                    .issue(&platform, instance, now)
+                    .unwrap_or_else(|e| panic!("issue for instance {instance}: {e}"));
+                if evidence.quote.vtpm_pcr_values.is_empty() {
+                    report.divergences.push(format!("round {round}: evidence without PCR values"));
+                }
+                let bytes = evidence.encode();
+                if round == 0 {
+                    held.push(bytes.clone());
+                }
+                let verdict = submit(&pool, v, bytes.clone(), now, &mut transcript);
+                report.submissions += 1;
+                if verdict.accepted() {
+                    report.accepted += 1;
+                } else {
+                    report
                         .divergences
-                        .push(format!("replay injection by {v} judged {other}, want replayed")),
+                        .push(format!("round {round}: honest submission by {v} judged {verdict}"));
+                }
+                // Replay injection: re-present the identical, still-fresh
+                // evidence under the same verifier identity.
+                if report.injected_replays < self.replay_injections as u64 {
+                    report.injected_replays += 1;
+                    match submit(&pool, v, bytes, now, &mut transcript) {
+                        Verdict::Replayed => report.replays_refused += 1,
+                        other => report
+                            .divergences
+                            .push(format!("replay injection by {v} judged {other}, want replayed")),
+                    }
+                }
+            }
+            // Seed-chosen PCR extend: the permanent-state generation bumps,
+            // so the next round's quote MUST show the new PCR value — a
+            // cached pre-extend quote surviving the extend is a divergence.
+            if rng.below(2) == 0 {
+                let pick = rng.below(guests.len() as u64) as usize;
+                let g = &mut guests[pick];
+                let mut measurement = [0u8; 20];
+                rng.fill_bytes(&mut measurement);
+                let before = issuer
+                    .issue(&platform, g.instance, clock.now_ns())
+                    .expect("pre-extend issue")
+                    .quote
+                    .vtpm_pcr_values
+                    .clone();
+                g.client(b"attest-chaos-extend")
+                    .extend(0, &measurement)
+                    .expect("extend measured PCR");
+                report.pcr_extends += 1;
+                let after = issuer
+                    .issue(&platform, g.instance, clock.now_ns())
+                    .expect("post-extend issue")
+                    .quote
+                    .vtpm_pcr_values
+                    .clone();
+                if before == after {
+                    report.divergences.push(format!(
+                        "round {round}: PCR extend did not invalidate the issued-quote cache"
+                    ));
                 }
             }
         }
-        // Seed-chosen PCR extend: the permanent-state generation bumps,
-        // so the next round's quote MUST show the new PCR value — a
-        // cached pre-extend quote surviving the extend is a divergence.
-        if rng.below(2) == 0 {
-            let pick = rng.below(guests.len() as u64) as usize;
-            let g = &mut guests[pick];
-            let mut measurement = [0u8; 20];
-            rng.fill_bytes(&mut measurement);
-            let before = issuer
-                .issue(&platform, g.instance, clock.now_ns())
-                .expect("pre-extend issue")
-                .quote
-                .vtpm_pcr_values
-                .clone();
-            g.client(b"attest-chaos-extend")
-                .extend(0, &measurement)
-                .expect("extend measured PCR");
-            report.pcr_extends += 1;
-            let after = issuer
-                .issue(&platform, g.instance, clock.now_ns())
-                .expect("post-extend issue")
-                .quote
-                .vtpm_pcr_values
-                .clone();
-            if before == after {
-                report.divergences.push(format!(
-                    "round {round}: PCR extend did not invalidate the issued-quote cache"
-                ));
+
+        // Phase 2: stale-injection burst — fresh verifier identities
+        // present round-0 evidence after the clock has rolled well past
+        // the freshness window, packed tight enough to trip the sentinel's
+        // stale-quote watch.
+        clock.advance_ns(self.window_ns * 4);
+        for i in 0..self.stale_injections.min(held.len()) {
+            clock.advance_ns(1_000);
+            let verifier = 100_000 + i as u32;
+            let bytes = held[i].clone();
+            let verdict = submit(&pool, verifier, bytes, clock.now_ns(), &mut transcript);
+            report.injected_stale += 1;
+            match verdict {
+                Verdict::Stale => report.stale_refused += 1,
+                other => report
+                    .divergences
+                    .push(format!("stale injection judged {other}, want stale")),
             }
         }
-    }
 
-    // Phase 2: stale-injection burst — fresh verifier identities
-    // present round-0 evidence after the clock has rolled well past
-    // the freshness window, packed tight enough to trip the sentinel's
-    // stale-quote watch.
-    clock.advance_ns(cfg.window_ns * 4);
-    for i in 0..cfg.stale_injections.min(held.len()) {
-        clock.advance_ns(1_000);
-        let verifier = 100_000 + i as u32;
-        let bytes = held[i].clone();
-        let verdict = submit(&pool, verifier, bytes, clock.now_ns(), &mut transcript);
-        report.injected_stale += 1;
-        match verdict {
-            Verdict::Stale => report.stale_refused += 1,
-            other => report
-                .divergences
-                .push(format!("stale injection judged {other}, want stale")),
+        // Phase 3: quote storm — one scripted identity hammers the pool at
+        // a cadence no honest verifier reaches, then the sentinel-driven
+        // admission loop closes on it.
+        const STORM_VERIFIER: u32 = 999_999;
+        if self.storm {
+            clock.advance_ns(self.window_ns);
+            let instance = guests[0].instance;
+            for _ in 0..80 {
+                clock.advance_ns(1_000);
+                let now = clock.now_ns();
+                let evidence = issuer.issue(&platform, instance, now).expect("storm issue");
+                submit(&pool, STORM_VERIFIER, evidence.encode(), now, &mut transcript);
+                report.storm_submissions += 1;
+            }
         }
-    }
 
-    // Phase 3: quote storm — one scripted identity hammers the pool at
-    // a cadence no honest verifier reaches, then the sentinel-driven
-    // admission loop closes on it.
-    const STORM_VERIFIER: u32 = 999_999;
-    if cfg.storm {
-        clock.advance_ns(cfg.window_ns);
-        let instance = guests[0].instance;
-        for _ in 0..80 {
+        // Feed the sentinel: the pool's verdict stream plus the audit
+        // chain's refusal records, in that order.
+        for ev in pool.drain_events() {
+            sentinel.observe(attest_event(0, &ev));
+        }
+        for entry in audit.entries() {
+            sentinel.observe(audit_event(0, &entry));
+        }
+
+        if self.storm {
+            let alerts: Vec<_> = sentinel.alerts().to_vec();
+            if !alerts.iter().any(|a| a.detector == "quote-storm" && a.domain == Some(STORM_VERIFIER)) {
+                report.divergences.push("quote storm went undetected".into());
+            }
+            apply_verifier_alerts(&pool, &alerts);
+            if !pool.is_throttled(STORM_VERIFIER) {
+                report.divergences.push("storm verifier not throttled by the closed loop".into());
+            }
             clock.advance_ns(1_000);
             let now = clock.now_ns();
-            let evidence = issuer.issue(&platform, instance, now).expect("storm issue");
-            submit(&pool, STORM_VERIFIER, evidence.encode(), now, &mut transcript);
+            let evidence = issuer.issue(&platform, guests[0].instance, now).expect("post-storm issue");
+            let verdict = submit(&pool, STORM_VERIFIER, evidence.encode(), now, &mut transcript);
             report.storm_submissions += 1;
+            if verdict != Verdict::Throttled {
+                report
+                    .divergences
+                    .push(format!("throttled storm verifier judged {verdict}, want throttled"));
+            }
+            report.storm_throttled = verdict == Verdict::Throttled;
         }
-    }
+        if report.injected_stale >= 4
+            && !sentinel.alerts().iter().any(|a| a.detector == "stale-quote")
+        {
+            report.divergences.push("stale-quote burst went undetected".into());
+        }
 
-    // Feed the sentinel: the pool's verdict stream plus the audit
-    // chain's refusal records, in that order.
-    for ev in pool.drain_events() {
-        sentinel.observe(attest_event(0, &ev));
-    }
-    for entry in audit.entries() {
-        sentinel.observe(audit_event(0, &entry));
-    }
-
-    if cfg.storm {
-        let alerts: Vec<_> = sentinel.alerts().to_vec();
-        if !alerts.iter().any(|a| a.detector == "quote-storm" && a.domain == Some(STORM_VERIFIER)) {
-            report.divergences.push("quote storm went undetected".into());
-        }
-        apply_verifier_alerts(&pool, &alerts);
-        if !pool.is_throttled(STORM_VERIFIER) {
-            report.divergences.push("storm verifier not throttled by the closed loop".into());
-        }
-        clock.advance_ns(1_000);
-        let now = clock.now_ns();
-        let evidence = issuer.issue(&platform, guests[0].instance, now).expect("post-storm issue");
-        let verdict = submit(&pool, STORM_VERIFIER, evidence.encode(), now, &mut transcript);
-        report.storm_submissions += 1;
-        if verdict != Verdict::Throttled {
+        // Attack-free runs must be alert-free: any critical here is a
+        // false positive.
+        let attack_free =
+            self.replay_injections == 0 && self.stale_injections == 0 && !self.storm;
+        (report.sentinel_alerts, report.sentinel_critical) =
+            sentinel_tail(&sentinel, &mut transcript);
+        if attack_free && report.sentinel_critical > 0 {
             report
                 .divergences
-                .push(format!("throttled storm verifier judged {verdict}, want throttled"));
+                .push(format!("{} critical alerts on an attack-free run", report.sentinel_critical));
         }
-        report.storm_throttled = verdict == Verdict::Throttled;
-    }
-    if report.injected_stale >= 4
-        && !sentinel.alerts().iter().any(|a| a.detector == "stale-quote")
-    {
-        report.divergences.push("stale-quote burst went undetected".into());
-    }
 
-    // Attack-free runs must be alert-free: any critical here is a
-    // false positive.
-    let attack_free =
-        cfg.replay_injections == 0 && cfg.stale_injections == 0 && !cfg.storm;
-    report.sentinel_alerts = sentinel.alerts().iter().map(|a| a.line()).collect();
-    report.sentinel_critical =
-        sentinel.alerts().iter().filter(|a| a.severity == Severity::Critical).count() as u64;
-    if attack_free && report.sentinel_critical > 0 {
-        report
-            .divergences
-            .push(format!("{} critical alerts on an attack-free run", report.sentinel_critical));
-    }
+        // Cross-check the plane's own books.
+        let snap = issuer.telemetry().snapshot();
+        report.signing_passes = snap.signing_passes;
+        report.cache_absorbed = snap.cache_hits + snap.coalesced;
+        if snap.requested != snap.signing_passes + report.cache_absorbed {
+            report.divergences.push(format!(
+                "issuer counters do not conserve: {} != {} + {}",
+                snap.requested, snap.signing_passes, report.cache_absorbed
+            ));
+        }
+        let tsnap = telemetry.snapshot();
+        let deny_label = |code: u8| tsnap.deny_reasons[code as usize].1;
+        report.stale_denials = deny_label(vtpm_telemetry::DENY_STALE_QUOTE);
+        report.replay_denials = deny_label(vtpm_telemetry::DENY_QUOTE_REPLAY);
+        if report.stale_denials < report.stale_refused
+            || report.replay_denials < report.replays_refused
+        {
+            report.divergences.push("refusals missing from the per-reason deny counters".into());
+        }
+        let entries = audit.entries();
+        report.audit_chain_ok = AuditLog::verify(&entries)
+            && audit.denials() as u64 >= report.stale_refused + report.replays_refused;
+        if !report.audit_chain_ok {
+            report.divergences.push("audit chain broken or refusals unaudited".into());
+        }
 
-    // Cross-check the plane's own books.
-    let snap = issuer.telemetry().snapshot();
-    report.signing_passes = snap.signing_passes;
-    report.cache_absorbed = snap.cache_hits + snap.coalesced;
-    if snap.requested != snap.signing_passes + report.cache_absorbed {
-        report.divergences.push(format!(
-            "issuer counters do not conserve: {} != {} + {}",
-            snap.requested, snap.signing_passes, report.cache_absorbed
-        ));
+        report.transcript = sha256(&transcript);
+        Ok(report)
     }
-    let tsnap = telemetry.snapshot();
-    let deny_label = |code: u8| tsnap.deny_reasons[code as usize].1;
-    report.stale_denials = deny_label(vtpm_telemetry::DENY_STALE_QUOTE);
-    report.replay_denials = deny_label(vtpm_telemetry::DENY_QUOTE_REPLAY);
-    if report.stale_denials < report.stale_refused
-        || report.replay_denials < report.replays_refused
-    {
-        report.divergences.push("refusals missing from the per-reason deny counters".into());
-    }
-    let entries = audit.entries();
-    report.audit_chain_ok = AuditLog::verify(&entries)
-        && audit.denials() as u64 >= report.stale_refused + report.replays_refused;
-    if !report.audit_chain_ok {
-        report.divergences.push("audit chain broken or refusals unaudited".into());
-    }
-
-    for line in &report.sentinel_alerts {
-        transcript.extend_from_slice(line.as_bytes());
-    }
-    report.transcript = sha256(&transcript);
-    Ok(report)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::runner::replay;
 
     #[test]
     fn attest_chaos_is_deterministic_and_clean() {
@@ -454,9 +441,8 @@ mod tests {
             rounds: 3,
             ..Default::default()
         };
-        let a = run_attest_chaos(b"attest-chaos-det", &cfg).unwrap();
-        let b = run_attest_chaos(b"attest-chaos-det", &cfg).unwrap();
-        assert_eq!(a, b, "same seed must replay byte-identically");
+        let (a, deterministic) = replay(&cfg, b"attest-chaos-det").unwrap();
+        assert!(deterministic, "same seed must replay byte-identically");
         assert!(a.divergences.is_empty(), "divergences: {:?}", a.divergences);
         assert_eq!(a.accepted, a.submissions);
         assert_eq!(a.replays_refused, a.injected_replays);
@@ -475,9 +461,19 @@ mod tests {
             ..Default::default()
         }
         .attack_free();
-        let r = run_attest_chaos(b"attest-chaos-calm", &cfg).unwrap();
+        let r = cfg.run(b"attest-chaos-calm").unwrap();
         assert!(r.divergences.is_empty(), "divergences: {:?}", r.divergences);
         assert_eq!(r.sentinel_critical, 0, "alerts: {:?}", r.sentinel_alerts);
         assert_eq!(r.accepted, r.submissions);
+    }
+
+    #[test]
+    fn attest_verdict_fails_on_divergence_only() {
+        assert!(AttestChaosReport::default().clean());
+        // Detected attacks raise critical alerts; that is the point.
+        assert!(AttestChaosReport { sentinel_critical: 3, ..Default::default() }.clean());
+        let diverged =
+            AttestChaosReport { divergences: vec!["quote storm went undetected".into()], ..Default::default() };
+        assert!(!diverged.clean());
     }
 }

@@ -4,7 +4,7 @@
 //! ```text
 //! chaos [--seeds N] [--events N] [--faults N] [--mode encrypted|cleartext]
 //!       [--base LABEL] [--jobs N]
-//!       [--family mirror|migration|attest|fleet|both|all] [--matrix] [--json]
+//!       [--family mirror|migration|attest|fleet|all] [--matrix] [--json]
 //! ```
 //!
 //! Seeds run in parallel across `--jobs` worker threads (default: all
@@ -17,17 +17,13 @@
 //! single-host mirror pipeline, `migration` the multi-host cluster
 //! scenarios, `attest` the attestation-plane quote-storm/replay
 //! scenarios, `fleet` the control-plane churn scenarios (failure
-//! detection, concurrent drivers, rebalancing under crash storms),
-//! `both` runs mirror + migration back to back on the same seed list,
-//! `all` runs every family. Attest seeds *expect* critical sentinel
-//! alerts (the injected attacks must be detected), so their clean
-//! criterion is divergence-freedom alone — missed detections and false
-//! positives are folded into the divergence list by the family itself.
-//! Fleet seeds additionally require zero lost / duplicated / orphaned
-//! vTPMs and that every injected drive conflict resolved to at most one
-//! winner. `--matrix` additionally runs the exhaustive
-//! crash-at-every-step migration matrix (both roles x every protocol
-//! step) on one seed.
+//! detection, concurrent drivers, rebalancing under crash storms), and
+//! `all` runs every family. Each family's clean rule lives with its
+//! report (`ScenarioReport::clean`). `--matrix` additionally runs the
+//! exhaustive crash-at-every-step migration matrix (both roles x every
+//! protocol step) on one seed. `--mode` picks the mirror mode and, for
+//! the migration family and the matrix alike, sealed (`encrypted`) or
+//! cleartext packages.
 //!
 //! `--json` switches the per-seed output to one JSON object per line
 //! (stable field order; `report` is the full seed report, plus
@@ -42,8 +38,8 @@ use std::sync::mpsc;
 
 use vtpm::MirrorMode;
 use vtpm_harness::{
-    run_attest_chaos, run_chaos, run_crash_matrix, run_fleet_chaos, run_migration_chaos,
-    AttestChaosConfig, ChaosConfig, FleetChaosConfig, MigrationChaosConfig,
+    render_text, replay, report_json, AttestChaosConfig, ChaosConfig, CrashMatrix,
+    FleetChaosConfig, MigrationChaosConfig, Scenario, ScenarioReport,
 };
 
 /// Everything one seed produced: its report text (divergence detail
@@ -53,284 +49,24 @@ struct SeedOutcome {
     failed: bool,
 }
 
-/// Wrap a report's JSON with the harness verdicts, as one line.
-fn json_line(report_json: &str, deterministic: bool, failed: bool) -> String {
-    format!("{{\"report\":{report_json},\"deterministic\":{deterministic},\"failed\":{failed}}}\n")
-}
-
 /// Run one seed twice, diff the replays, and render the report line.
-fn run_seed(seed: &str, cfg: &ChaosConfig, json: bool) -> SeedOutcome {
-    let first = match run_chaos(seed.as_bytes(), cfg) {
+fn run_seed<S: Scenario>(scenario: &S, label: &str, json: bool) -> SeedOutcome {
+    let (report, deterministic) = match replay(scenario, label.as_bytes()) {
         Ok(r) => r,
         Err(e) => {
-            return SeedOutcome { text: format!("seed {seed}: harness error: {e}\n"), failed: true }
+            return SeedOutcome { text: format!("seed {label}: harness error: {e}\n"), failed: true }
         }
     };
-    let replay = match run_chaos(seed.as_bytes(), cfg) {
-        Ok(r) => r,
-        Err(e) => {
-            return SeedOutcome { text: format!("seed {seed}: replay error: {e}\n"), failed: true }
-        }
+    let failed = !deterministic || !report.clean();
+    let text = if json {
+        format!(
+            "{{\"report\":{},\"deterministic\":{deterministic},\"failed\":{failed}}}\n",
+            report_json(&report)
+        )
+    } else {
+        render_text(label, &report, deterministic)
     };
-    let deterministic = first == replay;
-    // Scrub failures are *not* a failure condition: an injected crash
-    // can land on a post-commit hygiene scrub, which is best-effort by
-    // design (recovery re-scrubs). They are surfaced in the report line
-    // and covered by the determinism diff instead. A critical sentinel
-    // alert on a clean (attack-free) seed is a false positive and fails
-    // the seed.
-    let clean = first.divergences.is_empty()
-        && first.nonce_reuses == 0
-        && first.dropped_events == 0
-        && first.sentinel_critical == 0;
-    if json {
-        return SeedOutcome {
-            text: json_line(&first.to_json(), deterministic, !deterministic || !clean),
-            failed: !deterministic || !clean,
-        };
-    }
-    let mut text = format!(
-        "seed {seed}: transcript {} faults {:?} recoveries {} (post {} / pre {}) reconnects {} \
-         completed {} dropped {} scrub-failures {} retried-burns {} divergences {} nonce-reuses {} \
-         sentinel-critical {}{}\n",
-        first.transcript.iter().take(8).map(|b| format!("{b:02x}")).collect::<String>(),
-        first.faults.iter().map(|(_, n)| *n).collect::<Vec<_>>(),
-        first.crash_recoveries,
-        first.recovered_post,
-        first.recovered_pre,
-        first.ring_reconnects,
-        first.completed,
-        first.dropped_events,
-        first.scrub_failures,
-        first.retried_generation_burns,
-        first.divergences.len(),
-        first.nonce_reuses,
-        first.sentinel_critical,
-        if deterministic { "" } else { "  REPLAY MISMATCH" },
-    );
-    for d in &first.divergences {
-        text.push_str(&format!("    {d}\n"));
-    }
-    for a in &first.sentinel_alerts {
-        text.push_str(&format!("    {a}\n"));
-    }
-    SeedOutcome { text, failed: !deterministic || !clean }
-}
-
-/// Run one migration-family seed twice, diff the replays, render.
-fn run_migration_seed(seed: &str, cfg: &MigrationChaosConfig, json: bool) -> SeedOutcome {
-    let first = match run_migration_chaos(seed.as_bytes(), cfg) {
-        Ok(r) => r,
-        Err(e) => {
-            return SeedOutcome { text: format!("seed {seed}: harness error: {e}\n"), failed: true }
-        }
-    };
-    let replay = match run_migration_chaos(seed.as_bytes(), cfg) {
-        Ok(r) => r,
-        Err(e) => {
-            return SeedOutcome { text: format!("seed {seed}: replay error: {e}\n"), failed: true }
-        }
-    };
-    let deterministic = first == replay;
-    let clean = first.divergences.is_empty() && first.sentinel_critical == 0;
-    if json {
-        return SeedOutcome {
-            text: json_line(&first.to_json(), deterministic, !deterministic || !clean),
-            failed: !deterministic || !clean,
-        };
-    }
-    let f = first.fabric;
-    let mut text = format!(
-        "seed {seed} [migration]: transcript {} committed {} aborted {} rejected-stale {} \
-         crashes {} rebalance-moves {} fabric {}s/{}d/{}dup/{}ro/{}lost divergences {} \
-         sentinel-critical {}{}\n",
-        first.transcript.iter().take(8).map(|b| format!("{b:02x}")).collect::<String>(),
-        first.committed,
-        first.aborted,
-        first.rejected_stale,
-        first.crashes,
-        first.rebalance_moves,
-        f.sent,
-        f.dropped,
-        f.duplicated,
-        f.reordered,
-        f.crash_lost,
-        first.divergences.len(),
-        first.sentinel_critical,
-        if deterministic { "" } else { "  REPLAY MISMATCH" },
-    );
-    for d in &first.divergences {
-        text.push_str(&format!("    {d}\n"));
-    }
-    for a in &first.sentinel_alerts {
-        text.push_str(&format!("    {a}\n"));
-    }
-    SeedOutcome { text, failed: !deterministic || !clean }
-}
-
-/// Run one attest-family seed twice, diff the replays, render. Critical
-/// sentinel alerts are *expected* here (injected attacks must be
-/// detected — a missed detection is reported as a divergence by the
-/// family itself), so clean means divergence-free, nothing more.
-fn run_attest_seed(seed: &str, cfg: &AttestChaosConfig, json: bool) -> SeedOutcome {
-    let first = match run_attest_chaos(seed.as_bytes(), cfg) {
-        Ok(r) => r,
-        Err(e) => {
-            return SeedOutcome { text: format!("seed {seed}: harness error: {e}\n"), failed: true }
-        }
-    };
-    let replay = match run_attest_chaos(seed.as_bytes(), cfg) {
-        Ok(r) => r,
-        Err(e) => {
-            return SeedOutcome { text: format!("seed {seed}: replay error: {e}\n"), failed: true }
-        }
-    };
-    let deterministic = first == replay;
-    let clean = first.divergences.is_empty();
-    if json {
-        return SeedOutcome {
-            text: json_line(&first.to_json(), deterministic, !deterministic || !clean),
-            failed: !deterministic || !clean,
-        };
-    }
-    let mut text = format!(
-        "seed {seed} [attest]: transcript {} submissions {} accepted {} replays {}/{} \
-         stale {}/{} storm {}{} signing-passes {} cache-absorbed {} pcr-extends {} \
-         audit-chain {} divergences {} sentinel-critical {}{}\n",
-        first.transcript.iter().take(8).map(|b| format!("{b:02x}")).collect::<String>(),
-        first.submissions,
-        first.accepted,
-        first.replays_refused,
-        first.injected_replays,
-        first.stale_refused,
-        first.injected_stale,
-        first.storm_submissions,
-        if first.storm_throttled { " (throttled)" } else { "" },
-        first.signing_passes,
-        first.cache_absorbed,
-        first.pcr_extends,
-        if first.audit_chain_ok { "ok" } else { "BROKEN" },
-        first.divergences.len(),
-        first.sentinel_critical,
-        if deterministic { "" } else { "  REPLAY MISMATCH" },
-    );
-    for d in &first.divergences {
-        text.push_str(&format!("    {d}\n"));
-    }
-    for a in &first.sentinel_alerts {
-        text.push_str(&format!("    {a}\n"));
-    }
-    SeedOutcome { text, failed: !deterministic || !clean }
-}
-
-/// Run one fleet-family seed twice, diff the replays, render. Clean
-/// means: no divergences, every VM accounted for exactly once (zero
-/// lost / duplicated / orphaned, journals settled), every injected
-/// conflict resolved to at most one winner, and no critical sentinel
-/// alerts (churn-storm alerts are Warning-class and expected).
-fn run_fleet_seed(seed: &str, cfg: &FleetChaosConfig, json: bool) -> SeedOutcome {
-    let first = match run_fleet_chaos(seed.as_bytes(), cfg) {
-        Ok(r) => r,
-        Err(e) => {
-            return SeedOutcome { text: format!("seed {seed}: harness error: {e}\n"), failed: true }
-        }
-    };
-    let replay = match run_fleet_chaos(seed.as_bytes(), cfg) {
-        Ok(r) => r,
-        Err(e) => {
-            return SeedOutcome { text: format!("seed {seed}: replay error: {e}\n"), failed: true }
-        }
-    };
-    let deterministic = first == replay;
-    let clean = first.divergences.is_empty()
-        && first.lost == 0
-        && first.duplicated == 0
-        && first.orphaned == 0
-        && first.unsettled == 0
-        && first.multi_winner_conflicts == 0
-        && first.sentinel_critical == 0;
-    if json {
-        return SeedOutcome {
-            text: json_line(&first.to_json(), deterministic, !deterministic || !clean),
-            failed: !deterministic || !clean,
-        };
-    }
-    let mut text = format!(
-        "seed {seed} [fleet]: transcript {} ticks {} committed {} aborted {} rejected-stale {} \
-         abandoned {} refused {} conflicts {}/{}pairs crashes {} revivals {} joins {} \
-         suspects {} (false {}) pauses {}/{} p99-downtime {}ns lost {} dup {} orphaned {} \
-         unsettled {} divergences {} sentinel-critical {}{}\n",
-        first.transcript.iter().take(8).map(|b| format!("{b:02x}")).collect::<String>(),
-        first.ticks,
-        first.committed,
-        first.aborted,
-        first.rejected_stale,
-        first.abandoned,
-        first.refused,
-        first.conflicts,
-        first.conflict_pairs,
-        first.crashes,
-        first.revivals,
-        first.joins,
-        first.suspects_raised,
-        first.false_suspects,
-        first.storm_pauses,
-        first.storm_resumes,
-        first.downtime_p99_ns,
-        first.lost,
-        first.duplicated,
-        first.orphaned,
-        first.unsettled,
-        first.divergences.len(),
-        first.sentinel_critical,
-        if deterministic { "" } else { "  REPLAY MISMATCH" },
-    );
-    for d in &first.divergences {
-        text.push_str(&format!("    {d}\n"));
-    }
-    for a in &first.sentinel_alerts {
-        text.push_str(&format!("    {a}\n"));
-    }
-    SeedOutcome { text, failed: !deterministic || !clean }
-}
-
-/// Run the exhaustive crash matrix twice on one seed, diff, render.
-fn run_matrix_seed(seed: &str, json: bool) -> SeedOutcome {
-    let first = match run_crash_matrix(seed.as_bytes(), true) {
-        Ok(r) => r,
-        Err(e) => {
-            return SeedOutcome { text: format!("matrix {seed}: harness error: {e}\n"), failed: true }
-        }
-    };
-    let replay = match run_crash_matrix(seed.as_bytes(), true) {
-        Ok(r) => r,
-        Err(e) => {
-            return SeedOutcome { text: format!("matrix {seed}: replay error: {e}\n"), failed: true }
-        }
-    };
-    let deterministic = first == replay;
-    let clean = first.failures.is_empty() && first.cells.len() == 18;
-    if json {
-        return SeedOutcome {
-            text: json_line(&first.to_json(), deterministic, !deterministic || !clean),
-            failed: !deterministic || !clean,
-        };
-    }
-    let moved = first.cells.iter().filter(|c| c.moved).count();
-    let mut text = format!(
-        "matrix {seed}: transcript {} cells {} committed-handoffs {} replays-rejected {} \
-         failures {}{}\n",
-        first.transcript.iter().take(8).map(|b| format!("{b:02x}")).collect::<String>(),
-        first.cells.len(),
-        moved,
-        first.replays_rejected,
-        first.failures.len(),
-        if deterministic { "" } else { "  REPLAY MISMATCH" },
-    );
-    for d in &first.failures {
-        text.push_str(&format!("    {d}\n"));
-    }
-    SeedOutcome { text, failed: !deterministic || !clean }
+    SeedOutcome { text, failed }
 }
 
 /// Fan `seeds` out over `jobs` worker threads, printing outcomes in
@@ -372,17 +108,40 @@ fn run_family(seeds: usize, jobs: usize, run: impl Fn(usize) -> SeedOutcome + Sy
     failures
 }
 
-fn main() -> ExitCode {
+/// What one invocation runs: the selected families with their configs,
+/// and how.
+struct Plan {
+    seeds: usize,
+    jobs: usize,
+    base: String,
+    json: bool,
+    mirror: Option<ChaosConfig>,
+    migration: Option<MigrationChaosConfig>,
+    attest: Option<AttestChaosConfig>,
+    fleet: Option<FleetChaosConfig>,
+    matrix: Option<CrashMatrix>,
+}
+
+impl Plan {
+    /// Run `scenario` over every seed, labelled `{base}-{tag}{s}`;
+    /// returns the number of failed seeds.
+    fn sweep<S: Scenario + Sync>(&self, scenario: &S, tag: &str) -> usize {
+        run_family(self.seeds, self.jobs, |s| {
+            run_seed(scenario, &format!("{}-{tag}{s}", self.base), self.json)
+        })
+    }
+}
+
+/// Parse the command line; `Err` carries the usage exit status.
+fn parse(args: &[String]) -> Result<Plan, ExitCode> {
     let mut seeds = 32usize;
     let mut cfg = ChaosConfig::default();
     let mut base = String::from("chaos");
     let mut jobs = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
-    let (mut mirror_family, mut migration_family, mut attest_family, mut fleet_family) =
-        (true, false, false, false);
+    let mut family = "mirror";
     let mut matrix = false;
     let mut json = false;
 
-    let args: Vec<String> = std::env::args().skip(1).collect();
     let mut it = args.iter();
     while let Some(arg) = it.next() {
         let mut take = |name: &str| -> Option<&String> {
@@ -395,110 +154,98 @@ fn main() -> ExitCode {
         match arg.as_str() {
             "--seeds" => match take("--seeds").and_then(|v| v.parse().ok()) {
                 Some(n) => seeds = n,
-                None => return ExitCode::from(2),
+                None => return Err(ExitCode::from(2)),
             },
             "--events" => match take("--events").and_then(|v| v.parse().ok()) {
                 Some(n) => cfg.events = n,
-                None => return ExitCode::from(2),
+                None => return Err(ExitCode::from(2)),
             },
             "--faults" => match take("--faults").and_then(|v| v.parse().ok()) {
                 Some(n) => cfg.faults = n,
-                None => return ExitCode::from(2),
+                None => return Err(ExitCode::from(2)),
             },
             "--mode" => match take("--mode").map(String::as_str) {
                 Some("encrypted") => cfg.mirror_mode = MirrorMode::Encrypted,
                 Some("cleartext") => cfg.mirror_mode = MirrorMode::Cleartext,
                 _ => {
                     eprintln!("--mode is encrypted|cleartext");
-                    return ExitCode::from(2);
+                    return Err(ExitCode::from(2));
                 }
             },
             "--base" => match take("--base") {
                 Some(b) => base = b.clone(),
-                None => return ExitCode::from(2),
+                None => return Err(ExitCode::from(2)),
             },
             "--jobs" => match take("--jobs").and_then(|v| v.parse().ok()) {
                 Some(n) if n >= 1usize => jobs = n,
                 _ => {
                     eprintln!("--jobs needs a positive integer");
-                    return ExitCode::from(2);
+                    return Err(ExitCode::from(2));
                 }
             },
             "--family" => match take("--family").map(String::as_str) {
-                Some("mirror") => {
-                    (mirror_family, migration_family, attest_family, fleet_family) =
-                        (true, false, false, false)
-                }
-                Some("migration") => {
-                    (mirror_family, migration_family, attest_family, fleet_family) =
-                        (false, true, false, false)
-                }
-                Some("attest") => {
-                    (mirror_family, migration_family, attest_family, fleet_family) =
-                        (false, false, true, false)
-                }
-                Some("fleet") => {
-                    (mirror_family, migration_family, attest_family, fleet_family) =
-                        (false, false, false, true)
-                }
-                Some("both") => {
-                    (mirror_family, migration_family, attest_family, fleet_family) =
-                        (true, true, false, false)
-                }
-                Some("all") => {
-                    (mirror_family, migration_family, attest_family, fleet_family) =
-                        (true, true, true, true)
-                }
+                Some(f @ ("mirror" | "migration" | "attest" | "fleet" | "all")) => family = f,
                 _ => {
-                    eprintln!("--family is mirror|migration|attest|fleet|both|all");
-                    return ExitCode::from(2);
+                    eprintln!("--family is mirror|migration|attest|fleet|all");
+                    return Err(ExitCode::from(2));
                 }
             },
             "--matrix" => matrix = true,
             "--json" => json = true,
             other => {
                 eprintln!("unknown argument: {other}");
-                return ExitCode::from(2);
+                return Err(ExitCode::from(2));
             }
         }
     }
-    jobs = jobs.min(seeds.max(1));
+
+    let runs = |f: &str| family == f || family == "all";
+    // Packages ship sealed exactly when the mirror is encrypted, for the
+    // migration family and the crash matrix alike.
+    let sealed = cfg.mirror_mode == MirrorMode::Encrypted;
+    Ok(Plan {
+        seeds,
+        jobs: jobs.min(seeds.max(1)),
+        base,
+        json,
+        mirror: runs("mirror").then_some(cfg),
+        migration: runs("migration").then(|| MigrationChaosConfig { sealed, ..Default::default() }),
+        attest: runs("attest").then(AttestChaosConfig::default),
+        fleet: runs("fleet").then(FleetChaosConfig::default),
+        matrix: matrix.then_some(CrashMatrix { sealed }),
+    })
+}
+
+fn main() -> ExitCode {
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let plan = match parse(&args) {
+        Ok(plan) => plan,
+        Err(code) => return code,
+    };
 
     // Work-stealing over the seed index; results stream back over a
     // channel and are printed strictly in seed order (out-of-order
     // completions buffer until their turn).
     let mut failures = 0usize;
     let mut ran = 0usize;
-    if mirror_family {
-        failures += run_family(seeds, jobs, |s| run_seed(&format!("{base}-{s}"), &cfg, json));
-        ran += seeds;
+    if let Some(cfg) = &plan.mirror {
+        failures += plan.sweep(cfg, "");
+        ran += plan.seeds;
     }
-    if migration_family {
-        let mig_cfg = MigrationChaosConfig {
-            sealed: cfg.mirror_mode == MirrorMode::Encrypted,
-            ..Default::default()
-        };
-        failures += run_family(seeds, jobs, |s| {
-            run_migration_seed(&format!("{base}-mig-{s}"), &mig_cfg, json)
-        });
-        ran += seeds;
+    if let Some(cfg) = &plan.migration {
+        failures += plan.sweep(cfg, "mig-");
+        ran += plan.seeds;
     }
-    if attest_family {
-        let att_cfg = AttestChaosConfig::default();
-        failures += run_family(seeds, jobs, |s| {
-            run_attest_seed(&format!("{base}-att-{s}"), &att_cfg, json)
-        });
-        ran += seeds;
+    if let Some(cfg) = &plan.attest {
+        failures += plan.sweep(cfg, "att-");
+        ran += plan.seeds;
     }
-    if fleet_family {
-        let fleet_cfg = FleetChaosConfig::default();
-        failures += run_family(seeds, jobs, |s| {
-            run_fleet_seed(&format!("{base}-fleet-{s}"), &fleet_cfg, json)
-        });
-        ran += seeds;
+    if let Some(cfg) = &plan.fleet {
+        failures += plan.sweep(cfg, "fleet-");
+        ran += plan.seeds;
     }
-    if matrix {
-        let outcome = run_matrix_seed(&format!("{base}-matrix"), json);
+    if let Some(matrix) = &plan.matrix {
+        let outcome = run_seed(matrix, &format!("{}-matrix", plan.base), plan.json);
         print!("{}", outcome.text);
         if outcome.failed {
             failures += 1;
@@ -512,5 +259,33 @@ fn main() -> ExitCode {
     } else {
         println!("{ran} seeds clean, replays deterministic");
         ExitCode::SUCCESS
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn plan(args: &[&str]) -> Result<Plan, ExitCode> {
+        parse(&args.iter().map(|a| a.to_string()).collect::<Vec<_>>())
+    }
+
+    #[test]
+    fn matrix_follows_the_mode_like_the_migration_family() {
+        for (mode, sealed) in [("encrypted", true), ("cleartext", false)] {
+            let p = plan(&["--mode", mode, "--family", "migration", "--matrix"]).unwrap();
+            assert_eq!(p.matrix, Some(CrashMatrix { sealed }), "--mode {mode}");
+            assert_eq!(p.migration.map(|m| m.sealed), Some(sealed), "--mode {mode}");
+            assert!(p.mirror.is_none() && p.attest.is_none() && p.fleet.is_none());
+        }
+        assert_eq!(plan(&[]).unwrap().matrix, None, "the matrix is opt-in");
+    }
+
+    #[test]
+    fn family_all_selects_every_family_and_both_is_gone() {
+        let p = plan(&["--family", "all"]).unwrap();
+        assert!(p.mirror.is_some() && p.migration.is_some());
+        assert!(p.attest.is_some() && p.fleet.is_some());
+        assert!(plan(&["--family", "both"]).is_err());
     }
 }

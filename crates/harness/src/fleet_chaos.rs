@@ -1,6 +1,6 @@
 //! Fleet chaos: churn-storm scenarios over the fleet control plane.
 //!
-//! [`run_fleet_chaos`] runs one seeded scenario with a [`Fleet`]
+//! [`FleetChaosConfig`] runs one seeded scenario with a [`Fleet`]
 //! controller in the loop: heartbeat-fed failure detection, a bounded
 //! pool of concurrent migration drivers, and the suspicion-driven
 //! rebalancer — under continuous host churn. Each round applies guest
@@ -30,12 +30,14 @@ use tpm_crypto::sha256;
 use vtpm_cluster::{Cluster, ClusterConfig, FabricFault, FabricStats};
 use vtpm_fleet::{DriveDecision, DriveOutcome, Fleet, FleetConfig, Submitted, CONTROLLER_HOST};
 use vtpm_observatory::Observatory;
-use vtpm_sentinel::{Sentinel, SentinelConfig, Severity, StreamEvent};
+use vtpm_sentinel::{Sentinel, SentinelConfig, StreamEvent};
 use workload::{generate_trace, TpmOracle};
 use xen_sim::Result as XenResult;
 
+use crate::json::{hex, Field};
+use crate::migration_chaos::fabric_field;
+use crate::runner::{sentinel_tail, Scenario, ScenarioReport};
 use crate::sentinel_feed::{apply_fleet_alerts, apply_slo_alerts, audit_event};
-use crate::{json_str, json_str_array};
 
 /// Tunables for one fleet-chaos scenario.
 #[derive(Debug, Clone)]
@@ -99,7 +101,7 @@ impl Default for FleetChaosConfig {
 
 /// Everything observable about one fleet-chaos run; two runs of the
 /// same seed and config must compare equal.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct FleetChaosReport {
     /// Hex of the seed.
     pub seed: String,
@@ -181,532 +183,490 @@ pub struct FleetChaosReport {
     pub transcript: [u8; 32],
 }
 
-impl FleetChaosReport {
-    /// One machine-readable JSON object (single line, stable field
-    /// order) — the `--json` chaos CLI output format.
-    pub fn to_json(&self) -> String {
-        let drives: Vec<String> = self
+impl ScenarioReport for FleetChaosReport {
+    const FAMILY: &'static str = "fleet";
+
+    fn fields(&self) -> Vec<(&'static str, Field)> {
+        let drives = self
             .drives
             .iter()
             .map(|d| {
-                format!(
-                    "{{\"vm\":{},\"src\":{},\"dst\":{},\"epoch\":{},\"trace\":{},\
-                     \"reason\":{},\"conflict\":{},\"outcome\":{},\"downtime_ns\":{},\"why\":{}}}",
-                    d.vm,
-                    d.src,
-                    d.dst,
-                    d.epoch,
-                    d.trace,
-                    json_str(d.reason.label()),
-                    d.conflict,
-                    json_str(d.outcome.label()),
-                    d.downtime_ns,
-                    json_str(d.why),
-                )
+                Field::Obj(vec![
+                    ("vm", u64::from(d.vm).into()),
+                    ("src", d.src.into()),
+                    ("dst", d.dst.into()),
+                    ("epoch", d.epoch.into()),
+                    ("trace", d.trace.into()),
+                    ("reason", d.reason.label().into()),
+                    ("conflict", d.conflict.into()),
+                    ("outcome", d.outcome.label().into()),
+                    ("downtime_ns", d.downtime_ns.into()),
+                    ("why", d.why.into()),
+                ])
             })
             .collect();
-        let f = self.fabric;
-        format!(
-            "{{\"family\":\"fleet\",\"seed\":{},\"rounds\":{},\"ticks\":{},\"committed\":{},\
-             \"aborted\":{},\"rejected_stale\":{},\"abandoned\":{},\"refused\":{},\
-             \"conflicts\":{},\"conflict_pairs\":{},\"multi_winner_conflicts\":{},\
-             \"crashes\":{},\"revivals\":{},\"joins\":{},\"suspects_raised\":{},\
-             \"false_suspects\":{},\"storm_pauses\":{},\"storm_resumes\":{},\"scrapes\":{},\
-             \"slo_burns\":{},\"slo_clears\":{},\"slo_pauses\":{},\"slo_resumes\":{},\"lost\":{},\
-             \"duplicated\":{},\"orphaned\":{},\"unsettled\":{},\"downtime_p99_ns\":{},\
-             \"downtime_max_ns\":{},\"drives\":[{}],\"fabric\":{{\"sent\":{},\"delivered\":{},\
-             \"dropped\":{},\"duplicated\":{},\"reordered\":{},\"crash_lost\":{}}},\
-             \"divergences\":{},\"sentinel_alerts\":{},\"sentinel_critical\":{},\"transcript\":{}}}",
-            json_str(&self.seed),
-            self.rounds,
-            self.ticks,
-            self.committed,
-            self.aborted,
-            self.rejected_stale,
-            self.abandoned,
-            self.refused,
-            self.conflicts,
-            self.conflict_pairs,
-            self.multi_winner_conflicts,
-            self.crashes,
-            self.revivals,
-            self.joins,
-            self.suspects_raised,
-            self.false_suspects,
-            self.storm_pauses,
-            self.storm_resumes,
-            self.scrapes,
-            self.slo_burns,
-            self.slo_clears,
-            self.slo_pauses,
-            self.slo_resumes,
-            self.lost,
-            self.duplicated,
-            self.orphaned,
-            self.unsettled,
-            self.downtime_p99_ns,
-            self.downtime_max_ns,
-            drives.join(","),
-            f.sent,
-            f.delivered,
-            f.dropped,
-            f.duplicated,
-            f.reordered,
-            f.crash_lost,
-            json_str_array(&self.divergences),
-            json_str_array(&self.sentinel_alerts),
-            self.sentinel_critical,
-            json_str(&hex(&self.transcript)),
-        )
+        vec![
+            ("seed", self.seed.as_str().into()),
+            ("rounds", self.rounds.into()),
+            ("ticks", self.ticks.into()),
+            ("committed", self.committed.into()),
+            ("aborted", self.aborted.into()),
+            ("rejected_stale", self.rejected_stale.into()),
+            ("abandoned", self.abandoned.into()),
+            ("refused", self.refused.into()),
+            ("conflicts", self.conflicts.into()),
+            ("conflict_pairs", self.conflict_pairs.into()),
+            ("multi_winner_conflicts", self.multi_winner_conflicts.into()),
+            ("crashes", self.crashes.into()),
+            ("revivals", self.revivals.into()),
+            ("joins", self.joins.into()),
+            ("suspects_raised", self.suspects_raised.into()),
+            ("false_suspects", self.false_suspects.into()),
+            ("storm_pauses", self.storm_pauses.into()),
+            ("storm_resumes", self.storm_resumes.into()),
+            ("scrapes", self.scrapes.into()),
+            ("slo_burns", self.slo_burns.into()),
+            ("slo_clears", self.slo_clears.into()),
+            ("slo_pauses", self.slo_pauses.into()),
+            ("slo_resumes", self.slo_resumes.into()),
+            ("lost", self.lost.into()),
+            ("duplicated", self.duplicated.into()),
+            ("orphaned", self.orphaned.into()),
+            ("unsettled", self.unsettled.into()),
+            ("downtime_p99_ns", self.downtime_p99_ns.into()),
+            ("downtime_max_ns", self.downtime_max_ns.into()),
+            ("drives", Field::List(drives)),
+            ("fabric", fabric_field(&self.fabric)),
+            ("divergences", Field::strs(&self.divergences)),
+            ("sentinel_alerts", Field::strs(&self.sentinel_alerts)),
+            ("sentinel_critical", self.sentinel_critical.into()),
+            ("transcript", Field::Digest(self.transcript)),
+        ]
+    }
+
+    /// No divergences, every VM accounted for exactly once (zero lost /
+    /// duplicated / orphaned, journals settled), every injected
+    /// conflict resolved to at most one winner, and no critical
+    /// sentinel alert (churn-storm alerts are Warning-class and
+    /// expected).
+    fn clean(&self) -> bool {
+        self.divergences.is_empty()
+            && self.lost == 0
+            && self.duplicated == 0
+            && self.orphaned == 0
+            && self.unsettled == 0
+            && self.multi_winner_conflicts == 0
+            && self.sentinel_critical == 0
     }
 }
 
-fn hex(bytes: &[u8]) -> String {
-    bytes.iter().map(|b| format!("{b:02x}")).collect()
-}
+impl Scenario for FleetChaosConfig {
+    type Report = FleetChaosReport;
 
-/// Run one seeded fleet-chaos scenario. Deterministic in `seed` and
-/// `cfg`.
-pub fn run_fleet_chaos(seed: &[u8], cfg: &FleetChaosConfig) -> XenResult<FleetChaosReport> {
-    let mut rng = Drbg::new(&[seed, b"/fleet-chaos"].concat());
-    let mut cluster = Cluster::new(
-        &[seed, b"/cluster"].concat(),
-        ClusterConfig {
-            hosts: cfg.hosts,
-            sealed: cfg.sealed,
-            frames_per_host: cfg.frames_per_host,
-            ..Default::default()
-        },
-    )?;
-    let mut fleet = Fleet::new(cfg.fleet, &cluster);
-    let mut sentinel = Sentinel::new(cfg.sentinel);
-    let mut observatory = cfg.observatory.then(|| Observatory::new(Default::default()));
+    /// Run one seeded fleet-chaos scenario. Deterministic in `seed` and
+    /// `self`.
+    fn run(&self, seed: &[u8]) -> XenResult<FleetChaosReport> {
+        let mut rng = Drbg::new(&[seed, b"/fleet-chaos"].concat());
+        let mut cluster = Cluster::new(
+            &[seed, b"/cluster"].concat(),
+            ClusterConfig {
+                hosts: self.hosts,
+                sealed: self.sealed,
+                frames_per_host: self.frames_per_host,
+                ..Default::default()
+            },
+        )?;
+        let mut fleet = Fleet::new(self.fleet, &cluster);
+        let mut sentinel = Sentinel::new(self.sentinel);
+        let mut observatory = self.observatory.then(|| Observatory::new(Default::default()));
 
-    let mut report = FleetChaosReport {
-        seed: hex(seed),
-        rounds: cfg.rounds,
-        ticks: 0,
-        committed: 0,
-        aborted: 0,
-        rejected_stale: 0,
-        abandoned: 0,
-        refused: 0,
-        conflicts: 0,
-        conflict_pairs: 0,
-        multi_winner_conflicts: 0,
-        crashes: 0,
-        revivals: 0,
-        joins: 0,
-        suspects_raised: 0,
-        false_suspects: 0,
-        storm_pauses: 0,
-        storm_resumes: 0,
-        scrapes: 0,
-        slo_burns: 0,
-        slo_clears: 0,
-        slo_pauses: 0,
-        slo_resumes: 0,
-        lost: 0,
-        duplicated: 0,
-        orphaned: 0,
-        unsettled: 0,
-        downtime_p99_ns: 0,
-        downtime_max_ns: 0,
-        drives: Vec::new(),
-        fabric: FabricStats::default(),
-        divergences: Vec::new(),
-        sentinel_alerts: Vec::new(),
-        sentinel_critical: 0,
-        transcript: [0; 32],
-    };
-    let mut transcript: Vec<u8> = Vec::new();
+        let mut report =
+            FleetChaosReport { seed: hex(seed), rounds: self.rounds, ..Default::default() };
+        let mut transcript: Vec<u8> = Vec::new();
 
-    let mut oracles: Vec<TpmOracle> = Vec::new();
-    for _ in 0..cfg.vms {
-        let vm = cluster.create_vm()?;
-        oracles.push(cluster.with_vm(vm, |i| TpmOracle::capture(&i.tpm)).expect("fresh vm"));
-    }
-
-    // Down hosts and the round each revives in (harness fiat: a down
-    // host is not stepped, pumped, or heartbeated until revival).
-    let mut down: BTreeMap<usize, usize> = BTreeMap::new();
-    // Injected double-drives, as decision-index pairs.
-    let mut pairs: Vec<(usize, usize)> = Vec::new();
-    // Stream cursors so the sentinel sees each record exactly once.
-    let mut audit_fed = vec![0usize; cfg.hosts];
-    let mut spans_fed = 0usize;
-    let mut alerts_fed = 0usize;
-
-    let revive =
-        |cluster: &mut Cluster, fleet: &mut Fleet, sentinel: &mut Sentinel, h: usize| -> XenResult<()> {
-            cluster.recover_host(h)?;
-            fleet.host_up(cluster, h);
-            sentinel.observe(StreamEvent::CrashRecovery {
-                host: h as u32,
-                at_ns: cluster.hosts[h].platform.hv.clock.now_ns(),
-            });
-            Ok(())
-        };
-
-    for round in 0..cfg.rounds {
-        transcript.extend_from_slice(&(round as u32).to_be_bytes());
-
-        // Revivals due this round.
-        let due: Vec<usize> =
-            down.iter().filter(|&(_, &at)| at <= round).map(|(&h, _)| h).collect();
-        let mut revived: Vec<usize> = Vec::new();
-        for h in due {
-            revive(&mut cluster, &mut fleet, &mut sentinel, h)?;
-            down.remove(&h);
-            revived.push(h);
-            report.revivals += 1;
-            transcript.extend_from_slice(&[b'U', h as u8]);
+        let mut oracles: Vec<TpmOracle> = Vec::new();
+        for _ in 0..self.vms {
+            let vm = cluster.create_vm()?;
+            oracles.push(cluster.with_vm(vm, |i| TpmOracle::capture(&i.tpm)).expect("fresh vm"));
         }
 
-        // Traffic against every at-rest VM on a live host.
-        for vm in 0..cfg.vms as u32 {
-            let runnable = cluster.runnable_hosts(vm);
-            let [home] = runnable[..] else { continue };
-            if down.contains_key(&home) || fleet.pool().has_vm(vm) {
-                continue;
-            }
-            let trace_seed =
-                [seed, b"/traffic/", &(round as u32).to_be_bytes(), &vm.to_be_bytes()].concat();
-            for ev in generate_trace(&trace_seed, cfg.events_per_round) {
-                if cluster.apply_event(vm, &ev) {
-                    oracles[vm as usize].apply(&ev);
-                } else {
-                    report
-                        .divergences
-                        .push(format!("round {round}: vm {vm} refused traffic at rest"));
-                }
-            }
-            // Traffic advances virtual time; keep heartbeats flowing
-            // through long stages so silence stays an evidence of
-            // failure, not of a busy harness (the R-M2 false-suspect
-            // fix). The call is interval-gated, so this is cheap.
-            fleet.pump_heartbeats(&mut cluster);
-        }
+        // Down hosts and the round each revives in (harness fiat: a down
+        // host is not stepped, pumped, or heartbeated until revival).
+        let mut down: BTreeMap<usize, usize> = BTreeMap::new();
+        // Injected double-drives, as decision-index pairs.
+        let mut pairs: Vec<(usize, usize)> = Vec::new();
+        // Stream cursors so the sentinel sees each record exactly once.
+        let mut audit_fed = vec![0usize; self.hosts];
+        let mut spans_fed = 0usize;
+        let mut alerts_fed = 0usize;
 
-        let homes: Vec<Option<usize>> =
-            (0..cfg.vms as u32).map(|v| cluster.home_of(v)).collect();
+        let revive =
+            |cluster: &mut Cluster, fleet: &mut Fleet, sentinel: &mut Sentinel, h: usize| -> XenResult<()> {
+                cluster.recover_host(h)?;
+                fleet.host_up(cluster, h);
+                sentinel.observe(StreamEvent::CrashRecovery {
+                    host: h as u32,
+                    at_ns: cluster.hosts[h].platform.hv.clock.now_ns(),
+                });
+                Ok(())
+            };
 
-        // One seeded action. Drives only touch VMs homed on live hosts
-        // and live destinations — a dead toolstack daemon submits
-        // nothing; everything else is fair game.
-        let up: Vec<usize> =
-            (0..cluster.hosts.len()).filter(|h| !down.contains_key(h)).collect();
-        let drivable: Vec<u32> = (0..cfg.vms as u32)
-            .filter(|&vm| {
-                cluster.home_of(vm).is_some_and(|h| !down.contains_key(&h))
-                    && !fleet.pool().has_vm(vm)
-            })
-            .collect();
-        match rng.below(6) {
-            // Single drive.
-            0 | 1 if !drivable.is_empty() && up.len() >= 2 => {
-                let vm = drivable[rng.below(drivable.len() as u64) as usize];
-                let home = cluster.home_of(vm).expect("drivable");
-                let others: Vec<usize> = up.iter().copied().filter(|&h| h != home).collect();
-                let dst = others[rng.below(others.len() as u64) as usize];
-                fleet.drive(&mut cluster, vm, dst);
-                transcript.extend_from_slice(&[b'D', vm as u8, dst as u8]);
-            }
-            // Double-drive: the same VM toward two destinations in the
-            // same breath — the epoch-arbitration race on purpose.
-            2 if !drivable.is_empty() && up.len() >= 3 => {
-                let vm = drivable[rng.below(drivable.len() as u64) as usize];
-                let home = cluster.home_of(vm).expect("drivable");
-                let others: Vec<usize> = up.iter().copied().filter(|&h| h != home).collect();
-                let d1 = others[rng.below(others.len() as u64) as usize];
-                let mut d2 = others[rng.below(others.len() as u64) as usize];
-                if d2 == d1 {
-                    d2 = others[(others.iter().position(|&h| h == d1).unwrap() + 1)
-                        % others.len()];
-                }
-                let a = fleet.drive(&mut cluster, vm, d1);
-                let b = fleet.drive(&mut cluster, vm, d2);
-                if let (Submitted::Admitted { idx: ia, .. }, Submitted::Admitted { idx: ib, .. }) =
-                    (a, b)
-                {
-                    pairs.push((ia, ib));
-                    report.conflict_pairs += 1;
-                }
-                transcript.extend_from_slice(&[b'W', vm as u8, d1 as u8, d2 as u8]);
-            }
-            // Fabric fault armed on an upcoming send (control-plane
-            // heartbeats ride the same counter, so drops here are how
-            // false suspects happen).
-            3 => {
-                let kind = match rng.below(3) {
-                    0 => FabricFault::Drop,
-                    1 => FabricFault::Duplicate,
-                    _ => FabricFault::Reorder,
-                };
-                let at = cluster.fabric.stats().sent + rng.below(8);
-                cluster.fabric.inject_fault(at, kind);
-                transcript.push(b'F');
-            }
-            // Crash a host; it stays down for a seeded number of
-            // rounds. Never the last live host.
-            4 if up.len() > 1 => {
-                let h = up[rng.below(up.len() as u64) as usize];
-                cluster.fabric.crash_host(h);
-                fleet.host_down(&mut cluster, h);
-                down.insert(h, round + 1 + rng.below(3) as usize);
-                report.crashes += 1;
-                transcript.extend_from_slice(&[b'X', h as u8]);
-            }
-            // Join a host (until the cap).
-            5 if cluster.hosts.len() < cfg.max_hosts => {
-                let h = cluster.add_host()?;
-                fleet.host_joined(&cluster, h);
-                audit_fed.push(0);
-                report.joins += 1;
-                transcript.extend_from_slice(&[b'J', h as u8]);
-            }
-            _ => transcript.push(b'Q'),
-        }
+        for round in 0..self.rounds {
+            transcript.extend_from_slice(&(round as u32).to_be_bytes());
 
-        // Run the controller.
-        for _ in 0..cfg.ticks_per_round {
-            fleet.tick(&mut cluster);
-        }
-        // Adoption is a restore (fresh TPM boot over preserved state),
-        // and so is recovery: sync the oracles' active-counter latches.
-        for vm in 0..cfg.vms as u32 {
-            let now = cluster.home_of(vm);
-            let moved = now != homes[vm as usize];
-            let revived_home = now.is_some_and(|h| revived.contains(&h));
-            if moved || revived_home {
-                oracles[vm as usize].note_reboot();
+            // Revivals due this round.
+            let due: Vec<usize> =
+                down.iter().filter(|&(_, &at)| at <= round).map(|(&h, _)| h).collect();
+            let mut revived: Vec<usize> = Vec::new();
+            for h in due {
+                revive(&mut cluster, &mut fleet, &mut sentinel, h)?;
+                down.remove(&h);
+                revived.push(h);
+                report.revivals += 1;
+                transcript.extend_from_slice(&[b'U', h as u8]);
             }
-        }
 
-        // Per-round invariants: no VM may ever be runnable twice; VMs
-        // at rest on live hosts must match their oracles.
-        for vm in 0..cfg.vms as u32 {
-            let runnable = cluster.runnable_hosts(vm);
-            if runnable.len() > 1 {
-                report.duplicated += 1;
-                report
-                    .divergences
-                    .push(format!("round {round}: vm {vm} runnable on {runnable:?}"));
-            }
-            transcript.push(cluster.home_of(vm).map_or(0xFF, |h| h as u8));
-            if cfg.oracle_checks {
+            // Traffic against every at-rest VM on a live host.
+            for vm in 0..self.vms as u32 {
+                let runnable = cluster.runnable_hosts(vm);
                 let [home] = runnable[..] else { continue };
                 if down.contains_key(&home) || fleet.pool().has_vm(vm) {
                     continue;
                 }
-                match cluster.with_vm(vm, |i| oracles[vm as usize].diff(&i.tpm)) {
+                let trace_seed =
+                    [seed, b"/traffic/", &(round as u32).to_be_bytes(), &vm.to_be_bytes()].concat();
+                for ev in generate_trace(&trace_seed, self.events_per_round) {
+                    if cluster.apply_event(vm, &ev) {
+                        oracles[vm as usize].apply(&ev);
+                    } else {
+                        report
+                            .divergences
+                            .push(format!("round {round}: vm {vm} refused traffic at rest"));
+                    }
+                }
+                // Traffic advances virtual time; keep heartbeats flowing
+                // through long stages so silence stays an evidence of
+                // failure, not of a busy harness (the R-M2 false-suspect
+                // fix). The call is interval-gated, so this is cheap.
+                fleet.pump_heartbeats(&mut cluster);
+            }
+
+            let homes: Vec<Option<usize>> =
+                (0..self.vms as u32).map(|v| cluster.home_of(v)).collect();
+
+            // One seeded action. Drives only touch VMs homed on live hosts
+            // and live destinations — a dead toolstack daemon submits
+            // nothing; everything else is fair game.
+            let up: Vec<usize> =
+                (0..cluster.hosts.len()).filter(|h| !down.contains_key(h)).collect();
+            let drivable: Vec<u32> = (0..self.vms as u32)
+                .filter(|&vm| {
+                    cluster.home_of(vm).is_some_and(|h| !down.contains_key(&h))
+                        && !fleet.pool().has_vm(vm)
+                })
+                .collect();
+            match rng.below(6) {
+                // Single drive.
+                0 | 1 if !drivable.is_empty() && up.len() >= 2 => {
+                    let vm = drivable[rng.below(drivable.len() as u64) as usize];
+                    let home = cluster.home_of(vm).expect("drivable");
+                    let others: Vec<usize> = up.iter().copied().filter(|&h| h != home).collect();
+                    let dst = others[rng.below(others.len() as u64) as usize];
+                    fleet.drive(&mut cluster, vm, dst);
+                    transcript.extend_from_slice(&[b'D', vm as u8, dst as u8]);
+                }
+                // Double-drive: the same VM toward two destinations in the
+                // same breath — the epoch-arbitration race on purpose.
+                2 if !drivable.is_empty() && up.len() >= 3 => {
+                    let vm = drivable[rng.below(drivable.len() as u64) as usize];
+                    let home = cluster.home_of(vm).expect("drivable");
+                    let others: Vec<usize> = up.iter().copied().filter(|&h| h != home).collect();
+                    let d1 = others[rng.below(others.len() as u64) as usize];
+                    let mut d2 = others[rng.below(others.len() as u64) as usize];
+                    if d2 == d1 {
+                        d2 = others[(others.iter().position(|&h| h == d1).unwrap() + 1)
+                            % others.len()];
+                    }
+                    let a = fleet.drive(&mut cluster, vm, d1);
+                    let b = fleet.drive(&mut cluster, vm, d2);
+                    if let (Submitted::Admitted { idx: ia, .. }, Submitted::Admitted { idx: ib, .. }) =
+                        (a, b)
+                    {
+                        pairs.push((ia, ib));
+                        report.conflict_pairs += 1;
+                    }
+                    transcript.extend_from_slice(&[b'W', vm as u8, d1 as u8, d2 as u8]);
+                }
+                // Fabric fault armed on an upcoming send (control-plane
+                // heartbeats ride the same counter, so drops here are how
+                // false suspects happen).
+                3 => {
+                    let kind = match rng.below(3) {
+                        0 => FabricFault::Drop,
+                        1 => FabricFault::Duplicate,
+                        _ => FabricFault::Reorder,
+                    };
+                    let at = cluster.fabric.stats().sent + rng.below(8);
+                    cluster.fabric.inject_fault(at, kind);
+                    transcript.push(b'F');
+                }
+                // Crash a host; it stays down for a seeded number of
+                // rounds. Never the last live host.
+                4 if up.len() > 1 => {
+                    let h = up[rng.below(up.len() as u64) as usize];
+                    cluster.fabric.crash_host(h);
+                    fleet.host_down(&mut cluster, h);
+                    down.insert(h, round + 1 + rng.below(3) as usize);
+                    report.crashes += 1;
+                    transcript.extend_from_slice(&[b'X', h as u8]);
+                }
+                // Join a host (until the cap).
+                5 if cluster.hosts.len() < self.max_hosts => {
+                    let h = cluster.add_host()?;
+                    fleet.host_joined(&cluster, h);
+                    audit_fed.push(0);
+                    report.joins += 1;
+                    transcript.extend_from_slice(&[b'J', h as u8]);
+                }
+                _ => transcript.push(b'Q'),
+            }
+
+            // Run the controller.
+            for _ in 0..self.ticks_per_round {
+                fleet.tick(&mut cluster);
+            }
+            // Adoption is a restore (fresh TPM boot over preserved state),
+            // and so is recovery: sync the oracles' active-counter latches.
+            for vm in 0..self.vms as u32 {
+                let now = cluster.home_of(vm);
+                let moved = now != homes[vm as usize];
+                let revived_home = now.is_some_and(|h| revived.contains(&h));
+                if moved || revived_home {
+                    oracles[vm as usize].note_reboot();
+                }
+            }
+
+            // Per-round invariants: no VM may ever be runnable twice; VMs
+            // at rest on live hosts must match their oracles.
+            for vm in 0..self.vms as u32 {
+                let runnable = cluster.runnable_hosts(vm);
+                if runnable.len() > 1 {
+                    report.duplicated += 1;
+                    report
+                        .divergences
+                        .push(format!("round {round}: vm {vm} runnable on {runnable:?}"));
+                }
+                transcript.push(cluster.home_of(vm).map_or(0xFF, |h| h as u8));
+                if self.oracle_checks {
+                    let [home] = runnable[..] else { continue };
+                    if down.contains_key(&home) || fleet.pool().has_vm(vm) {
+                        continue;
+                    }
+                    match cluster.with_vm(vm, |i| oracles[vm as usize].diff(&i.tpm)) {
+                        Some(d) if d.is_empty() => {}
+                        Some(d) => report
+                            .divergences
+                            .push(format!("round {round}: vm {vm} diverged: {}", d.join("; "))),
+                        None => report
+                            .divergences
+                            .push(format!("round {round}: vm {vm} has no live instance")),
+                    }
+                }
+            }
+
+            // Observatory pass: scrape every host's registry over the
+            // fabric, evaluate the SLO burn rules on the merged fleet
+            // series, and publish burn transitions to the sentinel as
+            // `slo_burn:<rule>` gauges (worst-window ratio in percent;
+            // zero on a clear).
+            if let Some(obs) = observatory.as_mut() {
+                fleet.scrape(&mut cluster, obs);
+                report.scrapes += 1;
+                for ev in obs.evaluate(cluster.clock.now_ns()) {
+                    if ev.burning {
+                        report.slo_burns += 1;
+                    } else {
+                        report.slo_clears += 1;
+                    }
+                    sentinel.observe(StreamEvent::Gauge {
+                        host: CONTROLLER_HOST,
+                        at_ns: ev.at_ns,
+                        name: ev.gauge,
+                        value: (ev.burn_ratio * 100.0) as u64,
+                    });
+                }
+            }
+
+            // Feed the round's exhaust to the sentinel, then close the
+            // loop: churn-storm alerts drive the rebalance-pause latch,
+            // and migration-blackout SLO burns drive the same latch
+            // through their own bridge.
+            for (h, fed) in audit_fed.iter_mut().enumerate() {
+                let entries = cluster.hosts[h].audit.entries();
+                for e in &entries[*fed..] {
+                    sentinel.observe(audit_event(h as u32, e));
+                }
+                *fed = entries.len();
+            }
+            let spans = cluster.telemetry().spans();
+            for m in &spans[spans_fed..] {
+                sentinel.observe(StreamEvent::MigrationSpan(m.clone()));
+            }
+            spans_fed = spans.len();
+            let alerts = sentinel.alerts();
+            let fresh = &alerts[alerts_fed..];
+            let (p, r) = apply_fleet_alerts(&mut fleet, fresh);
+            let (sp, sr) = apply_slo_alerts(&mut fleet, fresh);
+            alerts_fed = alerts.len();
+            report.storm_pauses += p as u64;
+            report.storm_resumes += r as u64;
+            report.slo_pauses += sp as u64;
+            report.slo_resumes += sr as u64;
+        }
+
+        // Final sweep: revive everything, drain the pool, settle every VM,
+        // then account for each one exactly once.
+        let still_down: Vec<usize> = down.keys().copied().collect();
+        for h in still_down {
+            revive(&mut cluster, &mut fleet, &mut sentinel, h)?;
+            down.remove(&h);
+            report.revivals += 1;
+        }
+        let drained_homes: Vec<Option<usize>> =
+            (0..self.vms as u32).map(|v| cluster.home_of(v)).collect();
+        fleet.drain(&mut cluster);
+        for vm in 0..self.vms as u32 {
+            cluster.resolve(vm);
+            if cluster.home_of(vm) != drained_homes[vm as usize] {
+                oracles[vm as usize].note_reboot();
+            }
+        }
+        for vm in 0..self.vms as u32 {
+            let runnable = cluster.runnable_hosts(vm);
+            match runnable.len() {
+                0 => {
+                    report.lost += 1;
+                    report.divergences.push(format!("final: vm {vm} runnable nowhere"));
+                }
+                1 => match cluster.with_vm(vm, |i| oracles[vm as usize].diff(&i.tpm)) {
                     Some(d) if d.is_empty() => {}
                     Some(d) => report
                         .divergences
-                        .push(format!("round {round}: vm {vm} diverged: {}", d.join("; "))),
-                    None => report
+                        .push(format!("final: vm {vm} diverged: {}", d.join("; "))),
+                    None => report.divergences.push(format!("final: vm {vm} has no live instance")),
+                },
+                _ => {
+                    report.duplicated += 1;
+                    report.divergences.push(format!("final: vm {vm} runnable on {runnable:?}"));
+                }
+            }
+        }
+        // Orphans (instances without a journal mapping), in-doubt journal
+        // runs, audit chain integrity — per host.
+        for h in 0..cluster.hosts.len() {
+            let mapped: Vec<_> =
+                cluster.hosts[h].journal.mapped_vms().iter().map(|&(_, l)| l).collect();
+            for id in cluster.hosts[h].platform.manager.instance_ids() {
+                if !mapped.contains(&id) {
+                    report.orphaned += 1;
+                    report.divergences.push(format!("final: host {h} orphaned instance {id:?}"));
+                }
+            }
+            for vm in 0..self.vms as u32 {
+                if cluster.hosts[h].journal.open_quiesce(vm).is_some()
+                    || cluster.hosts[h].journal.open_prepare(vm).is_some()
+                {
+                    report.unsettled += 1;
+                    report
                         .divergences
-                        .push(format!("round {round}: vm {vm} has no live instance")),
+                        .push(format!("final: host {h} journal still in doubt for vm {vm}"));
                 }
             }
-        }
-
-        // Observatory pass: scrape every host's registry over the
-        // fabric, evaluate the SLO burn rules on the merged fleet
-        // series, and publish burn transitions to the sentinel as
-        // `slo_burn:<rule>` gauges (worst-window ratio in percent;
-        // zero on a clear).
-        if let Some(obs) = observatory.as_mut() {
-            fleet.scrape(&mut cluster, obs);
-            report.scrapes += 1;
-            for ev in obs.evaluate(cluster.clock.now_ns()) {
-                if ev.burning {
-                    report.slo_burns += 1;
-                } else {
-                    report.slo_clears += 1;
-                }
-                sentinel.observe(StreamEvent::Gauge {
-                    host: CONTROLLER_HOST,
-                    at_ns: ev.at_ns,
-                    name: ev.gauge,
-                    value: (ev.burn_ratio * 100.0) as u64,
-                });
-            }
-        }
-
-        // Feed the round's exhaust to the sentinel, then close the
-        // loop: churn-storm alerts drive the rebalance-pause latch,
-        // and migration-blackout SLO burns drive the same latch
-        // through their own bridge.
-        for (h, fed) in audit_fed.iter_mut().enumerate() {
             let entries = cluster.hosts[h].audit.entries();
-            for e in &entries[*fed..] {
-                sentinel.observe(audit_event(h as u32, e));
+            if !vtpm_ac::AuditLog::verify(&entries) {
+                report.divergences.push(format!("final: host {h} audit chain broken"));
             }
-            *fed = entries.len();
+            transcript.extend_from_slice(&(entries.len() as u32).to_be_bytes());
+            transcript
+                .extend_from_slice(&(cluster.hosts[h].journal.records().len() as u32).to_be_bytes());
         }
-        let spans = cluster.telemetry().spans();
-        for m in &spans[spans_fed..] {
-            sentinel.observe(StreamEvent::MigrationSpan(m.clone()));
+        // Every injected conflict: at most one winner, ever.
+        for &(ia, ib) in &pairs {
+            let d = fleet.pool().decisions();
+            let winners = [d[ia], d[ib]]
+                .iter()
+                .filter(|d| d.outcome == DriveOutcome::Committed)
+                .count();
+            if winners > 1 {
+                report.multi_winner_conflicts += 1;
+                report.divergences.push(format!(
+                    "final: conflict over vm {} produced {winners} winners",
+                    d[ia].vm
+                ));
+            }
         }
-        spans_fed = spans.len();
-        let alerts = sentinel.alerts();
-        let fresh = &alerts[alerts_fed..];
-        let (p, r) = apply_fleet_alerts(&mut fleet, fresh);
-        let (sp, sr) = apply_slo_alerts(&mut fleet, fresh);
-        alerts_fed = alerts.len();
-        report.storm_pauses += p as u64;
-        report.storm_resumes += r as u64;
-        report.slo_pauses += sp as u64;
-        report.slo_resumes += sr as u64;
-    }
 
-    // Final sweep: revive everything, drain the pool, settle every VM,
-    // then account for each one exactly once.
-    let still_down: Vec<usize> = down.keys().copied().collect();
-    for h in still_down {
-        revive(&mut cluster, &mut fleet, &mut sentinel, h)?;
-        down.remove(&h);
-        report.revivals += 1;
-    }
-    let drained_homes: Vec<Option<usize>> =
-        (0..cfg.vms as u32).map(|v| cluster.home_of(v)).collect();
-    fleet.drain(&mut cluster);
-    for vm in 0..cfg.vms as u32 {
-        cluster.resolve(vm);
-        if cluster.home_of(vm) != drained_homes[vm as usize] {
-            oracles[vm as usize].note_reboot();
-        }
-    }
-    for vm in 0..cfg.vms as u32 {
-        let runnable = cluster.runnable_hosts(vm);
-        match runnable.len() {
-            0 => {
-                report.lost += 1;
-                report.divergences.push(format!("final: vm {vm} runnable nowhere"));
-            }
-            1 => match cluster.with_vm(vm, |i| oracles[vm as usize].diff(&i.tpm)) {
-                Some(d) if d.is_empty() => {}
-                Some(d) => report
-                    .divergences
-                    .push(format!("final: vm {vm} diverged: {}", d.join("; "))),
-                None => report.divergences.push(format!("final: vm {vm} has no live instance")),
-            },
-            _ => {
-                report.duplicated += 1;
-                report.divergences.push(format!("final: vm {vm} runnable on {runnable:?}"));
-            }
-        }
-    }
-    // Orphans (instances without a journal mapping), in-doubt journal
-    // runs, audit chain integrity — per host.
-    for h in 0..cluster.hosts.len() {
-        let mapped: Vec<_> =
-            cluster.hosts[h].journal.mapped_vms().iter().map(|&(_, l)| l).collect();
-        for id in cluster.hosts[h].platform.manager.instance_ids() {
-            if !mapped.contains(&id) {
-                report.orphaned += 1;
-                report.divergences.push(format!("final: host {h} orphaned instance {id:?}"));
-            }
-        }
-        for vm in 0..cfg.vms as u32 {
-            if cluster.hosts[h].journal.open_quiesce(vm).is_some()
-                || cluster.hosts[h].journal.open_prepare(vm).is_some()
-            {
-                report.unsettled += 1;
-                report
-                    .divergences
-                    .push(format!("final: host {h} journal still in doubt for vm {vm}"));
-            }
-        }
-        let entries = cluster.hosts[h].audit.entries();
-        if !vtpm_ac::AuditLog::verify(&entries) {
-            report.divergences.push(format!("final: host {h} audit chain broken"));
-        }
-        transcript.extend_from_slice(&(entries.len() as u32).to_be_bytes());
-        transcript
-            .extend_from_slice(&(cluster.hosts[h].journal.records().len() as u32).to_be_bytes());
-    }
-    // Every injected conflict: at most one winner, ever.
-    for &(ia, ib) in &pairs {
-        let d = fleet.pool().decisions();
-        let winners = [d[ia], d[ib]]
-            .iter()
-            .filter(|d| d.outcome == DriveOutcome::Committed)
-            .count();
-        if winners > 1 {
-            report.multi_winner_conflicts += 1;
-            report.divergences.push(format!(
-                "final: conflict over vm {} produced {winners} winners",
-                d[ia].vm
-            ));
-        }
-    }
+        // Fold the controller's own accounting into the report.
+        let snap = fleet.snapshot();
+        report.ticks = snap.ticks;
+        report.committed = snap.drives_committed;
+        report.aborted = snap.drives_aborted;
+        report.rejected_stale = snap.drives_rejected_stale;
+        report.abandoned = snap.drives_abandoned;
+        report.refused = snap.drives_refused;
+        report.conflicts = snap.conflicts;
+        report.suspects_raised = snap.suspects_raised;
+        report.false_suspects = snap.false_suspects;
+        report.downtime_p99_ns = snap.downtime.p99;
+        report.downtime_max_ns = snap.downtime.max;
+        report.drives = fleet.pool().decisions().to_vec();
+        report.fabric = cluster.fabric.stats();
 
-    // Fold the controller's own accounting into the report.
-    let snap = fleet.snapshot();
-    report.ticks = snap.ticks;
-    report.committed = snap.drives_committed;
-    report.aborted = snap.drives_aborted;
-    report.rejected_stale = snap.drives_rejected_stale;
-    report.abandoned = snap.drives_abandoned;
-    report.refused = snap.drives_refused;
-    report.conflicts = snap.conflicts;
-    report.suspects_raised = snap.suspects_raised;
-    report.false_suspects = snap.false_suspects;
-    report.downtime_p99_ns = snap.downtime.p99;
-    report.downtime_max_ns = snap.downtime.max;
-    report.drives = fleet.pool().decisions().to_vec();
-    report.fabric = cluster.fabric.stats();
-
-    for d in &report.drives {
-        transcript.extend_from_slice(&d.vm.to_be_bytes());
-        transcript.extend_from_slice(&d.epoch.to_be_bytes());
-        transcript.extend_from_slice(&d.trace.to_be_bytes());
-        transcript.extend_from_slice(d.outcome.label().as_bytes());
-    }
-    for n in [
-        report.fabric.sent,
-        report.fabric.delivered,
-        report.fabric.dropped,
-        report.fabric.duplicated,
-        report.fabric.reordered,
-        report.fabric.crash_lost,
-        snap.heartbeats_seen,
-    ] {
-        transcript.extend_from_slice(&n.to_be_bytes());
-    }
-    if let Some(obs) = &observatory {
-        let (scraped, rejects, resets) = obs.stats();
-        for n in [scraped, rejects, resets, report.slo_burns, report.slo_clears] {
+        for d in &report.drives {
+            transcript.extend_from_slice(&d.vm.to_be_bytes());
+            transcript.extend_from_slice(&d.epoch.to_be_bytes());
+            transcript.extend_from_slice(&d.trace.to_be_bytes());
+            transcript.extend_from_slice(d.outcome.label().as_bytes());
+        }
+        for n in [
+            report.fabric.sent,
+            report.fabric.delivered,
+            report.fabric.dropped,
+            report.fabric.duplicated,
+            report.fabric.reordered,
+            report.fabric.crash_lost,
+            snap.heartbeats_seen,
+        ] {
             transcript.extend_from_slice(&n.to_be_bytes());
         }
+        if let Some(obs) = &observatory {
+            let (scraped, rejects, resets) = obs.stats();
+            for n in [scraped, rejects, resets, report.slo_burns, report.slo_clears] {
+                transcript.extend_from_slice(&n.to_be_bytes());
+            }
+        }
+        (report.sentinel_alerts, report.sentinel_critical) =
+            sentinel_tail(&sentinel, &mut transcript);
+        report.transcript = sha256(&transcript);
+        Ok(report)
     }
-    report.sentinel_alerts = sentinel.alerts().iter().map(|a| a.line()).collect();
-    report.sentinel_critical =
-        sentinel.alerts().iter().filter(|a| a.severity == Severity::Critical).count() as u64;
-    for line in &report.sentinel_alerts {
-        transcript.extend_from_slice(line.as_bytes());
-    }
-    report.transcript = sha256(&transcript);
-    Ok(report)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::runner::{replay, report_json};
 
     #[test]
     fn fleet_chaos_is_deterministic_and_accounts_for_every_vm() {
         let cfg = FleetChaosConfig { rounds: 8, ..Default::default() };
-        let a = run_fleet_chaos(b"fleet-chaos-unit", &cfg).unwrap();
-        let b = run_fleet_chaos(b"fleet-chaos-unit", &cfg).unwrap();
-        assert_eq!(a, b, "replay must be byte-identical");
+        let (a, deterministic) = replay(&cfg, b"fleet-chaos-unit").unwrap();
+        assert!(deterministic, "replay must be byte-identical");
         assert!(a.divergences.is_empty(), "divergences: {:?}", a.divergences);
         assert_eq!((a.lost, a.duplicated, a.orphaned, a.unsettled), (0, 0, 0, 0));
         assert_eq!(a.multi_winner_conflicts, 0);
         assert!(a.ticks > 0 && a.committed + a.aborted + a.rejected_stale + a.crashes > 0);
-        let c = run_fleet_chaos(b"fleet-chaos-unit-2", &cfg).unwrap();
+        let c = cfg.run(b"fleet-chaos-unit-2").unwrap();
         assert_ne!(a.transcript, c.transcript, "different seeds, different transcripts");
     }
 
@@ -716,7 +676,7 @@ mod tests {
         // decision log tells the winner/loser story end to end.
         for s in 0..16u8 {
             let cfg = FleetChaosConfig { rounds: 12, ..Default::default() };
-            let r = run_fleet_chaos(&[&b"fleet-pair-"[..], &[s]].concat(), &cfg).unwrap();
+            let r = cfg.run(&[&b"fleet-pair-"[..], &[s]].concat()).unwrap();
             assert!(r.divergences.is_empty(), "seed {s}: {:?}", r.divergences);
             if r.conflict_pairs == 0 {
                 continue;
@@ -733,11 +693,28 @@ mod tests {
     #[test]
     fn report_json_is_one_line_and_tagged() {
         let cfg = FleetChaosConfig { rounds: 3, vms: 2, ..Default::default() };
-        let r = run_fleet_chaos(b"fleet-json-unit", &cfg).unwrap();
-        let json = r.to_json();
+        let r = cfg.run(b"fleet-json-unit").unwrap();
+        let json = report_json(&r);
         assert!(json.starts_with("{\"family\":\"fleet\","));
         assert!(!json.contains('\n'));
         assert!(json.contains("\"drives\":["));
         assert!(json.contains("\"downtime_p99_ns\":"));
+    }
+
+    #[test]
+    fn fleet_verdict_flips_on_each_failure_condition() {
+        assert!(FleetChaosReport::default().clean());
+        let base = FleetChaosReport::default;
+        for unclean in [
+            FleetChaosReport { divergences: vec!["final: x".into()], ..base() },
+            FleetChaosReport { lost: 1, ..base() },
+            FleetChaosReport { duplicated: 1, ..base() },
+            FleetChaosReport { orphaned: 1, ..base() },
+            FleetChaosReport { unsettled: 1, ..base() },
+            FleetChaosReport { multi_winner_conflicts: 1, ..base() },
+            FleetChaosReport { sentinel_critical: 1, ..base() },
+        ] {
+            assert!(!unclean.clean(), "{unclean:?}");
+        }
     }
 }

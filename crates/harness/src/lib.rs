@@ -2,7 +2,28 @@
 //!
 //! Deterministic chaos + differential testing for the vTPM stack.
 //!
-//! One chaos run takes a seed and does three things with it:
+//! Five seeded families share one runner ([`runner`]): each family's
+//! config implements [`Scenario`] — `run(seed)` returns a report that is
+//! a pure function of the seed — and each report implements
+//! [`ScenarioReport`]: `fields()` (what the JSON encoder and the text
+//! renderer print, in order) and `clean()` (the family's pass/fail
+//! rule). [`replay`] runs a seed twice and compares the reports; the
+//! `chaos` CLI, the `repro` experiments and the tests all go through it.
+//!
+//! | family      | config                   | what one seed exercises            |
+//! |-------------|--------------------------|------------------------------------|
+//! | `mirror`    | [`ChaosConfig`]          | single-host mirror pipeline faults |
+//! | `migration` | [`MigrationChaosConfig`] | multi-host migration under faults  |
+//! | `matrix`    | [`CrashMatrix`]          | crash at every migration step      |
+//! | `attest`    | [`AttestChaosConfig`]    | quote replay / stale / storm       |
+//! | `fleet`     | [`FleetChaosConfig`]     | control-plane churn storms         |
+//!
+//! To add a family, implement [`Scenario::run`] for its config and
+//! [`ScenarioReport::fields`] + [`ScenarioReport::clean`] for its
+//! report; replay, verdicts, JSON and text output then come for free.
+//!
+//! The mirror family (this module) takes a seed and does three things
+//! with it:
 //!
 //! 1. derives a command trace ([`workload::generate_trace`]) — the same
 //!    guest workload every run of that seed;
@@ -29,15 +50,18 @@
 
 pub mod attest_chaos;
 pub mod fleet_chaos;
+pub mod json;
 pub mod migration_chaos;
+pub mod runner;
 pub mod sentinel_feed;
 
-pub use attest_chaos::{run_attest_chaos, AttestChaosConfig, AttestChaosReport};
-pub use fleet_chaos::{run_fleet_chaos, FleetChaosConfig, FleetChaosReport};
+pub use attest_chaos::{AttestChaosConfig, AttestChaosReport};
+pub use fleet_chaos::{FleetChaosConfig, FleetChaosReport};
+pub use json::{hex, json_str};
 pub use migration_chaos::{
-    run_crash_matrix, run_migration_chaos, CrashMatrixReport, MatrixCell, MigrationChaosConfig,
-    MigrationChaosReport,
+    CrashMatrix, CrashMatrixReport, MatrixCell, MigrationChaosConfig, MigrationChaosReport,
 };
+pub use runner::{render_text, replay, report_json, Scenario, ScenarioReport};
 pub use sentinel_feed::{
     apply_fleet_alerts, apply_slo_alerts, apply_verifier_alerts, attest_event, audit_event,
     dump_event,
@@ -53,10 +77,13 @@ use tpm_crypto::sha256;
 use vtpm::{
     provision_device, FlushPolicy, ManagerConfig, MirrorMode, TpmBack, TpmFront, VtpmManager,
 };
-use vtpm_sentinel::{Sentinel, SentinelConfig, Severity, StreamEvent};
+use vtpm_sentinel::{Sentinel, SentinelConfig, StreamEvent};
 use workload::trace::apply_to_tpm;
 use workload::{generate_trace, TpmOracle, TraceEvent};
 use xen_sim::{DomainConfig, DomainId, Hypervisor, Result as XenResult, RingFault};
+
+use crate::json::Field;
+use crate::runner::sentinel_tail;
 
 /// One planned fault, fired immediately before the event at its index.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -166,7 +193,7 @@ impl Default for ChaosConfig {
 /// Everything observable about one chaos run. Two runs of the same
 /// seed and config must compare equal — that is the determinism
 /// contract `scripts/chaos.sh` enforces.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ChaosReport {
     /// Hex of the seed the run was derived from.
     pub seed: String,
@@ -217,69 +244,46 @@ pub struct ChaosReport {
     pub transcript: [u8; 32],
 }
 
-fn hex(bytes: &[u8]) -> String {
-    bytes.iter().map(|b| format!("{b:02x}")).collect()
-}
+impl ScenarioReport for ChaosReport {
+    const FAMILY: &'static str = "mirror";
 
-/// Minimal JSON string escaping (quotes, backslashes, control bytes) —
-/// enough for report fields, which are ASCII by construction.
-pub(crate) fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
-/// `["a","b"]` from strings, escaped.
-pub(crate) fn json_str_array(items: impl IntoIterator<Item = impl AsRef<str>>) -> String {
-    let inner: Vec<String> = items.into_iter().map(|s| json_str(s.as_ref())).collect();
-    format!("[{}]", inner.join(","))
-}
-
-impl ChaosReport {
-    /// One machine-readable JSON object (single line, stable field
-    /// order) — the `--json` chaos CLI output format.
-    pub fn to_json(&self) -> String {
-        let faults: Vec<String> = self
+    fn fields(&self) -> Vec<(&'static str, Field)> {
+        let faults = self
             .faults
             .iter()
-            .map(|(at, name)| format!("{{\"at\":{at},\"fault\":{}}}", json_str(name)))
+            .map(|&(at, name)| Field::Obj(vec![("at", at.into()), ("fault", name.into())]))
             .collect();
-        format!(
-            "{{\"family\":\"mirror\",\"seed\":{},\"events\":{},\"faults\":[{}],\
-             \"crash_recoveries\":{},\"recovered_post\":{},\"recovered_pre\":{},\
-             \"ring_reconnects\":{},\"completed\":{},\"dropped_events\":{},\
-             \"scrub_failures\":{},\"retried_generation_burns\":{},\"nonce_reuses\":{},\
-             \"divergences\":{},\"sentinel_alerts\":{},\"sentinel_critical\":{},\
-             \"sentinel_flight_dumps\":{},\"transcript\":{}}}",
-            json_str(&self.seed),
-            self.events,
-            faults.join(","),
-            self.crash_recoveries,
-            self.recovered_post,
-            self.recovered_pre,
-            self.ring_reconnects,
-            self.completed,
-            self.dropped_events,
-            self.scrub_failures,
-            self.retried_generation_burns,
-            self.nonce_reuses,
-            json_str_array(&self.divergences),
-            json_str_array(&self.sentinel_alerts),
-            self.sentinel_critical,
-            self.sentinel_flight_dumps,
-            json_str(&hex(&self.transcript)),
-        )
+        vec![
+            ("seed", self.seed.as_str().into()),
+            ("events", self.events.into()),
+            ("faults", Field::List(faults)),
+            ("crash_recoveries", self.crash_recoveries.into()),
+            ("recovered_post", self.recovered_post.into()),
+            ("recovered_pre", self.recovered_pre.into()),
+            ("ring_reconnects", self.ring_reconnects.into()),
+            ("completed", self.completed.into()),
+            ("dropped_events", self.dropped_events.into()),
+            ("scrub_failures", self.scrub_failures.into()),
+            ("retried_generation_burns", self.retried_generation_burns.into()),
+            ("nonce_reuses", self.nonce_reuses.into()),
+            ("divergences", Field::strs(&self.divergences)),
+            ("sentinel_alerts", Field::strs(&self.sentinel_alerts)),
+            ("sentinel_critical", self.sentinel_critical.into()),
+            ("sentinel_flight_dumps", self.sentinel_flight_dumps.into()),
+            ("transcript", Field::Digest(self.transcript)),
+        ]
+    }
+
+    /// Scrub failures are *not* a failure condition: an injected crash
+    /// can land on a post-commit hygiene scrub, which is best-effort by
+    /// design (recovery re-scrubs); they are reported and covered by
+    /// the replay diff instead. A critical sentinel alert on this
+    /// attack-free family is a false positive and fails the run.
+    fn clean(&self) -> bool {
+        self.divergences.is_empty()
+            && self.nonce_reuses == 0
+            && self.dropped_events == 0
+            && self.sentinel_critical == 0
     }
 }
 
@@ -363,247 +367,234 @@ fn exchange(front: &mut TpmFront, back: &TpmBack, cmd: &[u8]) -> (Vec<u8>, bool)
     })
 }
 
-/// Run one seeded chaos scenario end to end. See the crate docs for
-/// what a run does; the returned report is deterministic in `seed` and
-/// `cfg`.
-pub fn run_chaos(seed: &[u8], cfg: &ChaosConfig) -> XenResult<ChaosReport> {
-    let trace = generate_trace(seed, cfg.events);
-    let plan = FaultPlan::generate(seed, &trace, cfg.faults);
-    let mut corrupt_rng = Drbg::new(&[seed, b"/corrupt"].concat());
+impl Scenario for ChaosConfig {
+    type Report = ChaosReport;
 
-    let hv = Arc::new(Hypervisor::boot(8192, 16)?);
-    let mgr_cfg = ManagerConfig {
-        mirror_mode: cfg.mirror_mode,
-        vtpm_config: TpmConfig { nv_budget: cfg.nv_budget, ..Default::default() },
-        // Route every update through the group-commit staging path (the
-        // flush itself stays per-command so crash points land exactly
-        // where the fault plan expects them); chaos then exercises the
-        // staged pipeline under the same byte-determinism gate.
-        flush_policy: FlushPolicy::batched(0, 1, 0),
-        ..Default::default()
-    };
-    let mut mgr = Arc::new(VtpmManager::new(Arc::clone(&hv), seed, mgr_cfg.clone())?);
-    mgr.enable_nonce_audit();
+    /// Run one seeded chaos scenario end to end. See the crate docs for
+    /// what a run does; the returned report is deterministic in `seed` and
+    /// `self`.
+    fn run(&self, seed: &[u8]) -> XenResult<ChaosReport> {
+        let trace = generate_trace(seed, self.events);
+        let plan = FaultPlan::generate(seed, &trace, self.faults);
+        let mut corrupt_rng = Drbg::new(&[seed, b"/corrupt"].concat());
 
-    let guest = hv.create_domain(
-        DomainId::DOM0,
-        DomainConfig { memory_pages: 64, ..DomainConfig::small("chaos-guest") },
-    )?;
-    let id = mgr.create_instance()?;
-    provision_device(&hv, guest, id)?;
-    let mut front = TpmFront::connect(Arc::clone(&hv), guest)?;
-    // Dropped responses are resolved by this timeout; keep it short.
-    front.timeout = Duration::from_millis(300);
-    let mut back = TpmBack::connect(Arc::clone(&hv), Arc::clone(&mgr), guest)?;
+        let hv = Arc::new(Hypervisor::boot(8192, 16)?);
+        let mgr_cfg = ManagerConfig {
+            mirror_mode: self.mirror_mode,
+            vtpm_config: TpmConfig { nv_budget: self.nv_budget, ..Default::default() },
+            // Route every update through the group-commit staging path (the
+            // flush itself stays per-command so crash points land exactly
+            // where the fault plan expects them); chaos then exercises the
+            // staged pipeline under the same byte-determinism gate.
+            flush_policy: FlushPolicy::batched(0, 1, 0),
+            ..Default::default()
+        };
+        let mut mgr = Arc::new(VtpmManager::new(Arc::clone(&hv), seed, mgr_cfg.clone())?);
+        mgr.enable_nonce_audit();
 
-    let mut oracle = mgr
-        .with_instance(id, |i| TpmOracle::capture(&i.tpm))
-        .expect("instance just created");
+        let guest = hv.create_domain(
+            DomainId::DOM0,
+            DomainConfig { memory_pages: 64, ..DomainConfig::small("chaos-guest") },
+        )?;
+        let id = mgr.create_instance()?;
+        provision_device(&hv, guest, id)?;
+        let mut front = TpmFront::connect(Arc::clone(&hv), guest)?;
+        // Dropped responses are resolved by this timeout; keep it short.
+        front.timeout = Duration::from_millis(300);
+        let mut back = TpmBack::connect(Arc::clone(&hv), Arc::clone(&mgr), guest)?;
 
-    let mut report = ChaosReport {
-        seed: hex(seed),
-        events: trace.len(),
-        faults: plan.faults.iter().map(|(&i, f)| (i, f.name())).collect(),
-        crash_recoveries: 0,
-        recovered_post: 0,
-        recovered_pre: 0,
-        ring_reconnects: 0,
-        divergences: Vec::new(),
-        nonce_reuses: 0,
-        completed: 0,
-        dropped_events: 0,
-        scrub_failures: 0,
-        retried_generation_burns: 0,
-        sentinel_alerts: Vec::new(),
-        sentinel_critical: 0,
-        sentinel_flight_dumps: 0,
-        transcript: [0; 32],
-    };
-    let mut transcript: Vec<u8> = Vec::new();
-    let mut sentinel = Sentinel::new(SentinelConfig::default());
+        let mut oracle = mgr
+            .with_instance(id, |i| TpmOracle::capture(&i.tpm))
+            .expect("instance just created");
 
-    for (i, ev) in trace.iter().enumerate() {
-        let fault = plan.faults.get(&i).copied();
-        transcript.extend_from_slice(&(i as u32).to_be_bytes());
+        let mut report = ChaosReport {
+            seed: hex(seed),
+            events: trace.len(),
+            faults: plan.faults.iter().map(|(&i, f)| (i, f.name())).collect(),
+            ..Default::default()
+        };
+        let mut transcript: Vec<u8> = Vec::new();
+        let mut sentinel = Sentinel::new(SentinelConfig::default());
 
-        // Pre-event fault arming.
-        match fault {
-            Some(PlannedFault::CorruptFrame) => {
-                // Corrupt a committed mirror frame, prove the read path
-                // refuses the image, heal it, prove it reads again.
-                // Offsets stay inside the first META_FIXED bytes, which
-                // both the meta checksum and the per-page digests cover.
-                let frames = mgr.mirror_frames(id).unwrap_or_default();
-                if !frames.is_empty() {
-                    let mfn = frames[corrupt_rng.below(frames.len() as u64) as usize];
-                    let off = corrupt_rng.below(20) as usize;
-                    let mut xor = [0u8; 16];
-                    corrupt_rng.fill_bytes(&mut xor);
-                    xor[0] |= 1; // never a no-op
-                    hv.corrupt_frame(mfn, off, &xor)?;
-                    let detected = mgr.resident_image(id).is_err();
-                    hv.corrupt_frame(mfn, off, &xor)?; // XOR is its own inverse
-                    let healed = mgr.resident_image(id).is_ok();
-                    if !detected {
-                        report
-                            .divergences
-                            .push(format!("event {i}: frame corruption went undetected"));
+        for (i, ev) in trace.iter().enumerate() {
+            let fault = plan.faults.get(&i).copied();
+            transcript.extend_from_slice(&(i as u32).to_be_bytes());
+
+            // Pre-event fault arming.
+            match fault {
+                Some(PlannedFault::CorruptFrame) => {
+                    // Corrupt a committed mirror frame, prove the read path
+                    // refuses the image, heal it, prove it reads again.
+                    // Offsets stay inside the first META_FIXED bytes, which
+                    // both the meta checksum and the per-page digests cover.
+                    let frames = mgr.mirror_frames(id).unwrap_or_default();
+                    if !frames.is_empty() {
+                        let mfn = frames[corrupt_rng.below(frames.len() as u64) as usize];
+                        let off = corrupt_rng.below(20) as usize;
+                        let mut xor = [0u8; 16];
+                        corrupt_rng.fill_bytes(&mut xor);
+                        xor[0] |= 1; // never a no-op
+                        hv.corrupt_frame(mfn, off, &xor)?;
+                        let detected = mgr.resident_image(id).is_err();
+                        hv.corrupt_frame(mfn, off, &xor)?; // XOR is its own inverse
+                        let healed = mgr.resident_image(id).is_ok();
+                        if !detected {
+                            report
+                                .divergences
+                                .push(format!("event {i}: frame corruption went undetected"));
+                        }
+                        if !healed {
+                            report
+                                .divergences
+                                .push(format!("event {i}: repaired mirror still unreadable"));
+                        }
+                        transcript.push(detected as u8);
+                        transcript.push(healed as u8);
                     }
-                    if !healed {
-                        report
-                            .divergences
-                            .push(format!("event {i}: repaired mirror still unreadable"));
-                    }
-                    transcript.push(detected as u8);
-                    transcript.push(healed as u8);
                 }
+                Some(PlannedFault::RingDrop) => hv.inject_ring_fault(RingFault::Drop),
+                Some(PlannedFault::RingDuplicate) => hv.inject_ring_fault(RingFault::Duplicate),
+                Some(PlannedFault::RevokeGrants) => hv.inject_ring_fault(RingFault::RevokeGrants),
+                Some(PlannedFault::CrashAfterWrites(k)) => hv.inject_write_crash(DomainId::DOM0, k),
+                None => {}
             }
-            Some(PlannedFault::RingDrop) => hv.inject_ring_fault(RingFault::Drop),
-            Some(PlannedFault::RingDuplicate) => hv.inject_ring_fault(RingFault::Duplicate),
-            Some(PlannedFault::RevokeGrants) => hv.inject_ring_fault(RingFault::RevokeGrants),
-            Some(PlannedFault::CrashAfterWrites(k)) => hv.inject_write_crash(DomainId::DOM0, k),
-            None => {}
-        }
-        let pre_oracle = matches!(fault, Some(PlannedFault::CrashAfterWrites(_)))
-            .then(|| oracle.clone());
+            let pre_oracle = matches!(fault, Some(PlannedFault::CrashAfterWrites(_)))
+                .then(|| oracle.clone());
 
-        // Apply the event through the stack and (except for lost
-        // commands) the oracle.
-        if let Some(wire) = ev.wire_command() {
-            let (resp, backend_died) = exchange(&mut front, &back, &wire);
-            transcript.extend_from_slice(&(resp.len() as u32).to_be_bytes());
-            transcript.extend_from_slice(&resp);
-            if matches!(fault, Some(PlannedFault::RevokeGrants)) {
-                if !backend_died {
-                    report
-                        .divergences
-                        .push(format!("event {i}: grant revocation did not stop the backend"));
+            // Apply the event through the stack and (except for lost
+            // commands) the oracle.
+            if let Some(wire) = ev.wire_command() {
+                let (resp, backend_died) = exchange(&mut front, &back, &wire);
+                transcript.extend_from_slice(&(resp.len() as u32).to_be_bytes());
+                transcript.extend_from_slice(&resp);
+                if matches!(fault, Some(PlannedFault::RevokeGrants)) {
+                    if !backend_died {
+                        report
+                            .divergences
+                            .push(format!("event {i}: grant revocation did not stop the backend"));
+                    }
+                    // The request died with the ring before reaching the
+                    // manager: the oracle must NOT see it. Reconnect the
+                    // device pair the way a rebooting frontend would.
+                    let old = std::mem::replace(&mut front, TpmFront::connect(Arc::clone(&hv), guest)?);
+                    old.disconnect();
+                    front.timeout = Duration::from_millis(300);
+                    back = TpmBack::connect(Arc::clone(&hv), Arc::clone(&mgr), guest)?;
+                    report.ring_reconnects += 1;
+                } else {
+                    // Executed server-side even when the response was lost
+                    // (RingDrop) — that ambiguity is exactly what the
+                    // oracle model must capture.
+                    oracle.apply(ev);
                 }
-                // The request died with the ring before reaching the
-                // manager: the oracle must NOT see it. Reconnect the
-                // device pair the way a rebooting frontend would.
-                let old = std::mem::replace(&mut front, TpmFront::connect(Arc::clone(&hv), guest)?);
-                old.disconnect();
-                front.timeout = Duration::from_millis(300);
-                back = TpmBack::connect(Arc::clone(&hv), Arc::clone(&mgr), guest)?;
-                report.ring_reconnects += 1;
             } else {
-                // Executed server-side even when the response was lost
-                // (RingDrop) — that ambiguity is exactly what the
-                // oracle model must capture.
+                mgr.with_instance(id, |inst| apply_to_tpm(&mut inst.tpm, ev))
+                    .expect("instance routed");
                 oracle.apply(ev);
             }
-        } else {
-            mgr.with_instance(id, |inst| apply_to_tpm(&mut inst.tpm, ev))
-                .expect("instance routed");
-            oracle.apply(ev);
-        }
 
-        // Post-event crash/recovery cycle.
-        if matches!(fault, Some(PlannedFault::CrashAfterWrites(_))) {
-            report.nonce_reuses += mgr.nonce_reuses();
-            // Recovery builds a fresh manager (and a fresh telemetry
-            // registry); bank this epoch's counters first.
-            absorb_epoch_counters(
-                &mgr,
-                &mut report,
-                &format!("event {i}"),
-                &mut sentinel,
-                hv.clock.now_ns(),
-            );
-            hv.clear_faults();
-            let (rec, rec_report) = VtpmManager::recover(Arc::clone(&hv), seed, mgr_cfg.clone())?;
-            let rec = Arc::new(rec);
-            rec.enable_nonce_audit();
-            back = back.rebind(Arc::clone(&rec));
-            mgr = rec;
-            report.crash_recoveries += 1;
-            sentinel.observe(StreamEvent::CrashRecovery { host: 0, at_ns: hv.clock.now_ns() });
-            transcript.push(rec_report.resumed.len() as u8);
-            transcript.push(rec_report.failed.len() as u8);
+            // Post-event crash/recovery cycle.
+            if matches!(fault, Some(PlannedFault::CrashAfterWrites(_))) {
+                report.nonce_reuses += mgr.nonce_reuses();
+                // Recovery builds a fresh manager (and a fresh telemetry
+                // registry); bank this epoch's counters first.
+                absorb_epoch_counters(
+                    &mgr,
+                    &mut report,
+                    &format!("event {i}"),
+                    &mut sentinel,
+                    hv.clock.now_ns(),
+                );
+                hv.clear_faults();
+                let (rec, rec_report) = VtpmManager::recover(Arc::clone(&hv), seed, mgr_cfg.clone())?;
+                let rec = Arc::new(rec);
+                rec.enable_nonce_audit();
+                back = back.rebind(Arc::clone(&rec));
+                mgr = rec;
+                report.crash_recoveries += 1;
+                sentinel.observe(StreamEvent::CrashRecovery { host: 0, at_ns: hv.clock.now_ns() });
+                transcript.push(rec_report.resumed.len() as u8);
+                transcript.push(rec_report.failed.len() as u8);
 
-            // The recovered TPM must equal the post- or pre-command
-            // oracle — the two legal outcomes of an atomic commit.
-            let diff_post = mgr.with_instance(id, |inst| oracle.diff(&inst.tpm));
-            match diff_post {
-                Some(d) if d.is_empty() => {
-                    report.recovered_post += 1;
-                    transcript.push(b'P');
-                }
-                Some(_) => {
-                    let pre = pre_oracle.expect("cloned before crash");
-                    match mgr.with_instance(id, |inst| pre.diff(&inst.tpm)) {
-                        Some(d) if d.is_empty() => {
-                            // Roll the oracle back: the command's effects
-                            // died with the uncommitted mirror update.
-                            oracle = pre;
-                            report.recovered_pre += 1;
-                            transcript.push(b'p');
-                        }
-                        Some(d) => report.divergences.push(format!(
-                            "event {i}: recovered state matches neither pre nor post oracle: {}",
-                            d.join("; ")
-                        )),
-                        None => report
-                            .divergences
-                            .push(format!("event {i}: instance vanished in recovery")),
+                // The recovered TPM must equal the post- or pre-command
+                // oracle — the two legal outcomes of an atomic commit.
+                let diff_post = mgr.with_instance(id, |inst| oracle.diff(&inst.tpm));
+                match diff_post {
+                    Some(d) if d.is_empty() => {
+                        report.recovered_post += 1;
+                        transcript.push(b'P');
                     }
+                    Some(_) => {
+                        let pre = pre_oracle.expect("cloned before crash");
+                        match mgr.with_instance(id, |inst| pre.diff(&inst.tpm)) {
+                            Some(d) if d.is_empty() => {
+                                // Roll the oracle back: the command's effects
+                                // died with the uncommitted mirror update.
+                                oracle = pre;
+                                report.recovered_pre += 1;
+                                transcript.push(b'p');
+                            }
+                            Some(d) => report.divergences.push(format!(
+                                "event {i}: recovered state matches neither pre nor post oracle: {}",
+                                d.join("; ")
+                            )),
+                            None => report
+                                .divergences
+                                .push(format!("event {i}: instance vanished in recovery")),
+                        }
+                    }
+                    None => report
+                        .divergences
+                        .push(format!("event {i}: instance not resumed after crash")),
                 }
-                None => report
-                    .divergences
-                    .push(format!("event {i}: instance not resumed after crash")),
+
+                // The rebuilt TPM is a fresh boot over preserved permanent
+                // state: its active-counter latch is clear, so the oracle's
+                // must be too or later increments land on different counters.
+                oracle.note_reboot();
             }
 
-            // The rebuilt TPM is a fresh boot over preserved permanent
-            // state: its active-counter latch is clear, so the oracle's
-            // must be too or later increments land on different counters.
-            oracle.note_reboot();
+            // Periodic full differential check.
+            if i % 16 == 15 {
+                let d = mgr
+                    .with_instance(id, |inst| oracle.diff(&inst.tpm))
+                    .unwrap_or_else(|| vec!["instance missing".into()]);
+                transcript.push(d.len() as u8);
+                report
+                    .divergences
+                    .extend(d.into_iter().map(|d| format!("event {i}: {d}")));
+            }
         }
 
-        // Periodic full differential check.
-        if i % 16 == 15 {
-            let d = mgr
-                .with_instance(id, |inst| oracle.diff(&inst.tpm))
-                .unwrap_or_else(|| vec!["instance missing".into()]);
-            transcript.push(d.len() as u8);
-            report
-                .divergences
-                .extend(d.into_iter().map(|d| format!("event {i}: {d}")));
+        // Final differential check + mirror coherence.
+        let d = mgr
+            .with_instance(id, |inst| oracle.diff(&inst.tpm))
+            .unwrap_or_else(|| vec!["instance missing".into()]);
+        report.divergences.extend(d.into_iter().map(|d| format!("final: {d}")));
+        let image = mgr.resident_image(id)?;
+        if Tpm::restore_state(&image, seed, mgr_cfg.vtpm_config.clone()).is_err() {
+            report.divergences.push("final: resident image does not decode".into());
         }
+        let in_memory = mgr.export_instance_state(id).expect("instance routed");
+        if image != in_memory {
+            report.divergences.push("final: resident image diverges from live state".into());
+        }
+        report.nonce_reuses += mgr.nonce_reuses();
+        absorb_epoch_counters(&mgr, &mut report, "final", &mut sentinel, hv.clock.now_ns());
+        // Any use of the hypervisor's dump facility goes to the sentinel
+        // too. The chaos workload itself never dumps; the crash-recovery
+        // scans that do are excused by the CrashRecovery markers fed above,
+        // so an alert here is real.
+        for d in hv.dump_events() {
+            sentinel.observe(sentinel_feed::dump_event(0, &d));
+        }
+        (report.sentinel_alerts, report.sentinel_critical) =
+            sentinel_tail(&sentinel, &mut transcript);
+        report.sentinel_flight_dumps = sentinel.flight_dumps().len() as u64;
+        transcript.push(report.sentinel_flight_dumps as u8);
+        report.transcript = sha256(&transcript);
+        Ok(report)
     }
-
-    // Final differential check + mirror coherence.
-    let d = mgr
-        .with_instance(id, |inst| oracle.diff(&inst.tpm))
-        .unwrap_or_else(|| vec!["instance missing".into()]);
-    report.divergences.extend(d.into_iter().map(|d| format!("final: {d}")));
-    let image = mgr.resident_image(id)?;
-    if Tpm::restore_state(&image, seed, mgr_cfg.vtpm_config.clone()).is_err() {
-        report.divergences.push("final: resident image does not decode".into());
-    }
-    let in_memory = mgr.export_instance_state(id).expect("instance routed");
-    if image != in_memory {
-        report.divergences.push("final: resident image diverges from live state".into());
-    }
-    report.nonce_reuses += mgr.nonce_reuses();
-    absorb_epoch_counters(&mgr, &mut report, "final", &mut sentinel, hv.clock.now_ns());
-    // Any use of the hypervisor's dump facility goes to the sentinel
-    // too. The chaos workload itself never dumps; the crash-recovery
-    // scans that do are excused by the CrashRecovery markers fed above,
-    // so an alert here is real.
-    for d in hv.dump_events() {
-        sentinel.observe(sentinel_feed::dump_event(0, &d));
-    }
-    report.sentinel_alerts = sentinel.alerts().iter().map(|a| a.line()).collect();
-    report.sentinel_critical =
-        sentinel.alerts().iter().filter(|a| a.severity == Severity::Critical).count() as u64;
-    report.sentinel_flight_dumps = sentinel.flight_dumps().len() as u64;
-    for line in &report.sentinel_alerts {
-        transcript.extend_from_slice(line.as_bytes());
-    }
-    transcript.push(report.sentinel_flight_dumps as u8);
-    report.transcript = sha256(&transcript);
-    Ok(report)
 }
 
 #[cfg(test)]
@@ -632,5 +623,20 @@ mod tests {
         assert!(FaultPlan::generate(b"s", &[], 4).faults.is_empty());
         let one = generate_trace(b"s", 1);
         assert!(FaultPlan::generate(b"s", &one, 4).faults.is_empty());
+    }
+
+    #[test]
+    fn mirror_verdict_flips_on_each_failure_condition() {
+        assert!(ChaosReport::default().clean());
+        for unclean in [
+            ChaosReport { divergences: vec!["final: x".into()], ..Default::default() },
+            ChaosReport { nonce_reuses: 1, ..Default::default() },
+            ChaosReport { dropped_events: 1, ..Default::default() },
+            ChaosReport { sentinel_critical: 1, ..Default::default() },
+        ] {
+            assert!(!unclean.clean(), "{unclean:?}");
+        }
+        // Scrub failures are surfaced, not failed on.
+        assert!(ChaosReport { scrub_failures: 1, ..Default::default() }.clean());
     }
 }

@@ -3,7 +3,10 @@
 //! to prove the whole scenario (faults included) is deterministic.
 
 use vtpm::MirrorMode;
-use vtpm_harness::{run_chaos, ChaosConfig, FaultPlan, PlannedFault};
+use vtpm_harness::{
+    replay, AttestChaosConfig, ChaosConfig, CrashMatrix, FaultPlan, FleetChaosConfig,
+    MigrationChaosConfig, PlannedFault, Scenario, ScenarioReport,
+};
 use workload::generate_trace;
 
 fn quick() -> ChaosConfig {
@@ -14,9 +17,8 @@ fn quick() -> ChaosConfig {
 #[test]
 fn seeded_runs_are_deterministic() {
     for seed in [b"det-0".as_slice(), b"det-1", b"det-2"] {
-        let a = run_chaos(seed, &quick()).unwrap();
-        let b = run_chaos(seed, &quick()).unwrap();
-        assert_eq!(a, b, "same seed must replay byte-identically");
+        let (_, deterministic) = replay(&quick(), seed).unwrap();
+        assert!(deterministic, "same seed must replay byte-identically");
     }
 }
 
@@ -24,7 +26,7 @@ fn seeded_runs_are_deterministic() {
 fn chaos_never_diverges_from_the_oracle() {
     for s in 0..4u32 {
         let seed = format!("chaos-ci-{s}");
-        let report = run_chaos(seed.as_bytes(), &quick()).unwrap();
+        let report = quick().run(seed.as_bytes()).unwrap();
         assert_eq!(
             report.divergences,
             Vec::<String>::new(),
@@ -38,7 +40,7 @@ fn chaos_never_diverges_from_the_oracle() {
 #[test]
 fn cleartext_mode_is_also_covered() {
     let cfg = ChaosConfig { mirror_mode: MirrorMode::Cleartext, ..quick() };
-    let report = run_chaos(b"chaos-clear", &cfg).unwrap();
+    let report = cfg.run(b"chaos-clear").unwrap();
     assert_eq!(report.divergences, Vec::<String>::new());
 }
 
@@ -60,7 +62,7 @@ fn crash_heavy_plan_always_recovers_to_pre_or_post() {
         if planned_crashes == 0 {
             continue;
         }
-        let report = run_chaos(seed.as_bytes(), &quick()).unwrap();
+        let report = quick().run(seed.as_bytes()).unwrap();
         assert_eq!(report.crash_recoveries, planned_crashes);
         assert_eq!(
             report.recovered_post + report.recovered_pre,
@@ -74,4 +76,35 @@ fn crash_heavy_plan_always_recovers_to_pre_or_post() {
         }
     }
     assert!(crashes_seen > 0, "no seed produced a crash fault; widen the sweep");
+}
+
+/// Replay one toy-size seed of `scenario` through the runner and
+/// require the verdict the CLI would print as clean.
+fn replays_clean<S: Scenario>(scenario: S) {
+    let seed = format!("toy-{}", S::Report::FAMILY);
+    let (report, deterministic) = replay(&scenario, seed.as_bytes()).unwrap();
+    assert!(deterministic, "{}: replay diverged", S::Report::FAMILY);
+    assert!(report.clean(), "{}: unclean report: {:?}", S::Report::FAMILY, report.fields());
+}
+
+#[test]
+fn every_family_replays_deterministically_and_clean() {
+    let families: [fn(); 6] = [
+        || replays_clean(ChaosConfig { events: 24, faults: 3, ..ChaosConfig::default() }),
+        || replays_clean(MigrationChaosConfig { rounds: 3, events_per_round: 3, ..Default::default() }),
+        || replays_clean(CrashMatrix { sealed: true }),
+        || replays_clean(CrashMatrix { sealed: false }),
+        || {
+            replays_clean(AttestChaosConfig {
+                instances: 2,
+                verifiers: 4,
+                rounds: 2,
+                ..Default::default()
+            })
+        },
+        || replays_clean(FleetChaosConfig { rounds: 3, vms: 2, ..Default::default() }),
+    ];
+    for family in families {
+        family();
+    }
 }

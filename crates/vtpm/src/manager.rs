@@ -1603,8 +1603,10 @@ mod tests {
             let mgr = Arc::clone(&mgr);
             let stop = Arc::clone(&stop);
             std::thread::spawn(move || {
+                // Sample before checking `stop`: on a busy host the
+                // workers can finish before this thread first runs.
                 let mut samples = 0u64;
-                while !stop.load(Ordering::Relaxed) {
+                loop {
                     let s = mgr.stats_snapshot();
                     assert_eq!(
                         s.handled + s.denied + s.errors + s.throttled,
@@ -1612,8 +1614,10 @@ mod tests {
                         "snapshot violated outcome conservation"
                     );
                     samples += 1;
+                    if stop.load(Ordering::Relaxed) {
+                        break samples;
+                    }
                 }
-                samples
             })
         };
         for w in workers {

@@ -6,6 +6,7 @@
 //! cargo run --release --example quickstart
 //! ```
 
+use vtpm_harness::hex;
 use vtpm_xen::prelude::*;
 
 fn main() {
@@ -123,10 +124,6 @@ fn main() {
          endpoints -> target/quickstart-fleet.prom + .json",
         burns.len(),
     );
-}
-
-fn hex(bytes: &[u8]) -> String {
-    bytes.iter().map(|b| format!("{b:02x}")).collect()
 }
 
 fn tpm12_usage_signing() -> vtpm_xen::tpm12::KeyUsage {

@@ -7,6 +7,7 @@
 //! cargo run --release --example secure_migration
 //! ```
 
+use vtpm_harness::hex;
 use vtpm_xen::prelude::*;
 use vtpm_xen::vtpm_stack::MigrationPackage;
 
@@ -76,8 +77,4 @@ fn main() {
         pcr7_after == pcr7_before
     );
     assert_eq!(pcr7_after, pcr7_before);
-}
-
-fn hex(bytes: &[u8]) -> String {
-    bytes.iter().map(|b| format!("{b:02x}")).collect()
 }

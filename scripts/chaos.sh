@@ -10,8 +10,10 @@
 #
 # Every scenario family runs: the single-host mirror pipeline, the
 # multi-host migration scenarios (plus the exhaustive crash-at-every-
-# step migration matrix on one extra seed), and the attestation-plane
-# quote-storm/replay scenarios.
+# step migration matrix on one extra seed), the attestation-plane
+# quote-storm/replay scenarios, and the fleet control-plane churn
+# scenarios. The mode argument applies to the mirror, the migration
+# family and the matrix alike (encrypted = sealed packages).
 #
 # Usage:
 #   scripts/chaos.sh                 # 32 seeds/family, encrypted mirror
@@ -34,7 +36,7 @@ family="${CHAOS_FAMILY:-all}"
 # The crash matrix only makes sense when migration scenarios run.
 matrix=()
 case "$family" in
-migration | both | all)
+migration | all)
     matrix=(--matrix)
     ;;
 esac

@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # The CI gate: everything a change must survive before merging.
 #
-#   1. tier-1: release build + the full test suite of the root package;
+#   1. tier-1: release build + the full test suite of every workspace
+#      member (the root Cargo.toml lists them all as default-members);
 #   2. chaos smoke: 8 seeded fault scenarios through the full stack,
 #      each replayed twice (determinism) — parallel across cores;
 #   3. migration chaos smoke: 8 seeded multi-host migration scenarios
@@ -62,10 +63,7 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 echo "== tier-1: release build =="
-# --workspace, not bare `cargo build --release`: the bare form builds
-# only the root package and would let workspace-member crates (bench
-# bins, harness, observatory) rot uncompiled.
-cargo build --release --workspace
+cargo build --release
 
 echo "== tier-1: tests =="
 cargo test -q

@@ -308,8 +308,10 @@ fn stats_snapshots_conserve_while_mixed_traffic_runs() {
         let mgr = Arc::clone(&mgr);
         let stop = Arc::clone(&stop);
         std::thread::spawn(move || {
+            // Sample before checking `stop`: on a busy host the workers
+            // can finish before this thread first runs.
             let mut samples = 0u64;
-            while !stop.load(std::sync::atomic::Ordering::Relaxed) {
+            loop {
                 let s = mgr.stats_snapshot();
                 assert_eq!(
                     s.handled + s.denied + s.errors + s.throttled,
@@ -317,8 +319,10 @@ fn stats_snapshots_conserve_while_mixed_traffic_runs() {
                     "mid-traffic snapshot violated outcome conservation"
                 );
                 samples += 1;
+                if stop.load(std::sync::atomic::Ordering::Relaxed) {
+                    break samples;
+                }
             }
-            samples
         })
     };
     for h in handles {

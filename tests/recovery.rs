@@ -348,11 +348,10 @@ fn chaos_harness_smoke() {
     // One seeded chaos scenario end to end, replayed for determinism —
     // the full harness lives in crates/harness; this keeps a sentinel in
     // the root test suite.
-    use vtpm_harness::{run_chaos, ChaosConfig};
+    use vtpm_harness::{replay, ChaosConfig};
     let cfg = ChaosConfig { events: 32, faults: 3, ..ChaosConfig::default() };
-    let a = run_chaos(b"root-smoke", &cfg).unwrap();
-    let b = run_chaos(b"root-smoke", &cfg).unwrap();
-    assert_eq!(a, b, "chaos replay must be deterministic");
+    let (a, deterministic) = replay(&cfg, b"root-smoke").unwrap();
+    assert!(deterministic, "chaos replay must be deterministic");
     assert_eq!(a.divergences, Vec::<String>::new());
     assert_eq!(a.nonce_reuses, 0);
 }
