@@ -337,7 +337,8 @@ mod tests {
         let e2 = issuer.issue(&p, g.instance, 20).unwrap();
         assert!(Arc::ptr_eq(&e1, &e2), "same window + same state → cached evidence");
         let s = issuer.telemetry().snapshot();
-        assert_eq!((s.requested, s.signing_passes, s.cache_hits), (2, 1, 1));
+        type A = AttestTelemetry;
+        assert_eq!((s[A::REQUESTED], s[A::SIGNING_PASSES], s[A::CACHE_HITS]), (2, 1, 1));
 
         // The evidence itself verifies against the window nonce.
         deep_quote::verify(&e1.quote, &window_nonce(e1.window)).unwrap();
@@ -354,7 +355,7 @@ mod tests {
         let e2 = issuer.issue(&p, g.instance, 10 + 1_000_000_000).unwrap();
         assert_ne!(e1.window, e2.window);
         assert_ne!(*e1, *e2);
-        assert_eq!(issuer.telemetry().snapshot().signing_passes, 2);
+        assert_eq!(issuer.telemetry().snapshot()[AttestTelemetry::SIGNING_PASSES], 2);
     }
 
     #[test]
@@ -374,7 +375,7 @@ mod tests {
         assert!(!Arc::ptr_eq(&e1, &e2), "extend must invalidate the cache");
         assert_ne!(e1.quote.vtpm_pcr_values, e2.quote.vtpm_pcr_values);
         let s = issuer.telemetry().snapshot();
-        assert_eq!((s.signing_passes, s.cache_hits), (2, 0));
+        assert_eq!((s[AttestTelemetry::SIGNING_PASSES], s[AttestTelemetry::CACHE_HITS]), (2, 0));
         // Both quotes verify — each against the same window nonce,
         // each over its own PCR state.
         deep_quote::verify(&e1.quote, &window_nonce(e1.window)).unwrap();
@@ -391,7 +392,8 @@ mod tests {
         issuer.issue(&p, g.instance, 10).unwrap();
         issuer.issue(&p, g.instance, 20).unwrap();
         let s = issuer.telemetry().snapshot();
-        assert_eq!((s.signing_passes, s.cache_hits, s.coalesced), (2, 0, 0));
+        type A = AttestTelemetry;
+        assert_eq!((s[A::SIGNING_PASSES], s[A::CACHE_HITS], s[A::COALESCED]), (2, 0, 0));
     }
 
     #[test]
@@ -407,9 +409,9 @@ mod tests {
             }
         });
         let s = issuer.telemetry().snapshot();
-        assert_eq!(s.requested, 8);
-        assert_eq!(s.signing_passes, 1, "one pass serves the whole storm");
-        assert_eq!(s.cache_hits + s.coalesced, 7);
+        assert_eq!(s[AttestTelemetry::REQUESTED], 8);
+        assert_eq!(s[AttestTelemetry::SIGNING_PASSES], 1, "one pass serves the whole storm");
+        assert_eq!(s[AttestTelemetry::CACHE_HITS] + s[AttestTelemetry::COALESCED], 7);
     }
 
     #[test]

@@ -375,7 +375,8 @@ mod tests {
         // the ledger is per-verifier.
         assert_eq!(pool.verify_one(&Submission { verifier: 2, ..sub.clone() }, 20), Verdict::Accepted);
         let s = pool.telemetry().snapshot();
-        assert_eq!((s.verified, s.accepted, s.refused), (3, 2, 1));
+        type A = AttestTelemetry;
+        assert_eq!((s[A::VERIFIED], s[A::ACCEPTED], s[A::REFUSED]), (3, 2, 1));
     }
 
     #[test]
@@ -431,7 +432,7 @@ mod tests {
         assert_eq!(verdicts[0], Verdict::Accepted);
         assert_eq!(verdicts[1], Verdict::BadChain(DeepQuoteError::UnregisteredInstance));
         assert_eq!(verdicts[2], Verdict::Accepted);
-        assert_eq!(pool.telemetry().snapshot().batch_size.max, 3);
+        assert_eq!(pool.telemetry().snapshot()[AttestTelemetry::BATCH_SIZE].max, 3);
     }
 
     #[test]

@@ -31,6 +31,7 @@ use std::time::Instant;
 use vtpm::Platform;
 use vtpm_attest::{IssuerConfig, QuoteIssuer, Submission, VerifierConfig, VerifierPool};
 use vtpm_harness::{AttestChaosConfig, Scenario};
+use vtpm_telemetry::AttestTelemetry;
 
 /// The cached plane must clear this multiple of the per-request qps at
 /// unchanged PCR state.
@@ -137,8 +138,8 @@ fn issue_pass(cache: bool, instances: usize, quotes: usize) -> IssueRow {
     IssueRow {
         mode,
         quotes,
-        signing_passes: snap.signing_passes,
-        absorbed: snap.cache_hits + snap.coalesced,
+        signing_passes: snap[AttestTelemetry::SIGNING_PASSES],
+        absorbed: snap[AttestTelemetry::CACHE_HITS] + snap[AttestTelemetry::COALESCED],
         wall_ns,
         qps: quotes as f64 / (wall_ns.max(1) as f64 / 1e9),
     }
@@ -179,10 +180,10 @@ fn verify_pass(instances: usize, verifiers: usize) -> VerifyStats {
     let snap = issuer.telemetry().snapshot();
     VerifyStats {
         verifiers,
-        submissions: snap.verified,
+        submissions: snap[AttestTelemetry::VERIFIED],
         accepted,
-        p50_ns: snap.verify_latency.p50,
-        p99_ns: snap.verify_latency.p99,
+        p50_ns: snap[AttestTelemetry::VERIFY_LATENCY].p50,
+        p99_ns: snap[AttestTelemetry::VERIFY_LATENCY].p99,
         vps: verifiers as f64 / (wall_ns as f64 / 1e9),
     }
 }

@@ -1,16 +1,15 @@
 //! R-O1: telemetry self-overhead on the manager's request path.
 //!
 //! Not a figure from the paper — it validates this repo's own
-//! observability subsystem. The claim under test: with the `telemetry`
-//! feature compiled in (the default), the per-command cost of span
-//! minting, stage stamping, histogram updates, and the span-ring push
-//! is at most [`BUDGET_PCT`] of the median command latency, per command
-//! class. Compiled *out*, the cost is zero by construction
-//! (`VtpmManager::telemetry()` is statically `None` and every
-//! instrumentation block folds away), so the runtime comparison here is
-//! enabled vs runtime-disabled registries inside one binary — the
-//! disabled manager takes the identical code path minus the registry
-//! work, which is exactly the increment the budget bounds.
+//! observability subsystem. The claim under test: with spans enabled
+//! (`ManagerConfig::telemetry_enabled`, the default), the per-command
+//! cost of the stage histograms and the span-ring push is at most
+//! [`BUDGET_PCT`] of the median command latency, per command class.
+//! The comparison is spans-enabled vs spans-disabled managers inside
+//! one binary. Both keep the request registry's outcome counters — they
+//! are the manager's only books — so the disabled manager takes the
+//! identical code path minus the span work, which is exactly the
+//! increment the budget bounds.
 //!
 //! Two bases are reported, following the repo's wall/virtual split
 //! (see R-T1): the **wall** percentage compares the registry increment
@@ -46,9 +45,9 @@ pub const BUDGET_PCT: f64 = 3.0;
 pub struct O1Row {
     /// Command class measured.
     pub command: &'static str,
-    /// Median wall ns/command with the registry disabled.
+    /// Median wall ns/command with spans disabled.
     pub disabled_ns: f64,
-    /// Median wall ns/command with the registry enabled.
+    /// Median wall ns/command with spans enabled.
     pub enabled_ns: f64,
     /// Modelled deployment latency (virtual ns/command, deterministic).
     pub deploy_ns: f64,
@@ -201,7 +200,7 @@ pub fn run(batches: usize, per_batch: usize) -> Vec<O1Row> {
 /// CI gate greps for.
 pub fn render(rows: &[O1Row]) -> String {
     let mut out = String::new();
-    out.push_str("R-O1  Telemetry self-overhead (enabled vs runtime-disabled registry)\n");
+    out.push_str("R-O1  Telemetry self-overhead (spans enabled vs disabled)\n");
     out.push_str(&format!(
         "{:<10} {:>13} {:>13} {:>9} {:>9} {:>14} {:>9}   ({} batches x {} cmds)\n",
         "command",

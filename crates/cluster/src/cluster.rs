@@ -448,9 +448,7 @@ impl Cluster {
     /// request-conservation counters — no guest span exists for a
     /// protocol refusal.
     fn note_stale_deny(&self, host: usize) {
-        if let Some(t) = self.hosts[host].platform.manager.telemetry() {
-            t.note_protocol_deny(DENY_REJECTED_STALE);
-        }
+        self.hosts[host].platform.manager.telemetry().note_protocol_deny(DENY_REJECTED_STALE);
     }
 
     /// Emit `host`'s periodic liveness beacon onto the fabric's control
@@ -500,26 +498,23 @@ impl Cluster {
     /// Snapshot `host`'s telemetry registry into a [`MetricsFrame`]:
     /// every histogram series as its sparse wire encoding plus the
     /// monotone counters, stamped with the virtual clock. Series are
-    /// cumulative; the observatory diffs consecutive frames. Returns
-    /// `None` if the host's manager runs without a registry.
-    pub fn metrics_frame(&self, host: usize) -> Option<MetricsFrame> {
-        let t = self.hosts[host].platform.manager.telemetry()?;
+    /// cumulative; the observatory diffs consecutive frames.
+    pub fn metrics_frame(&self, host: usize) -> MetricsFrame {
+        let t = self.hosts[host].platform.manager.telemetry();
         let mut series = Vec::new();
         t.visit_histograms(|name, h| series.push((name.to_string(), h.encode())));
         let mut counters = Vec::new();
         t.visit_counters(|name, v| counters.push((name.to_string(), v)));
-        Some(MetricsFrame { host: host as u32, at_ns: self.clock.now_ns(), series, counters })
+        MetricsFrame { host: host as u32, at_ns: self.clock.now_ns(), series, counters }
     }
 
     /// Emit `host`'s telemetry scrape onto the fabric's control inbox
     /// (same wire model, virtual-time charges, and fault hooks as all
-    /// other control traffic). No-op for hosts without a registry.
+    /// other control traffic).
     pub fn send_metrics(&mut self, host: usize) {
-        if let Some(mf) = self.metrics_frame(host) {
-            let mut f = vec![host as u8];
-            f.extend_from_slice(&mf.encode());
-            self.fabric.send_control(f);
-        }
+        let mut f = vec![host as u8];
+        f.extend_from_slice(&self.metrics_frame(host).encode());
+        self.fabric.send_control(f);
     }
 
     /// When the destination journalled `DstCommitted` for this attempt

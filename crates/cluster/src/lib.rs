@@ -39,6 +39,7 @@ pub use protocol::{decode_payload, encode_payload, HeartbeatFrame, MetricsFrame,
 #[cfg(test)]
 mod tests {
     use super::*;
+    use vtpm_telemetry::MigrationTelemetry;
     use workload::{generate_trace, TpmOracle};
 
     fn small() -> ClusterConfig {
@@ -80,8 +81,9 @@ mod tests {
         }
         // Downtime was measured for the committed run.
         let snap = cluster.telemetry().snapshot();
-        assert_eq!((snap.started, snap.committed), (1, 1));
-        assert!(snap.downtime.count == 1 && snap.downtime.max > 0);
+        type M = MigrationTelemetry;
+        assert_eq!((snap[M::STARTED], snap[M::COMMITTED]), (1, 1));
+        assert!(snap[M::DOWNTIME].count == 1 && snap[M::DOWNTIME].max > 0);
     }
 
     #[test]

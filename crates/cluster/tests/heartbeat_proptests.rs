@@ -1,11 +1,12 @@
-//! Property tests for the heartbeat wire format: encode∘decode must be
-//! the identity, and the decoder must never panic (and must reject
-//! truncations and trailing garbage) on hostile bytes.
+//! Property tests for the control-inbox wire formats (heartbeats and
+//! observatory metrics frames): encode∘decode must be the identity, and
+//! the decoders must never panic (and must reject truncations and
+//! trailing garbage) on hostile bytes.
 
 use proptest::collection::vec;
 use proptest::prelude::*;
 use proptest::proptest;
-use vtpm_cluster::HeartbeatFrame;
+use vtpm_cluster::{HeartbeatFrame, MetricsFrame};
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
@@ -39,5 +40,71 @@ proptest! {
     #[test]
     fn decode_never_panics(bytes in vec(any::<u8>(), 0..64)) {
         let _ = HeartbeatFrame::decode(&bytes);
+    }
+}
+
+/// Names from arbitrary bytes: lossy decoding yields multi-byte UTF-8
+/// (U+FFFD) as well as ASCII.
+fn name() -> impl Strategy<Value = String> {
+    vec(any::<u8>(), 0..12).prop_map(|b| String::from_utf8_lossy(&b).into_owned())
+}
+
+/// A metrics frame from fuzzable parts.
+fn metrics_frame(
+    host: u32,
+    at_ns: u64,
+    series: Vec<(String, Vec<u8>)>,
+    counters: Vec<(String, u64)>,
+) -> MetricsFrame {
+    MetricsFrame { host, at_ns, series, counters }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// encode ∘ decode == identity for arbitrary metrics frames.
+    #[test]
+    fn metrics_roundtrip(
+        host in any::<u32>(),
+        at_ns in any::<u64>(),
+        series in vec((name(), vec(any::<u8>(), 0..40)), 0..6),
+        counters in vec((name(), any::<u64>()), 0..6),
+    ) {
+        let mf = metrics_frame(host, at_ns, series, counters);
+        prop_assert_eq!(MetricsFrame::decode(&mf.encode()), Some(mf));
+    }
+
+    /// Every strict prefix of a valid metrics frame is rejected, as is
+    /// the frame with any trailing byte.
+    #[test]
+    fn metrics_truncation_and_trailing_rejected(
+        host in any::<u32>(),
+        series in vec((name(), vec(any::<u8>(), 0..24)), 0..4),
+        counters in vec((name(), any::<u64>()), 0..4),
+        tail in any::<u8>(),
+    ) {
+        let bytes = metrics_frame(host, 7, series, counters).encode();
+        for cut in 0..bytes.len() {
+            prop_assert_eq!(MetricsFrame::decode(&bytes[..cut]), None);
+        }
+        let mut trailing = bytes.clone();
+        trailing.push(tail);
+        prop_assert_eq!(MetricsFrame::decode(&trailing), None);
+    }
+
+    /// Arbitrary bytes never panic the metrics decoder — including
+    /// bytes that start with a valid frame header.
+    #[test]
+    fn metrics_decode_never_panics(
+        bytes in vec(any::<u8>(), 0..256),
+        headed in any::<bool>(),
+    ) {
+        let mut input = if headed {
+            metrics_frame(1, 2, Vec::new(), Vec::new()).encode()[..13].to_vec()
+        } else {
+            Vec::new()
+        };
+        input.extend_from_slice(&bytes);
+        let _ = MetricsFrame::decode(&input);
     }
 }

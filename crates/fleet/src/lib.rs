@@ -45,7 +45,7 @@ use std::collections::{BTreeMap, BTreeSet};
 
 use vtpm_cluster::{Cluster, ControlFrame, MetricsFrame, FABRIC_MSG_NS};
 use vtpm_observatory::Observatory;
-use vtpm_telemetry::{FleetSnapshot, FleetTelemetry};
+use vtpm_telemetry::{FleetTelemetry, RegistrySnapshot, Series};
 
 pub use detector::{FailureDetectorConfig, PhiAccrualDetector};
 pub use driver::{DriveDecision, DriveOutcome, DriveReason, DriverPool, Submitted};
@@ -88,12 +88,12 @@ impl Default for FleetConfig {
 /// ingested into the observatory — far above any real host index.
 pub const CONTROLLER_HOST: u32 = u32::MAX;
 
-/// Index of a tick phase in the fleet stage histograms
-/// ([`vtpm_telemetry::FLEET_STAGE_LABELS`]).
-const STAGE_OBSERVE: usize = 0;
-const STAGE_SUSPECT: usize = 1;
-const STAGE_PLAN: usize = 2;
-const STAGE_DRIVE: usize = 3;
+/// The tick phases' series in the fleet stage histograms
+/// ([`FleetTelemetry::STAGES`]).
+const STAGE_OBSERVE: Series = FleetTelemetry::STAGES[0];
+const STAGE_SUSPECT: Series = FleetTelemetry::STAGES[1];
+const STAGE_PLAN: Series = FleetTelemetry::STAGES[2];
+const STAGE_DRIVE: Series = FleetTelemetry::STAGES[3];
 
 /// The fleet controller: detector + driver pool + plan loop.
 pub struct Fleet {
@@ -180,8 +180,9 @@ impl Fleet {
         &self.pool
     }
 
-    /// Snapshot of the fleet telemetry.
-    pub fn snapshot(&self) -> FleetSnapshot {
+    /// Snapshot of the fleet telemetry; index it with
+    /// [`FleetTelemetry`]'s constants.
+    pub fn snapshot(&self) -> RegistrySnapshot {
         self.telemetry.snapshot()
     }
 
@@ -533,10 +534,11 @@ mod tests {
         assert_eq!((winners, losers), (1, 1), "decisions: {dec:?}");
         assert_eq!(cluster.runnable_hosts(vm).len(), 1, "exactly one live copy");
         let snap = fleet.snapshot();
-        assert_eq!(snap.conflicts, 1);
-        assert_eq!(snap.drives_committed, 1);
-        assert_eq!(snap.drives_rejected_stale, 1);
-        assert!(snap.downtime.count == 1 && snap.downtime.max > 0);
+        assert_eq!(snap[FleetTelemetry::CONFLICTS], 1);
+        assert_eq!(snap[FleetTelemetry::COMMITTED], 1);
+        assert_eq!(snap[FleetTelemetry::REJECTED_STALE], 1);
+        let downtime = snap[FleetTelemetry::DOWNTIME];
+        assert!(downtime.count == 1 && downtime.max > 0);
     }
 
     #[test]
@@ -570,8 +572,12 @@ mod tests {
             assert!(rounds < 64, "host 0 never suspected");
         }
         let snap = fleet.snapshot();
-        assert_eq!(snap.suspects_raised, 1);
-        assert_eq!(snap.false_suspects, 0, "a truly dead host is not a false positive");
+        assert_eq!(snap[FleetTelemetry::SUSPECTS_RAISED], 1);
+        assert_eq!(
+            snap[FleetTelemetry::FALSE_SUSPECTS],
+            0,
+            "a truly dead host is not a false positive"
+        );
         // Revival clears the suspicion (fresh detector bootstrap).
         cluster.recover_host(0).unwrap();
         fleet.host_up(&mut cluster, 0);
@@ -595,7 +601,7 @@ mod tests {
         let mut fleet = Fleet::new(FleetConfig::default(), &cluster);
         fleet.pause_rebalance();
         fleet.tick(&mut cluster);
-        assert_eq!(fleet.snapshot().drives_submitted, 0, "paused planner must not plan");
+        assert_eq!(fleet.snapshot()[FleetTelemetry::SUBMITTED], 0, "paused planner must not plan");
         fleet.resume_rebalance();
         for _ in 0..24 {
             fleet.tick(&mut cluster);
@@ -608,7 +614,7 @@ mod tests {
         for &vm in &vms {
             assert_eq!(cluster.runnable_hosts(vm).len(), 1);
         }
-        assert!(fleet.snapshot().drives_committed >= 2);
+        assert!(fleet.snapshot()[FleetTelemetry::COMMITTED] >= 2);
     }
 
     #[test]
@@ -635,7 +641,7 @@ mod tests {
         for h in fleet.detector.tracked() {
             assert!(!fleet.detector.is_suspect(h, now), "host {h} falsely suspected");
         }
-        assert_eq!(fleet.snapshot().false_suspects, 0);
+        assert_eq!(fleet.snapshot()[FleetTelemetry::FALSE_SUSPECTS], 0);
     }
 
     #[test]
@@ -678,7 +684,7 @@ mod tests {
         assert!(matches!(first, Submitted::Admitted { .. }));
         let second = fleet.drive(&mut cluster, vms[1], 1);
         assert!(matches!(second, Submitted::Refused { why: "pool-full", .. }));
-        assert_eq!(fleet.snapshot().drives_refused, 2);
+        assert_eq!(fleet.snapshot()[FleetTelemetry::REFUSED], 2);
         assert_eq!(fleet.pool().decisions().len(), 3);
     }
 }

@@ -45,7 +45,7 @@ use vtpm_attest::{
     IssuerConfig, QuoteIssuer, Submission, Verdict, VerifierConfig, VerifierPool,
 };
 use vtpm_sentinel::{Sentinel, SentinelConfig};
-use vtpm_telemetry::Telemetry;
+use vtpm_telemetry::{AttestTelemetry, Telemetry};
 use xen_sim::Result as XenResult;
 
 use crate::json::{hex, Field};
@@ -398,13 +398,14 @@ impl Scenario for AttestChaosConfig {
         }
 
         // Cross-check the plane's own books.
+        type A = AttestTelemetry;
         let snap = issuer.telemetry().snapshot();
-        report.signing_passes = snap.signing_passes;
-        report.cache_absorbed = snap.cache_hits + snap.coalesced;
-        if snap.requested != snap.signing_passes + report.cache_absorbed {
+        report.signing_passes = snap[A::SIGNING_PASSES];
+        report.cache_absorbed = snap[A::CACHE_HITS] + snap[A::COALESCED];
+        if snap[A::REQUESTED] != snap[A::SIGNING_PASSES] + report.cache_absorbed {
             report.divergences.push(format!(
                 "issuer counters do not conserve: {} != {} + {}",
-                snap.requested, snap.signing_passes, report.cache_absorbed
+                snap[A::REQUESTED], snap[A::SIGNING_PASSES], report.cache_absorbed
             ));
         }
         let tsnap = telemetry.snapshot();

@@ -31,6 +31,7 @@ use vtpm_cluster::{Cluster, ClusterConfig, FabricFault, FabricStats};
 use vtpm_fleet::{DriveDecision, DriveOutcome, Fleet, FleetConfig, Submitted, CONTROLLER_HOST};
 use vtpm_observatory::Observatory;
 use vtpm_sentinel::{Sentinel, SentinelConfig, StreamEvent};
+use vtpm_telemetry::FleetTelemetry;
 use workload::{generate_trace, TpmOracle};
 use xen_sim::Result as XenResult;
 
@@ -608,17 +609,17 @@ impl Scenario for FleetChaosConfig {
 
         // Fold the controller's own accounting into the report.
         let snap = fleet.snapshot();
-        report.ticks = snap.ticks;
-        report.committed = snap.drives_committed;
-        report.aborted = snap.drives_aborted;
-        report.rejected_stale = snap.drives_rejected_stale;
-        report.abandoned = snap.drives_abandoned;
-        report.refused = snap.drives_refused;
-        report.conflicts = snap.conflicts;
-        report.suspects_raised = snap.suspects_raised;
-        report.false_suspects = snap.false_suspects;
-        report.downtime_p99_ns = snap.downtime.p99;
-        report.downtime_max_ns = snap.downtime.max;
+        report.ticks = snap[FleetTelemetry::TICKS];
+        report.committed = snap[FleetTelemetry::COMMITTED];
+        report.aborted = snap[FleetTelemetry::ABORTED];
+        report.rejected_stale = snap[FleetTelemetry::REJECTED_STALE];
+        report.abandoned = snap[FleetTelemetry::ABANDONED];
+        report.refused = snap[FleetTelemetry::REFUSED];
+        report.conflicts = snap[FleetTelemetry::CONFLICTS];
+        report.suspects_raised = snap[FleetTelemetry::SUSPECTS_RAISED];
+        report.false_suspects = snap[FleetTelemetry::FALSE_SUSPECTS];
+        report.downtime_p99_ns = snap[FleetTelemetry::DOWNTIME].p99;
+        report.downtime_max_ns = snap[FleetTelemetry::DOWNTIME].max;
         report.drives = fleet.pool().decisions().to_vec();
         report.fabric = cluster.fabric.stats();
 
@@ -635,7 +636,7 @@ impl Scenario for FleetChaosConfig {
             report.fabric.duplicated,
             report.fabric.reordered,
             report.fabric.crash_lost,
-            snap.heartbeats_seen,
+            snap[FleetTelemetry::HEARTBEATS_SEEN],
         ] {
             transcript.extend_from_slice(&n.to_be_bytes());
         }

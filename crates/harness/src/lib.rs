@@ -301,28 +301,27 @@ fn absorb_epoch_counters(
     sentinel: &mut Sentinel,
     now_ns: u64,
 ) {
-    if let Some(t) = mgr.telemetry() {
-        let s = t.snapshot();
-        if s.in_flight != 0 {
-            report.divergences.push(format!(
-                "{at}: telemetry reports {} requests in flight at quiescence",
-                s.in_flight
-            ));
-        }
-        if s.allowed + s.denied + s.malformed != s.finished {
-            report.divergences.push(format!(
-                "{at}: outcome counters do not conserve: {} + {} + {} != {}",
-                s.allowed, s.denied, s.malformed, s.finished
-            ));
-        }
-        report.completed += s.finished;
-        report.dropped_events += s.dropped_events;
-        // The sentinel consumes this epoch's spans as a stream; the
-        // ring is drained here anyway (the registry dies with the
-        // epoch), so detection adds no retention cost.
-        for record in t.drain_spans() {
-            sentinel.observe(StreamEvent::Span { host: 0, record });
-        }
+    let t = mgr.telemetry();
+    let s = t.snapshot();
+    if s.in_flight != 0 {
+        report.divergences.push(format!(
+            "{at}: telemetry reports {} requests in flight at quiescence",
+            s.in_flight
+        ));
+    }
+    if s.allowed + s.denied + s.malformed != s.finished {
+        report.divergences.push(format!(
+            "{at}: outcome counters do not conserve: {} + {} + {} != {}",
+            s.allowed, s.denied, s.malformed, s.finished
+        ));
+    }
+    report.completed += s.finished;
+    report.dropped_events += s.dropped_events;
+    // The sentinel consumes this epoch's spans as a stream; the
+    // ring is drained here anyway (the registry dies with the
+    // epoch), so detection adds no retention cost.
+    for record in t.drain_spans() {
+        sentinel.observe(StreamEvent::Span { host: 0, record });
     }
     let io = mgr.mirror_io_stats();
     report.scrub_failures += io.scrub_failures;

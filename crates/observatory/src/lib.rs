@@ -208,7 +208,8 @@ impl Observatory {
     /// Ingest one cumulative counter (scraped or controller-local).
     /// Windowed *increments* feed the incident-budget rules; a value
     /// that went backwards counts as a host reset and the fresh value
-    /// as the increment.
+    /// as the increment. Scraped values are untrusted, so the
+    /// fleet-wide total saturates at `u64::MAX` rather than overflow.
     pub fn ingest_counter(&mut self, host: u32, at_ns: u64, name: &str, value: u64) {
         let state = self.hosts.entry(host).or_insert_with(HostState::new);
         let increment = match state.counter_prev.get(name) {
@@ -220,7 +221,8 @@ impl Observatory {
             None => value,
         };
         state.counter_prev.insert(name.to_string(), value);
-        *self.counter_totals.entry(name.to_string()).or_insert(0) += increment;
+        let total = self.counter_totals.entry(name.to_string()).or_insert(0);
+        *total = total.saturating_add(increment);
         if increment > 0 {
             let tiers = &self.cfg.tiers;
             self.counter_rollups
@@ -567,6 +569,17 @@ mod tests {
         // Counter went backwards → reset semantics, no underflow.
         obs.ingest_counter(2, 3_000, "mirror_scrub_failures", 5);
         assert!(obs.stats().2 >= 1);
+    }
+
+    #[test]
+    fn hostile_counter_scrapes_saturate_the_fleet_total() {
+        let mut obs = Observatory::default();
+        let counters = [("begun".to_string(), u64::MAX)];
+        obs.ingest_scrape(0, 1_000, &[], &counters);
+        obs.ingest_scrape(1, 1_000, &[], &counters);
+        assert!(obs.render_json(1_000).contains("\"begun\": 18446744073709551615"));
+        assert!(obs.render_text(1_000).contains("counter=\"begun\"} 18446744073709551615"));
+        assert_eq!(obs.evaluate(1_000), vec![]);
     }
 
     #[test]

@@ -17,13 +17,12 @@
 //! request path); nothing from this module feeds a chaos transcript,
 //! so replay determinism is unaffected.
 
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
-use crate::{Histogram, HistogramSnapshot};
+use crate::registry::{Counter, Registry, RegistrySnapshot, Schema, Series};
 
 /// Issue-stage labels, in signing-pass order. Indexes into
-/// [`QuoteSpanRecord::stage_ns`] and [`AttestSnapshot::stages`].
+/// [`QuoteSpanRecord::stage_ns`] and [`AttestTelemetry::STAGES`].
 pub const QUOTE_STAGE_LABELS: [&str; 3] = ["vtpm-quote", "hw-countersign", "assemble"];
 
 /// One deep-quote signing pass, summarized.
@@ -42,21 +41,25 @@ pub struct QuoteSpanRecord {
     pub total_ns: u64,
 }
 
+static SCHEMA: Schema<7, 6> = {
+    type A = AttestTelemetry;
+    Schema::new(
+        [
+            A::REQUESTED, A::SIGNING_PASSES, A::CACHE_HITS, A::COALESCED,
+            A::VERIFIED, A::ACCEPTED, A::REFUSED,
+        ],
+        [
+            A::STAGES[0], A::STAGES[1], A::STAGES[2],
+            A::ISSUE_TOTAL, A::VERIFY_LATENCY, A::BATCH_SIZE,
+        ],
+    )
+};
+
 /// Plane-wide attestation metrics: issuance counters + stage
 /// histograms, verification latency, batch sizes, and the retained
 /// signing-pass spans. Shared by the issuer and the verifier pool.
 pub struct AttestTelemetry {
-    requested: AtomicU64,
-    signing_passes: AtomicU64,
-    cache_hits: AtomicU64,
-    coalesced: AtomicU64,
-    verified: AtomicU64,
-    accepted: AtomicU64,
-    refused: AtomicU64,
-    stages: [Histogram; 3],
-    issue_total: Histogram,
-    verify_latency: Histogram,
-    batch_size: Histogram,
+    registry: Registry<7, 6>,
     spans: Mutex<Vec<QuoteSpanRecord>>,
 }
 
@@ -67,66 +70,77 @@ impl Default for AttestTelemetry {
 }
 
 impl AttestTelemetry {
+    /// Quote requests that reached the issuer.
+    pub const REQUESTED: Counter = Counter::new(0, "attest_requested");
+    /// Requests that paid a full signing pass (two RSA private ops).
+    pub const SIGNING_PASSES: Counter = Counter::new(1, "attest_signing_passes");
+    /// Requests served from the issued-quote cache.
+    pub const CACHE_HITS: Counter = Counter::new(2, "attest_cache_hits");
+    /// Requests coalesced behind a concurrent signing pass.
+    pub const COALESCED: Counter = Counter::new(3, "attest_coalesced");
+    /// Submissions the verifier pool processed.
+    pub const VERIFIED: Counter = Counter::new(4, "attest_verified");
+    /// Submissions accepted.
+    pub const ACCEPTED: Counter = Counter::new(5, "attest_accepted");
+    /// Submissions refused (any reason).
+    pub const REFUSED: Counter = Counter::new(6, "attest_refused");
+    /// Per-stage signing-pass durations, per [`QUOTE_STAGE_LABELS`].
+    pub const STAGES: [Series; 3] = [
+        Series::new(0, "attest_vtpm-quote"),
+        Series::new(1, "attest_hw-countersign"),
+        Series::new(2, "attest_assemble"),
+    ];
+    /// Whole-signing-pass duration.
+    pub const ISSUE_TOTAL: Series = Series::new(3, "attest_issue_total");
+    /// Per-submission verification latency, under the series name the
+    /// observatory's verify-latency SLO and profile read.
+    pub const VERIFY_LATENCY: Series = Series::new(4, "verify_ns");
+    /// Verification batch sizes.
+    pub const BATCH_SIZE: Series = Series::new(5, "attest_batch_size");
+
     /// Empty registry.
     pub fn new() -> Self {
-        AttestTelemetry {
-            requested: AtomicU64::new(0),
-            signing_passes: AtomicU64::new(0),
-            cache_hits: AtomicU64::new(0),
-            coalesced: AtomicU64::new(0),
-            verified: AtomicU64::new(0),
-            accepted: AtomicU64::new(0),
-            refused: AtomicU64::new(0),
-            stages: std::array::from_fn(|_| Histogram::new()),
-            issue_total: Histogram::new(),
-            verify_latency: Histogram::new(),
-            batch_size: Histogram::new(),
-            spans: Mutex::new(Vec::new()),
-        }
+        AttestTelemetry { registry: Registry::new(&SCHEMA), spans: Mutex::new(Vec::new()) }
     }
 
     /// Note one quote request arriving at the issuer (hit or miss).
     pub fn note_requested(&self) {
-        self.requested.fetch_add(1, Ordering::Relaxed);
+        self.registry.add(Self::REQUESTED, 1);
     }
 
     /// Note a request served straight from the issued-quote cache.
     pub fn note_cache_hit(&self) {
-        self.cache_hits.fetch_add(1, Ordering::Relaxed);
+        self.registry.add(Self::CACHE_HITS, 1);
     }
 
     /// Note a request that blocked behind a concurrent signing pass for
     /// the same instance and was then served from the cache it filled.
     pub fn note_coalesced(&self) {
-        self.coalesced.fetch_add(1, Ordering::Relaxed);
+        self.registry.add(Self::COALESCED, 1);
     }
 
     /// Fold one signing pass into the stage histograms and retain it.
     pub fn record_issue(&self, span: QuoteSpanRecord) {
-        self.signing_passes.fetch_add(1, Ordering::Relaxed);
-        for (hist, ns) in self.stages.iter().zip(span.stage_ns) {
+        self.registry.add(Self::SIGNING_PASSES, 1);
+        for (stage, ns) in Self::STAGES.into_iter().zip(span.stage_ns) {
             if ns > 0 {
-                hist.record(ns);
+                self.registry.record(stage, ns);
             }
         }
-        self.issue_total.record(span.total_ns);
+        self.registry.record(Self::ISSUE_TOTAL, span.total_ns);
         self.spans.lock().expect("span store poisoned").push(span);
     }
 
     /// Record one verified submission and its wall latency.
     pub fn note_verify(&self, accepted: bool, latency_ns: u64) {
-        self.verified.fetch_add(1, Ordering::Relaxed);
-        if accepted {
-            self.accepted.fetch_add(1, Ordering::Relaxed);
-        } else {
-            self.refused.fetch_add(1, Ordering::Relaxed);
-        }
-        self.verify_latency.record(latency_ns);
+        self.registry.add(Self::VERIFIED, 1);
+        self.registry.add(if accepted { Self::ACCEPTED } else { Self::REFUSED }, 1);
+        self.registry.record(Self::VERIFY_LATENCY, latency_ns);
     }
 
     /// Record the size of one verification batch.
     pub fn note_batch(&self, size: u64) {
-        self.batch_size.record(size);
+        self.registry.record(Self::BATCH_SIZE, size);
     }
 
     /// Retained signing-pass spans, oldest first.
@@ -134,71 +148,18 @@ impl AttestTelemetry {
         self.spans.lock().expect("span store poisoned").clone()
     }
 
-    /// Coherent-at-quiescence snapshot.
-    pub fn snapshot(&self) -> AttestSnapshot {
-        AttestSnapshot {
-            requested: self.requested.load(Ordering::Relaxed),
-            signing_passes: self.signing_passes.load(Ordering::Relaxed),
-            cache_hits: self.cache_hits.load(Ordering::Relaxed),
-            coalesced: self.coalesced.load(Ordering::Relaxed),
-            verified: self.verified.load(Ordering::Relaxed),
-            accepted: self.accepted.load(Ordering::Relaxed),
-            refused: self.refused.load(Ordering::Relaxed),
-            stages: QUOTE_STAGE_LABELS
-                .iter()
-                .zip(&self.stages)
-                .map(|(&label, h)| (label, h.snapshot()))
-                .collect(),
-            issue_total: self.issue_total.snapshot(),
-            verify_latency: self.verify_latency.snapshot(),
-            batch_size: self.batch_size.snapshot(),
-        }
-    }
-}
-
-/// One read of [`AttestTelemetry`].
-#[derive(Debug, Clone, PartialEq)]
-pub struct AttestSnapshot {
-    /// Quote requests that reached the issuer.
-    pub requested: u64,
-    /// Requests that paid a full signing pass (two RSA private ops).
-    pub signing_passes: u64,
-    /// Requests served from the issued-quote cache.
-    pub cache_hits: u64,
-    /// Requests coalesced behind a concurrent signing pass.
-    pub coalesced: u64,
-    /// Submissions the verifier pool processed.
-    pub verified: u64,
-    /// Submissions accepted.
-    pub accepted: u64,
-    /// Submissions refused (any reason).
-    pub refused: u64,
-    /// Per-stage signing-pass histograms, labelled per
-    /// [`QUOTE_STAGE_LABELS`].
-    pub stages: Vec<(&'static str, HistogramSnapshot)>,
-    /// Whole-signing-pass duration.
-    pub issue_total: HistogramSnapshot,
-    /// Per-submission verification latency.
-    pub verify_latency: HistogramSnapshot,
-    /// Verification batch sizes.
-    pub batch_size: HistogramSnapshot,
-}
-
-impl AttestSnapshot {
-    /// Cache hit rate over all issuer requests (hits + coalesced count
-    /// as absorbed; 0.0 when nothing was requested).
-    pub fn cache_hit_rate(&self) -> f64 {
-        if self.requested == 0 {
-            0.0
-        } else {
-            (self.cache_hits + self.coalesced) as f64 / self.requested as f64
-        }
+    /// Coherent-at-quiescence snapshot; index it with this type's
+    /// constants.
+    pub fn snapshot(&self) -> RegistrySnapshot {
+        self.registry.snapshot()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    type T = AttestTelemetry;
 
     fn span(instance: u32) -> QuoteSpanRecord {
         QuoteSpanRecord {
@@ -224,12 +185,13 @@ mod tests {
         t.note_coalesced();
         t.note_coalesced();
         let s = t.snapshot();
-        assert_eq!((s.requested, s.signing_passes, s.cache_hits, s.coalesced), (10, 2, 6, 2));
-        assert!((s.cache_hit_rate() - 0.8).abs() < 1e-9);
-        assert_eq!(s.stages.len(), QUOTE_STAGE_LABELS.len());
-        assert_eq!(s.stages[0].0, "vtpm-quote");
-        assert_eq!(s.stages[0].1.count, 2);
-        assert_eq!(s.issue_total.count, 2);
+        assert_eq!(
+            (s[T::REQUESTED], s[T::SIGNING_PASSES], s[T::CACHE_HITS], s[T::COALESCED]),
+            (10, 2, 6, 2)
+        );
+        assert_eq!(T::STAGES[0].name(), "attest_vtpm-quote");
+        assert_eq!(s[T::STAGES[0]].count, 2);
+        assert_eq!(s[T::ISSUE_TOTAL].count, 2);
         assert_eq!(t.spans().len(), 2);
     }
 
@@ -241,9 +203,9 @@ mod tests {
         t.note_verify(true, 6_000);
         t.note_verify(false, 700);
         let s = t.snapshot();
-        assert_eq!((s.verified, s.accepted, s.refused), (3, 2, 1));
-        assert_eq!(s.verify_latency.count, 3);
-        assert_eq!(s.batch_size.max, 3);
+        assert_eq!((s[T::VERIFIED], s[T::ACCEPTED], s[T::REFUSED]), (3, 2, 1));
+        assert_eq!(s[T::VERIFY_LATENCY].count, 3);
+        assert_eq!(s[T::BATCH_SIZE].max, 3);
     }
 
     #[test]
@@ -253,7 +215,14 @@ mod tests {
         sp.stage_ns[2] = 0;
         t.record_issue(sp);
         let s = t.snapshot();
-        assert_eq!(s.stages[1].1.count, 1);
-        assert_eq!(s.stages[2].1.count, 0);
+        assert_eq!(s[T::STAGES[1]].count, 1);
+        assert_eq!(s[T::STAGES[2]].count, 0);
+    }
+
+    #[test]
+    fn stage_series_follow_the_stage_labels() {
+        for (stage, label) in T::STAGES.iter().zip(QUOTE_STAGE_LABELS) {
+            assert_eq!(stage.name(), format!("attest_{label}"));
+        }
     }
 }

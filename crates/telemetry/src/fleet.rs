@@ -15,184 +15,152 @@
 //! Everything takes caller-supplied virtual-clock durations, so chaos
 //! replays stay byte-deterministic.
 
-use std::sync::atomic::{AtomicU64, Ordering};
+use crate::registry::{Counter, Registry, RegistrySnapshot, Schema, Series};
+use crate::Histogram;
 
-use crate::{Histogram, HistogramSnapshot};
-
-/// Fleet tick phase labels, in loop order. Indexes into
-/// [`FleetSnapshot::stages`].
+/// Fleet tick phase labels, in loop order; [`FleetTelemetry::STAGES`]
+/// holds the matching series.
 pub const FLEET_STAGE_LABELS: [&str; 4] = ["observe", "suspect", "plan", "drive"];
 
+static SCHEMA: Schema<11, 5> = {
+    type F = FleetTelemetry;
+    Schema::new(
+        [
+            F::TICKS, F::HEARTBEATS_SEEN, F::SUSPECTS_RAISED, F::FALSE_SUSPECTS, F::SUBMITTED,
+            F::COMMITTED, F::REJECTED_STALE, F::ABORTED, F::ABANDONED, F::REFUSED, F::CONFLICTS,
+        ],
+        [F::STAGES[0], F::STAGES[1], F::STAGES[2], F::STAGES[3], F::DOWNTIME],
+    )
+};
+
 /// Counters + histograms for one fleet controller.
-#[derive(Default)]
 pub struct FleetTelemetry {
-    ticks: AtomicU64,
-    heartbeats_seen: AtomicU64,
-    suspects_raised: AtomicU64,
-    false_suspects: AtomicU64,
-    drives_submitted: AtomicU64,
-    drives_committed: AtomicU64,
-    drives_rejected_stale: AtomicU64,
-    drives_aborted: AtomicU64,
-    drives_abandoned: AtomicU64,
-    drives_refused: AtomicU64,
-    conflicts: AtomicU64,
-    stages: [Histogram; 4],
-    downtime: Histogram,
+    registry: Registry<11, 5>,
+}
+
+impl Default for FleetTelemetry {
+    fn default() -> Self {
+        Self::new()
+    }
 }
 
 impl FleetTelemetry {
+    /// Controller ticks run.
+    pub const TICKS: Counter = Counter::new(0, "fleet_ticks");
+    /// Heartbeats consumed from the control inbox.
+    pub const HEARTBEATS_SEEN: Counter = Counter::new(1, "fleet_heartbeats_seen");
+    /// Hosts that newly crossed the suspicion threshold.
+    pub const SUSPECTS_RAISED: Counter = Counter::new(2, "fleet_suspects_raised");
+    /// Suspicions raised against hosts that were actually alive.
+    pub const FALSE_SUSPECTS: Counter = Counter::new(3, "fleet_false_suspects");
+    /// Drives admitted to the pool.
+    pub const SUBMITTED: Counter = Counter::new(4, "fleet_drives_submitted");
+    /// Drives that committed.
+    pub const COMMITTED: Counter = Counter::new(5, "fleet_drives_committed");
+    /// Drives refused stale (lost an epoch race).
+    pub const REJECTED_STALE: Counter = Counter::new(6, "fleet_drives_rejected_stale");
+    /// Drives aborted.
+    pub const ABORTED: Counter = Counter::new(7, "fleet_drives_aborted");
+    /// Drives abandoned to a host crash.
+    pub const ABANDONED: Counter = Counter::new(8, "fleet_drives_abandoned");
+    /// Submissions refused before entering the pool.
+    pub const REFUSED: Counter = Counter::new(9, "fleet_drives_refused");
+    /// Submissions that raced another in-flight drive of the same VM.
+    pub const CONFLICTS: Counter = Counter::new(10, "fleet_conflicts");
+    /// Virtual time per tick phase, per [`FLEET_STAGE_LABELS`].
+    pub const STAGES: [Series; 4] = [
+        Series::new(0, "fleet_observe"),
+        Series::new(1, "fleet_suspect"),
+        Series::new(2, "fleet_plan"),
+        Series::new(3, "fleet_drive"),
+    ];
+    /// Quiesce→commit downtime over committed drives, cluster-wide —
+    /// the blackout series the SLO engine watches.
+    pub const DOWNTIME: Series = Series::new(4, "fleet_downtime");
+
     /// An empty registry.
     pub fn new() -> Self {
-        Self::default()
+        FleetTelemetry { registry: Registry::new(&SCHEMA) }
     }
 
     /// One controller tick completed.
     pub fn note_tick(&self) {
-        self.ticks.fetch_add(1, Ordering::Relaxed);
+        self.registry.add(Self::TICKS, 1);
     }
 
     /// `n` heartbeats consumed from the control inbox.
     pub fn note_heartbeats(&self, n: u64) {
-        self.heartbeats_seen.fetch_add(n, Ordering::Relaxed);
+        self.registry.add(Self::HEARTBEATS_SEEN, n);
     }
 
     /// A host newly crossed the suspicion threshold. `false_positive`
     /// marks a host the simulation knows is actually alive.
     pub fn note_suspect(&self, false_positive: bool) {
-        self.suspects_raised.fetch_add(1, Ordering::Relaxed);
-        if false_positive {
-            self.false_suspects.fetch_add(1, Ordering::Relaxed);
-        }
+        self.registry.add(Self::SUSPECTS_RAISED, 1);
+        self.registry.add(Self::FALSE_SUSPECTS, false_positive as u64);
     }
 
     /// A drive entered the pool.
     pub fn note_submitted(&self, conflict: bool) {
-        self.drives_submitted.fetch_add(1, Ordering::Relaxed);
-        if conflict {
-            self.conflicts.fetch_add(1, Ordering::Relaxed);
-        }
+        self.registry.add(Self::SUBMITTED, 1);
+        self.registry.add(Self::CONFLICTS, conflict as u64);
     }
 
     /// A drive committed; `downtime_ns` is its quiesce→commit window.
     pub fn note_committed(&self, downtime_ns: u64) {
-        self.drives_committed.fetch_add(1, Ordering::Relaxed);
-        self.downtime.record(downtime_ns);
+        self.registry.add(Self::COMMITTED, 1);
+        self.registry.record(Self::DOWNTIME, downtime_ns);
     }
 
     /// A drive lost an epoch race and was refused stale.
     pub fn note_rejected_stale(&self) {
-        self.drives_rejected_stale.fetch_add(1, Ordering::Relaxed);
+        self.registry.add(Self::REJECTED_STALE, 1);
     }
 
     /// A drive aborted (fault, lost ack, verification failure).
     pub fn note_aborted(&self) {
-        self.drives_aborted.fetch_add(1, Ordering::Relaxed);
+        self.registry.add(Self::ABORTED, 1);
     }
 
     /// A drive was abandoned because a host it touched crashed.
     pub fn note_abandoned(&self) {
-        self.drives_abandoned.fetch_add(1, Ordering::Relaxed);
+        self.registry.add(Self::ABANDONED, 1);
     }
 
     /// A submission was refused before entering the pool (pool full,
     /// or the VM had no live home).
     pub fn note_refused(&self) {
-        self.drives_refused.fetch_add(1, Ordering::Relaxed);
+        self.registry.add(Self::REFUSED, 1);
     }
 
-    /// Fold `ns` of virtual time into tick phase `stage`
-    /// (index into [`FLEET_STAGE_LABELS`]).
-    pub fn record_stage(&self, stage: usize, ns: u64) {
-        self.stages[stage].record(ns);
+    /// Fold `ns` of virtual time into tick phase `stage` (one of
+    /// [`FleetTelemetry::STAGES`]).
+    pub fn record_stage(&self, stage: Series, ns: u64) {
+        self.registry.record(stage, ns);
     }
 
-    /// Walk every histogram series under its stable scrape name
-    /// (`fleet_<phase>` per [`FLEET_STAGE_LABELS`], plus
-    /// `fleet_downtime`, the blackout series the SLO engine watches) —
-    /// the observatory's wire contract, mirroring
-    /// [`crate::Telemetry::visit_histograms`].
-    pub fn visit_histograms(&self, mut f: impl FnMut(&str, &Histogram)) {
-        for (&label, hist) in FLEET_STAGE_LABELS.iter().zip(&self.stages) {
-            let mut name = String::with_capacity(6 + label.len());
-            name.push_str("fleet_");
-            name.push_str(label);
-            f(&name, hist);
-        }
-        f("fleet_downtime", &self.downtime);
+    /// Walk every histogram series under its stable scrape name — the
+    /// observatory's wire contract.
+    pub fn visit_histograms(&self, f: impl FnMut(&'static str, &Histogram)) {
+        self.registry.visit_histograms(f);
     }
 
-    /// Walk every monotone counter under its stable scrape name
-    /// (companion to [`FleetTelemetry::visit_histograms`]).
-    pub fn visit_counters(&self, mut f: impl FnMut(&str, u64)) {
-        f("fleet_ticks", self.ticks.load(Ordering::Relaxed));
-        f("fleet_heartbeats_seen", self.heartbeats_seen.load(Ordering::Relaxed));
-        f("fleet_suspects_raised", self.suspects_raised.load(Ordering::Relaxed));
-        f("fleet_false_suspects", self.false_suspects.load(Ordering::Relaxed));
-        f("fleet_drives_committed", self.drives_committed.load(Ordering::Relaxed));
-        f("fleet_drives_aborted", self.drives_aborted.load(Ordering::Relaxed));
-        f("fleet_conflicts", self.conflicts.load(Ordering::Relaxed));
+    /// Walk every counter under its stable scrape name.
+    pub fn visit_counters(&self, f: impl FnMut(&'static str, u64)) {
+        self.registry.visit_counters(f);
     }
 
-    /// Freeze everything into a summary.
-    pub fn snapshot(&self) -> FleetSnapshot {
-        FleetSnapshot {
-            ticks: self.ticks.load(Ordering::Relaxed),
-            heartbeats_seen: self.heartbeats_seen.load(Ordering::Relaxed),
-            suspects_raised: self.suspects_raised.load(Ordering::Relaxed),
-            false_suspects: self.false_suspects.load(Ordering::Relaxed),
-            drives_submitted: self.drives_submitted.load(Ordering::Relaxed),
-            drives_committed: self.drives_committed.load(Ordering::Relaxed),
-            drives_rejected_stale: self.drives_rejected_stale.load(Ordering::Relaxed),
-            drives_aborted: self.drives_aborted.load(Ordering::Relaxed),
-            drives_abandoned: self.drives_abandoned.load(Ordering::Relaxed),
-            drives_refused: self.drives_refused.load(Ordering::Relaxed),
-            conflicts: self.conflicts.load(Ordering::Relaxed),
-            stages: [
-                self.stages[0].snapshot(),
-                self.stages[1].snapshot(),
-                self.stages[2].snapshot(),
-                self.stages[3].snapshot(),
-            ],
-            downtime: self.downtime.snapshot(),
-        }
+    /// Freeze everything; index the result with this type's constants.
+    pub fn snapshot(&self) -> RegistrySnapshot {
+        self.registry.snapshot()
     }
-}
-
-/// A frozen view of a [`FleetTelemetry`].
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct FleetSnapshot {
-    /// Controller ticks run.
-    pub ticks: u64,
-    /// Heartbeats consumed from the control inbox.
-    pub heartbeats_seen: u64,
-    /// Hosts that newly crossed the suspicion threshold.
-    pub suspects_raised: u64,
-    /// Suspicions raised against hosts that were actually alive.
-    pub false_suspects: u64,
-    /// Drives admitted to the pool.
-    pub drives_submitted: u64,
-    /// Drives that committed.
-    pub drives_committed: u64,
-    /// Drives refused stale (lost an epoch race).
-    pub drives_rejected_stale: u64,
-    /// Drives aborted.
-    pub drives_aborted: u64,
-    /// Drives abandoned to a host crash.
-    pub drives_abandoned: u64,
-    /// Submissions refused before entering the pool.
-    pub drives_refused: u64,
-    /// Submissions that raced another in-flight drive of the same VM.
-    pub conflicts: u64,
-    /// Virtual time per tick phase ([`FLEET_STAGE_LABELS`]).
-    pub stages: [HistogramSnapshot; 4],
-    /// Quiesce→commit downtime over committed drives, cluster-wide.
-    pub downtime: HistogramSnapshot,
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    type T = FleetTelemetry;
 
     #[test]
     fn counters_and_histograms_fold_into_the_snapshot() {
@@ -205,16 +173,33 @@ mod tests {
         t.note_submitted(true);
         t.note_committed(1_000_000);
         t.note_rejected_stale();
-        t.record_stage(3, 42);
+        t.record_stage(T::STAGES[3], 42);
         let s = t.snapshot();
-        assert_eq!(s.ticks, 1);
-        assert_eq!(s.heartbeats_seen, 5);
-        assert_eq!((s.suspects_raised, s.false_suspects), (2, 1));
-        assert_eq!((s.drives_submitted, s.conflicts), (2, 1));
-        assert_eq!((s.drives_committed, s.drives_rejected_stale), (1, 1));
-        assert_eq!(s.downtime.count, 1);
-        assert!(s.downtime.p99 > 0);
-        assert_eq!(s.stages[3].count, 1);
-        assert_eq!(s.stages[0].count, 0);
+        assert_eq!(s[T::TICKS], 1);
+        assert_eq!(s[T::HEARTBEATS_SEEN], 5);
+        assert_eq!((s[T::SUSPECTS_RAISED], s[T::FALSE_SUSPECTS]), (2, 1));
+        assert_eq!((s[T::SUBMITTED], s[T::CONFLICTS]), (2, 1));
+        assert_eq!((s[T::COMMITTED], s[T::REJECTED_STALE]), (1, 1));
+        assert_eq!(s[T::DOWNTIME].count, 1);
+        assert!(s[T::DOWNTIME].p99 > 0);
+        assert_eq!(s[T::STAGES[3]].count, 1);
+        assert_eq!(s[T::STAGES[0]].count, 0);
+    }
+
+    #[test]
+    fn every_slot_is_scraped_under_its_stable_name() {
+        let t = FleetTelemetry::new();
+        let mut series = Vec::new();
+        t.visit_histograms(|name, _| series.push(name));
+        assert_eq!(
+            series,
+            ["fleet_observe", "fleet_suspect", "fleet_plan", "fleet_drive", "fleet_downtime"]
+        );
+        let mut counters = Vec::new();
+        t.visit_counters(|name, _| counters.push(name));
+        assert_eq!(counters.len(), 11);
+        for (stage, label) in T::STAGES.iter().zip(FLEET_STAGE_LABELS) {
+            assert_eq!(stage.name(), format!("fleet_{label}"));
+        }
     }
 }

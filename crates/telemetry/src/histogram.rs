@@ -242,46 +242,29 @@ impl Histogram {
         let count = self.count.load(Ordering::Relaxed);
         let sum = self.sum.load(Ordering::Relaxed);
         let max = self.max.load(Ordering::Relaxed);
-        let mut snap = HistogramSnapshot {
-            count,
-            sum,
-            mean: if count == 0 { 0.0 } else { sum as f64 / count as f64 },
-            p50: 0,
-            p90: 0,
-            p99: 0,
-            p999: 0,
-            max,
-        };
-        if count == 0 {
-            return snap;
-        }
-        // One walk over the buckets resolves every quantile.
-        let targets = [
-            (0.50, &mut snap.p50 as *mut u64),
-            (0.90, &mut snap.p90 as *mut u64),
-            (0.99, &mut snap.p99 as *mut u64),
-            (0.999, &mut snap.p999 as *mut u64),
-        ];
-        let mut needed: Vec<(u64, *mut u64)> = targets
-            .into_iter()
-            .map(|(q, out)| (((q * count as f64).ceil() as u64).max(1), out))
-            .collect();
-        needed.sort_by_key(|&(rank, _)| rank);
-        let mut seen = 0u64;
-        let mut next = 0usize;
-        for (idx, b) in self.buckets.iter().enumerate() {
-            seen += b.load(Ordering::Relaxed);
-            while next < needed.len() && seen >= needed[next].0 {
-                // The pointers all target fields of `snap` above; no
-                // aliasing, each written exactly once.
-                unsafe { *needed[next].1 = bucket_mid(idx) };
-                next += 1;
-            }
-            if next == needed.len() {
-                break;
+        let mean = if count == 0 { 0.0 } else { sum as f64 / count as f64 };
+        let mut quantiles = [0u64; 4];
+        if count > 0 {
+            // One walk over the buckets resolves every quantile: the
+            // ranks of p50 ≤ p90 ≤ p99 ≤ p99.9 never decrease, so they
+            // resolve in order.
+            let ranks =
+                [0.50, 0.90, 0.99, 0.999].map(|q| ((q * count as f64).ceil() as u64).max(1));
+            let mut seen = 0u64;
+            let mut next = 0usize;
+            for (idx, b) in self.buckets.iter().enumerate() {
+                seen = seen.saturating_add(b.load(Ordering::Relaxed));
+                while next < ranks.len() && seen >= ranks[next] {
+                    quantiles[next] = bucket_mid(idx);
+                    next += 1;
+                }
+                if next == ranks.len() {
+                    break;
+                }
             }
         }
-        snap
+        let [p50, p90, p99, p999] = quantiles;
+        HistogramSnapshot { count, sum, mean, p50, p90, p99, p999, max }
     }
 }
 

@@ -17,9 +17,12 @@
 //!   bounded, allocation-free MPMC [`SpanRing`] (16 stripes, like
 //!   `ReplayGuard`), with an *exact* [`Telemetry::dropped_events`]
 //!   counter on overflow.
-//! * **Metrics registry** — atomic counters plus log-linear
-//!   [`Histogram`]s (p50/p90/p99/p99.9) for per-stage latency, mirror
-//!   bytes per command, and access-control deny reasons.
+//! * **Metrics registry** — one [`Registry`] type: a fixed array of
+//!   atomic counters plus a fixed array of log-linear [`Histogram`]s
+//!   (p50/p90/p99/p99.9), laid out by a static [`Schema`] and addressed
+//!   by typed [`Counter`]/[`Series`] constants. The request path, the
+//!   migration driver, the attestation plane and the fleet controller
+//!   each own one and keep only typed accessors over it.
 //! * **Exporters** — a coherent JSON snapshot ([`MetricsSnapshot`],
 //!   single consistent read) and a Chrome trace-event dump
 //!   ([`chrome_trace`]) loadable in `chrome://tracing` / Perfetto.
@@ -33,21 +36,23 @@ mod export;
 mod fleet;
 mod histogram;
 mod migration;
+mod registry;
 mod ring;
 mod rollup;
 
-pub use attest::{AttestSnapshot, AttestTelemetry, QuoteSpanRecord, QUOTE_STAGE_LABELS};
+pub use attest::{AttestTelemetry, QuoteSpanRecord, QUOTE_STAGE_LABELS};
 pub use export::{chrome_trace, cluster_chrome_trace, hist_json, prom_summary};
-pub use fleet::{FleetSnapshot, FleetTelemetry, FLEET_STAGE_LABELS};
+pub use fleet::{FleetTelemetry, FLEET_STAGE_LABELS};
 pub use histogram::{Histogram, HistogramSnapshot};
 pub use migration::{
-    migration_trace_id, MigrationOutcome, MigrationSnapshot, MigrationSpanRecord,
-    MigrationTelemetry, MIGRATION_STAGE_LABELS,
+    migration_trace_id, MigrationOutcome, MigrationSpanRecord, MigrationTelemetry,
+    MIGRATION_STAGE_LABELS,
 };
+pub use registry::{Counter, Registry, RegistrySnapshot, Schema, Series};
 pub use ring::{SpanRing, DEFAULT_SPAN_CAPACITY, SPAN_SHARDS};
 pub use rollup::{RollupSeries, DEFAULT_ROLLUP_TIERS};
 
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::Ordering;
 
 /// Identifies one request end-to-end: minted at ring ingress,
 /// propagated through the hook into the audit log, so hash-chained
@@ -262,51 +267,29 @@ impl Span {
     }
 }
 
-/// Monotonically increasing counters the registry maintains. Separate
-/// struct so snapshotting can iterate them uniformly.
-struct Counters {
-    begun: AtomicU64,
-    finished: AtomicU64,
-    allowed: AtomicU64,
-    denied: AtomicU64,
-    no_instance: AtomicU64,
-    malformed: AtomicU64,
-    ring_exchanges: AtomicU64,
-    ring_rx_bytes: AtomicU64,
-    ring_tx_bytes: AtomicU64,
-    deny_reasons: [AtomicU64; DENY_LABELS.len()],
-}
+static SCHEMA: Schema<22, 6> = {
+    type T = Telemetry;
+    let d = T::DENY;
+    Schema::new(
+        [
+            T::BEGUN, T::FINISHED, T::ALLOWED, T::DENIED, T::NO_INSTANCE, T::MALFORMED,
+            T::RING_EXCHANGES, T::RING_RX_BYTES, T::RING_TX_BYTES, T::DROPPED_EVENTS,
+            d[0], d[1], d[2], d[3], d[4], d[5], d[6], d[7], d[8], d[9], d[10], d[11],
+        ],
+        [T::STAGE_INGRESS, T::STAGE_AC, T::STAGE_EXEC, T::STAGE_MIRROR, T::TOTAL, T::MIRROR_BYTES],
+    )
+};
 
-impl Counters {
-    fn new() -> Self {
-        Counters {
-            begun: AtomicU64::new(0),
-            finished: AtomicU64::new(0),
-            allowed: AtomicU64::new(0),
-            denied: AtomicU64::new(0),
-            no_instance: AtomicU64::new(0),
-            malformed: AtomicU64::new(0),
-            ring_exchanges: AtomicU64::new(0),
-            ring_rx_bytes: AtomicU64::new(0),
-            ring_tx_bytes: AtomicU64::new(0),
-            deny_reasons: std::array::from_fn(|_| AtomicU64::new(0)),
-        }
-    }
-}
-
-/// The telemetry registry: request-id minting, stage histograms,
-/// decision counters, and the buffered span ring. One per
-/// `VtpmManager`; cheap to share behind an `Arc`.
+/// The request-path telemetry: request-id minting, outcome and deny
+/// counters, stage histograms, and the buffered span ring, on one
+/// [`Registry`]. One per `VtpmManager`; cheap to share behind an `Arc`.
+///
+/// The outcome counters always count. Spans — the stage histograms,
+/// the end-to-end and mirror-bytes series, and the span ring — are
+/// optional ([`Telemetry::counters_only`] turns them off).
 pub struct Telemetry {
-    next_id: AtomicU64,
-    counters: Counters,
-    stage_ingress: Histogram,
-    stage_ac: Histogram,
-    stage_exec: Histogram,
-    stage_mirror: Histogram,
-    total: Histogram,
-    mirror_bytes: Histogram,
-    spans: SpanRing,
+    registry: Registry<22, 6>,
+    spans: Option<SpanRing>,
 }
 
 impl Default for Telemetry {
@@ -316,6 +299,56 @@ impl Default for Telemetry {
 }
 
 impl Telemetry {
+    /// Requests begun; also the last minted [`RequestId`].
+    pub const BEGUN: Counter = Counter::new(0, "begun");
+    /// Requests finished — the coherence epoch, bumped last with
+    /// `Release`.
+    pub const FINISHED: Counter = Counter::new(1, "finished");
+    /// Requests the hook allowed (includes `no_instance`).
+    pub const ALLOWED: Counter = Counter::new(2, "allowed");
+    /// Requests denied, admission refusals included.
+    pub const DENIED: Counter = Counter::new(3, "denied");
+    /// Allowed requests whose instance was missing/destroyed.
+    pub const NO_INSTANCE: Counter = Counter::new(4, "no_instance");
+    /// Envelopes that failed to decode.
+    pub const MALFORMED: Counter = Counter::new(5, "malformed");
+    /// Ring request/response exchanges seen at the device backend.
+    pub const RING_EXCHANGES: Counter = Counter::new(6, "ring_exchanges");
+    /// Request payload bytes received on rings.
+    pub const RING_RX_BYTES: Counter = Counter::new(7, "ring_rx_bytes");
+    /// Response payload bytes written to rings.
+    pub const RING_TX_BYTES: Counter = Counter::new(8, "ring_tx_bytes");
+    /// Exact span-ring overflow drops.
+    pub const DROPPED_EVENTS: Counter = Counter::new(9, "dropped_events");
+    /// Per-reason deny counters, indexed by deny code per
+    /// [`DENY_LABELS`] and scraped as `deny:<label>`.
+    pub const DENY: [Counter; DENY_LABELS.len()] = [
+        Counter::new(10, "deny:no-credential"),
+        Counter::new(11, "deny:bad-tag"),
+        Counter::new(12, "deny:replay"),
+        Counter::new(13, "deny:binding-mismatch"),
+        Counter::new(14, "deny:ordinal-denied"),
+        Counter::new(15, "deny:source-mismatch"),
+        Counter::new(16, "deny:locality-denied"),
+        Counter::new(17, "deny:rejected-stale"),
+        Counter::new(18, "deny:admission"),
+        Counter::new(19, "deny:stale-quote"),
+        Counter::new(20, "deny:quote-replay"),
+        Counter::new(21, "deny:other"),
+    ];
+    /// Transport decode/verify stage latency.
+    pub const STAGE_INGRESS: Series = Series::new(0, "stage_ingress");
+    /// Access-control hook stage latency.
+    pub const STAGE_AC: Series = Series::new(1, "stage_ac");
+    /// TPM execute stage latency.
+    pub const STAGE_EXEC: Series = Series::new(2, "stage_exec");
+    /// Mirror commit stage latency.
+    pub const STAGE_MIRROR: Series = Series::new(3, "stage_mirror");
+    /// End-to-end request latency.
+    pub const TOTAL: Series = Series::new(4, "total");
+    /// Mirror bytes written per executed command.
+    pub const MIRROR_BYTES: Series = Series::new(5, "mirror_bytes");
+
     /// Registry with the default span-ring capacity
     /// ([`DEFAULT_SPAN_CAPACITY`] slots × [`SPAN_SHARDS`] stripes).
     pub fn new() -> Self {
@@ -327,24 +360,30 @@ impl Telemetry {
     /// countable overflow.
     pub fn with_span_capacity(per_stripe: usize) -> Self {
         Telemetry {
-            next_id: AtomicU64::new(1),
-            counters: Counters::new(),
-            stage_ingress: Histogram::new(),
-            stage_ac: Histogram::new(),
-            stage_exec: Histogram::new(),
-            stage_mirror: Histogram::new(),
-            total: Histogram::new(),
-            mirror_bytes: Histogram::new(),
-            spans: SpanRing::with_capacity(per_stripe),
+            registry: Registry::new(&SCHEMA),
+            spans: Some(SpanRing::with_capacity(per_stripe)),
         }
     }
 
-    /// Mint a request id and open a span at ring ingress. Two relaxed
-    /// atomic increments; no allocation.
+    /// Registry that counts outcomes but records no spans: no stage
+    /// histograms, no span ring.
+    pub fn counters_only() -> Self {
+        Telemetry { registry: Registry::new(&SCHEMA), spans: None }
+    }
+
+    /// The deny counter for reason `code`; unknown codes map to the
+    /// final `"other"` slot.
+    #[inline]
+    pub fn deny_counter(code: u8) -> Counter {
+        Self::DENY[(code as usize).min(DENY_LABELS.len() - 1)]
+    }
+
+    /// Mint a request id and open a span at ring ingress. One relaxed
+    /// atomic increment (`begun` doubles as the id counter); no
+    /// allocation.
     #[inline]
     pub fn begin(&self, now_ns: u64) -> Span {
-        let id = self.next_id.fetch_add(1, Ordering::Relaxed);
-        self.counters.begun.fetch_add(1, Ordering::Relaxed);
+        let id = self.registry.atomic(Self::BEGUN).fetch_add(1, Ordering::Relaxed) + 1;
         let mut record = SpanRecord::default();
         record.request_id = id;
         record.ingress_ns = now_ns;
@@ -356,45 +395,51 @@ impl Telemetry {
         Span { record }
     }
 
-    /// Close a span: stamp the end, fold the record into histograms and
-    /// decision counters (derived from the outcome, so conservation
-    /// invariants hold exactly), and buffer it in the span ring.
+    /// Close a span: stamp the end, bump the outcome counters (derived
+    /// from the outcome, so conservation holds exactly), fold the
+    /// record into the histograms and buffer it in the span ring when
+    /// spans are on, and bump `finished` last.
+    ///
+    /// Ordering contract, relied on by coherent readers: the outcome
+    /// counter (`allowed`/`denied`/`malformed`) is bumped first, its
+    /// sub-counter (`no_instance`, the deny reason) next with
+    /// `Release`, and `finished` last with `Release`.
     pub fn finish(&self, mut span: Span, end_ns: u64) {
         span.record.end_ns = end_ns;
+        let reg = &self.registry;
         let r = &span.record;
         match r.outcome {
-            Outcome::Ok => {
-                self.counters.allowed.fetch_add(1, Ordering::Relaxed);
-                self.stage_ingress.record(r.ingress_stage_ns());
-                self.stage_ac.record(r.ac_stage_ns());
-                self.stage_exec.record(r.exec_stage_ns());
-                self.stage_mirror.record(r.mirror_stage_ns());
-                self.mirror_bytes.record(r.mirror_bytes);
-            }
+            Outcome::Ok => reg.add(Self::ALLOWED, 1),
             Outcome::NoInstance => {
                 // The hook allowed it; the stack just had nowhere to
                 // send it. Counts as allowed for conservation.
-                self.counters.allowed.fetch_add(1, Ordering::Relaxed);
-                self.counters.no_instance.fetch_add(1, Ordering::Relaxed);
-                self.stage_ingress.record(r.ingress_stage_ns());
-                self.stage_ac.record(r.ac_stage_ns());
+                reg.add(Self::ALLOWED, 1);
+                reg.atomic(Self::NO_INSTANCE).fetch_add(1, Ordering::Release);
             }
             Outcome::Denied(code) => {
-                self.counters.denied.fetch_add(1, Ordering::Relaxed);
-                let idx = (code as usize).min(DENY_LABELS.len() - 1);
-                self.counters.deny_reasons[idx].fetch_add(1, Ordering::Relaxed);
-                self.stage_ingress.record(r.ingress_stage_ns());
-                self.stage_ac.record(r.ac_stage_ns());
+                reg.add(Self::DENIED, 1);
+                reg.atomic(Self::deny_counter(code)).fetch_add(1, Ordering::Release);
             }
-            Outcome::Malformed => {
-                self.counters.malformed.fetch_add(1, Ordering::Relaxed);
+            Outcome::Malformed => reg.add(Self::MALFORMED, 1),
+        }
+        if let Some(ring) = &self.spans {
+            if r.outcome != Outcome::Malformed {
+                reg.record(Self::STAGE_INGRESS, r.ingress_stage_ns());
+                reg.record(Self::STAGE_AC, r.ac_stage_ns());
+            }
+            if r.outcome == Outcome::Ok {
+                reg.record(Self::STAGE_EXEC, r.exec_stage_ns());
+                reg.record(Self::STAGE_MIRROR, r.mirror_stage_ns());
+                reg.record(Self::MIRROR_BYTES, r.mirror_bytes);
+            }
+            reg.record(Self::TOTAL, r.total_ns());
+            if !ring.push(span.record) {
+                reg.add(Self::DROPPED_EVENTS, 1);
             }
         }
-        self.total.record(r.total_ns());
-        self.spans.push(span.record);
         // `finished` is bumped last so a snapshot observing
         // begun == finished has also observed every histogram update.
-        self.counters.finished.fetch_add(1, Ordering::Release);
+        reg.atomic(Self::FINISHED).fetch_add(1, Ordering::Release);
     }
 
     /// Record a denial that happened *outside* the per-request span
@@ -402,40 +447,39 @@ impl Telemetry {
     /// ([`DENY_REJECTED_STALE`]). Only the per-reason counter moves:
     /// no span finished, so the request-conservation invariant
     /// (`allowed + denied + malformed == finished`) is untouched and
-    /// `denied` keeps counting guest requests exactly.
+    /// `denied` keeps counting guest requests exactly. Never called
+    /// with [`DENY_ADMISSION`], which counts guest requests only.
     #[inline]
     pub fn note_protocol_deny(&self, code: u8) {
-        let idx = (code as usize).min(DENY_LABELS.len() - 1);
-        self.counters.deny_reasons[idx].fetch_add(1, Ordering::Relaxed);
+        debug_assert_ne!(code, DENY_ADMISSION, "admission refusals are request outcomes");
+        self.registry.add(Self::deny_counter(code), 1);
     }
 
     /// Record one ring exchange (request/response pair) at the device
     /// backend, with payload byte counts in each direction.
     #[inline]
     pub fn note_ring_exchange(&self, rx_bytes: u64, tx_bytes: u64) {
-        self.counters.ring_exchanges.fetch_add(1, Ordering::Relaxed);
-        self.counters.ring_rx_bytes.fetch_add(rx_bytes, Ordering::Relaxed);
-        self.counters.ring_tx_bytes.fetch_add(tx_bytes, Ordering::Relaxed);
+        self.registry.add(Self::RING_EXCHANGES, 1);
+        self.registry.add(Self::RING_RX_BYTES, rx_bytes);
+        self.registry.add(Self::RING_TX_BYTES, tx_bytes);
+    }
+
+    /// The underlying registry (typed reads, coherence protocols).
+    pub fn registry(&self) -> &Registry<22, 6> {
+        &self.registry
     }
 
     /// Exact number of span records dropped on ring overflow.
     pub fn dropped_events(&self) -> u64 {
-        self.spans.dropped()
-    }
-
-    /// Requests begun but not yet finished (racy between the two loads;
-    /// exact at quiescence).
-    pub fn in_flight(&self) -> u64 {
-        let begun = self.counters.begun.load(Ordering::Acquire);
-        let finished = self.counters.finished.load(Ordering::Acquire);
-        begun.saturating_sub(finished)
+        self.registry.get(Self::DROPPED_EVENTS)
     }
 
     /// Drain all buffered spans (oldest-first), e.g. for a Chrome trace
     /// dump. Spans drained once are gone; the ring keeps only what has
-    /// not been drained and has not overflowed.
+    /// not been drained and has not overflowed. Empty when spans are
+    /// off.
     pub fn drain_spans(&self) -> Vec<SpanRecord> {
-        self.spans.drain()
+        self.spans.as_ref().map_or_else(Vec::new, SpanRing::drain)
     }
 
     /// Take a coherent snapshot of every counter and histogram.
@@ -455,14 +499,14 @@ impl Telemetry {
     /// folded into the same coherent read and JSON export.
     pub fn snapshot_with_aux(&self, aux: &[(&'static str, u64)]) -> MetricsSnapshot {
         const MAX_RETRIES: usize = 16;
-        let mut snap = self.collect(aux);
+        let mut snap = MetricsSnapshot::new(self.registry.snapshot(), aux);
         for _ in 0..MAX_RETRIES {
-            let begun = self.counters.begun.load(Ordering::Acquire);
-            let finished = self.counters.finished.load(Ordering::Acquire);
+            let begun = self.registry.atomic(Self::BEGUN).load(Ordering::Acquire);
+            let finished = self.registry.atomic(Self::FINISHED).load(Ordering::Acquire);
             if begun == snap.begun && finished == snap.finished {
                 break;
             }
-            snap = self.collect(aux);
+            snap = MetricsSnapshot::new(self.registry.snapshot(), aux);
         }
         snap
     }
@@ -472,70 +516,21 @@ impl Telemetry {
     /// path encodes exactly these series (sparse, via
     /// [`Histogram::encode`]) and the fleet controller merges them
     /// cross-host under the same names.
-    pub fn visit_histograms(&self, mut f: impl FnMut(&'static str, &Histogram)) {
-        f("stage_ingress", &self.stage_ingress);
-        f("stage_ac", &self.stage_ac);
-        f("stage_exec", &self.stage_exec);
-        f("stage_mirror", &self.stage_mirror);
-        f("total", &self.total);
-        f("mirror_bytes", &self.mirror_bytes);
+    pub fn visit_histograms(&self, f: impl FnMut(&'static str, &Histogram)) {
+        self.registry.visit_histograms(f);
     }
 
-    /// Walk every monotone counter under its stable scrape name
-    /// (companion to [`Telemetry::visit_histograms`]). Per-reason deny
-    /// counters export as `deny:<label>`.
-    pub fn visit_counters(&self, mut f: impl FnMut(&str, u64)) {
-        let c = &self.counters;
-        f("begun", c.begun.load(Ordering::Relaxed));
-        f("finished", c.finished.load(Ordering::Relaxed));
-        f("allowed", c.allowed.load(Ordering::Relaxed));
-        f("denied", c.denied.load(Ordering::Relaxed));
-        f("no_instance", c.no_instance.load(Ordering::Relaxed));
-        f("malformed", c.malformed.load(Ordering::Relaxed));
-        f("ring_exchanges", c.ring_exchanges.load(Ordering::Relaxed));
-        f("ring_rx_bytes", c.ring_rx_bytes.load(Ordering::Relaxed));
-        f("ring_tx_bytes", c.ring_tx_bytes.load(Ordering::Relaxed));
-        f("dropped_events", self.spans.dropped());
-        for (i, &label) in DENY_LABELS.iter().enumerate() {
-            let n = c.deny_reasons[i].load(Ordering::Relaxed);
-            if n > 0 {
-                let mut name = String::with_capacity(5 + label.len());
-                name.push_str("deny:");
-                name.push_str(label);
-                f(&name, n);
+    /// Walk every counter under its stable scrape name (companion to
+    /// [`Telemetry::visit_histograms`]). Per-reason deny counters
+    /// scrape as `deny:<label>`, and only once nonzero: a host's scrape
+    /// frame is charged to the fabric's virtual clock by size, so the
+    /// frame carries no zero-valued reasons.
+    pub fn visit_counters(&self, mut f: impl FnMut(&'static str, u64)) {
+        self.registry.visit_counters(|name, v| {
+            if v > 0 || !name.starts_with("deny:") {
+                f(name, v);
             }
-        }
-    }
-
-    fn collect(&self, aux: &[(&'static str, u64)]) -> MetricsSnapshot {
-        let c = &self.counters;
-        let begun = c.begun.load(Ordering::Acquire);
-        let finished = c.finished.load(Ordering::Acquire);
-        MetricsSnapshot {
-            begun,
-            finished,
-            in_flight: begun.saturating_sub(finished),
-            allowed: c.allowed.load(Ordering::Relaxed),
-            denied: c.denied.load(Ordering::Relaxed),
-            no_instance: c.no_instance.load(Ordering::Relaxed),
-            malformed: c.malformed.load(Ordering::Relaxed),
-            dropped_events: self.spans.dropped(),
-            ring_exchanges: c.ring_exchanges.load(Ordering::Relaxed),
-            ring_rx_bytes: c.ring_rx_bytes.load(Ordering::Relaxed),
-            ring_tx_bytes: c.ring_tx_bytes.load(Ordering::Relaxed),
-            deny_reasons: DENY_LABELS
-                .iter()
-                .enumerate()
-                .map(|(i, &label)| (label, c.deny_reasons[i].load(Ordering::Relaxed)))
-                .collect(),
-            stage_ingress: self.stage_ingress.snapshot(),
-            stage_ac: self.stage_ac.snapshot(),
-            stage_exec: self.stage_exec.snapshot(),
-            stage_mirror: self.stage_mirror.snapshot(),
-            total: self.total.snapshot(),
-            mirror_bytes: self.mirror_bytes.snapshot(),
-            aux: aux.to_vec(),
-        }
+        });
     }
 }
 
@@ -583,6 +578,34 @@ pub struct MetricsSnapshot {
     /// Caller-supplied gauges from other subsystems (mirror scrubs,
     /// replay hits, …).
     pub aux: Vec<(&'static str, u64)>,
+}
+
+impl MetricsSnapshot {
+    /// The operator view of one request-registry read.
+    fn new(s: RegistrySnapshot, aux: &[(&'static str, u64)]) -> Self {
+        type T = Telemetry;
+        MetricsSnapshot {
+            begun: s[T::BEGUN],
+            finished: s[T::FINISHED],
+            in_flight: s[T::BEGUN].saturating_sub(s[T::FINISHED]),
+            allowed: s[T::ALLOWED],
+            denied: s[T::DENIED],
+            no_instance: s[T::NO_INSTANCE],
+            malformed: s[T::MALFORMED],
+            dropped_events: s[T::DROPPED_EVENTS],
+            ring_exchanges: s[T::RING_EXCHANGES],
+            ring_rx_bytes: s[T::RING_RX_BYTES],
+            ring_tx_bytes: s[T::RING_TX_BYTES],
+            deny_reasons: DENY_LABELS.iter().zip(T::DENY).map(|(&l, c)| (l, s[c])).collect(),
+            stage_ingress: s[T::STAGE_INGRESS],
+            stage_ac: s[T::STAGE_AC],
+            stage_exec: s[T::STAGE_EXEC],
+            stage_mirror: s[T::STAGE_MIRROR],
+            total: s[T::TOTAL],
+            mirror_bytes: s[T::MIRROR_BYTES],
+            aux: aux.to_vec(),
+        }
+    }
 }
 
 #[cfg(test)]
@@ -670,7 +693,7 @@ mod tests {
         assert_eq!(b.request_id(), 2);
         t.finish(a, 1);
         t.finish(b, 1);
-        assert_eq!(t.in_flight(), 0);
+        assert_eq!(t.snapshot().in_flight, 0);
     }
 
     #[test]
@@ -761,5 +784,26 @@ mod tests {
         let t = Telemetry::new();
         let s = t.snapshot_with_aux(&[("mirror_scrub_failures", 3), ("replay_hits", 9)]);
         assert_eq!(s.aux, vec![("mirror_scrub_failures", 3), ("replay_hits", 9)]);
+    }
+
+    #[test]
+    fn counters_only_keeps_outcomes_and_drops_spans() {
+        let t = Telemetry::counters_only();
+        run_one(&t, Outcome::Ok, 0);
+        run_one(&t, Outcome::Denied(DENY_ADMISSION), 1_000);
+        run_one(&t, Outcome::Malformed, 2_000);
+        let s = t.snapshot();
+        assert_eq!((s.begun, s.finished, s.allowed, s.denied, s.malformed), (3, 3, 1, 1, 1));
+        assert_eq!(s.deny_reasons[DENY_ADMISSION as usize], ("admission", 1));
+        assert_eq!((s.total.count, s.stage_ingress.count, s.dropped_events), (0, 0, 0));
+        assert!(t.drain_spans().is_empty());
+    }
+
+    #[test]
+    fn deny_counters_scrape_as_deny_labels() {
+        for (c, label) in Telemetry::DENY.iter().zip(DENY_LABELS) {
+            assert_eq!(c.name(), format!("deny:{label}"));
+        }
+        assert_eq!(Telemetry::deny_counter(200), Telemetry::DENY[DENY_LABELS.len() - 1]);
     }
 }

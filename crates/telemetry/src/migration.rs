@@ -13,14 +13,13 @@
 //! Like the request-path registry, everything here takes caller-supplied
 //! nanosecond timestamps, so chaos replays stay byte-deterministic.
 
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
-use crate::{Histogram, HistogramSnapshot, RequestId, TraceId};
+use crate::registry::{Counter, Registry, RegistrySnapshot, Schema, Series};
+use crate::{Histogram, RequestId, TraceId};
 
 /// Stage labels, in protocol order. Indexes into
-/// [`MigrationSpanRecord::stage_ns`] and
-/// [`MigrationSnapshot::stages`].
+/// [`MigrationSpanRecord::stage_ns`] and [`MigrationTelemetry::STAGES`].
 pub const MIGRATION_STAGE_LABELS: [&str; 6] =
     ["prepare", "quiesce", "transfer", "verify", "commit", "release"];
 
@@ -99,18 +98,22 @@ pub struct MigrationSpanRecord {
     pub outcome: MigrationOutcome,
 }
 
+static SCHEMA: Schema<4, 9> = {
+    type M = MigrationTelemetry;
+    Schema::new(
+        [M::STARTED, M::COMMITTED, M::ABORTED, M::REJECTED_STALE],
+        [
+            M::STAGES[0], M::STAGES[1], M::STAGES[2], M::STAGES[3], M::STAGES[4], M::STAGES[5],
+            M::DOWNTIME, M::TOTAL, M::PACKAGE_BYTES,
+        ],
+    )
+};
+
 /// Cluster-wide migration metrics: attempt counters, per-stage latency
 /// histograms, the downtime histogram, and the retained span records.
 /// One per cluster; snapshots are exact at quiescence.
 pub struct MigrationTelemetry {
-    started: AtomicU64,
-    committed: AtomicU64,
-    aborted: AtomicU64,
-    rejected_stale: AtomicU64,
-    stages: [Histogram; 6],
-    downtime: Histogram,
-    total: Histogram,
-    package_bytes: Histogram,
+    registry: Registry<4, 9>,
     spans: Mutex<Vec<MigrationSpanRecord>>,
 }
 
@@ -121,25 +124,40 @@ impl Default for MigrationTelemetry {
 }
 
 impl MigrationTelemetry {
+    /// Attempts begun (committed + aborted + rejected + in-flight/crashed).
+    pub const STARTED: Counter = Counter::new(0, "migration_started");
+    /// Attempts that committed.
+    pub const COMMITTED: Counter = Counter::new(1, "migration_committed");
+    /// Attempts that aborted.
+    pub const ABORTED: Counter = Counter::new(2, "migration_aborted");
+    /// Attempts refused as stale/replayed epochs.
+    pub const REJECTED_STALE: Counter = Counter::new(3, "migration_rejected_stale");
+    /// Per-stage durations, per [`MIGRATION_STAGE_LABELS`].
+    pub const STAGES: [Series; 6] = [
+        Series::new(0, "migration_prepare"),
+        Series::new(1, "migration_quiesce"),
+        Series::new(2, "migration_transfer"),
+        Series::new(3, "migration_verify"),
+        Series::new(4, "migration_commit"),
+        Series::new(5, "migration_release"),
+    ];
+    /// Guest-visible downtime (source quiesce → destination commit),
+    /// committed attempts only.
+    pub const DOWNTIME: Series = Series::new(6, "migration_downtime");
+    /// Whole-attempt duration.
+    pub const TOTAL: Series = Series::new(7, "migration_total");
+    /// Encoded package bytes on the fabric.
+    pub const PACKAGE_BYTES: Series = Series::new(8, "migration_package_bytes");
+
     /// Empty registry.
     pub fn new() -> Self {
-        MigrationTelemetry {
-            started: AtomicU64::new(0),
-            committed: AtomicU64::new(0),
-            aborted: AtomicU64::new(0),
-            rejected_stale: AtomicU64::new(0),
-            stages: std::array::from_fn(|_| Histogram::new()),
-            downtime: Histogram::new(),
-            total: Histogram::new(),
-            package_bytes: Histogram::new(),
-            spans: Mutex::new(Vec::new()),
-        }
+        MigrationTelemetry { registry: Registry::new(&SCHEMA), spans: Mutex::new(Vec::new()) }
     }
 
     /// Note that an attempt began (before any stage runs, so a crashed
     /// attempt still counts as started).
     pub fn note_started(&self) {
-        self.started.fetch_add(1, Ordering::Relaxed);
+        self.registry.add(Self::STARTED, 1);
     }
 
     /// Fold a finished attempt into counters and histograms and retain
@@ -148,54 +166,34 @@ impl MigrationTelemetry {
     /// gap it caused is bounded by the quiesce stage, not by a
     /// quiesce→commit distance that never happened.
     pub fn record(&self, span: MigrationSpanRecord) {
+        let r = &self.registry;
         match span.outcome {
             MigrationOutcome::Committed => {
-                self.committed.fetch_add(1, Ordering::Relaxed);
-                self.downtime.record(span.downtime_ns);
+                r.add(Self::COMMITTED, 1);
+                r.record(Self::DOWNTIME, span.downtime_ns);
             }
-            MigrationOutcome::Aborted => {
-                self.aborted.fetch_add(1, Ordering::Relaxed);
-            }
-            MigrationOutcome::RejectedStale => {
-                self.rejected_stale.fetch_add(1, Ordering::Relaxed);
-            }
+            MigrationOutcome::Aborted => r.add(Self::ABORTED, 1),
+            MigrationOutcome::RejectedStale => r.add(Self::REJECTED_STALE, 1),
         }
-        for (hist, ns) in self.stages.iter().zip(span.stage_ns) {
+        for (stage, ns) in Self::STAGES.into_iter().zip(span.stage_ns) {
             if ns > 0 {
-                hist.record(ns);
+                r.record(stage, ns);
             }
         }
-        self.total.record(span.total_ns);
-        self.package_bytes.record(span.package_bytes);
+        r.record(Self::TOTAL, span.total_ns);
+        r.record(Self::PACKAGE_BYTES, span.package_bytes);
         self.spans.lock().expect("span store poisoned").push(span);
     }
 
-    /// Walk every histogram series under its stable scrape name
-    /// (`migration_<stage>`, `migration_downtime`, `migration_total`,
-    /// `migration_package_bytes`) — the observatory's wire contract,
-    /// mirroring [`crate::Telemetry::visit_histograms`].
-    pub fn visit_histograms(&self, mut f: impl FnMut(&str, &Histogram)) {
-        for (&label, hist) in MIGRATION_STAGE_LABELS.iter().zip(&self.stages) {
-            let mut name = String::with_capacity(10 + label.len());
-            name.push_str("migration_");
-            name.push_str(label);
-            f(&name, hist);
-        }
-        f("migration_downtime", &self.downtime);
-        f("migration_total", &self.total);
-        f("migration_package_bytes", &self.package_bytes);
+    /// Walk every histogram series under its stable scrape name — the
+    /// observatory's wire contract.
+    pub fn visit_histograms(&self, f: impl FnMut(&'static str, &Histogram)) {
+        self.registry.visit_histograms(f);
     }
 
-    /// Walk every monotone counter under its stable scrape name
-    /// (companion to [`MigrationTelemetry::visit_histograms`]).
-    pub fn visit_counters(&self, mut f: impl FnMut(&str, u64)) {
-        f("migration_started", self.started.load(Ordering::Relaxed));
-        f("migration_committed", self.committed.load(Ordering::Relaxed));
-        f("migration_aborted", self.aborted.load(Ordering::Relaxed));
-        f(
-            "migration_rejected_stale",
-            self.rejected_stale.load(Ordering::Relaxed),
-        );
+    /// Walk every counter under its stable scrape name.
+    pub fn visit_counters(&self, f: impl FnMut(&'static str, u64)) {
+        self.registry.visit_counters(f);
     }
 
     /// Retained span records, oldest first.
@@ -203,46 +201,11 @@ impl MigrationTelemetry {
         self.spans.lock().expect("span store poisoned").clone()
     }
 
-    /// Coherent-at-quiescence snapshot.
-    pub fn snapshot(&self) -> MigrationSnapshot {
-        MigrationSnapshot {
-            started: self.started.load(Ordering::Relaxed),
-            committed: self.committed.load(Ordering::Relaxed),
-            aborted: self.aborted.load(Ordering::Relaxed),
-            rejected_stale: self.rejected_stale.load(Ordering::Relaxed),
-            stages: MIGRATION_STAGE_LABELS
-                .iter()
-                .zip(&self.stages)
-                .map(|(&label, h)| (label, h.snapshot()))
-                .collect(),
-            downtime: self.downtime.snapshot(),
-            total: self.total.snapshot(),
-            package_bytes: self.package_bytes.snapshot(),
-        }
+    /// Coherent-at-quiescence snapshot; index it with this type's
+    /// constants.
+    pub fn snapshot(&self) -> RegistrySnapshot {
+        self.registry.snapshot()
     }
-}
-
-/// One read of [`MigrationTelemetry`].
-#[derive(Debug, Clone, PartialEq)]
-pub struct MigrationSnapshot {
-    /// Attempts begun (committed + aborted + rejected + in-flight/crashed).
-    pub started: u64,
-    /// Attempts that committed.
-    pub committed: u64,
-    /// Attempts that aborted.
-    pub aborted: u64,
-    /// Attempts refused as stale/replayed epochs.
-    pub rejected_stale: u64,
-    /// Per-stage duration histograms, labelled per
-    /// [`MIGRATION_STAGE_LABELS`].
-    pub stages: Vec<(&'static str, HistogramSnapshot)>,
-    /// Guest-visible downtime (source quiesce → destination commit),
-    /// committed attempts only.
-    pub downtime: HistogramSnapshot,
-    /// Whole-attempt duration.
-    pub total: HistogramSnapshot,
-    /// Encoded package bytes on the fabric.
-    pub package_bytes: HistogramSnapshot,
 }
 
 #[cfg(test)]
@@ -289,14 +252,17 @@ mod tests {
         t.record(span(MigrationOutcome::Aborted, 0));
         t.record(span(MigrationOutcome::RejectedStale, 0));
         let s = t.snapshot();
-        assert_eq!((s.started, s.committed, s.aborted, s.rejected_stale), (3, 1, 1, 1));
-        assert_eq!(s.downtime.count, 1, "only the commit contributes downtime");
-        assert_eq!(s.downtime.max, 6_250);
-        assert_eq!(s.total.count, 3);
-        assert_eq!(s.package_bytes.max, 9200);
-        assert_eq!(s.stages.len(), MIGRATION_STAGE_LABELS.len());
-        assert_eq!(s.stages[2].0, "transfer");
-        assert_eq!(s.stages[2].1.count, 3);
+        type T = MigrationTelemetry;
+        assert_eq!(
+            (s[T::STARTED], s[T::COMMITTED], s[T::ABORTED], s[T::REJECTED_STALE]),
+            (3, 1, 1, 1)
+        );
+        assert_eq!(s[T::DOWNTIME].count, 1, "only the commit contributes downtime");
+        assert_eq!(s[T::DOWNTIME].max, 6_250);
+        assert_eq!(s[T::TOTAL].count, 3);
+        assert_eq!(s[T::PACKAGE_BYTES].max, 9200);
+        assert_eq!(T::STAGES[2].name(), "migration_transfer");
+        assert_eq!(s[T::STAGES[2]].count, 3);
         assert_eq!(t.spans().len(), 3);
     }
 
@@ -310,8 +276,16 @@ mod tests {
         s.stage_ns[5] = 0;
         t.record(s);
         let snap = t.snapshot();
-        assert_eq!(snap.stages[3].1.count, 1);
-        assert_eq!(snap.stages[4].1.count, 0);
-        assert_eq!(snap.stages[5].1.count, 0);
+        let stages = MigrationTelemetry::STAGES;
+        assert_eq!(snap[stages[3]].count, 1);
+        assert_eq!(snap[stages[4]].count, 0);
+        assert_eq!(snap[stages[5]].count, 0);
+    }
+
+    #[test]
+    fn stage_series_follow_the_stage_labels() {
+        for (stage, label) in MigrationTelemetry::STAGES.iter().zip(MIGRATION_STAGE_LABELS) {
+            assert_eq!(stage.name(), format!("migration_{label}"));
+        }
     }
 }

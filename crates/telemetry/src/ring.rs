@@ -15,7 +15,7 @@
 //! drop, or "lost the race" → retry with a fresh tail).
 
 use std::cell::UnsafeCell;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 use crate::SpanRecord;
 
@@ -105,32 +105,18 @@ impl Stripe {
     }
 }
 
-/// The striped span ring: 16 bounded MPMC stripes plus an exact
-/// dropped-record counter.
+/// The striped span ring: 16 bounded MPMC stripes. `push` reports
+/// overflow so the owner can count every drop exactly.
 pub struct SpanRing {
     stripes: Box<[Stripe]>,
-    dropped: AtomicU64,
 }
 
 impl SpanRing {
-    /// A ring with [`DEFAULT_SPAN_CAPACITY`] slots per stripe.
-    pub fn new() -> Self {
-        Self::with_capacity(DEFAULT_SPAN_CAPACITY)
-    }
-
     /// A ring with `per_stripe` slots in each of the 16 stripes
     /// (rounded up to a power of two, minimum 2).
     pub fn with_capacity(per_stripe: usize) -> Self {
         let cap = per_stripe.max(2).next_power_of_two();
-        SpanRing {
-            stripes: (0..SPAN_SHARDS).map(|_| Stripe::new(cap)).collect(),
-            dropped: AtomicU64::new(0),
-        }
-    }
-
-    /// Total slots across all stripes.
-    pub fn capacity(&self) -> usize {
-        self.stripes.iter().map(|s| s.slots.len()).sum()
+        SpanRing { stripes: (0..SPAN_SHARDS).map(|_| Stripe::new(cap)).collect() }
     }
 
     #[inline]
@@ -140,18 +126,11 @@ impl SpanRing {
         &self.stripes[(h >> 60) as usize & (SPAN_SHARDS - 1)]
     }
 
-    /// Push a completed span. On overflow the record is dropped and the
-    /// exact drop counter incremented.
+    /// Push a completed span. Returns false when its stripe is full and
+    /// the record was dropped.
     #[inline]
-    pub fn push(&self, record: SpanRecord) {
-        if !self.stripe_for(record.request_id).push(record) {
-            self.dropped.fetch_add(1, Ordering::Relaxed);
-        }
-    }
-
-    /// Exact number of spans dropped on ring overflow.
-    pub fn dropped(&self) -> u64 {
-        self.dropped.load(Ordering::Relaxed)
+    pub fn push(&self, record: SpanRecord) -> bool {
+        self.stripe_for(record.request_id).push(record)
     }
 
     /// Drain every buffered span, oldest-first per stripe, sorted by
@@ -168,12 +147,6 @@ impl SpanRing {
     }
 }
 
-impl Default for SpanRing {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -186,11 +159,9 @@ mod tests {
     #[test]
     fn push_pop_roundtrip() {
         let ring = SpanRing::with_capacity(8);
-        for i in 0..100 {
-            ring.push(span(i));
-        }
+        let dropped = (0..100).filter(|&i| !ring.push(span(i))).count();
         let drained = ring.drain();
-        assert_eq!(drained.len() as u64 + ring.dropped(), 100);
+        assert_eq!(drained.len() + dropped, 100);
         // Whatever survived comes back in ingress order.
         for w in drained.windows(2) {
             assert!(w[0].ingress_ns <= w[1].ingress_ns);
@@ -201,10 +172,8 @@ mod tests {
     fn exact_drop_count_single_stripe() {
         let ring = SpanRing::with_capacity(4);
         // Same request id → same stripe; capacity 4 → exactly 6 drops.
-        for _ in 0..10 {
-            ring.push(span(7));
-        }
-        assert_eq!(ring.dropped(), 6);
+        let dropped = (0..10).filter(|_| !ring.push(span(7))).count();
+        assert_eq!(dropped, 6);
         assert_eq!(ring.drain().len(), 4);
     }
 
@@ -213,13 +182,12 @@ mod tests {
         let ring = SpanRing::with_capacity(4);
         for round in 0..5u64 {
             for i in 0..4 {
-                ring.push(span(round * 4 + i));
+                assert!(ring.push(span(round * 4 + i)), "drained rings never overflow");
             }
             let got = ring.drain();
             assert!(!got.is_empty());
             assert!(ring.drain().is_empty());
         }
-        assert_eq!(ring.dropped(), 0, "drained rings never overflow");
     }
 
     #[test]
@@ -232,17 +200,13 @@ mod tests {
             .map(|t| {
                 let ring = Arc::clone(&ring);
                 std::thread::spawn(move || {
-                    for i in 0..per {
-                        ring.push(span(t * per + i));
-                    }
+                    (0..per).filter(|&i| !ring.push(span(t * per + i))).count() as u64
                 })
             })
             .collect();
-        for h in handles {
-            h.join().unwrap();
-        }
+        let dropped: u64 = handles.into_iter().map(|h| h.join().unwrap()).sum();
         let kept = ring.drain().len() as u64;
-        assert_eq!(kept + ring.dropped(), threads * per, "every push is kept or counted dropped");
+        assert_eq!(kept + dropped, threads * per, "every push is kept or counted dropped");
     }
 
     #[test]
@@ -267,17 +231,13 @@ mod tests {
             .map(|t| {
                 let ring = Arc::clone(&ring);
                 std::thread::spawn(move || {
-                    for i in 0..20_000 {
-                        ring.push(span(t * 20_000 + i));
-                    }
+                    (0..20_000).filter(|&i| !ring.push(span(t * 20_000 + i))).count() as u64
                 })
             })
             .collect();
-        for p in producers {
-            p.join().unwrap();
-        }
+        let dropped: u64 = producers.into_iter().map(|p| p.join().unwrap()).sum();
         stop.store(true, Ordering::Relaxed);
         let drained = drainer.join().unwrap();
-        assert_eq!(drained + ring.dropped(), 80_000);
+        assert_eq!(drained + dropped, 80_000);
     }
 }

@@ -311,9 +311,8 @@ impl TpmBack {
             // Ring-level accounting: one exchange, payload bytes each
             // way. Recorded at the backend (not in `handle`) so direct
             // manager calls don't count phantom ring traffic.
-            if let Some(t) = self.manager.telemetry() {
-                t.note_ring_exchange(payload.len() as u64, response.len() as u64);
-            }
+            let (rx, tx) = (payload.len() as u64, response.len() as u64);
+            self.manager.telemetry().note_ring_exchange(rx, tx);
             match fault {
                 // Response lost on the ring: the command took effect but
                 // the guest never hears back and will see a timeout.
@@ -406,7 +405,7 @@ mod tests {
 
         shutdown.store(true, Ordering::Relaxed);
         t.join().unwrap();
-        assert_eq!(mgr.stats.snapshot().0, 2);
+        assert_eq!(mgr.stats_snapshot().handled, 2);
     }
 
     #[test]

@@ -50,7 +50,7 @@ pub use deep_quote::{DeepQuote, DeepQuoteError, BINDING_PCR};
 pub use device::{provision_device, TpmBack, TpmFront, VTPM_FAIL_RC};
 pub use hook::{AccessDecision, AccessHook, DenyReason, RequestContext, StockHook};
 pub use instance::{InstanceId, InstanceStats, VtpmInstance};
-pub use manager::{ManagerConfig, ManagerStats, ManagerStatsSnapshot, RecoveryReport, VtpmManager};
+pub use manager::{ManagerConfig, ManagerStatsSnapshot, RecoveryReport, VtpmManager};
 pub use migration::{MigrationError, MigrationPackage};
 pub use mirror::{FlushPolicy, MirrorIoStats, MirrorMode, MirrorRecovery, StateMirror};
 pub use persist::{persist, restore, PersistError};

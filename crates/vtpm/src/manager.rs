@@ -46,10 +46,10 @@ pub struct ManagerConfig {
     /// Whether to charge the modelled hardware-TPM command cost to the
     /// virtual clock (true for experiments reporting virtual time).
     pub charge_virtual_time: bool,
-    /// Runtime switch for the telemetry registry (spans, histograms,
-    /// span ring). Has no effect when the `telemetry` feature is
-    /// compiled out; with the feature on but this false, the manager
-    /// mints no spans and `telemetry()` returns None.
+    /// Runtime switch for request spans: the stage histograms and the
+    /// span ring. Off, the registry still counts every outcome (the
+    /// counters behind [`VtpmManager::stats_snapshot`]) but records no
+    /// latencies and buffers no spans.
     pub telemetry_enabled: bool,
     /// Span-ring slots per stripe (16 stripes). Small values let tests
     /// provoke exact, countable overflow.
@@ -78,63 +78,18 @@ impl Default for ManagerConfig {
     }
 }
 
-/// Aggregate manager statistics (all atomics: updated lock-free from any
-/// worker).
-#[derive(Default)]
-pub struct ManagerStats {
-    /// Requests that reached an instance and executed.
-    pub handled: AtomicU64,
-    /// Requests denied by the access hook.
-    pub denied: AtomicU64,
-    /// Requests that failed before dispatch (bad envelope / no instance).
-    pub errors: AtomicU64,
-    /// Handled requests that left the TPM's permanent state untouched, so
-    /// the serialize + mirror step was skipped outright.
-    pub mirror_skipped: AtomicU64,
-    /// Mirror updates that failed after a successful TPM mutation (host
-    /// memory exhaustion or an injected fault). The mirror is stale until
-    /// the next successful refresh; a crash in that window loses the
-    /// unmirrored mutations.
-    pub mirror_failures: AtomicU64,
-    /// Requests refused at ring ingress by per-domain admission control.
-    pub throttled: AtomicU64,
-    /// Total finished requests — the snapshot coherence epoch. Every
-    /// request bumps exactly one outcome counter (handled / denied /
-    /// errors / throttled) and then this, with `Release`, so
-    /// [`VtpmManager::stats_snapshot`] can reject torn reads.
-    pub finished: AtomicU64,
-}
-
-impl ManagerStats {
-    /// Snapshot (handled, denied, errors).
-    pub fn snapshot(&self) -> (u64, u64, u64) {
-        (
-            self.handled.load(Ordering::Relaxed),
-            self.denied.load(Ordering::Relaxed),
-            self.errors.load(Ordering::Relaxed),
-        )
-    }
-
-    /// Count one finished request: its outcome counter first, then the
-    /// `finished` epoch (the order the snapshot's conservation check
-    /// relies on).
-    fn finish_one(&self, outcome: &AtomicU64) {
-        outcome.fetch_add(1, Ordering::Relaxed);
-        self.finished.fetch_add(1, Ordering::Release);
-    }
-}
-
-/// One coherent operator-facing view of the manager's counters,
-/// including the mirror hygiene counters that used to be reachable only
-/// through [`VtpmManager::mirror_io_stats`]. Produced by
-/// [`VtpmManager::stats_snapshot`].
+/// One coherent operator-facing view of the manager's counters: the
+/// request outcomes, derived from the telemetry registry, plus the
+/// mirror hygiene counters. Produced by [`VtpmManager::stats_snapshot`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ManagerStatsSnapshot {
-    /// Requests that reached an instance and executed.
+    /// Requests that reached an instance and executed
+    /// (`allowed − no_instance`).
     pub handled: u64,
-    /// Requests denied by the access hook.
+    /// Requests denied by the access hook (`denied − deny:admission`).
     pub denied: u64,
-    /// Requests that failed before dispatch (bad envelope / no instance).
+    /// Requests that failed before dispatch: bad envelope or no
+    /// instance (`malformed + no_instance`).
     pub errors: u64,
     /// Handled requests whose serialize + mirror step was skipped.
     pub mirror_skipped: u64,
@@ -145,7 +100,8 @@ pub struct ManagerStatsSnapshot {
     /// Mirror updates that had to durably burn generations consumed by a
     /// failed earlier attempt before committing (retries after failure).
     pub retried_generation_burns: u64,
-    /// Requests refused at ring ingress by admission control.
+    /// Requests refused at ring ingress by admission control
+    /// (`deny:admission`).
     pub throttled: u64,
     /// Total finished requests. The snapshot is coherent:
     /// `handled + denied + errors + throttled == finished` holds for
@@ -210,20 +166,26 @@ pub struct VtpmManager {
     mirror: StateMirror,
     admission: AdmissionController,
     next_instance: AtomicU32,
-    /// Aggregate statistics.
-    pub stats: ManagerStats,
-    /// Telemetry registry (None when disabled at runtime). Compiled out
-    /// entirely without the `telemetry` feature.
-    #[cfg(feature = "telemetry")]
-    telemetry: Option<Arc<Telemetry>>,
+    /// Request telemetry: outcome counters always, spans when enabled.
+    telemetry: Arc<Telemetry>,
+    /// Handled requests that left the TPM's permanent state untouched,
+    /// so the serialize + mirror step was skipped outright.
+    mirror_skipped: AtomicU64,
+    /// Mirror updates that failed after a successful TPM mutation (host
+    /// memory exhaustion or an injected fault). The mirror is stale
+    /// until the next successful refresh; a crash in that window loses
+    /// the unmirrored mutations.
+    mirror_failures: AtomicU64,
 }
 
-/// Build the registry a fresh manager should carry, honouring both the
-/// compile-time feature and the runtime config switch.
-#[cfg(feature = "telemetry")]
-fn make_telemetry(cfg: &ManagerConfig) -> Option<Arc<Telemetry>> {
-    cfg.telemetry_enabled
-        .then(|| Arc::new(Telemetry::with_span_capacity(cfg.telemetry_span_capacity)))
+/// Build the registry a fresh manager should carry: spans on or off per
+/// the runtime config switch, outcome counters always.
+fn make_telemetry(cfg: &ManagerConfig) -> Arc<Telemetry> {
+    Arc::new(if cfg.telemetry_enabled {
+        Telemetry::with_span_capacity(cfg.telemetry_span_capacity)
+    } else {
+        Telemetry::counters_only()
+    })
 }
 
 impl VtpmManager {
@@ -256,7 +218,6 @@ impl VtpmManager {
         Ok(VtpmManager {
             hv,
             seed: seed.to_vec(),
-            #[cfg(feature = "telemetry")]
             telemetry: make_telemetry(&cfg),
             admission: AdmissionController::new(cfg.admission),
             cfg,
@@ -264,7 +225,8 @@ impl VtpmManager {
             instances: InstanceTable::new(),
             mirror,
             next_instance: AtomicU32::new(1),
-            stats: ManagerStats::default(),
+            mirror_skipped: AtomicU64::new(0),
+            mirror_failures: AtomicU64::new(0),
         })
     }
 
@@ -290,7 +252,6 @@ impl VtpmManager {
         let mgr = VtpmManager {
             hv,
             seed: seed.to_vec(),
-            #[cfg(feature = "telemetry")]
             telemetry: make_telemetry(&cfg),
             admission: AdmissionController::new(cfg.admission),
             cfg,
@@ -298,7 +259,8 @@ impl VtpmManager {
             instances: InstanceTable::new(),
             mirror,
             next_instance: AtomicU32::new(1),
-            stats: ManagerStats::default(),
+            mirror_skipped: AtomicU64::new(0),
+            mirror_failures: AtomicU64::new(0),
         };
         let mut report = RecoveryReport {
             resumed: Vec::new(),
@@ -346,28 +308,17 @@ impl VtpmManager {
         &self.hv
     }
 
-    /// The telemetry registry, when the `telemetry` feature is compiled
-    /// in and [`ManagerConfig::telemetry_enabled`] is set. Statically
-    /// `None` otherwise, so instrumentation guarded on it folds away.
+    /// The request telemetry registry.
     #[inline]
-    pub fn telemetry(&self) -> Option<&Arc<Telemetry>> {
-        #[cfg(feature = "telemetry")]
-        {
-            self.telemetry.as_ref()
-        }
-        #[cfg(not(feature = "telemetry"))]
-        {
-            None
-        }
+    pub fn telemetry(&self) -> &Arc<Telemetry> {
+        &self.telemetry
     }
 
     /// One coherent snapshot of the whole registry, with the mirror
     /// hygiene and nonce-audit counters folded in as auxiliary gauges.
-    /// None when telemetry is off (either switch).
-    pub fn metrics_snapshot(&self) -> Option<MetricsSnapshot> {
-        let t = self.telemetry()?;
+    pub fn metrics_snapshot(&self) -> MetricsSnapshot {
         let io = self.mirror.io_stats();
-        Some(t.snapshot_with_aux(&[
+        self.telemetry.snapshot_with_aux(&[
             ("mirror_updates", io.updates),
             ("mirror_clean_updates", io.clean_updates),
             ("mirror_data_pages_written", io.data_pages_written),
@@ -378,47 +329,57 @@ impl VtpmManager {
             ("mirror_staged_updates", io.staged_updates),
             ("mirror_batched_commits", io.batched_commits),
             ("mirror_flushes", io.flushes),
-            ("mirror_skipped", self.stats.mirror_skipped.load(Ordering::Relaxed)),
-            ("mirror_failures", self.stats.mirror_failures.load(Ordering::Relaxed)),
+            ("mirror_skipped", self.mirror_skipped.load(Ordering::Relaxed)),
+            ("mirror_failures", self.mirror_failures.load(Ordering::Relaxed)),
             ("nonce_reuses", self.mirror.nonce_reuses()),
             ("admission_refused", self.admission.refused_total()),
             ("admission_throttle_events", self.admission.throttle_events()),
-        ]))
+        ])
     }
 
-    /// Coherent operator-facing counters: the manager's own atomics plus
-    /// the mirror's hygiene counters (scrub failures, retry burns).
+    /// Coherent operator-facing counters: a view over the telemetry
+    /// registry's outcome counters plus the mirror hygiene counters
+    /// (skips, failures, scrub failures, retry burns).
     ///
     /// The outcome counters are read seqlock-style against the
-    /// `finished` epoch: a snapshot is only returned when `finished`
-    /// was stable across the reads *and* the outcomes sum to it, so
+    /// `finished` epoch. [`Telemetry::finish`] bumps the outcome
+    /// counter, then its sub-counter (`no_instance` or the deny
+    /// reason) with `Release`, then `finished` with `Release`; here the
+    /// sub-counters are read with `Acquire` *before* the outcomes, so a
+    /// sub-counter bump from an unfinished request makes its outcome
+    /// visible too and the sum check below rejects the read. A snapshot
+    /// is only returned when `finished` was stable across the reads
+    /// *and* `allowed + denied + malformed` sums to it, so
     /// `handled + denied + errors + throttled == finished` holds for
-    /// every snapshot — independent `Relaxed` loads used to let a
-    /// mid-command snapshot violate that conservation.
+    /// every snapshot, even ones taken mid-load.
     pub fn stats_snapshot(&self) -> ManagerStatsSnapshot {
+        type T = Telemetry;
         let io = self.mirror.io_stats();
+        let reg = self.telemetry.registry();
+        let throttle = T::deny_counter(vtpm_telemetry::DENY_ADMISSION);
         loop {
-            let f0 = self.stats.finished.load(Ordering::Acquire);
-            let handled = self.stats.handled.load(Ordering::Relaxed);
-            let denied = self.stats.denied.load(Ordering::Relaxed);
-            let errors = self.stats.errors.load(Ordering::Relaxed);
-            let throttled = self.stats.throttled.load(Ordering::Relaxed);
-            let f1 = self.stats.finished.load(Ordering::Acquire);
-            if f0 == f1 && handled + denied + errors + throttled == f0 {
+            let f0 = reg.atomic(T::FINISHED).load(Ordering::Acquire);
+            let no_instance = reg.atomic(T::NO_INSTANCE).load(Ordering::Acquire);
+            let throttled = reg.atomic(throttle).load(Ordering::Acquire);
+            let allowed = reg.get(T::ALLOWED);
+            let denied = reg.get(T::DENIED);
+            let malformed = reg.get(T::MALFORMED);
+            let f1 = reg.atomic(T::FINISHED).load(Ordering::Acquire);
+            if f0 == f1 && allowed + denied + malformed == f0 {
                 return ManagerStatsSnapshot {
-                    handled,
-                    denied,
-                    errors,
+                    handled: allowed - no_instance,
+                    denied: denied - throttled,
+                    errors: malformed + no_instance,
                     throttled,
                     finished: f0,
-                    mirror_skipped: self.stats.mirror_skipped.load(Ordering::Relaxed),
-                    mirror_failures: self.stats.mirror_failures.load(Ordering::Relaxed),
+                    mirror_skipped: self.mirror_skipped.load(Ordering::Relaxed),
+                    mirror_failures: self.mirror_failures.load(Ordering::Relaxed),
                     scrub_failures: io.scrub_failures,
                     retried_generation_burns: io.retried_generation_burns,
                 };
             }
             // A writer is between its outcome bump and the epoch bump —
-            // a two-instruction window; spin until the world is still.
+            // a few-instruction window; spin until the world is still.
             std::hint::spin_loop();
         }
     }
@@ -593,7 +554,7 @@ impl VtpmManager {
     fn refresh_mirror(&self, id: InstanceId, instance: &mut VtpmInstance) -> u64 {
         let gen = instance.tpm.state_generation();
         if gen == instance.mirrored_generation {
-            self.stats.mirror_skipped.fetch_add(1, Ordering::Relaxed);
+            self.mirror_skipped.fetch_add(1, Ordering::Relaxed);
             return 0;
         }
         let state = instance.tpm.serialize_state();
@@ -608,7 +569,7 @@ impl VtpmManager {
             // mutation. The mirror's atomic commit guarantees the failed
             // update left the previous committed image intact.
             Err(_) => {
-                self.stats.mirror_failures.fetch_add(1, Ordering::Relaxed);
+                self.mirror_failures.fetch_add(1, Ordering::Relaxed);
                 0
             }
         }
@@ -626,26 +587,12 @@ impl VtpmManager {
         self.mirror.read(id)
     }
 
-    /// Count one finished, *admitted* request: feed its outcome into
-    /// the source domain's admission EWMA, then bump the stats counter
-    /// and the coherence epoch. `denied` means the access hook denied
-    /// it — the signal the admission controller throttles on.
+    /// Close `span` with `outcome`, stamping the end from the sim clock:
+    /// the registry counts the outcome and bumps the `finished` epoch.
     #[inline]
-    fn account(&self, outcome: &AtomicU64, source_domain: DomainId, denied: bool) {
-        self.admission.record_outcome(source_domain.0, denied);
-        self.stats.finish_one(outcome);
-    }
-
-    /// Close `span` with `outcome`, stamping the end from the sim clock.
-    /// A no-op when telemetry is off (span was never minted).
-    #[inline]
-    fn close_span(&self, span: Option<Span>, outcome: Outcome) {
-        if let Some(mut s) = span {
-            if let Some(t) = self.telemetry() {
-                s.set_outcome(outcome);
-                t.finish(s, self.hv.clock.now_ns());
-            }
-        }
+    fn close_span(&self, mut span: Span, outcome: Outcome) {
+        span.set_outcome(outcome);
+        self.telemetry.finish(span, self.hv.clock.now_ns());
     }
 
     /// Handle one enveloped request arriving from `source_domain`.
@@ -659,11 +606,8 @@ impl VtpmManager {
     /// charge (both hops), the AC stage the hook's modelled cost, and
     /// the execute stage the TPM command cost.
     pub fn handle(&self, source_domain: DomainId, envelope_bytes: &[u8]) -> Vec<u8> {
-        let mut span = self.telemetry().map(|t| {
-            let mut s = t.begin(self.hv.clock.now_ns());
-            s.set_domain(source_domain.0);
-            s
-        });
+        let mut span = self.telemetry.begin(self.hv.clock.now_ns());
+        span.set_domain(source_domain.0);
         // Every request pays both transport hops (request in + response
         // out): malformed and denied requests crossed the ring too, and
         // their rejection travels back the same way. Charging this up
@@ -674,7 +618,7 @@ impl VtpmManager {
         let envelope = match Envelope::decode(envelope_bytes) {
             Ok(e) => e,
             Err(_) => {
-                self.account(&self.stats.errors, source_domain, false);
+                self.admission.record_outcome(source_domain.0, false);
                 self.close_span(span, Outcome::Malformed);
                 return ResponseEnvelope {
                     seq: 0,
@@ -684,10 +628,8 @@ impl VtpmManager {
                 .encode();
             }
         };
-        if let Some(s) = span.as_mut() {
-            s.set_ordinal(ordinal_of(&envelope.command).unwrap_or(0));
-            s.stamp_decode(self.hv.clock.now_ns());
-        }
+        span.set_ordinal(ordinal_of(&envelope.command).unwrap_or(0));
+        span.stamp_decode(self.hv.clock.now_ns());
 
         // Per-domain admission control at ring ingress: a domain whose
         // traffic the hook keeps denying is refused here, before any
@@ -695,7 +637,6 @@ impl VtpmManager {
         // not fed back as an outcome — `admit` already decays the
         // domain's EWMA per refusal, which is how it earns release.
         if self.admission.admit(source_domain.0).is_err() {
-            self.stats.finish_one(&self.stats.throttled);
             self.close_span(span, Outcome::Denied(vtpm_telemetry::DENY_ADMISSION));
             return ResponseEnvelope {
                 seq: envelope.seq,
@@ -706,7 +647,7 @@ impl VtpmManager {
         }
 
         let ctx = RequestContext {
-            request_id: span.as_ref().map(|s| s.request_id()).unwrap_or(0),
+            request_id: span.request_id(),
             source_domain,
             claimed_domain: envelope.domain,
             instance: envelope.instance,
@@ -727,11 +668,9 @@ impl VtpmManager {
             }
         }
         let decision = hook.authorize(&ctx);
-        if let Some(s) = span.as_mut() {
-            s.stamp_ac(self.hv.clock.now_ns());
-        }
+        span.stamp_ac(self.hv.clock.now_ns());
         if let AccessDecision::Deny(reason) = decision {
-            self.account(&self.stats.denied, source_domain, true);
+            self.admission.record_outcome(source_domain.0, true);
             self.close_span(span, Outcome::Denied(reason.code()));
             return ResponseEnvelope {
                 seq: envelope.seq,
@@ -745,7 +684,7 @@ impl VtpmManager {
         let handle = match handle {
             Some(h) => h,
             None => {
-                self.account(&self.stats.errors, source_domain, false);
+                self.admission.record_outcome(source_domain.0, false);
                 self.close_span(span, Outcome::NoInstance);
                 return ResponseEnvelope {
                     seq: envelope.seq,
@@ -772,7 +711,7 @@ impl VtpmManager {
                 // guest traffic exactly like missing ones: the frontend
                 // backs off and retries, and after a committed migration
                 // the retry lands on the destination host instead.
-                self.account(&self.stats.errors, source_domain, false);
+                self.admission.record_outcome(source_domain.0, false);
                 self.close_span(span, Outcome::NoInstance);
                 return ResponseEnvelope {
                     seq: envelope.seq,
@@ -783,22 +722,18 @@ impl VtpmManager {
             }
             let body = instance.execute(envelope.locality, &envelope.command);
             instance.stats.last_seq = instance.stats.last_seq.max(envelope.seq);
-            if let Some(s) = span.as_mut() {
-                s.stamp_exec(self.hv.clock.now_ns());
-            }
+            span.stamp_exec(self.hv.clock.now_ns());
             // Serialize + mirror under the instance lock, and only when
             // the command actually moved the permanent state: read-only
             // traffic skips the whole snapshot path, and concurrent
             // commands can never publish mirror images out of order.
             let mirror_bytes = self.refresh_mirror(envelope.instance, &mut instance);
-            if let Some(s) = span.as_mut() {
-                s.set_mirror_bytes(mirror_bytes);
-                s.stamp_mirror(self.hv.clock.now_ns());
-            }
+            span.set_mirror_bytes(mirror_bytes);
+            span.stamp_mirror(self.hv.clock.now_ns());
             body
         };
 
-        self.account(&self.stats.handled, source_domain, false);
+        self.admission.record_outcome(source_domain.0, false);
         self.close_span(span, Outcome::Ok);
         ResponseEnvelope { seq: envelope.seq, status: ResponseStatus::Ok, body }.encode()
     }
@@ -887,7 +822,8 @@ mod tests {
         assert_eq!(renv.status, ResponseStatus::Ok);
         assert_eq!(renv.seq, 1);
         assert_eq!(parse_response(&renv.body).unwrap().1, rc::SUCCESS);
-        assert_eq!(mgr.stats.snapshot(), (1, 0, 0));
+        let s = mgr.stats_snapshot();
+        assert_eq!((s.handled, s.denied, s.errors), (1, 0, 0));
     }
 
     #[test]
@@ -896,7 +832,8 @@ mod tests {
         let resp = mgr.handle(DomainId(1), &envelope(1, 999, 1, startup_cmd()));
         let renv = ResponseEnvelope::decode(&resp).unwrap();
         assert_eq!(renv.status, ResponseStatus::NoInstance);
-        assert_eq!(mgr.stats.snapshot(), (0, 0, 1));
+        let s = mgr.stats_snapshot();
+        assert_eq!((s.handled, s.denied, s.errors), (0, 0, 1));
     }
 
     #[test]
@@ -1025,7 +962,7 @@ mod tests {
         let id = mgr.create_instance().unwrap();
         mgr.handle(DomainId(1), &envelope(1, id, 1, startup_cmd()));
         let before = mgr.mirror_io_stats();
-        let skipped_before = mgr.stats.mirror_skipped.load(Ordering::Relaxed);
+        let skipped_before = mgr.stats_snapshot().mirror_skipped;
         for s in 0..20u64 {
             let resp = mgr.handle(DomainId(1), &envelope(1, id, 2 + s, pcr_read_cmd()));
             assert_eq!(ResponseEnvelope::decode(&resp).unwrap().status, ResponseStatus::Ok);
@@ -1033,7 +970,7 @@ mod tests {
         let after = mgr.mirror_io_stats();
         assert_eq!(after.updates, before.updates, "read-only commands must not call the mirror");
         assert_eq!(after.bytes_written, before.bytes_written);
-        assert_eq!(mgr.stats.mirror_skipped.load(Ordering::Relaxed), skipped_before + 20);
+        assert_eq!(mgr.stats_snapshot().mirror_skipped, skipped_before + 20);
     }
 
     #[test]
@@ -1216,7 +1153,7 @@ mod tests {
         for h in handles {
             h.join().unwrap();
         }
-        assert_eq!(mgr.stats.snapshot().0, 40);
+        assert_eq!(mgr.stats_snapshot().handled, 40);
     }
 
     #[test]
@@ -1269,7 +1206,7 @@ mod tests {
         hv.inject_write_crash(DomainId::DOM0, 1);
         let resp = mgr.handle(DomainId(1), &envelope(1, id, 2, extend_cmd(7, [0x66; 20])));
         assert_eq!(ResponseEnvelope::decode(&resp).unwrap().status, ResponseStatus::Ok);
-        assert_eq!(mgr.stats.mirror_failures.load(Ordering::Relaxed), 1);
+        assert_eq!(mgr.stats_snapshot().mirror_failures, 1);
         let post = mgr.export_instance_state(id).unwrap();
         hv.clear_faults();
         drop(mgr);

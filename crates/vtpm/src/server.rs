@@ -127,7 +127,7 @@ mod tests {
             );
         }
         server.shutdown();
-        assert_eq!(mgr.stats.snapshot().0, 20);
+        assert_eq!(mgr.stats_snapshot().handled, 20);
     }
 
     #[test]
@@ -150,7 +150,7 @@ mod tests {
         for h in handles {
             h.join().unwrap();
         }
-        assert_eq!(mgr.stats.snapshot().0, 200);
+        assert_eq!(mgr.stats_snapshot().handled, 200);
     }
 
     #[test]
@@ -160,6 +160,6 @@ mod tests {
             let server = ManagerServer::new(Arc::clone(&mgr), 2);
             server.call(DomainId(1), startup_env(id, 1));
         } // dropped here
-        assert_eq!(mgr.stats.snapshot().0, 1);
+        assert_eq!(mgr.stats_snapshot().handled, 1);
     }
 }

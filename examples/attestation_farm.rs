@@ -16,6 +16,7 @@
 
 use vtpm_xen::crypto::sha1;
 use vtpm_xen::prelude::*;
+use vtpm_xen::telemetry::AttestTelemetry;
 
 const FARM_SIZE: usize = 8;
 
@@ -119,9 +120,9 @@ fn main() {
     let snap = issuer.telemetry().snapshot();
     println!(
         "issuer: {} requests, {} signing passes, {} served from cache (audit denials: {})",
-        snap.requested,
-        snap.signing_passes,
-        snap.cache_hits + snap.coalesced,
+        snap[AttestTelemetry::REQUESTED],
+        snap[AttestTelemetry::SIGNING_PASSES],
+        snap[AttestTelemetry::CACHE_HITS] + snap[AttestTelemetry::COALESCED],
         platform.hook.audit.denials()
     );
 }

@@ -19,6 +19,7 @@ use vtpm_fleet::{Fleet, FleetConfig};
 use vtpm_harness::apply_fleet_alerts;
 use vtpm_sentinel::{Sentinel, SentinelConfig, StreamEvent};
 use vtpm_xen::cluster::{Cluster, ClusterConfig};
+use vtpm_xen::telemetry::FleetTelemetry;
 
 fn main() {
     // 90 loaded hosts; 10 more join empty in a moment, so the
@@ -55,7 +56,7 @@ fn main() {
     println!(
         "rebalance active: {} drives in flight, {} committed so far",
         fleet.pool().in_flight(),
-        fleet.snapshot().drives_committed,
+        fleet.snapshot()[FleetTelemetry::COMMITTED],
     );
 
     // The storm: 10 loaded hosts drop dead mid-rebalance. In-flight
@@ -76,8 +77,8 @@ fn main() {
     println!(
         "after the storm: {} suspects ({} drives abandoned, {} committed)",
         fleet.suspects().len(),
-        fleet.snapshot().drives_abandoned,
-        fleet.snapshot().drives_committed,
+        fleet.snapshot()[FleetTelemetry::ABANDONED],
+        fleet.snapshot()[FleetTelemetry::COMMITTED],
     );
 
     // Revival burst: every recovery is a CrashRecovery marker on the
@@ -156,7 +157,9 @@ fn main() {
     let snap = fleet.snapshot();
     println!(
         "settled: {} drives committed / {} aborted / {} abandoned across the run",
-        snap.drives_committed, snap.drives_aborted, snap.drives_abandoned,
+        snap[FleetTelemetry::COMMITTED],
+        snap[FleetTelemetry::ABORTED],
+        snap[FleetTelemetry::ABANDONED],
     );
     println!(
         "accounting over {vms} vTPMs on {} hosts: {lost} lost, {duplicated} duplicated, \

@@ -42,15 +42,7 @@ fn main() {
         .hosts
         .iter()
         .enumerate()
-        .map(|(h, host)| {
-            let spans = host
-                .platform
-                .manager
-                .telemetry()
-                .map(|t| t.drain_spans())
-                .unwrap_or_default();
-            (h as u32, spans)
-        })
+        .map(|(h, host)| (h as u32, host.platform.manager.telemetry().drain_spans()))
         .collect();
     let migrations = cluster.telemetry().spans();
     let trace = cluster_chrome_trace(&host_spans, &migrations);

@@ -2,7 +2,11 @@
 # The CI gate: everything a change must survive before merging.
 #
 #   1. tier-1: release build + the full test suite of every workspace
-#      member (the root Cargo.toml lists them all as default-members);
+#      member (the root Cargo.toml lists them all as default-members),
+#      then a release build of every target (the criterion benches and
+#      examples use APIs tier-1 does not compile) and the end-to-end
+#      benchmark's smoke tests (`e2ebench/` is its own workspace, so
+#      tier-1 cannot see an API break there);
 #   2. chaos smoke: 8 seeded fault scenarios through the full stack,
 #      each replayed twice (determinism) — parallel across cores;
 #   3. migration chaos smoke: 8 seeded multi-host migration scenarios
@@ -67,6 +71,12 @@ cargo build --release
 
 echo "== tier-1: tests =="
 cargo test -q
+
+echo "== all targets: benches and examples build =="
+cargo build --release --all-targets
+
+echo "== e2ebench: end-to-end benchmark smoke tests =="
+cargo test --offline --manifest-path e2ebench/Cargo.toml
 
 echo "== chaos smoke: 8 seeds, replayed twice each =="
 CHAOS_BASE=ci CHAOS_FAMILY=mirror scripts/chaos.sh 8

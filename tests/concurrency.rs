@@ -57,7 +57,8 @@ fn workload_and_attacks_interleaved() {
     let denied = attacker.join().unwrap();
     assert_eq!(denied, 200, "every forged envelope denied under load");
     // The legit traffic all succeeded: 4 guests * (1 + 40) commands.
-    let (handled, denied_stat, _) = sp.platform.manager.stats.snapshot();
+    let stats = sp.platform.manager.stats_snapshot();
+    let (handled, denied_stat) = (stats.handled, stats.denied);
     assert_eq!(handled, 4 * 41);
     assert_eq!(denied_stat, 200);
     // Audit chain intact after the concurrent barrage.
@@ -67,7 +68,7 @@ fn workload_and_attacks_interleaved() {
     // The telemetry registry observed the same world: conservation over
     // outcomes, histograms consistent with the manager's own counters,
     // and every audit entry joinable back to a span via its request id.
-    let snap = sp.platform.manager.metrics_snapshot().expect("telemetry on by default");
+    let snap = sp.platform.manager.metrics_snapshot();
     assert_eq!(snap.in_flight, 0, "quiescent manager has no open spans");
     assert_eq!(snap.allowed + snap.denied + snap.malformed, snap.finished);
     assert_eq!(snap.stage_exec.count, handled, "one execute-stage sample per handled command");
@@ -82,7 +83,7 @@ fn workload_and_attacks_interleaved() {
 
 /// N concurrent guest domains against one manager with a deliberately
 /// tiny span ring: the decision counters must conserve exactly, the
-/// stage histograms must agree with `ManagerStats`, and the overflow
+/// stage histograms must agree with `stats_snapshot()`, and the overflow
 /// drop count must be exact (kept + dropped == finished), not an
 /// estimate.
 #[test]
@@ -181,7 +182,7 @@ fn telemetry_conserves_and_counts_drops_exactly() {
     }
 
     let total = GUESTS as u64 * (1 + EXTENDS) + FORGED + GARBAGE;
-    let snap = mgr.metrics_snapshot().expect("telemetry enabled");
+    let snap = mgr.metrics_snapshot();
     assert_eq!(snap.begun, total);
     assert_eq!(snap.finished, total);
     assert_eq!(snap.in_flight, 0);
@@ -200,7 +201,7 @@ fn telemetry_conserves_and_counts_drops_exactly() {
     assert_eq!(snap.denied, stats.denied);
     // Overflow accounting is exact: every finished span was either kept
     // in the ring or counted as dropped, nothing in between.
-    let kept = mgr.telemetry().expect("enabled").drain_spans().len() as u64;
+    let kept = mgr.telemetry().drain_spans().len() as u64;
     assert!(snap.dropped_events > 0, "tiny ring must overflow under this load");
     assert_eq!(kept + snap.dropped_events, snap.finished);
 }

@@ -58,7 +58,7 @@ fn sixteen_guests_concurrently() {
     let values: Vec<[u8; 20]> = handles.into_iter().map(|h| h.join().unwrap()).collect();
     // All guests ran the same extends -> identical PCRs, all isolated.
     assert!(values.windows(2).all(|w| w[0] == w[1]));
-    assert_eq!(p.manager.stats.snapshot().0, 16 * 7);
+    assert_eq!(p.manager.stats_snapshot().handled, 16 * 7);
 }
 
 #[test]
