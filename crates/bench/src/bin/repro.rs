@@ -1,350 +1,75 @@
-//! `repro` — regenerate every table and figure of the evaluation.
+//! `repro` — regenerate, gate and emit every table and figure of the
+//! evaluation.
 //!
 //! ```text
-//! repro t1|f1|t2|f2|t3|f3|f4|t4|f5|f6|r1|o1|m1|m2|o2|d1|p1|c1|a1  # one experiment
-//! repro all                          # everything
-//! repro all --quick                  # reduced repetitions (CI-sized)
+//! repro [EXP...|all] [--quick] [--out DIR]
 //! ```
 //!
-//! Exits nonzero if R-O1 measures telemetry overhead above its budget,
-//! if R-M1 measures sealed-transfer downtime above its multiple of the
-//! clear baseline, if R-D1 sees a sentinel false positive on a clean
-//! seed or a missed attack injection, if R-P1 measures the manager's
-//! per-command read path degrading by more than its scaling budget
-//! between the smallest and largest instance counts, if R-C1
-//! measures the crypto floor regressing (RSA private-op speedup below
-//! 4x schoolbook, absolute RSA/AES floors violated), or if R-A1
-//! measures the cached attestation plane below its speedup floor,
-//! refuses an honest submission, or lets any defense scenario diverge
-//! (unrefused replay/stale evidence, undetected storm, clean-sweep
-//! false positive), or if R-M2's fleet churn sweep loses, duplicates,
-//! or orphans a vTPM, lets an injected conflict commit two winners,
-//! fails to replay a seed byte-identically, blows its p99 blackout
-//! budget, or exceeds its false-suspicion budget, or if R-O2's fleet
-//! observatory burns an SLO on an attack-free seed, misses an injected
-//! blackout regression anywhere along the burn→pause→clear→resume
-//! loop, drifts past the merged-p99 fidelity bound, or blows its
-//! scrape self-overhead budget — the CI gate in `scripts/ci.sh`
-//! relies on all of them.
+//! Runs each named experiment of [`vtpm_bench::EXPERIMENTS`] (no name or
+//! `all` runs them all) at full size, or at CI size with `--quick`, and
+//! prints its table. With `--out DIR` it also writes
+//! `DIR/BENCH_<exp>.json`, one line of
+//! `{"bench":"<exp>","quick":..,<fields>,"gate":"PASS"|"FAIL"}`.
+//!
+//! Exits 1 if any experiment's budget gate failed (each failure is
+//! named on stderr) — the CI gate in `scripts/ci.sh` relies on it — and
+//! 2 on an unknown experiment or option.
 
-use vtpm_bench::exp;
+use std::path::PathBuf;
+use std::process::exit;
 
-struct Sizes {
-    t1_reps: usize,
-    f1_vms: Vec<usize>,
-    f1_ops: usize,
-    f2_reps: usize,
-    t3_rules: Vec<usize>,
-    t3_iters: usize,
-    f3_kib: Vec<usize>,
-    f3_reps: usize,
-    f4_workers: Vec<usize>,
-    f4_instances: usize,
-    f4_per_instance: usize,
-    t4_reps: usize,
-    f5_vms: Vec<usize>,
-    f6_utils: Vec<f64>,
-    f6_arrivals: usize,
-    r1_seeds: usize,
-    r1_events: usize,
-    r1_faults: usize,
-    o1_batches: usize,
-    o1_per_batch: usize,
-    m1_kib: Vec<usize>,
-    m1_reps: usize,
-    m2_hosts: usize,
-    m2_vms: usize,
-    m2_rounds: usize,
-    m2_seeds: usize,
-    o2_hosts: usize,
-    o2_vms: usize,
-    o2_rounds: usize,
-    o2_seeds: usize,
-    d1_mirror_seeds: usize,
-    d1_migration_seeds: usize,
-    d1_events: usize,
-    d1_faults: usize,
-    p1_counts: Vec<usize>,
-    p1_read_cmds: usize,
-    p1_mutate_cmds: usize,
-    c1_passes: usize,
-    c1_rsa_reps: usize,
-    c1_schoolbook_reps: usize,
-    c1_aes_mib: usize,
-    a1_instances: usize,
-    a1_verifiers: usize,
-    a1_quotes: usize,
-    a1_uncached_quotes: usize,
-    a1_attack_seeds: usize,
-    a1_clean_seeds: usize,
-}
+use vtpm_bench::{Outcome, EXPERIMENTS};
 
-impl Sizes {
-    fn full() -> Self {
-        let cores = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(4);
-        Sizes {
-            t1_reps: 200,
-            f1_vms: vec![1, 2, 4, 8, 16, 32],
-            f1_ops: 60,
-            f2_reps: 200,
-            t3_rules: vec![10, 100, 1_000, 10_000],
-            t3_iters: 200_000,
-            f3_kib: vec![0, 4, 16, 64, 256],
-            f3_reps: 5,
-            f4_workers: (0..).map(|i| 1usize << i).take_while(|&w| w <= cores.max(2)).collect(),
-            f4_instances: 16,
-            f4_per_instance: 2_000,
-            t4_reps: 100,
-            f5_vms: vec![1, 2, 4, 8, 16, 32],
-            f6_utils: vec![0.1, 0.3, 0.5, 0.7, 0.8, 0.9, 0.95, 0.99],
-            f6_arrivals: 200_000,
-            r1_seeds: 16,
-            r1_events: 80,
-            r1_faults: 6,
-            o1_batches: 40,
-            o1_per_batch: 500,
-            m1_kib: vec![0, 16, 64, 256, 512],
-            m1_reps: 2,
-            // The fleet-scale claim: 100 hosts / 1000 VMs under
-            // continuous churn, every seed replayed twice.
-            m2_hosts: 100,
-            m2_vms: 1_000,
-            m2_rounds: 8,
-            m2_seeds: 2,
-            // The observatory rides the same chaos family; its gates
-            // (no attack-free burn, fidelity, loop, overhead) are
-            // scale-free, so the sweep stays lighter than R-M2's.
-            o2_hosts: 32,
-            o2_vms: 160,
-            o2_rounds: 8,
-            o2_seeds: 2,
-            // 32 + 32 + the matrix = the 65-scenario sweep the chaos CI
-            // stage replays byte-for-byte.
-            d1_mirror_seeds: 32,
-            d1_migration_seeds: 32,
-            d1_events: 60,
-            d1_faults: 5,
-            p1_counts: vec![100, 1_000, 10_000],
-            p1_read_cmds: 50_000,
-            p1_mutate_cmds: 5_000,
-            c1_passes: 5,
-            c1_rsa_reps: 30,
-            c1_schoolbook_reps: 6,
-            c1_aes_mib: 4,
-            // The farm-scale claim: 1k+ verifiers, 10k+ quote requests
-            // against the cached plane, per-request baseline sampled at
-            // a count that keeps the run minutes-free (qps is a rate).
-            a1_instances: 16,
-            a1_verifiers: 1_024,
-            a1_quotes: 10_000,
-            a1_uncached_quotes: 512,
-            a1_attack_seeds: 3,
-            a1_clean_seeds: 3,
-        }
-    }
-
-    fn quick() -> Self {
-        Sizes {
-            t1_reps: 10,
-            f1_vms: vec![1, 2, 4],
-            f1_ops: 10,
-            f2_reps: 10,
-            t3_rules: vec![10, 100, 1_000],
-            t3_iters: 20_000,
-            f3_kib: vec![0, 8, 32],
-            f3_reps: 2,
-            f4_workers: vec![1, 2, 4],
-            f4_instances: 8,
-            f4_per_instance: 300,
-            t4_reps: 10,
-            f5_vms: vec![1, 4, 8],
-            f6_utils: vec![0.2, 0.8],
-            f6_arrivals: 10_000,
-            r1_seeds: 4,
-            r1_events: 48,
-            r1_faults: 4,
-            o1_batches: 15,
-            o1_per_batch: 200,
-            // The budget gate reads the worst premium (largest size),
-            // so --quick keeps it and drops the middle of the sweep.
-            m1_kib: vec![0, 512],
-            m1_reps: 1,
-            // The gates (accounting, single-winner, replay) are
-            // scale-free; --quick keeps the churn and drops the scale.
-            m2_hosts: 8,
-            m2_vms: 24,
-            m2_rounds: 6,
-            m2_seeds: 2,
-            o2_hosts: 8,
-            o2_vms: 24,
-            o2_rounds: 5,
-            o2_seeds: 1,
-            d1_mirror_seeds: 4,
-            d1_migration_seeds: 4,
-            d1_events: 30,
-            d1_faults: 3,
-            // The gate is the ratio of the extremes, so --quick keeps
-            // the 100- and 10k-instance endpoints and drops the middle.
-            p1_counts: vec![100, 10_000],
-            p1_read_cmds: 40_000,
-            p1_mutate_cmds: 2_000,
-            // Medians over 3 passes: the gate compares in-process
-            // ratios, which survive CI noise at these sizes.
-            c1_passes: 3,
-            c1_rsa_reps: 10,
-            c1_schoolbook_reps: 3,
-            c1_aes_mib: 1,
-            // The speedup gate is a ratio, so --quick shrinks both
-            // sides of it together.
-            a1_instances: 4,
-            a1_verifiers: 64,
-            a1_quotes: 512,
-            a1_uncached_quotes: 64,
-            a1_attack_seeds: 1,
-            a1_clean_seeds: 1,
-        }
-    }
+fn usage(problem: &str) -> ! {
+    let names: Vec<&str> = EXPERIMENTS.iter().map(|(name, _)| *name).collect();
+    eprintln!("{problem}\nusage: repro [{}|all]... [--quick] [--out DIR]", names.join("|"));
+    exit(2);
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let quick = args.iter().any(|a| a == "--quick");
-    let sizes = if quick { Sizes::quick() } else { Sizes::full() };
-    let which: Vec<&str> = args.iter().filter(|a| !a.starts_with("--")).map(|s| s.as_str()).collect();
-    let mut over_budget = false;
-    let which: Vec<&str> = if which.is_empty() || which.contains(&"all") {
-        vec![
-            "t1", "f1", "t2", "f2", "t3", "f3", "f4", "t4", "f5", "f6", "r1", "o1", "m1", "m2",
-            "o2", "d1", "p1", "c1", "a1",
-        ]
-    } else {
-        which
-    };
-
-    for exp_name in which {
-        let t0 = std::time::Instant::now();
-        let output = match exp_name {
-            "t1" => exp::t1::render(&exp::t1::run(sizes.t1_reps)),
-            "f1" => exp::f1::render(&exp::f1::run(&sizes.f1_vms, sizes.f1_ops)),
-            "t2" => exp::t2::render(&exp::t2::run()),
-            "f2" => exp::f2::render(&exp::f2::run(sizes.f2_reps)),
-            "t3" => exp::t3::render(&exp::t3::run(&sizes.t3_rules, sizes.t3_iters)),
-            "f3" => exp::f3::render(&exp::f3::run(&sizes.f3_kib, sizes.f3_reps)),
-            "f4" => exp::f4::render(&exp::f4::run(
-                &sizes.f4_workers,
-                sizes.f4_instances,
-                sizes.f4_per_instance,
-            )),
-            "t4" => exp::t4::render(&exp::t4::run(sizes.t4_reps)),
-            "f5" => exp::f5::render(&exp::f5::run(&sizes.f5_vms)),
-            "f6" => exp::f6::render(&exp::f6::run(&sizes.f6_utils, sizes.f6_arrivals)),
-            "r1" => exp::r1::render(&exp::r1::run(sizes.r1_seeds, sizes.r1_events, sizes.r1_faults)),
-            "o1" => {
-                let rows = exp::o1::run(sizes.o1_batches, sizes.o1_per_batch);
-                if exp::o1::max_overhead_pct(&rows) > exp::o1::BUDGET_PCT {
-                    over_budget = true;
-                }
-                exp::o1::render(&rows)
-            }
-            "m1" => {
-                let points = exp::m1::run(&sizes.m1_kib, sizes.m1_reps);
-                if exp::m1::max_premium_us(&points) > exp::m1::BUDGET_PREMIUM_US {
-                    over_budget = true;
-                }
-                exp::m1::render(&points)
-            }
-            "m2" => {
-                let report =
-                    exp::m2::run(sizes.m2_hosts, sizes.m2_vms, sizes.m2_rounds, sizes.m2_seeds);
-                if exp::m2::gate_failed(&report) {
-                    over_budget = true;
-                }
-                exp::m2::render(&report)
-            }
-            "o2" => {
-                let report =
-                    exp::o2::run(sizes.o2_hosts, sizes.o2_vms, sizes.o2_rounds, sizes.o2_seeds);
-                if exp::o2::gate_failed(&report) {
-                    over_budget = true;
-                }
-                exp::o2::render(&report)
-            }
-            "d1" => {
-                let report = exp::d1::run(
-                    sizes.d1_mirror_seeds,
-                    sizes.d1_migration_seeds,
-                    sizes.d1_events,
-                    sizes.d1_faults,
-                );
-                if exp::d1::gate_failed(&report) {
-                    over_budget = true;
-                }
-                exp::d1::render(&report)
-            }
-            "p1" => {
-                let points =
-                    exp::p1::run(&sizes.p1_counts, sizes.p1_read_cmds, sizes.p1_mutate_cmds);
-                if exp::p1::overhead_ratio(&points) > exp::p1::BUDGET_RATIO {
-                    over_budget = true;
-                }
-                exp::p1::render(&points)
-            }
-            "c1" => {
-                let report = exp::c1::run(
-                    sizes.c1_passes,
-                    sizes.c1_rsa_reps,
-                    sizes.c1_schoolbook_reps,
-                    sizes.c1_aes_mib,
-                );
-                if exp::c1::gate_failed(&report) {
-                    over_budget = true;
-                }
-                exp::c1::render(&report)
-            }
-            "a1" => {
-                let report = exp::a1::run(
-                    sizes.a1_instances,
-                    sizes.a1_verifiers,
-                    sizes.a1_quotes,
-                    sizes.a1_uncached_quotes,
-                    sizes.a1_attack_seeds,
-                    sizes.a1_clean_seeds,
-                );
-                if exp::a1::gate_failed(&report) {
-                    over_budget = true;
-                }
-                exp::a1::render(&report)
-            }
-            other => {
-                eprintln!("unknown experiment `{other}` (expected t1|f1|t2|f2|t3|f3|f4|t4|f5|f6|r1|o1|m1|m2|o2|d1|p1|c1|a1|all)");
-                std::process::exit(2);
-            }
-        };
-        println!("{output}");
-        println!("[{} completed in {:.1}s]\n", exp_name, t0.elapsed().as_secs_f64());
+    let mut quick = false;
+    let mut out: Option<PathBuf> = None;
+    let mut selected: Vec<(&str, fn(bool) -> Outcome)> = Vec::new();
+    let mut args = std::env::args().skip(1);
+    while let Some(arg) = args.next() {
+        match arg.as_str() {
+            "--quick" => quick = true,
+            "--out" => match args.next() {
+                Some(dir) => out = Some(dir.into()),
+                None => usage("--out needs a directory"),
+            },
+            "all" => selected.extend(EXPERIMENTS),
+            name => match EXPERIMENTS.iter().find(|(n, _)| *n == name) {
+                Some(&exp) => selected.push(exp),
+                None => usage(&format!("unknown experiment or option `{name}`")),
+            },
+        }
     }
-    if over_budget {
-        eprintln!(
-            "a budget gate failed (R-O1 <= {}% overhead, R-M1 <= {:.0}ms sealing premium, \
-             R-D1 zero false positives + full injection detection, \
-             R-P1 <= {:.1}x read-path scaling ratio, \
-             R-C1 >= {:.0}x RSA speedup / >= {:.0} MB/s AES-CTR, \
-             R-A1 >= {:.0}x cached-attestation speedup + clean defense sweep, \
-             R-M2 exactly-once fleet accounting + single-winner conflicts + \
-             byte-identical replays + p99 blackout <= {:.0}ms + \
-             <= {} false suspicions per seed, \
-             R-O2 zero attack-free SLO burns + merged-p99 fidelity <= 1/16 + \
-             full burn closed loop + <= {}% scrape overhead)",
-            exp::o1::BUDGET_PCT,
-            exp::m1::BUDGET_PREMIUM_US / 1e3,
-            exp::p1::BUDGET_RATIO,
-            exp::c1::MIN_RSA_SPEEDUP,
-            exp::c1::MIN_AES_CTR_MBPS,
-            exp::a1::MIN_CACHE_SPEEDUP,
-            exp::m2::BUDGET_P99_NS as f64 / 1e6,
-            exp::m2::BUDGET_FALSE_SUSPECTS,
-            exp::o2::BUDGET_PCT,
-        );
-        std::process::exit(1);
+    if selected.is_empty() {
+        selected.extend(EXPERIMENTS);
+    }
+    if let Some(dir) = &out {
+        std::fs::create_dir_all(dir).expect("create artifact directory");
+    }
+
+    let mut failed = false;
+    for (name, repro) in selected {
+        let t0 = std::time::Instant::now();
+        let outcome = repro(quick);
+        println!("{}", outcome.text);
+        println!("[{} completed in {:.1}s]\n", name, t0.elapsed().as_secs_f64());
+        if let Some(dir) = &out {
+            let path = dir.join(format!("BENCH_{name}.json"));
+            std::fs::write(&path, outcome.artifact(name, quick) + "\n")
+                .expect("write bench artifact");
+            eprintln!("wrote {}", path.display());
+        }
+        if let Err(reason) = &outcome.gate {
+            eprintln!("budget gate failed: {reason}");
+            failed = true;
+        }
+    }
+    if failed {
+        exit(1);
     }
 }

@@ -30,8 +30,11 @@ use std::time::Instant;
 
 use vtpm::Platform;
 use vtpm_attest::{IssuerConfig, QuoteIssuer, Submission, VerifierConfig, VerifierPool};
+use vtpm_harness::json::Field;
 use vtpm_harness::{AttestChaosConfig, Scenario};
 use vtpm_telemetry::AttestTelemetry;
+
+use crate::{gate, Outcome};
 
 /// The cached plane must clear this multiple of the per-request qps at
 /// unchanged PCR state.
@@ -292,6 +295,71 @@ pub fn render(r: &A1Report) -> String {
         if gate_failed(r) { "FAIL" } else { "PASS" }
     ));
     out
+}
+
+/// The `repro` entry: this experiment at CI size (`quick`) or full size.
+pub fn repro(quick: bool) -> Outcome {
+    // Full size is the farm-scale claim: 1k+ verifiers and 10k+ quote
+    // requests against the cached plane, the per-request baseline
+    // sampled at a count that keeps the run minutes-free (qps is a
+    // rate). The speedup gate is a ratio, so quick shrinks both sides
+    // of it together.
+    let (instances, verifiers, quotes, uncached, attacks, cleans) =
+        if quick { (4, 64, 512, 64, 1, 1) } else { (16, 1_024, 10_000, 512, 3, 3) };
+    let r = run(instances, verifiers, quotes, uncached, attacks, cleans);
+    let issue = r.issue.iter().map(|row| {
+        Field::Obj(vec![
+            ("mode", row.mode.into()),
+            ("quotes", row.quotes.into()),
+            ("signing_passes", row.signing_passes.into()),
+            ("absorbed", row.absorbed.into()),
+            ("wall_ns", row.wall_ns.into()),
+            ("qps", Field::Float(row.qps, 1)),
+        ])
+    });
+    let v = &r.verify;
+    let defense = r.defense.iter().map(|d| {
+        Field::Obj(vec![
+            ("seed", d.seed.as_str().into()),
+            ("attack", d.attack.into()),
+            ("replays_refused", d.replays_refused.into()),
+            ("injected_replays", d.injected_replays.into()),
+            ("stale_refused", d.stale_refused.into()),
+            ("injected_stale", d.injected_stale.into()),
+            ("storm_throttled", d.storm_throttled.into()),
+            ("critical", d.critical.into()),
+            ("divergences", d.divergences.len().into()),
+        ])
+    });
+    Outcome {
+        text: render(&r),
+        gate: gate(gate_failed(&r), || {
+            format!(
+                "R-A1: cached speedup {:.1}x (>= {MIN_CACHE_SPEEDUP}x), {}/{} honest \
+                 submissions accepted, {} defense divergences",
+                r.speedup,
+                v.accepted,
+                v.submissions,
+                r.defense.iter().map(|d| d.divergences.len()).sum::<usize>()
+            )
+        }),
+        fields: vec![
+            ("issue", Field::List(issue.collect())),
+            ("cache_speedup", Field::Float(r.speedup, 2)),
+            (
+                "verify",
+                Field::Obj(vec![
+                    ("verifiers", v.verifiers.into()),
+                    ("submissions", v.submissions.into()),
+                    ("accepted", v.accepted.into()),
+                    ("p50_ns", v.p50_ns.into()),
+                    ("p99_ns", v.p99_ns.into()),
+                    ("vps", Field::Float(v.vps, 1)),
+                ]),
+            ),
+            ("defense", Field::List(defense.collect())),
+        ],
+    }
 }
 
 #[cfg(test)]

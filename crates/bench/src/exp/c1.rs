@@ -24,6 +24,9 @@
 //! the key-schedule cache), not scheduler jitter.
 
 use tpm_crypto::{AesCtr, BigUint, Drbg, RsaPrivateKey};
+use vtpm_harness::json::Field;
+
+use crate::{gate, median, Outcome};
 
 /// Required optimized-vs-schoolbook RSA private-op speedup. The
 /// measured value sits far above this (CRT alone is ~4x; Montgomery +
@@ -56,11 +59,6 @@ pub struct C1Report {
     pub sha256_mbps: f64,
     /// SHA-256 of a 40-byte message (the DRBG block shape), ns.
     pub sha256_small_ns: f64,
-}
-
-fn median(samples: &mut [f64]) -> f64 {
-    samples.sort_by(|a, b| a.partial_cmp(b).unwrap());
-    samples[samples.len() / 2]
 }
 
 /// Time `f` (which performs `ops` operations) over `passes` passes and
@@ -190,6 +188,38 @@ pub fn render(r: &C1Report) -> String {
         if gate_failed(r) { "FAIL" } else { "PASS" }
     ));
     out
+}
+
+/// The `repro` entry: this experiment at CI size (`quick`) or full size.
+pub fn repro(quick: bool) -> Outcome {
+    // Medians over 3 passes: the gate compares in-process ratios, which
+    // survive CI noise at these sizes.
+    let (passes, rsa_reps, schoolbook_reps, aes_mib) =
+        if quick { (3, 10, 3, 1) } else { (5, 30, 6, 4) };
+    let r = run(passes, rsa_reps, schoolbook_reps, aes_mib);
+    Outcome {
+        text: render(&r),
+        gate: gate(gate_failed(&r), || {
+            format!(
+                "R-C1 crypto floor: RSA speedup {:.2}x (>= {MIN_RSA_SPEEDUP}x), private op \
+                 {:.0} us (<= {MAX_RSA_PRIV_US} us), AES-CTR {:.1} MB/s (>= {MIN_AES_CTR_MBPS})",
+                r.rsa_speedup, r.rsa_priv_us, r.aes_ctr_mbps
+            )
+        }),
+        fields: vec![
+            ("rsa_priv_us", Field::Float(r.rsa_priv_us, 2)),
+            ("rsa_schoolbook_us", Field::Float(r.rsa_schoolbook_us, 2)),
+            ("rsa_speedup", Field::Float(r.rsa_speedup, 2)),
+            ("rsa_pub_us", Field::Float(r.rsa_pub_us, 2)),
+            ("aes_ctr_mbps", Field::Float(r.aes_ctr_mbps, 1)),
+            ("aes_ctr_scalar_mbps", Field::Float(r.aes_ctr_scalar_mbps, 1)),
+            ("sha256_mbps", Field::Float(r.sha256_mbps, 1)),
+            ("sha256_small_ns", Field::Float(r.sha256_small_ns, 0)),
+            ("min_rsa_speedup", Field::Float(MIN_RSA_SPEEDUP, 1)),
+            ("max_rsa_priv_us", Field::Float(MAX_RSA_PRIV_US, 0)),
+            ("min_aes_ctr_mbps", Field::Float(MIN_AES_CTR_MBPS, 0)),
+        ],
+    }
 }
 
 #[cfg(test)]

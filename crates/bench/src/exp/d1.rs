@@ -24,16 +24,27 @@
 //! The sweep sizes (32 + 32 + 1 = 65 scenarios at full size) match the
 //! chaos CI sweep, so "zero false positives" is claimed over the same
 //! corpus the determinism gate replays byte-for-byte.
+//!
+//! Alongside the gate, [`throughput`] reports the wall cost of the full
+//! engine (flight recorder + all five detectors) per stream event on a
+//! synthetic healthy-host mix: the budget a deployment pays per span or
+//! audit record shipped to the detection plane.
+
+use std::time::Instant;
 
 use attacks::{dump_instance_state, migration_window_dump};
 use vtpm::MirrorMode;
 use vtpm_ac::SecurePlatform;
 use vtpm_cluster::{Cluster, ClusterConfig, MigrateOutcome, MigMessage};
+use vtpm_harness::json::Field;
 use vtpm_harness::{
     audit_event, dump_event, ChaosConfig, CrashMatrix, MigrationChaosConfig, Scenario,
 };
 use vtpm_sentinel::{Sentinel, SentinelConfig, StreamEvent};
+use vtpm_telemetry::SpanRecord;
 use workload::generate_trace;
+
+use crate::{gate, median, Outcome};
 
 /// One attack-free scenario of the sweep.
 #[derive(Debug, Clone)]
@@ -310,6 +321,67 @@ fn inject_replay_storm() -> AttackRow {
     }
 }
 
+/// Wall cost of the full sentinel engine on a synthetic stream.
+#[derive(Debug, Clone)]
+pub struct Throughput {
+    /// Events in the stream.
+    pub events: usize,
+    /// Median wall ns per event over the timed passes.
+    pub ns_per_event: f64,
+}
+
+/// Synthesize a realistic event mix: mostly allowed spans, a sprinkle
+/// of denials spread across domains (below the EWMA threshold), and
+/// periodic gauges — the exhaust shape of a healthy host.
+fn synthetic_stream(n: usize) -> Vec<StreamEvent> {
+    (0..n as u64)
+        .map(|i| {
+            if i % 50 == 49 {
+                return StreamEvent::Gauge {
+                    host: 0,
+                    at_ns: i * 1_000,
+                    name: "mirror_scrub_failures",
+                    value: 0,
+                };
+            }
+            let denied = i % 10 == 3;
+            StreamEvent::Span {
+                host: 0,
+                record: SpanRecord {
+                    request_id: i + 1,
+                    domain: 1 + (i % 7) as u32,
+                    ordinal: 0x14,
+                    ingress_ns: i * 1_000,
+                    end_ns: i * 1_000 + 800,
+                    outcome: if denied {
+                        vtpm_telemetry::Outcome::Denied(2)
+                    } else {
+                        vtpm_telemetry::Outcome::Ok
+                    },
+                    ..SpanRecord::default()
+                },
+            }
+        })
+        .collect()
+}
+
+/// Feed `events` synthetic events through a fresh engine `reps` times;
+/// the median wall ns per event.
+pub fn throughput(events: usize, reps: usize) -> Throughput {
+    let stream = synthetic_stream(events);
+    let mut samples: Vec<f64> = (0..reps)
+        .map(|_| {
+            let mut s = Sentinel::new(SentinelConfig::default());
+            let t0 = Instant::now();
+            for ev in &stream {
+                std::hint::black_box(s.observe(ev.clone()));
+            }
+            t0.elapsed().as_nanos() as f64 / events.max(1) as f64
+        })
+        .collect();
+    Throughput { events, ns_per_event: median(&mut samples) }
+}
+
 /// Render the tables.
 pub fn render(r: &D1Report) -> String {
     let mut out = String::new();
@@ -356,6 +428,51 @@ pub fn render(r: &D1Report) -> String {
     out
 }
 
+/// The `repro` entry: this experiment at CI size (`quick`) or full size.
+pub fn repro(quick: bool) -> Outcome {
+    // Full size: 32 + 32 + the matrix = the 65-scenario sweep the chaos
+    // CI stage replays byte-for-byte.
+    let (mirror, migration, events, faults) = if quick { (4, 4, 30, 3) } else { (32, 32, 60, 5) };
+    let (stream_events, reps) = if quick { (20_000, 3) } else { (200_000, 5) };
+    outcome(&run(mirror, migration, events, faults), &throughput(stream_events, reps))
+}
+
+/// The table, gate and artifact fields of one sweep and throughput run.
+fn outcome(r: &D1Report, t: &Throughput) -> Outcome {
+    let detection = r.attacks.iter().map(|a| {
+        Field::Obj(vec![
+            ("name", a.name.into()),
+            ("blocked", a.blocked.into()),
+            ("detected", a.detected.into()),
+            ("detector", a.detector.into()),
+            ("latency_ns", a.latency_ns.into()),
+            ("events_to_detect", a.events_to_detect.into()),
+        ])
+    });
+    Outcome {
+        text: format!(
+            "{}sentinel throughput: {:.1} ns/event over {} synthetic events (median)\n",
+            render(r),
+            t.ns_per_event,
+            t.events
+        ),
+        gate: gate(gate_failed(r), || {
+            format!(
+                "R-D1: {} false positives and {} missed injections (budget: none)",
+                false_positives(r),
+                undetected(r)
+            )
+        }),
+        fields: vec![
+            ("detection", Field::List(detection.collect())),
+            ("clean_scenarios", r.clean.len().into()),
+            ("false_positives", false_positives(r).into()),
+            ("sentinel_ns_per_event", Field::Float(t.ns_per_event, 1)),
+            ("throughput_events", t.events.into()),
+        ],
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -377,5 +494,8 @@ mod tests {
         assert!(!gate_failed(&r));
         let table = render(&r);
         assert!(table.contains("3/3 injections detected"));
+        let artifact = outcome(&r, &throughput(2_000, 1)).artifact("d1", true);
+        assert!(!artifact.contains('\n') && artifact.ends_with("\"gate\":\"PASS\"}"), "{artifact}");
+        assert!(artifact.contains("\"sentinel_ns_per_event\":"), "{artifact}");
     }
 }

@@ -9,6 +9,8 @@ use vtpm::{Guest, Platform};
 use vtpm_ac::SecurePlatform;
 use workload::{run_concurrent, CommandMix};
 
+use crate::Outcome;
+
 /// One point on the figure.
 #[derive(Debug, Clone)]
 pub struct F1Point {
@@ -72,6 +74,13 @@ pub fn render(points: &[F1Point]) -> String {
         ));
     }
     out
+}
+
+/// The `repro` entry: this experiment at CI size (`quick`) or full size.
+pub fn repro(quick: bool) -> Outcome {
+    let (vms, ops): (&[usize], usize) =
+        if quick { (&[1, 2, 4], 10) } else { (&[1, 2, 4, 8, 16, 32], 60) };
+    Outcome::table(render(&run(vms, ops)))
 }
 
 #[cfg(test)]

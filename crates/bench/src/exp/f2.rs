@@ -11,6 +11,8 @@ use vtpm::Guest;
 use vtpm_ac::{AcConfig, AcCosts, SecurePlatform};
 use workload::{GuestSession, Op, Samples};
 
+use crate::Outcome;
+
 /// One bar of the figure.
 #[derive(Debug, Clone)]
 pub struct F2Component {
@@ -110,6 +112,11 @@ pub fn render(components: &[F2Component]) -> String {
     }
     out.push_str(&format!("modelled total: {:.2} us\n", total as f64 / 1e3));
     out
+}
+
+/// The `repro` entry: this experiment at CI size (`quick`) or full size.
+pub fn repro(quick: bool) -> Outcome {
+    Outcome::table(render(&run(if quick { 10 } else { 200 })))
 }
 
 #[cfg(test)]

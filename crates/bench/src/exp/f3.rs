@@ -9,6 +9,8 @@
 
 use vtpm::Platform;
 
+use crate::Outcome;
+
 /// One point of the figure.
 #[derive(Debug, Clone)]
 pub struct F3Point {
@@ -113,6 +115,13 @@ pub fn render(points: &[F3Point]) -> String {
         ));
     }
     out
+}
+
+/// The `repro` entry: this experiment at CI size (`quick`) or full size.
+pub fn repro(quick: bool) -> Outcome {
+    let (kib, reps): (&[usize], usize) =
+        if quick { (&[0, 8, 32], 2) } else { (&[0, 4, 16, 64, 256], 5) };
+    Outcome::table(render(&run(kib, reps)))
 }
 
 #[cfg(test)]

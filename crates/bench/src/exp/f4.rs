@@ -11,6 +11,8 @@ use std::sync::Arc;
 use vtpm::{Envelope, ManagerConfig, ManagerServer, VtpmManager};
 use xen_sim::{DomainId, Hypervisor};
 
+use crate::Outcome;
+
 /// One point of the figure.
 #[derive(Debug, Clone)]
 pub struct F4Point {
@@ -108,6 +110,17 @@ pub fn render(points: &[F4Point]) -> String {
         ));
     }
     out
+}
+
+/// The `repro` entry: this experiment at CI size (`quick`) or full size.
+pub fn repro(quick: bool) -> Outcome {
+    let (workers, instances, per_instance) = if quick {
+        (vec![1, 2, 4], 8, 300)
+    } else {
+        let cores = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(4);
+        ((0..).map(|i| 1usize << i).take_while(|&w| w <= cores.max(2)).collect(), 16, 2_000)
+    };
+    Outcome::table(render(&run(&workers, instances, per_instance)))
 }
 
 #[cfg(test)]

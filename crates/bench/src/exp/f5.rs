@@ -12,6 +12,8 @@ use vtpm::{Guest, Platform};
 use vtpm_ac::SecurePlatform;
 use xen_sim::DomainId;
 
+use crate::Outcome;
+
 /// One point of the figure.
 #[derive(Debug, Clone)]
 pub struct F5Point {
@@ -98,6 +100,12 @@ pub fn render(points: &[F5Point]) -> String {
         ));
     }
     out
+}
+
+/// The `repro` entry: this experiment at CI size (`quick`) or full size.
+pub fn repro(quick: bool) -> Outcome {
+    let vms: &[usize] = if quick { &[1, 4, 8] } else { &[1, 2, 4, 8, 16, 32] };
+    Outcome::table(render(&run(vms)))
 }
 
 #[cfg(test)]

@@ -12,6 +12,8 @@
 use vtpm_ac::{AcConfig, SecurePlatform};
 use workload::{offered_load_model, GuestSession, Op};
 
+use crate::Outcome;
+
 /// One point of the figure.
 #[derive(Debug, Clone)]
 pub struct F6Point {
@@ -72,6 +74,16 @@ pub fn render(points: &[F6Point]) -> String {
         ));
     }
     out
+}
+
+/// The `repro` entry: this experiment at CI size (`quick`) or full size.
+pub fn repro(quick: bool) -> Outcome {
+    let (utils, arrivals): (&[f64], usize) = if quick {
+        (&[0.2, 0.8], 10_000)
+    } else {
+        (&[0.1, 0.3, 0.5, 0.7, 0.8, 0.9, 0.95, 0.99], 200_000)
+    };
+    Outcome::table(render(&run(utils, arrivals)))
 }
 
 #[cfg(test)]

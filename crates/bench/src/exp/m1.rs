@@ -25,6 +25,8 @@ use vtpm::MirrorMode;
 use vtpm_cluster::{Cluster, ClusterConfig, MigrateOutcome};
 use vtpm_telemetry::MigrationOutcome;
 
+use crate::{gate, Outcome};
+
 /// Sealing may add at most this much guest-visible blackout over the
 /// clear baseline, at every state size (`repro m1` exits nonzero past
 /// it). Covers the RSA-OAEP unwrap (2.5 ms modelled after the R-C1
@@ -155,6 +157,27 @@ pub fn render(points: &[M1Point]) -> String {
         max_premium_us(points) / 1e3,
     ));
     out
+}
+
+/// The `repro` entry: this experiment at CI size (`quick`) or full size.
+pub fn repro(quick: bool) -> Outcome {
+    // The budget gate reads the worst premium (largest size), so quick
+    // keeps it and drops the middle of the sweep.
+    let (kib, reps): (&[usize], usize) =
+        if quick { (&[0, 512], 1) } else { (&[0, 16, 64, 256, 512], 2) };
+    let points = run(kib, reps);
+    let premium = max_premium_us(&points);
+    Outcome {
+        text: render(&points),
+        gate: gate(premium > BUDGET_PREMIUM_US, || {
+            format!(
+                "R-M1 sealing premium {:.1}ms > {:.0}ms",
+                premium / 1e3,
+                BUDGET_PREMIUM_US / 1e3
+            )
+        }),
+        fields: Vec::new(),
+    }
 }
 
 #[cfg(test)]

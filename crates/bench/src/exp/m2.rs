@@ -38,10 +38,21 @@
 //! instead of falling silent between ticks. The `suspects(false)`
 //! column now *gates* ([`BUDGET_FALSE_SUSPECTS`] per seed):
 //! regressing either fix reopens the gap and fails the sweep.
+//!
+//! Alongside the sweep, [`control_cost`] reports the control plane's
+//! wall cost: ns per heartbeat through the phi-accrual estimator at
+//! fleet width, ns per phi query, and ns per `Fleet::tick` over a live
+//! cluster with the driver pool saturated.
 
-use vtpm_fleet::FleetConfig;
+use std::time::Instant;
+
+use vtpm_cluster::{Cluster, ClusterConfig};
+use vtpm_fleet::{FailureDetectorConfig, Fleet, FleetConfig, PhiAccrualDetector};
+use vtpm_harness::json::Field;
 use vtpm_harness::{replay, FleetChaosConfig, FleetChaosReport};
 use vtpm_sentinel::SentinelConfig;
+
+use crate::{gate, median, Outcome};
 
 /// Cluster-wide p99 quiesce→commit blackout budget (virtual ns). At
 /// CI scale (8 hosts) the blackout is one sealed transfer, ~14ms. At
@@ -189,6 +200,86 @@ pub fn run(hosts: usize, vms: usize, rounds: usize, seeds: usize) -> M2Report {
     M2Report { hosts, vms, rounds, rows }
 }
 
+/// Wall cost of the fleet control plane, outside the chaos sweep.
+#[derive(Debug, Clone)]
+pub struct ControlCost {
+    /// Hosts registered with the failure detector.
+    pub detector_hosts: usize,
+    /// Median wall ns per heartbeat ingested.
+    pub heartbeat_ingest_ns: f64,
+    /// Median wall ns per phi query.
+    pub phi_query_ns: f64,
+    /// Hosts in the ticked cluster.
+    pub tick_hosts: usize,
+    /// VMs in the ticked cluster.
+    pub tick_vms: usize,
+    /// Median wall ns per controller tick.
+    pub tick_ns: f64,
+}
+
+/// Measure the control plane, median of `reps` passes each: `beats`
+/// heartbeats from each of `detector_hosts` hosts through the detector
+/// (then one phi query per host), and `ticks` controller ticks over a
+/// (`tick_hosts`, `tick_vms`) cluster. The skewed initial placement
+/// keeps the rebalancer and the driver pool busy for every tick.
+pub fn control_cost(
+    detector_hosts: usize,
+    beats: usize,
+    tick_hosts: usize,
+    tick_vms: usize,
+    ticks: usize,
+    reps: usize,
+) -> ControlCost {
+    let (mut ingest, mut query) = (Vec::with_capacity(reps), Vec::with_capacity(reps));
+    for _ in 0..reps {
+        let mut d = PhiAccrualDetector::new(FailureDetectorConfig::default());
+        for h in 0..detector_hosts {
+            d.register(h, 0);
+        }
+        let period = 1_000_000u64; // 1ms heartbeat period, slight per-host skew
+        let t0 = Instant::now();
+        for b in 0..beats {
+            for h in 0..detector_hosts {
+                d.heartbeat(h, b as u64 * period + h as u64 * 37);
+            }
+        }
+        ingest.push(t0.elapsed().as_nanos() as f64 / (beats * detector_hosts).max(1) as f64);
+        let now = beats as u64 * period;
+        let t0 = Instant::now();
+        for h in 0..detector_hosts {
+            std::hint::black_box(d.phi(h, now));
+        }
+        query.push(t0.elapsed().as_nanos() as f64 / detector_hosts.max(1) as f64);
+    }
+    let mut tick: Vec<f64> = (0..reps)
+        .map(|rep| {
+            let seed = format!("fleet-bench-tick-{rep}");
+            let mut c = Cluster::new(
+                seed.as_bytes(),
+                ClusterConfig { hosts: tick_hosts, frames_per_host: 4096, ..Default::default() },
+            )
+            .expect("cluster");
+            for _ in 0..tick_vms {
+                c.create_vm().expect("vm");
+            }
+            let mut fleet = Fleet::new(FleetConfig::default(), &c);
+            let t0 = Instant::now();
+            for _ in 0..ticks {
+                fleet.tick(&mut c);
+            }
+            t0.elapsed().as_nanos() as f64 / ticks.max(1) as f64
+        })
+        .collect();
+    ControlCost {
+        detector_hosts,
+        heartbeat_ingest_ns: median(&mut ingest),
+        phi_query_ns: median(&mut query),
+        tick_hosts,
+        tick_vms,
+        tick_ns: median(&mut tick),
+    }
+}
+
 /// Render the table.
 pub fn render(r: &M2Report) -> String {
     let mut out = String::new();
@@ -231,6 +322,78 @@ pub fn render(r: &M2Report) -> String {
     out
 }
 
+/// The `repro` entry: this experiment at CI size (`quick`) or full size.
+pub fn repro(quick: bool) -> Outcome {
+    // Full size is the fleet-scale claim: 100 hosts / 1000 VMs under
+    // continuous churn, every seed replayed twice. The gates
+    // (accounting, single-winner, replay) are scale-free; quick keeps
+    // the churn and drops the scale.
+    let (hosts, vms, rounds, seeds) = if quick { (8, 24, 6, 2) } else { (100, 1_000, 8, 2) };
+    let cost = if quick {
+        control_cost(100, 2_000, 16, 64, 50, 3)
+    } else {
+        control_cost(100, 20_000, 32, 256, 200, 5)
+    };
+    outcome(&run(hosts, vms, rounds, seeds), &cost)
+}
+
+/// The table, gate and artifact fields of one sweep and cost run.
+fn outcome(r: &M2Report, c: &ControlCost) -> Outcome {
+    let sweep = r.rows.iter().map(|x| {
+        Field::Obj(vec![
+            ("seed", x.seed.as_str().into()),
+            ("committed", x.committed.into()),
+            ("failed", x.failed.into()),
+            ("conflicts", x.conflicts.into()),
+            ("conflict_pairs", x.conflict_pairs.into()),
+            ("multi_winner", x.multi_winner.into()),
+            ("crashes", x.crashes.into()),
+            ("suspects", x.suspects.into()),
+            ("false_suspects", x.false_suspects.into()),
+            ("downtime_p99_ns", x.downtime_p99_ns.into()),
+            ("downtime_max_ns", x.downtime_max_ns.into()),
+            ("accounting_violations", x.accounting_violations.into()),
+            ("replay_ok", x.replay_ok.into()),
+        ])
+    });
+    Outcome {
+        text: format!(
+            "{}control plane: heartbeat ingest {:.1} ns, phi query {:.1} ns ({} hosts); \
+             tick {:.0} ns ({} hosts / {} VMs)\n",
+            render(r),
+            c.heartbeat_ingest_ns,
+            c.phi_query_ns,
+            c.detector_hosts,
+            c.tick_ns,
+            c.tick_hosts,
+            c.tick_vms
+        ),
+        gate: gate(gate_failed(r), || {
+            format!(
+                "R-M2: exactly-once accounting, single-winner conflicts, byte-identical \
+                 replays, <= {BUDGET_FALSE_SUSPECTS} false suspicions per seed and p99 blackout \
+                 <= {:.0}ms (worst {:.3}ms)",
+                BUDGET_P99_NS as f64 / 1e6,
+                worst_p99_ns(r) as f64 / 1e6
+            )
+        }),
+        fields: vec![
+            ("hosts", r.hosts.into()),
+            ("vms", r.vms.into()),
+            ("rounds", r.rounds.into()),
+            ("sweep", Field::List(sweep.collect())),
+            ("worst_p99_downtime_ns", worst_p99_ns(r).into()),
+            ("budget_p99_ns", BUDGET_P99_NS.into()),
+            ("detector_hosts", c.detector_hosts.into()),
+            ("heartbeat_ingest_ns", Field::Float(c.heartbeat_ingest_ns, 1)),
+            ("phi_query_ns", Field::Float(c.phi_query_ns, 1)),
+            ("tick_hosts", c.tick_hosts.into()),
+            ("tick_vms", c.tick_vms.into()),
+            ("tick_ns", Field::Float(c.tick_ns, 0)),
+        ],
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -253,5 +416,8 @@ mod tests {
         assert!(table.contains("R-M2") && table.contains("gate:"));
         // The sweep itself replays.
         assert_eq!(run(6, 12, 6, 2), r);
+        let artifact = outcome(&r, &control_cost(8, 50, 4, 8, 5, 1)).artifact("m2", true);
+        assert!(!artifact.contains('\n') && artifact.ends_with("\"gate\":\"PASS\"}"), "{artifact}");
+        assert!(artifact.contains("\"tick_ns\":"), "{artifact}");
     }
 }

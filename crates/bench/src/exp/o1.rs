@@ -35,7 +35,10 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use vtpm::{Envelope, ManagerConfig, MirrorMode, VtpmManager};
+use vtpm_harness::json::Field;
 use xen_sim::{DomainId, Hypervisor};
+
+use crate::{gate, median, Outcome};
 
 /// Hard overhead budget, percent of the modelled deployment latency.
 pub const BUDGET_PCT: f64 = 3.0;
@@ -149,11 +152,6 @@ impl Rig {
     }
 }
 
-fn median(samples: &mut [f64]) -> f64 {
-    samples.sort_by(|a, b| a.total_cmp(b));
-    samples[samples.len() / 2]
-}
-
 /// Run the experiment: `batches` timed batches of `per_batch` commands
 /// per class per configuration, interleaved A/B.
 pub fn run(batches: usize, per_batch: usize) -> Vec<O1Row> {
@@ -233,6 +231,20 @@ pub fn render(rows: &[O1Row]) -> String {
         if max <= BUDGET_PCT { "PASS" } else { "FAIL" },
     ));
     out
+}
+
+/// The `repro` entry: this experiment at CI size (`quick`) or full size.
+pub fn repro(quick: bool) -> Outcome {
+    let (batches, per_batch) = if quick { (15, 200) } else { (40, 500) };
+    let rows = run(batches, per_batch);
+    let max = max_overhead_pct(&rows);
+    Outcome {
+        text: render(&rows),
+        gate: gate(max > BUDGET_PCT, || {
+            format!("R-O1 telemetry overhead {max:.3}% of deployment latency > {BUDGET_PCT}%")
+        }),
+        fields: vec![("telemetry_max_deploy_overhead_pct", Field::Float(max, 3))],
+    }
 }
 
 #[cfg(test)]

@@ -39,11 +39,14 @@ use std::time::Instant;
 
 use vtpm_cluster::{Cluster, ClusterConfig};
 use vtpm_fleet::{Fleet, FleetConfig, CONTROLLER_HOST};
+use vtpm_harness::json::Field;
 use vtpm_harness::{apply_slo_alerts, replay, FleetChaosConfig};
 use vtpm_observatory::{BurnEvent, Observatory, ObservatoryConfig};
 use vtpm_sentinel::{Alert, Sentinel, SentinelConfig, StreamEvent};
 use vtpm_telemetry::Histogram;
 use workload::generate_trace;
+
+use crate::{gate, median, Outcome};
 
 /// Merged-p99 vs exact order statistic bound — the histogram's
 /// relative-error guarantee, which the merge must not widen.
@@ -297,12 +300,6 @@ fn closed_loop() -> O2Loop {
     O2Loop { pre_clean, raised, alerted, paused, cleared, resumed: resumed && !fleet.paused() }
 }
 
-fn median(samples: &mut [f64]) -> f64 {
-    samples.sort_by(|a, b| a.total_cmp(b));
-    samples[samples.len() / 2]
-}
-
-
 /// Wall vs virtual cost of one scrape+evaluate pass at `hosts` scale,
 /// medians over `reps` passes with fresh traffic between passes so
 /// every scrape carries non-empty deltas.
@@ -422,6 +419,72 @@ pub fn render(r: &O2Report) -> String {
         if pass { "PASS" } else { "FAIL" },
     ));
     out
+}
+
+/// The `repro` entry: this experiment at CI size (`quick`) or full size.
+pub fn repro(quick: bool) -> Outcome {
+    // The observatory rides R-M2's chaos family; its gates (no
+    // attack-free burn, fidelity, loop, overhead) are scale-free, so the
+    // full sweep stays lighter than R-M2's.
+    let (hosts, vms, rounds, seeds) = if quick { (8, 24, 5, 1) } else { (32, 160, 8, 2) };
+    let r = run(hosts, vms, rounds, seeds);
+    let sweep = r.clean.iter().map(|x| {
+        Field::Obj(vec![
+            ("seed", x.seed.as_str().into()),
+            ("scrapes", x.scrapes.into()),
+            ("slo_burns", x.slo_burns.into()),
+            ("slo_clears", x.slo_clears.into()),
+            ("suspects", x.suspects.into()),
+            ("false_suspects", x.false_suspects.into()),
+            ("replay_ok", x.replay_ok.into()),
+        ])
+    });
+    let (f, l) = (&r.fidelity, &r.slo_loop);
+    Outcome {
+        text: render(&r),
+        gate: gate(gate_failed(&r), || {
+            format!(
+                "R-O2: zero attack-free SLO burns, byte-identical replays, merged-p99 \
+                 fidelity <= 1/16 with exact counts, the full burn closed loop and <= \
+                 {BUDGET_PCT}% scrape overhead (measured {:.3}%)",
+                r.overhead_pct()
+            )
+        }),
+        fields: vec![
+            ("hosts", r.hosts.into()),
+            ("vms", r.vms.into()),
+            ("rounds", r.rounds.into()),
+            ("sweep", Field::List(sweep.collect())),
+            (
+                "fidelity",
+                Field::Obj(vec![
+                    ("samples", f.samples.into()),
+                    ("exact_p99_ns", f.exact_p99_ns.into()),
+                    ("fleet_p99_ns", f.fleet_p99_ns.into()),
+                    ("rel_err", Field::Float(f.rel_err, 6)),
+                    ("bound", Field::Float(REL_ERR_BOUND, 6)),
+                    ("count_match", f.count_match.into()),
+                ]),
+            ),
+            (
+                "closed_loop",
+                Field::Obj(vec![
+                    ("pre_clean", l.pre_clean.into()),
+                    ("raised", l.raised.into()),
+                    ("alerted", l.alerted.into()),
+                    ("paused", l.paused.into()),
+                    ("cleared", l.cleared.into()),
+                    ("resumed", l.resumed.into()),
+                ]),
+            ),
+            ("overhead_hosts", r.overhead_hosts.into()),
+            ("scrape_wall_ns", Field::Float(r.scrape_wall_ns, 0)),
+            ("scrape_virtual_ns", Field::Float(r.scrape_virtual_ns, 0)),
+            ("period_ns", r.period_ns.into()),
+            ("overhead_pct", Field::Float(r.overhead_pct(), 3)),
+            ("budget_pct", Field::Float(BUDGET_PCT, 1)),
+        ],
+    }
 }
 
 #[cfg(test)]

@@ -26,7 +26,10 @@
 use std::sync::Arc;
 
 use vtpm::{Envelope, FlushPolicy, ManagerConfig, MirrorMode, VtpmInstance, VtpmManager};
+use vtpm_harness::json::Field;
 use xen_sim::{DomainId, Hypervisor};
+
+use crate::{gate, Outcome};
 
 /// Hard ceiling on `ns/cmd(largest count) / ns/cmd(smallest count)`.
 pub const BUDGET_RATIO: f64 = 1.5;
@@ -77,107 +80,132 @@ fn envelope(instance: u32, seq: u64, command: Vec<u8>) -> Vec<u8> {
     Envelope { domain: 1, instance, seq, locality: 0, tag: None, command }.encode()
 }
 
-/// Build a `count`-instance world by cloning one template instance's
-/// state under fresh ids (one keygen total).
-fn build_world(count: usize) -> (Arc<Hypervisor>, VtpmManager, Vec<u32>) {
-    // ~4 frames per single-page encrypted region (meta + A/B slots +
-    // slack) plus headroom for growth during the mutate phase.
-    let frames = count * 8 + 2048;
-    let hv = Arc::new(Hypervisor::boot(frames, 16).expect("boot"));
-    let mgr = VtpmManager::new(
-        Arc::clone(&hv),
-        b"p1-scale",
-        ManagerConfig {
-            mirror_mode: MirrorMode::Encrypted,
-            charge_virtual_time: false,
-            telemetry_enabled: false,
-            ..Default::default()
-        },
-    )
-    .expect("manager");
-    let first = mgr.create_instance().expect("template");
-    // Start the template once; every clone inherits the started state.
-    let startup = vec![0x00, 0xC1, 0, 0, 0, 12, 0, 0, 0, 0x99, 0, 1];
-    mgr.handle(DomainId(1), &envelope(first, 1, startup));
-    let state = mgr.export_instance_state(first).expect("template state");
-    let cfg = mgr.config().vtpm_config.clone();
-    let mut ids = Vec::with_capacity(count);
-    ids.push(first);
-    for i in 1..count {
-        let id = first + i as u32;
-        let inst = VtpmInstance::from_state(id, &state, &id.to_be_bytes(), cfg.clone())
-            .expect("clone template");
-        mgr.restore_instance(id, inst).expect("fan out");
-        ids.push(id);
+/// One resident-instance world under measurement.
+struct World {
+    _hv: Arc<Hypervisor>,
+    mgr: VtpmManager,
+    ids: Vec<u32>,
+    /// Fixed-size active set, evenly spaced so all 64 shards see
+    /// traffic regardless of the resident count.
+    active: Vec<u32>,
+    seq: u64,
+}
+
+impl World {
+    /// Build a `count`-instance world by cloning one template instance's
+    /// state under fresh ids (one keygen total).
+    fn build(count: usize) -> World {
+        // ~4 frames per single-page encrypted region (meta + A/B slots +
+        // slack) plus headroom for growth during the mutate phase.
+        let frames = count * 8 + 2048;
+        let hv = Arc::new(Hypervisor::boot(frames, 16).expect("boot"));
+        let mgr = VtpmManager::new(
+            Arc::clone(&hv),
+            b"p1-scale",
+            ManagerConfig {
+                mirror_mode: MirrorMode::Encrypted,
+                charge_virtual_time: false,
+                telemetry_enabled: false,
+                ..Default::default()
+            },
+        )
+        .expect("manager");
+        let first = mgr.create_instance().expect("template");
+        // Start the template once; every clone inherits the started state.
+        let startup = vec![0x00, 0xC1, 0, 0, 0, 12, 0, 0, 0, 0x99, 0, 1];
+        mgr.handle(DomainId(1), &envelope(first, 1, startup));
+        let state = mgr.export_instance_state(first).expect("template state");
+        let cfg = mgr.config().vtpm_config.clone();
+        let mut ids = Vec::with_capacity(count);
+        ids.push(first);
+        for i in 1..count {
+            let id = first + i as u32;
+            let inst = VtpmInstance::from_state(id, &state, &id.to_be_bytes(), cfg.clone())
+                .expect("clone template");
+            mgr.restore_instance(id, inst).expect("fan out");
+            ids.push(id);
+        }
+        let active =
+            (0..64.min(ids.len())).map(|i| ids[i * ids.len() / 64.min(ids.len())]).collect();
+        World { _hv: hv, mgr, ids, active, seq: 1 }
     }
-    (hv, mgr, ids)
+
+    /// One timed pass of `cmds` PcrReads round-robin over the active
+    /// set; wall ns per command.
+    fn read_pass(&mut self, cmds: usize) -> f64 {
+        let read = pcr_read_cmd();
+        let t0 = std::time::Instant::now();
+        for j in 0..cmds {
+            self.seq += 1;
+            let instance = self.active[j % self.active.len()];
+            self.mgr.handle(DomainId(1), &envelope(instance, self.seq, read.clone()));
+        }
+        t0.elapsed().as_nanos() as f64 / cmds.max(1) as f64
+    }
+
+    /// `cmds` Extends round-robin over every instance plus the final
+    /// flush, under the current policy.
+    fn mutate_phase(&mut self, batched: bool, read_ns_per_cmd: f64, cmds: usize) -> P1Point {
+        let io_before = self.mgr.mirror_io_stats();
+        let ext = extend_cmd(3);
+        let t1 = std::time::Instant::now();
+        for j in 0..cmds {
+            self.seq += 1;
+            let instance = self.ids[j % self.ids.len()];
+            self.mgr.handle(DomainId(1), &envelope(instance, self.seq, ext.clone()));
+        }
+        self.mgr.flush_mirror().expect("drain pending batch");
+        let mutate_ns_per_cmd = t1.elapsed().as_nanos() as f64 / cmds.max(1) as f64;
+        let io = self.mgr.mirror_io_stats();
+        P1Point {
+            instances: self.ids.len(),
+            batched,
+            read_ns_per_cmd,
+            mutate_ns_per_cmd,
+            staged_updates: io.staged_updates - io_before.staged_updates,
+            batched_commits: io.batched_commits - io_before.batched_commits,
+            flushes: io.flushes - io_before.flushes,
+            data_pages_written: io.data_pages_written - io_before.data_pages_written,
+        }
+    }
 }
 
 /// Run the sweep: for each instance count, measure both policies on the
-/// same world (`read_cmds` PcrReads, then `mutate_cmds` Extends).
+/// same world (`read_cmds` PcrReads, then `mutate_cmds` Extends). Every
+/// world is built before any is timed and their read passes alternate,
+/// so host drift during the run lands on every count alike instead of
+/// on one endpoint of the ratio.
 pub fn run(counts: &[usize], read_cmds: usize, mutate_cmds: usize) -> Vec<P1Point> {
-    let mut out = Vec::new();
-    for &count in counts {
-        let (_hv, mgr, ids) = build_world(count);
-        // Fixed-size active set, evenly spaced so all 64 shards see
-        // traffic regardless of the resident count.
-        let active: Vec<u32> =
-            (0..64.min(ids.len())).map(|i| ids[i * ids.len() / 64.min(ids.len())]).collect();
-        let mut seq = 2u64;
-        for batched in [false, true] {
-            let policy = if batched {
-                // Commit metadata in coalesced passes of up to 64
-                // staged instances (the explicit flush drains the rest).
-                FlushPolicy::batched(0, 64, 0)
-            } else {
-                FlushPolicy::per_command()
-            };
-            mgr.set_flush_policy(policy);
-
-            // Best of three timed passes (after a warmup) — the gate
-            // compares ratios, so per-run scheduler noise matters more
-            // than absolute accuracy.
-            let read = pcr_read_cmd();
-            let mut read_ns_per_cmd = f64::INFINITY;
-            for pass in 0..4 {
-                let t0 = std::time::Instant::now();
-                for j in 0..read_cmds {
-                    seq += 1;
-                    mgr.handle(
-                        DomainId(1),
-                        &envelope(active[j % active.len()], seq, read.clone()),
-                    );
-                }
-                let ns = t0.elapsed().as_nanos() as f64 / read_cmds.max(1) as f64;
+    let mut worlds: Vec<World> = counts.iter().map(|&count| World::build(count)).collect();
+    let mut points: Vec<Vec<P1Point>> = counts.iter().map(|_| Vec::new()).collect();
+    for batched in [false, true] {
+        let policy = if batched {
+            // Commit metadata in coalesced passes of up to 64 staged
+            // instances (the explicit flush drains the rest).
+            FlushPolicy::batched(0, 64, 0)
+        } else {
+            FlushPolicy::per_command()
+        };
+        for w in &worlds {
+            w.mgr.set_flush_policy(policy);
+        }
+        // Best of three timed passes (after a warmup) — the gate
+        // compares ratios, so per-run scheduler noise matters more than
+        // absolute accuracy.
+        let mut best = vec![f64::INFINITY; worlds.len()];
+        for pass in 0..4 {
+            for (w, best) in worlds.iter_mut().zip(&mut best) {
+                let ns = w.read_pass(read_cmds);
                 if pass > 0 {
-                    read_ns_per_cmd = read_ns_per_cmd.min(ns);
+                    *best = best.min(ns);
                 }
             }
-
-            let io_before = mgr.mirror_io_stats();
-            let ext = extend_cmd(3);
-            let t1 = std::time::Instant::now();
-            for j in 0..mutate_cmds {
-                seq += 1;
-                mgr.handle(DomainId(1), &envelope(ids[j % ids.len()], seq, ext.clone()));
-            }
-            mgr.flush_mirror().expect("drain pending batch");
-            let mutate_ns_per_cmd = t1.elapsed().as_nanos() as f64 / mutate_cmds.max(1) as f64;
-            let io = mgr.mirror_io_stats();
-
-            out.push(P1Point {
-                instances: count,
-                batched,
-                read_ns_per_cmd,
-                mutate_ns_per_cmd,
-                staged_updates: io.staged_updates - io_before.staged_updates,
-                batched_commits: io.batched_commits - io_before.batched_commits,
-                flushes: io.flushes - io_before.flushes,
-                data_pages_written: io.data_pages_written - io_before.data_pages_written,
-            });
+        }
+        for ((w, read_ns), rows) in worlds.iter_mut().zip(best).zip(&mut points) {
+            rows.push(w.mutate_phase(batched, read_ns, mutate_cmds));
         }
     }
-    out
+    points.into_iter().flatten().collect()
 }
 
 /// The gate: `read ns/cmd` ratio of largest-count to smallest-count.
@@ -223,6 +251,44 @@ pub fn render(points: &[P1Point]) -> String {
         BUDGET_RATIO
     ));
     out
+}
+
+/// The `repro` entry: this experiment at CI size (`quick`) or full size.
+pub fn repro(quick: bool) -> Outcome {
+    // The gate is the ratio of the extremes, so quick keeps the 100- and
+    // 10k-instance endpoints and drops the middle.
+    let (counts, read_cmds, mutate_cmds): (&[usize], usize, usize) = if quick {
+        (&[100, 10_000], 40_000, 2_000)
+    } else {
+        (&[100, 1_000, 10_000], 50_000, 5_000)
+    };
+    let points = run(counts, read_cmds, mutate_cmds);
+    let ratio = overhead_ratio(&points);
+    let rows = points.iter().map(|p| {
+        Field::Obj(vec![
+            ("instances", p.instances.into()),
+            ("policy", (if p.batched { "batched" } else { "per-command" }).into()),
+            ("read_ns_per_cmd", Field::Float(p.read_ns_per_cmd, 1)),
+            ("mutate_ns_per_cmd", Field::Float(p.mutate_ns_per_cmd, 1)),
+            ("staged_updates", p.staged_updates.into()),
+            ("batched_commits", p.batched_commits.into()),
+            ("flushes", p.flushes.into()),
+            ("data_pages_written", p.data_pages_written.into()),
+        ])
+    });
+    Outcome {
+        text: render(&points),
+        gate: gate(ratio > BUDGET_RATIO, || {
+            format!("R-P1 read-path scaling ratio {ratio:.2}x > {BUDGET_RATIO:.1}x")
+        }),
+        fields: vec![
+            ("read_cmds", read_cmds.into()),
+            ("mutate_cmds", mutate_cmds.into()),
+            ("points", Field::List(rows.collect())),
+            ("overhead_ratio", Field::Float(ratio, 3)),
+            ("budget_ratio", Field::Float(BUDGET_RATIO, 1)),
+        ],
+    }
 }
 
 #[cfg(test)]

@@ -14,6 +14,8 @@
 use vtpm::MirrorMode;
 use vtpm_harness::{replay, ChaosConfig};
 
+use crate::Outcome;
+
 /// One chaos scenario (seed × mirror mode), replayed twice.
 #[derive(Debug, Clone)]
 pub struct R1Row {
@@ -125,6 +127,12 @@ pub fn render(rows: &[R1Row]) -> String {
         nondet,
     ));
     out
+}
+
+/// The `repro` entry: this experiment at CI size (`quick`) or full size.
+pub fn repro(quick: bool) -> Outcome {
+    let (seeds, events, faults) = if quick { (4, 48, 4) } else { (16, 80, 6) };
+    Outcome::table(render(&run(seeds, events, faults)))
 }
 
 #[cfg(test)]

@@ -10,6 +10,8 @@ use vtpm::Platform;
 use vtpm_ac::SecurePlatform;
 use workload::{GuestSession, Op, Samples, Summary};
 
+use crate::Outcome;
+
 /// One table row.
 #[derive(Debug, Clone)]
 pub struct T1Row {
@@ -110,6 +112,11 @@ pub fn render(rows: &[T1Row]) -> String {
         ));
     }
     out
+}
+
+/// The `repro` entry: this experiment at CI size (`quick`) or full size.
+pub fn repro(quick: bool) -> Outcome {
+    Outcome::table(render(&run(if quick { 10 } else { 200 })))
 }
 
 #[cfg(test)]

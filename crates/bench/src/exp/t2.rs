@@ -5,6 +5,8 @@ use attacks::AttackMatrix;
 use vtpm::{Guest, Platform};
 use vtpm_ac::SecurePlatform;
 
+use crate::Outcome;
+
 /// Both matrices.
 #[derive(Debug, Clone)]
 pub struct T2Result {
@@ -67,6 +69,11 @@ pub fn render(result: &T2Result) -> String {
         result.improved.outcomes.len(),
     ));
     out
+}
+
+/// The `repro` entry: this experiment at CI size (`quick`) or full size.
+pub fn repro(_quick: bool) -> Outcome {
+    Outcome::table(render(&run()))
 }
 
 #[cfg(test)]

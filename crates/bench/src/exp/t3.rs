@@ -7,6 +7,8 @@
 use tpm::ordinal;
 use vtpm_ac::PolicyEngine;
 
+use crate::Outcome;
+
 /// One table row.
 #[derive(Debug, Clone)]
 pub struct T3Row {
@@ -96,6 +98,13 @@ pub fn render(rows: &[T3Row]) -> String {
         ));
     }
     out
+}
+
+/// The `repro` entry: this experiment at CI size (`quick`) or full size.
+pub fn repro(quick: bool) -> Outcome {
+    let (rules, iters): (&[usize], usize) =
+        if quick { (&[10, 100, 1_000], 20_000) } else { (&[10, 100, 1_000, 10_000], 200_000) };
+    Outcome::table(render(&run(rules, iters)))
 }
 
 #[cfg(test)]

@@ -10,6 +10,8 @@ use vtpm::Guest;
 use vtpm_ac::{AcConfig, SecurePlatform};
 use workload::{GuestSession, Op, Samples};
 
+use crate::Outcome;
+
 /// One ablation row.
 #[derive(Debug, Clone)]
 pub struct T4Row {
@@ -105,6 +107,11 @@ pub fn render(rows: &[T4Row]) -> String {
         ));
     }
     out
+}
+
+/// The `repro` entry: this experiment at CI size (`quick`) or full size.
+pub fn repro(quick: bool) -> Outcome {
+    Outcome::table(render(&run(if quick { 10 } else { 100 })))
 }
 
 #[cfg(test)]

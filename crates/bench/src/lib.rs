@@ -3,8 +3,11 @@
 //! The experiment harness: one module per table/figure of the
 //! reconstructed evaluation (see DESIGN.md for the index and EXPERIMENTS.md
 //! for recorded results). Each module exposes `run(...)` returning typed
-//! rows and `render(...)` producing the text table the `repro` binary
-//! prints; the Criterion benches in `benches/` time the same code paths.
+//! rows, `render(...)` producing its text table, and `repro(quick)`, which
+//! holds the experiment's CI-sized and full sizes and returns an
+//! [`Outcome`]: the table, the gate verdict and the fields of its
+//! `BENCH_<exp>.json` artifact. The `repro` binary is a loop over
+//! [`EXPERIMENTS`].
 //!
 //! | module | experiment |
 //! |---|---|
@@ -48,4 +51,76 @@ pub mod exp {
     pub mod t2;
     pub mod t3;
     pub mod t4;
+}
+
+use vtpm_harness::json::Field;
+
+/// Every experiment `repro` knows, in `repro all` order.
+pub const EXPERIMENTS: [(&str, fn(bool) -> Outcome); 19] = [
+    ("t1", exp::t1::repro),
+    ("f1", exp::f1::repro),
+    ("t2", exp::t2::repro),
+    ("f2", exp::f2::repro),
+    ("t3", exp::t3::repro),
+    ("f3", exp::f3::repro),
+    ("f4", exp::f4::repro),
+    ("t4", exp::t4::repro),
+    ("f5", exp::f5::repro),
+    ("f6", exp::f6::repro),
+    ("r1", exp::r1::repro),
+    ("o1", exp::o1::repro),
+    ("m1", exp::m1::repro),
+    ("m2", exp::m2::repro),
+    ("o2", exp::o2::repro),
+    ("d1", exp::d1::repro),
+    ("p1", exp::p1::repro),
+    ("c1", exp::c1::repro),
+    ("a1", exp::a1::repro),
+];
+
+/// What one experiment run hands back: its table, its gate verdict and
+/// the fields of its artifact.
+#[derive(Debug, Clone)]
+pub struct Outcome {
+    /// The rendered table.
+    pub text: String,
+    /// `Err(reason)` when a budget gate failed; ungated experiments
+    /// always pass.
+    pub gate: Result<(), String>,
+    /// Artifact fields, in order, between the envelope's `quick` and
+    /// `gate` keys.
+    pub fields: Vec<(&'static str, Field)>,
+}
+
+impl Outcome {
+    /// An ungated experiment: its table and a bare artifact envelope.
+    pub fn table(text: String) -> Outcome {
+        Outcome { text, gate: Ok(()), fields: Vec::new() }
+    }
+
+    /// The artifact: one line of JSON,
+    /// `{"bench":<exp>,"quick":..,<fields>,"gate":"PASS"|"FAIL"}`.
+    pub fn artifact(&self, exp: &str, quick: bool) -> String {
+        let mut fields = vec![("bench", Field::from(exp)), ("quick", quick.into())];
+        fields.extend(self.fields.iter().cloned());
+        fields.push(("gate", Field::from(if self.gate.is_ok() { "PASS" } else { "FAIL" })));
+        Field::Obj(fields).to_json()
+    }
+}
+
+/// The median of `samples` (the upper one for an even count), sorting
+/// them in place.
+pub fn median(samples: &mut [f64]) -> f64 {
+    samples.sort_by(|a, b| a.total_cmp(b));
+    samples[samples.len() / 2]
+}
+
+/// A gate verdict: `Ok` unless `failed`, else the reason naming the
+/// budget that was missed.
+pub fn gate(failed: bool, reason: impl FnOnce() -> String) -> Result<(), String> {
+    if failed {
+        Err(reason())
+    } else {
+        Ok(())
+    }
 }

@@ -166,7 +166,16 @@ impl MigMessage {
             TAG_TRANSFER => {
                 MigMessage::Transfer { vm, epoch, trace, package: r.sized_u32().ok()?.to_vec() }
             }
-            TAG_VERIFY_ACK => MigMessage::VerifyAck { vm, epoch, trace, ok: r.u8().ok()? != 0 },
+            TAG_VERIFY_ACK => {
+                // Only the two bytes `encode` writes: any other value
+                // would decode to a message that re-encodes differently.
+                let ok = match r.u8().ok()? {
+                    0 => false,
+                    1 => true,
+                    _ => return None,
+                };
+                MigMessage::VerifyAck { vm, epoch, trace, ok }
+            }
             TAG_COMMIT => MigMessage::Commit { vm, epoch, trace },
             TAG_COMMIT_ACK => MigMessage::CommitAck { vm, epoch, trace },
             TAG_ABORT => MigMessage::Abort { vm, epoch, trace },

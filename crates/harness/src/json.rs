@@ -4,10 +4,12 @@
 
 /// One value of a report, as both the JSON encoder and the chaos text
 /// renderer see it.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum Field {
     /// An unsigned counter or index.
     Num(u64),
+    /// A measurement, written with the given number of decimal places.
+    Float(f64, usize),
     /// A flag.
     Bool(bool),
     /// A string, escaped on output.
@@ -30,6 +32,7 @@ impl Field {
     pub fn to_json(&self) -> String {
         match self {
             Field::Num(n) => n.to_string(),
+            Field::Float(x, places) => format!("{x:.places$}"),
             Field::Bool(b) => b.to_string(),
             Field::Str(s) => json_str(s),
             Field::Digest(d) => json_str(&hex(d)),
@@ -79,7 +82,7 @@ pub fn hex(bytes: &[u8]) -> String {
 
 /// Minimal JSON string escaping (quotes, backslashes, control bytes) —
 /// enough for report and bench fields, which are ASCII by construction.
-pub fn json_str(s: &str) -> String {
+fn json_str(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
     out.push('"');
     for c in s.chars() {
@@ -109,12 +112,16 @@ mod tests {
             ("xs", Field::strs(&["x".into()])),
             ("o", Field::Obj(vec![("k", 1usize.into())])),
             ("d", Field::Digest([0xab; 32])),
+            (
+                "f",
+                Field::List(vec![Field::Float(2.34567, 3), Field::Float(2.0, 1)]),
+            ),
         ]);
         assert_eq!(
             f.to_json(),
             format!(
                 "{{\"n\":7,\"ok\":true,\"s\":\"a\\\"b\\n\",\"xs\":[\"x\"],\"o\":{{\"k\":1}},\
-                 \"d\":\"{}\"}}",
+                 \"d\":\"{}\",\"f\":[2.346,2.0]}}",
                 "ab".repeat(32)
             )
         );

@@ -57,7 +57,7 @@ pub mod sentinel_feed;
 
 pub use attest_chaos::{AttestChaosConfig, AttestChaosReport};
 pub use fleet_chaos::{FleetChaosConfig, FleetChaosReport};
-pub use json::{hex, json_str};
+pub use json::hex;
 pub use migration_chaos::{
     CrashMatrix, CrashMatrixReport, MatrixCell, MigrationChaosConfig, MigrationChaosReport,
 };

@@ -82,8 +82,7 @@ pub fn render_text<R: ScenarioReport>(label: &str, report: &R, deterministic: bo
 
 fn text_value(value: &Field) -> String {
     match value {
-        Field::Num(n) => n.to_string(),
-        Field::Bool(b) => b.to_string(),
+        Field::Num(_) | Field::Float(..) | Field::Bool(_) => value.to_json(),
         Field::Str(s) => s.clone(),
         Field::Digest(d) => crate::json::hex(&d[..8]),
         Field::List(items) => items.len().to_string(),

@@ -1,50 +1,30 @@
 #!/usr/bin/env bash
-# Performance trajectory artifacts (machine-readable, one JSON file per
-# subsystem, committed nowhere — diff them across checkouts).
+# Performance trajectory artifacts: one machine-readable JSON line per
+# gated experiment, written by `repro --out` as BENCH_<exp>.json
+# (`{"bench":"<exp>","quick":..,<fields>,"gate":"PASS"|"FAIL"}`):
 #
-# Currently emits:
-#   BENCH_sentinel.json — sentinel plane numbers: the R-D1 scripted-
-#   injection detection results (detected / detector / virtual-time
-#   latency / events-to-detection), the false-positive count over an
-#   attack-free sweep, wall ns per stream event through the full engine
-#   (flight recorder + all five detectors), and R-O1's telemetry
-#   self-overhead percentage. The binary exits nonzero if the R-D1 gate
-#   fails, so this doubles as a slow-path check.
+#   BENCH_d1.json — sentinel: the R-D1 scripted-injection results
+#     (detected / detector / virtual-time latency / events-to-detection),
+#     the false-positive count over the attack-free sweep, and wall ns
+#     per stream event through the full engine.
+#   BENCH_p1.json — Dom0 manager scaling: read/mutate wall ns per command
+#     at 100/1k/10k resident instances under both flush policies, the
+#     amortization counters, and the 1.5x read-path scaling ratio.
+#   BENCH_c1.json — crypto floor: optimized vs schoolbook RSA-1024 and the
+#     speedup, pipelined vs scalar AES-128-CTR, SHA-256, and the floors.
+#   BENCH_a1.json — attestation plane: per-request vs cached issuance qps,
+#     farm-scale verification p50/p99, and the seeded defense counts.
+#   BENCH_m2.json — fleet control plane: the churn sweep (exactly-once
+#     accounting, p99 blackout, replays), wall ns per heartbeat and per
+#     phi query in the failure detector, and wall ns per controller tick.
+#   BENCH_o2.json — fleet observatory: clean-seed burns and replays,
+#     merged-p99 fidelity against the 1/16 bound, the blackout closed
+#     loop, and the scrape duty cycle against the 3% budget.
+#   BENCH_o1.json — telemetry self-overhead on the request path (max
+#     deployment-basis percentage against the 3% budget).
 #
-#   BENCH_manager.json — Dom0 manager scaling numbers: the R-P1 sweep
-#   (read/mutate wall ns per command at 100/1k/10k resident instances,
-#   per-command vs group-commit flush policy, staging/commit/flush
-#   amortization counters) and the scaling-ratio gate. The binary exits
-#   nonzero if the 10k-vs-100 read-path ratio exceeds 1.5x.
-#
-#   BENCH_crypto.json — crypto-floor numbers: the R-C1 measurement set
-#   (optimized vs schoolbook RSA-1024 private op and the speedup ratio,
-#   pipelined vs scalar AES-128-CTR MB/s, SHA-256 bulk MB/s and 40-byte
-#   ns) plus the gate thresholds. The binary exits nonzero if the RSA
-#   speedup drops below 4x, the private op exceeds its absolute
-#   ceiling, or pipelined CTR falls below its MB/s floor.
-#
-#   BENCH_attest.json — attestation-plane numbers: the R-A1 measurement
-#   set (per-request vs batched+cached issuance qps and the speedup,
-#   farm-scale verification throughput with p50/p99 latency, and the
-#   seeded defense scenarios' refusal/throttle/alert counts). The
-#   binary exits nonzero if the R-A1 gate fails.
-#
-#   BENCH_fleet.json — fleet control-plane numbers: the R-M2 churn
-#   sweep (per-seed committed/conflict/suspect counts, cluster-wide
-#   p99 quiesce->commit blackout in virtual time, exactly-once
-#   accounting, byte-identical replays), wall ns per heartbeat through
-#   the phi-accrual estimator at fleet width, and wall ns per
-#   controller tick at bench scale. The binary exits nonzero if the
-#   R-M2 gate fails.
-#
-#   BENCH_observatory.json — fleet observatory numbers: the R-O2 set
-#   (attack-free chaos seeds with scrape/burn/false-suspect counts and
-#   replay verdicts, merged cross-host p99 vs exact per-span ground
-#   truth with the 1/16 bound, the injected blackout regression's
-#   burn->pause->clear->resume loop verdicts, and wall ns per
-#   scrape+evaluate pass against the controller's heartbeat period).
-#   The binary exits nonzero if the R-O2 gate fails.
+# Exits nonzero if any experiment's gate fails; every artifact is still
+# written first.
 #
 # Usage:
 #   scripts/bench.sh             # full sizes
@@ -60,26 +40,5 @@ if [ "${1:-}" = "--quick" ]; then
     quick=(--quick)
 fi
 
-echo "== sentinel bench -> ${out_dir}/BENCH_sentinel.json =="
-cargo run --release -p vtpm-bench --bin sentinel_bench -- \
-    "${quick[@]}" --out "${out_dir}/BENCH_sentinel.json"
-
-echo "== manager bench -> ${out_dir}/BENCH_manager.json =="
-cargo run --release -p vtpm-bench --bin manager_bench -- \
-    "${quick[@]}" --out "${out_dir}/BENCH_manager.json"
-
-echo "== crypto bench -> ${out_dir}/BENCH_crypto.json =="
-cargo run --release -p vtpm-bench --bin crypto_bench -- \
-    "${quick[@]}" --out "${out_dir}/BENCH_crypto.json"
-
-echo "== attest bench -> ${out_dir}/BENCH_attest.json =="
-cargo run --release -p vtpm-bench --bin attest_bench -- \
-    "${quick[@]}" --out "${out_dir}/BENCH_attest.json"
-
-echo "== fleet bench -> ${out_dir}/BENCH_fleet.json =="
-cargo run --release -p vtpm-bench --bin fleet_bench -- \
-    "${quick[@]}" --out "${out_dir}/BENCH_fleet.json"
-
-echo "== observatory bench -> ${out_dir}/BENCH_observatory.json =="
-cargo run --release -p vtpm-bench --bin observatory_bench -- \
-    "${quick[@]}" --out "${out_dir}/BENCH_observatory.json"
+cargo run --release -p vtpm-bench --bin repro -- \
+    d1 p1 c1 a1 m2 o2 o1 "${quick[@]}" --out "$out_dir"

@@ -3,10 +3,10 @@
 #
 #   1. tier-1: release build + the full test suite of every workspace
 #      member (the root Cargo.toml lists them all as default-members),
-#      then a release build of every target (the criterion benches and
-#      examples use APIs tier-1 does not compile) and the end-to-end
-#      benchmark's smoke tests (`e2ebench/` is its own workspace, so
-#      tier-1 cannot see an API break there);
+#      then a release build of every target (the examples use APIs
+#      tier-1 does not compile) and the end-to-end benchmark's smoke
+#      tests (`e2ebench/` is its own workspace, so tier-1 cannot see an
+#      API break there);
 #   2. chaos smoke: 8 seeded fault scenarios through the full stack,
 #      each replayed twice (determinism) — parallel across cores;
 #   3. migration chaos smoke: 8 seeded multi-host migration scenarios
@@ -59,6 +59,9 @@
 #      controller's heartbeat period (the R-O1 self-overhead budget,
 #      lifted to the fleet plane).
 #
+# Every `repro` step also writes its BENCH_<exp>.json artifact under
+# target/bench.
+#
 # Usage:
 #   scripts/ci.sh            # full gate
 #   CHAOS_JOBS=4 scripts/ci.sh
@@ -72,7 +75,7 @@ cargo build --release
 echo "== tier-1: tests =="
 cargo test -q
 
-echo "== all targets: benches and examples build =="
+echo "== all targets: examples build =="
 cargo build --release --all-targets
 
 echo "== e2ebench: end-to-end benchmark smoke tests =="
@@ -86,35 +89,35 @@ cargo run --release -p vtpm-harness --bin chaos -- \
     --seeds 8 --base ci-mig --family migration --matrix
 
 echo "== R-O1: telemetry overhead budget (hard 3% gate) =="
-cargo run --release -p vtpm-bench --bin repro -- o1
+cargo run --release -p vtpm-bench --bin repro -- o1 --out target/bench
 
 echo "== R-M1: migration downtime budget (sealing premium <= 7ms) =="
-cargo run --release -p vtpm-bench --bin repro -- m1 --quick
+cargo run --release -p vtpm-bench --bin repro -- m1 --quick --out target/bench
 
 echo "== R-D1: sentinel smoke (zero clean-seed FPs, all injections detected) =="
-cargo run --release -p vtpm-bench --bin repro -- d1 --quick
+cargo run --release -p vtpm-bench --bin repro -- d1 --quick --out target/bench
 
 echo "== R-P1: manager scaling budget (10k/100-instance read path <= 1.5x) =="
-cargo run --release -p vtpm-bench --bin repro -- p1 --quick
+cargo run --release -p vtpm-bench --bin repro -- p1 --quick --out target/bench
 
 echo "== R-C1: crypto floor (RSA speedup >= 4x, CTR >= 40 MB/s) =="
-cargo run --release -p vtpm-bench --bin repro -- c1 --quick
+cargo run --release -p vtpm-bench --bin repro -- c1 --quick --out target/bench
 
 echo "== attest chaos smoke: 8 seeds, replayed twice each =="
 cargo run --release -p vtpm-harness --bin chaos -- \
     --seeds 8 --base ci-att --family attest
 
 echo "== R-A1: attestation plane (cached qps >= 3x, clean defense sweep) =="
-cargo run --release -p vtpm-bench --bin repro -- a1 --quick
+cargo run --release -p vtpm-bench --bin repro -- a1 --quick --out target/bench
 
 echo "== fleet chaos smoke: 8 seeds, replayed twice each =="
 cargo run --release -p vtpm-harness --bin chaos -- \
     --seeds 8 --base ci-fleet --family fleet
 
 echo "== R-M2: fleet churn sweep (exactly-once accounting, single-winner conflicts) =="
-cargo run --release -p vtpm-bench --bin repro -- m2 --quick
+cargo run --release -p vtpm-bench --bin repro -- m2 --quick --out target/bench
 
 echo "== R-O2: fleet observatory (zero false burns, SLO closed loop, <= 3% overhead) =="
-cargo run --release -p vtpm-bench --bin repro -- o2 --quick
+cargo run --release -p vtpm-bench --bin repro -- o2 --quick --out target/bench
 
 echo "CI gate passed."
