@@ -728,6 +728,17 @@ mod tests {
             c.unseal(crate::types::handle::SRK, &SRK_AUTH, &data_auth, &blob),
             Err(ClientError::Tpm(rc::WRONGPCRVAL))
         );
+        // The binding is sealed into the OAEP label: stripping it, or
+        // re-binding the blob to the current composite, fails to decrypt.
+        let stripped = SealedBlob { pcr_binding: None, ..blob.clone() };
+        let current = c.transport_mut().tpm.pcrs().composite_hash(&sel);
+        let rebound = SealedBlob { pcr_binding: Some((sel, current)), ..blob.clone() };
+        for forged in [stripped, rebound] {
+            assert_eq!(
+                c.unseal(crate::types::handle::SRK, &SRK_AUTH, &data_auth, &forged),
+                Err(ClientError::Tpm(rc::DECRYPT_ERROR))
+            );
+        }
     }
 
     #[test]

@@ -61,16 +61,7 @@ impl KeyBlob {
         w.u16(self.usage.to_u16());
         w.sized_u32(&self.n);
         w.u32(E as u32);
-        match &self.pcr_binding {
-            Some((sel, digest)) => {
-                w.u8(1);
-                w.bytes(&sel.encode());
-                w.bytes(digest);
-            }
-            None => {
-                w.u8(0);
-            }
-        }
+        encode_pcr_binding(&mut w, &self.pcr_binding);
         w.sized_u32(&self.enc_private);
         w.into_vec()
     }
@@ -84,20 +75,47 @@ impl KeyBlob {
         if e != E as u32 {
             return Err(BufError::BadLength);
         }
-        let pcr_binding = if r.u8()? == 1 {
-            let (sel, used) =
-                PcrSelection::decode(&data[r.position()..]).ok_or(BufError::BadLength)?;
-            r.bytes(used)?; // advance past the selection
-            let digest: [u8; DIGEST_LEN] = r.digest()?;
-            Some((sel, digest))
-        } else {
-            None
-        };
+        let pcr_binding = decode_pcr_binding(&mut r)?;
         let enc_private = r.sized_u32()?.to_vec();
         Ok((
             KeyBlob { usage, n, pcr_binding, enc_private },
             r.position(),
         ))
+    }
+}
+
+/// Encode a blob's optional PCR binding: a presence byte, then the
+/// selection and digest-at-release.
+pub(crate) fn encode_pcr_binding(
+    w: &mut Writer,
+    binding: &Option<(PcrSelection, [u8; DIGEST_LEN])>,
+) {
+    match binding {
+        Some((sel, digest)) => {
+            w.u8(1);
+            w.bytes(&sel.encode());
+            w.bytes(digest);
+        }
+        None => {
+            w.u8(0);
+        }
+    }
+}
+
+/// Decode a blob's optional PCR binding in the one form
+/// [`encode_pcr_binding`] writes: a presence byte of 0 or 1 and a 3-byte
+/// selection. Command parameters go through the lenient
+/// [`PcrSelection::decode`] instead.
+pub(crate) fn decode_pcr_binding(
+    r: &mut Reader,
+) -> Result<Option<(PcrSelection, [u8; DIGEST_LEN])>, BufError> {
+    match r.u8()? {
+        0 => Ok(None),
+        1 => match PcrSelection::decode(r.bytes(5)?) {
+            Some((sel, 5)) => Ok(Some((sel, r.digest()?))),
+            _ => Err(BufError::BadLength),
+        },
+        _ => Err(BufError::BadLength),
     }
 }
 

@@ -106,20 +106,23 @@ pub struct SealedBlob {
 /// OAEP label for sealed blobs.
 const SEAL_LABEL: &[u8] = b"TCPA";
 
+/// OAEP label that seals `binding` into the ciphertext: [`SEAL_LABEL`],
+/// then for a PCR-bound blob its selection and digest-at-release. A blob
+/// whose clear binding was stripped or replaced fails to decrypt.
+fn seal_label(binding: &Option<(PcrSelection, [u8; DIGEST_LEN])>) -> Vec<u8> {
+    let mut label = SEAL_LABEL.to_vec();
+    if let Some((sel, digest)) = binding {
+        label.extend_from_slice(&sel.encode());
+        label.extend_from_slice(digest);
+    }
+    label
+}
+
 impl SealedBlob {
     /// Wire encoding.
     pub fn encode(&self) -> Vec<u8> {
         let mut w = Writer::with_capacity(32 + self.enc_data.len());
-        match &self.pcr_binding {
-            Some((sel, digest)) => {
-                w.u8(1);
-                w.bytes(&sel.encode());
-                w.bytes(digest);
-            }
-            None => {
-                w.u8(0);
-            }
-        }
+        keys::encode_pcr_binding(&mut w, &self.pcr_binding);
         w.sized_u32(&self.enc_data);
         w.into_vec()
     }
@@ -127,14 +130,7 @@ impl SealedBlob {
     /// Wire decoding; returns the blob and bytes consumed.
     pub fn decode(data: &[u8]) -> Result<(Self, usize), BufError> {
         let mut r = Reader::new(data);
-        let pcr_binding = if r.u8()? == 1 {
-            let (sel, used) =
-                PcrSelection::decode(&data[r.position()..]).ok_or(BufError::BadLength)?;
-            r.bytes(used)?;
-            Some((sel, r.digest()?))
-        } else {
-            None
-        };
+        let pcr_binding = keys::decode_pcr_binding(&mut r)?;
         let enc_data = r.sized_u32()?.to_vec();
         Ok((SealedBlob { pcr_binding, enc_data }, r.position()))
     }
@@ -750,7 +746,10 @@ impl Tpm {
             ord,
             params,
         )?;
-        let (blob, _) = KeyBlob::decode(blob_bytes).map_err(|_| rc::BAD_PARAMETER)?;
+        let blob = match KeyBlob::decode(blob_bytes) {
+            Ok((blob, used)) if used == blob_bytes.len() => blob,
+            _ => return Err(rc::BAD_PARAMETER),
+        };
         let loaded = keys::unwrap_key(&parent, &blob).map_err(key_rc)?;
         let new_handle = self.keys.load(loaded).map_err(key_rc)?;
         let mut out = Writer::new();
@@ -795,7 +794,7 @@ impl Tpm {
         payload.sized_u16(&data);
         let enc_data = storage
             .public()
-            .encrypt_oaep(payload.as_slice(), SEAL_LABEL, &mut self.rng)
+            .encrypt_oaep(payload.as_slice(), &seal_label(&pcr_binding), &mut self.rng)
             .map_err(|_| rc::BAD_PARAMETER /* data too large for key */)?;
         let blob = SealedBlob { pcr_binding, enc_data };
         let mut out = Writer::new();
@@ -821,7 +820,10 @@ impl Tpm {
         let mut r = Reader::new(params);
         let key_handle = r.u32().map_err(|_| rc::BAD_PARAM_SIZE)?;
         let blob_bytes = r.sized_u32().map_err(|_| rc::BAD_PARAM_SIZE)?;
-        let (blob, _) = SealedBlob::decode(blob_bytes).map_err(|_| rc::BAD_PARAMETER)?;
+        let blob = match SealedBlob::decode(blob_bytes) {
+            Ok((blob, used)) if used == blob_bytes.len() => blob,
+            _ => return Err(rc::BAD_PARAMETER),
+        };
         let storage = self.key(key_handle)?.clone();
 
         // First session authorizes the key.
@@ -837,7 +839,7 @@ impl Tpm {
         // Decrypt and validate the blob.
         let payload = storage
             .private
-            .decrypt_oaep(&blob.enc_data, SEAL_LABEL)
+            .decrypt_oaep(&blob.enc_data, &seal_label(&blob.pcr_binding))
             .map_err(|_| rc::DECRYPT_ERROR)?;
         let mut pr = Reader::new(&payload);
         let proof = pr.digest().map_err(|_| rc::DECRYPT_ERROR)?;

@@ -5,8 +5,14 @@
 //! The simulator implements the three-step Xen dance: the backend
 //! allocates an *unbound* port naming the peer, the peer *binds* to it to
 //! complete the interdomain pair, and thereafter `notify` on either end
-//! raises the pending flag on the other end. Waiting uses a condvar so the
-//! multi-threaded vTPM manager can block without spinning.
+//! raises the pending flag on the other end.
+//!
+//! Waiting is per port, as Xen delivers an upcall only to the vCPU bound
+//! to the signalled port: every port record owns its own condvar, used
+//! under the table mutex. `notify` wakes only the remote port's waiter,
+//! `close` only the two ends it closes, and `purge_domain` only the ports
+//! it removes and their peers. A host with many idle backends therefore
+//! pays one wake-up per event, not one per backend.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -42,6 +48,23 @@ enum ChannelState {
 struct PortRecord {
     state: ChannelState,
     pending: bool,
+    /// Waiters blocked in [`EventChannels::wait`] on this port.
+    waiter: Arc<Condvar>,
+    /// Times a waiter on this port returned from its condvar.
+    #[cfg(test)]
+    wakes: u32,
+}
+
+impl PortRecord {
+    fn new(state: ChannelState) -> Self {
+        Self {
+            state,
+            pending: false,
+            waiter: Arc::default(),
+            #[cfg(test)]
+            wakes: 0,
+        }
+    }
 }
 
 #[derive(Default)]
@@ -54,7 +77,6 @@ struct Inner {
 #[derive(Clone, Default)]
 pub struct EventChannels {
     inner: Arc<Mutex<Inner>>,
-    wakeup: Arc<Condvar>,
 }
 
 impl EventChannels {
@@ -74,7 +96,7 @@ impl EventChannels {
     pub fn alloc_unbound(&self, owner: DomainId, peer: DomainId) -> Endpoint {
         let mut inner = self.inner.lock();
         let ep = Self::alloc_port(&mut inner, owner);
-        inner.ports.insert(ep, PortRecord { state: ChannelState::Unbound { peer }, pending: false });
+        inner.ports.insert(ep, PortRecord::new(ChannelState::Unbound { peer }));
         ep
     }
 
@@ -87,9 +109,7 @@ impl EventChannels {
             _ => return Err(XenError::BadPort),
         }
         let local = Self::alloc_port(&mut inner, binder);
-        inner
-            .ports
-            .insert(local, PortRecord { state: ChannelState::Bound { remote }, pending: false });
+        inner.ports.insert(local, PortRecord::new(ChannelState::Bound { remote }));
         let rec = inner.ports.get_mut(&remote).expect("checked above");
         rec.state = ChannelState::Bound { remote: local };
         Ok(local)
@@ -104,8 +124,9 @@ impl EventChannels {
         };
         let rec = inner.ports.get_mut(&remote).ok_or(XenError::BadPort)?;
         rec.pending = true;
+        let waiter = Arc::clone(&rec.waiter);
         drop(inner);
-        self.wakeup.notify_all();
+        waiter.notify_all();
         Ok(())
     }
 
@@ -132,49 +153,57 @@ impl EventChannels {
             if matches!(rec.state, ChannelState::Closed) {
                 return Err(XenError::BadPort);
             }
-            if self.wakeup.wait_until(&mut inner, deadline).timed_out() {
+            let waiter = Arc::clone(&rec.waiter);
+            if waiter.wait_until(&mut inner, deadline).timed_out() {
                 return Ok(false);
+            }
+            #[cfg(test)]
+            if let Some(rec) = inner.ports.get_mut(&local) {
+                rec.wakes += 1;
             }
         }
     }
 
-    /// Close `local`, marking both ends dead. Waiters are woken and see
-    /// [`XenError::BadPort`].
-    pub fn close(&self, local: Endpoint) -> Result<()> {
-        let mut inner = self.inner.lock();
-        let state = match inner.ports.get_mut(&local) {
-            Some(rec) => std::mem::replace(&mut rec.state, ChannelState::Closed),
-            None => return Err(XenError::BadPort),
-        };
+    /// Mark `local` closed and, if it was bound, its remote end too.
+    /// Returns the waiters of every end it closed, to be woken once the
+    /// table lock is dropped.
+    fn close_locked(inner: &mut Inner, local: Endpoint) -> Option<Vec<Arc<Condvar>>> {
+        let rec = inner.ports.get_mut(&local)?;
+        let state = std::mem::replace(&mut rec.state, ChannelState::Closed);
+        let mut waiters = vec![Arc::clone(&rec.waiter)];
         if let ChannelState::Bound { remote } = state {
             if let Some(rrec) = inner.ports.get_mut(&remote) {
                 rrec.state = ChannelState::Closed;
+                waiters.push(Arc::clone(&rrec.waiter));
             }
         }
+        Some(waiters)
+    }
+
+    /// Close `local`, marking both ends dead. Waiters on either end are
+    /// woken and see [`XenError::BadPort`].
+    pub fn close(&self, local: Endpoint) -> Result<()> {
+        let mut inner = self.inner.lock();
+        let waiters = Self::close_locked(&mut inner, local).ok_or(XenError::BadPort)?;
         drop(inner);
-        self.wakeup.notify_all();
+        waiters.iter().for_each(|w| w.notify_all());
         Ok(())
     }
 
     /// Tear down every port owned by `domain` (domain destruction).
+    /// Waiters on the removed ports and on their peers are woken and see
+    /// [`XenError::BadPort`].
     pub fn purge_domain(&self, domain: DomainId) {
         let mut inner = self.inner.lock();
         let locals: Vec<Endpoint> =
             inner.ports.keys().filter(|ep| ep.domain == domain).copied().collect();
+        let mut waiters = Vec::new();
         for local in locals {
-            if let Some(rec) = inner.ports.get_mut(&local) {
-                if let ChannelState::Bound { remote } =
-                    std::mem::replace(&mut rec.state, ChannelState::Closed)
-                {
-                    if let Some(rrec) = inner.ports.get_mut(&remote) {
-                        rrec.state = ChannelState::Closed;
-                    }
-                }
-            }
+            waiters.extend(Self::close_locked(&mut inner, local).into_iter().flatten());
             inner.ports.remove(&local);
         }
         drop(inner);
-        self.wakeup.notify_all();
+        waiters.iter().for_each(|w| w.notify_all());
     }
 }
 
@@ -256,6 +285,69 @@ mod tests {
         let (back, _front) = pair(&ev);
         ev.purge_domain(D1);
         assert_eq!(ev.notify(back), Err(XenError::BadPort));
+    }
+
+    fn wakes(ev: &EventChannels, ep: Endpoint) -> u32 {
+        ev.inner.lock().ports[&ep].wakes
+    }
+
+    /// Block `ep`'s waiter in a thread and return it once it is parked on
+    /// the port's condvar (it holds a clone of the waiter only while
+    /// blocked, and takes it under the table lock).
+    fn blocked_waiter(
+        ev: &EventChannels,
+        ep: Endpoint,
+    ) -> std::thread::JoinHandle<(Result<bool>, Duration)> {
+        let ev2 = ev.clone();
+        let t = std::thread::spawn(move || {
+            let start = std::time::Instant::now();
+            (ev2.wait(ep, Duration::from_secs(5)), start.elapsed())
+        });
+        while Arc::strong_count(&ev.inner.lock().ports[&ep].waiter) < 2 {
+            std::thread::yield_now();
+        }
+        t
+    }
+
+    #[test]
+    fn notify_wakes_only_the_remote_port() {
+        let ev = EventChannels::new();
+        let (back_a, _front_a) = pair(&ev);
+        let back_b = ev.alloc_unbound(D0, D2);
+        let front_b = ev.bind_interdomain(D2, back_b).unwrap();
+        let t = blocked_waiter(&ev, front_b);
+        for _ in 0..1000 {
+            ev.notify(back_a).unwrap();
+        }
+        assert_eq!(wakes(&ev, front_b), 0, "a notify on channel A woke channel B's waiter");
+        ev.notify(back_b).unwrap();
+        assert_eq!(t.join().unwrap().0, Ok(true));
+        assert_eq!(wakes(&ev, front_b), 1);
+    }
+
+    #[test]
+    fn close_wakes_the_other_end_with_bad_port() {
+        let ev = EventChannels::new();
+        let (back, front) = pair(&ev);
+        let t = blocked_waiter(&ev, front);
+        ev.close(back).unwrap();
+        let (res, waited) = t.join().unwrap();
+        assert_eq!(res, Err(XenError::BadPort));
+        assert!(waited < Duration::from_secs(1), "close took {waited:?} to wake the peer");
+    }
+
+    #[test]
+    fn purge_wakes_purged_ports_and_their_peers_with_bad_port() {
+        let ev = EventChannels::new();
+        let (back, front) = pair(&ev);
+        let peer = blocked_waiter(&ev, back);
+        let purged = blocked_waiter(&ev, front);
+        ev.purge_domain(D1);
+        for t in [peer, purged] {
+            let (res, waited) = t.join().unwrap();
+            assert_eq!(res, Err(XenError::BadPort));
+            assert!(waited < Duration::from_secs(1), "purge took {waited:?} to wake a waiter");
+        }
     }
 
     #[test]

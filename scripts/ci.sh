@@ -6,7 +6,13 @@
 #      then a release build of every target (the examples use APIs
 #      tier-1 does not compile) and the end-to-end benchmark's smoke
 #      tests (`e2ebench/` is its own workspace, so tier-1 cannot see an
-#      API break there);
+#      API break there), then one 1 s `tenants-64` run: 64 resident
+#      guests, each with its own backend thread blocked on its event
+#      channel, so the per-port wake-up path runs at consolidation
+#      scale (the smoke tests stop at 4 guests). The run exits nonzero
+#      if an output check fails: audit chain verify, resident ==
+#      exported state, sent == finished == audited (~15 s, mostly
+#      set-up);
 #   2. chaos smoke: 8 seeded fault scenarios through the full stack,
 #      each replayed twice (determinism) — parallel across cores;
 #   3. migration chaos smoke: 8 seeded multi-host migration scenarios
@@ -80,6 +86,10 @@ cargo build --release --all-targets
 
 echo "== e2ebench: end-to-end benchmark smoke tests =="
 cargo test --offline --manifest-path e2ebench/Cargo.toml
+
+echo "== e2ebench: tenants-64, 64 concurrent backends =="
+cargo run --release --offline --manifest-path e2ebench/Cargo.toml --bin e2e -- \
+    --workload tenants-64 --seed 1 --seconds 1
 
 echo "== chaos smoke: 8 seeds, replayed twice each =="
 CHAOS_BASE=ci CHAOS_FAMILY=mirror scripts/chaos.sh 8

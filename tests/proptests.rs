@@ -325,6 +325,202 @@ proptest! {
     }
 }
 
+// ---- TPM blob codecs: round trip, canonical form, framing ----------------------
+
+/// A PCR binding: any selection, any digest-at-release.
+fn bound_pcr_binding() -> impl Strategy<Value = (PcrSelection, [u8; 20])> {
+    use proptest::array::{uniform20, uniform4};
+    (uniform4(any::<u8>()), uniform20(any::<u8>())).prop_map(|(bits, digest)| {
+        (PcrSelection::decode(&[0, 3, bits[0], bits[1], bits[2]]).unwrap().0, digest)
+    })
+}
+
+/// An optional PCR binding.
+fn pcr_binding() -> impl Strategy<Value = Option<(PcrSelection, [u8; 20])>> {
+    (any::<bool>(), bound_pcr_binding()).prop_map(|(present, b)| present.then_some(b))
+}
+
+/// Both blob kinds, encoded, from fuzzable fields.
+fn blob_wires(
+    usage: u8,
+    n: Vec<u8>,
+    binding: Option<(PcrSelection, [u8; 20])>,
+    enc: Vec<u8>,
+) -> [Vec<u8>; 2] {
+    use vtpm_xen::tpm12::{KeyBlob, KeyUsage, SealedBlob};
+    let usage = [KeyUsage::Signing, KeyUsage::Storage, KeyUsage::Binding, KeyUsage::Legacy]
+        [usage as usize % 4];
+    let key = KeyBlob { usage, n, pcr_binding: binding, enc_private: enc.clone() };
+    let sealed = SealedBlob { pcr_binding: binding, enc_data: enc };
+    [key.encode(), sealed.encode()]
+}
+
+/// Decode `bytes` as blob kind `kind` (0 = key, 1 = sealed), returning
+/// the re-encoding and the bytes consumed.
+fn blob_decode(kind: usize, bytes: &[u8]) -> Option<(Vec<u8>, usize)> {
+    use vtpm_xen::tpm12::{KeyBlob, SealedBlob};
+    match kind {
+        0 => KeyBlob::decode(bytes).ok().map(|(b, used)| (b.encode(), used)),
+        _ => SealedBlob::decode(bytes).ok().map(|(b, used)| (b.encode(), used)),
+    }
+}
+
+/// Run `ord` on `tpm` with one OIAP session per secret in `auths`,
+/// returning the response code.
+fn execute_authorized(
+    tpm: &mut vtpm_xen::tpm12::Tpm,
+    ord: u32,
+    params: &[u8],
+    auths: &[[u8; 20]],
+) -> u32 {
+    use vtpm_xen::tpm12::session::command_auth;
+    use vtpm_xen::tpm12::{ordinal, parse_response, tag};
+    let tag = if auths.len() == 1 { tag::RQU_AUTH1_COMMAND } else { tag::RQU_AUTH2_COMMAND };
+    let mut w = Writer::new();
+    w.u16(tag).u32(0).u32(ord).bytes(params);
+    for (i, key) in auths.iter().enumerate() {
+        let mut oiap = Writer::new();
+        oiap.u16(tag::RQU_COMMAND).u32(10).u32(ordinal::OIAP);
+        let resp = tpm.execute(0, oiap.as_slice());
+        let (_, _, body) = parse_response(&resp).unwrap();
+        let mut r = Reader::new(body);
+        let handle = r.u32().unwrap();
+        let nonce_even = r.digest().unwrap();
+        let nonce_odd = [i as u8 + 1; 20];
+        let mac = command_auth(key, ord, params, &nonce_even, &nonce_odd, false);
+        w.u32(handle).bytes(&nonce_odd).u8(0).bytes(&mac);
+    }
+    let total = w.len() as u32;
+    w.patch_u32(2, total);
+    parse_response(&tpm.execute(0, w.as_slice())).unwrap().1
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// decode ∘ encode == identity, consuming exactly the encoding.
+    #[test]
+    fn blob_roundtrip(
+        usage in any::<u8>(),
+        n in proptest::collection::vec(any::<u8>(), 0..48),
+        binding in pcr_binding(),
+        enc in proptest::collection::vec(any::<u8>(), 0..48),
+    ) {
+        for (kind, wire) in blob_wires(usage, n, binding, enc).into_iter().enumerate() {
+            prop_assert_eq!(blob_decode(kind, &wire), Some((wire.clone(), wire.len())));
+        }
+    }
+
+    /// Canonical form: whatever decodes re-encodes to the very bytes it
+    /// consumed, so two distinct blobs never decode to one. Each byte of
+    /// a valid blob in turn is overwritten with `byte`.
+    #[test]
+    fn blob_decode_is_canonical(
+        usage in any::<u8>(),
+        n in proptest::collection::vec(any::<u8>(), 0..8),
+        binding in pcr_binding(),
+        enc in proptest::collection::vec(any::<u8>(), 0..8),
+        byte in any::<u8>(),
+    ) {
+        for (kind, wire) in blob_wires(usage, n, binding, enc).into_iter().enumerate() {
+            for at in 0..wire.len() {
+                let mut mutated = wire.clone();
+                mutated[at] = byte;
+                if let Some((re, used)) = blob_decode(kind, &mutated) {
+                    prop_assert_eq!(re, mutated[..used].to_vec());
+                }
+            }
+        }
+    }
+
+    /// A blob's selection always carries 3 bitmap bytes: the shorter
+    /// forms `PcrSelection::decode` accepts in a command parameter are
+    /// refused inside a blob.
+    #[test]
+    fn blob_refuses_a_short_pcr_selection(
+        usage in any::<u8>(),
+        n in proptest::collection::vec(any::<u8>(), 0..24),
+        binding in bound_pcr_binding(),
+        enc in proptest::collection::vec(any::<u8>(), 0..24),
+        size in 0usize..3,
+    ) {
+        // The binding starts after usage, sized n and exponent in a key
+        // blob, at the front of a sealed blob.
+        let offsets = [2 + 4 + n.len() + 4, 0];
+        let wires = blob_wires(usage, n, Some(binding), enc);
+        for (kind, (wire, at)) in wires.into_iter().zip(offsets).enumerate() {
+            // Presence byte, then u16 size 3 and the bitmap.
+            prop_assert_eq!(&wire[at..at + 3], &[1, 0, 3]);
+            let mut short = wire[..at + 1].to_vec();
+            short.extend_from_slice(&(size as u16).to_be_bytes());
+            short.extend_from_slice(&wire[at + 3..at + 3 + size]);
+            short.extend_from_slice(&wire[at + 6..]);
+            prop_assert_eq!(blob_decode(kind, &short), None);
+        }
+    }
+
+    /// Every strict prefix of a valid blob is rejected; a trailing byte
+    /// is left unconsumed (the command handlers refuse it, below).
+    #[test]
+    fn blob_truncation_rejected_and_trailing_byte_unconsumed(
+        usage in any::<u8>(),
+        n in proptest::collection::vec(any::<u8>(), 0..24),
+        binding in pcr_binding(),
+        enc in proptest::collection::vec(any::<u8>(), 0..24),
+        tail in any::<u8>(),
+    ) {
+        for (kind, wire) in blob_wires(usage, n, binding, enc).into_iter().enumerate() {
+            for cut in 0..wire.len() {
+                prop_assert_eq!(blob_decode(kind, &wire[..cut]), None);
+            }
+            let mut trailing = wire.clone();
+            trailing.push(tail);
+            prop_assert_eq!(blob_decode(kind, &trailing), Some((wire.clone(), wire.len())));
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(4))]
+
+    /// LoadKey2 and Unseal take a blob only if it fills its sized field:
+    /// with one trailing byte they answer BAD_PARAMETER, without it they
+    /// succeed under the same authorization.
+    #[test]
+    fn blob_commands_refuse_a_trailing_byte(
+        tail in any::<u8>(),
+        bound in any::<bool>(),
+    ) {
+        use vtpm_xen::tpm12::{handle, ordinal, rc, DirectTransport, KeyUsage, Tpm, TpmClient};
+        const SRK_AUTH: [u8; 20] = [2; 20];
+        const DATA_AUTH: [u8; 20] = [3; 20];
+        let mut tpm = Tpm::new(b"prop-blob-trailer");
+        let (key, sealed) = {
+            let mut c = TpmClient::new(DirectTransport { tpm: &mut tpm, locality: 0 }, b"c");
+            c.startup_clear().unwrap();
+            c.take_ownership(&[1; 20], &SRK_AUTH).unwrap();
+            let sel = PcrSelection::of(&[10]);
+            let sel = bound.then_some(&sel);
+            let key = c
+                .create_wrap_key(handle::SRK, &SRK_AUTH, KeyUsage::Signing, 512, &DATA_AUTH, sel)
+                .unwrap();
+            (key.encode(), c.seal(handle::SRK, &SRK_AUTH, &DATA_AUTH, sel, b"s").unwrap().encode())
+        };
+        for (ord, blob, auths) in [
+            (ordinal::LOAD_KEY2, key, vec![SRK_AUTH]),
+            (ordinal::UNSEAL, sealed, vec![SRK_AUTH, DATA_AUTH]),
+        ] {
+            let mut padded = blob.clone();
+            padded.push(tail);
+            for (bytes, expect) in [(padded, rc::BAD_PARAMETER), (blob, rc::SUCCESS)] {
+                let mut params = Writer::new();
+                params.u32(handle::SRK).sized_u32(&bytes);
+                prop_assert_eq!(execute_authorized(&mut tpm, ord, params.as_slice(), &auths), expect);
+            }
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
