@@ -5,11 +5,9 @@
 //! Dom0 (all normal frames machine-wide); [`MemoryDump::scan`] then
 //! searches it for needles — in the experiments, ground-truth secrets the
 //! harness planted (instance state bytes, SRK primes, sealed plaintext,
-//! command traffic). The scan is rayon-parallel across pages: a real
-//! attacker scans gigabytes, and the R-F5 experiment measures exactly
-//! this scaling.
-
-use rayon::prelude::*;
+//! command traffic). The scan runs one scoped thread per core over
+//! contiguous page chunks: a real attacker scans gigabytes, and the
+//! R-F5 experiment measures exactly this scaling.
 
 use xen_sim::{DomainId, Hypervisor, PAGE_SIZE};
 
@@ -74,47 +72,56 @@ impl MemoryDump {
         let by_mfn: std::collections::HashMap<usize, usize> =
             self.pages.iter().enumerate().map(|(i, (mfn, _, _))| (*mfn, i)).collect();
 
-        let mut hits: Vec<Hit> = self
-            .pages
-            .par_iter()
-            .flat_map_iter(|(mfn, owner, page)| {
-                // Build a window of this page plus the head of the next
-                // adjacent page so straddling matches are seen once.
-                let mut buf = Vec::with_capacity(PAGE_SIZE + max_needle);
-                buf.extend_from_slice(&page[..]);
-                if let Some(&ni) = by_mfn.get(&(mfn + 1)) {
-                    let (_, _, next) = &self.pages[ni];
-                    buf.extend_from_slice(&next[..max_needle.min(PAGE_SIZE)]);
+        let scan_page = |(mfn, owner, page): &(usize, DomainId, Box<[u8; PAGE_SIZE]>)| {
+            // Build a window of this page plus the head of the next
+            // adjacent page so straddling matches are seen once.
+            let mut buf = Vec::with_capacity(PAGE_SIZE + max_needle);
+            buf.extend_from_slice(&page[..]);
+            if let Some(&ni) = by_mfn.get(&(mfn + 1)) {
+                let (_, _, next) = &self.pages[ni];
+                buf.extend_from_slice(&next[..max_needle.min(PAGE_SIZE)]);
+            }
+            let mut local = Vec::new();
+            for (ni, needle) in needles.iter().enumerate() {
+                if needle.is_empty() {
+                    continue;
                 }
-                let mut local = Vec::new();
-                for (ni, needle) in needles.iter().enumerate() {
-                    if needle.is_empty() {
-                        continue;
+                let limit = PAGE_SIZE.min(buf.len());
+                let mut start = 0;
+                while start < limit {
+                    let window_end = (start + needle.len()).min(buf.len());
+                    if window_end - start < needle.len() {
+                        break;
                     }
-                    let limit = PAGE_SIZE.min(buf.len());
-                    let mut start = 0;
-                    while start < limit {
-                        let window_end = (start + needle.len()).min(buf.len());
-                        if window_end - start < needle.len() {
-                            break;
+                    match find(&buf[start..], needle) {
+                        Some(pos) if start + pos < PAGE_SIZE => {
+                            local.push(Hit {
+                                needle: ni,
+                                mfn: *mfn,
+                                owner: *owner,
+                                offset: start + pos,
+                            });
+                            start += pos + 1;
                         }
-                        match find(&buf[start..], needle) {
-                            Some(pos) if start + pos < PAGE_SIZE => {
-                                local.push(Hit {
-                                    needle: ni,
-                                    mfn: *mfn,
-                                    owner: *owner,
-                                    offset: start + pos,
-                                });
-                                start += pos + 1;
-                            }
-                            _ => break,
-                        }
+                        _ => break,
                     }
                 }
-                local
-            })
-            .collect();
+            }
+            local
+        };
+        let scan_page = &scan_page;
+        let threads = std::thread::available_parallelism().map(usize::from).unwrap_or(1);
+        let chunk = self.pages.len().div_ceil(threads).max(1);
+        let mut hits: Vec<Hit> = std::thread::scope(|scope| {
+            let workers: Vec<_> = self
+                .pages
+                .chunks(chunk)
+                .map(|part| {
+                    scope.spawn(move || part.iter().flat_map(scan_page).collect::<Vec<_>>())
+                })
+                .collect();
+            workers.into_iter().flat_map(|w| w.join().expect("scan worker panicked")).collect()
+        });
         hits.sort_by_key(|h| (h.needle, h.mfn, h.offset));
         hits
     }

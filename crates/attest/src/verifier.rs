@@ -25,7 +25,7 @@ use parking_lot::Mutex;
 
 use tpm::ordinal;
 use vtpm::deep_quote::{self, DeepQuoteError};
-use vtpm::{AdmissionConfig, AdmissionController, DenyReason};
+use vtpm::{AdmissionController, DenyReason};
 use vtpm_ac::{AuditLog, AuditOutcome};
 use vtpm_telemetry::{AttestTelemetry, Telemetry};
 
@@ -119,7 +119,7 @@ pub struct VerifierConfig {
     pub freshness_windows: u64,
     /// Per-verifier admission control (disabled by default, like the
     /// manager's ring-ingress throttle).
-    pub admission: AdmissionConfig,
+    pub admission: bool,
     /// Expected PCR values for accepted quotes, when the relying party
     /// pins a golden measurement.
     pub golden_pcrs: Option<Vec<[u8; 20]>>,
@@ -133,7 +133,7 @@ impl Default for VerifierConfig {
         VerifierConfig {
             window_ns: 1_000_000_000,
             freshness_windows: 2,
-            admission: AdmissionConfig::default(),
+            admission: false,
             golden_pcrs: None,
             memo_cap: 4096,
         }
@@ -169,7 +169,7 @@ impl VerifierPool {
     /// New pool folding into a shared attestation-telemetry registry
     /// (typically the issuer's, so R-A1 reads one snapshot).
     pub fn with_telemetry(cfg: VerifierConfig, attest: Arc<AttestTelemetry>) -> Self {
-        let admission = AdmissionController::new(cfg.admission.clone());
+        let admission = AdmissionController::new(cfg.admission);
         VerifierPool {
             cfg,
             memo: Mutex::new(BTreeMap::new()),
@@ -205,8 +205,8 @@ impl VerifierPool {
         self.trusted_hw_aiks.lock().insert(modulus.to_vec());
     }
 
-    /// The admission controller (for closed-loop wiring: the harness
-    /// translates sentinel quote-storm alerts into throttles here).
+    /// The admission controller (for closed-loop wiring: the harness's
+    /// alert actuator throttles quote-storm subjects here).
     pub fn admission(&self) -> &AdmissionController {
         &self.admission
     }
@@ -479,7 +479,7 @@ mod tests {
     fn throttled_verifier_refused_and_released() {
         let (p, inst, issuer) = farm();
         let pool = VerifierPool::new(VerifierConfig {
-            admission: AdmissionConfig { enabled: true, ..AdmissionConfig::default() },
+            admission: true,
             ..VerifierConfig::default()
         });
         assert!(pool.throttle_verifier(9));

@@ -40,7 +40,7 @@ use vtpm_harness::json::Field;
 use vtpm_harness::{
     audit_event, dump_event, ChaosConfig, CrashMatrix, MigrationChaosConfig, Scenario,
 };
-use vtpm_sentinel::{Sentinel, SentinelConfig, StreamEvent};
+use vtpm_sentinel::{AlertKind, Sentinel, SentinelConfig, StreamEvent};
 use vtpm_telemetry::SpanRecord;
 use workload::generate_trace;
 
@@ -69,8 +69,8 @@ pub struct AttackRow {
     pub blocked: bool,
     /// Whether a critical alert fired.
     pub detected: bool,
-    /// Which detector fired first (`-` if none).
-    pub detector: &'static str,
+    /// Which detector fired first, if any.
+    pub detector: Option<AlertKind>,
     /// `alert.at_ns - attack_start_ns`, virtual ns.
     pub latency_ns: u64,
     /// Stream events fed between attack start and the firing.
@@ -151,13 +151,13 @@ pub fn run(mirror_seeds: usize, migration_seeds: usize, events: usize, faults: u
 fn feed_until_critical(
     sentinel: &mut Sentinel,
     events: impl IntoIterator<Item = StreamEvent>,
-) -> (usize, Option<(&'static str, u64)>) {
+) -> (usize, Option<(AlertKind, u64)>) {
     let mut fed = 0usize;
     for ev in events {
         fed += 1;
         if sentinel.observe(ev) > 0 {
             if let Some(a) = sentinel.alerts().last() {
-                return (fed, Some((a.detector, a.at_ns)));
+                return (fed, Some((a.kind, a.at_ns)));
             }
         }
     }
@@ -197,7 +197,7 @@ fn inject_a1() -> AttackRow {
         name: "A1 dump-state",
         blocked: !outcome.succeeded,
         detected: hit.is_some(),
-        detector: hit.map(|(d, _)| d).unwrap_or("-"),
+        detector: hit.map(|(d, _)| d),
         latency_ns: hit.map(|(_, at)| at.saturating_sub(start_ns)).unwrap_or(0),
         events_to_detect: fed,
     }
@@ -249,7 +249,7 @@ fn inject_a7() -> AttackRow {
         name: "A7 migration-window",
         blocked: !outcome.succeeded,
         detected: hit.is_some(),
-        detector: hit.map(|(d, _)| d).unwrap_or("-"),
+        detector: hit.map(|(d, _)| d),
         latency_ns: hit.map(|(_, at)| at.saturating_sub(start_ns)).unwrap_or(0),
         events_to_detect: fed,
     }
@@ -315,7 +315,7 @@ fn inject_replay_storm() -> AttackRow {
         // "Blocked" here = the storm never disturbed placement.
         blocked: committed && cluster.runnable_hosts(vm) == vec![1],
         detected: hit.is_some(),
-        detector: hit.map(|(d, _)| d).unwrap_or("-"),
+        detector: hit.map(|(d, _)| d),
         latency_ns: hit.map(|(_, at)| at.saturating_sub(start_ns)).unwrap_or(0),
         events_to_detect: fed,
     }
@@ -413,7 +413,7 @@ pub fn render(r: &D1Report) -> String {
             a.name,
             if a.blocked { "yes" } else { "NO" },
             if a.detected { "yes" } else { "MISSED" },
-            a.detector,
+            a.detector.map_or("-", AlertKind::label),
             a.latency_ns as f64 / 1e3,
             a.events_to_detect,
         ));
@@ -444,7 +444,7 @@ fn outcome(r: &D1Report, t: &Throughput) -> Outcome {
             ("name", a.name.into()),
             ("blocked", a.blocked.into()),
             ("detected", a.detected.into()),
-            ("detector", a.detector.into()),
+            ("detector", a.detector.map_or("-", AlertKind::label).into()),
             ("latency_ns", a.latency_ns.into()),
             ("events_to_detect", a.events_to_detect.into()),
         ])
@@ -488,9 +488,9 @@ mod tests {
         }
         // The right detector catches each injection.
         let by_name = |n: &str| r.attacks.iter().find(|a| a.name == n).unwrap();
-        assert_eq!(by_name("A1 dump-state").detector, "dump-signature");
-        assert_eq!(by_name("A7 migration-window").detector, "dump-signature");
-        assert_eq!(by_name("replay-storm").detector, "replay-watch");
+        assert_eq!(by_name("A1 dump-state").detector, Some(AlertKind::DumpSignature));
+        assert_eq!(by_name("A7 migration-window").detector, Some(AlertKind::DumpSignature));
+        assert_eq!(by_name("replay-storm").detector, Some(AlertKind::ReplayWatch));
         assert!(!gate_failed(&r));
         let table = render(&r);
         assert!(table.contains("3/3 injections detected"));

@@ -157,10 +157,7 @@ fn scale_config(hosts: usize, vms: usize, rounds: usize) -> FleetChaosConfig {
         oracle_checks: vms <= 64,
         events_per_round: 2,
         frames_per_host: 4096,
-        sentinel: SentinelConfig {
-            replay_burst: 2 * fleet.max_in_flight,
-            ..SentinelConfig::default()
-        },
+        sentinel: SentinelConfig { replay_burst: 2 * fleet.max_in_flight },
         fleet,
         ..FleetChaosConfig::default()
     }

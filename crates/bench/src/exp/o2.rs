@@ -20,8 +20,8 @@
 //! 3. **Closed loop.** An injected migration-blackout regression
 //!    (downtime samples at 500 ms ≫ the 300 ms objective) must raise a
 //!    burn, reach the sentinel's `slo-burn` relay as a gauge, pause
-//!    the rebalancer through [`vtpm_harness::apply_slo_alerts`], then
-//!    clear and resume once the bad windows age out of the rollups.
+//!    the rebalancer through [`vtpm_harness::Actuator`], then clear
+//!    and resume once the bad windows age out of the rollups.
 //! 4. **Self-overhead.** The controller-side wall cost of one full
 //!    scrape + evaluate pass (decode, delta-diff, rollup, rule
 //!    evaluation for every host) must stay within [`BUDGET_PCT`] of
@@ -40,9 +40,9 @@ use std::time::Instant;
 use vtpm_cluster::{Cluster, ClusterConfig};
 use vtpm_fleet::{Fleet, FleetConfig, CONTROLLER_HOST};
 use vtpm_harness::json::Field;
-use vtpm_harness::{apply_slo_alerts, replay, FleetChaosConfig};
+use vtpm_harness::{replay, Actuator, FleetChaosConfig, Levers};
 use vtpm_observatory::{BurnEvent, Observatory, ObservatoryConfig};
-use vtpm_sentinel::{Alert, Sentinel, SentinelConfig, StreamEvent};
+use vtpm_sentinel::{AlertKind, Sentinel, SentinelConfig, StreamEvent};
 use vtpm_telemetry::Histogram;
 use workload::generate_trace;
 
@@ -279,23 +279,22 @@ fn closed_loop() -> O2Loop {
     let events = obs.evaluate(2_000_000_000);
     let raised = events.iter().any(|e| e.rule == "migration-blackout" && e.burning);
     relay(&mut sentinel, &events);
-    let alerts: Vec<Alert> = sentinel.alerts().to_vec();
-    let alerted = alerts.iter().any(|a| a.detector == "slo-burn");
-    let (p, _) = apply_slo_alerts(&mut fleet, &alerts);
-    let paused = p == 1 && fleet.paused();
+    let alerted = sentinel.alerts().iter().any(|a| matches!(a.kind, AlertKind::SloBurn { .. }));
+    let mut actuator = Actuator::default();
+    let mut act = |sentinel: &Sentinel, fleet: &mut Fleet| {
+        actuator.apply(sentinel, Levers { fleet: Some(fleet), ..Levers::default() })
+    };
+    let paused = act(&sentinel, &mut fleet).slo_pauses == 1 && fleet.paused();
 
     // Far enough into the virtual future the bad samples age out of
-    // every live rollup ring; the burn clears and the bridge resumes.
-    let mut fed = alerts.len();
+    // every live rollup ring; the burn clears and the actuator resumes.
     let (mut cleared, mut resumed) = (false, false);
     for i in 1..=40u64 {
         let now = 2_000_000_000 + i * 60_000_000_000;
         let events = obs.evaluate(now);
         cleared |= events.iter().any(|e| e.rule == "migration-blackout" && !e.burning);
         relay(&mut sentinel, &events);
-        let fresh: Vec<Alert> = sentinel.alerts()[fed..].to_vec();
-        fed = sentinel.alerts().len();
-        resumed |= apply_slo_alerts(&mut fleet, &fresh).1 > 0;
+        resumed |= act(&sentinel, &mut fleet).slo_resumes > 0;
     }
     O2Loop { pre_clean, raised, alerted, paused, cleared, resumed: resumed && !fleet.paused() }
 }

@@ -28,7 +28,7 @@
 //!    sentinel's stale-quote watch.
 //! 3. **quote storm** — one scripted verifier hammers the pool far
 //!    above any honest cadence; the sentinel must raise `quote-storm`,
-//!    and the harness bridge closes the loop into the pool's admission
+//!    and the harness actuator closes the loop into the pool's admission
 //!    throttle so the next submission is [`Verdict::Throttled`].
 //!
 //! With injections and the storm disabled the run is attack-free, and
@@ -39,18 +39,18 @@ use std::sync::Arc;
 
 use tpm_crypto::drbg::Drbg;
 use tpm_crypto::sha256;
-use vtpm::{AdmissionConfig, Platform};
+use vtpm::Platform;
 use vtpm_ac::AuditLog;
 use vtpm_attest::{
     IssuerConfig, QuoteIssuer, Submission, Verdict, VerifierConfig, VerifierPool,
 };
-use vtpm_sentinel::{Sentinel, SentinelConfig};
+use vtpm_sentinel::{Alert, AlertKind, Sentinel, SentinelConfig};
 use vtpm_telemetry::{AttestTelemetry, Telemetry};
 use xen_sim::Result as XenResult;
 
 use crate::json::{hex, Field};
 use crate::runner::{sentinel_tail, Scenario, ScenarioReport};
-use crate::sentinel_feed::{apply_verifier_alerts, attest_event, audit_event};
+use crate::sentinel_feed::{attest_event, audit_event, Actuator, Levers};
 
 /// Tunables for one attestation chaos run.
 #[derive(Debug, Clone)]
@@ -209,7 +209,7 @@ impl Scenario for AttestChaosConfig {
         let mut pool = VerifierPool::with_telemetry(
             VerifierConfig {
                 window_ns: self.window_ns,
-                admission: AdmissionConfig { enabled: true, ..Default::default() },
+                admission: true,
                 ..Default::default()
             },
             Arc::clone(issuer.telemetry()),
@@ -359,11 +359,13 @@ impl Scenario for AttestChaosConfig {
         }
 
         if self.storm {
-            let alerts: Vec<_> = sentinel.alerts().to_vec();
-            if !alerts.iter().any(|a| a.detector == "quote-storm" && a.domain == Some(STORM_VERIFIER)) {
+            let storm =
+                |a: &Alert| a.kind == AlertKind::QuoteStorm && a.subject == Some(STORM_VERIFIER);
+            if !sentinel.alerts().iter().any(storm) {
                 report.divergences.push("quote storm went undetected".into());
             }
-            apply_verifier_alerts(&pool, &alerts);
+            let levers = Levers { verifiers: Some(&pool), ..Levers::default() };
+            Actuator::default().apply(&sentinel, levers);
             if !pool.is_throttled(STORM_VERIFIER) {
                 report.divergences.push("storm verifier not throttled by the closed loop".into());
             }
@@ -380,7 +382,7 @@ impl Scenario for AttestChaosConfig {
             report.storm_throttled = verdict == Verdict::Throttled;
         }
         if report.injected_stale >= 4
-            && !sentinel.alerts().iter().any(|a| a.detector == "stale-quote")
+            && !sentinel.alerts().iter().any(|a| a.kind == AlertKind::StaleQuote)
         {
             report.divergences.push("stale-quote burst went undetected".into());
         }

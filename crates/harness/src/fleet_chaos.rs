@@ -18,10 +18,11 @@
 //! the same seed twice must produce byte-identical reports.
 //!
 //! The sentinel watches the whole run through the same exhaust as the
-//! migration family, plus crash-recovery markers; its churn-storm
-//! detector is wired back into the controller's rebalance-pause latch
-//! via [`crate::sentinel_feed::apply_fleet_alerts`] — the closed loop
-//! under test, not a bolt-on.
+//! migration family, plus crash-recovery markers. Each round a
+//! [`crate::sentinel_feed::Actuator`] acts on the round's new alerts in
+//! stream order: churn-storm and migration-blackout burn raises hold
+//! the controller's rebalance pause until every raised cause has
+//! cleared — the closed loop under test, not a bolt-on.
 
 use std::collections::BTreeMap;
 
@@ -38,7 +39,7 @@ use xen_sim::Result as XenResult;
 use crate::json::{hex, Field};
 use crate::migration_chaos::fabric_field;
 use crate::runner::{sentinel_tail, Scenario, ScenarioReport};
-use crate::sentinel_feed::{apply_fleet_alerts, apply_slo_alerts, audit_event};
+use crate::sentinel_feed::{audit_event, Actuator, Levers};
 
 /// Tunables for one fleet-chaos scenario.
 #[derive(Debug, Clone)]
@@ -64,7 +65,7 @@ pub struct FleetChaosConfig {
     pub oracle_checks: bool,
     /// Run the fleet observatory in the loop: per-round metric scrapes
     /// over the fabric, SLO burn-rate evaluation, and the burn →
-    /// sentinel → rebalance-pause bridge. On by default; the replay
+    /// sentinel → rebalance-pause loop. On by default; the replay
     /// determinism gate covers it either way.
     pub observatory: bool,
     /// Controller tuning.
@@ -92,10 +93,7 @@ impl Default for FleetChaosConfig {
             oracle_checks: true,
             observatory: true,
             fleet: FleetConfig::default(),
-            sentinel: SentinelConfig {
-                replay_burst: 2 * FleetConfig::default().max_in_flight,
-                ..SentinelConfig::default()
-            },
+            sentinel: SentinelConfig { replay_burst: 2 * FleetConfig::default().max_in_flight },
         }
     }
 }
@@ -137,9 +135,9 @@ pub struct FleetChaosReport {
     pub suspects_raised: u64,
     /// Suspicions against hosts that were actually alive.
     pub false_suspects: u64,
-    /// Rebalance-pause latches applied by the churn-storm bridge.
+    /// Rebalance pauses applied by a churn-storm raise.
     pub storm_pauses: u64,
-    /// Latch releases applied by the bridge.
+    /// Rebalance resumes applied by a churn-storm clear.
     pub storm_resumes: u64,
     /// Observatory metric scrape passes completed.
     pub scrapes: u64,
@@ -148,11 +146,10 @@ pub struct FleetChaosReport {
     pub slo_burns: u64,
     /// Matching burn clears.
     pub slo_clears: u64,
-    /// Rebalance pauses applied by the SLO-burn bridge
-    /// (migration-blackout burns pause the planner like churn storms
-    /// do).
+    /// Rebalance pauses applied by a migration-blackout burn raise
+    /// (these burns pause the planner like churn storms do).
     pub slo_pauses: u64,
-    /// Latch releases applied by the SLO-burn bridge.
+    /// Rebalance resumes applied by a migration-blackout clear.
     pub slo_resumes: u64,
     /// VMs runnable nowhere after the final sweep (must be 0).
     pub lost: u64,
@@ -299,7 +296,7 @@ impl Scenario for FleetChaosConfig {
         // Stream cursors so the sentinel sees each record exactly once.
         let mut audit_fed = vec![0usize; self.hosts];
         let mut spans_fed = 0usize;
-        let mut alerts_fed = 0usize;
+        let mut actuator = Actuator::default();
 
         let revive =
             |cluster: &mut Cluster, fleet: &mut Fleet, sentinel: &mut Sentinel, h: usize| -> XenResult<()> {
@@ -499,9 +496,8 @@ impl Scenario for FleetChaosConfig {
             }
 
             // Feed the round's exhaust to the sentinel, then close the
-            // loop: churn-storm alerts drive the rebalance-pause latch,
-            // and migration-blackout SLO burns drive the same latch
-            // through their own bridge.
+            // loop: the actuator holds the rebalance pause while a churn
+            // storm or a migration-blackout burn is raised.
             for (h, fed) in audit_fed.iter_mut().enumerate() {
                 let entries = cluster.hosts[h].audit.entries();
                 for e in &entries[*fed..] {
@@ -514,15 +510,12 @@ impl Scenario for FleetChaosConfig {
                 sentinel.observe(StreamEvent::MigrationSpan(m.clone()));
             }
             spans_fed = spans.len();
-            let alerts = sentinel.alerts();
-            let fresh = &alerts[alerts_fed..];
-            let (p, r) = apply_fleet_alerts(&mut fleet, fresh);
-            let (sp, sr) = apply_slo_alerts(&mut fleet, fresh);
-            alerts_fed = alerts.len();
-            report.storm_pauses += p as u64;
-            report.storm_resumes += r as u64;
-            report.slo_pauses += sp as u64;
-            report.slo_resumes += sr as u64;
+            let acted =
+                actuator.apply(&sentinel, Levers { fleet: Some(&mut fleet), ..Levers::default() });
+            report.storm_pauses += acted.storm_pauses as u64;
+            report.storm_resumes += acted.storm_resumes as u64;
+            report.slo_pauses += acted.slo_pauses as u64;
+            report.slo_resumes += acted.slo_resumes as u64;
         }
 
         // Final sweep: revive everything, drain the pool, settle every VM,

@@ -63,8 +63,7 @@ pub use migration_chaos::{
 };
 pub use runner::{render_text, replay, report_json, Scenario, ScenarioReport};
 pub use sentinel_feed::{
-    apply_fleet_alerts, apply_slo_alerts, apply_verifier_alerts, attest_event, audit_event,
-    dump_event,
+    attest_event, audit_event, dump_event, Actions, Actuator, Levers,
 };
 
 use std::collections::BTreeMap;

@@ -9,7 +9,7 @@
 //! CLI then work for it unchanged. Each family keeps its own run loop —
 //! event traces, rounds, phases and matrix cells share no step shape.
 
-use vtpm_sentinel::{Sentinel, Severity};
+use vtpm_sentinel::Sentinel;
 use xen_sim::Result as XenResult;
 
 use crate::json::Field;
@@ -98,7 +98,7 @@ fn text_value(value: &Field) -> String {
 
 /// Critical (attack-class) alerts the sentinel has raised.
 pub(crate) fn critical_count(sentinel: &Sentinel) -> u64 {
-    sentinel.alerts().iter().filter(|a| a.severity == Severity::Critical).count() as u64
+    sentinel.critical_alerts().count() as u64
 }
 
 /// The sentinel's end-of-run tail every family shares: the alert lines

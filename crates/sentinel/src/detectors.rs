@@ -6,102 +6,112 @@
 //! scope (host, domain, …): the first firing raises the alert and dumps
 //! the black box; repeats of the same condition stay quiet so a noisy
 //! attack cannot flood the alert log it is trying to hide in.
+//!
+//! Every tunable below has exactly one value in use, so it is a
+//! constant with its rationale next to it; the one exception is the
+//! replay-watch burst ([`crate::SentinelConfig`]).
 
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
 use vtpm_telemetry::{
-    MigrationOutcome, Outcome, DENY_QUOTE_REPLAY, DENY_REJECTED_STALE, DENY_STALE_QUOTE,
+    DenyRate, MigrationOutcome, Outcome, DENY_QUOTE_REPLAY, DENY_REJECTED_STALE, DENY_STALE_QUOTE,
 };
 
-use crate::{Alert, AuditKind, SentinelConfig, Severity, StreamEvent};
+use crate::{Alert, AlertKind, AuditKind, StreamEvent, Transition};
 
 /// `MigrationStage::RejectedStale as u8` — the audit stage code of an
 /// anti-rollback refusal (kept as a constant to avoid a dependency on
 /// the access-control crate).
 pub const STAGE_REJECTED_STALE: u8 = 7;
 
-/// An online detector over the sentinel stream.
-pub trait Detector {
-    /// Stable detector name (alert field, transcript key).
-    fn name(&self) -> &'static str;
-    /// Consume one event; return an alert if the detector fires on it.
-    fn observe(&mut self, ev: &StreamEvent) -> Option<Alert>;
+/// `vtpm_attest::Verdict::Stale.code()` — kept as a constant to avoid a
+/// dependency on the attestation crate.
+pub const VERDICT_STALE: u8 = 1;
+/// `vtpm_attest::Verdict::Replayed.code()`.
+pub const VERDICT_REPLAYED: u8 = 2;
+
+/// Sliding window for the replay watch (virtual ns).
+pub const REPLAY_WINDOW_NS: u64 = 10_000_000;
+/// Cumulative mirror scrub failures tolerated before escalation.
+pub const SCRUB_BUDGET: u64 = 64;
+/// A Dom0 dump this close (virtual ns) to an observed crash-recovery on
+/// the same host is the manager's own recovery scan, not an attack, and
+/// is not flagged. The recovery scan and the crash-recovery marker are
+/// stamped by the same virtual clock with no workload in between, so
+/// 1ms of grace is already generous.
+pub const RECOVERY_DUMP_GRACE_NS: u64 = 1_000_000;
+/// Sliding window for the quote-storm detector (virtual ns).
+pub const QUOTE_STORM_WINDOW_NS: u64 = 1_000_000;
+/// Attestation submissions from one verifier within the window that
+/// qualify as a storm. A verifier with a legitimate cadence polls once
+/// per nonce-window (seconds of virtual time); 64 submissions inside
+/// one millisecond is mechanical hammering.
+pub const QUOTE_STORM_BURST: usize = 64;
+/// Sliding window for the stale-quote watch (virtual ns).
+pub const STALE_QUOTE_WINDOW_NS: u64 = 10_000_000;
+/// Stale/replayed presentations within the window that trip the watch.
+/// The freshness window is issuer-published, so an honest verifier
+/// ages out of it at most once per window roll; a burst of four
+/// refusals means replayed/hoarded evidence.
+pub const STALE_QUOTE_BURST: usize = 4;
+/// Sliding window for the churn-storm / host-flap watch (virtual ns).
+/// Migration-chaos rounds advance virtual time by whole milliseconds
+/// each (fabric frames + RSA opens), so organic crashes land several ms
+/// apart; four recoveries crammed into 5 ms is a storm by construction.
+pub const CHURN_WINDOW_NS: u64 = 5_000_000;
+/// Crash-recoveries (any host) within the window that qualify as a
+/// churn storm.
+pub const CHURN_STORM_CRASHES: usize = 4;
+/// Once a storm is raised, it clears when the window drains to at most
+/// this many crash-recoveries.
+pub const CHURN_CLEAR_CRASHES: usize = 1;
+/// Crash-recoveries of a *single* host within the window that flag
+/// that host as flapping.
+pub const HOST_FLAP_CRASHES: usize = 3;
+
+/// Drop timestamps older than `window_ns` before `at_ns`.
+fn slide(q: &mut VecDeque<u64>, at_ns: u64, window_ns: u64) {
+    while q.front().is_some_and(|&t| t + window_ns < at_ns) {
+        q.pop_front();
+    }
 }
 
-/// The default set, configured from a [`SentinelConfig`].
-pub fn default_detectors(cfg: &SentinelConfig) -> Vec<Box<dyn Detector>> {
-    vec![
-        Box::new(DenyRateEwma::new(
-            cfg.deny_rate_alpha,
-            cfg.deny_rate_threshold,
-            cfg.deny_rate_min_samples,
-        )),
-        Box::new(DumpSignature::new(cfg.recovery_dump_grace_ns)),
-        Box::new(ReplayWatch::new(cfg.replay_window_ns, cfg.replay_burst)),
-        Box::new(NonceHygiene::new()),
-        Box::new(ScrubEscalation::new(cfg.scrub_budget)),
-        Box::new(QuoteStorm::new(cfg.quote_storm_window_ns, cfg.quote_storm_burst)),
-        Box::new(StaleQuoteWatch::new(cfg.stale_quote_window_ns, cfg.stale_quote_burst)),
-        Box::new(ChurnStorm::new(
-            cfg.churn_window_ns,
-            cfg.churn_storm_crashes,
-            cfg.churn_clear_crashes,
-            cfg.host_flap_crashes,
-        )),
-        Box::new(SloBurn::new()),
-    ]
-}
-
-/// Per-(host, domain) EWMA of the denied fraction of request spans.
-///
-/// A guest probing ordinals it has no credential for shows up as a
-/// sustained majority-denied stream; normal workloads (even chaos ones
-/// that mix some denied traffic in) stay well below the threshold.
-pub struct DenyRateEwma {
-    alpha: f64,
-    threshold: f64,
-    min_samples: u64,
-    /// (ewma, samples) per (host, domain). BTreeMap for deterministic
-    /// iteration/debug output.
-    state: BTreeMap<(u32, u32), (f64, u64)>,
+/// Per-(host, domain) [`DenyRate`] over request spans — the same rule,
+/// with the same constants, that the manager's admission controller
+/// applies at ring ingress. The alert's subject is the domain.
+#[derive(Default)]
+pub struct DenyRateWatch {
+    /// BTreeMap for deterministic iteration/debug output.
+    rates: BTreeMap<(u32, u32), DenyRate>,
     fired: BTreeSet<(u32, u32)>,
 }
 
-impl DenyRateEwma {
-    /// New detector with the given smoothing/threshold parameters.
-    pub fn new(alpha: f64, threshold: f64, min_samples: u64) -> Self {
-        DenyRateEwma { alpha, threshold, min_samples, state: BTreeMap::new(), fired: BTreeSet::new() }
-    }
-}
-
-impl Detector for DenyRateEwma {
-    fn name(&self) -> &'static str {
-        "deny-rate"
-    }
-
-    fn observe(&mut self, ev: &StreamEvent) -> Option<Alert> {
+impl DenyRateWatch {
+    /// Consume one event; return an alert if the watch fires on it.
+    pub fn observe(&mut self, ev: &StreamEvent) -> Option<Alert> {
         let StreamEvent::Span { host, record } = ev else { return None };
         let key = (*host, record.domain);
-        let x = if matches!(record.outcome, Outcome::Denied(_)) { 1.0 } else { 0.0 };
-        let entry = self.state.entry(key).or_insert((0.0, 0));
-        entry.0 = self.alpha * x + (1.0 - self.alpha) * entry.0;
-        entry.1 += 1;
-        let (ewma, samples) = *entry;
-        if samples >= self.min_samples && ewma > self.threshold && self.fired.insert(key) {
-            return Some(Alert {
-                detector: "deny-rate",
-                host: *host,
-                at_ns: record.end_ns,
-                severity: Severity::Critical,
-                trace_id: Some(record.request_id),
-                domain: Some(record.domain),
-                detail: format!(
-                    "domain {} deny-rate EWMA {:.3} > {:.3} after {} spans",
-                    record.domain, ewma, self.threshold, samples
-                ),
-            });
+        let rate = self.rates.entry(key).or_default();
+        if !rate.record(matches!(record.outcome, Outcome::Denied(_))) || !self.fired.insert(key) {
+            return None;
         }
-        None
+        Some(Alert {
+            trace_id: Some(record.request_id),
+            subject: Some(record.domain),
+            ..Alert::new(
+                AlertKind::DenyRate,
+                Transition::Raise,
+                *host,
+                record.end_ns,
+                format!(
+                    "domain {} deny-rate EWMA {:.3} > {:.3} after {} spans",
+                    record.domain,
+                    rate.value(),
+                    DenyRate::THRESHOLD,
+                    rate.samples()
+                ),
+            )
+        })
     }
 }
 
@@ -142,14 +152,9 @@ impl DumpSignature {
                 .get(&host)
                 .is_some_and(|rs| rs.iter().any(|&r| at_ns.abs_diff(r) <= self.grace_ns))
     }
-}
 
-impl Detector for DumpSignature {
-    fn name(&self) -> &'static str {
-        "dump-signature"
-    }
-
-    fn observe(&mut self, ev: &StreamEvent) -> Option<Alert> {
+    /// Consume one event; return an alert if the detector fires on it.
+    pub fn observe(&mut self, ev: &StreamEvent) -> Option<Alert> {
         if let StreamEvent::CrashRecovery { host, at_ns } = ev {
             self.recoveries.entry(*host).or_default().push(*at_ns);
             return None;
@@ -162,132 +167,149 @@ impl Detector for DumpSignature {
         {
             return None;
         }
-        Some(Alert {
-            detector: self.name(),
-            host: d.host,
-            at_ns: d.at_ns,
-            severity: Severity::Critical,
-            trace_id: None,
-            domain: None,
-            detail: format!(
+        Some(Alert::new(
+            AlertKind::DumpSignature,
+            Transition::Raise,
+            d.host,
+            d.at_ns,
+            format!(
                 "dom{} dumped {} frames ({} foreign) outside any recovery window — \
                  memory-dump attack pattern",
                 d.caller_domain, d.frames, d.foreign_frames
             ),
-        })
+        ))
     }
 }
 
-/// Watches for bursts of `RejectedStale` — a replayer hammering burned
-/// epochs at a destination.
+/// A sliding-window burst counter: fires once per scope when `burst`
+/// hits land within `window_ns` of virtual time. Three detectors are
+/// this one struct with a different hit source, chosen by its kind:
 ///
-/// Sources: audit records chaining the `RejectedStale` migration stage,
-/// protocol-deny audit codes, and migration spans that ended
-/// `RejectedStale`. A healthy `migrate()` retry loop produces at most a
-/// couple per attempt; `burst` within `window_ns` of virtual time means
-/// someone is actively replaying.
-pub struct ReplayWatch {
+/// * **replay-watch** — `RejectedStale` refusals per host, a replayer
+///   hammering burned epochs at a destination. Sources: audit records
+///   chaining the `RejectedStale` migration stage, protocol-deny audit
+///   codes, and migration spans that ended `RejectedStale`. A healthy
+///   `migrate()` retry loop produces at most a couple per attempt.
+/// * **quote-storm** — attestation submissions per (host, verifier),
+///   whatever their verdicts. An honest verifier polls at the
+///   nonce-window cadence, seconds of virtual time apart; a scripted
+///   storm is a dense run no honest cadence can reach. The alert's
+///   subject is the verifier, which the harness's actuator throttles
+///   at the verifier pool — the same closed loop deny-rate drives for
+///   ring ingress.
+/// * **stale-quote** — stale or replayed deep-quote presentations per
+///   host, from verifier-plane verdicts and from audit records carrying
+///   the matching per-reason deny codes, so the watch works whether the
+///   pool's audit chain or its event stream (or both) is wired in. One
+///   refusal is routine — an honest verifier can age out of the
+///   freshness window across a roll — but a burst means someone is
+///   hoarding evidence and re-presenting it.
+pub struct BurstWatch {
+    kind: AlertKind,
     window_ns: u64,
     burst: usize,
-    /// Recent refusal timestamps per host.
-    hits: BTreeMap<u32, VecDeque<u64>>,
-    fired: BTreeSet<u32>,
+    /// Recent hit timestamps per (host, subject).
+    hits: BTreeMap<(u32, Option<u32>), VecDeque<u64>>,
+    fired: BTreeSet<(u32, Option<u32>)>,
 }
 
-impl ReplayWatch {
-    /// New watch over `window_ns` of virtual time.
-    pub fn new(window_ns: u64, burst: usize) -> Self {
-        ReplayWatch { window_ns, burst, hits: BTreeMap::new(), fired: BTreeSet::new() }
+/// One hit: (host, subject, virtual ns, trace id).
+type Hit = (u32, Option<u32>, u64, Option<u64>);
+
+impl BurstWatch {
+    /// New `kind` watch firing at `burst` hits within `window_ns`.
+    pub fn new(kind: AlertKind, window_ns: u64, burst: usize) -> Self {
+        BurstWatch { kind, window_ns, burst, hits: BTreeMap::new(), fired: BTreeSet::new() }
     }
 
-    fn note(&mut self, host: u32, at_ns: u64, trace: Option<u64>) -> Option<Alert> {
-        let q = self.hits.entry(host).or_default();
-        q.push_back(at_ns);
-        while q.front().is_some_and(|&t| t + self.window_ns < at_ns) {
-            q.pop_front();
-        }
-        if q.len() >= self.burst && self.fired.insert(host) {
-            return Some(Alert {
-                detector: "replay-watch",
-                host,
-                at_ns,
-                severity: Severity::Critical,
-                trace_id: trace,
-                domain: None,
-                detail: format!(
-                    "{} stale-epoch rejections within {}ms — migration replay storm",
-                    q.len(),
-                    self.window_ns / 1_000_000
-                ),
-            });
-        }
-        None
-    }
-}
-
-impl Detector for ReplayWatch {
-    fn name(&self) -> &'static str {
-        "replay-watch"
-    }
-
-    fn observe(&mut self, ev: &StreamEvent) -> Option<Alert> {
-        match ev {
-            StreamEvent::Audit(a)
+    /// What `ev` counts as for this watch, if anything.
+    fn hit(&self, ev: &StreamEvent) -> Option<Hit> {
+        use AuditKind::{Denied, MigrationStage};
+        match (self.kind, ev) {
+            (AlertKind::ReplayWatch, StreamEvent::Audit(a))
                 if matches!(
                     a.kind,
-                    AuditKind::MigrationStage(STAGE_REJECTED_STALE)
-                        | AuditKind::Denied(DENY_REJECTED_STALE)
+                    MigrationStage(STAGE_REJECTED_STALE) | Denied(DENY_REJECTED_STALE)
                 ) =>
             {
-                self.note(a.host, a.at_ns, Some(a.request_id))
+                Some((a.host, None, a.at_ns, Some(a.request_id)))
             }
-            StreamEvent::MigrationSpan(m) if m.outcome == MigrationOutcome::RejectedStale => {
-                self.note(m.dst_host, ev.at_ns(), Some(m.trace_id))
+            (AlertKind::ReplayWatch, StreamEvent::MigrationSpan(m))
+                if m.outcome == MigrationOutcome::RejectedStale =>
+            {
+                Some((m.dst_host, None, ev.at_ns(), Some(m.trace_id)))
+            }
+            (AlertKind::QuoteStorm, StreamEvent::Attest(a)) => {
+                Some((a.host, Some(a.verifier), a.at_ns, None))
+            }
+            (AlertKind::StaleQuote, StreamEvent::Attest(a))
+                if matches!(a.verdict, VERDICT_STALE | VERDICT_REPLAYED) =>
+            {
+                Some((a.host, None, a.at_ns, None))
+            }
+            (AlertKind::StaleQuote, StreamEvent::Audit(a))
+                if matches!(a.kind, Denied(DENY_STALE_QUOTE) | Denied(DENY_QUOTE_REPLAY)) =>
+            {
+                Some((a.host, None, a.at_ns, Some(a.request_id)))
             }
             _ => None,
         }
+    }
+
+    /// Consume one event; return an alert if the watch fires on it.
+    pub fn observe(&mut self, ev: &StreamEvent) -> Option<Alert> {
+        let (host, subject, at_ns, trace_id) = self.hit(ev)?;
+        let q = self.hits.entry((host, subject)).or_default();
+        q.push_back(at_ns);
+        slide(q, at_ns, self.window_ns);
+        if q.len() < self.burst || !self.fired.insert((host, subject)) {
+            return None;
+        }
+        let (n, ms) = (q.len(), self.window_ns / 1_000_000);
+        let detail = match self.kind {
+            AlertKind::ReplayWatch => {
+                format!("{n} stale-epoch rejections within {ms}ms — migration replay storm")
+            }
+            AlertKind::QuoteStorm => format!(
+                "verifier {} sent {n} attestation requests within {}us — quote storm",
+                subject.unwrap_or_default(),
+                self.window_ns / 1_000
+            ),
+            // AlertKind::StaleQuote: `hit` admits no other kind.
+            _ => format!(
+                "{n} stale/replayed quote presentations within {ms}ms — quote replay attack"
+            ),
+        };
+        Some(Alert {
+            trace_id,
+            subject,
+            ..Alert::new(self.kind, Transition::Raise, host, at_ns, detail)
+        })
     }
 }
 
 /// Nonce reuse is never acceptable: the mirror's encryption depends on
 /// nonce uniqueness, so a nonzero `nonce_reuses` gauge is an invariant
 /// break, full stop.
+#[derive(Default)]
 pub struct NonceHygiene {
     fired: BTreeSet<u32>,
 }
 
 impl NonceHygiene {
-    /// New detector.
-    pub fn new() -> Self {
-        NonceHygiene { fired: BTreeSet::new() }
-    }
-}
-
-impl Default for NonceHygiene {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl Detector for NonceHygiene {
-    fn name(&self) -> &'static str {
-        "nonce-hygiene"
-    }
-
-    fn observe(&mut self, ev: &StreamEvent) -> Option<Alert> {
+    /// Consume one event; return an alert if the detector fires on it.
+    pub fn observe(&mut self, ev: &StreamEvent) -> Option<Alert> {
         let StreamEvent::Gauge { host, at_ns, name, value } = ev else { return None };
         if *name != "nonce_reuses" || *value == 0 || !self.fired.insert(*host) {
             return None;
         }
-        Some(Alert {
-            detector: self.name(),
-            host: *host,
-            at_ns: *at_ns,
-            severity: Severity::Critical,
-            trace_id: None,
-            domain: None,
-            detail: format!("nonce_reuses = {value} — encryption nonce uniqueness violated"),
-        })
+        Some(Alert::new(
+            AlertKind::NonceHygiene,
+            Transition::Raise,
+            *host,
+            *at_ns,
+            format!("nonce_reuses = {value} — encryption nonce uniqueness violated"),
+        ))
     }
 }
 
@@ -306,166 +328,23 @@ impl ScrubEscalation {
     pub fn new(budget: u64) -> Self {
         ScrubEscalation { budget, fired: BTreeSet::new() }
     }
-}
 
-impl Detector for ScrubEscalation {
-    fn name(&self) -> &'static str {
-        "scrub-escalation"
-    }
-
-    fn observe(&mut self, ev: &StreamEvent) -> Option<Alert> {
+    /// Consume one event; return an alert if the detector fires on it.
+    pub fn observe(&mut self, ev: &StreamEvent) -> Option<Alert> {
         let StreamEvent::Gauge { host, at_ns, name, value } = ev else { return None };
         if *name != "mirror_scrub_failures" || *value < self.budget || !self.fired.insert(*host) {
             return None;
         }
-        Some(Alert {
-            detector: self.name(),
-            host: *host,
-            at_ns: *at_ns,
-            severity: Severity::Warning,
-            trace_id: None,
-            domain: None,
-            detail: format!(
+        Some(Alert::new(
+            AlertKind::ScrubEscalation,
+            Transition::Raise,
+            *host,
+            *at_ns,
+            format!(
                 "mirror_scrub_failures = {value} reached budget {} — mirror hygiene degrading",
                 self.budget
             ),
-        })
-    }
-}
-
-/// `vtpm_attest::Verdict::Stale.code()` — kept as a constant to avoid a
-/// dependency on the attestation crate.
-pub const VERDICT_STALE: u8 = 1;
-/// `vtpm_attest::Verdict::Replayed.code()`.
-pub const VERDICT_REPLAYED: u8 = 2;
-
-/// Per-(host, verifier) burst detector over attestation submissions.
-///
-/// An honest verifier polls the plane at the nonce-window cadence —
-/// seconds of virtual time between submissions. A scripted quote storm
-/// shows up as a dense run of submissions (whatever their verdicts)
-/// from one verifier identity inside a window no honest cadence can
-/// reach. The alert carries the verifier in `domain`, so the harness
-/// bridge can feed it straight into the verifier pool's admission
-/// throttle — the same closed loop the deny-rate detector drives for
-/// ring ingress.
-pub struct QuoteStorm {
-    window_ns: u64,
-    burst: usize,
-    /// Recent submission timestamps per (host, verifier).
-    hits: BTreeMap<(u32, u32), VecDeque<u64>>,
-    fired: BTreeSet<(u32, u32)>,
-}
-
-impl QuoteStorm {
-    /// New detector firing at `burst` submissions within `window_ns`.
-    pub fn new(window_ns: u64, burst: usize) -> Self {
-        QuoteStorm { window_ns, burst, hits: BTreeMap::new(), fired: BTreeSet::new() }
-    }
-}
-
-impl Detector for QuoteStorm {
-    fn name(&self) -> &'static str {
-        "quote-storm"
-    }
-
-    fn observe(&mut self, ev: &StreamEvent) -> Option<Alert> {
-        let StreamEvent::Attest(a) = ev else { return None };
-        let key = (a.host, a.verifier);
-        let q = self.hits.entry(key).or_default();
-        q.push_back(a.at_ns);
-        while q.front().is_some_and(|&t| t + self.window_ns < a.at_ns) {
-            q.pop_front();
-        }
-        if q.len() >= self.burst && self.fired.insert(key) {
-            return Some(Alert {
-                detector: "quote-storm",
-                host: a.host,
-                at_ns: a.at_ns,
-                severity: Severity::Critical,
-                trace_id: None,
-                domain: Some(a.verifier),
-                detail: format!(
-                    "verifier {} sent {} attestation requests within {}us — quote storm",
-                    a.verifier,
-                    q.len(),
-                    self.window_ns / 1_000
-                ),
-            });
-        }
-        None
-    }
-}
-
-/// Watches for bursts of stale or replayed deep-quote presentations.
-///
-/// Sources: verifier-plane verdicts (stale / replayed) on the attest
-/// stream, and audit records carrying the matching per-reason deny
-/// codes — so the watch works whether the pool's audit chain or its
-/// event stream (or both) is wired in. One refusal is routine — an
-/// honest verifier can age out of the freshness window across a roll —
-/// but a burst means someone is hoarding evidence and re-presenting it.
-pub struct StaleQuoteWatch {
-    window_ns: u64,
-    burst: usize,
-    /// Recent refusal timestamps per host.
-    hits: BTreeMap<u32, VecDeque<u64>>,
-    fired: BTreeSet<u32>,
-}
-
-impl StaleQuoteWatch {
-    /// New watch over `window_ns` of virtual time.
-    pub fn new(window_ns: u64, burst: usize) -> Self {
-        StaleQuoteWatch { window_ns, burst, hits: BTreeMap::new(), fired: BTreeSet::new() }
-    }
-
-    fn note(&mut self, host: u32, at_ns: u64, trace: Option<u64>) -> Option<Alert> {
-        let q = self.hits.entry(host).or_default();
-        q.push_back(at_ns);
-        while q.front().is_some_and(|&t| t + self.window_ns < at_ns) {
-            q.pop_front();
-        }
-        if q.len() >= self.burst && self.fired.insert(host) {
-            return Some(Alert {
-                detector: "stale-quote",
-                host,
-                at_ns,
-                severity: Severity::Critical,
-                trace_id: trace,
-                domain: None,
-                detail: format!(
-                    "{} stale/replayed quote presentations within {}ms — quote replay attack",
-                    q.len(),
-                    self.window_ns / 1_000_000
-                ),
-            });
-        }
-        None
-    }
-}
-
-impl Detector for StaleQuoteWatch {
-    fn name(&self) -> &'static str {
-        "stale-quote"
-    }
-
-    fn observe(&mut self, ev: &StreamEvent) -> Option<Alert> {
-        match ev {
-            StreamEvent::Attest(a)
-                if matches!(a.verdict, VERDICT_STALE | VERDICT_REPLAYED) =>
-            {
-                self.note(a.host, a.at_ns, None)
-            }
-            StreamEvent::Audit(a)
-                if matches!(
-                    a.kind,
-                    AuditKind::Denied(DENY_STALE_QUOTE) | AuditKind::Denied(DENY_QUOTE_REPLAY)
-                ) =>
-            {
-                self.note(a.host, a.at_ns, Some(a.request_id))
-            }
-            _ => None,
-        }
+        ))
     }
 }
 
@@ -473,15 +352,15 @@ impl Detector for StaleQuoteWatch {
 /// (too many recoveries across the fleet inside the window) and
 /// per-host **flapping** (one host recovering repeatedly).
 ///
-/// Storm alerts are *stateful*, not latched: the raise carries a plain
-/// detail, and when the sliding window drains back to `clear` or fewer
-/// recoveries the detector emits a second alert whose detail starts
-/// with `"cleared"` — the fleet's rebalance-pause bridge keys on that
-/// prefix, so the closed loop both opens and closes. Every stream event
-/// slides the window (all events carry virtual time), so a quiet fleet
-/// clears on the next heartbeat-driven span or audit record rather than
-/// waiting for another crash. Flap alerts latch per host, like the
-/// other security detectors.
+/// Storm alerts are *stateful*, not latched: a [`Transition::Raise`]
+/// when the window fills to `storm`, and a [`Transition::Clear`] when
+/// it drains back to `clear` or fewer recoveries — the harness's
+/// actuator holds the rebalance pause on exactly that pair, so the
+/// closed loop both opens and closes. Every stream event slides the
+/// window (all events carry virtual time), so a quiet fleet clears on
+/// the next heartbeat-driven span or audit record rather than waiting
+/// for another crash. Flap alerts ([`AlertKind::HostFlap`]) latch per
+/// host, like the other security detectors, and actuate nothing.
 ///
 /// Severity is `Warning` throughout: churn is an operational condition
 /// (the rebalancer must *pause*, not page), and clean chaos seeds
@@ -515,72 +394,61 @@ impl ChurnStorm {
         }
     }
 
-    fn slide(&mut self, at_ns: u64) {
-        while self.recent.front().is_some_and(|&t| t + self.window_ns < at_ns) {
-            self.recent.pop_front();
-        }
+    /// Churn alerts implicate the host they were attributed to.
+    fn alert(
+        kind: AlertKind,
+        transition: Transition,
+        host: u32,
+        at_ns: u64,
+        detail: String,
+    ) -> Alert {
+        Alert { subject: Some(host), ..Alert::new(kind, transition, host, at_ns, detail) }
     }
 
-    fn alert(&self, host: u32, at_ns: u64, detail: String) -> Alert {
-        Alert {
-            detector: "churn-storm",
-            host,
-            at_ns,
-            severity: Severity::Warning,
-            trace_id: None,
-            domain: Some(host),
-            detail,
-        }
-    }
-}
-
-impl Detector for ChurnStorm {
-    fn name(&self) -> &'static str {
-        "churn-storm"
-    }
-
-    fn observe(&mut self, ev: &StreamEvent) -> Option<Alert> {
+    /// Consume one event; return an alert if the watch fires on it.
+    pub fn observe(&mut self, ev: &StreamEvent) -> Option<Alert> {
         let at_ns = ev.at_ns();
-        self.slide(at_ns);
+        let ms = self.window_ns / 1_000_000;
+        slide(&mut self.recent, at_ns, self.window_ns);
         if let StreamEvent::CrashRecovery { host, at_ns } = *ev {
             self.recent.push_back(at_ns);
             let q = self.per_host.entry(host).or_default();
             q.push_back(at_ns);
-            while q.front().is_some_and(|&t| t + self.window_ns < at_ns) {
-                q.pop_front();
-            }
+            slide(q, at_ns, self.window_ns);
             let flapping = q.len();
             if !self.storm_active && self.recent.len() >= self.storm {
                 self.storm_active = true;
-                return Some(self.alert(
+                return Some(Self::alert(
+                    AlertKind::ChurnStorm,
+                    Transition::Raise,
                     host,
                     at_ns,
                     format!(
-                        "churn storm: {} host recoveries within {}ms — rebalancing should pause",
-                        self.recent.len(),
-                        self.window_ns / 1_000_000
+                        "churn storm: {} host recoveries within {ms}ms — \
+                         rebalancing should pause",
+                        self.recent.len()
                     ),
                 ));
             }
             if flapping >= self.flap && self.flapped.insert(host) {
-                return Some(self.alert(
+                return Some(Self::alert(
+                    AlertKind::HostFlap,
+                    Transition::Raise,
                     host,
                     at_ns,
-                    format!(
-                        "host {host} flapping: {flapping} recoveries within {}ms",
-                        self.window_ns / 1_000_000
-                    ),
+                    format!("host {host} flapping: {flapping} recoveries within {ms}ms"),
                 ));
             }
         } else if self.storm_active && self.recent.len() <= self.clear {
             self.storm_active = false;
-            return Some(self.alert(
+            return Some(Self::alert(
+                AlertKind::ChurnStorm,
+                Transition::Clear,
                 ev.host(),
                 at_ns,
                 format!(
-                    "cleared: churn subsided to {} recoveries within {}ms",
-                    self.recent.len(),
-                    self.window_ns / 1_000_000
+                    "cleared: churn subsided to {} recoveries within {ms}ms",
+                    self.recent.len()
                 ),
             ));
         }
@@ -592,41 +460,27 @@ impl Detector for ChurnStorm {
 ///
 /// The observatory publishes its burn-rate verdicts as gauges named
 /// `slo_burn:<rule>`: a nonzero value is the worst-window burn ratio in
-/// percent at raise time, zero is a clear. This detector is the bridge
-/// that turns those samples into sentinel alerts — stateful per rule
-/// like [`ChurnStorm`], not latched-forever: the raise carries the rule
-/// name and ratio, the clear's detail starts with `"cleared"`, and the
-/// harness's SLO bridge keys its fleet pause/resume loop on exactly
-/// those shapes. Repeats of the same state stay quiet, so a long burn
-/// produces two alerts total, not one per evaluation pass.
+/// percent at raise time, zero is a clear. This detector turns those
+/// samples into [`AlertKind::SloBurn`] alerts carrying the rule —
+/// stateful per rule like [`ChurnStorm`], not latched-forever: a
+/// [`Transition::Raise`] with the ratio, then a [`Transition::Clear`].
+/// The harness's actuator holds the rebalance pause while the
+/// `migration-blackout` rule is raised. Repeats of the same state stay
+/// quiet, so a long burn produces two alerts total, not one per
+/// evaluation pass.
 ///
 /// Severity is `Warning`: an error budget burning is an operational
 /// page, not a security verdict — the attack-detection gates of R-D1
 /// count only criticals and must not see these.
+#[derive(Default)]
 pub struct SloBurn {
     /// Burning state per rule name (the gauge suffix).
     raised: BTreeMap<&'static str, bool>,
 }
 
 impl SloBurn {
-    /// New relay with no rules raised.
-    pub fn new() -> Self {
-        SloBurn { raised: BTreeMap::new() }
-    }
-}
-
-impl Default for SloBurn {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl Detector for SloBurn {
-    fn name(&self) -> &'static str {
-        "slo-burn"
-    }
-
-    fn observe(&mut self, ev: &StreamEvent) -> Option<Alert> {
+    /// Consume one event; return an alert if the relay fires on it.
+    pub fn observe(&mut self, ev: &StreamEvent) -> Option<Alert> {
         let StreamEvent::Gauge { host, at_ns, name, value } = ev else { return None };
         let rule = name.strip_prefix("slo_burn:")?;
         let burning = *value > 0;
@@ -634,27 +488,22 @@ impl Detector for SloBurn {
         if burning == was {
             return None;
         }
-        let detail = if burning {
-            format!("slo burn: {rule} at {value}% of error budget — multi-window burn rate")
+        let (transition, detail) = if burning {
+            (
+                Transition::Raise,
+                format!("slo burn: {rule} at {value}% of error budget — multi-window burn rate"),
+            )
         } else {
-            format!("cleared: {rule} burn subsided")
+            (Transition::Clear, format!("cleared: {rule} burn subsided"))
         };
-        Some(Alert {
-            detector: "slo-burn",
-            host: *host,
-            at_ns: *at_ns,
-            severity: Severity::Warning,
-            trace_id: None,
-            domain: None,
-            detail,
-        })
+        Some(Alert::new(AlertKind::SloBurn { rule }, transition, *host, *at_ns, detail))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::DumpView;
+    use crate::{DumpView, Severity};
 
     #[test]
     fn churn_storm_raises_then_clears_then_rearms() {
@@ -663,16 +512,15 @@ mod tests {
         assert!(d.observe(&crash(0, 100)).is_none());
         assert!(d.observe(&crash(1, 200)).is_none());
         let storm = d.observe(&crash(2, 300)).expect("third recovery in window is a storm");
-        assert_eq!(storm.detector, "churn-storm");
-        assert_eq!(storm.severity, Severity::Warning);
-        assert!(!storm.detail.starts_with("cleared"));
+        assert_eq!((storm.kind, storm.transition), (AlertKind::ChurnStorm, Transition::Raise));
+        assert_eq!(storm.severity(), Severity::Warning);
         // More churn while active stays quiet (stateful, not spammy).
         assert!(d.observe(&crash(3, 400)).is_none());
         // Any later event slides the window; once it drains, the clear
         // fires exactly once.
         let quiet = StreamEvent::Gauge { host: 0, at_ns: 5_000, name: "x", value: 0 };
         let cleared = d.observe(&quiet).expect("drained window clears the storm");
-        assert!(cleared.detail.starts_with("cleared"), "{}", cleared.detail);
+        assert_eq!((cleared.kind, cleared.transition), (AlertKind::ChurnStorm, Transition::Clear));
         assert!(d.observe(&quiet).is_none());
         // A fresh burst re-raises.
         assert!(d.observe(&crash(0, 6_000)).is_none());
@@ -686,8 +534,8 @@ mod tests {
         let crash = |h, t| StreamEvent::CrashRecovery { host: h, at_ns: t };
         assert!(d.observe(&crash(7, 100)).is_none());
         let flap = d.observe(&crash(7, 200)).expect("second recovery of host 7 flaps");
-        assert!(flap.detail.contains("flapping"), "{}", flap.detail);
-        assert_eq!(flap.domain, Some(7));
+        assert_eq!((flap.kind, flap.transition), (AlertKind::HostFlap, Transition::Raise));
+        assert_eq!(flap.subject, Some(7));
         // Latched: a third recovery stays quiet; another host is fresh.
         assert!(d.observe(&crash(7, 300)).is_none());
         assert!(d.observe(&crash(8, 300)).is_none());
@@ -758,7 +606,7 @@ mod tests {
 
     #[test]
     fn replay_watch_window_slides() {
-        let mut w = ReplayWatch::new(1_000, 3);
+        let mut w = BurstWatch::new(AlertKind::ReplayWatch, 1_000, 3);
         let audit = |at_ns| {
             StreamEvent::Audit(crate::AuditView {
                 host: 0,
@@ -781,7 +629,7 @@ mod tests {
 
     #[test]
     fn quote_storm_keys_on_verifier_and_carries_it() {
-        let mut d = QuoteStorm::new(1_000, 4);
+        let mut d = BurstWatch::new(AlertKind::QuoteStorm, 1_000, 4);
         let attest = |verifier, at_ns| {
             StreamEvent::Attest(crate::AttestView {
                 host: 0,
@@ -798,8 +646,8 @@ mod tests {
         assert!(d.observe(&attest(7, 200)).is_none());
         assert!(d.observe(&attest(7, 300)).is_none());
         let a = d.observe(&attest(7, 400)).expect("storm");
-        assert_eq!(a.domain, Some(7), "alert must implicate the verifier");
-        assert_eq!(a.severity, Severity::Critical);
+        assert_eq!(a.subject, Some(7), "alert must implicate the verifier");
+        assert_eq!(a.severity(), Severity::Critical);
         // Latched per (host, verifier); the other verifier still can fire.
         assert!(d.observe(&attest(7, 500)).is_none());
         assert!(d.observe(&attest(8, 510)).is_none());
@@ -809,7 +657,7 @@ mod tests {
 
     #[test]
     fn quote_storm_ignores_honest_cadence() {
-        let mut d = QuoteStorm::new(1_000, 4);
+        let mut d = BurstWatch::new(AlertKind::QuoteStorm, 1_000, 4);
         for i in 0..100u64 {
             // One submission per 10 windows of virtual time.
             let ev = StreamEvent::Attest(crate::AttestView {
@@ -825,7 +673,7 @@ mod tests {
 
     #[test]
     fn stale_quote_watch_mixes_attest_and_audit_sources() {
-        let mut d = StaleQuoteWatch::new(10_000, 4);
+        let mut d = BurstWatch::new(AlertKind::StaleQuote, 10_000, 4);
         let stale = |at_ns| {
             StreamEvent::Attest(crate::AttestView {
                 host: 0,
@@ -851,7 +699,7 @@ mod tests {
         assert!(d.observe(&stale(300)).is_none());
         assert!(d.observe(&replay_audit(400)).is_some(), "mixed burst fires");
         // Accepted verdicts never count.
-        let mut clean = StaleQuoteWatch::new(10_000, 2);
+        let mut clean = BurstWatch::new(AlertKind::StaleQuote, 10_000, 2);
         for i in 0..50u64 {
             let ev = StreamEvent::Attest(crate::AttestView {
                 host: 0,
@@ -866,24 +714,24 @@ mod tests {
 
     #[test]
     fn slo_burn_relays_raise_and_clear_per_rule() {
-        let mut d = SloBurn::new();
+        let mut d = SloBurn::default();
         let gauge = |name, value, at_ns| StreamEvent::Gauge { host: 9, at_ns, name, value };
         // Raise carries the rule and ratio; repeats stay quiet.
         let raise = d
             .observe(&gauge("slo_burn:migration-blackout", 240, 1_000))
             .expect("first burning sample raises");
-        assert_eq!((raise.detector, raise.severity), ("slo-burn", Severity::Warning));
-        assert!(raise.detail.contains("migration-blackout"), "{}", raise.detail);
-        assert!(!raise.detail.starts_with("cleared"));
+        let blackout = AlertKind::SloBurn { rule: "migration-blackout" };
+        assert_eq!((raise.kind, raise.transition), (blackout, Transition::Raise));
+        assert_eq!(raise.severity(), Severity::Warning);
         assert!(d.observe(&gauge("slo_burn:migration-blackout", 300, 2_000)).is_none());
         // An unrelated rule tracks independently; plain gauges are not ours.
         assert!(d.observe(&gauge("slo_burn:verify-latency", 0, 2_500)).is_none());
         assert!(d.observe(&gauge("mirror_scrub_failures", 500, 2_600)).is_none());
-        // Clear fires once with the bridge's expected prefix, then re-arms.
+        // Clear fires once for the same rule, then re-arms.
         let clear = d
             .observe(&gauge("slo_burn:migration-blackout", 0, 3_000))
             .expect("zero sample clears");
-        assert!(clear.detail.starts_with("cleared"), "{}", clear.detail);
+        assert_eq!((clear.kind, clear.transition), (blackout, Transition::Clear));
         assert!(d.observe(&gauge("slo_burn:migration-blackout", 0, 3_500)).is_none());
         assert!(d.observe(&gauge("slo_burn:migration-blackout", 110, 4_000)).is_some());
     }
@@ -899,7 +747,7 @@ mod tests {
         };
         assert!(s.observe(&gauge(3)).is_none());
         let a = s.observe(&gauge(4)).expect("budget reached");
-        assert_eq!(a.severity, Severity::Warning);
+        assert_eq!(a.severity(), Severity::Warning);
         assert!(s.observe(&gauge(100)).is_none(), "latched per host");
     }
 }

@@ -3,31 +3,38 @@
 //! The telemetry crate *measures*; this crate *watches*. A [`Sentinel`]
 //! consumes the platform's observability exhaust — request spans,
 //! migration spans, audit records, hypervisor dump events, and gauge
-//! snapshots — as one ordered stream of [`StreamEvent`]s and runs a set
-//! of pluggable online [`Detector`]s over it:
+//! snapshots — as one ordered stream of [`StreamEvent`]s and runs a
+//! fixed set of online detectors over it, one [`AlertKind`] each:
 //!
-//! * **deny-rate anomaly** — per-VM EWMA of the denied fraction
-//!   ([`detectors::DenyRateEwma`]);
+//! * **deny-rate anomaly** — per-VM [`vtpm_telemetry::DenyRate`] EWMA of
+//!   the denied fraction, the same rule the manager's admission
+//!   controller applies ([`detectors::DenyRateWatch`]);
 //! * **dump-attack signature** — any cross-domain use of the memory
 //!   dump facility, the structural fingerprint of the A1–A7 attack
 //!   family ([`detectors::DumpSignature`]);
-//! * **migration-replay watch** — bursts of `RejectedStale` refusals
-//!   ([`detectors::ReplayWatch`]);
+//! * **migration-replay watch** — bursts of `RejectedStale` refusals;
 //! * **nonce hygiene** — any observed nonce reuse
 //!   ([`detectors::NonceHygiene`]);
 //! * **scrub escalation** — cumulative mirror scrub failures past a
 //!   budget ([`detectors::ScrubEscalation`]);
 //! * **quote-storm** — per-verifier attestation-submission bursts
-//!   against the verifier plane ([`detectors::QuoteStorm`]); its alerts
-//!   carry the offending verifier in `domain` so the harness can close
-//!   the loop into the pool's admission throttle, mirroring the
-//!   deny-rate → ring-admission path;
+//!   against the verifier plane; its alerts carry the offending
+//!   verifier as their `subject`, which the harness's actuator
+//!   throttles at the pool, mirroring the deny-rate → ring-admission
+//!   path;
 //! * **stale-quote watch** — bursts of stale or replayed deep-quote
-//!   presentations ([`detectors::StaleQuoteWatch`]);
+//!   presentations (these three are one sliding-window
+//!   [`detectors::BurstWatch`] with different hit sources);
+//! * **churn storm / host flap** — fleet-wide crash-recovery storms and
+//!   per-host flapping ([`detectors::ChurnStorm`]);
 //! * **SLO burn relay** — observatory burn-rate transitions arriving as
-//!   `slo_burn:<rule>` gauges ([`detectors::SloBurn`]); raises and
-//!   clears feed the harness's fleet pause/resume bridge the same way
-//!   churn-storm alerts do.
+//!   `slo_burn:<rule>` gauges ([`detectors::SloBurn`]).
+//!
+//! Every [`Alert`] is typed: its kind, a [`Transition`] (`Raise`, or
+//! `Clear` for the two stateful detectors, churn storm and SLO burn),
+//! and the subject it implicates. Severity and the transcript label
+//! derive from the kind; the `detail` prose is for humans only, and no
+//! control decision reads it.
 //!
 //! Everything is driven by caller-supplied virtual-time stamps and the
 //! stream order — no wall clock, no randomness — so a chaos replay of
@@ -48,12 +55,11 @@
 pub mod detectors;
 pub mod flight;
 
-pub use detectors::{
-    default_detectors, ChurnStorm, DenyRateEwma, Detector, DumpSignature, NonceHygiene,
-    QuoteStorm, ReplayWatch, ScrubEscalation, SloBurn, StaleQuoteWatch,
-};
 pub use flight::{FlightDump, FlightRecorder};
 
+use detectors::{
+    BurstWatch, ChurnStorm, DenyRateWatch, DumpSignature, NonceHygiene, ScrubEscalation, SloBurn,
+};
 use vtpm_telemetry::{MigrationSpanRecord, SpanRecord};
 
 /// Audit-record outcome, as the sentinel sees it: a plain-field mirror
@@ -249,29 +255,116 @@ impl Severity {
     }
 }
 
+/// What an alert is about: one variant per detector. Severity and the
+/// transcript label derive from it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+pub enum AlertKind {
+    /// A (host, domain) deny-rate EWMA tripped; subject = the domain.
+    DenyRate,
+    /// Unexplained use of the memory-dump facility.
+    DumpSignature,
+    /// Burst of stale-epoch migration refusals.
+    ReplayWatch,
+    /// Nonzero nonce-reuse gauge.
+    NonceHygiene,
+    /// Cumulative mirror scrub failures reached budget.
+    ScrubEscalation,
+    /// One verifier's attestation submission burst; subject = the
+    /// verifier.
+    QuoteStorm,
+    /// Burst of stale or replayed quote presentations.
+    StaleQuote,
+    /// Fleet-wide crash-recovery storm, raised then cleared; subject =
+    /// the host whose event tipped it.
+    ChurnStorm,
+    /// One host recovering repeatedly; subject = that host.
+    HostFlap,
+    /// Observatory SLO burn on `rule`, raised then cleared.
+    SloBurn {
+        /// Rule name (the `slo_burn:` gauge suffix).
+        rule: &'static str,
+    },
+}
+
+impl AlertKind {
+    /// Stable label: the transcript key of [`Alert::line`] and R-D1's
+    /// `detector` field. Host flapping is reported by the churn-storm
+    /// detector and keeps its label.
+    pub fn label(self) -> &'static str {
+        match self {
+            AlertKind::DenyRate => "deny-rate",
+            AlertKind::DumpSignature => "dump-signature",
+            AlertKind::ReplayWatch => "replay-watch",
+            AlertKind::NonceHygiene => "nonce-hygiene",
+            AlertKind::ScrubEscalation => "scrub-escalation",
+            AlertKind::QuoteStorm => "quote-storm",
+            AlertKind::StaleQuote => "stale-quote",
+            AlertKind::ChurnStorm | AlertKind::HostFlap => "churn-storm",
+            AlertKind::SloBurn { .. } => "slo-burn",
+        }
+    }
+
+    /// Security verdicts are critical; operational conditions (scrub
+    /// budget, churn, SLO burns) are warnings.
+    pub fn severity(self) -> Severity {
+        match self {
+            AlertKind::ScrubEscalation
+            | AlertKind::ChurnStorm
+            | AlertKind::HostFlap
+            | AlertKind::SloBurn { .. } => Severity::Warning,
+            _ => Severity::Critical,
+        }
+    }
+}
+
+/// Whether an alert opens or closes its condition. Latching detectors
+/// only ever raise.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Transition {
+    /// The condition began.
+    Raise,
+    /// The condition subsided.
+    Clear,
+}
+
 /// One detector firing.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Alert {
-    /// Which detector fired.
-    pub detector: &'static str,
+    /// Which condition fired.
+    pub kind: AlertKind,
+    /// Raise or clear.
+    pub transition: Transition,
+    /// The domain, verifier or host the alert implicates, per
+    /// [`AlertKind`]; `None` when the detector attributes none.
+    pub subject: Option<u32>,
     /// Host the triggering event was attributed to.
     pub host: u32,
     /// Virtual timestamp of the triggering event (ns) — detection
     /// latency is `at_ns - attack_start_ns`.
     pub at_ns: u64,
-    /// Severity.
-    pub severity: Severity,
     /// Causal trace/request id of the triggering event, when it has one.
     pub trace_id: Option<u64>,
-    /// Source domain the alert implicates, when the detector attributes
-    /// one (today only the deny-rate detector does). This is what the
-    /// manager's admission-control bridge keys its throttling on.
-    pub domain: Option<u32>,
     /// Human-readable specifics (deterministic for a given stream).
     pub detail: String,
 }
 
 impl Alert {
+    /// An alert with no subject or trace id.
+    pub(crate) fn new(
+        kind: AlertKind,
+        transition: Transition,
+        host: u32,
+        at_ns: u64,
+        detail: String,
+    ) -> Self {
+        Alert { kind, transition, subject: None, host, at_ns, trace_id: None, detail }
+    }
+
+    /// The kind's severity.
+    pub fn severity(&self) -> Severity {
+        self.kind.severity()
+    }
+
     /// Deterministic transcript line.
     pub fn line(&self) -> String {
         let trace = match self.trace_id {
@@ -280,8 +373,8 @@ impl Alert {
         };
         format!(
             "[{}] {} host={} at={}ns{}: {}",
-            self.severity.label(),
-            self.detector,
+            self.severity().label(),
+            self.kind.label(),
             self.host,
             self.at_ns,
             trace,
@@ -290,95 +383,28 @@ impl Alert {
     }
 }
 
-/// Tunables for the default detector set and the black box.
+/// Events the flight recorder retains (per sentinel).
+pub const FLIGHT_CAPACITY: usize = 256;
+/// At most this many flight dumps are kept (first firings matter most;
+/// later ones only bump counters).
+pub const MAX_FLIGHT_DUMPS: usize = 8;
+
+/// The sentinel's one tunable; every other threshold is a constant in
+/// [`detectors`].
 #[derive(Debug, Clone, Copy)]
 pub struct SentinelConfig {
-    /// Events the flight recorder retains (per sentinel).
-    pub flight_capacity: usize,
-    /// At most this many flight dumps are kept (first firings matter
-    /// most; later ones only bump counters).
-    pub max_flight_dumps: usize,
-    /// EWMA smoothing factor for the deny-rate detector.
-    pub deny_rate_alpha: f64,
-    /// Deny-rate EWMA level that trips the detector.
-    pub deny_rate_threshold: f64,
-    /// Spans a (host, domain) pair must produce before the deny-rate
-    /// detector may fire (cold-start guard).
-    pub deny_rate_min_samples: u64,
-    /// Sliding window for the replay watch (virtual ns).
-    pub replay_window_ns: u64,
-    /// `RejectedStale` refusals within the window that trip the watch.
+    /// `RejectedStale` refusals within
+    /// [`detectors::REPLAY_WINDOW_NS`] that trip the replay watch.
     pub replay_burst: usize,
-    /// Cumulative mirror scrub failures tolerated before escalation.
-    pub scrub_budget: u64,
-    /// A Dom0 dump this close (virtual ns) to an observed
-    /// crash-recovery on the same host is the manager's own recovery
-    /// scan, not an attack, and is not flagged.
-    pub recovery_dump_grace_ns: u64,
-    /// Sliding window for the quote-storm detector (virtual ns).
-    pub quote_storm_window_ns: u64,
-    /// Attestation submissions from one verifier within the window that
-    /// qualify as a storm.
-    pub quote_storm_burst: usize,
-    /// Sliding window for the stale-quote watch (virtual ns).
-    pub stale_quote_window_ns: u64,
-    /// Stale/replayed presentations within the window that trip the
-    /// watch.
-    pub stale_quote_burst: usize,
-    /// Sliding window for the churn-storm / host-flap watch (virtual
-    /// ns).
-    pub churn_window_ns: u64,
-    /// Crash-recoveries (any host) within the window that qualify as a
-    /// churn storm.
-    pub churn_storm_crashes: usize,
-    /// Once a storm is raised, it clears when the window drains to at
-    /// most this many crash-recoveries.
-    pub churn_clear_crashes: usize,
-    /// Crash-recoveries of a *single* host within the window that flag
-    /// that host as flapping.
-    pub host_flap_crashes: usize,
 }
 
 impl Default for SentinelConfig {
     fn default() -> Self {
-        SentinelConfig {
-            flight_capacity: 256,
-            max_flight_dumps: 8,
-            deny_rate_alpha: 0.2,
-            // Chaos workloads legitimately mix denied traffic in; only
-            // a sustained majority-denied stream is anomalous.
-            deny_rate_threshold: 0.9,
-            deny_rate_min_samples: 8,
-            replay_window_ns: 10_000_000,
-            // migrate() retries at most twice after a rejection, so a
-            // healthy run can produce a couple of stale refusals — a
-            // burst of four within the window cannot happen without an
-            // active replayer.
-            replay_burst: 4,
-            scrub_budget: 64,
-            // The recovery scan and the crash-recovery marker are
-            // stamped by the same virtual clock with no workload in
-            // between, so 1ms of grace is already generous.
-            recovery_dump_grace_ns: 1_000_000,
-            // A verifier with a legitimate cadence polls once per
-            // nonce-window (seconds of virtual time); 64 submissions
-            // inside one millisecond is mechanical hammering.
-            quote_storm_window_ns: 1_000_000,
-            quote_storm_burst: 64,
-            stale_quote_window_ns: 10_000_000,
-            // The freshness window is issuer-published, so an honest
-            // verifier ages out of it at most once per window roll; a
-            // burst of four refusals means replayed/hoarded evidence.
-            stale_quote_burst: 4,
-            // Migration-chaos rounds advance virtual time by whole
-            // milliseconds each (fabric frames + RSA opens), so
-            // organic crashes land several ms apart; four recoveries
-            // crammed into 5 ms is a storm by construction.
-            churn_window_ns: 5_000_000,
-            churn_storm_crashes: 4,
-            churn_clear_crashes: 1,
-            host_flap_crashes: 3,
-        }
+        // migrate() retries at most twice after a rejection, so a
+        // healthy run can produce a couple of stale refusals — a burst
+        // of four within the window cannot happen without an active
+        // replayer.
+        SentinelConfig { replay_burst: 4 }
     }
 }
 
@@ -386,8 +412,15 @@ impl Default for SentinelConfig {
 /// detector set, collects alerts, and snapshots the black box when one
 /// fires.
 pub struct Sentinel {
-    cfg: SentinelConfig,
-    detectors: Vec<Box<dyn Detector>>,
+    deny_rate: DenyRateWatch,
+    dump: DumpSignature,
+    replay: BurstWatch,
+    nonce: NonceHygiene,
+    scrub: ScrubEscalation,
+    quote_storm: BurstWatch,
+    stale_quote: BurstWatch,
+    churn: ChurnStorm,
+    slo: SloBurn,
     flight: FlightRecorder,
     alerts: Vec<Alert>,
     dumps: Vec<FlightDump>,
@@ -395,21 +428,36 @@ pub struct Sentinel {
 }
 
 impl Sentinel {
-    /// A sentinel with the default detector set.
+    /// A sentinel running every detector.
     pub fn new(cfg: SentinelConfig) -> Self {
-        let detectors = default_detectors(&cfg);
-        Self::with_detectors(cfg, detectors)
-    }
-
-    /// A sentinel with a caller-supplied detector set.
-    pub fn with_detectors(cfg: SentinelConfig, detectors: Vec<Box<dyn Detector>>) -> Self {
+        use detectors::*;
         Sentinel {
-            detectors,
-            flight: FlightRecorder::new(cfg.flight_capacity),
+            deny_rate: DenyRateWatch::default(),
+            dump: DumpSignature::new(RECOVERY_DUMP_GRACE_NS),
+            replay: BurstWatch::new(AlertKind::ReplayWatch, REPLAY_WINDOW_NS, cfg.replay_burst),
+            nonce: NonceHygiene::default(),
+            scrub: ScrubEscalation::new(SCRUB_BUDGET),
+            quote_storm: BurstWatch::new(
+                AlertKind::QuoteStorm,
+                QUOTE_STORM_WINDOW_NS,
+                QUOTE_STORM_BURST,
+            ),
+            stale_quote: BurstWatch::new(
+                AlertKind::StaleQuote,
+                STALE_QUOTE_WINDOW_NS,
+                STALE_QUOTE_BURST,
+            ),
+            churn: ChurnStorm::new(
+                CHURN_WINDOW_NS,
+                CHURN_STORM_CRASHES,
+                CHURN_CLEAR_CRASHES,
+                HOST_FLAP_CRASHES,
+            ),
+            slo: SloBurn::default(),
+            flight: FlightRecorder::new(FLIGHT_CAPACITY),
             alerts: Vec::new(),
             dumps: Vec::new(),
             events_seen: 0,
-            cfg,
         }
     }
 
@@ -418,10 +466,20 @@ impl Sentinel {
     pub fn observe(&mut self, ev: StreamEvent) -> usize {
         self.events_seen += 1;
         self.flight.push(ev.clone());
-        let new_alerts: Vec<Alert> =
-            self.detectors.iter_mut().filter_map(|d| d.observe(&ev)).collect();
-        let fired = new_alerts.len();
-        for alert in new_alerts {
+        let new_alerts = [
+            self.deny_rate.observe(&ev),
+            self.dump.observe(&ev),
+            self.replay.observe(&ev),
+            self.nonce.observe(&ev),
+            self.scrub.observe(&ev),
+            self.quote_storm.observe(&ev),
+            self.stale_quote.observe(&ev),
+            self.churn.observe(&ev),
+            self.slo.observe(&ev),
+        ];
+        let mut fired = 0;
+        for alert in new_alerts.into_iter().flatten() {
+            fired += 1;
             self.dump_black_box(format!("alert: {}", alert.line()), alert.at_ns);
             self.alerts.push(alert);
         }
@@ -437,7 +495,7 @@ impl Sentinel {
     }
 
     fn dump_black_box(&mut self, reason: String, at_ns: u64) {
-        if self.dumps.len() < self.cfg.max_flight_dumps {
+        if self.dumps.len() < MAX_FLIGHT_DUMPS {
             self.dumps.push(self.flight.dump(reason, at_ns));
         }
     }
@@ -450,7 +508,7 @@ impl Sentinel {
     /// Alerts at [`Severity::Critical`] — the attack-detection verdicts
     /// the R-D1 gate counts.
     pub fn critical_alerts(&self) -> impl Iterator<Item = &Alert> {
-        self.alerts.iter().filter(|a| a.severity == Severity::Critical)
+        self.alerts.iter().filter(|a| a.severity() == Severity::Critical)
     }
 
     /// Black-box snapshots captured so far.
@@ -532,7 +590,7 @@ mod tests {
         }));
         assert_eq!(fired, 1);
         let a = &s.alerts()[0];
-        assert_eq!((a.detector, a.severity), ("dump-signature", Severity::Critical));
+        assert_eq!((a.kind, a.severity()), (AlertKind::DumpSignature, Severity::Critical));
         assert_eq!(a.at_ns, 9_000);
         // The black box captured the span that preceded the dump.
         assert_eq!(s.flight_dumps().len(), 1);
@@ -554,9 +612,34 @@ mod tests {
                 kind: AuditKind::MigrationStage(7),
             }));
         }
-        let fired: Vec<_> = s.alerts().iter().filter(|a| a.detector == "replay-watch").collect();
+        let fired: Vec<_> =
+            s.alerts().iter().filter(|a| a.kind == AlertKind::ReplayWatch).collect();
         assert_eq!(fired.len(), 1, "latched after first firing");
         assert_eq!(fired[0].trace_id, Some(trace));
+    }
+
+    #[test]
+    fn kind_labels_pin_the_transcript_detector_names() {
+        // Chaos transcripts, their pinned hash and R-D1's `detector`
+        // field all read these strings, so each kind keeps the name
+        // (and severity) its detector had before alerts were typed.
+        use AlertKind::*;
+        use Severity::{Critical, Warning};
+        let pinned = [
+            (DenyRate, "deny-rate", Critical),
+            (DumpSignature, "dump-signature", Critical),
+            (ReplayWatch, "replay-watch", Critical),
+            (NonceHygiene, "nonce-hygiene", Critical),
+            (ScrubEscalation, "scrub-escalation", Warning),
+            (QuoteStorm, "quote-storm", Critical),
+            (StaleQuote, "stale-quote", Critical),
+            (ChurnStorm, "churn-storm", Warning),
+            (HostFlap, "churn-storm", Warning),
+            (SloBurn { rule: "migration-blackout" }, "slo-burn", Warning),
+        ];
+        for (kind, label, severity) in pinned {
+            assert_eq!((kind.label(), kind.severity()), (label, severity), "{kind:?}");
+        }
     }
 
     #[test]

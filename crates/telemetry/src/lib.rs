@@ -32,6 +32,7 @@
 //! the observer's thread.
 
 mod attest;
+mod deny_rate;
 mod export;
 mod fleet;
 mod histogram;
@@ -41,6 +42,7 @@ mod ring;
 mod rollup;
 
 pub use attest::{AttestTelemetry, QuoteSpanRecord, QUOTE_STAGE_LABELS};
+pub use deny_rate::DenyRate;
 pub use export::{chrome_trace, cluster_chrome_trace, hist_json, prom_summary};
 pub use fleet::{FleetTelemetry, FLEET_STAGE_LABELS};
 pub use histogram::{Histogram, HistogramSnapshot};

@@ -6,21 +6,23 @@
 //! its requests still costs the manager a decode, a hook evaluation, and
 //! two transport hops. Admission control moves that cut to the front of
 //! the pipeline: the manager feeds each request's outcome into a
-//! per-domain deny-rate EWMA (the same α/threshold discipline the
-//! sentinel uses), and once a domain trips the threshold its requests
+//! per-domain [`DenyRate`] — the one EWMA rule the sentinel's detector
+//! also uses, same constants — and once a domain trips it its requests
 //! are refused right after decode — before the hook runs — with
 //! [`ResponseStatus::Throttled`](crate::transport::ResponseStatus).
 //!
 //! A throttled domain is not banished: every refused request decays the
-//! EWMA, and once it falls below `threshold * release_ratio` the domain
-//! is re-admitted. A cooperating guest that stops sending garbage
-//! therefore recovers after a bounded number of refusals, while a
-//! flooding attacker keeps itself throttled by its own traffic.
+//! EWMA by `DECAY`, and once it falls below
+//! `DenyRate::THRESHOLD * RELEASE_RATIO` the domain is re-admitted. A
+//! cooperating guest that stops sending garbage therefore recovers after
+//! a bounded number of refusals, while a flooding attacker keeps itself
+//! throttled by its own traffic.
 //!
 //! The controller can also be tripped from outside via
-//! [`AdmissionController::throttle`] — the harness bridges sentinel
-//! deny-rate alerts into it, closing the loop the paper's architecture
-//! draws between detection (sentinel) and enforcement (manager).
+//! [`AdmissionController::throttle`] — the harness's alert actuator
+//! throttles the subject of every raised deny-rate alert here, closing
+//! the loop the paper's architecture draws between detection (sentinel)
+//! and enforcement (manager).
 //!
 //! Everything here is deterministic: `f64` EWMA arithmetic and
 //! `BTreeMap` iteration give byte-identical replay under the chaos
@@ -30,41 +32,15 @@ use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use parking_lot::Mutex;
+use vtpm_telemetry::DenyRate;
 
-/// Admission-control tuning. Disabled by default; the deny-rate
-/// parameters mirror the sentinel's `SentinelConfig` defaults so both
-/// layers judge a domain by the same standard.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct AdmissionConfig {
-    /// Master switch. Off by default: baseline experiments and the
-    /// existing test matrix see no behaviour change.
-    pub enabled: bool,
-    /// EWMA smoothing factor for the per-domain deny rate.
-    pub alpha: f64,
-    /// Deny-rate level that trips the throttle.
-    pub threshold: f64,
-    /// Outcomes observed before a domain may trip (cold-start guard).
-    pub min_samples: u64,
-    /// Multiplier applied to the EWMA per *refused* request while
-    /// throttled — refusals are how a throttled domain cools down.
-    pub decay: f64,
-    /// A throttled domain is released once its EWMA falls below
-    /// `threshold * release_ratio` (hysteresis against flapping).
-    pub release_ratio: f64,
-}
+/// Multiplier applied to the EWMA per *refused* request while
+/// throttled — refusals are how a throttled domain cools down.
+const DECAY: f64 = 0.9;
 
-impl Default for AdmissionConfig {
-    fn default() -> Self {
-        AdmissionConfig {
-            enabled: false,
-            alpha: 0.2,
-            threshold: 0.9,
-            min_samples: 8,
-            decay: 0.9,
-            release_ratio: 0.5,
-        }
-    }
-}
+/// A throttled domain is released once its EWMA falls below
+/// `DenyRate::THRESHOLD * RELEASE_RATIO` (hysteresis against flapping).
+const RELEASE_RATIO: f64 = 0.5;
 
 /// A request refused at ring ingress.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -80,9 +56,7 @@ pub struct AdmissionError {
 #[derive(Debug, Clone, Copy, Default)]
 struct DomainState {
     /// Deny-rate EWMA over this domain's outcomes.
-    ewma: f64,
-    /// Outcomes observed (cold-start guard).
-    samples: u64,
+    rate: DenyRate,
     /// Whether the domain is currently refused at ingress.
     throttled: bool,
     /// Requests refused while throttled (diagnostics).
@@ -92,25 +66,22 @@ struct DomainState {
 /// The per-domain admission controller. One per manager; all methods
 /// take `&self` and are safe from any worker thread.
 pub struct AdmissionController {
-    cfg: AdmissionConfig,
+    /// Master switch. Off by default: baseline experiments and the
+    /// existing test matrix see no behaviour change.
+    enabled: bool,
     domains: Mutex<BTreeMap<u32, DomainState>>,
     refused_total: AtomicU64,
     throttle_events: AtomicU64,
 }
 
 impl AdmissionController {
-    pub fn new(cfg: AdmissionConfig) -> Self {
+    pub fn new(enabled: bool) -> Self {
         AdmissionController {
-            cfg,
+            enabled,
             domains: Mutex::new(BTreeMap::new()),
             refused_total: AtomicU64::new(0),
             throttle_events: AtomicU64::new(0),
         }
-    }
-
-    /// The controller's configuration.
-    pub fn config(&self) -> &AdmissionConfig {
-        &self.cfg
     }
 
     /// Gate a request from `domain` at ring ingress. `Ok` admits it;
@@ -118,7 +89,7 @@ impl AdmissionController {
     /// the domain's EWMA, so a throttled domain that keeps (or stops)
     /// sending eventually crosses the release level and is re-admitted.
     pub fn admit(&self, domain: u32) -> Result<(), AdmissionError> {
-        if !self.cfg.enabled {
+        if !self.enabled {
             return Ok(());
         }
         let mut domains = self.domains.lock();
@@ -126,8 +97,8 @@ impl AdmissionController {
         if !state.throttled {
             return Ok(());
         }
-        state.ewma *= self.cfg.decay;
-        if state.ewma < self.cfg.threshold * self.cfg.release_ratio {
+        state.rate.decay(DECAY);
+        if state.rate.value() < DenyRate::THRESHOLD * RELEASE_RATIO {
             state.throttled = false;
             return Ok(());
         }
@@ -135,7 +106,7 @@ impl AdmissionController {
         self.refused_total.fetch_add(1, Ordering::Relaxed);
         Err(AdmissionError {
             domain,
-            deny_rate_milli: (state.ewma * 1000.0) as u32,
+            deny_rate_milli: (state.rate.value() * 1000.0) as u32,
         })
     }
 
@@ -143,29 +114,25 @@ impl AdmissionController {
     /// (`denied` = the access hook denied it). Trips the throttle when
     /// the rate crosses the threshold after the cold-start window.
     pub fn record_outcome(&self, domain: u32, denied: bool) {
-        if !self.cfg.enabled {
+        if !self.enabled {
             return;
         }
         let mut domains = self.domains.lock();
         let state = domains.entry(domain).or_default();
-        let x = if denied { 1.0 } else { 0.0 };
-        state.ewma = self.cfg.alpha * x + (1.0 - self.cfg.alpha) * state.ewma;
-        state.samples += 1;
-        if !state.throttled && state.samples >= self.cfg.min_samples && state.ewma > self.cfg.threshold
-        {
+        if state.rate.record(denied) && !state.throttled {
             state.throttled = true;
             self.throttle_events.fetch_add(1, Ordering::Relaxed);
         }
     }
 
     /// Trip the throttle for `domain` from outside — the sentinel
-    /// bridge. The EWMA is latched at 1.0 so release still requires the
-    /// full decay run; the cold-start guard is considered satisfied (an
-    /// external detector already saw enough evidence). Returns whether
-    /// this call newly latched the domain (false when disabled or
-    /// already throttled).
+    /// closed loop. The EWMA is latched at 1.0 so release still requires
+    /// the full decay run; the cold-start guard is considered satisfied
+    /// (an external detector already saw enough evidence). Returns
+    /// whether this call newly latched the domain (false when disabled
+    /// or already throttled).
     pub fn throttle(&self, domain: u32) -> bool {
-        if !self.cfg.enabled {
+        if !self.enabled {
             return false;
         }
         let mut domains = self.domains.lock();
@@ -175,8 +142,7 @@ impl AdmissionController {
             state.throttled = true;
             self.throttle_events.fetch_add(1, Ordering::Relaxed);
         }
-        state.ewma = 1.0;
-        state.samples = state.samples.max(self.cfg.min_samples);
+        state.rate.saturate();
         newly
     }
 
@@ -187,7 +153,7 @@ impl AdmissionController {
 
     /// `domain`'s current deny-rate EWMA (diagnostics).
     pub fn deny_rate(&self, domain: u32) -> f64 {
-        self.domains.lock().get(&domain).map(|s| s.ewma).unwrap_or(0.0)
+        self.domains.lock().get(&domain).map(|s| s.rate.value()).unwrap_or(0.0)
     }
 
     /// Total requests refused at ingress.
@@ -205,13 +171,9 @@ impl AdmissionController {
 mod tests {
     use super::*;
 
-    fn on() -> AdmissionConfig {
-        AdmissionConfig { enabled: true, ..Default::default() }
-    }
-
     #[test]
     fn disabled_controller_admits_everything() {
-        let ac = AdmissionController::new(AdmissionConfig::default());
+        let ac = AdmissionController::new(false);
         for _ in 0..100 {
             ac.record_outcome(1, true);
             assert!(ac.admit(1).is_ok());
@@ -221,7 +183,7 @@ mod tests {
 
     #[test]
     fn sustained_denials_trip_then_refusals_decay_to_release() {
-        let ac = AdmissionController::new(on());
+        let ac = AdmissionController::new(true);
         // All-denied traffic trips after the cold-start window.
         let mut tripped_at = None;
         for i in 0..32 {
@@ -233,7 +195,7 @@ mod tests {
             }
         }
         let tripped_at = tripped_at.expect("all-denied domain must trip");
-        assert!(tripped_at + 1 >= on().min_samples as usize);
+        assert!(tripped_at + 1 >= DenyRate::MIN_SAMPLES as usize);
         assert_eq!(ac.throttle_events(), 1);
 
         // Refusals decay the EWMA until release; then admission resumes.
@@ -250,7 +212,7 @@ mod tests {
 
     #[test]
     fn clean_traffic_never_trips_and_domains_are_independent() {
-        let ac = AdmissionController::new(on());
+        let ac = AdmissionController::new(true);
         for _ in 0..100 {
             ac.record_outcome(1, false);
             ac.record_outcome(2, true);
@@ -262,11 +224,11 @@ mod tests {
 
     #[test]
     fn external_throttle_latches_full_decay_run() {
-        let ac = AdmissionController::new(on());
+        let ac = AdmissionController::new(true);
         ac.throttle(3);
         assert!(ac.is_throttled(3));
         assert!(ac.admit(3).is_err());
-        assert!((ac.deny_rate(3) - 1.0 * on().decay).abs() < 1e-9);
+        assert!((ac.deny_rate(3) - DECAY).abs() < 1e-9);
         // Repeated throttle calls don't double-count events.
         ac.throttle(3);
         assert_eq!(ac.throttle_events(), 1);

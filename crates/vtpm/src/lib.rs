@@ -45,7 +45,7 @@ pub mod platform;
 pub mod server;
 pub mod transport;
 
-pub use admission::{AdmissionConfig, AdmissionController, AdmissionError};
+pub use admission::{AdmissionController, AdmissionError};
 pub use deep_quote::{DeepQuote, DeepQuoteError, BINDING_PCR};
 pub use device::{provision_device, TpmBack, TpmFront, VTPM_FAIL_RC};
 pub use hook::{AccessDecision, AccessHook, DenyReason, RequestContext, StockHook};

@@ -27,7 +27,7 @@ use xen_sim::{DomainId, Hypervisor, Result as XenResult};
 
 use vtpm_telemetry::{MetricsSnapshot, Outcome, Span, Telemetry};
 
-use crate::admission::{AdmissionConfig, AdmissionController};
+use crate::admission::AdmissionController;
 use crate::hook::{AccessDecision, AccessHook, RequestContext, StockHook};
 use crate::instance::{InstanceId, VtpmInstance};
 use crate::mirror::{FlushPolicy, MirrorMode, StateMirror};
@@ -60,7 +60,7 @@ pub struct ManagerConfig {
     /// coalesced flush passes.
     pub flush_policy: FlushPolicy,
     /// Per-domain admission control at ring ingress (default: disabled).
-    pub admission: AdmissionConfig,
+    pub admission: bool,
 }
 
 impl Default for ManagerConfig {
@@ -73,7 +73,7 @@ impl Default for ManagerConfig {
             telemetry_enabled: true,
             telemetry_span_capacity: vtpm_telemetry::DEFAULT_SPAN_CAPACITY,
             flush_policy: FlushPolicy::per_command(),
-            admission: AdmissionConfig::default(),
+            admission: false,
         }
     }
 }
@@ -385,7 +385,7 @@ impl VtpmManager {
     }
 
     /// The per-domain admission controller (diagnostics and the
-    /// sentinel→manager enforcement bridge).
+    /// sentinel→manager closed loop).
     pub fn admission(&self) -> &AdmissionController {
         &self.admission
     }
@@ -1364,7 +1364,7 @@ mod tests {
             ManagerConfig {
                 mirror_mode: MirrorMode::Cleartext,
                 charge_virtual_time: false,
-                admission: AdmissionConfig { enabled: true, ..Default::default() },
+                admission: true,
                 ..Default::default()
             },
         )
@@ -1391,7 +1391,7 @@ mod tests {
         }
         let tripped = saw_throttled_at.expect("sustained denials must trip the throttle");
         assert!(
-            tripped >= mgr.admission().config().min_samples as u64,
+            tripped >= vtpm_telemetry::DenyRate::MIN_SAMPLES,
             "throttle tripped before min_samples denials"
         );
         assert!(mgr.admission().is_throttled(2));

@@ -11,12 +11,12 @@
 //! The storm also exercises the sentinel closed loop: the burst of
 //! crash-recoveries trips the churn-storm detector (a `Warning` — an
 //! operational condition, not a page), which pauses the rebalancer
-//! via the same alert-bridge the chaos harness drives; when the churn
-//! subsides the detector emits its `cleared` alert and the rebalancer
-//! resumes.
+//! via the same alert actuator the chaos harness drives; when the
+//! churn subsides the detector emits its `Clear` transition and the
+//! rebalancer resumes.
 
 use vtpm_fleet::{Fleet, FleetConfig};
-use vtpm_harness::apply_fleet_alerts;
+use vtpm_harness::{Actuator, Levers};
 use vtpm_sentinel::{Sentinel, SentinelConfig, StreamEvent};
 use vtpm_xen::cluster::{Cluster, ClusterConfig};
 use vtpm_xen::telemetry::FleetTelemetry;
@@ -38,7 +38,7 @@ fn main() {
         &cluster,
     );
     let mut sentinel = Sentinel::new(SentinelConfig::default());
-    let mut alerts_fed = 0usize;
+    let mut actuator = Actuator::default();
 
     for _ in 0..10 {
         let h = cluster.add_host().expect("join");
@@ -91,9 +91,11 @@ fn main() {
             at_ns: cluster.hosts[h].platform.hv.clock.now_ns(),
         });
     }
-    let (paused, _) = apply_fleet_alerts(&mut fleet, &sentinel.alerts()[alerts_fed..]);
-    alerts_fed = sentinel.alerts().len();
-    assert!(paused > 0 && fleet.paused(), "ten recoveries in a window must trip the storm");
+    let acted = actuator.apply(&sentinel, Levers { fleet: Some(&mut fleet), ..Levers::default() });
+    assert!(
+        acted.storm_pauses > 0 && fleet.paused(),
+        "ten recoveries in a window must trip the storm"
+    );
     println!(
         "churn-storm alert raised: \"{}\" — rebalancer paused",
         sentinel.alerts().last().map(|a| a.detail.as_str()).unwrap_or(""),
@@ -106,15 +108,15 @@ fn main() {
     }
 
     // Quiet returns: the next event after the window drains clears the
-    // storm, and the bridge resumes the rebalancer.
+    // storm, and the actuator resumes the rebalancer.
     sentinel.observe(StreamEvent::Gauge {
         host: 0,
         at_ns: cluster.clock.now_ns() + 50_000_000,
         name: "fleet_quiet",
         value: 0,
     });
-    let (_, resumed) = apply_fleet_alerts(&mut fleet, &sentinel.alerts()[alerts_fed..]);
-    assert!(resumed > 0 && !fleet.paused(), "quiet window must clear the storm");
+    let acted = actuator.apply(&sentinel, Levers { fleet: Some(&mut fleet), ..Levers::default() });
+    assert!(acted.storm_resumes > 0 && !fleet.paused(), "quiet window must clear the storm");
     println!(
         "churn cleared: \"{}\" — rebalancer resumed",
         sentinel.alerts().last().map(|a| a.detail.as_str()).unwrap_or(""),

@@ -84,7 +84,7 @@ fn main() {
         println!("  {}", a.line());
     }
     assert!(
-        sentinel.critical_alerts().any(|a| a.detector == "dump-signature"),
+        sentinel.critical_alerts().any(|a| a.kind == AlertKind::DumpSignature),
         "the dump-signature detector must fire on the attack's dumps"
     );
     println!("\nthe attack was blocked AND detected.");

@@ -63,7 +63,12 @@
 #      burn -> sentinel alert -> rebalancer pause -> clear -> resume
 #      loop, or one scrape+evaluate pass costs more than 3% of the
 #      controller's heartbeat period (the R-O1 self-overhead budget,
-#      lifted to the fleet plane).
+#      lifted to the fleet plane);
+#  12. chaos transcript hash: `chaos --seeds 8 --base pr14 --family all
+#      --matrix --json` must hash to the pinned sha256 — every family's
+#      verdicts, counters, alert lines and fleet downtimes byte for
+#      byte (~50 s on 2 cores). Refactors of the harness, sentinel or
+#      telemetry must leave it unchanged.
 #
 # Every `repro` step also writes its BENCH_<exp>.json artifact under
 # target/bench.
@@ -129,5 +134,18 @@ cargo run --release -p vtpm-bench --bin repro -- m2 --quick --out target/bench
 
 echo "== R-O2: fleet observatory (zero false burns, SLO closed loop, <= 3% overhead) =="
 cargo run --release -p vtpm-bench --bin repro -- o2 --quick --out target/bench
+
+echo "== chaos transcript hash: all families + matrix, byte-identical =="
+# Re-pin this value only when a change is meant to alter what a seed
+# does or reports, and say why in that change. Example: a newly scraped
+# counter lengthens every host's scrape frame, the fabric charges frames
+# to virtual time by size, and so the fleet downtimes move.
+CHAOS_SHA256=c362a72514608163808e49fa09735a5cca0bd9ab8cd4e7bbd7f5f6bd26d5c6d4
+got=$(cargo run --release -q -p vtpm-harness --bin chaos -- \
+    --seeds 8 --base pr14 --family all --matrix --json | sha256sum | cut -d' ' -f1)
+if [ "$got" != "$CHAOS_SHA256" ]; then
+    echo "chaos transcript hash changed: $got, pinned $CHAOS_SHA256" >&2
+    exit 1
+fi
 
 echo "CI gate passed."

@@ -213,7 +213,7 @@ fn telemetry_conserves_and_counts_drops_exactly() {
 /// mid-command sample violate that conservation.
 #[test]
 fn stats_snapshots_conserve_while_mixed_traffic_runs() {
-    use vtpm_xen::vtpm_stack::{AdmissionConfig, Envelope};
+    use vtpm_xen::vtpm_stack::Envelope;
 
     let hv = Arc::new(Hypervisor::boot(4096, 16).unwrap());
     let mgr = Arc::new(
@@ -222,7 +222,7 @@ fn stats_snapshots_conserve_while_mixed_traffic_runs() {
             b"conc-conserve",
             ManagerConfig {
                 charge_virtual_time: false,
-                admission: AdmissionConfig { enabled: true, ..Default::default() },
+                admission: true,
                 ..Default::default()
             },
         )
