@@ -792,7 +792,9 @@ pub struct RecoveryReport {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::mirror::MAX_STATE_BYTES;
     use tpm::{parse_response, rc};
+    use xen_sim::XenError;
 
     fn setup(mode: MirrorMode) -> (Arc<Hypervisor>, VtpmManager) {
         let hv = Arc::new(Hypervisor::boot(2048, 8).unwrap());
@@ -1164,6 +1166,86 @@ mod tests {
         assert!(mgr.instance_ids().contains(&id));
         let resp = mgr.handle(DomainId(1), &envelope(1, id, 1, startup_cmd()));
         assert_eq!(ResponseEnvelope::decode(&resp).unwrap().status, ResponseStatus::Ok);
+    }
+
+    /// A TPM config with room to grow state past the mirror's limit.
+    fn roomy_config() -> TpmConfig {
+        TpmConfig { nv_budget: 1 << 20, ..Default::default() }
+    }
+
+    /// NV payload that takes any instance's state past the mirror limit.
+    fn oversize_nv() -> Vec<u8> {
+        vec![0x9C; 900 * 1024]
+    }
+
+    fn oversize_instance() -> VtpmInstance {
+        let mut inst = VtpmInstance::new(99, b"elsewhere", roomy_config());
+        inst.tpm.provision_nv(0x61, &oversize_nv()).unwrap();
+        inst
+    }
+
+    fn free_frames(hv: &Hypervisor) -> usize {
+        hv.with_memory(|m| m.free_frames())
+    }
+
+    fn assert_state_too_large(err: XenError) {
+        match err {
+            XenError::StateTooLarge { bytes, max } => {
+                assert_eq!(max, MAX_STATE_BYTES);
+                assert!(bytes > max, "{bytes} bytes is within the {max}-byte limit");
+            }
+            other => panic!("expected StateTooLarge, got {other}"),
+        }
+    }
+
+    #[test]
+    fn restore_refuses_oversize_state_and_tracks_no_region() {
+        let (hv, mgr) = setup(MirrorMode::Encrypted);
+        let free = free_frames(&hv);
+        assert_state_too_large(mgr.restore_instance(5, oversize_instance()).unwrap_err());
+        assert!(mgr.mirror.instance_ids().is_empty());
+        assert!(mgr.instance_ids().is_empty());
+        assert_eq!(free_frames(&hv), free, "a refused restore must allocate no frame");
+    }
+
+    #[test]
+    fn adopt_refuses_oversize_state_and_tracks_no_region() {
+        let (hv, mgr) = setup(MirrorMode::Encrypted);
+        let free = free_frames(&hv);
+        assert_state_too_large(mgr.adopt_instance(oversize_instance()).unwrap_err());
+        assert!(mgr.mirror.instance_ids().is_empty());
+        assert!(mgr.instance_ids().is_empty());
+        assert_eq!(free_frames(&hv), free, "a refused adopt must allocate no frame");
+    }
+
+    #[test]
+    fn instance_growing_past_the_mirror_limit_keeps_its_last_image() {
+        let hv = Arc::new(Hypervisor::boot(2048, 8).unwrap());
+        let mgr = VtpmManager::new(
+            Arc::clone(&hv),
+            b"oversize",
+            ManagerConfig {
+                mirror_mode: MirrorMode::Encrypted,
+                vtpm_config: roomy_config(),
+                ..Default::default()
+            },
+        )
+        .unwrap();
+        let id = mgr.create_instance().unwrap();
+        mgr.handle(DomainId(1), &envelope(1, id, 1, startup_cmd()));
+        let committed = mgr.export_instance_state(id).unwrap();
+        let generation = mgr.mirror.generation(id);
+        let failures = mgr.stats_snapshot().mirror_failures;
+        let grown = mgr
+            .with_instance(id, |i| {
+                i.tpm.provision_nv(0x61, &oversize_nv()).unwrap();
+                i.tpm.serialize_state()
+            })
+            .unwrap();
+        assert_eq!(mgr.stats_snapshot().mirror_failures, failures + 1);
+        assert_state_too_large(mgr.mirror.update(id, &grown).unwrap_err());
+        assert_eq!(mgr.resident_image(id).unwrap(), committed, "last committed image must survive");
+        assert_eq!(mgr.mirror.generation(id), generation);
     }
 
     #[test]

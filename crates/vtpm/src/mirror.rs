@@ -31,12 +31,23 @@
 //!                 [16..24) payload length, u64 BE
 //!                 [24..28) data page count, u32 BE
 //!                 [28..36) key-check tag (Encrypted mode; zeros otherwise)
-//!                 [36..)   20-byte page entries:
+//!                 [36..u)  20-byte page entries, u = 36 + 20 * count:
 //!                            active mfn u32 | shadow mfn u32 |
-//!                            write counter u32 | stored-page digest 8 B
-//!                 [end-32..) SHA-256 of everything above
-//! data frames:    payload pages (slot A / slot B), zero-padded
+//!                            write counter u32 | stored-payload digest 8 B
+//!                 [u..end-32) zero filler
+//!                 [end-32..) SHA-256 of [0..u)
+//! data frames:    payload pages (slot A / slot B): the page's payload
+//!                 bytes, then a zero tail (only the last page has one)
 //! ```
+//!
+//! The crypto cost follows the payload, not the page. Each data page's
+//! payload bytes are AES-CTR'd at the page's fixed block offset and
+//! digested; the zero tail is neither encrypted nor hashed. Instead a
+//! reader rejects any frame whose tail is not all zero, and any metadata
+//! frame with a nonzero filler byte, so every byte of a committed frame is
+//! still covered — by the digest or checksum, or by that zero check. The
+//! zero tail shows the payload length, which `[16..24)` already stores in
+//! the clear.
 //!
 //! Updates are incremental: the mirror keeps a plaintext cache of the
 //! last image and rewrites only the data pages whose contents changed
@@ -114,6 +125,8 @@ const META_CHECKSUM: usize = 32;
 const BLOCKS_PER_PAGE: u64 = (PAGE_SIZE / 16) as u64;
 /// Data pages addressable by one metadata frame (~800 KiB of state).
 const MAX_DATA_PAGES: usize = (PAGE_SIZE - META_FIXED - META_CHECKSUM) / META_ENTRY;
+/// Largest state one region can mirror.
+pub(crate) const MAX_STATE_BYTES: usize = MAX_DATA_PAGES * PAGE_SIZE;
 
 /// How instance state is held in Dom0 memory.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -175,6 +188,9 @@ impl FlushPolicy {
 struct Region {
     /// The metadata frame, allocated on the first non-empty update.
     meta_mfn: Option<usize>,
+    /// This instance's key-check tag, computed once when the region is
+    /// created (see [`StateMirror::key_check_tag`]).
+    key_check: [u8; 8],
     /// Two backing frames per data page (A/B slots).
     slots: Vec<[usize; 2]>,
     /// Which slot of each page holds the committed image.
@@ -286,7 +302,7 @@ struct PendingBatch {
 }
 
 /// A parsed per-page metadata entry.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct MetaEntry {
     active_mfn: u32,
     shadow_mfn: u32,
@@ -294,14 +310,27 @@ struct MetaEntry {
     digest: [u8; 8],
 }
 
-/// Truncated digest of a stored page (corruption detection).
-fn page_digest(page: &[u8]) -> [u8; 8] {
-    tpm_crypto::sha256(page)[..8].try_into().expect("8 bytes")
+/// Truncated digest of a stored page's payload bytes (corruption
+/// detection; the zero tail is checked by comparison instead).
+fn page_digest(payload: &[u8]) -> [u8; 8] {
+    tpm_crypto::sha256(payload)[..8].try_into().expect("8 bytes")
 }
 
-/// Serialize a full metadata frame, checksummed.
-fn build_meta(id: u32, generation: u64, len: u64, key_check: [u8; 8], entries: &[MetaEntry]) -> Vec<u8> {
-    let mut meta = vec![0u8; PAGE_SIZE];
+/// Bytes of a metadata frame in use for `count` page entries: the
+/// checksummed prefix.
+fn meta_used(count: usize) -> usize {
+    META_FIXED + META_ENTRY * count
+}
+
+/// Serialize a full metadata frame, checksummed over its used prefix.
+fn build_meta(
+    id: u32,
+    generation: u64,
+    len: u64,
+    key_check: [u8; 8],
+    entries: &[MetaEntry],
+) -> [u8; PAGE_SIZE] {
+    let mut meta = [0u8; PAGE_SIZE];
     meta[..4].copy_from_slice(&META_MAGIC);
     meta[4..8].copy_from_slice(&id.to_be_bytes());
     meta[8..16].copy_from_slice(&generation.to_be_bytes());
@@ -315,27 +344,36 @@ fn build_meta(id: u32, generation: u64, len: u64, key_check: [u8; 8], entries: &
         meta[at + 8..at + 12].copy_from_slice(&e.counter.to_be_bytes());
         meta[at + 12..at + 20].copy_from_slice(&e.digest);
     }
-    let sum = tpm_crypto::sha256(&meta[..PAGE_SIZE - META_CHECKSUM]);
+    let sum = tpm_crypto::sha256(&meta[..meta_used(entries.len())]);
     meta[PAGE_SIZE - META_CHECKSUM..].copy_from_slice(&sum);
     meta
 }
 
 /// Parse and validate a metadata frame. `None` for anything that is not
-/// a well-formed, checksum-intact mirror metadata page.
+/// a well-formed, checksum-intact mirror metadata page: `count` is
+/// bounded before it sizes anything, and the filler between the last
+/// entry and the checksum must be zero.
 fn parse_meta(meta: &[u8]) -> Option<(u32, u64, usize, [u8; 8], Vec<MetaEntry>)> {
     if meta.len() != PAGE_SIZE || meta[..4] != META_MAGIC {
         return None;
     }
-    let sum = tpm_crypto::sha256(&meta[..PAGE_SIZE - META_CHECKSUM]);
+    let count = u32::from_be_bytes(meta[24..28].try_into().ok()?) as usize;
+    if count > MAX_DATA_PAGES {
+        return None;
+    }
+    let used = meta_used(count);
+    if meta[used..PAGE_SIZE - META_CHECKSUM].iter().any(|&b| b != 0) {
+        return None;
+    }
+    let sum = tpm_crypto::sha256(&meta[..used]);
     if meta[PAGE_SIZE - META_CHECKSUM..] != sum {
         return None;
     }
     let id = u32::from_be_bytes(meta[4..8].try_into().ok()?);
     let generation = u64::from_be_bytes(meta[8..16].try_into().ok()?);
-    let len = u64::from_be_bytes(meta[16..24].try_into().ok()?) as usize;
-    let count = u32::from_be_bytes(meta[24..28].try_into().ok()?) as usize;
+    let len = usize::try_from(u64::from_be_bytes(meta[16..24].try_into().ok()?)).ok()?;
     let key_check: [u8; 8] = meta[28..36].try_into().ok()?;
-    if count > MAX_DATA_PAGES || len.div_ceil(PAGE_SIZE) != count {
+    if len.div_ceil(PAGE_SIZE) != count {
         return None;
     }
     let mut entries = Vec::with_capacity(count);
@@ -352,7 +390,7 @@ fn parse_meta(meta: &[u8]) -> Option<(u32, u64, usize, [u8; 8], Vec<MetaEntry>)>
 }
 
 /// Mirror write-path counters (all monotonic; snapshot with
-///// [`StateMirror::io_stats`]). The benches report bytes-per-command from
+/// [`StateMirror::io_stats`]). The benches report bytes-per-command from
 /// these.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct MirrorIoStats {
@@ -447,16 +485,6 @@ pub struct MirrorRecovery {
     pub corrupt: Vec<u32>,
     /// Shadow slots zeroed while healing possible crash leftovers.
     pub shadow_pages_scrubbed: u64,
-}
-
-/// Zero-padded page `i` of `buf` equals zero-padded page `i` of `other`.
-fn page_eq(a: &[u8], b: &[u8], i: usize) -> bool {
-    let pa = page_slice(a, i);
-    let pb = page_slice(b, i);
-    let common = pa.len().min(pb.len());
-    pa[..common] == pb[..common]
-        && pa[common..].iter().all(|&x| x == 0)
-        && pb[common..].iter().all(|&x| x == 0)
 }
 
 fn page_slice(buf: &[u8], i: usize) -> &[u8] {
@@ -594,6 +622,7 @@ impl StateMirror {
         Arc::clone(table.entry(id).or_insert_with(|| {
             Arc::new(Mutex::new(Region {
                 meta_mfn: None,
+                key_check: self.key_check_tag(id),
                 slots: Vec::new(),
                 active: Vec::new(),
                 len: 0,
@@ -653,7 +682,7 @@ impl StateMirror {
                 }
             })
             .collect();
-        let meta = build_meta(id, region.attempted, region.len as u64, self.key_check_tag(id), &entries);
+        let meta = build_meta(id, region.attempted, region.len as u64, region.key_check, &entries);
         let mfn = region.meta_mfn.expect("attempted > generation implies an allocated meta frame");
         self.hv.page_write(DomainId::DOM0, mfn, 0, &meta)?;
         self.io.meta_pages_written.fetch_add(1, Ordering::Relaxed);
@@ -687,9 +716,8 @@ impl StateMirror {
     /// Under a batched policy the metadata commit is deferred to a
     /// flush, so the returned count covers the staged pages only.
     pub fn update(&self, id: u32, state: &[u8]) -> XenResult<u64> {
-        let data_pages = state.len().div_ceil(PAGE_SIZE);
-        if data_pages > MAX_DATA_PAGES {
-            return Err(XenError::OutOfMemory);
+        if state.len().div_ceil(PAGE_SIZE) > MAX_DATA_PAGES {
+            return Err(XenError::StateTooLarge { bytes: state.len(), max: MAX_STATE_BYTES });
         }
         let per_command = self.policy.read().is_per_command();
         let handle = self.region_handle(id);
@@ -735,8 +763,10 @@ impl StateMirror {
     fn stage_locked(&self, id: u32, region: &mut Region, state: &[u8]) -> XenResult<Option<Staged>> {
         let data_pages = state.len().div_ceil(PAGE_SIZE);
         let old_pages = region.len.div_ceil(PAGE_SIZE);
+        // A page is dirty when its payload bytes or its payload length
+        // changed: the digest and keystream cover exactly the payload.
         let dirty: Vec<usize> = (0..data_pages)
-            .filter(|&i| i >= old_pages || !page_eq(state, &region.cache, i))
+            .filter(|&i| page_slice(state, i) != page_slice(&region.cache, i))
             .collect();
         let shrunk = data_pages < old_pages;
         if dirty.is_empty() && !shrunk && state.len() == region.len {
@@ -788,18 +818,17 @@ impl StateMirror {
         new_digests.resize(data_pages, [0; 8]);
         new_digests.truncate(data_pages);
         let mut targets: Vec<(usize, u8)> = Vec::with_capacity(dirty.len());
-        let mut page = vec![0u8; PAGE_SIZE];
+        // Only the payload bytes are encrypted and digested; the frame
+        // still gets a full page write, payload then zero tail.
+        let mut page = [0u8; PAGE_SIZE];
         for &i in &dirty {
             let chunk = page_slice(state, i);
-            page[..chunk.len()].copy_from_slice(chunk);
-            page[chunk.len()..].fill(0);
+            let (payload, tail) = page.split_at_mut(chunk.len());
+            payload.copy_from_slice(chunk);
+            tail.fill(0);
             if let MirrorMode::Encrypted = self.mode {
                 let cipher = self.master_cipher.as_ref().expect("encrypted mode has key");
-                cipher.ctr_xor_at(
-                    &Self::page_nonce(id, counter),
-                    &mut page,
-                    i as u64 * BLOCKS_PER_PAGE,
-                );
+                cipher.ctr_xor_at(&Self::page_nonce(id, counter), payload, i as u64 * BLOCKS_PER_PAGE);
                 self.audit_nonce(id, i as u32, counter);
             }
             let target = 1 - region.active[i];
@@ -808,7 +837,7 @@ impl StateMirror {
             self.io.bytes_written.fetch_add(PAGE_SIZE as u64, Ordering::Relaxed);
             bytes_this_update += PAGE_SIZE as u64;
             new_counters[i] = counter;
-            new_digests[i] = page_digest(&page);
+            new_digests[i] = page_digest(&page[..chunk.len()]);
             targets.push((i, target));
         }
 
@@ -848,7 +877,7 @@ impl StateMirror {
                 }
             })
             .collect();
-        let meta = build_meta(id, staged.gen, staged.len as u64, self.key_check_tag(id), &entries);
+        let meta = build_meta(id, staged.gen, staged.len as u64, region.key_check, &entries);
         let meta_mfn = region.meta_mfn.expect("staged generation implies a meta frame");
         if let Err(e) = self.hv.page_write(DomainId::DOM0, meta_mfn, 0, &meta) {
             region.staged = Some(staged);
@@ -1003,40 +1032,38 @@ impl StateMirror {
         let handle = self.regions.get(id).ok_or(XenError::BadFrame)?;
         let region = handle.lock();
         let meta_mfn = region.meta_mfn.ok_or(XenError::BadFrame)?;
-        let mut meta = vec![0u8; PAGE_SIZE];
+        let mut meta = [0u8; PAGE_SIZE];
         self.hv.page_read(DomainId::DOM0, meta_mfn, 0, &mut meta)?;
         let (mid, generation, len, key_check, entries) =
             parse_meta(&meta).ok_or(XenError::BadImage("mirror metadata corrupt"))?;
         if mid != id || generation != region.generation || len != region.len {
             return Err(XenError::BadImage("mirror metadata stale"));
         }
-        if key_check != self.key_check_tag(id) {
+        if key_check != region.key_check {
             return Err(XenError::BadImage("mirror key mismatch"));
         }
         self.decode_image(id, len, &entries)
     }
 
     /// Read, verify, and decrypt the committed image a metadata frame
-    /// describes.
+    /// describes. A frame must hold its payload bytes then an all-zero
+    /// tail: the tail is checked by comparison (before the digest, which
+    /// covers the payload only), so no stored byte goes unverified.
     fn decode_image(&self, id: u32, len: usize, entries: &[MetaEntry]) -> XenResult<Vec<u8>> {
         let mut image = vec![0u8; len];
-        let mut page = vec![0u8; PAGE_SIZE];
+        let mut page = [0u8; PAGE_SIZE];
         for (i, e) in entries.iter().enumerate() {
             self.hv.page_read(DomainId::DOM0, e.active_mfn as usize, 0, &mut page)?;
-            if page_digest(&page) != e.digest {
+            let done = i * PAGE_SIZE;
+            let (payload, tail) = page.split_at_mut(PAGE_SIZE.min(len - done));
+            if tail.iter().any(|&b| b != 0) || page_digest(payload) != e.digest {
                 return Err(XenError::BadImage("mirror page corrupt"));
             }
             if let MirrorMode::Encrypted = self.mode {
                 let cipher = self.master_cipher.as_ref().expect("encrypted mode has key");
-                cipher.ctr_xor_at(
-                    &Self::page_nonce(id, e.counter),
-                    &mut page,
-                    i as u64 * BLOCKS_PER_PAGE,
-                );
+                cipher.ctr_xor_at(&Self::page_nonce(id, e.counter), payload, i as u64 * BLOCKS_PER_PAGE);
             }
-            let done = i * PAGE_SIZE;
-            let take = PAGE_SIZE.min(len - done);
-            image[done..done + take].copy_from_slice(&page[..take]);
+            image[done..done + payload.len()].copy_from_slice(payload);
         }
         Ok(image)
     }
@@ -1125,7 +1152,8 @@ impl StateMirror {
             if mirror.regions.contains(id) {
                 continue;
             }
-            if key_check != mirror.key_check_tag(id) {
+            let expected_key_check = mirror.key_check_tag(id);
+            if key_check != expected_key_check {
                 report.corrupt.push(id);
                 continue;
             }
@@ -1135,6 +1163,7 @@ impl StateMirror {
             };
             let region = Region {
                 meta_mfn: Some(*mfn),
+                key_check: expected_key_check,
                 slots: entries.iter().map(|e| [e.active_mfn as usize, e.shadow_mfn as usize]).collect(),
                 active: vec![0; entries.len()],
                 len,
@@ -1152,7 +1181,7 @@ impl StateMirror {
                 mirror.scrub_frame(e.shadow_mfn as usize)?;
                 report.shadow_pages_scrubbed += 1;
             }
-            let meta = build_meta(id, generation + 1, len as u64, mirror.key_check_tag(id), &entries);
+            let meta = build_meta(id, generation + 1, len as u64, expected_key_check, &entries);
             mirror.hv.page_write(DomainId::DOM0, *mfn, 0, &meta)?;
             mirror.io.meta_pages_written.fetch_add(1, Ordering::Relaxed);
             mirror.io.bytes_written.fetch_add(PAGE_SIZE as u64, Ordering::Relaxed);
@@ -1833,5 +1862,213 @@ mod tests {
         m.discard_uncommitted(10).unwrap();
         assert!(m.region_frames(10).is_some());
         assert_eq!(m.read(10).unwrap(), b"committed");
+    }
+
+    #[test]
+    fn flipped_zero_tail_byte_is_detected() {
+        // The digest covers only the payload bytes; the zero tail is
+        // verified by comparison. Any single flipped tail byte must still
+        // fail `read` and make recovery list the instance as corrupt.
+        for mode in [MirrorMode::Cleartext, MirrorMode::Encrypted] {
+            let hv = hv();
+            let key = [0x5E; 16];
+            let m = StateMirror::new(Arc::clone(&hv), mode, key).unwrap();
+            let img: Vec<u8> = (0..700).map(|i| (i % 233) as u8 + 1).collect();
+            m.update(3, &img).unwrap();
+            let data_mfn = m.region_frames(3).unwrap()[1];
+            let tail = img.len()..PAGE_SIZE;
+            for off in tail.clone() {
+                hv.corrupt_frame(data_mfn, off, &[0x80]).unwrap();
+                assert!(
+                    matches!(m.read(3), Err(XenError::BadImage("mirror page corrupt"))),
+                    "{mode:?}: tail byte {off} flipped unnoticed"
+                );
+                hv.corrupt_frame(data_mfn, off, &[0x80]).unwrap();
+            }
+            for off in tail.clone().step_by(397).chain([tail.end - 1]) {
+                hv.corrupt_frame(data_mfn, off, &[0x01]).unwrap();
+                let (_, report) = StateMirror::recover(Arc::clone(&hv), mode, key).unwrap();
+                assert_eq!(report.corrupt, vec![3], "{mode:?}: tail byte {off}");
+                assert!(report.recovered.is_empty(), "{mode:?}: tail byte {off}");
+                hv.corrupt_frame(data_mfn, off, &[0x01]).unwrap();
+            }
+            assert_eq!(m.read(3).unwrap(), img);
+        }
+    }
+
+    #[test]
+    fn flipped_meta_filler_byte_is_refused() {
+        // The checksum covers only the used metadata prefix; the filler
+        // up to the checksum must be zero, so a flipped filler byte makes
+        // the frame invalid for `read` and invisible to recovery.
+        for mode in [MirrorMode::Cleartext, MirrorMode::Encrypted] {
+            let hv = hv();
+            let key = [0x6F; 16];
+            let m = StateMirror::new(Arc::clone(&hv), mode, key).unwrap();
+            m.update(4, b"filler must stay zero").unwrap();
+            let meta_mfn = m.region_frames(4).unwrap()[0];
+            let filler = meta_used(1)..PAGE_SIZE - META_CHECKSUM;
+            for off in filler.clone() {
+                hv.corrupt_frame(meta_mfn, off, &[0x04]).unwrap();
+                assert!(
+                    matches!(m.read(4), Err(XenError::BadImage("mirror metadata corrupt"))),
+                    "{mode:?}: filler byte {off} flipped unnoticed"
+                );
+                hv.corrupt_frame(meta_mfn, off, &[0x04]).unwrap();
+            }
+            for off in filler.clone().step_by(401).chain([filler.end - 1]) {
+                hv.corrupt_frame(meta_mfn, off, &[0x10]).unwrap();
+                let (rec, report) = StateMirror::recover(Arc::clone(&hv), mode, key).unwrap();
+                assert!(report.recovered.is_empty(), "{mode:?}: filler byte {off}");
+                assert!(rec.instance_ids().is_empty(), "{mode:?}: filler byte {off}");
+                hv.corrupt_frame(meta_mfn, off, &[0x10]).unwrap();
+            }
+            assert_eq!(m.read(4).unwrap(), b"filler must stay zero");
+        }
+    }
+
+    #[test]
+    fn page_whose_payload_length_changes_is_rewritten() {
+        // Trailing zero bytes are payload, not tail: dropping or adding
+        // them changes what the page's digest and keystream cover, so the
+        // page must be rewritten even though its zero-padded bytes match.
+        for mode in [MirrorMode::Cleartext, MirrorMode::Encrypted] {
+            let hv = hv();
+            let m = StateMirror::new(Arc::clone(&hv), mode, [0x2B; 16]).unwrap();
+            let mut padded = b"abc".to_vec();
+            padded.resize(PAGE_SIZE + 40, 0);
+            for img in [&padded[..PAGE_SIZE + 5], &padded[..PAGE_SIZE + 40], b"abc", &padded[..100], b"abc"] {
+                m.update(2, img).unwrap();
+                assert_eq!(m.read(2).unwrap(), img, "{mode:?}: {} bytes", img.len());
+            }
+        }
+    }
+
+    #[test]
+    fn shrink_leaves_a_zero_tail_on_the_last_live_page() {
+        for mode in [MirrorMode::Cleartext, MirrorMode::Encrypted] {
+            let hv = hv();
+            let m = StateMirror::new(Arc::clone(&hv), mode, [0x7A; 16]).unwrap();
+            let big = vec![0xEEu8; 2 * PAGE_SIZE + 900];
+            m.update(8, &big).unwrap();
+            let small = vec![0x11u8; 1500];
+            m.update(8, &small).unwrap();
+            let frames = raw_data_frames(&hv, &m, 8);
+            assert_eq!(frames.len(), 1);
+            assert!(
+                frames[0][small.len()..].iter().all(|&b| b == 0),
+                "{mode:?}: last live page has a nonzero tail after shrink"
+            );
+            assert_eq!(m.read(8).unwrap(), small);
+        }
+    }
+
+    mod meta_props {
+        use super::*;
+        use proptest::array::uniform8;
+        use proptest::collection::vec;
+        use proptest::prelude::*;
+
+        /// A metadata page for the never-panic property: random bytes,
+        /// optionally given the magic, a chosen `count` and `len`, and a zero
+        /// filler with a valid checksum (when `count` fits), so cases reach
+        /// every check in `parse_meta`. A set `shape` bit 6 truncates it.
+        fn hostile_meta(mut page: Vec<u8>, count: u32, len: u64, cut: usize, shape: u8) -> Vec<u8> {
+            if shape & 1 != 0 {
+                page[..4].copy_from_slice(&META_MAGIC);
+            }
+            if shape & 2 != 0 {
+                page[24..28].copy_from_slice(&count.to_be_bytes());
+            }
+            if shape & 4 != 0 {
+                page[16..24].copy_from_slice(&len.to_be_bytes());
+            }
+            let count = count as usize;
+            if shape & 8 != 0 && count <= MAX_DATA_PAGES {
+                page[meta_used(count)..PAGE_SIZE - META_CHECKSUM].fill(0);
+                let sum = tpm_crypto::sha256(&page[..meta_used(count)]);
+                page[PAGE_SIZE - META_CHECKSUM..].copy_from_slice(&sum);
+            }
+            if shape & 64 != 0 {
+                page.truncate(cut);
+            }
+            page
+        }
+
+        fn any_count() -> impl Strategy<Value = u32> {
+            (any::<bool>(), any::<u32>(), 0..=MAX_DATA_PAGES as u32 + 2)
+                .prop_map(|(wild, any, small)| if wild { any } else { small })
+        }
+
+        fn entries() -> impl Strategy<Value = Vec<MetaEntry>> {
+            vec((any::<u32>(), any::<u32>(), any::<u32>(), uniform8(any::<u8>())), 0..MAX_DATA_PAGES + 1)
+                .prop_map(|raw| {
+                    raw.into_iter()
+                        .map(|(active_mfn, shadow_mfn, counter, digest)| MetaEntry {
+                            active_mfn,
+                            shadow_mfn,
+                            counter,
+                            digest,
+                        })
+                        .collect()
+                })
+        }
+
+        /// A payload length whose page count is `count`.
+        fn len_for(count: usize, off: usize) -> u64 {
+            if count == 0 {
+                0
+            } else {
+                ((count - 1) * PAGE_SIZE + 1 + off % PAGE_SIZE) as u64
+            }
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(256))]
+
+            #[test]
+            fn parse_meta_never_panics_on_hostile_pages(
+                bytes in vec(any::<u8>(), PAGE_SIZE..PAGE_SIZE + 1),
+                count in any_count(),
+                len in (any::<bool>(), any::<u64>(), 0usize..PAGE_SIZE),
+                cut in 0usize..2 * PAGE_SIZE,
+                shape in any::<u8>(),
+            ) {
+                let (consistent, wild_len, off) = len;
+                let len = if consistent { len_for(count as usize, off) } else { wild_len };
+                let page = hostile_meta(bytes, count, len, cut, shape);
+                if let Some((_, _, len, _, entries)) = parse_meta(&page) {
+                    prop_assert!(entries.len() <= MAX_DATA_PAGES);
+                    prop_assert_eq!(len.div_ceil(PAGE_SIZE), entries.len());
+                }
+            }
+
+            #[test]
+            fn parse_meta_inverts_build_meta(
+                id in any::<u32>(),
+                generation in any::<u64>(),
+                off in 0usize..PAGE_SIZE,
+                key_check in uniform8(any::<u8>()),
+                entries in entries(),
+            ) {
+                let len = len_for(entries.len(), off);
+                let meta = build_meta(id, generation, len, key_check, &entries);
+                let parsed = parse_meta(&meta).expect("a built frame parses");
+                prop_assert_eq!(parsed, (id, generation, len as usize, key_check, entries));
+            }
+
+            #[test]
+            fn parse_meta_refuses_any_nonzero_filler_byte(
+                entries in entries(),
+                at in any::<usize>(),
+                xor in 1u8..=255,
+            ) {
+                let len = len_for(entries.len(), 0);
+                let mut meta = build_meta(1, 1, len, [0; 8], &entries);
+                let filler = meta_used(entries.len())..PAGE_SIZE - META_CHECKSUM;
+                meta[filler.start + at % filler.len()] ^= xor;
+                prop_assert!(parse_meta(&meta).is_none());
+            }
+        }
     }
 }

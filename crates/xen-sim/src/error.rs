@@ -37,6 +37,14 @@ pub enum XenError {
     MessageTooLarge,
     /// Domain save/restore image is malformed.
     BadImage(&'static str),
+    /// A state image exceeds what its store can hold: `bytes` is its
+    /// size, `max` the store's limit.
+    StateTooLarge {
+        /// Size of the refused state, in bytes.
+        bytes: usize,
+        /// Largest size the store accepts, in bytes.
+        max: usize,
+    },
     /// The operation requires privilege the calling domain lacks.
     NotPrivileged(DomainId),
     /// An injected fault fired (chaos/fault-injection harness). The
@@ -63,6 +71,9 @@ impl std::fmt::Display for XenError {
             XenError::RingEmpty => write!(f, "shared ring empty"),
             XenError::MessageTooLarge => write!(f, "message exceeds ring slot size"),
             XenError::BadImage(why) => write!(f, "bad domain image: {why}"),
+            XenError::StateTooLarge { bytes, max } => {
+                write!(f, "state too large: {bytes} bytes exceeds the {max}-byte limit")
+            }
             XenError::NotPrivileged(d) => write!(f, "domain {d} is not privileged"),
             XenError::Injected(what) => write!(f, "injected fault: {what}"),
         }

@@ -12,7 +12,10 @@
 #      scale (the smoke tests stop at 4 guests). The run exits nonzero
 #      if an output check fails: audit chain verify, resident ==
 #      exported state, sent == finished == audited (~15 s, mostly
-#      set-up);
+#      set-up); then one 1 s `measure-1vm` run with the same output
+#      checks: one guest on the Extend/Seal write path, ~0.41 encrypted
+#      mirror updates per command, so the payload-sized mirror
+#      encrypt/digest path runs end to end at load (~5 s);
 #   2. chaos smoke: 8 seeded fault scenarios through the full stack,
 #      each replayed twice (determinism) — parallel across cores;
 #   3. migration chaos smoke: 8 seeded multi-host migration scenarios
@@ -95,6 +98,10 @@ cargo test --offline --manifest-path e2ebench/Cargo.toml
 echo "== e2ebench: tenants-64, 64 concurrent backends =="
 cargo run --release --offline --manifest-path e2ebench/Cargo.toml --bin e2e -- \
     --workload tenants-64 --seed 1 --seconds 1
+
+echo "== e2ebench: measure-1vm, encrypted mirror write path =="
+cargo run --release --offline --manifest-path e2ebench/Cargo.toml --bin e2e -- \
+    --workload measure-1vm --seed 1 --seconds 1
 
 echo "== chaos smoke: 8 seeds, replayed twice each =="
 CHAOS_BASE=ci CHAOS_FAMILY=mirror scripts/chaos.sh 8
