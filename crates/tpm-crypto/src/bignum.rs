@@ -4,15 +4,17 @@
 //! trailing zero limbs), so equality and comparison are limb-wise.
 //!
 //! Modular exponentiation for odd moduli — the only case TPM 1.2 RSA
-//! needs — runs through [`MontgomeryCtx`]: allocation-free Montgomery
-//! multiplication with a dedicated squaring kernel (the cross-product
-//! half of a square is computed once and doubled) and fixed-window
-//! (2^4) exponentiation, so a w-bit exponent costs w squarings plus
-//! w/4 multiplies plus a 15-entry table instead of w + w/2 multiplies.
-//! A square-and-multiply fallback covers even moduli so the API stays
-//! total, and [`BigUint::mod_pow_schoolbook`] retains the slow
+//! needs — runs through [`MontgomeryCtx`]: the modulus is zero-padded
+//! to a fixed width of 4, 8, 16, 32 or 64 limbs, and one CIOS
+//! Montgomery product, monomorphized per width, does every multiply
+//! and square on stack arrays. Exponentiation uses fixed 2^4 windows,
+//! so a w-bit exponent costs w squarings plus w/4 multiplies plus a
+//! 15-entry table instead of w + w/2 multiplies. There is no separate
+//! squaring kernel. Odd moduli above 4096 bits and even moduli take
+//! plain square-and-multiply so the API stays total, and
+//! [`BigUint::mod_pow_schoolbook`] retains that slow
 //! full-product-then-Knuth-divide path as an independent differential
-//! reference — the test battery asserts the optimized path is
+//! reference — the test battery asserts the Montgomery path is
 //! byte-identical to it (`tests/proptests.rs`).
 //!
 //! None of this is hardened against local side channels (the window
@@ -459,7 +461,7 @@ impl BigUint {
         }
     }
 
-    /// `self^exp mod m`. Montgomery ladder for odd `m`, plain
+    /// `self^exp mod m`. Montgomery fixed-window for odd `m`, plain
     /// square-and-multiply otherwise. Panics if `m` is zero.
     pub fn mod_pow(&self, exp: &BigUint, m: &BigUint) -> BigUint {
         assert!(!m.is_zero(), "mod_pow with zero modulus");
@@ -470,19 +472,10 @@ impl BigUint {
             return BigUint::one();
         }
         if m.is_odd() {
-            let ctx = MontgomeryCtx::new(m);
-            return ctx.pow(&self.rem(m), exp);
+            return MontgomeryCtx::new(m).pow(self, exp);
         }
-        // Fallback for even moduli (not used by RSA, kept for totality).
-        let mut base = self.rem(m);
-        let mut result = BigUint::one();
-        for i in 0..exp.bits() {
-            if exp.bit(i) {
-                result = result.mul_mod(&base, m);
-            }
-            base = base.mul_mod(&base, m);
-        }
-        result
+        // Even moduli (not used by RSA, kept for totality).
+        self.mod_pow_schoolbook(exp, m)
     }
 
     /// `self^exp mod m` by plain square-and-multiply over full products
@@ -493,7 +486,9 @@ impl BigUint {
     /// independent differential reference. The KAT/proptest battery and
     /// the R-C1 experiment both assert the Montgomery fixed-window
     /// (and, in `rsa.rs`, the CRT) results are byte-identical to this
-    /// function's output. Panics if `m` is zero.
+    /// function's output. It doubles as the fallback for even moduli and
+    /// odd moduli above 4096 bits, which have no Montgomery kernel.
+    /// Panics if `m` is zero.
     pub fn mod_pow_schoolbook(&self, exp: &BigUint, m: &BigUint) -> BigUint {
         assert!(!m.is_zero(), "mod_pow with zero modulus");
         if m.is_one() {
@@ -616,24 +611,34 @@ impl Ord for BigUint {
 
 /// Montgomery multiplication context for a fixed odd modulus.
 ///
-/// All operands inside the context live in Montgomery form padded to
-/// `k = n.limbs.len()` limbs. The kernels are allocation-free: callers
-/// provide a `2k + 1`-limb wide scratch buffer that holds the full
-/// product, which [`MontgomeryCtx::reduce`] then folds limb by limb.
-/// Squaring computes each cross product `a[i]*a[j]` (i < j) once and
-/// doubles the accumulator — roughly half the 64x64 multiplies of a
-/// general product — and exponentiation scans the exponent in fixed
-/// 4-bit windows over a 15-entry odd-power table.
+/// The modulus is zero-padded to the smallest width N in
+/// [`MONT_WIDTHS`] (4, 8, 16, 32 or 64 limbs) that holds it, and the
+/// context works with the radix R = 2^(64N). R > n is all Montgomery
+/// reduction needs, so the padding changes no result: every output is
+/// fully reduced mod n. Each width gets its own monomorphized
+/// exponentiation ([`MontgomeryCtx::pow`] dispatches once per call), so
+/// operands are fixed-size stack arrays and the one product kernel,
+/// [`cios`], runs without bounds checks or heap scratch. Squarings go
+/// through the same kernel: at a fixed width the general product beats
+/// a dedicated squaring routine. Exponentiation scans the exponent in
+/// fixed 4-bit windows over a 15-entry table.
+///
+/// Moduli above 4096 bits (64 limbs) have no kernel; `pow` takes the
+/// plain square-and-multiply path there, which TPM 1.2 never reaches
+/// (`CreateWrapKey` caps keys at 4096 bits).
 pub struct MontgomeryCtx {
-    /// Modulus limbs (little-endian, length k).
+    /// Modulus limbs (little-endian), zero-padded to the kernel width.
     n: Vec<u64>,
     /// `-n^{-1} mod 2^64`.
     n0_inv: u64,
-    /// `R^2 mod n`, for conversion into Montgomery form.
+    /// `R^2 mod n`, for conversion into Montgomery form (same width).
     r2: Vec<u64>,
     /// The modulus as a BigUint (for conversions).
     modulus: BigUint,
 }
+
+/// Kernel widths in limbs; a modulus is padded to the smallest that fits.
+const MONT_WIDTHS: [usize; 5] = [4, 8, 16, 32, 64];
 
 /// Window width for fixed-window exponentiation. 4 divides the limb
 /// width, so a window never straddles limbs; the table costs 14 extra
@@ -644,133 +649,26 @@ impl MontgomeryCtx {
     /// Build a context; panics if `m` is even or zero.
     pub fn new(m: &BigUint) -> Self {
         assert!(m.is_odd(), "Montgomery modulus must be odd");
-        let n = m.limbs.clone();
-        let k = n.len();
+        let Some(&width) = MONT_WIDTHS.iter().find(|&&w| w >= m.limbs.len()) else {
+            // Above 4096 bits: `pow` falls back to square-and-multiply.
+            return MontgomeryCtx { n: Vec::new(), n0_inv: 0, r2: Vec::new(), modulus: m.clone() };
+        };
+        let mut n = m.limbs.clone();
+        n.resize(width, 0);
         // Newton iteration for the inverse of n[0] mod 2^64.
         let mut inv = 1u64;
         for _ in 0..6 {
             inv = inv.wrapping_mul(2u64.wrapping_sub(n[0].wrapping_mul(inv)));
         }
         let n0_inv = inv.wrapping_neg();
-        // R^2 mod n where R = 2^(64k).
-        let r2_big = BigUint::one().shl(128 * k).rem(m);
-        let mut r2 = r2_big.limbs.clone();
-        r2.resize(k, 0);
+        // R^2 mod n where R = 2^(64 * width).
+        let mut r2 = BigUint::one().shl(128 * width).rem(m).limbs;
+        r2.resize(width, 0);
         MontgomeryCtx { n, n0_inv, r2, modulus: m.clone() }
     }
 
-    /// Montgomery-reduce the `2k`-limb value in `wide` (plus carry limb
-    /// `wide[2k]`) into `out`: `out = wide * R^{-1} mod n`.
-    ///
-    /// Requires `wide < n * R`, which holds for any product or square of
-    /// operands `< n`. Consumes `wide` as scratch.
-    fn reduce(&self, wide: &mut [u64], out: &mut [u64]) {
-        let k = self.n.len();
-        debug_assert_eq!(wide.len(), 2 * k + 1);
-        for i in 0..k {
-            let m = wide[i].wrapping_mul(self.n0_inv);
-            let mut carry = 0u128;
-            for (j, &nj) in self.n.iter().enumerate() {
-                let s = wide[i + j] as u128 + m as u128 * nj as u128 + carry;
-                wide[i + j] = s as u64;
-                carry = s >> 64;
-            }
-            let mut idx = i + k;
-            while carry != 0 {
-                let s = wide[idx] as u128 + carry;
-                wide[idx] = s as u64;
-                carry = s >> 64;
-                idx += 1;
-            }
-        }
-        let ge = wide[2 * k] != 0 || cmp_limbs(&wide[k..2 * k], &self.n) != Ordering::Less;
-        if ge {
-            let mut borrow = 0u64;
-            for j in 0..k {
-                let (d1, b1) = wide[k + j].overflowing_sub(self.n[j]);
-                let (d2, b2) = d1.overflowing_sub(borrow);
-                out[j] = d2;
-                borrow = (b1 as u64) + (b2 as u64);
-            }
-        } else {
-            out.copy_from_slice(&wide[k..2 * k]);
-        }
-    }
-
-    /// Montgomery product into `out`: `out = a * b * R^{-1} mod n`.
-    /// `wide` is the shared `2k + 1`-limb scratch.
-    fn mont_mul_into(&self, a: &[u64], b: &[u64], wide: &mut [u64], out: &mut [u64]) {
-        let k = self.n.len();
-        wide.fill(0);
-        for (i, &ai) in a.iter().enumerate() {
-            if ai == 0 {
-                continue;
-            }
-            let mut carry = 0u128;
-            for (j, &bj) in b.iter().enumerate() {
-                let s = wide[i + j] as u128 + ai as u128 * bj as u128 + carry;
-                wide[i + j] = s as u64;
-                carry = s >> 64;
-            }
-            // Limbs above i+k are still zero, so the carry lands whole.
-            wide[i + k] = carry as u64;
-        }
-        self.reduce(wide, out);
-    }
-
-    /// Montgomery square into `out`: `out = a^2 * R^{-1} mod n`.
-    ///
-    /// The cross products (i < j) are accumulated once and doubled, then
-    /// the diagonal squares are added — `k*(k-1)/2 + k` multiplies
-    /// against `k^2` for the general kernel.
-    fn mont_sqr_into(&self, a: &[u64], wide: &mut [u64], out: &mut [u64]) {
-        let k = self.n.len();
-        wide.fill(0);
-        // Cross products a[i]*a[j] for i < j.
-        for (i, &ai) in a.iter().enumerate() {
-            if ai == 0 {
-                continue;
-            }
-            let mut carry = 0u128;
-            for (j, &aj) in a.iter().enumerate().skip(i + 1) {
-                let s = wide[i + j] as u128 + ai as u128 * aj as u128 + carry;
-                wide[i + j] = s as u64;
-                carry = s >> 64;
-            }
-            let mut idx = i + k;
-            while carry != 0 {
-                let s = wide[idx] as u128 + carry;
-                wide[idx] = s as u64;
-                carry = s >> 64;
-                idx += 1;
-            }
-        }
-        // Double the cross half.
-        let mut top = 0u64;
-        for w in wide.iter_mut() {
-            let new_top = *w >> 63;
-            *w = (*w << 1) | top;
-            top = new_top;
-        }
-        // Add the diagonal squares.
-        let mut carry = 0u64;
-        for (i, &ai) in a.iter().enumerate() {
-            let sq = ai as u128 * ai as u128;
-            let (s1, c1) = wide[2 * i].overflowing_add(sq as u64);
-            let (s1, c2) = s1.overflowing_add(carry);
-            wide[2 * i] = s1;
-            let (s2, c3) = wide[2 * i + 1].overflowing_add((sq >> 64) as u64);
-            let (s2, c4) = s2.overflowing_add(c1 as u64 + c2 as u64);
-            wide[2 * i + 1] = s2;
-            carry = c3 as u64 + c4 as u64;
-        }
-        if carry != 0 {
-            wide[2 * k] = wide[2 * k].wrapping_add(carry);
-        }
-        self.reduce(wide, out);
-    }
-
-    /// Modular exponentiation: `base^exp mod n` (base must be `< n`).
+    /// Modular exponentiation: `base^exp mod n` (a base `>= n` is
+    /// reduced first).
     ///
     /// Fixed-window: the exponent is scanned most-significant-first in
     /// aligned 4-bit windows; each window costs four squarings plus at
@@ -778,90 +676,138 @@ impl MontgomeryCtx {
     /// leaks window Hamming information — acceptable here, see the
     /// module docs on the side-channel model).
     pub fn pow(&self, base: &BigUint, exp: &BigUint) -> BigUint {
-        let k = self.n.len();
-        let mut wide = vec![0u64; 2 * k + 1];
-        // 1 in Montgomery form: montmul(1, R^2).
-        let mut one = vec![0u64; k];
+        let base = if *base >= self.modulus { &base.rem(&self.modulus) } else { base };
+        match self.n.len() {
+            4 => self.pow_n::<4>(base, exp),
+            8 => self.pow_n::<8>(base, exp),
+            16 => self.pow_n::<16>(base, exp),
+            32 => self.pow_n::<32>(base, exp),
+            64 => self.pow_n::<64>(base, exp),
+            _ => base.mod_pow_schoolbook(exp, &self.modulus),
+        }
+    }
+
+    /// [`pow`](Self::pow) at a fixed width of `N` limbs (`base < n`).
+    fn pow_n<const N: usize>(&self, base: &BigUint, exp: &BigUint) -> BigUint {
+        let n: &[u64; N] = self.n.as_slice().try_into().expect("modulus padded to N");
+        let r2: &[u64; N] = self.r2.as_slice().try_into().expect("R^2 padded to N");
+        let mul = |a: &[u64; N], b: &[u64; N]| cios(a, b, n, self.n0_inv);
+        let mut one = [0u64; N];
         one[0] = 1;
-        let mut one_m = vec![0u64; k];
-        self.mont_mul_into(&one, &self.r2, &mut wide, &mut one_m);
+        // Montgomery form of x is montmul(x, R^2); montmul(x_M, 1) undoes it.
+        let from_mont = |a: &[u64; N]| {
+            let mut r = BigUint { limbs: mul(a, &one).to_vec() };
+            r.normalize();
+            r
+        };
 
         let nbits = exp.bits();
         if nbits == 0 {
-            // base^0 = 1 (mod_pow catches m == 1 before building a ctx).
-            let mut out = vec![0u64; k];
-            self.mont_mul_into(&one_m, &one, &mut wide, &mut out);
-            let mut r = BigUint { limbs: out };
-            r.normalize();
-            return r;
+            // base^0 = 1 mod n (0 when n == 1).
+            return from_mont(&mul(&one, r2));
         }
-
-        let mut base_limbs = base.limbs.clone();
-        base_limbs.resize(k, 0);
+        let mut base_limbs = [0u64; N];
+        base_limbs[..base.limbs.len()].copy_from_slice(&base.limbs);
+        let base_m = mul(&base_limbs, r2);
 
         // Short exponents (e.g. the public exponent 65537) cannot
         // amortize the 14-product window table; plain left-to-right
         // square-and-multiply wins there.
         if nbits <= 64 {
-            let mut base_m = vec![0u64; k];
-            self.mont_mul_into(&base_limbs, &self.r2, &mut wide, &mut base_m);
-            let mut acc = base_m.clone();
-            let mut tmp = vec![0u64; k];
+            let mut acc = base_m;
             for i in (0..nbits - 1).rev() {
-                self.mont_sqr_into(&acc, &mut wide, &mut tmp);
-                std::mem::swap(&mut acc, &mut tmp);
+                acc = mul(&acc, &acc);
                 if exp.bit(i) {
-                    self.mont_mul_into(&acc, &base_m, &mut wide, &mut tmp);
-                    std::mem::swap(&mut acc, &mut tmp);
+                    acc = mul(&acc, &base_m);
                 }
             }
-            let mut out = vec![0u64; k];
-            self.mont_mul_into(&acc, &one, &mut wide, &mut out);
-            let mut r = BigUint { limbs: out };
-            r.normalize();
-            return r;
+            return from_mont(&acc);
         }
 
-        // Table of base^w in Montgomery form for w = 1..15 (index 0
-        // holds 1_M so `table[w]` is uniform; it is never multiplied).
-        let mut table = vec![vec![0u64; k]; 1 << WINDOW_BITS];
-        table[0].copy_from_slice(&one_m);
-        let mut base_m = vec![0u64; k];
-        self.mont_mul_into(&base_limbs, &self.r2, &mut wide, &mut base_m);
-        table[1].copy_from_slice(&base_m);
+        // Table of base^w in Montgomery form for w = 1..15. Index 0 is
+        // never read: the top window holds the exponent's MSB and zero
+        // windows skip the multiply.
+        let mut table = [[0u64; N]; 1 << WINDOW_BITS];
+        table[1] = base_m;
         for w in 2..1 << WINDOW_BITS {
-            let (lo, hi) = table.split_at_mut(w);
-            self.mont_mul_into(&lo[w - 1], &base_m, &mut wide, &mut hi[0]);
+            table[w] = mul(&table[w - 1], &base_m);
         }
 
         let nwin = nbits.div_ceil(WINDOW_BITS);
-        let mut acc = vec![0u64; k];
-        let mut tmp = vec![0u64; k];
         // Top window (always nonzero: it contains the exponent's MSB).
-        acc.copy_from_slice(&table[window4(&exp.limbs, nwin - 1)]);
+        let mut acc = table[window4(&exp.limbs, nwin - 1)];
         for win in (0..nwin - 1).rev() {
             for _ in 0..WINDOW_BITS {
-                self.mont_sqr_into(&acc, &mut wide, &mut tmp);
-                std::mem::swap(&mut acc, &mut tmp);
+                acc = mul(&acc, &acc);
             }
             let w = window4(&exp.limbs, win);
             if w != 0 {
-                self.mont_mul_into(&acc, &table[w], &mut wide, &mut tmp);
-                std::mem::swap(&mut acc, &mut tmp);
+                acc = mul(&acc, &table[w]);
             }
         }
-        // Out of Montgomery form: montmul(acc, 1).
-        let mut out = vec![0u64; k];
-        self.mont_mul_into(&acc, &one, &mut wide, &mut out);
-        let mut r = BigUint { limbs: out };
-        r.normalize();
-        r
+        from_mont(&acc)
     }
 
     /// The modulus this context reduces by.
     pub fn modulus(&self) -> &BigUint {
         &self.modulus
     }
+}
+
+/// Montgomery product `a * b * R^{-1} mod n` with R = 2^(64N), by CIOS
+/// (coarsely integrated operand scanning, Koç et al.): each row adds
+/// `a * b[i]` and then one reduction multiple `m * n`, shifting a limb
+/// out, so the accumulator stays N + 2 limbs and no wide product is
+/// ever formed. Requires `a, b < n` and `n` odd; the result is `< n`.
+#[inline(always)]
+fn cios<const N: usize>(a: &[u64; N], b: &[u64; N], n: &[u64; N], n0: u64) -> [u64; N] {
+    let mut t = [0u64; N];
+    // t[N], the limb above the accumulator. Bounded by 1 between rows.
+    let mut t_hi = 0u64;
+    for &bi in b {
+        let mut c = 0u64;
+        for j in 0..N {
+            let s = t[j] as u128 + a[j] as u128 * bi as u128 + c as u128;
+            t[j] = s as u64;
+            c = (s >> 64) as u64;
+        }
+        let s = t_hi as u128 + c as u128;
+        let (top, top_carry) = (s as u64, (s >> 64) as u64);
+        // m makes t + m*n divisible by 2^64; shift the zero limb out.
+        let m = t[0].wrapping_mul(n0);
+        let s = t[0] as u128 + m as u128 * n[0] as u128;
+        let mut c = (s >> 64) as u64;
+        for j in 1..N {
+            let s = t[j] as u128 + m as u128 * n[j] as u128 + c as u128;
+            t[j - 1] = s as u64;
+            c = (s >> 64) as u64;
+        }
+        let s = top as u128 + c as u128;
+        t[N - 1] = s as u64;
+        t_hi = top_carry + (s >> 64) as u64;
+    }
+    // t < 2n here; one conditional subtraction finishes the reduction.
+    if t_hi != 0 || !limbs_lt(&t, n) {
+        let mut borrow = false;
+        for j in 0..N {
+            let (d1, b1) = t[j].overflowing_sub(n[j]);
+            let (d2, b2) = d1.overflowing_sub(borrow as u64);
+            t[j] = d2;
+            borrow = b1 || b2;
+        }
+    }
+    t
+}
+
+/// `a < b` over equal-width little-endian limbs.
+#[inline(always)]
+fn limbs_lt<const N: usize>(a: &[u64; N], b: &[u64; N]) -> bool {
+    for j in (0..N).rev() {
+        if a[j] != b[j] {
+            return a[j] < b[j];
+        }
+    }
+    false
 }
 
 /// Aligned 4-bit window `win` of a little-endian limb slice (window 0 is
@@ -875,17 +821,6 @@ fn window4(limbs: &[u64], win: usize) -> usize {
         return 0;
     }
     ((limbs[limb] >> (bit % 64)) & 0xf) as usize
-}
-
-fn cmp_limbs(a: &[u64], b: &[u64]) -> Ordering {
-    debug_assert_eq!(a.len(), b.len());
-    for i in (0..a.len()).rev() {
-        match a[i].cmp(&b[i]) {
-            Ordering::Equal => {}
-            o => return o,
-        }
-    }
-    Ordering::Equal
 }
 
 #[cfg(test)]

@@ -10,9 +10,10 @@
 //! * [`sha1`]/[`sha256`] — FIPS 180-4 digests behind the [`hash::Digest`] trait.
 //! * [`hmac`] — RFC 2104 HMAC, generic over the digest, plus constant-time
 //!   comparison ([`hmac::ct_eq`]).
-//! * [`bignum`] — u64-limb big integers with Knuth division and an
-//!   allocation-free Montgomery engine (dedicated squaring, fixed 4-bit
-//!   window exponentiation) plus a retained schoolbook reference path.
+//! * [`bignum`] — u64-limb big integers with Knuth division and a
+//!   fixed-width Montgomery engine (one CIOS product monomorphized for
+//!   4 to 64 limbs, fixed 4-bit window exponentiation) plus a retained
+//!   schoolbook reference path.
 //! * [`rsa`] — key generation (Miller–Rabin), CRT private ops with Garner
 //!   recombination (and [`rsa::RsaPrivateKey::raw_schoolbook`] as the
 //!   differential baseline), OAEP-SHA1 and PKCS#1 v1.5-SHA1 padding

@@ -178,7 +178,10 @@ impl RsaPrivateKey {
     /// reduction mod n needed) because `m < q*p = n`. Each half-size
     /// exponentiation costs ~1/4 of a full one, so CRT is ~4x faster
     /// than [`raw_schoolbook`](Self::raw_schoolbook) before the
-    /// Montgomery/window wins even start.
+    /// Montgomery/window wins even start. Both halves run through
+    /// [`BigUint::mod_pow`]'s fixed-width CIOS Montgomery kernel: the
+    /// 256-bit primes of an RSA-512 key at 4 limbs, RSA-1024 at 8, up to
+    /// RSA-4096 at 32 (a 4096-bit public op runs at 64).
     pub fn raw(&self, c: &BigUint) -> BigUint {
         let m1 = c.rem(&self.p).mod_pow(&self.dp, &self.p);
         let m2 = c.rem(&self.q).mod_pow(&self.dq, &self.q);

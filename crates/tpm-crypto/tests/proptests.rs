@@ -47,18 +47,41 @@ fn ctr_reference_256(key: &[u8; 32], nonce: &[u8; 8], data: &mut [u8], start_blo
 
 /// Deterministically generated RSA keys, shared across cases (keygen is
 /// the expensive part; the differential property varies the message).
+/// RSA-512 (4-limb CRT halves), two RSA-1024 (8 limbs) and RSA-2048
+/// (16 limbs; its public op runs at 32): every kernel width an RSA key
+/// of these sizes reaches.
 fn test_keys() -> &'static [RsaPrivateKey] {
     use std::sync::OnceLock;
     static KEYS: OnceLock<Vec<RsaPrivateKey>> = OnceLock::new();
     KEYS.get_or_init(|| {
-        [b"proptest-key-a".as_slice(), b"proptest-key-b".as_slice()]
-            .iter()
-            .map(|seed| {
-                let mut rng = Drbg::new(seed);
-                RsaPrivateKey::generate(1024, &mut rng)
-            })
-            .collect()
+        [
+            (b"proptest-key-512".as_slice(), 512),
+            (b"proptest-key-a".as_slice(), 1024),
+            (b"proptest-key-b".as_slice(), 1024),
+            (b"proptest-key-2048".as_slice(), 2048),
+        ]
+        .iter()
+        .map(|&(seed, bits)| {
+            let mut rng = Drbg::new(seed);
+            RsaPrivateKey::generate(bits, &mut rng)
+        })
+        .collect()
     })
+}
+
+/// Modulus sizes in limbs that straddle every Montgomery kernel width
+/// (4, 8, 16, 32, 64 limbs), from 1 limb up to 65 — above 4096 bits,
+/// where `mod_pow` falls back to square-and-multiply.
+const WIDTH_LIMBS: [usize; 12] = [1, 3, 4, 5, 8, 9, 16, 17, 32, 33, 64, 65];
+
+/// An odd `k`-limb modulus with every limb all ones.
+fn all_ones(k: usize) -> BigUint {
+    BigUint::from_hex(&"f".repeat(16 * k))
+}
+
+/// Big-endian bytes of the little-endian limbs `limbs`.
+fn limbs_be(limbs: &[u64]) -> Vec<u8> {
+    limbs.iter().rev().flat_map(|l| l.to_be_bytes()).collect()
 }
 
 // --------------------------------------------- RSA / bignum differential
@@ -68,7 +91,7 @@ proptest! {
 
     /// CRT + Montgomery + window private op == plain schoolbook c^d mod n.
     #[test]
-    fn rsa_crt_matches_schoolbook(msg in vec(any::<u8>(), 1..100), key_idx in 0usize..2) {
+    fn rsa_crt_matches_schoolbook(msg in vec(any::<u8>(), 1..100), key_idx in 0usize..4) {
         let key = &test_keys()[key_idx];
         let m = BigUint::from_bytes_be(&msg).rem(&key.public.n);
         let c = key.public.raw(&m);
@@ -95,6 +118,34 @@ proptest! {
         *modulus.last_mut().unwrap() |= 1;
         let m = BigUint::from_bytes_be(&modulus);
         let b = BigUint::from_bytes_be(&base);
+        let e = BigUint::from_bytes_be(&exp);
+        prop_assert_eq!(
+            b.mod_pow(&e, &m).to_bytes_be(),
+            b.mod_pow_schoolbook(&e, &m).to_bytes_be()
+        );
+    }
+
+    /// The same differential at exact limb counts on each side of every
+    /// kernel width, so the 8- to 64-limb kernels and the >4096-bit
+    /// fallback are reached without an RSA key. `top` sets the modulus'
+    /// most significant bit: at a full width that puts n above R/2, the
+    /// only shape where the kernel's pre-subtraction value overflows
+    /// into the extra limb.
+    #[test]
+    fn mod_pow_matches_schoolbook_at_each_width(
+        width in 0usize..WIDTH_LIMBS.len(),
+        limbs in vec(any::<u64>(), 65..66),
+        base in vec(any::<u64>(), 66..67),
+        exp in vec(any::<u8>(), 0..24),
+        top in any::<bool>(),
+    ) {
+        let k = WIDTH_LIMBS[width];
+        let mut m_limbs = limbs[..k].to_vec();
+        m_limbs[0] |= 1;
+        m_limbs[k - 1] |= if top { 1 << 63 } else { 1 };
+        let m = BigUint::from_bytes_be(&limbs_be(&m_limbs));
+        // One limb wider than the modulus: mod_pow must reduce it first.
+        let b = BigUint::from_bytes_be(&limbs_be(&base[..k + 1]));
         let e = BigUint::from_bytes_be(&exp);
         prop_assert_eq!(
             b.mod_pow(&e, &m).to_bytes_be(),
@@ -179,57 +230,68 @@ fn ctr_counter_wrap_boundary() {
 
 /// Operands hugging the modulus: base in {m-2, m-1, m, m+1} (mod_pow
 /// reduces first; the Montgomery engine must agree with schoolbook on
-/// every one, including the conditional-final-subtraction edge).
+/// every one, including the conditional-final-subtraction edge). Run at
+/// every limb count of [`WIDTH_LIMBS`] with the modulus' top bit set, so
+/// each kernel width sees n > R/2, and through both the short-exponent
+/// and the windowed ladder.
 #[test]
 fn mont_base_near_modulus() {
-    let moduli = [
+    let mut moduli = vec![
         BigUint::from_hex("f123456789abcdef0123456789abcdef0123456789abcdef0123456789abcdef"),
-        BigUint::from_hex("ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff"),
         BigUint::from_u64(0xffff_ffff_ffff_fff1),
         BigUint::from_u64(3),
     ];
-    let exp = BigUint::from_hex("10001");
+    for &k in &WIDTH_LIMBS {
+        moduli.push(all_ones(k));
+        moduli.push(BigUint::from_hex(&format!("8{}", &"0123456789abcdef".repeat(k)[1..])));
+    }
+    let exps = [BigUint::from_hex("10001"), BigUint::from_hex("c0ffee0123456789abcdef0fedcba987")];
     for m in &moduli {
         assert!(m.is_odd());
-        for delta in 0..4u64 {
-            let base = if delta < 2 {
-                m.sub(&BigUint::from_u64(2 - delta)) // m-2, m-1
-            } else {
-                m.add(&BigUint::from_u64(delta - 2)) // m, m+1
-            };
-            assert_eq!(
-                base.mod_pow(&exp, m).to_bytes_be(),
-                base.mod_pow_schoolbook(&exp, m).to_bytes_be(),
-                "modulus {} base m{:+}",
-                m.to_hex(),
-                delta as i64 - 2
-            );
+        for exp in &exps {
+            for delta in 0..4u64 {
+                let base = if delta < 2 {
+                    m.sub(&BigUint::from_u64(2 - delta)) // m-2, m-1
+                } else {
+                    m.add(&BigUint::from_u64(delta - 2)) // m, m+1
+                };
+                assert_eq!(
+                    base.mod_pow(exp, m).to_bytes_be(),
+                    base.mod_pow_schoolbook(exp, m).to_bytes_be(),
+                    "modulus {} base m{:+} exp {}",
+                    m.to_hex(),
+                    delta as i64 - 2,
+                    exp.to_hex()
+                );
+            }
         }
     }
 }
 
 /// All-ones limbs force the longest possible carry-propagation chains
-/// through the Montgomery reduction and the squaring kernel's doubling
-/// pass.
+/// through the Montgomery product, at every limb count of
+/// [`WIDTH_LIMBS`]: an all-ones modulus fills its kernel width exactly
+/// (n = R - 1) whenever the count is itself a width.
 #[test]
 fn mont_all_ones_carry_chains() {
-    // 2^256 - 1 = product of known factors, but as a modulus it is just
-    // an odd value with every bit set.
-    let m = BigUint::from_hex(&"f".repeat(64));
-    let base = BigUint::from_hex(&"f".repeat(63)); // 2^252 - 1 < m
     let exps = [
         BigUint::from_u64(2),
         BigUint::from_u64(3),
         BigUint::from_hex(&"f".repeat(32)),
         BigUint::from_hex("8000000000000001"),
     ];
-    for e in &exps {
-        assert_eq!(
-            base.mod_pow(e, &m).to_bytes_be(),
-            base.mod_pow_schoolbook(e, &m).to_bytes_be(),
-            "exp {}",
-            e.to_hex()
-        );
+    for &k in &WIDTH_LIMBS {
+        // An odd value with every bit set, and 2^(64k-4) - 1 below it.
+        let m = all_ones(k);
+        let base = BigUint::from_hex(&"f".repeat(16 * k - 1));
+        for e in &exps {
+            assert_eq!(
+                base.mod_pow(e, &m).to_bytes_be(),
+                base.mod_pow_schoolbook(e, &m).to_bytes_be(),
+                "limbs {k} exp {}",
+                e.to_hex()
+            );
+        }
     }
 }
 

@@ -742,6 +742,51 @@ mod tests {
     }
 
     #[test]
+    fn key_with_pcr_binding_enforced() {
+        let srk = crate::types::handle::SRK;
+        let mut tpm = Tpm::new(b"e2e-keypcr");
+        let mut c = owned_client(&mut tpm);
+        let sel = PcrSelection::of(&[10]);
+        let key_auth = [6u8; 20];
+        let nonce = [1u8; 20];
+        let blob = c
+            .create_wrap_key(srk, &SRK_AUTH, KeyUsage::Signing, 512, &key_auth, Some(&sel))
+            .unwrap();
+        let unbound =
+            c.create_wrap_key(srk, &SRK_AUTH, KeyUsage::Signing, 512, &key_auth, None).unwrap();
+        // The binding is sealed into the OAEP label: a blob with it
+        // stripped, swapped for another PCR's current composite, or given
+        // another digest does not load.
+        let other = PcrSelection::of(&[11]);
+        let other_now = c.transport_mut().tpm.pcrs().composite_hash(&other);
+        let (_, digest) = blob.pcr_binding.unwrap();
+        let mut wrong_digest = digest;
+        wrong_digest[0] ^= 1;
+        for forged in [None, Some((other, other_now)), Some((sel, wrong_digest))] {
+            let forged = KeyBlob { pcr_binding: forged, ..blob.clone() };
+            assert_eq!(
+                c.load_key2(srk, &SRK_AUTH, &forged),
+                Err(ClientError::Tpm(rc::DECRYPT_ERROR))
+            );
+        }
+        let h = c.load_key2(srk, &SRK_AUTH, &blob).unwrap();
+        let hu = c.load_key2(srk, &SRK_AUTH, &unbound).unwrap();
+        c.quote(h, &key_auth, &nonce, &sel).unwrap();
+        c.sign(h, &key_auth, b"m").unwrap();
+        // Extending a PCR outside the selection changes nothing.
+        c.extend(11, &[0xEE; 20]).unwrap();
+        c.quote(h, &key_auth, &nonce, &other).unwrap();
+        c.sign(h, &key_auth, b"m").unwrap();
+        // Extending the selected PCR: the bound key refuses Quote and
+        // Sign, the unbound key is unaffected.
+        c.extend(10, &[0xEE; 20]).unwrap();
+        assert_eq!(c.quote(h, &key_auth, &nonce, &sel), Err(ClientError::Tpm(rc::WRONGPCRVAL)));
+        assert_eq!(c.sign(h, &key_auth, b"m"), Err(ClientError::Tpm(rc::WRONGPCRVAL)));
+        c.quote(hu, &key_auth, &nonce, &sel).unwrap();
+        c.sign(hu, &key_auth, b"m").unwrap();
+    }
+
+    #[test]
     fn quote_signature_verifies() {
         let mut tpm = Tpm::new(b"e2e-quote");
         let mut c = owned_client(&mut tpm);

@@ -21,6 +21,20 @@ use crate::types::{KeyUsage, DIGEST_LEN};
 /// OAEP label for key wrapping (the spec uses "TCPA" for all TPM OAEP).
 pub const OAEP_LABEL: &[u8] = b"TCPA";
 
+/// OAEP label that seals a blob's PCR `binding` into its ciphertext:
+/// [`OAEP_LABEL`], then for a PCR-bound blob its selection and
+/// digest-at-release. Wrapped keys and sealed data both use it, so a
+/// blob whose clear binding was stripped or replaced fails to decrypt;
+/// an unbound blob's label is exactly [`OAEP_LABEL`].
+pub(crate) fn binding_label(binding: &Option<(PcrSelection, [u8; DIGEST_LEN])>) -> Vec<u8> {
+    let mut label = OAEP_LABEL.to_vec();
+    if let Some((sel, digest)) = binding {
+        label.extend_from_slice(&sel.encode());
+        label.extend_from_slice(digest);
+    }
+    label
+}
+
 /// A key loaded into a TPM slot.
 #[derive(Clone)]
 pub struct LoadedKey {
@@ -48,7 +62,9 @@ pub struct KeyBlob {
     pub usage: KeyUsage,
     /// Public modulus.
     pub n: Vec<u8>,
-    /// Optional PCR binding carried in the clear part.
+    /// Optional PCR binding carried in the clear part, and bound into
+    /// the OAEP label of `enc_private`: Quote and Sign with the loaded
+    /// key require the current composite to equal its digest.
     pub pcr_binding: Option<(PcrSelection, [u8; DIGEST_LEN])>,
     /// OAEP ciphertext of the private payload, decryptable by the parent.
     pub enc_private: Vec<u8>,
@@ -171,7 +187,7 @@ pub fn wrap_key(
     payload.bytes(&usage_auth);
     let enc_private = parent
         .public()
-        .encrypt_oaep(payload.as_slice(), OAEP_LABEL, rng)
+        .encrypt_oaep(payload.as_slice(), &binding_label(&pcr_binding), rng)
         .map_err(|_| KeyError::BadBlob)?;
     Ok(KeyBlob {
         usage,
@@ -188,7 +204,7 @@ pub fn unwrap_key(parent: &LoadedKey, blob: &KeyBlob) -> Result<LoadedKey, KeyEr
     }
     let payload = parent
         .private
-        .decrypt_oaep(&blob.enc_private, OAEP_LABEL)
+        .decrypt_oaep(&blob.enc_private, &binding_label(&blob.pcr_binding))
         .map_err(|_| KeyError::BadBlob)?;
     let mut r = Reader::new(&payload);
     let p_bytes = r.sized_u16().map_err(|_| KeyError::BadBlob)?;
@@ -296,6 +312,23 @@ mod tests {
         // The reconstructed private key actually works.
         let sig = child.private.sign_pkcs1_sha1(b"test").unwrap();
         assert!(child.public().verify_pkcs1_sha1(b"test", &sig).is_ok());
+    }
+
+    #[test]
+    fn pcr_binding_is_sealed_into_the_oaep_label() {
+        let mut rng = Drbg::new(b"keys-binding-label");
+        let parent = storage_parent(&mut rng);
+        let unbound =
+            create_wrap_key(&parent, KeyUsage::Signing, 512, [1; 20], None, &mut rng).unwrap();
+        // An unbound blob keeps the plain "TCPA" label.
+        assert!(parent.private.decrypt_oaep(&unbound.enc_private, OAEP_LABEL).is_ok());
+
+        // A bound blob's label carries the binding, which unwrap returns.
+        let binding = Some((PcrSelection::of(&[10]), [0x5a; DIGEST_LEN]));
+        let bound =
+            create_wrap_key(&parent, KeyUsage::Signing, 512, [1; 20], binding, &mut rng).unwrap();
+        assert!(parent.private.decrypt_oaep(&bound.enc_private, OAEP_LABEL).is_err());
+        assert_eq!(unwrap_key(&parent, &bound).unwrap().pcr_binding, binding);
     }
 
     #[test]

@@ -103,21 +103,6 @@ pub struct SealedBlob {
     pub enc_data: Vec<u8>,
 }
 
-/// OAEP label for sealed blobs.
-const SEAL_LABEL: &[u8] = b"TCPA";
-
-/// OAEP label that seals `binding` into the ciphertext: [`SEAL_LABEL`],
-/// then for a PCR-bound blob its selection and digest-at-release. A blob
-/// whose clear binding was stripped or replaced fails to decrypt.
-fn seal_label(binding: &Option<(PcrSelection, [u8; DIGEST_LEN])>) -> Vec<u8> {
-    let mut label = SEAL_LABEL.to_vec();
-    if let Some((sel, digest)) = binding {
-        label.extend_from_slice(&sel.encode());
-        label.extend_from_slice(digest);
-    }
-    label
-}
-
 impl SealedBlob {
     /// Wire encoding.
     pub fn encode(&self) -> Vec<u8> {
@@ -600,13 +585,13 @@ impl Tpm {
         let enc_srk_auth = r.sized_u32().map_err(|_| rc::BAD_PARAM_SIZE)?;
         let owner_auth: [u8; 20] = self
             .ek
-            .decrypt_oaep(enc_owner_auth, SEAL_LABEL)
+            .decrypt_oaep(enc_owner_auth, keys::OAEP_LABEL)
             .map_err(|_| rc::DECRYPT_ERROR)?
             .try_into()
             .map_err(|_| rc::BAD_PARAMETER)?;
         let srk_auth: [u8; 20] = self
             .ek
-            .decrypt_oaep(enc_srk_auth, SEAL_LABEL)
+            .decrypt_oaep(enc_srk_auth, keys::OAEP_LABEL)
             .map_err(|_| rc::DECRYPT_ERROR)?
             .try_into()
             .map_err(|_| rc::BAD_PARAMETER)?;
@@ -794,7 +779,7 @@ impl Tpm {
         payload.sized_u16(&data);
         let enc_data = storage
             .public()
-            .encrypt_oaep(payload.as_slice(), &seal_label(&pcr_binding), &mut self.rng)
+            .encrypt_oaep(payload.as_slice(), &keys::binding_label(&pcr_binding), &mut self.rng)
             .map_err(|_| rc::BAD_PARAMETER /* data too large for key */)?;
         let blob = SealedBlob { pcr_binding, enc_data };
         let mut out = Writer::new();
@@ -839,7 +824,7 @@ impl Tpm {
         // Decrypt and validate the blob.
         let payload = storage
             .private
-            .decrypt_oaep(&blob.enc_data, &seal_label(&blob.pcr_binding))
+            .decrypt_oaep(&blob.enc_data, &keys::binding_label(&blob.pcr_binding))
             .map_err(|_| rc::DECRYPT_ERROR)?;
         let mut pr = Reader::new(&payload);
         let proof = pr.digest().map_err(|_| rc::DECRYPT_ERROR)?;
@@ -849,11 +834,7 @@ impl Tpm {
             // Blob sealed by a different TPM.
             return Err(rc::DECRYPT_ERROR);
         }
-        if let Some((sel, digest_at_release)) = &blob.pcr_binding {
-            if self.pcrs.composite_hash(sel) != *digest_at_release {
-                return Err(rc::WRONGPCRVAL);
-            }
-        }
+        self.binding_holds(&blob.pcr_binding)?;
 
         // Second session proves knowledge of the data auth.
         let (key2, fresh2) = self.check_auth1(
@@ -894,6 +875,7 @@ impl Tpm {
         let signing_auth = signing.usage_auth;
         let (key, fresh) =
             self.check_auth1(&auth, (entity::KEYHANDLE, key_handle), &signing_auth, ord, params)?;
+        self.binding_holds(&signing.pcr_binding)?;
 
         let composite = self.pcrs.composite_hash(&sel);
         let quote_info = quote_info_digest(&composite, &external_data);
@@ -922,6 +904,7 @@ impl Tpm {
         let signing_auth = signing.usage_auth;
         let (key, fresh) =
             self.check_auth1(&auth, (entity::KEYHANDLE, key_handle), &signing_auth, ord, params)?;
+        self.binding_holds(&signing.pcr_binding)?;
         let sig = signing.private.sign_pkcs1_sha1(&data).map_err(|_| rc::BAD_PARAMETER)?;
         let mut out = Writer::new();
         out.sized_u32(&sig);
@@ -1182,6 +1165,18 @@ impl Tpm {
             AuthCheck::Ok => Ok(()),
             AuthCheck::Failed => Err(rc::AUTHFAIL),
             AuthCheck::BadHandle => Err(rc::INVALID_AUTHHANDLE),
+        }
+    }
+
+    /// `Err(WRONGPCRVAL)` unless a blob's PCR `binding` (if any) matches
+    /// the current composite. Unseal checks a sealed blob's binding;
+    /// Quote and Sign check the binding of the key they sign with.
+    fn binding_holds(&self, binding: &Option<(PcrSelection, [u8; DIGEST_LEN])>) -> Result<(), u32> {
+        match binding {
+            Some((sel, digest_at_release)) if self.pcrs.composite_hash(sel) != *digest_at_release => {
+                Err(rc::WRONGPCRVAL)
+            }
+            _ => Ok(()),
         }
     }
 

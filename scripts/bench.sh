@@ -11,7 +11,8 @@
 #     at 100/1k/10k resident instances under both flush policies, the
 #     amortization counters, and the 1.5x read-path scaling ratio.
 #   BENCH_c1.json — crypto floor: optimized vs schoolbook RSA-1024 and the
-#     speedup, pipelined vs scalar AES-128-CTR, SHA-256, and the floors.
+#     speedup, the RSA-512 sign and RSA-1024 keygen, pipelined vs scalar
+#     AES-128-CTR, SHA-256, and the floors.
 #   BENCH_a1.json — attestation plane: per-request vs cached issuance qps,
 #     farm-scale verification p50/p99, and the seeded defense counts.
 #   BENCH_m2.json — fleet control plane: the churn sweep (exactly-once

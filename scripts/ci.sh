@@ -15,7 +15,10 @@
 #      set-up); then one 1 s `measure-1vm` run with the same output
 #      checks: one guest on the Extend/Seal write path, ~0.41 encrypted
 #      mirror updates per command, so the payload-sized mirror
-#      encrypt/digest path runs end to end at load (~5 s);
+#      encrypt/digest path runs end to end at load (~5 s); then one 1 s
+#      `attest-1vm` run with the same output checks: one guest on the
+#      Quote-heavy mix, so OIAP sessions and the RSA-512 CRT sign over
+#      the fixed-width Montgomery kernel run end to end at load (~5 s);
 #   2. chaos smoke: 8 seeded fault scenarios through the full stack,
 #      each replayed twice (determinism) — parallel across cores;
 #   3. migration chaos smoke: 8 seeded multi-host migration scenarios
@@ -37,9 +40,10 @@
 #      10 000 resident instances and exits nonzero if the per-command
 #      cost degrades by more than 1.5x between the endpoints;
 #   8. R-C1: the crypto floor. `repro c1 --quick` measures the optimized
-#      RSA-1024 private op (CRT + Montgomery + fixed window) against the
-#      retained schoolbook reference and the pipelined AES-CTR keystream,
-#      and exits nonzero if the RSA speedup drops below 4x, the private
+#      RSA-1024 private op (CRT + fixed-width Montgomery + fixed window)
+#      against the retained schoolbook reference and the pipelined
+#      AES-CTR keystream (and reports the RSA-512 sign and RSA-1024
+#      keygen ungated), and exits nonzero if the RSA speedup drops below 4x, the private
 #      op exceeds 2 ms, or CTR throughput falls below 40 MB/s;
 #   9. attest chaos smoke + R-A1: 8 seeded quote-storm/replay-injection
 #      scenarios replayed twice each, then `repro a1 --quick` — exits
@@ -102,6 +106,10 @@ cargo run --release --offline --manifest-path e2ebench/Cargo.toml --bin e2e -- \
 echo "== e2ebench: measure-1vm, encrypted mirror write path =="
 cargo run --release --offline --manifest-path e2ebench/Cargo.toml --bin e2e -- \
     --workload measure-1vm --seed 1 --seconds 1
+
+echo "== e2ebench: attest-1vm, Quote/OIAP/RSA signing path =="
+cargo run --release --offline --manifest-path e2ebench/Cargo.toml --bin e2e -- \
+    --workload attest-1vm --seed 1 --seconds 1
 
 echo "== chaos smoke: 8 seeds, replayed twice each =="
 CHAOS_BASE=ci CHAOS_FAMILY=mirror scripts/chaos.sh 8
