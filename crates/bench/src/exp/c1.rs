@@ -11,11 +11,21 @@
 //!   test battery (`crates/tpm-crypto/tests/`), which is what makes
 //!   gating on the fast path safe. The gate requires ≥
 //!   [`MIN_RSA_SPEEDUP`]x.
-//! * **AES-CTR throughput**: the 4-block-pipelined T-table keystream
-//!   against an absolute MB/s floor ([`MIN_AES_CTR_MBPS`]) and against
-//!   the single-block scalar reference rounds.
+//! * **AES-CTR throughput**: the selected keystream kernel (AES-NI
+//!   where the CPU has it, else the 4-block-pipelined T-table) against
+//!   an absolute MB/s floor ([`MIN_AES_CTR_MBPS`]), reported beside the
+//!   portable T-table kernel and the single-block scalar reference
+//!   rounds.
 //! * **Absolute RSA floor**: the optimized private op must stay under
 //!   [`MAX_RSA_PRIV_US`] µs even on a loaded CI machine.
+//!
+//! The hash and cipher kernels are picked at run time (SHA-NI and
+//! AES-NI on x86-64 CPUs that report them), so the report names the
+//! kernels it measured (`kernels`) and reports SHA-1, SHA-256 and
+//! AES-CTR throughput for both the selected and the portable kernel. A
+//! further gate requires 1 MiB through both kernels to hash and encrypt
+//! byte-identically: a hardware kernel that drifts from its portable
+//! reference fails the run, not just the test suite.
 //!
 //! Two ungated context figures show what the request path pays: the
 //! RSA-512 private op (the signing-key size `GuestSession::prepare`
@@ -28,7 +38,9 @@
 //! floors catch only order-of-magnitude regressions (e.g. losing CRT or
 //! the key-schedule cache), not scheduler jitter.
 
-use tpm_crypto::{AesCtr, BigUint, Drbg, RsaPrivateKey};
+use tpm_crypto::sha1::Sha1;
+use tpm_crypto::sha256::Sha256;
+use tpm_crypto::{Aes128, Aes256, AesCtr, BigUint, Digest, Drbg, RsaPrivateKey};
 use vtpm_harness::json::Field;
 
 use crate::{gate, median, Outcome};
@@ -64,14 +76,59 @@ pub struct C1Report {
     /// RSA-1024 key generation, ms (fixed seeds, so every pass does the
     /// same prime search).
     pub rsa1024_keygen_ms: f64,
-    /// Pipelined AES-128-CTR keystream, MB/s.
+    /// AES-128-CTR keystream through the selected kernel, MB/s.
     pub aes_ctr_mbps: f64,
+    /// AES-128-CTR keystream through the portable T-table kernel, MB/s.
+    pub aes_ctr_portable_mbps: f64,
     /// Single-block scalar-rounds CTR reference, MB/s.
     pub aes_ctr_scalar_mbps: f64,
-    /// SHA-256 bulk throughput, MB/s.
+    /// SHA-1 bulk throughput through the selected kernel, MB/s.
+    pub sha1_mbps: f64,
+    /// SHA-256 bulk throughput through the selected kernel, MB/s.
     pub sha256_mbps: f64,
+    /// SHA-256 bulk throughput through the portable kernel, MB/s.
+    pub sha256_portable_mbps: f64,
     /// SHA-256 of a 40-byte message (the DRBG block shape), ns.
     pub sha256_small_ns: f64,
+    /// The selected hash and cipher kernels, e.g. `"sha-ni+aes-ni"`, or
+    /// `"portable"` when every one is the portable kernel.
+    pub kernels: String,
+    /// 1 MiB hashed (SHA-1, SHA-256) and encrypted (AES-128/256-CTR)
+    /// through the selected and the portable kernels gave identical bytes.
+    pub kernels_identical: bool,
+}
+
+/// The selected kernels, distinct names joined by `+`: `"sha-ni+aes-ni"`
+/// on a CPU with both extensions, `"portable"` on one with neither.
+fn kernels() -> String {
+    let mut names: Vec<&str> = Vec::new();
+    for name in [Sha1::new().kernel(), Sha256::new().kernel(), tpm_crypto::aes::kernel()] {
+        if !names.contains(&name) {
+            names.push(name);
+        }
+    }
+    names.join("+")
+}
+
+/// Hash and encrypt `data` through the selected and the portable
+/// kernels; true when every output matches byte for byte.
+fn kernels_agree(data: &[u8]) -> bool {
+    fn digest<D: Digest>(mut h: D, data: &[u8]) -> Vec<u8> {
+        h.update(data);
+        h.finalize()
+    }
+    let nonce = *b"r-c1 eq!";
+    let c128 = Aes128::new(&[0x3cu8; 16]);
+    let c256 = Aes256::new(&[0xc3u8; 32]);
+    let mut ctr = [data.to_vec(), data.to_vec(), data.to_vec(), data.to_vec()];
+    c128.ctr_xor_at(&nonce, &mut ctr[0], 3);
+    c128.ctr_xor_at_portable(&nonce, &mut ctr[1], 3);
+    c256.ctr_xor_at(&nonce, &mut ctr[2], 3);
+    c256.ctr_xor_at_portable(&nonce, &mut ctr[3], 3);
+    digest(Sha1::new(), data) == digest(Sha1::portable(), data)
+        && digest(Sha256::new(), data) == digest(Sha256::portable(), data)
+        && ctr[0] == ctr[1]
+        && ctr[2] == ctr[3]
 }
 
 /// Time `f` (which performs `ops` operations) over `passes` passes and
@@ -130,11 +187,15 @@ pub fn run(passes: usize, rsa_reps: usize, schoolbook_reps: usize, aes_mib: usiz
         ctr.apply_keystream(std::hint::black_box(&mut buf));
     });
     let aes_ctr_mbps = 1e6 / aes_us_per_mib;
+    let cipher = tpm_crypto::Aes128::new(&[7u8; 16]);
+    let aes_portable_us_per_mib = med_us_per_op(passes, aes_mib.max(1), || {
+        cipher.ctr_xor_at_portable(b"r-c1ctr!", std::hint::black_box(&mut buf), 0);
+    });
+    let aes_ctr_portable_mbps = 1e6 / aes_portable_us_per_mib;
 
     // Scalar reference throughput: single blocks through the byte-wise
     // reference rounds (same work the pre-optimization code did). Uses a
     // smaller buffer — it is ~5-10x slower and only context, not a gate.
-    let cipher = tpm_crypto::Aes128::new(&[7u8; 16]);
     let scalar_len = (aes_mib.max(1) << 20) / 4;
     let scalar_us = med_us_per_op(passes, 1, || {
         let mut block = [0u8; 16];
@@ -150,6 +211,16 @@ pub fn run(passes: usize, rsa_reps: usize, schoolbook_reps: usize, aes_mib: usiz
         std::hint::black_box(tpm_crypto::sha256(std::hint::black_box(&buf)));
     });
     let sha256_mbps = 1e6 / sha_us_per_mib;
+    let sha_portable_us_per_mib = med_us_per_op(passes, aes_mib.max(1), || {
+        let mut h = Sha256::portable();
+        h.update(std::hint::black_box(&buf));
+        std::hint::black_box(h.finalize());
+    });
+    let sha256_portable_mbps = 1e6 / sha_portable_us_per_mib;
+    let sha1_us_per_mib = med_us_per_op(passes, aes_mib.max(1), || {
+        std::hint::black_box(tpm_crypto::sha1(std::hint::black_box(&buf)));
+    });
+    let sha1_mbps = 1e6 / sha1_us_per_mib;
 
     let small = [0x5au8; 40];
     let small_reps = 200_000;
@@ -167,9 +238,14 @@ pub fn run(passes: usize, rsa_reps: usize, schoolbook_reps: usize, aes_mib: usiz
         rsa512_priv_us,
         rsa1024_keygen_ms,
         aes_ctr_mbps,
+        aes_ctr_portable_mbps,
         aes_ctr_scalar_mbps,
+        sha1_mbps,
         sha256_mbps,
+        sha256_portable_mbps,
         sha256_small_ns,
+        kernels: kernels(),
+        kernels_identical: kernels_agree(&buf[..1 << 20]),
     }
 }
 
@@ -178,12 +254,16 @@ pub fn gate_failed(r: &C1Report) -> bool {
     r.rsa_speedup < MIN_RSA_SPEEDUP
         || r.rsa_priv_us > MAX_RSA_PRIV_US
         || r.aes_ctr_mbps < MIN_AES_CTR_MBPS
+        || !r.kernels_identical
 }
 
 /// Render the table.
 pub fn render(r: &C1Report) -> String {
     let mut out = String::new();
-    out.push_str("R-C1  Crypto floor (medians; RSA-1024, AES-128-CTR, SHA-256)\n");
+    out.push_str(&format!(
+        "R-C1  Crypto floor (medians; RSA-1024, AES-128-CTR, SHA-1/SHA-256; kernels {})\n",
+        r.kernels
+    ));
     out.push_str(&format!(
         "rsa private op (CRT+Montgomery+window): {:>9.1} us   (ceiling {:.0} us)\n",
         r.rsa_priv_us, MAX_RSA_PRIV_US
@@ -206,17 +286,30 @@ pub fn render(r: &C1Report) -> String {
         r.rsa1024_keygen_ms
     ));
     out.push_str(&format!(
-        "aes-ctr keystream (pipelined):          {:>9.1} MB/s (floor {:.0} MB/s)\n",
+        "aes-ctr keystream (selected kernel):    {:>9.1} MB/s (floor {:.0} MB/s)\n",
         r.aes_ctr_mbps, MIN_AES_CTR_MBPS
+    ));
+    out.push_str(&format!(
+        "aes-ctr keystream (portable t-table):   {:>9.1} MB/s\n",
+        r.aes_ctr_portable_mbps
     ));
     out.push_str(&format!(
         "aes-ctr keystream (scalar reference):   {:>9.1} MB/s\n",
         r.aes_ctr_scalar_mbps
     ));
-    out.push_str(&format!("sha256 bulk:                            {:>9.1} MB/s\n", r.sha256_mbps));
+    out.push_str(&format!("sha1 bulk (selected kernel):            {:>9.1} MB/s\n", r.sha1_mbps));
+    out.push_str(&format!("sha256 bulk (selected kernel):          {:>9.1} MB/s\n", r.sha256_mbps));
+    out.push_str(&format!(
+        "sha256 bulk (portable kernel):          {:>9.1} MB/s\n",
+        r.sha256_portable_mbps
+    ));
     out.push_str(&format!(
         "sha256 40-byte message:                 {:>9.0} ns\n",
         r.sha256_small_ns
+    ));
+    out.push_str(&format!(
+        "selected == portable kernels (1 MiB):  {:>9}\n",
+        r.kernels_identical
     ));
     out.push_str(&format!(
         "gate: {}\n",
@@ -237,8 +330,9 @@ pub fn repro(quick: bool) -> Outcome {
         gate: gate(gate_failed(&r), || {
             format!(
                 "R-C1 crypto floor: RSA speedup {:.2}x (>= {MIN_RSA_SPEEDUP}x), private op \
-                 {:.0} us (<= {MAX_RSA_PRIV_US} us), AES-CTR {:.1} MB/s (>= {MIN_AES_CTR_MBPS})",
-                r.rsa_speedup, r.rsa_priv_us, r.aes_ctr_mbps
+                 {:.0} us (<= {MAX_RSA_PRIV_US} us), AES-CTR {:.1} MB/s (>= {MIN_AES_CTR_MBPS}), \
+                 {} kernels identical to portable: {}",
+                r.rsa_speedup, r.rsa_priv_us, r.aes_ctr_mbps, r.kernels, r.kernels_identical
             )
         }),
         fields: vec![
@@ -249,9 +343,14 @@ pub fn repro(quick: bool) -> Outcome {
             ("rsa512_priv_us", Field::Float(r.rsa512_priv_us, 2)),
             ("rsa1024_keygen_ms", Field::Float(r.rsa1024_keygen_ms, 2)),
             ("aes_ctr_mbps", Field::Float(r.aes_ctr_mbps, 1)),
+            ("aes_ctr_portable_mbps", Field::Float(r.aes_ctr_portable_mbps, 1)),
             ("aes_ctr_scalar_mbps", Field::Float(r.aes_ctr_scalar_mbps, 1)),
+            ("sha1_mbps", Field::Float(r.sha1_mbps, 1)),
             ("sha256_mbps", Field::Float(r.sha256_mbps, 1)),
+            ("sha256_portable_mbps", Field::Float(r.sha256_portable_mbps, 1)),
             ("sha256_small_ns", Field::Float(r.sha256_small_ns, 0)),
+            ("kernels", Field::Str(r.kernels.clone())),
+            ("kernels_identical", Field::Bool(r.kernels_identical)),
             ("min_rsa_speedup", Field::Float(MIN_RSA_SPEEDUP, 1)),
             ("max_rsa_priv_us", Field::Float(MAX_RSA_PRIV_US, 0)),
             ("min_aes_ctr_mbps", Field::Float(MIN_AES_CTR_MBPS, 0)),
@@ -274,6 +373,7 @@ mod tests {
         assert!(r.rsa512_priv_us > 0.0 && r.rsa512_priv_us < r.rsa_priv_us);
         assert!(r.rsa1024_keygen_ms > 0.0);
         assert!(r.aes_ctr_mbps > r.aes_ctr_scalar_mbps, "pipeline must beat scalar");
+        assert!(r.kernels_identical, "kernels {} disagree with portable", r.kernels);
         let table = render(&r);
         assert!(table.contains("R-C1"));
         assert!(table.contains("speedup"));

@@ -166,16 +166,15 @@ impl ImprovedHook {
                 Some(t) => t,
                 None => return AccessDecision::Deny(DenyReason::BadTag),
             };
-            // Recompute over the same material the frontend signed.
-            let expected = vtpm::Envelope {
-                domain: ctx.claimed_domain,
-                instance: ctx.instance,
-                seq: ctx.seq,
-                locality: ctx.locality,
-                tag: None,
-                command: ctx.command.to_vec(),
-            }
-            .compute_tag(&key);
+            // Recompute over the same fields the frontend signed.
+            let expected = vtpm::Envelope::tag_for(
+                &key,
+                ctx.claimed_domain,
+                ctx.instance,
+                ctx.seq,
+                ctx.locality,
+                ctx.command,
+            );
             if !ct_eq(&expected, tag) {
                 return AccessDecision::Deny(DenyReason::BadTag);
             }

@@ -5,23 +5,38 @@
 //! forward (encrypt) direction is needed because CTR decryption is
 //! encryption of the counter stream.
 //!
-//! Two implementations of the round function coexist:
+//! Three implementations of the round function coexist, with distinct
+//! roles:
 //!
-//! * the **T-table path** (the default): SubBytes+ShiftRows+MixColumns
+//! * the **AES-NI kernel** (the fast path on x86-64 CPUs that report
+//!   AES-NI, picked at run time per [`Aes128::ctr_xor_at`] call; see
+//!   [`kernel`]): AESENC/AESENCLAST over the byte schedule, eight counter
+//!   blocks in flight. No table lookups, so no key- or data-dependent
+//!   memory access;
+//! * the **T-table kernel** (the portable fallback, and the reference the
+//!   differential tests hold the AES-NI kernel to via
+//!   [`Aes128::ctr_xor_at_portable`]): SubBytes+ShiftRows+MixColumns
 //!   fused into four 256-entry u32 tables generated at compile time, one
-//!   XOR-chain per state column per round. CTR mode drives it four
-//!   blocks at a time ([`Aes128::ctr_xor_at`]) so the four independent
-//!   lookup chains overlap in the pipeline;
+//!   XOR-chain per state column per round, driven four CTR blocks at a
+//!   time so the four independent lookup chains overlap in the pipeline.
+//!   Single blocks ([`Aes128::encrypt_block`]) also take this path;
 //! * the **scalar path** ([`Aes128::encrypt_block_scalar`]): the
 //!   original byte-at-a-time SubBytes/ShiftRows/MixColumns rounds,
-//!   retained verbatim as the differential reference the KAT and
-//!   property tests compare against.
+//!   retained verbatim as the reference the KAT and property tests
+//!   compare the T-table path against.
 //!
-//! Both paths share one key schedule, expanded once per key ([`Aes128`] /
+//! All three share one key schedule, expanded once per key: the AES-NI
+//! kernel loads the same `round_keys` bytes the scalar path uses, and the
+//! T-table path reads the same schedule as words. [`Aes128`] /
 //! [`Aes256`] are cheap to clone and cache — see `vtpm::mirror`, which
-//! reuses the master-key schedule across every page of a snapshot).
-//! T-table lookups are data-dependent loads; see the crate docs for the
-//! cache-timing model this codebase accepts.
+//! reuses the master-key schedule across every page of a snapshot.
+//! Outputs are byte-identical across the three.
+//!
+//! Side channels: T-table lookups are key- and data-dependent loads, so
+//! on a CPU without AES-NI a co-resident party that can time the cache
+//! may learn key bits; this reproduction accepts that for its portable
+//! fallback. The AES-NI kernel makes no table lookups and has no such
+//! channel.
 
 /// AES S-box.
 const SBOX: [u8; 256] = [
@@ -202,10 +217,42 @@ fn ctr_xor(rk: &[u32], nonce: &[u8; 8], data: &mut [u8], start_block: u64) {
     }
 }
 
+/// The CTR kernel this CPU runs for [`Aes128::ctr_xor_at`] and
+/// [`Aes256::ctr_xor_at`]: `"aes-ni"`, or `"portable"` (the T-table
+/// pipeline).
+pub fn kernel() -> &'static str {
+    #[cfg(target_arch = "x86_64")]
+    if crate::x86::aes_detected() {
+        return "aes-ni";
+    }
+    "portable"
+}
+
+/// CTR keystream XOR through the selected kernel: AES-NI over the byte
+/// schedule when the CPU has it, the T-table pipeline over the word
+/// schedule otherwise.
+#[cfg_attr(not(target_arch = "x86_64"), allow(unused_variables))]
+fn ctr_xor_selected<const R: usize, const W: usize>(
+    round_keys: &[[u8; 16]; R],
+    rk: &[u32; W],
+    nonce: &[u8; 8],
+    data: &mut [u8],
+    start_block: u64,
+) {
+    #[cfg(target_arch = "x86_64")]
+    if crate::x86::aes_detected() {
+        // SAFETY: `aes_detected()` just confirmed every feature
+        // `aes_ctr_xor` enables.
+        unsafe { crate::x86::aes_ctr_xor(round_keys, nonce, data, start_block) };
+        return;
+    }
+    ctr_xor(rk, nonce, data, start_block);
+}
+
 /// AES-128 with a precomputed key schedule.
 #[derive(Clone)]
 pub struct Aes128 {
-    /// 11 round keys of 16 bytes each (scalar reference path).
+    /// 11 round keys of 16 bytes each (AES-NI and scalar reference paths).
     round_keys: [[u8; 16]; 11],
     /// The same schedule as 44 big-endian words (T-table path).
     rk: [u32; 44],
@@ -262,10 +309,17 @@ impl Aes128 {
     }
 
     /// XOR the CTR keystream (8-byte `nonce`, block counter starting at
-    /// `start_block`) into `data`, four blocks per batch. This is the
-    /// schedule-cached fast path: one `Aes128` can stream any number of
-    /// nonces without re-expanding the key.
+    /// `start_block`) into `data` with the selected kernel ([`kernel`]).
+    /// This is the schedule-cached fast path: one `Aes128` can stream any
+    /// number of nonces without re-expanding the key.
     pub fn ctr_xor_at(&self, nonce: &[u8; 8], data: &mut [u8], start_block: u64) {
+        ctr_xor_selected(&self.round_keys, &self.rk, nonce, data, start_block);
+    }
+
+    /// The same keystream through the portable T-table pipeline, four
+    /// blocks per batch, whatever the CPU: the fallback kernel, and the
+    /// reference the differential tests hold the AES-NI kernel to.
+    pub fn ctr_xor_at_portable(&self, nonce: &[u8; 8], data: &mut [u8], start_block: u64) {
         ctr_xor(&self.rk, nonce, data, start_block);
     }
 }
@@ -273,7 +327,7 @@ impl Aes128 {
 /// AES-256 with a precomputed key schedule.
 #[derive(Clone)]
 pub struct Aes256 {
-    /// 15 round keys of 16 bytes each (scalar reference path).
+    /// 15 round keys of 16 bytes each (AES-NI and scalar reference paths).
     round_keys: [[u8; 16]; 15],
     /// The same schedule as 60 big-endian words (T-table path).
     rk: [u32; 60],
@@ -333,6 +387,11 @@ impl Aes256 {
 
     /// XOR the CTR keystream into `data`; see [`Aes128::ctr_xor_at`].
     pub fn ctr_xor_at(&self, nonce: &[u8; 8], data: &mut [u8], start_block: u64) {
+        ctr_xor_selected(&self.round_keys, &self.rk, nonce, data, start_block);
+    }
+
+    /// The portable T-table keystream; see [`Aes128::ctr_xor_at_portable`].
+    pub fn ctr_xor_at_portable(&self, nonce: &[u8; 8], data: &mut [u8], start_block: u64) {
         ctr_xor(&self.rk, nonce, data, start_block);
     }
 }

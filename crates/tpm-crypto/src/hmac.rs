@@ -5,29 +5,40 @@
 
 use crate::hash::Digest;
 
-/// Streaming HMAC state.
+/// Largest digest block this HMAC handles on the stack: both SHA-1 and
+/// SHA-256 have 64-byte blocks.
+const MAX_BLOCK_LEN: usize = 64;
+
+/// Streaming HMAC state. Allocation-free: the key pads live in stack
+/// arrays.
 #[derive(Clone)]
 pub struct Hmac<D: Digest> {
     inner: D,
-    /// Key XOR opad, retained for the outer pass.
-    opad_key: Vec<u8>,
+    /// Key XOR opad (its first `D::BLOCK_LEN` bytes), retained for the
+    /// outer pass.
+    opad_key: [u8; MAX_BLOCK_LEN],
 }
 
 impl<D: Digest> Hmac<D> {
     /// Initialize with `key` (any length; hashed down if longer than a block).
     pub fn new(key: &[u8]) -> Self {
-        let mut block_key = vec![0u8; D::BLOCK_LEN];
+        const { assert!(D::BLOCK_LEN <= MAX_BLOCK_LEN && D::OUTPUT_LEN <= MAX_BLOCK_LEN) };
+        let mut ipad = [0u8; MAX_BLOCK_LEN];
         if key.len() > D::BLOCK_LEN {
-            let hashed = D::digest(key);
-            block_key[..hashed.len()].copy_from_slice(&hashed);
+            let mut h = D::new();
+            h.update(key);
+            h.finalize_into(&mut ipad[..D::OUTPUT_LEN]);
         } else {
-            block_key[..key.len()].copy_from_slice(key);
+            ipad[..key.len()].copy_from_slice(key);
         }
-        let ipad: Vec<u8> = block_key.iter().map(|b| b ^ 0x36).collect();
-        let opad: Vec<u8> = block_key.iter().map(|b| b ^ 0x5c).collect();
+        let mut opad_key = ipad;
+        for (i, o) in ipad.iter_mut().zip(opad_key.iter_mut()) {
+            *i ^= 0x36;
+            *o ^= 0x5c;
+        }
         let mut inner = D::new();
-        inner.update(&ipad);
-        Hmac { inner, opad_key: opad }
+        inner.update(&ipad[..D::BLOCK_LEN]);
+        Hmac { inner, opad_key }
     }
 
     /// Absorb message bytes.
@@ -35,17 +46,22 @@ impl<D: Digest> Hmac<D> {
         self.inner.update(data);
     }
 
-    /// Produce the MAC, consuming the state. The inner digest lands in a
-    /// stack buffer (digests here are at most 64 bytes), so the only
-    /// allocation is the returned Vec.
-    pub fn finalize(self) -> Vec<u8> {
-        let mut inner_hash = [0u8; 64];
-        debug_assert!(D::OUTPUT_LEN <= 64);
+    /// Produce the MAC into `out` (exactly `D::OUTPUT_LEN` bytes),
+    /// consuming the state. Allocation-free.
+    pub fn finalize_into(self, out: &mut [u8]) {
+        let mut inner_hash = [0u8; MAX_BLOCK_LEN];
         self.inner.finalize_into(&mut inner_hash[..D::OUTPUT_LEN]);
         let mut outer = D::new();
-        outer.update(&self.opad_key);
+        outer.update(&self.opad_key[..D::BLOCK_LEN]);
         outer.update(&inner_hash[..D::OUTPUT_LEN]);
-        outer.finalize()
+        outer.finalize_into(out);
+    }
+
+    /// Produce the MAC as a fresh `Vec`, consuming the state.
+    pub fn finalize(self) -> Vec<u8> {
+        let mut out = vec![0u8; D::OUTPUT_LEN];
+        self.finalize_into(&mut out);
+        out
     }
 
     /// One-shot convenience.
@@ -70,19 +86,21 @@ pub fn ct_eq(a: &[u8], b: &[u8]) -> bool {
     acc == 0
 }
 
-/// HMAC-SHA1 one-shot (TPM 1.2 auth sessions).
+/// HMAC-SHA1 one-shot (TPM 1.2 auth sessions). Allocation-free.
 pub fn hmac_sha1(key: &[u8], data: &[u8]) -> [u8; 20] {
-    let v = Hmac::<crate::sha1::Sha1>::mac(key, data);
+    let mut h = Hmac::<crate::sha1::Sha1>::new(key);
+    h.update(data);
     let mut out = [0u8; 20];
-    out.copy_from_slice(&v);
+    h.finalize_into(&mut out);
     out
 }
 
-/// HMAC-SHA256 one-shot (AC1 request authentication).
+/// HMAC-SHA256 one-shot (AC1 request authentication). Allocation-free.
 pub fn hmac_sha256(key: &[u8], data: &[u8]) -> [u8; 32] {
-    let v = Hmac::<crate::sha256::Sha256>::mac(key, data);
+    let mut h = Hmac::<crate::sha256::Sha256>::new(key);
+    h.update(data);
     let mut out = [0u8; 32];
-    out.copy_from_slice(&v);
+    h.finalize_into(&mut out);
     out
 }
 

@@ -287,7 +287,26 @@ fn mgf1(seed: &[u8], len: usize) -> Vec<u8> {
 
 /// Generate a probable prime of exactly `bits` bits.
 fn gen_prime(bits: usize, rng: &mut Drbg) -> BigUint {
-    loop {
+    search_prime(bits, rng, |candidate, rng| miller_rabin(candidate, 20, rng))
+}
+
+/// Random odd `bits`-bit candidates [`search_prime`] may draw per bit of
+/// size before it gives up. About one odd `k`-bit number in `0.35 k` is
+/// prime, so the cap is ~290 times the expected count and a correct
+/// primality test misses it with probability about `e^-288`.
+const PRIME_CANDIDATES_PER_BIT: usize = 100;
+
+/// Draw random odd `bits`-bit candidates until `is_prime` accepts one.
+/// Panics after `PRIME_CANDIDATES_PER_BIT * max(bits, 16)` draws: only a
+/// broken primality test (in practice, wrong modular exponentiation)
+/// gets there, and it should fail loudly rather than spin forever.
+fn search_prime(
+    bits: usize,
+    rng: &mut Drbg,
+    mut is_prime: impl FnMut(&BigUint, &mut Drbg) -> bool,
+) -> BigUint {
+    let limit = PRIME_CANDIDATES_PER_BIT * bits.max(16);
+    for _ in 0..limit {
         let mut candidate = random_bits(bits, rng);
         // Force top bit (exact size) and low bit (odd).
         candidate.set_bit(bits - 1);
@@ -299,10 +318,15 @@ fn gen_prime(bits: usize, rng: &mut Drbg) -> BigUint {
         }) {
             continue;
         }
-        if miller_rabin(&candidate, 20, rng) {
+        if is_prime(&candidate, rng) {
             return candidate;
         }
     }
+    panic!(
+        "no prime among {limit} random {bits}-bit candidates (about {} expected): \
+         the primality test, or the modular exponentiation under it, is broken",
+        bits * 7 / 20
+    );
 }
 
 const SMALL_PRIMES: [u64; 30] = [
@@ -380,6 +404,14 @@ mod tests {
         // 512-bit keys keep the test suite fast; correctness is size-independent.
         let mut rng = Drbg::new(b"rsa-test-key");
         RsaPrivateKey::generate(512, &mut rng)
+    }
+
+    #[test]
+    #[should_panic(expected = "no prime among 6400 random 64-bit candidates")]
+    fn prime_search_is_bounded() {
+        // A primality test that never succeeds stands in for a broken
+        // modular exponentiation: the search must panic, not spin.
+        search_prime(64, &mut Drbg::new(b"never prime"), |_, _| false);
     }
 
     #[test]

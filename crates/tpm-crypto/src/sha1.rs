@@ -1,9 +1,17 @@
 //! SHA-1 (FIPS 180-4). TPM 1.2 is specified over SHA-1, so despite its
-//! collision weakness it is the digest this emulator must provide; the
+//! collision weakness it is the digest this emulator must provide (PCR
+//! Extend, OIAP/OSAP HMACs, the Quote digest, OAEP/MGF1); the
 //! access-control layer itself authenticates with HMAC where collisions do
 //! not apply.
+//!
+//! Two compression kernels sit behind [`Sha1`], picked when a state is
+//! created ([`Digest::new`]): on x86-64 CPUs that report SHA-NI, the
+//! SHA1RNDS4/SHA1NEXTE/SHA1MSG1/SHA1MSG2 kernel, fed every run of whole
+//! blocks in one call; elsewhere the portable FIPS 180-4 rounds below,
+//! which [`Sha1::portable`] also runs on any CPU as the differential
+//! reference. Digests are identical.
 
-use crate::hash::Digest;
+use crate::hash::{BlockBuffer, Digest, ShaKernel};
 
 const H0: [u32; 5] = [0x67452301, 0xEFCDAB89, 0x98BADCFE, 0x10325476, 0xC3D2E1F0];
 
@@ -11,15 +19,38 @@ const H0: [u32; 5] = [0x67452301, 0xEFCDAB89, 0x98BADCFE, 0x10325476, 0xC3D2E1F0
 #[derive(Clone)]
 pub struct Sha1 {
     h: [u32; 5],
-    /// Partial block buffer.
-    buf: [u8; 64],
-    buf_len: usize,
-    /// Total message length in bytes.
-    total_len: u64,
+    buf: BlockBuffer,
+    kernel: ShaKernel,
 }
 
 impl Sha1 {
-    fn compress(&mut self, block: &[u8; 64]) {
+    /// A state that runs the portable kernel whatever the CPU reports:
+    /// the reference the differential tests hold the selected kernel
+    /// ([`Digest::new`]) to.
+    pub fn portable() -> Self {
+        Sha1 { h: H0, buf: BlockBuffer::new(), kernel: ShaKernel::Portable }
+    }
+
+    /// The compression kernel this state runs: `"sha-ni"` or `"portable"`.
+    pub fn kernel(&self) -> &'static str {
+        self.kernel.name()
+    }
+}
+
+/// Compress whole 64-byte `blocks` into `h` with `kernel`.
+fn compress(kernel: ShaKernel, h: &mut [u32; 5], blocks: &[u8]) {
+    match kernel {
+        ShaKernel::Portable => compress_portable(h, blocks),
+        // SAFETY: `ShaNi` is only built by `ShaKernel::detect` after
+        // `x86::sha_detected()` confirmed every feature the kernel enables.
+        #[cfg(target_arch = "x86_64")]
+        ShaKernel::ShaNi => unsafe { crate::x86::sha1_compress(h, blocks) },
+    }
+}
+
+/// The portable kernel: the FIPS 180-4 rounds, one block at a time.
+fn compress_portable(h: &mut [u32; 5], blocks: &[u8]) {
+    for block in blocks.chunks_exact(64) {
         let mut w = [0u32; 80];
         for (i, chunk) in block.chunks_exact(4).enumerate() {
             w[i] = u32::from_be_bytes(chunk.try_into().unwrap());
@@ -28,7 +59,7 @@ impl Sha1 {
             w[i] = (w[i - 3] ^ w[i - 8] ^ w[i - 14] ^ w[i - 16]).rotate_left(1);
         }
 
-        let [mut a, mut b, mut c, mut d, mut e] = self.h;
+        let [mut a, mut b, mut c, mut d, mut e] = *h;
         for (i, &wi) in w.iter().enumerate() {
             let (f, k) = match i {
                 0..=19 => ((b & c) | (!b & d), 0x5A827999),
@@ -48,11 +79,9 @@ impl Sha1 {
             b = a;
             a = t;
         }
-        self.h[0] = self.h[0].wrapping_add(a);
-        self.h[1] = self.h[1].wrapping_add(b);
-        self.h[2] = self.h[2].wrapping_add(c);
-        self.h[3] = self.h[3].wrapping_add(d);
-        self.h[4] = self.h[4].wrapping_add(e);
+        for (s, v) in h.iter_mut().zip([a, b, c, d, e]) {
+            *s = s.wrapping_add(v);
+        }
     }
 }
 
@@ -61,52 +90,18 @@ impl Digest for Sha1 {
     const BLOCK_LEN: usize = 64;
 
     fn new() -> Self {
-        Sha1 { h: H0, buf: [0; 64], buf_len: 0, total_len: 0 }
+        Sha1 { kernel: ShaKernel::detect(), ..Sha1::portable() }
     }
 
-    fn update(&mut self, mut data: &[u8]) {
-        self.total_len = self.total_len.wrapping_add(data.len() as u64);
-        if self.buf_len > 0 {
-            let take = (64 - self.buf_len).min(data.len());
-            self.buf[self.buf_len..self.buf_len + take].copy_from_slice(&data[..take]);
-            self.buf_len += take;
-            data = &data[take..];
-            if self.buf_len == 64 {
-                let block = self.buf;
-                self.compress(&block);
-                self.buf_len = 0;
-            }
-            if data.is_empty() {
-                return;
-            }
-        }
-        let mut chunks = data.chunks_exact(64);
-        for chunk in chunks.by_ref() {
-            self.compress(chunk.try_into().unwrap());
-        }
-        let rest = chunks.remainder();
-        self.buf[..rest.len()].copy_from_slice(rest);
-        self.buf_len = rest.len();
+    fn update(&mut self, data: &[u8]) {
+        let (h, kernel) = (&mut self.h, self.kernel);
+        self.buf.update(data, |blocks| compress(kernel, h, blocks));
     }
 
     fn finalize_into(mut self, out: &mut [u8]) {
         assert_eq!(out.len(), Self::OUTPUT_LEN);
-        // Pad in place: 0x80, zeros to byte 56 of the final block, then
-        // the bit length — one or two compressions, no per-byte updates.
-        let bit_len = self.total_len.wrapping_mul(8);
-        let len = self.buf_len;
-        self.buf[len] = 0x80;
-        if len < 56 {
-            self.buf[len + 1..56].fill(0);
-        } else {
-            self.buf[len + 1..].fill(0);
-            let block = self.buf;
-            self.compress(&block);
-            self.buf[..56].fill(0);
-        }
-        self.buf[56..64].copy_from_slice(&bit_len.to_be_bytes());
-        let block = self.buf;
-        self.compress(&block);
+        let (h, kernel) = (&mut self.h, self.kernel);
+        self.buf.finalize(|blocks| compress(kernel, h, blocks));
         for (chunk, word) in out.chunks_exact_mut(4).zip(self.h) {
             chunk.copy_from_slice(&word.to_be_bytes());
         }

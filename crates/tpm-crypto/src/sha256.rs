@@ -1,15 +1,24 @@
 //! SHA-256 (FIPS 180-4). Used by the access-control layer (AC1 credentials,
-//! AC4 audit-log hash chain) where a modern digest is appropriate even
-//! though the emulated TPM itself speaks SHA-1.
+//! AC4 audit-log hash chain), the encrypted mirror's page digests and
+//! metadata checksum, and the DRBG, where a modern digest is appropriate
+//! even though the emulated TPM itself speaks SHA-1.
+//!
+//! Two compression kernels sit behind [`Sha256`], picked when a state is
+//! created ([`Digest::new`]): on x86-64 CPUs that report SHA-NI, the
+//! SHA256RNDS2/SHA256MSG1/SHA256MSG2 kernel, fed every run of whole
+//! blocks in one call; elsewhere the portable FIPS 180-4 rounds below,
+//! which [`Sha256::portable`] also runs on any CPU as the differential
+//! reference. Digests are identical.
 
-use crate::hash::Digest;
+use crate::hash::{BlockBuffer, Digest, ShaKernel};
 
 const H0: [u32; 8] = [
     0x6a09e667, 0xbb67ae85, 0x3c6ef372, 0xa54ff53a, 0x510e527f, 0x9b05688c, 0x1f83d9ab,
     0x5be0cd19,
 ];
 
-const K: [u32; 64] = [
+/// Round constants; the SHA-NI kernel adds them to the schedule words too.
+pub(crate) const K: [u32; 64] = [
     0x428a2f98, 0x71374491, 0xb5c0fbcf, 0xe9b5dba5, 0x3956c25b, 0x59f111f1, 0x923f82a4,
     0xab1c5ed5, 0xd807aa98, 0x12835b01, 0x243185be, 0x550c7dc3, 0x72be5d74, 0x80deb1fe,
     0x9bdc06a7, 0xc19bf174, 0xe49b69c1, 0xefbe4786, 0x0fc19dc6, 0x240ca1cc, 0x2de92c6f,
@@ -26,13 +35,38 @@ const K: [u32; 64] = [
 #[derive(Clone)]
 pub struct Sha256 {
     h: [u32; 8],
-    buf: [u8; 64],
-    buf_len: usize,
-    total_len: u64,
+    buf: BlockBuffer,
+    kernel: ShaKernel,
 }
 
 impl Sha256 {
-    fn compress(&mut self, block: &[u8; 64]) {
+    /// A state that runs the portable kernel whatever the CPU reports:
+    /// the reference the differential tests hold the selected kernel
+    /// ([`Digest::new`]) to.
+    pub fn portable() -> Self {
+        Sha256 { h: H0, buf: BlockBuffer::new(), kernel: ShaKernel::Portable }
+    }
+
+    /// The compression kernel this state runs: `"sha-ni"` or `"portable"`.
+    pub fn kernel(&self) -> &'static str {
+        self.kernel.name()
+    }
+}
+
+/// Compress whole 64-byte `blocks` into `h` with `kernel`.
+fn compress(kernel: ShaKernel, h: &mut [u32; 8], blocks: &[u8]) {
+    match kernel {
+        ShaKernel::Portable => compress_portable(h, blocks),
+        // SAFETY: `ShaNi` is only built by `ShaKernel::detect` after
+        // `x86::sha_detected()` confirmed every feature the kernel enables.
+        #[cfg(target_arch = "x86_64")]
+        ShaKernel::ShaNi => unsafe { crate::x86::sha256_compress(h, blocks) },
+    }
+}
+
+/// The portable kernel: the FIPS 180-4 rounds, one block at a time.
+fn compress_portable(h: &mut [u32; 8], blocks: &[u8]) {
+    for block in blocks.chunks_exact(64) {
         let mut w = [0u32; 64];
         for (i, chunk) in block.chunks_exact(4).enumerate() {
             w[i] = u32::from_be_bytes(chunk.try_into().unwrap());
@@ -46,11 +80,11 @@ impl Sha256 {
                 .wrapping_add(s1);
         }
 
-        let [mut a, mut b, mut c, mut d, mut e, mut f, mut g, mut h] = self.h;
+        let [mut a, mut b, mut c, mut d, mut e, mut f, mut g, mut hh] = *h;
         for i in 0..64 {
             let s1 = e.rotate_right(6) ^ e.rotate_right(11) ^ e.rotate_right(25);
             let ch = (e & f) ^ (!e & g);
-            let t1 = h
+            let t1 = hh
                 .wrapping_add(s1)
                 .wrapping_add(ch)
                 .wrapping_add(K[i])
@@ -58,7 +92,7 @@ impl Sha256 {
             let s0 = a.rotate_right(2) ^ a.rotate_right(13) ^ a.rotate_right(22);
             let maj = (a & b) ^ (a & c) ^ (b & c);
             let t2 = s0.wrapping_add(maj);
-            h = g;
+            hh = g;
             g = f;
             f = e;
             e = d.wrapping_add(t1);
@@ -67,7 +101,7 @@ impl Sha256 {
             b = a;
             a = t1.wrapping_add(t2);
         }
-        for (s, v) in self.h.iter_mut().zip([a, b, c, d, e, f, g, h]) {
+        for (s, v) in h.iter_mut().zip([a, b, c, d, e, f, g, hh]) {
             *s = s.wrapping_add(v);
         }
     }
@@ -78,52 +112,18 @@ impl Digest for Sha256 {
     const BLOCK_LEN: usize = 64;
 
     fn new() -> Self {
-        Sha256 { h: H0, buf: [0; 64], buf_len: 0, total_len: 0 }
+        Sha256 { kernel: ShaKernel::detect(), ..Sha256::portable() }
     }
 
-    fn update(&mut self, mut data: &[u8]) {
-        self.total_len = self.total_len.wrapping_add(data.len() as u64);
-        if self.buf_len > 0 {
-            let take = (64 - self.buf_len).min(data.len());
-            self.buf[self.buf_len..self.buf_len + take].copy_from_slice(&data[..take]);
-            self.buf_len += take;
-            data = &data[take..];
-            if self.buf_len == 64 {
-                let block = self.buf;
-                self.compress(&block);
-                self.buf_len = 0;
-            }
-            if data.is_empty() {
-                return;
-            }
-        }
-        let mut chunks = data.chunks_exact(64);
-        for chunk in chunks.by_ref() {
-            self.compress(chunk.try_into().unwrap());
-        }
-        let rest = chunks.remainder();
-        self.buf[..rest.len()].copy_from_slice(rest);
-        self.buf_len = rest.len();
+    fn update(&mut self, data: &[u8]) {
+        let (h, kernel) = (&mut self.h, self.kernel);
+        self.buf.update(data, |blocks| compress(kernel, h, blocks));
     }
 
     fn finalize_into(mut self, out: &mut [u8]) {
         assert_eq!(out.len(), Self::OUTPUT_LEN);
-        // Pad in place: 0x80, zeros to byte 56 of the final block, then
-        // the bit length — one or two compressions, no per-byte updates.
-        let bit_len = self.total_len.wrapping_mul(8);
-        let len = self.buf_len;
-        self.buf[len] = 0x80;
-        if len < 56 {
-            self.buf[len + 1..56].fill(0);
-        } else {
-            self.buf[len + 1..].fill(0);
-            let block = self.buf;
-            self.compress(&block);
-            self.buf[..56].fill(0);
-        }
-        self.buf[56..64].copy_from_slice(&bit_len.to_be_bytes());
-        let block = self.buf;
-        self.compress(&block);
+        let (h, kernel) = (&mut self.h, self.kernel);
+        self.buf.finalize(|blocks| compress(kernel, h, blocks));
         for (chunk, word) in out.chunks_exact_mut(4).zip(self.h) {
             chunk.copy_from_slice(&word.to_be_bytes());
         }

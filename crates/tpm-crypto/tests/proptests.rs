@@ -1,11 +1,13 @@
 //! Differential property tests: the optimized paths (Montgomery +
-//! fixed-window exponentiation, CRT + Garner recombination, 4-block
-//! pipelined AES-CTR) must be **byte-identical** to the slow reference
-//! paths they replaced (`mod_pow_schoolbook`, `raw_schoolbook`, and
-//! single-block scalar CTR) on arbitrary inputs — including the
-//! boundary shapes where windowed/pipelined code classically breaks:
-//! operands hugging the modulus, all-ones carry chains, p≈q CRT keys,
-//! zero/one exponents, ragged lengths, and counter wrap-around.
+//! fixed-window exponentiation, CRT + Garner recombination, the
+//! selected AES-CTR kernel, the SHA-NI compression kernels) must be
+//! **byte-identical** to the slow reference paths they replaced
+//! (`mod_pow_schoolbook`, `raw_schoolbook`, single-block scalar CTR, the
+//! portable T-table CTR and the portable SHA rounds) on arbitrary
+//! inputs — including the boundary shapes where windowed/pipelined code
+//! classically breaks: operands hugging the modulus, all-ones carry
+//! chains, p≈q CRT keys, zero/one exponents, ragged lengths, odd batch
+//! remainders, and counter wrap-around.
 
 use proptest::collection::vec;
 use proptest::prelude::*;
@@ -13,7 +15,9 @@ use proptest::proptest;
 use tpm_crypto::aes::{Aes128, Aes256, AesCtr};
 use tpm_crypto::bignum::MontgomeryCtx;
 use tpm_crypto::rsa::RsaPrivateKey;
-use tpm_crypto::{BigUint, Drbg};
+use tpm_crypto::sha1::Sha1;
+use tpm_crypto::sha256::Sha256;
+use tpm_crypto::{BigUint, Digest, Drbg};
 
 // ------------------------------------------------------ helper plumbing
 
@@ -42,6 +46,34 @@ fn ctr_reference_256(key: &[u8; 32], nonce: &[u8; 8], data: &mut [u8], start_blo
         for (d, k) in chunk.iter_mut().zip(block.iter()) {
             *d ^= k;
         }
+    }
+}
+
+/// `data` fed to `h` in three pieces, cut at `a` and `b` (any values;
+/// reduced into range and ordered).
+fn digest_split<D: Digest>(mut h: D, data: &[u8], a: usize, b: usize) -> Vec<u8> {
+    let (a, b) = (a % (data.len() + 1), b % (data.len() + 1));
+    let (lo, hi) = (a.min(b), a.max(b));
+    h.update(&data[..lo]);
+    h.update(&data[lo..hi]);
+    h.update(&data[hi..]);
+    h.finalize()
+}
+
+/// `data` fed to `h` in one piece.
+fn digest_whole<D: Digest>(mut h: D, data: &[u8]) -> Vec<u8> {
+    h.update(data);
+    h.finalize()
+}
+
+/// A CTR start block: near the top of the counter space (so the 64-bit
+/// counter wraps inside the message, at any position within a batch),
+/// near zero, or anywhere.
+fn ctr_start(kind: u8, offset: u64, anywhere: u64) -> u64 {
+    match kind % 3 {
+        0 => u64::MAX - offset,
+        1 => offset,
+        _ => anywhere,
     }
 }
 
@@ -153,8 +185,8 @@ proptest! {
         );
     }
 
-    /// Pipelined CTR == scalar single-block CTR for arbitrary lengths,
-    /// offsets into the stream, and keys.
+    /// Selected CTR kernel == scalar single-block CTR for arbitrary
+    /// lengths, offsets into the stream, and keys.
     #[test]
     fn ctr_pipelined_matches_scalar(
         key in proptest::array::uniform16(any::<u8>()),
@@ -206,6 +238,95 @@ proptest! {
         ctr.apply_keystream_at(&mut parts[cut..], (cut / 16) as u64);
         prop_assert_eq!(whole, parts);
     }
+}
+
+// ------------------------------- hardware kernels vs portable kernels
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// Selected SHA-1 kernel (SHA-NI where the CPU reports it) == the
+    /// portable kernel, for 0–300 byte messages streamed in three pieces
+    /// cut anywhere (the reference gets the message whole).
+    #[test]
+    fn sha1_selected_matches_portable(
+        data in vec(any::<u8>(), 0..301),
+        a in any::<usize>(),
+        b in any::<usize>(),
+    ) {
+        prop_assert_eq!(
+            digest_split(Sha1::new(), &data, a, b),
+            digest_whole(Sha1::portable(), &data)
+        );
+    }
+
+    /// Same for SHA-256.
+    #[test]
+    fn sha256_selected_matches_portable(
+        data in vec(any::<u8>(), 0..301),
+        a in any::<usize>(),
+        b in any::<usize>(),
+    ) {
+        prop_assert_eq!(
+            digest_split(Sha256::new(), &data, a, b),
+            digest_whole(Sha256::portable(), &data)
+        );
+    }
+
+    /// Selected AES-128-CTR kernel (AES-NI where the CPU reports it) ==
+    /// the portable T-table kernel: lengths with partial tail blocks and
+    /// every remainder of the hardware kernel's batch, start blocks that
+    /// wrap the counter mid-message.
+    #[test]
+    fn ctr128_selected_matches_portable(
+        key in proptest::array::uniform16(any::<u8>()),
+        nonce in proptest::array::uniform8(any::<u8>()),
+        data in vec(any::<u8>(), 0..301),
+        start in (any::<u8>(), 0u64..24, any::<u64>()),
+    ) {
+        let start = ctr_start(start.0, start.1, start.2);
+        let cipher = Aes128::new(&key);
+        let mut fast = data.clone();
+        cipher.ctr_xor_at(&nonce, &mut fast, start);
+        let mut slow = data;
+        cipher.ctr_xor_at_portable(&nonce, &mut slow, start);
+        prop_assert_eq!(fast, slow);
+    }
+
+    /// Same for AES-256.
+    #[test]
+    fn ctr256_selected_matches_portable(
+        key in proptest::array::uniform32(any::<u8>()),
+        nonce in proptest::array::uniform8(any::<u8>()),
+        data in vec(any::<u8>(), 0..301),
+        start in (any::<u8>(), 0u64..24, any::<u64>()),
+    ) {
+        let start = ctr_start(start.0, start.1, start.2);
+        let cipher = Aes256::new(&key);
+        let mut fast = data.clone();
+        cipher.ctr_xor_at(&nonce, &mut fast, start);
+        let mut slow = data;
+        cipher.ctr_xor_at_portable(&nonce, &mut slow, start);
+        prop_assert_eq!(fast, slow);
+    }
+}
+
+/// A dispatch that silently fell back to the portable kernels would pass
+/// every differential test above, only slower: on a CPU that reports the
+/// extension, the hardware kernel must be the one selected.
+#[test]
+fn hardware_kernels_selected_when_the_cpu_reports_them() {
+    #[cfg(target_arch = "x86_64")]
+    let (sha, aes) = (is_x86_feature_detected!("sha"), is_x86_feature_detected!("aes"));
+    #[cfg(not(target_arch = "x86_64"))]
+    let (sha, aes) = (false, false);
+    let sha_kernel = if sha { "sha-ni" } else { "portable" };
+    assert_eq!(Sha1::new().kernel(), sha_kernel);
+    assert_eq!(Sha256::new().kernel(), sha_kernel);
+    assert_eq!(tpm_crypto::aes::kernel(), if aes { "aes-ni" } else { "portable" });
+    // The reference states stay portable whatever the CPU.
+    assert_eq!(Sha1::portable().kernel(), "portable");
+    assert_eq!(Sha256::portable().kernel(), "portable");
 }
 
 /// Counter wrap-around: the 64-bit block counter wraps modulo 2^64 and

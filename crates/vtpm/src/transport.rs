@@ -9,7 +9,8 @@
 //! by a per-domain credential provisioned outside XenStore (mechanism AC1).
 
 use tpm::buffer::{BufError, Reader, Writer};
-use tpm_crypto::hmac_sha256;
+use tpm_crypto::sha256::Sha256;
+use tpm_crypto::Hmac;
 
 /// Magic bytes opening every envelope ("VP" for vTPM Packet).
 const MAGIC: u16 = 0x5650;
@@ -76,17 +77,32 @@ impl Envelope {
 
     /// Compute the AC1 tag for this envelope's fields under `key`.
     pub fn compute_tag(&self, key: &[u8]) -> [u8; TAG_LEN] {
-        hmac_sha256(key, &self.tag_material())
+        Self::tag_for(key, self.domain, self.instance, self.seq, self.locality, &self.command)
     }
 
-    /// The bytes the tag covers: every field except the tag itself.
-    fn tag_material(&self) -> Vec<u8> {
-        let mut w = Writer::with_capacity(24 + self.command.len());
-        w.u32(self.domain).u32(self.instance);
-        w.u32((self.seq >> 32) as u32).u32(self.seq as u32);
-        w.u8(self.locality);
-        w.bytes(&self.command);
-        w.into_vec()
+    /// The AC1 tag over every envelope field except the tag itself —
+    /// domain, instance, seq (big-endian), locality, then the command —
+    /// streamed into the HMAC without assembling those bytes. A verifier
+    /// that already holds the fields separately calls this directly.
+    pub fn tag_for(
+        key: &[u8],
+        domain: u32,
+        instance: u32,
+        seq: u64,
+        locality: u8,
+        command: &[u8],
+    ) -> [u8; TAG_LEN] {
+        let mut header = [0u8; 17];
+        header[..4].copy_from_slice(&domain.to_be_bytes());
+        header[4..8].copy_from_slice(&instance.to_be_bytes());
+        header[8..16].copy_from_slice(&seq.to_be_bytes());
+        header[16] = locality;
+        let mut mac = Hmac::<Sha256>::new(key);
+        mac.update(&header);
+        mac.update(command);
+        let mut tag = [0u8; TAG_LEN];
+        mac.finalize_into(&mut tag);
+        tag
     }
 
     /// Attach a tag computed under `key`.

@@ -41,10 +41,16 @@
 #      cost degrades by more than 1.5x between the endpoints;
 #   8. R-C1: the crypto floor. `repro c1 --quick` measures the optimized
 #      RSA-1024 private op (CRT + fixed-width Montgomery + fixed window)
-#      against the retained schoolbook reference and the pipelined
-#      AES-CTR keystream (and reports the RSA-512 sign and RSA-1024
-#      keygen ungated), and exits nonzero if the RSA speedup drops below 4x, the private
-#      op exceeds 2 ms, or CTR throughput falls below 40 MB/s;
+#      against the retained schoolbook reference, the selected AES-CTR
+#      keystream and SHA-1/SHA-256 kernels beside the portable ones (and
+#      reports the RSA-512 sign and RSA-1024 keygen ungated), and exits
+#      nonzero if the RSA speedup drops below 4x, the private op exceeds
+#      2 ms, CTR throughput falls below 40 MB/s, or 1 MiB through the
+#      selected and the portable kernels hashes or encrypts differently.
+#      Then, on a CPU whose /proc/cpuinfo lists `sha_ni` and `aes`, the
+#      step fails unless BENCH_c1.json reports `"kernels":"sha-ni+aes-ni"`:
+#      a dispatch that silently fell back to the portable kernels passes
+#      every other gate, only slower;
 #   9. attest chaos smoke + R-A1: 8 seeded quote-storm/replay-injection
 #      scenarios replayed twice each, then `repro a1 --quick` — exits
 #      nonzero if the batched+cached issuer falls below 3x the
@@ -130,8 +136,14 @@ cargo run --release -p vtpm-bench --bin repro -- d1 --quick --out target/bench
 echo "== R-P1: manager scaling budget (10k/100-instance read path <= 1.5x) =="
 cargo run --release -p vtpm-bench --bin repro -- p1 --quick --out target/bench
 
-echo "== R-C1: crypto floor (RSA speedup >= 4x, CTR >= 40 MB/s) =="
+echo "== R-C1: crypto floor (RSA speedup >= 4x, CTR >= 40 MB/s, kernels agree) =="
 cargo run --release -p vtpm-bench --bin repro -- c1 --quick --out target/bench
+if grep -qw sha_ni /proc/cpuinfo 2>/dev/null && grep -qw aes /proc/cpuinfo 2>/dev/null \
+    && ! grep -q '"kernels":"sha-ni+aes-ni"' target/bench/BENCH_c1.json; then
+    echo "R-C1 did not select SHA-NI and AES-NI on a CPU that lists sha_ni and aes:" >&2
+    grep -o '"kernels":"[^"]*"' target/bench/BENCH_c1.json >&2
+    exit 1
+fi
 
 echo "== attest chaos smoke: 8 seeds, replayed twice each =="
 cargo run --release -p vtpm-harness --bin chaos -- \
