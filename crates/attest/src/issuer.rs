@@ -196,11 +196,6 @@ impl QuoteIssuer {
         self.enroll_with_auths(platform, instance, &srk, &key)
     }
 
-    /// Whether the instance has an enrolled identity.
-    pub fn is_enrolled(&self, instance: InstanceId) -> bool {
-        self.identities.lock().contains_key(&instance)
-    }
-
     /// Issue (or fetch) the deep quote for `instance` in the window
     /// containing `now_ns`. Every caller of the same window sees the
     /// same `Arc` as long as the instance's PCR state has not moved.

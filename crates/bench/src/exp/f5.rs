@@ -2,10 +2,10 @@
 //! scan time and leak count versus number of co-resident VMs.
 //!
 //! Each guest runs some vTPM traffic; the attacker then dumps all of
-//! Dom0-visible RAM and scans (rayon-parallel) for every instance's key
-//! material. Expected shape: scan time grows with VM count (more RAM,
-//! more needles); leak count equals the VM count on the baseline and is
-//! zero on the improved platform.
+//! Dom0-visible RAM and scans (one scoped thread per core) for every
+//! instance's key material. Expected shape: scan time grows with VM
+//! count (more RAM, more needles); leak count equals the VM count on the
+//! baseline and is zero on the improved platform.
 
 use attacks::MemoryDump;
 use vtpm::{Guest, Platform};

@@ -1,6 +1,5 @@
 //! R-P1: the Dom0 manager's hot path at scale — wall-clock per-command
-//! overhead versus resident instance count, per-command vs group-commit
-//! flush policy.
+//! overhead versus resident instance count.
 //!
 //! The routing table is sharded (64-way striped instance/region maps),
 //! so the read-path cost of `handle` should stay flat from 100 to
@@ -11,12 +10,10 @@
 //! every shard is exercised) while the *resident* count scales — that
 //! isolates the routing/lookup cost from the unavoidable cache
 //! footprint of touching 10k distinct multi-KiB TPM states, which is a
-//! property of DRAM, not of the manager. The mutate phase drives dirty-page
-//! traffic through both flush policies and reports the group-commit
-//! amortization counters (staged updates, batched commits, flush
-//! passes). The meta-write *count* is identical across policies by
-//! design — one commit per staged generation — so the honest win is
-//! fewer flush passes and lock acquisitions, not fewer page writes.
+//! property of DRAM, not of the manager. The mutate phase drives
+//! dirty-page traffic through the mirror write path (each update
+//! writes its dirty shadow pages and commits one metadata frame) and
+//! reports the data pages written.
 //!
 //! Worlds are fanned out from one template instance: a single
 //! `create_instance` pays the RSA keygen, then `restore_instance`
@@ -25,7 +22,7 @@
 
 use std::sync::Arc;
 
-use vtpm::{Envelope, FlushPolicy, ManagerConfig, MirrorMode, VtpmInstance, VtpmManager};
+use vtpm::{Envelope, ManagerConfig, MirrorMode, VtpmInstance, VtpmManager};
 use vtpm_harness::json::Field;
 use xen_sim::{DomainId, Hypervisor};
 
@@ -39,20 +36,11 @@ pub const BUDGET_RATIO: f64 = 1.5;
 pub struct P1Point {
     /// Resident instances in the world.
     pub instances: usize,
-    /// true = group-commit policy, false = per-command.
-    pub batched: bool,
     /// Wall ns per PcrRead command over the fixed active set (routing
     /// hot path).
     pub read_ns_per_cmd: f64,
-    /// Wall ns per Extend round-robin command (mirror write path),
-    /// including the flush passes the policy triggers.
+    /// Wall ns per Extend round-robin command (mirror write path).
     pub mutate_ns_per_cmd: f64,
-    /// Mirror updates staged (deferred meta commit) in the phase.
-    pub staged_updates: u64,
-    /// Staged generations committed by flush passes.
-    pub batched_commits: u64,
-    /// Flush passes over the pending set.
-    pub flushes: u64,
     /// Data pages written during the mutate phase.
     pub data_pages_written: u64,
 }
@@ -143,9 +131,8 @@ impl World {
         t0.elapsed().as_nanos() as f64 / cmds.max(1) as f64
     }
 
-    /// `cmds` Extends round-robin over every instance plus the final
-    /// flush, under the current policy.
-    fn mutate_phase(&mut self, batched: bool, read_ns_per_cmd: f64, cmds: usize) -> P1Point {
+    /// `cmds` Extends round-robin over every instance.
+    fn mutate_phase(&mut self, read_ns_per_cmd: f64, cmds: usize) -> P1Point {
         let io_before = self.mgr.mirror_io_stats();
         let ext = extend_cmd(3);
         let t1 = std::time::Instant::now();
@@ -154,95 +141,55 @@ impl World {
             let instance = self.ids[j % self.ids.len()];
             self.mgr.handle(DomainId(1), &envelope(instance, self.seq, ext.clone()));
         }
-        self.mgr.flush_mirror().expect("drain pending batch");
         let mutate_ns_per_cmd = t1.elapsed().as_nanos() as f64 / cmds.max(1) as f64;
         let io = self.mgr.mirror_io_stats();
         P1Point {
             instances: self.ids.len(),
-            batched,
             read_ns_per_cmd,
             mutate_ns_per_cmd,
-            staged_updates: io.staged_updates - io_before.staged_updates,
-            batched_commits: io.batched_commits - io_before.batched_commits,
-            flushes: io.flushes - io_before.flushes,
             data_pages_written: io.data_pages_written - io_before.data_pages_written,
         }
     }
 }
 
-/// Run the sweep: for each instance count, measure both policies on the
-/// same world (`read_cmds` PcrReads, then `mutate_cmds` Extends). Every
-/// world is built before any is timed and their read passes alternate,
-/// so host drift during the run lands on every count alike instead of
-/// on one endpoint of the ratio.
+/// Run the sweep: for each instance count, `read_cmds` PcrReads, then
+/// `mutate_cmds` Extends. Every world is built before any is timed and
+/// their read passes alternate, so host drift during the run lands on
+/// every count alike instead of on one endpoint of the ratio.
 pub fn run(counts: &[usize], read_cmds: usize, mutate_cmds: usize) -> Vec<P1Point> {
     let mut worlds: Vec<World> = counts.iter().map(|&count| World::build(count)).collect();
-    let mut points: Vec<Vec<P1Point>> = counts.iter().map(|_| Vec::new()).collect();
-    for batched in [false, true] {
-        let policy = if batched {
-            // Commit metadata in coalesced passes of up to 64 staged
-            // instances (the explicit flush drains the rest).
-            FlushPolicy::batched(0, 64, 0)
-        } else {
-            FlushPolicy::per_command()
-        };
-        for w in &worlds {
-            w.mgr.set_flush_policy(policy);
-        }
-        // Best of three timed passes (after a warmup) — the gate
-        // compares ratios, so per-run scheduler noise matters more than
-        // absolute accuracy.
-        let mut best = vec![f64::INFINITY; worlds.len()];
-        for pass in 0..4 {
-            for (w, best) in worlds.iter_mut().zip(&mut best) {
-                let ns = w.read_pass(read_cmds);
-                if pass > 0 {
-                    *best = best.min(ns);
-                }
+    // Best of six timed passes (after a warmup) — the gate compares
+    // ratios, so per-run scheduler noise matters more than absolute
+    // accuracy.
+    let mut best = vec![f64::INFINITY; worlds.len()];
+    for pass in 0..7 {
+        for (w, best) in worlds.iter_mut().zip(&mut best) {
+            let ns = w.read_pass(read_cmds);
+            if pass > 0 {
+                *best = best.min(ns);
             }
         }
-        for ((w, read_ns), rows) in worlds.iter_mut().zip(best).zip(&mut points) {
-            rows.push(w.mutate_phase(batched, read_ns, mutate_cmds));
-        }
     }
-    points.into_iter().flatten().collect()
+    worlds.iter_mut().zip(best).map(|(w, read_ns)| w.mutate_phase(read_ns, mutate_cmds)).collect()
 }
 
 /// The gate: `read ns/cmd` ratio of largest-count to smallest-count.
-/// The read path is policy-independent, so each count's value is the
-/// best (minimum) across its policy rows — twice the samples against
-/// scheduler noise. 1.0 = perfectly flat.
+/// 1.0 = perfectly flat.
 pub fn overhead_ratio(points: &[P1Point]) -> f64 {
-    let best = |instances: usize| {
-        points
-            .iter()
-            .filter(|p| p.instances == instances)
-            .map(|p| p.read_ns_per_cmd)
-            .fold(f64::INFINITY, f64::min)
-    };
     let (Some(first), Some(last)) = (points.first(), points.last()) else { return 0.0 };
-    let base = best(first.instances);
-    if base > 0.0 && base.is_finite() { best(last.instances) / base } else { 0.0 }
+    let base = first.read_ns_per_cmd;
+    if base > 0.0 && base.is_finite() { last.read_ns_per_cmd / base } else { 0.0 }
 }
 
 /// Render the table.
 pub fn render(points: &[P1Point]) -> String {
     let mut out = String::new();
     out.push_str("R-P1  Manager hot path vs resident instances (wall ns/cmd)\n");
-    out.push_str(
-        "instances  policy       read-ns/cmd  mut-ns/cmd   staged  commits  flushes  pages\n",
-    );
+    out.push_str("instances  read-ns/cmd  mut-ns/cmd  pages\n");
     for p in points {
         out.push_str(&format!(
-            "{:<10} {:<12} {:>11.0} {:>11.0} {:>8} {:>8} {:>8} {:>6}\n",
-            p.instances,
-            if p.batched { "batched" } else { "per-command" },
-            p.read_ns_per_cmd,
-            p.mutate_ns_per_cmd,
-            p.staged_updates,
-            p.batched_commits,
-            p.flushes,
-            p.data_pages_written,
+            "{:<10} {:>11.0} {:>11.0} {:>6}\n",
+            p.instances, p.read_ns_per_cmd, p.mutate_ns_per_cmd, p.data_pages_written,
         ));
     }
     out.push_str(&format!(
@@ -267,12 +214,8 @@ pub fn repro(quick: bool) -> Outcome {
     let rows = points.iter().map(|p| {
         Field::Obj(vec![
             ("instances", p.instances.into()),
-            ("policy", (if p.batched { "batched" } else { "per-command" }).into()),
             ("read_ns_per_cmd", Field::Float(p.read_ns_per_cmd, 1)),
             ("mutate_ns_per_cmd", Field::Float(p.mutate_ns_per_cmd, 1)),
-            ("staged_updates", p.staged_updates.into()),
-            ("batched_commits", p.batched_commits.into()),
-            ("flushes", p.flushes.into()),
             ("data_pages_written", p.data_pages_written.into()),
         ])
     });
@@ -298,21 +241,12 @@ mod tests {
     #[test]
     fn shape_holds_small() {
         let points = run(&[4, 16], 60, 32);
-        assert_eq!(points.len(), 4, "two counts x two policies");
+        assert_eq!(points.len(), 2, "one per-command row per count");
+        assert_eq!(points.iter().map(|p| p.instances).collect::<Vec<_>>(), [4, 16]);
         for p in &points {
             assert!(p.read_ns_per_cmd > 0.0);
             assert!(p.mutate_ns_per_cmd > 0.0);
-            if p.batched {
-                // Every mutate staged; flush passes publish the staged
-                // generations (restages commit inline and don't count).
-                assert!(p.staged_updates > 0);
-                assert!(p.batched_commits >= 1);
-                assert!(p.batched_commits <= p.staged_updates);
-                assert!(p.flushes >= 1);
-            } else {
-                assert_eq!(p.staged_updates, 0, "per-command commits inline");
-                assert_eq!(p.flushes, 0);
-            }
+            assert!(p.data_pages_written > 0, "every Extend dirties the mirror");
         }
         let r = render(&points);
         assert!(r.contains("R-P1"));

@@ -218,11 +218,6 @@ pub struct MigrationRun {
 }
 
 impl MigrationRun {
-    /// Steps completed so far (0..=8).
-    pub fn steps_done(&self) -> usize {
-        self.step
-    }
-
     /// Virtual-clock instant the guest froze, if the run got that far.
     /// Concurrent drivers use it together with
     /// [`Cluster::commit_time`] to attribute per-attempt downtime.
@@ -460,23 +455,6 @@ impl Cluster {
         let mut f = vec![host as u8];
         f.extend_from_slice(&hb.encode());
         self.fabric.send_control(f);
-    }
-
-    /// Drain the control inbox into decoded heartbeats, in arrival
-    /// order. Garbage frames are dropped (hardened decode, no panic).
-    ///
-    /// Heartbeat-only view of [`Cluster::recv_control_frames`]: any
-    /// metrics frames in the inbox are *discarded*. Callers running the
-    /// observatory must use `recv_control_frames` so scrapes are not
-    /// eaten.
-    pub fn recv_heartbeats(&mut self) -> Vec<HeartbeatFrame> {
-        self.recv_control_frames()
-            .into_iter()
-            .filter_map(|f| match f {
-                ControlFrame::Heartbeat(hb) => Some(hb),
-                ControlFrame::Metrics(_) => None,
-            })
-            .collect()
     }
 
     /// Drain the control inbox into decoded control-plane frames

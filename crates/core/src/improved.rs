@@ -121,12 +121,6 @@ impl ImprovedHook {
         }
     }
 
-    /// Replace the modelled cost table.
-    pub fn with_costs(mut self, costs: AcCosts) -> Self {
-        self.costs = costs;
-        self
-    }
-
     /// The active configuration.
     pub fn config(&self) -> AcConfig {
         self.cfg

@@ -22,8 +22,6 @@
 //! **parked** until no other run of its VM remains active, and only
 //! then settled.
 
-use std::collections::BTreeMap;
-
 use vtpm_cluster::{Cluster, MigrateOutcome, MigrationRun};
 
 /// Why the controller drove a migration.
@@ -335,15 +333,5 @@ impl DriverPool {
             assert!(guard <= MigrationRun::STEPS + 1, "drain failed to converge");
         }
         settled
-    }
-
-    /// Per-VM count of held runs — the denominator of conflict
-    /// accounting.
-    pub fn vm_loads(&self) -> BTreeMap<u32, usize> {
-        let mut m = BTreeMap::new();
-        for d in self.active.iter().chain(&self.parked) {
-            *m.entry(d.run.vm).or_insert(0) += 1;
-        }
-        m
     }
 }

@@ -73,9 +73,7 @@ use std::time::{Duration, Instant};
 use tpm::{Tpm, TpmConfig, Transport as _};
 use tpm_crypto::drbg::Drbg;
 use tpm_crypto::sha256;
-use vtpm::{
-    provision_device, FlushPolicy, ManagerConfig, MirrorMode, TpmBack, TpmFront, VtpmManager,
-};
+use vtpm::{provision_device, ManagerConfig, MirrorMode, TpmBack, TpmFront, VtpmManager};
 use vtpm_sentinel::{Sentinel, SentinelConfig, StreamEvent};
 use workload::trace::apply_to_tpm;
 use workload::{generate_trace, TpmOracle, TraceEvent};
@@ -380,11 +378,6 @@ impl Scenario for ChaosConfig {
         let mgr_cfg = ManagerConfig {
             mirror_mode: self.mirror_mode,
             vtpm_config: TpmConfig { nv_budget: self.nv_budget, ..Default::default() },
-            // Route every update through the group-commit staging path (the
-            // flush itself stays per-command so crash points land exactly
-            // where the fault plan expects them); chaos then exercises the
-            // staged pipeline under the same byte-determinism gate.
-            flush_policy: FlushPolicy::batched(0, 1, 0),
             ..Default::default()
         };
         let mut mgr = Arc::new(VtpmManager::new(Arc::clone(&hv), seed, mgr_cfg.clone())?);

@@ -195,11 +195,6 @@ impl BigUint {
         self.limbs[limb] |= 1u64 << (i % 64);
     }
 
-    /// Low 64 bits of the value.
-    pub fn low_u64(&self) -> u64 {
-        self.limbs.first().copied().unwrap_or(0)
-    }
-
     /// `self + other`.
     #[allow(clippy::needless_range_loop)]
     pub fn add(&self, other: &BigUint) -> BigUint {
@@ -440,16 +435,6 @@ impl BigUint {
     /// `self * other mod m` via full product + reduction (cold path).
     pub fn mul_mod(&self, other: &BigUint, m: &BigUint) -> BigUint {
         self.mul(other).rem(m)
-    }
-
-    /// `self + other mod m` (operands must already be `< m`).
-    pub fn add_mod(&self, other: &BigUint, m: &BigUint) -> BigUint {
-        let s = self.add(other);
-        if s.cmp_abs(m) == Ordering::Less {
-            s
-        } else {
-            s.sub(m)
-        }
     }
 
     /// `self - other mod m` (operands must already be `< m`).

@@ -151,11 +151,6 @@ impl<T: Transport> TpmClient<T> {
         body.as_slice().try_into().map_err(|_| ClientError::Malformed)
     }
 
-    /// TPM_PCR_Reset.
-    pub fn pcr_reset(&mut self, selection: &PcrSelection) -> Result<()> {
-        self.simple(ordinal::PCR_RESET, &selection.encode()).map(|_| ())
-    }
-
     /// TPM_ReadPubek — returns the EK public key.
     pub fn read_pubek(&mut self) -> Result<RsaPublicKey> {
         let body = self.simple(ordinal::READ_PUBEK, &[])?;
@@ -165,16 +160,6 @@ impl<T: Transport> TpmClient<T> {
             n: BigUint::from_bytes_be(n),
             e: BigUint::from_u64(tpm_crypto::rsa::E),
         })
-    }
-
-    /// TPM_GetCapability (property subcaps).
-    pub fn get_capability(&mut self, cap: u32, sub: u32) -> Result<u32> {
-        let mut params = Writer::new();
-        params.u32(cap).u32(sub);
-        let body = self.simple(ordinal::GET_CAPABILITY, params.as_slice())?;
-        let mut r = Reader::new(&body);
-        let v = r.sized_u32().map_err(|_| ClientError::Malformed)?;
-        Ok(u32::from_be_bytes(v.try_into().map_err(|_| ClientError::Malformed)?))
     }
 
     /// TPM_FlushSpecific on a key handle.

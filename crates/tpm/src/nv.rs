@@ -149,11 +149,6 @@ impl NvStore {
         self.areas.keys().copied().collect()
     }
 
-    /// Whether an index is defined.
-    pub fn is_defined(&self, index: u32) -> bool {
-        self.areas.contains_key(&index)
-    }
-
     /// Bytes of budget remaining.
     pub fn free_bytes(&self) -> usize {
         self.budget - self.used

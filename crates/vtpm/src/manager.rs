@@ -9,12 +9,9 @@
 //! session's concurrency guides — one lock per resource, never a global
 //! lock around work).
 //!
-//! Two further scale mechanisms ride on that shape: the mirror's
-//! group-commit pipeline (see [`crate::mirror`] and
-//! [`ManagerConfig::flush_policy`]) coalesces many instances' metadata
-//! commits into batched flush passes, and per-domain admission control
-//! ([`crate::admission`]) refuses traffic from persistently denied
-//! domains at ring ingress, before any hook or TPM work is spent on it.
+//! Per-domain admission control ([`crate::admission`]) rides on that
+//! shape: it refuses traffic from persistently denied domains at ring
+//! ingress, before any hook or TPM work is spent on it.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
@@ -30,7 +27,7 @@ use vtpm_telemetry::{MetricsSnapshot, Outcome, Span, Telemetry};
 use crate::admission::AdmissionController;
 use crate::hook::{AccessDecision, AccessHook, RequestContext, StockHook};
 use crate::instance::{InstanceId, VtpmInstance};
-use crate::mirror::{FlushPolicy, MirrorMode, StateMirror};
+use crate::mirror::{MirrorMode, StateMirror};
 use crate::transport::{Envelope, ResponseEnvelope, ResponseStatus};
 
 /// Manager configuration.
@@ -54,11 +51,6 @@ pub struct ManagerConfig {
     /// Span-ring slots per stripe (16 stripes). Small values let tests
     /// provoke exact, countable overflow.
     pub telemetry_span_capacity: usize,
-    /// Group-commit flush policy for the state mirror. The default
-    /// (per-command) commits every update inline, byte-identical to the
-    /// unbatched pipeline; batched policies defer metadata commits to
-    /// coalesced flush passes.
-    pub flush_policy: FlushPolicy,
     /// Per-domain admission control at ring ingress (default: disabled).
     pub admission: bool,
 }
@@ -72,7 +64,6 @@ impl Default for ManagerConfig {
             charge_virtual_time: true,
             telemetry_enabled: true,
             telemetry_span_capacity: vtpm_telemetry::DEFAULT_SPAN_CAPACITY,
-            flush_policy: FlushPolicy::per_command(),
             admission: false,
         }
     }
@@ -214,7 +205,6 @@ impl VtpmManager {
         master_key: [u8; 16],
     ) -> XenResult<Self> {
         let mirror = StateMirror::new(Arc::clone(&hv), cfg.mirror_mode, master_key)?;
-        mirror.set_flush_policy(cfg.flush_policy);
         Ok(VtpmManager {
             hv,
             seed: seed.to_vec(),
@@ -248,7 +238,6 @@ impl VtpmManager {
         let master_key = Self::derive_master_key(seed);
         let (mirror, mirror_report) =
             StateMirror::recover(Arc::clone(&hv), cfg.mirror_mode, master_key)?;
-        mirror.set_flush_policy(cfg.flush_policy);
         let mgr = VtpmManager {
             hv,
             seed: seed.to_vec(),
@@ -326,9 +315,6 @@ impl VtpmManager {
             ("mirror_bytes_written", io.bytes_written),
             ("mirror_scrub_failures", io.scrub_failures),
             ("mirror_retried_generation_burns", io.retried_generation_burns),
-            ("mirror_staged_updates", io.staged_updates),
-            ("mirror_batched_commits", io.batched_commits),
-            ("mirror_flushes", io.flushes),
             ("mirror_skipped", self.mirror_skipped.load(Ordering::Relaxed)),
             ("mirror_failures", self.mirror_failures.load(Ordering::Relaxed)),
             ("nonce_reuses", self.mirror.nonce_reuses()),
@@ -388,25 +374,6 @@ impl VtpmManager {
     /// sentinel→manager closed loop).
     pub fn admission(&self) -> &AdmissionController {
         &self.admission
-    }
-
-    /// Publish every staged mirror generation now — the explicit
-    /// group-commit point (no-op under the per-command policy).
-    pub fn flush_mirror(&self) -> XenResult<()> {
-        self.mirror.flush()
-    }
-
-    /// Instance ids with a staged, unflushed mirror generation.
-    pub fn pending_mirror_instances(&self) -> Vec<InstanceId> {
-        self.mirror.pending_instances()
-    }
-
-    /// Swap the mirror's flush policy at runtime (benchmarks compare
-    /// per-command vs batched on one world). Updates staged under the
-    /// old policy flush on the next mutation or explicit
-    /// [`flush_mirror`](Self::flush_mirror).
-    pub fn set_flush_policy(&self, policy: FlushPolicy) {
-        self.mirror.set_flush_policy(policy);
     }
 
     /// Mirror a brand-new instance's first image, scrubbing and
@@ -757,11 +724,6 @@ impl VtpmManager {
     /// Mirror write-path counters (pages/bytes written, clean updates).
     pub fn mirror_io_stats(&self) -> crate::mirror::MirrorIoStats {
         self.mirror.io_stats()
-    }
-
-    /// Committed mirror generation of instance `id` (harness/tests).
-    pub fn mirror_generation(&self, id: InstanceId) -> Option<u64> {
-        self.mirror.generation(id)
     }
 
     /// Start auditing mirror CTR nonce pairs (tests/harness; see

@@ -69,23 +69,6 @@
 //! the 32-bit nonce counter field are refused ([`XenError::BadImage`])
 //! instead of silently wrapping the nonce space.
 //!
-//! **Group commit.** Under a batched [`FlushPolicy`] an update *stages*
-//! its generation — dirty pages land durably in shadow slots, but the
-//! metadata write that publishes them is deferred — and a later
-//! [`StateMirror::flush`] commits every staged region in one pass,
-//! ascending id order. Staging is invisible to readers and to recovery
-//! (the committed metadata still describes the previous generation), so
-//! a crash anywhere in the window leaves each instance exactly pre- or
-//! post-batch, and the ascending-id commit order makes the post set a
-//! deterministic prefix of the batch. At most one staged generation may
-//! exist per region — a second mutation first commits the staged one —
-//! which is what keeps `attempted <= committed + 1` intact; the
-//! amortization therefore comes from coalescing *across instances*
-//! (one flush pass, one lock round per region), never from stacking
-//! generations of one instance. The default policy
-//! ([`FlushPolicy::per_command`]) commits inline inside `update` with a
-//! write sequence byte-identical to the unbatched pipeline.
-//!
 //! **Hygiene.** After the commit, replaced slots and the slots of dropped
 //! pages are zeroed, so no byte of a previous, committed generation
 //! survives in a Dom0 dump. A crash inside that post-commit scrub (or
@@ -104,7 +87,7 @@
 //! `generation + 1`, guaranteeing future writes never reuse a (page,
 //! counter) pair even across crash/restart cycles.
 
-use std::collections::{BTreeSet, HashMap};
+use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -137,54 +120,6 @@ pub enum MirrorMode {
     Encrypted,
 }
 
-/// When the group-commit pipeline publishes staged generations.
-///
-/// The default ([`FlushPolicy::per_command`]) disables batching: every
-/// `update` commits its metadata inline, with a write sequence
-/// byte-identical to the unbatched pipeline. A batched policy defers
-/// the metadata write until any threshold trips (a zero byte/age
-/// threshold means "no such threshold").
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct FlushPolicy {
-    /// Flush once the batch has durably staged this many bytes
-    /// (0 = no byte threshold).
-    pub max_batch_bytes: u64,
-    /// Flush once this many instances hold a staged generation.
-    /// 0 disables batching entirely (per-command inline commits).
-    pub max_batch_instances: usize,
-    /// Flush once the oldest staged generation is this many virtual
-    /// nanoseconds old (0 = no age threshold).
-    pub max_age_ns: u64,
-}
-
-impl Default for FlushPolicy {
-    fn default() -> Self {
-        Self::per_command()
-    }
-}
-
-impl FlushPolicy {
-    /// No batching: every update commits inline (the default).
-    pub const fn per_command() -> Self {
-        FlushPolicy { max_batch_bytes: 0, max_batch_instances: 0, max_age_ns: 0 }
-    }
-
-    /// A batched policy. `max_batch_instances` is clamped to at least 1
-    /// (0 is the per-command sentinel).
-    pub const fn batched(max_batch_bytes: u64, max_batch_instances: usize, max_age_ns: u64) -> Self {
-        FlushPolicy {
-            max_batch_bytes,
-            max_batch_instances: if max_batch_instances == 0 { 1 } else { max_batch_instances },
-            max_age_ns,
-        }
-    }
-
-    /// Whether updates commit inline instead of staging for a flush.
-    pub fn is_per_command(&self) -> bool {
-        self.max_batch_instances == 0
-    }
-}
-
 struct Region {
     /// The metadata frame, allocated on the first non-empty update.
     meta_mfn: Option<usize>,
@@ -215,32 +150,6 @@ struct Region {
     cache: Vec<u8>,
     /// Scrubbed frames freed by shrinks, kept for regrow reuse.
     spare: Vec<usize>,
-    /// A staged — written but uncommitted — generation awaiting its
-    /// flush (batched policies only; `None` under per-command commits).
-    staged: Option<Staged>,
-}
-
-/// A fully staged generation: every dirty page already landed durably
-/// in its shadow slot, but the metadata frame still describes the
-/// previous generation. `commit_locked` publishes it with one atomic
-/// metadata write. At most one exists per region at any instant — that
-/// is what keeps `attempted <= committed + 1`.
-struct Staged {
-    /// The generation the staged pages were encrypted under.
-    gen: u64,
-    /// Payload length of the staged image.
-    len: usize,
-    /// Per-page write counters once this generation commits.
-    counters: Vec<u32>,
-    /// Per-page stored-bytes digests once this generation commits.
-    digests: Vec<[u8; 8]>,
-    /// (page index, slot) of every page this generation rewrote.
-    targets: Vec<(usize, u8)>,
-    /// Plaintext of the staged image (the diff cache after commit).
-    state: Vec<u8>,
-    /// Bytes durably written while staging (shadow pages plus any
-    /// generation burn) — the caller's return value.
-    staged_bytes: u64,
 }
 
 /// Shards in the striped region table (a power of two: ids map to
@@ -287,18 +196,6 @@ impl RegionTable {
         ids.sort_unstable();
         ids
     }
-}
-
-/// Instances holding a staged generation, awaiting the next flush.
-#[derive(Default)]
-struct PendingBatch {
-    /// Staged instance ids, ascending — the flush's commit order.
-    ids: BTreeSet<u32>,
-    /// Bytes durably staged across the batch (coarse: reset when the
-    /// batch drains empty).
-    bytes: u64,
-    /// Virtual time the batch's first staging happened.
-    opened_ns: u64,
 }
 
 /// A parsed per-page metadata entry.
@@ -414,13 +311,6 @@ pub struct MirrorIoStats {
     /// each one is a retry after a mirror failure, re-committing the old
     /// image's metadata before consuming fresh CTR nonces.
     pub retried_generation_burns: u64,
-    /// Updates that staged under a batched policy (commit deferred to a
-    /// flush) instead of committing inline.
-    pub staged_updates: u64,
-    /// Staged generations published by a flush pass.
-    pub batched_commits: u64,
-    /// Group-commit flush passes over the pending batch.
-    pub flushes: u64,
 }
 
 #[derive(Default)]
@@ -433,9 +323,6 @@ struct IoCounters {
     bytes_written: AtomicU64,
     scrub_failures: AtomicU64,
     retried_generation_burns: AtomicU64,
-    staged_updates: AtomicU64,
-    batched_commits: AtomicU64,
-    flushes: AtomicU64,
 }
 
 /// The mirror. One per manager.
@@ -448,10 +335,6 @@ pub struct StateMirror {
     hv: Arc<Hypervisor>,
     mode: MirrorMode,
     regions: RegionTable,
-    /// Active flush policy (default: per-command inline commits).
-    policy: RwLock<FlushPolicy>,
-    /// Instances with staged, unflushed generations.
-    pending: Mutex<PendingBatch>,
     /// AES key (Encrypted mode). Also written to `key_frame` so the
     /// "protected memory" story is literal: the only in-simulation copy
     /// of the key sits in a frame the dump facility refuses to read.
@@ -513,8 +396,6 @@ impl StateMirror {
             hv,
             mode,
             regions: RegionTable::new(),
-            policy: RwLock::new(FlushPolicy::per_command()),
-            pending: Mutex::new(PendingBatch::default()),
             master_cipher: key.as_ref().map(Aes128::new),
             master_key: key,
             key_frame,
@@ -588,27 +469,7 @@ impl StateMirror {
             bytes_written: self.io.bytes_written.load(Ordering::Relaxed),
             scrub_failures: self.io.scrub_failures.load(Ordering::Relaxed),
             retried_generation_burns: self.io.retried_generation_burns.load(Ordering::Relaxed),
-            staged_updates: self.io.staged_updates.load(Ordering::Relaxed),
-            batched_commits: self.io.batched_commits.load(Ordering::Relaxed),
-            flushes: self.io.flushes.load(Ordering::Relaxed),
         }
-    }
-
-    /// Replace the flush policy. Takes effect for subsequent updates;
-    /// anything already staged commits under the new thresholds (or via
-    /// an explicit [`StateMirror::flush`]).
-    pub fn set_flush_policy(&self, policy: FlushPolicy) {
-        *self.policy.write() = policy;
-    }
-
-    /// The active flush policy.
-    pub fn flush_policy(&self) -> FlushPolicy {
-        *self.policy.read()
-    }
-
-    /// Instance ids with a staged, unflushed generation (ascending).
-    pub fn pending_instances(&self) -> Vec<u32> {
-        self.pending.lock().ids.iter().copied().collect()
     }
 
     /// Fetch or create the per-instance region handle. Only the id's
@@ -632,7 +493,6 @@ impl StateMirror {
                 page_digests: Vec::new(),
                 cache: Vec::new(),
                 spare: Vec::new(),
-                staged: None,
             }))
         }))
     }
@@ -707,61 +567,24 @@ impl StateMirror {
     /// its page's inactive (shadow) slot; the single metadata-frame
     /// write at the end is the atomic commit point. The in-memory region
     /// only flips to the new generation after that commit succeeds, so a
-    /// failure anywhere leaves the committed image untouched.
+    /// failure anywhere leaves the committed image untouched (and, if it
+    /// got as far as its shadow writes, `attempted = generation + 1` for
+    /// the next update to burn).
     ///
     /// Returns the bytes durably written to publish this update — dirty
     /// data pages plus metadata commits (including a retry's generation
     /// burn), excluding post-commit hygiene scrubs — which telemetry
     /// records as mirror-bytes-per-command. A clean update returns 0.
-    /// Under a batched policy the metadata commit is deferred to a
-    /// flush, so the returned count covers the staged pages only.
     pub fn update(&self, id: u32, state: &[u8]) -> XenResult<u64> {
-        if state.len().div_ceil(PAGE_SIZE) > MAX_DATA_PAGES {
+        let data_pages = state.len().div_ceil(PAGE_SIZE);
+        if data_pages > MAX_DATA_PAGES {
             return Err(XenError::StateTooLarge { bytes: state.len(), max: MAX_STATE_BYTES });
         }
-        let per_command = self.policy.read().is_per_command();
         let handle = self.region_handle(id);
-        let mut region = handle.lock();
+        let mut guard = handle.lock();
+        let region = &mut *guard;
         self.io.updates.fetch_add(1, Ordering::Relaxed);
 
-        // At most one staged generation may exist per region (that is
-        // the `attempted <= committed + 1` invariant): publish any
-        // previous staged generation before staging anew.
-        if region.staged.is_some() {
-            self.commit_locked(id, &mut region)?;
-            self.dequeue(id);
-        }
-
-        let Some(staged) = self.stage_locked(id, &mut region, state)? else {
-            self.io.clean_updates.fetch_add(1, Ordering::Relaxed);
-            return Ok(0);
-        };
-        let staged_bytes = staged.staged_bytes;
-        region.staged = Some(staged);
-
-        if per_command {
-            let commit_bytes = self.commit_locked(id, &mut region)?;
-            return Ok(staged_bytes + commit_bytes);
-        }
-
-        self.io.staged_updates.fetch_add(1, Ordering::Relaxed);
-        let due = self.enqueue(id, staged_bytes);
-        drop(region);
-        if due {
-            self.flush()?;
-        }
-        Ok(staged_bytes)
-    }
-
-    /// Stage `state` as the region's next generation: grow the backing
-    /// frames, durably burn a failed earlier attempt if one is pending,
-    /// and write every dirty page into its shadow slot. Returns `None`
-    /// when nothing is dirty (no page written at all). On `Some`, the
-    /// record is ready for `commit_locked`; `region.attempted` already
-    /// names the staged generation, so a failure from here on follows
-    /// the ordinary burn-on-retry path.
-    fn stage_locked(&self, id: u32, region: &mut Region, state: &[u8]) -> XenResult<Option<Staged>> {
-        let data_pages = state.len().div_ceil(PAGE_SIZE);
         let old_pages = region.len.div_ceil(PAGE_SIZE);
         // A page is dirty when its payload bytes or its payload length
         // changed: the digest and keystream cover exactly the payload.
@@ -770,7 +593,8 @@ impl StateMirror {
             .collect();
         let shrunk = data_pages < old_pages;
         if dirty.is_empty() && !shrunk && state.len() == region.len {
-            return Ok(None);
+            self.io.clean_updates.fetch_add(1, Ordering::Relaxed);
+            return Ok(0);
         }
         let mut bytes_this_update = 0u64;
 
@@ -805,7 +629,7 @@ impl StateMirror {
         }
         let counter = next_gen as u32;
 
-        // Stage every dirty page into its shadow slot. Nothing here is
+        // Write every dirty page into its shadow slot. Nothing here is
         // visible to readers until the metadata commit. The first shadow
         // write consumes `next_gen` nonces, so mark them attempted first.
         if !dirty.is_empty() {
@@ -813,11 +637,9 @@ impl StateMirror {
         }
         let mut new_counters = region.page_counters.clone();
         new_counters.resize(data_pages, 0);
-        new_counters.truncate(data_pages);
         let mut new_digests = region.page_digests.clone();
         new_digests.resize(data_pages, [0; 8]);
-        new_digests.truncate(data_pages);
-        let mut targets: Vec<(usize, u8)> = Vec::with_capacity(dirty.len());
+        let mut new_active = region.active.clone();
         // Only the payload bytes are encrypted and digested; the frame
         // still gets a full page write, payload then zero tail.
         let mut page = [0u8; PAGE_SIZE];
@@ -838,82 +660,49 @@ impl StateMirror {
             bytes_this_update += PAGE_SIZE as u64;
             new_counters[i] = counter;
             new_digests[i] = page_digest(&page[..chunk.len()]);
-            targets.push((i, target));
+            new_active[i] = target;
         }
 
-        Ok(Some(Staged {
-            gen: next_gen,
-            len: state.len(),
-            counters: new_counters,
-            digests: new_digests,
-            targets,
-            state: state.to_vec(),
-            staged_bytes: bytes_this_update,
-        }))
-    }
-
-    /// Publish the region's staged generation: build the new metadata
-    /// and commit it with one atomic page write, fold the generation
-    /// into the in-memory region, then do the post-commit hygiene
-    /// scrubs. On failure the staged record is restored untouched —
-    /// every staged page already landed durably, so a retry rewrites
-    /// the *identical* metadata bytes and consumes no new nonce.
-    /// Returns the commit's durable bytes (the metadata page).
-    fn commit_locked(&self, id: u32, region: &mut Region) -> XenResult<u64> {
-        let staged = region.staged.take().expect("commit_locked requires a staged generation");
-        let data_pages = staged.len.div_ceil(PAGE_SIZE);
-        let mut target_of = vec![None; data_pages];
-        for &(i, t) in &staged.targets {
-            target_of[i] = Some(t);
-        }
+        // The commit point: one atomic metadata-frame write.
         let entries: Vec<MetaEntry> = (0..data_pages)
             .map(|i| {
-                let act = target_of[i].unwrap_or(region.active[i]);
+                let act = new_active[i] as usize;
                 MetaEntry {
-                    active_mfn: region.slots[i][act as usize] as u32,
-                    shadow_mfn: region.slots[i][1 - act as usize] as u32,
-                    counter: staged.counters[i],
-                    digest: staged.digests[i],
+                    active_mfn: region.slots[i][act] as u32,
+                    shadow_mfn: region.slots[i][1 - act] as u32,
+                    counter: new_counters[i],
+                    digest: new_digests[i],
                 }
             })
             .collect();
-        let meta = build_meta(id, staged.gen, staged.len as u64, region.key_check, &entries);
-        let meta_mfn = region.meta_mfn.expect("staged generation implies a meta frame");
-        if let Err(e) = self.hv.page_write(DomainId::DOM0, meta_mfn, 0, &meta) {
-            region.staged = Some(staged);
-            return Err(e);
-        }
+        let meta = build_meta(id, next_gen, state.len() as u64, region.key_check, &entries);
+        let meta_mfn = region.meta_mfn.expect("allocated above");
+        self.hv.page_write(DomainId::DOM0, meta_mfn, 0, &meta)?;
         self.io.meta_pages_written.fetch_add(1, Ordering::Relaxed);
         self.io.bytes_written.fetch_add(PAGE_SIZE as u64, Ordering::Relaxed);
+        bytes_this_update += PAGE_SIZE as u64;
 
         // Committed — fold the new generation into the in-memory region.
-        // `old_pages` must come from the pre-fold length: the hygiene
-        // scrubs below only cover replaced slots of pages that existed
-        // in the previous committed image.
-        let old_pages = region.len.div_ceil(PAGE_SIZE);
-        region.generation = staged.gen;
-        region.attempted = staged.gen;
-        for &(i, t) in &staged.targets {
-            region.active[i] = t;
-        }
-        region.page_counters = staged.counters;
-        region.page_digests = staged.digests;
-        region.len = staged.len;
-        region.cache = staged.state;
+        region.generation = next_gen;
+        region.attempted = next_gen;
+        region.active = new_active;
+        region.page_counters = new_counters;
+        region.page_digests = new_digests;
+        region.len = state.len();
+        region.cache = state.to_vec();
 
         // Post-commit hygiene: zero the replaced slots of rewritten
-        // pages and both slots of dropped pages (which join the spare
-        // pool). The commit already stood, so scrub failures are counted
-        // but never fail the update — returning Err here would leave the
-        // manager's mirrored-generation marker stale and trigger a
-        // spurious full re-mirror (burning another generation) for a
-        // mutation that in fact committed. A crash or failure in here
-        // strands stale bytes only until the frame is reused or
-        // `recover` re-scrubs every shadow slot.
-        for &(i, t) in &staged.targets {
-            if i < old_pages {
-                self.scrub_frame_best_effort(region.slots[i][1 - t as usize]);
-            }
+        // pages that existed in the previous image, and both slots of
+        // dropped pages (which join the spare pool). The commit already
+        // stood, so scrub failures are counted but never fail the update
+        // — returning Err here would leave the manager's
+        // mirrored-generation marker stale and trigger a spurious full
+        // re-mirror (burning another generation) for a mutation that in
+        // fact committed. A crash or failure in here strands stale bytes
+        // only until the frame is reused or `recover` re-scrubs every
+        // shadow slot.
+        for &i in dirty.iter().filter(|&&i| i < old_pages) {
+            self.scrub_frame_best_effort(region.slots[i][1 - region.active[i] as usize]);
         }
         while region.slots.len() > data_pages {
             let [a, b] = region.slots.pop().expect("len checked");
@@ -923,63 +712,7 @@ impl StateMirror {
             region.spare.push(a);
             region.spare.push(b);
         }
-        Ok(PAGE_SIZE as u64)
-    }
-
-    /// Record a freshly staged instance in the pending batch and report
-    /// whether the policy says the batch is due. Called with the region
-    /// lock held — region before pending is the lock order everywhere.
-    fn enqueue(&self, id: u32, staged_bytes: u64) -> bool {
-        let policy = *self.policy.read();
-        let now = self.hv.clock.now_ns();
-        let mut pending = self.pending.lock();
-        if pending.ids.is_empty() {
-            pending.opened_ns = now;
-        }
-        pending.ids.insert(id);
-        pending.bytes += staged_bytes;
-        let instances_due = pending.ids.len() >= policy.max_batch_instances.max(1);
-        let bytes_due = policy.max_batch_bytes > 0 && pending.bytes >= policy.max_batch_bytes;
-        let age_due =
-            policy.max_age_ns > 0 && now.saturating_sub(pending.opened_ns) >= policy.max_age_ns;
-        instances_due || bytes_due || age_due
-    }
-
-    /// Drop a committed (or discarded) instance from the pending batch.
-    fn dequeue(&self, id: u32) {
-        let mut pending = self.pending.lock();
-        if pending.ids.remove(&id) && pending.ids.is_empty() {
-            pending.bytes = 0;
-        }
-    }
-
-    /// The group-commit point: publish every staged generation,
-    /// ascending instance id. Stops at the first commit failure, leaving
-    /// that instance and everything after it staged for an idempotent
-    /// retry; instances already committed stay committed — which is what
-    /// makes the crash matrix's post-batch set a deterministic
-    /// ascending-id prefix of the batch.
-    pub fn flush(&self) -> XenResult<()> {
-        let ids: Vec<u32> = self.pending.lock().ids.iter().copied().collect();
-        if ids.is_empty() {
-            return Ok(());
-        }
-        self.io.flushes.fetch_add(1, Ordering::Relaxed);
-        for id in ids {
-            let Some(handle) = self.regions.get(id) else {
-                self.dequeue(id);
-                continue;
-            };
-            let mut region = handle.lock();
-            if region.staged.is_none() {
-                self.dequeue(id);
-                continue;
-            }
-            self.commit_locked(id, &mut region)?;
-            self.io.batched_commits.fetch_add(1, Ordering::Relaxed);
-            self.dequeue(id);
-        }
-        Ok(())
+        Ok(bytes_this_update)
     }
 
     /// Tear down a region whose first update never committed
@@ -1016,8 +749,6 @@ impl StateMirror {
         }
         drop(region);
         table.remove(&id);
-        drop(table);
-        self.dequeue(id);
         Ok(())
     }
 
@@ -1093,8 +824,6 @@ impl StateMirror {
         }
         drop(region);
         table.remove(&id);
-        drop(table);
-        self.dequeue(id);
         Ok(())
     }
 
@@ -1175,7 +904,6 @@ impl StateMirror {
                 page_digests: entries.iter().map(|e| e.digest).collect(),
                 cache: image,
                 spare: Vec::new(),
-                staged: None,
             };
             for e in &entries {
                 mirror.scrub_frame(e.shadow_mfn as usize)?;
@@ -1541,25 +1269,32 @@ mod tests {
         // crashed update consumed (id, page, gen+1) nonces on the frames,
         // so the manager's retry-on-next-mutation must not hand the same
         // counter out again for different plaintext (keystream reuse for
-        // an attacker dumping Dom0 before and after the retry).
-        let hv = hv();
-        let m = StateMirror::new(Arc::clone(&hv), MirrorMode::Encrypted, [0x5D; 16]).unwrap();
-        m.enable_nonce_audit();
-        let a = vec![0xA1u8; PAGE_SIZE + 700];
-        let b = vec![0xB2u8; PAGE_SIZE + 700];
-        let c = vec![0xC3u8; PAGE_SIZE + 700];
-        m.update(1, &a).unwrap();
-        // Die after one of the two dirty shadow writes.
-        hv.inject_write_crash(DomainId::DOM0, 1);
-        assert!(m.update(1, &b).is_err());
-        hv.clear_faults();
-        m.update(1, &c).unwrap();
-        assert_eq!(m.nonce_reuses(), 0, "retry reused a consumed (page, counter) nonce");
-        assert_eq!(m.read(1).unwrap(), c);
-        // The burn re-committed the old image at the consumed generation
-        // before the retry consumed the next one: 1 (initial) -> 2
-        // (burned by the failed attempt) -> 3 (the retry's commit).
-        assert_eq!(m.generation(1), Some(3));
+        // an attacker dumping Dom0 before and after the retry). One rule
+        // wherever the update dies: after the first or the second of the
+        // two dirty shadow writes (k = 0, 1) or at the metadata commit
+        // (k = 2), the retry burns exactly one generation.
+        for k in 0..3 {
+            let hv = hv();
+            let m = StateMirror::new(Arc::clone(&hv), MirrorMode::Encrypted, [0x5D; 16]).unwrap();
+            m.enable_nonce_audit();
+            let a = vec![0xA1u8; PAGE_SIZE + 700];
+            let b = vec![0xB2u8; PAGE_SIZE + 700];
+            let c = vec![0xC3u8; PAGE_SIZE + 700];
+            m.update(1, &a).unwrap();
+            hv.inject_write_crash(DomainId::DOM0, k);
+            assert!(m.update(1, &b).is_err(), "k={k}");
+            hv.clear_faults();
+            assert_eq!(m.read(1).unwrap(), a, "k={k}: a failed update leaves the committed image");
+            m.update(1, &c).unwrap();
+            assert_eq!(m.nonce_reuses(), 0, "k={k}: retry reused a consumed (page, counter) nonce");
+            assert_eq!(m.read(1).unwrap(), c, "k={k}");
+            // The burn re-committed the old image at the consumed
+            // generation before the retry consumed the next one: 1
+            // (initial) -> 2 (burned by the failed attempt) -> 3 (the
+            // retry's commit).
+            assert_eq!(m.generation(1), Some(3), "k={k}");
+            assert_eq!(m.io_stats().retried_generation_burns, 1, "k={k}");
+        }
     }
 
     #[test]
@@ -1725,122 +1460,6 @@ mod tests {
         assert_eq!(report.corrupt, vec![11], "wrong key must be detected, not decode garbage");
         assert!(report.recovered.is_empty());
         assert!(rec.read(11).is_err());
-    }
-
-    #[test]
-    fn batched_updates_commit_on_flush() {
-        let hv = hv();
-        let m = StateMirror::new(Arc::clone(&hv), MirrorMode::Encrypted, [0x21; 16]).unwrap();
-        m.update(1, b"instance one, gen one").unwrap();
-        m.update(2, b"instance two, gen one").unwrap();
-        m.set_flush_policy(FlushPolicy::batched(0, 8, 0));
-
-        // Stage both: data pages land, metadata stays at the old
-        // generation, so a read still returns the committed image.
-        m.update(1, b"instance one, gen two").unwrap();
-        m.update(2, b"instance two, gen two").unwrap();
-        assert_eq!(m.pending_instances(), vec![1, 2]);
-        assert_eq!(m.read(1).unwrap(), b"instance one, gen one");
-        assert_eq!(m.read(2).unwrap(), b"instance two, gen one");
-        assert_eq!(m.generation(1), Some(1));
-
-        m.flush().unwrap();
-        assert_eq!(m.pending_instances(), Vec::<u32>::new());
-        assert_eq!(m.read(1).unwrap(), b"instance one, gen two");
-        assert_eq!(m.read(2).unwrap(), b"instance two, gen two");
-        assert_eq!(m.generation(1), Some(2));
-        let io = m.io_stats();
-        assert_eq!(io.staged_updates, 2);
-        assert_eq!(io.batched_commits, 2);
-        assert_eq!(io.flushes, 1);
-        assert_eq!(m.nonce_reuses(), 0);
-    }
-
-    #[test]
-    fn instance_threshold_reached_flushes_inline() {
-        let hv = hv();
-        let m = StateMirror::new(Arc::clone(&hv), MirrorMode::Cleartext, [0; 16]).unwrap();
-        m.set_flush_policy(FlushPolicy::batched(0, 2, 0));
-        m.update(1, b"a").unwrap();
-        assert_eq!(m.pending_instances(), vec![1], "below threshold: staged");
-        // The second staged instance trips max_batch_instances = 2.
-        m.update(2, b"b").unwrap();
-        assert_eq!(m.pending_instances(), Vec::<u32>::new());
-        assert_eq!(m.read(1).unwrap(), b"a");
-        assert_eq!(m.read(2).unwrap(), b"b");
-        assert_eq!(m.io_stats().flushes, 1);
-    }
-
-    #[test]
-    fn second_update_to_staged_region_commits_the_first() {
-        // Only one staged generation may exist per region — the nonce
-        // invariant `attempted <= committed + 1` depends on it.
-        let hv = hv();
-        let m = StateMirror::new(Arc::clone(&hv), MirrorMode::Encrypted, [0x22; 16]).unwrap();
-        m.enable_nonce_audit();
-        m.set_flush_policy(FlushPolicy::batched(0, 8, 0));
-        m.update(7, b"first staged generation").unwrap();
-        assert_eq!(m.generation(7), Some(0), "still uncommitted");
-        m.update(7, b"second staged generation").unwrap();
-        assert_eq!(m.generation(7), Some(1), "restage published the first");
-        m.flush().unwrap();
-        assert_eq!(m.generation(7), Some(2));
-        assert_eq!(m.read(7).unwrap(), b"second staged generation");
-        assert_eq!(m.nonce_reuses(), 0);
-    }
-
-    #[test]
-    fn flush_failure_keeps_staged_for_idempotent_retry() {
-        let hv = hv();
-        let m = StateMirror::new(Arc::clone(&hv), MirrorMode::Encrypted, [0x23; 16]).unwrap();
-        m.enable_nonce_audit();
-        m.update(1, b"one committed").unwrap();
-        m.update(2, b"two committed").unwrap();
-        m.set_flush_policy(FlushPolicy::batched(0, 8, 0));
-        m.update(1, b"one staged").unwrap();
-        m.update(2, b"two staged").unwrap();
-
-        // The flush commits id 1's metadata, then dies on id 2's: the
-        // ascending-id prefix stands, the rest stays staged.
-        hv.inject_write_crash(DomainId::DOM0, 1);
-        assert!(m.flush().is_err());
-        hv.clear_faults();
-        assert_eq!(m.read(1).unwrap(), b"one staged");
-        assert_eq!(m.read(2).unwrap(), b"two committed");
-        assert_eq!(m.pending_instances(), vec![2]);
-
-        // Retry is idempotent: the staged pages already landed, so the
-        // commit rewrites identical metadata and consumes no new nonce.
-        let data_before = m.io_stats().data_pages_written;
-        m.flush().unwrap();
-        assert_eq!(m.io_stats().data_pages_written, data_before);
-        assert_eq!(m.read(2).unwrap(), b"two staged");
-        assert_eq!(m.pending_instances(), Vec::<u32>::new());
-        assert_eq!(m.nonce_reuses(), 0);
-    }
-
-    #[test]
-    fn crash_with_staged_batch_recovers_committed_images() {
-        // A staged-but-unflushed generation must be invisible to
-        // recovery: the committed metadata still describes the old
-        // image, and recovery's shadow-slot scrub erases the staged
-        // bytes.
-        let hv = hv();
-        let key = [0x24; 16];
-        let m = StateMirror::new(Arc::clone(&hv), MirrorMode::Encrypted, key).unwrap();
-        m.update(3, b"durable image").unwrap();
-        m.set_flush_policy(FlushPolicy::batched(0, 8, 0));
-        m.update(3, b"STAGED-ONLY-SECRET-BYTES").unwrap();
-        drop(m); // crash before any flush
-
-        let (rec, report) = StateMirror::recover(Arc::clone(&hv), MirrorMode::Encrypted, key).unwrap();
-        assert_eq!(report.recovered, vec![3]);
-        assert_eq!(rec.read(3).unwrap(), b"durable image");
-        let blob = dump_all(&hv);
-        assert!(
-            !contains(&blob, b"STAGED-ONLY-SECRET-BYTES"),
-            "recovery must scrub staged shadow slots"
-        );
     }
 
     #[test]

@@ -20,7 +20,7 @@ use crate::fault::{FaultState, RingFault, WriteCrash};
 use crate::grant::{GrantAccess, GrantRef, GrantTables};
 use crate::memory::{MachineMemory, PageProtection, PAGE_SIZE};
 use crate::sched::CreditScheduler;
-use crate::xenstore::{Perms, WatchEvent, XenStore};
+use crate::xenstore::{Perms, XenStore};
 
 /// A serialized domain: what `xm save` produces and migration ships.
 ///
@@ -380,12 +380,6 @@ impl Hypervisor {
         self.memory.write().set_protection(mfn, PageProtection::Protected)
     }
 
-    /// Remove protection from a frame.
-    pub fn unprotect_frame(&self, caller: DomainId, mfn: usize) -> Result<()> {
-        self.require_dom0(caller)?;
-        self.memory.write().set_protection(mfn, PageProtection::Normal)
-    }
-
     /// Run `f` with shared access to machine memory. Drivers use this to
     /// operate rings without copying page-sized buffers through the API.
     pub fn with_memory<R>(&self, f: impl FnOnce(&MachineMemory) -> R) -> R {
@@ -519,29 +513,9 @@ impl Hypervisor {
         self.xenstore.lock().read_string(caller, path)
     }
 
-    /// List children of a node.
-    pub fn xs_list(&self, caller: DomainId, path: &str) -> Result<Vec<String>> {
-        self.xenstore.lock().list(caller, path)
-    }
-
-    /// Remove a subtree.
-    pub fn xs_remove(&self, caller: DomainId, path: &str) -> Result<()> {
-        self.xenstore.lock().remove(caller, path)
-    }
-
     /// Set node permissions.
     pub fn xs_set_perms(&self, caller: DomainId, path: &str, perms: Perms) -> Result<()> {
         self.xenstore.lock().set_perms(caller, path, perms)
-    }
-
-    /// Register a watch.
-    pub fn xs_watch(&self, caller: DomainId, prefix: &str, token: &str) -> Result<()> {
-        self.xenstore.lock().watch(caller, prefix, token)
-    }
-
-    /// Drain fired watch events for `caller`.
-    pub fn xs_take_events(&self, caller: DomainId) -> Vec<WatchEvent> {
-        self.xenstore.lock().take_events(caller)
     }
 
     /// Whether a path exists.
@@ -565,19 +539,9 @@ impl Hypervisor {
         self.xenstore.lock().txn_write(txn, path, value)
     }
 
-    /// Transactional (buffered) removal.
-    pub fn xs_txn_remove(&self, txn: u32, path: &str) -> Result<()> {
-        self.xenstore.lock().txn_remove(txn, path)
-    }
-
     /// Commit: `Ok(false)` means a conflict — retry the whole transaction.
     pub fn xs_txn_commit(&self, txn: u32) -> Result<bool> {
         self.xenstore.lock().txn_commit(txn)
-    }
-
-    /// Abort a transaction.
-    pub fn xs_txn_abort(&self, txn: u32) {
-        self.xenstore.lock().txn_abort(txn)
     }
 
     // ---- scheduling -------------------------------------------------------
@@ -590,11 +554,6 @@ impl Hypervisor {
         }
         self.clock.advance_ns(ns);
         Ok(())
-    }
-
-    /// Run one scheduler accounting period.
-    pub fn scheduler_tick(&self) {
-        self.sched.lock().accounting_tick();
     }
 
     /// Scheduler dispatch order (diagnostics/experiments).

@@ -256,16 +256,6 @@ impl XenStore {
         Ok(())
     }
 
-    /// Current permissions of `path` (readable by anyone who can read it).
-    pub fn get_perms(&self, caller: DomainId, path: &str) -> Result<Perms> {
-        validate_path(path)?;
-        let node = self.nodes.get(path).ok_or_else(|| XenError::NoSuchPath(path.to_string()))?;
-        if !node.perms.can_read(caller) {
-            return Err(XenError::PermissionDenied(path.to_string()));
-        }
-        Ok(node.perms.clone())
-    }
-
     /// Register a watch for `caller` on `prefix`; any write/remove at or
     /// below the prefix queues a [`WatchEvent`] for the caller.
     pub fn watch(&mut self, caller: DomainId, prefix: &str, token: &str) -> Result<()> {

@@ -8,8 +8,8 @@
 #     the false-positive count over the attack-free sweep, and wall ns
 #     per stream event through the full engine.
 #   BENCH_p1.json — Dom0 manager scaling: read/mutate wall ns per command
-#     at 100/1k/10k resident instances under both flush policies, the
-#     amortization counters, and the 1.5x read-path scaling ratio.
+#     and mirror data pages written at 100/1k/10k resident instances, and
+#     the 1.5x read-path scaling ratio.
 #   BENCH_c1.json — crypto floor: optimized vs schoolbook RSA-1024 and the
 #     speedup, the RSA-512 sign and RSA-1024 keygen, pipelined vs scalar
 #     AES-128-CTR, SHA-256, and the floors.

@@ -4,7 +4,12 @@
 #   1. tier-1: release build + the full test suite of every workspace
 #      member (the root Cargo.toml lists them all as default-members),
 #      then a release build of every target (the examples use APIs
-#      tier-1 does not compile) and the end-to-end benchmark's smoke
+#      tier-1 does not compile), which must print no `warning:` line,
+#      and the dead-code guard: `scripts/dead_pub_fns.sh` must find no
+#      `pub fn` whose name occurs only in its own definition across
+#      crates/ src/ tests/ examples/ e2ebench/src/ (a deletion that
+#      strands a private helper trips the first check, an API nothing
+#      calls the second), then the end-to-end benchmark's smoke
 #      tests (`e2ebench/` is its own workspace, so tier-1 cannot see an
 #      API break there), then one 1 s `tenants-64` run: 64 resident
 #      guests, each with its own backend thread blocked on its event
@@ -99,8 +104,19 @@ cargo build --release
 echo "== tier-1: tests =="
 cargo test -q
 
-echo "== all targets: examples build =="
-cargo build --release --all-targets
+echo "== all targets: examples build, warning-free =="
+cargo build --release --all-targets 2>&1 | tee target/all-targets-build.log
+if grep -q '^warning:' target/all-targets-build.log; then
+    echo "the all-targets release build printed warnings" >&2
+    exit 1
+fi
+
+echo "== dead code: no pub fn that nothing calls =="
+if ! dead=$(scripts/dead_pub_fns.sh); then
+    echo "pub fns whose only occurrence is their definition:" >&2
+    echo "$dead" >&2
+    exit 1
+fi
 
 echo "== e2ebench: end-to-end benchmark smoke tests =="
 cargo test --offline --manifest-path e2ebench/Cargo.toml

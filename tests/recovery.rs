@@ -126,31 +126,21 @@ fn crash_matrix_every_k_recovers_to_pre_or_post() {
 }
 
 #[test]
-fn group_commit_crash_matrix_recovers_each_instance_to_pre_or_post_batch() {
-    // Group-commit variant of the k-of-n matrix: three instances stage
-    // dirty pages under a batched flush policy, then one explicit flush
-    // commits them in ascending-id order. A crash after any k of the
-    // batch's page writes must recover every instance to exactly its
-    // pre- or post-batch state, and the committed set must be an
-    // ascending-id prefix of the batch (the flush stops on the first
-    // failed meta write, so no instance can commit before a lower id).
-    const SEED: &[u8] = b"group-commit-matrix";
+fn multi_instance_crash_matrix_recovers_each_instance_to_pre_or_post() {
+    // Multi-instance variant of the k-of-n matrix: three instances are
+    // mutated in order, each update committing inline (dirty shadow
+    // pages, then its metadata frame). A crash after any k of the
+    // sequence's page writes must recover every instance to exactly its
+    // pre- or post-mutation state, and the committed set must be a
+    // prefix of the mutation order (the crash fails every later write,
+    // so no instance can commit after an earlier one failed).
+    const SEED: &[u8] = b"multi-instance-matrix";
     use vtpm_xen::bench_workload::trace::apply_to_tpm;
     use vtpm_xen::bench_workload::TraceEvent;
-    use vtpm_xen::vtpm_stack::FlushPolicy;
-
-    fn gc_cfg() -> ManagerConfig {
-        ManagerConfig {
-            mirror_mode: MirrorMode::Encrypted,
-            vtpm_config: TpmConfig { nv_budget: 32 * 1024, ..Default::default() },
-            flush_policy: FlushPolicy::batched(0, 64, 0),
-            ..Default::default()
-        }
-    }
 
     fn build_world(seed: &[u8]) -> (Arc<Hypervisor>, VtpmManager, Vec<u32>) {
         let hv = Arc::new(Hypervisor::boot(8192, 8).unwrap());
-        let mgr = VtpmManager::new(Arc::clone(&hv), seed, gc_cfg()).unwrap();
+        let mgr = VtpmManager::new(Arc::clone(&hv), seed, cfg()).unwrap();
         let ids: Vec<u32> = (0..3).map(|_| mgr.create_instance().unwrap()).collect();
         for (j, &id) in ids.iter().enumerate() {
             mgr.with_instance(id, |i| {
@@ -159,14 +149,12 @@ fn group_commit_crash_matrix_recovers_each_instance_to_pre_or_post_batch() {
             })
             .unwrap();
         }
-        mgr.flush_mirror().unwrap();
-        assert_eq!(mgr.pending_mirror_instances(), Vec::<u32>::new());
         (hv, mgr, ids)
     }
 
-    // The batch under test: one distinct mutation per instance (all
-    // staged), then the explicit flush that commits the whole batch.
-    fn run_batch(mgr: &VtpmManager, ids: &[u32]) {
+    // The sequence under test: one distinct mutation per instance, in
+    // id order, each mirrored before the next starts.
+    fn run_sequence(mgr: &VtpmManager, ids: &[u32]) {
         for (j, &id) in ids.iter().enumerate() {
             mgr.with_instance(id, |i| {
                 let _ = i.tpm.provision_nv(0x60 + j as u32, &vec![0xC0 + j as u8; 3 * 1024]);
@@ -174,10 +162,9 @@ fn group_commit_crash_matrix_recovers_each_instance_to_pre_or_post_batch() {
             })
             .unwrap();
         }
-        let _ = mgr.flush_mirror();
     }
 
-    // Fault-free twin run: count the batch's Dom0 page writes and
+    // Fault-free twin run: count the sequence's Dom0 page writes and
     // capture the legal per-instance outcome states.
     let (hv, mgr, ids) = build_world(SEED);
     let pre: Vec<Vec<u8>> =
@@ -187,7 +174,7 @@ fn group_commit_crash_matrix_recovers_each_instance_to_pre_or_post_batch() {
         .map(|&id| mgr.with_instance(id, |i| TpmOracle::capture(&i.tpm)).unwrap())
         .collect();
     let writes_before = hv.dom0_page_writes();
-    run_batch(&mgr, &ids);
+    run_sequence(&mgr, &ids);
     let n = hv.dom0_page_writes() - writes_before;
     let post: Vec<Vec<u8>> =
         ids.iter().map(|&id| mgr.export_instance_state(id).unwrap()).collect();
@@ -195,23 +182,23 @@ fn group_commit_crash_matrix_recovers_each_instance_to_pre_or_post_batch() {
         .iter()
         .map(|&id| mgr.with_instance(id, |i| TpmOracle::capture(&i.tpm)).unwrap())
         .collect();
-    assert!(n >= 6, "a three-instance batch must span many page writes (got {n})");
+    assert!(n >= 6, "a three-instance sequence must span many page writes (got {n})");
     for j in 0..ids.len() {
-        assert_ne!(pre[j], post[j], "instance {j} must change in the batch");
+        assert_ne!(pre[j], post[j], "instance {j} must change in the sequence");
     }
     drop(mgr);
 
-    let (mut saw_all_pre, mut saw_all_post) = (0u64, 0u64);
+    let (mut saw_all_pre, mut saw_all_post, mut saw_mixed) = (0u64, 0u64, 0u64);
     for k in 0..=n {
         let (hv, mgr, ids2) = build_world(SEED);
         assert_eq!(ids2, ids, "world rebuild must be deterministic");
 
         hv.inject_write_crash(DomainId::DOM0, k);
-        run_batch(&mgr, &ids);
+        run_sequence(&mgr, &ids);
         hv.clear_faults();
         drop(mgr);
 
-        let (rec, report) = VtpmManager::recover(Arc::clone(&hv), SEED, gc_cfg()).unwrap();
+        let (rec, report) = VtpmManager::recover(Arc::clone(&hv), SEED, cfg()).unwrap();
         assert_eq!(report.resumed, ids, "k={k}");
         assert_eq!(report.failed, Vec::<u32>::new(), "k={k}");
 
@@ -233,40 +220,42 @@ fn group_commit_crash_matrix_recovers_each_instance_to_pre_or_post_batch() {
                     "k={k} instance {j}: post bytes but post-oracle divergence"
                 );
             } else {
-                panic!("k={k}/{n} instance {j}: state is neither pre- nor post-batch");
+                panic!("k={k}/{n} instance {j}: state is neither pre- nor post-mutation");
             }
         }
-        // Ascending-id commit order: the committed set is a prefix.
+        // In-order commits: the committed set is a prefix.
         assert!(
             committed.windows(2).all(|w| w[0] || !w[1]),
-            "k={k}: non-prefix commit pattern {committed:?} — flush order violated"
+            "k={k}: non-prefix commit pattern {committed:?} — commit order violated"
         );
         if committed.iter().all(|&c| !c) {
             saw_all_pre += 1;
         }
         if committed.iter().all(|&c| c) {
             saw_all_post += 1;
+        } else if committed[0] {
+            saw_mixed += 1;
         }
 
         // The recovered manager keeps its nonce-burn discipline: fresh
-        // mutations (staged + flushed) never reuse a consumed nonce.
+        // mutations never reuse a consumed nonce.
         rec.enable_nonce_audit();
         for &id in &ids {
             rec.with_instance(id, |i| i.tpm.pcrs_mut().extend(9, &[k as u8; 20]).unwrap())
                 .unwrap();
         }
-        rec.flush_mirror().unwrap();
         assert_eq!(rec.nonce_reuses(), 0, "k={k}");
         for &id in &ids {
             assert_eq!(
                 rec.resident_image(id).unwrap(),
                 rec.export_instance_state(id).unwrap(),
-                "k={k}: mirror incoherent after post-recovery batch"
+                "k={k}: mirror incoherent after post-recovery mutations"
             );
         }
     }
-    assert!(saw_all_pre >= 1, "no crash point preserved the whole pre-batch");
-    assert!(saw_all_post >= 1, "no crash point committed the whole batch");
+    assert!(saw_all_pre >= 1, "no crash point preserved every pre-state");
+    assert!(saw_all_post >= 1, "no crash point committed every mutation");
+    assert!(saw_mixed >= 1, "no crash point fell between two instances' commits");
 }
 
 #[test]
