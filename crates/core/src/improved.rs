@@ -16,10 +16,8 @@
 //!
 //! Every decision is appended to the hash-chained audit log (AC4).
 
-use std::collections::HashMap;
 use std::sync::Arc;
 
-use parking_lot::RwLock;
 use tpm_crypto::ct_eq;
 use xen_sim::Hypervisor;
 
@@ -99,8 +97,6 @@ pub struct ImprovedHook {
     pub replay: Arc<ReplayGuard>,
     /// Audit log (AC4).
     pub audit: Arc<AuditLog>,
-    /// Per-domain locality caps overriding the default.
-    locality_caps: RwLock<HashMap<u32, u8>>,
     /// Clock for audit timestamps.
     hv: Arc<Hypervisor>,
 }
@@ -116,7 +112,6 @@ impl ImprovedHook {
             policy: Arc::new(PolicyEngine::recommended()),
             replay: Arc::new(ReplayGuard::new()),
             audit: Arc::new(AuditLog::new()),
-            locality_caps: RwLock::new(HashMap::new()),
             hv,
         }
     }
@@ -124,19 +119,6 @@ impl ImprovedHook {
     /// The active configuration.
     pub fn config(&self) -> AcConfig {
         self.cfg
-    }
-
-    /// Raise/lower a single domain's locality cap.
-    pub fn set_locality_cap(&self, domain: u32, cap: u8) {
-        self.locality_caps.write().insert(domain, cap);
-    }
-
-    fn locality_cap(&self, domain: u32) -> u8 {
-        self.locality_caps
-            .read()
-            .get(&domain)
-            .copied()
-            .unwrap_or(self.cfg.max_guest_locality)
     }
 
     fn decide(&self, ctx: &RequestContext<'_>) -> AccessDecision {
@@ -180,7 +162,7 @@ impl ImprovedHook {
             }
         }
         // 4. Locality.
-        if ctx.locality > self.locality_cap(ctx.claimed_domain) {
+        if ctx.locality > self.cfg.max_guest_locality {
             return AccessDecision::Deny(DenyReason::LocalityDenied);
         }
         // 5. Policy.
@@ -406,7 +388,7 @@ mod tests {
     }
 
     #[test]
-    fn locality_cap_enforced_and_overridable() {
+    fn locality_cap_enforced() {
         let h = hook(AcConfig::default());
         h.credentials.provision(3, 7);
         let key = h.credentials.key_for(3, 7).unwrap();
@@ -426,8 +408,8 @@ mod tests {
             h.authorize(&ctx(&e, 3)),
             AccessDecision::Deny(DenyReason::LocalityDenied)
         );
-        h.set_locality_cap(3, 4);
-        let e2 = make(2, 3);
+        // At the cap itself the request passes.
+        let e2 = make(2, AcConfig::default().max_guest_locality);
         assert_eq!(h.authorize(&ctx(&e2, 3)), AccessDecision::Allow);
     }
 

@@ -26,7 +26,8 @@ pub struct Counter {
 pub enum CounterError {
     /// The handle names no counter.
     BadHandle,
-    /// All counter slots are in use.
+    /// All counter slots are in use, no handle is left, or the counter
+    /// is at its maximum value.
     NoSpace,
     /// A different counter is already active this boot.
     NotActive,
@@ -50,27 +51,28 @@ impl CounterStore {
 
     /// Create a counter; returns its handle. Starts at 1 (per spec, the
     /// first increment of a new counter family starts above zero).
+    /// Handles never wrap: `u32::MAX` is never issued, and create reports
+    /// [`CounterError::NoSpace`] instead.
     pub fn create(&mut self, auth: [u8; DIGEST_LEN], label: [u8; 4]) -> Result<u32, CounterError> {
         if self.counters.len() >= self.capacity {
             return Err(CounterError::NoSpace);
         }
         let handle = self.next_handle;
-        self.next_handle += 1;
+        self.next_handle = handle.checked_add(1).ok_or(CounterError::NoSpace)?;
         self.counters.insert(handle, Counter { value: 1, auth, label });
         Ok(handle)
     }
 
-    /// Increment; only one counter may be active per boot.
+    /// Increment; only one counter may be active per boot. A counter at
+    /// `u32::MAX` is spent: it reports [`CounterError::NoSpace`] rather
+    /// than wrap back to 0.
     pub fn increment(&mut self, handle: u32) -> Result<u32, CounterError> {
-        if !self.counters.contains_key(&handle) {
-            return Err(CounterError::BadHandle);
+        let c = self.counters.get_mut(&handle).ok_or(CounterError::BadHandle)?;
+        if self.active.is_some_and(|active| active != handle) {
+            return Err(CounterError::NotActive);
         }
-        match self.active {
-            Some(active) if active != handle => return Err(CounterError::NotActive),
-            _ => self.active = Some(handle),
-        }
-        let c = self.counters.get_mut(&handle).expect("checked");
-        c.value += 1;
+        c.value = c.value.checked_add(1).ok_or(CounterError::NoSpace)?;
+        self.active = Some(handle);
         Ok(c.value)
     }
 
@@ -99,10 +101,14 @@ impl CounterStore {
         self.counters.keys().copied().collect()
     }
 
-    /// Restore a counter verbatim (state deserialization).
-    pub fn restore(&mut self, handle: u32, counter: Counter) {
-        self.next_handle = self.next_handle.max(handle + 1);
+    /// Restore a counter verbatim (state deserialization). Handles stop
+    /// below `u32::MAX`, as in [`CounterStore::create`], so `u32::MAX` is
+    /// refused.
+    pub fn restore(&mut self, handle: u32, counter: Counter) -> Result<(), CounterError> {
+        let next = handle.checked_add(1).ok_or(CounterError::BadHandle)?;
+        self.next_handle = self.next_handle.max(next);
         self.counters.insert(handle, counter);
+        Ok(())
     }
 }
 
@@ -176,10 +182,20 @@ mod tests {
         s.increment(h).unwrap();
         let c = s.read(h).unwrap().clone();
         let mut s2 = store();
-        s2.restore(h, c);
+        s2.restore(h, c.clone()).unwrap();
         assert_eq!(s2.read(h).unwrap().value, 2);
         // New handles don't collide.
         let h2 = s2.create([0; 20], *b"next").unwrap();
         assert_ne!(h, h2);
+        // Handles stop below `u32::MAX`: refused, never wrapped.
+        let mut s3 = store();
+        assert_eq!(s3.restore(u32::MAX, c.clone()), Err(CounterError::BadHandle));
+        s3.restore(u32::MAX - 1, c).unwrap();
+        assert_eq!(s3.create([0; 20], *b"none"), Err(CounterError::NoSpace));
+        // A restored value of `u32::MAX` is spent: it never wraps to 0.
+        let spent = Counter { value: u32::MAX, auth: [0; 20], label: *b"full" };
+        s3.restore(7, spent).unwrap();
+        assert_eq!(s3.increment(7), Err(CounterError::NoSpace));
+        assert_eq!(s3.read(7).unwrap().value, u32::MAX);
     }
 }

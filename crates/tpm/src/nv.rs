@@ -149,9 +149,10 @@ impl NvStore {
         self.areas.keys().copied().collect()
     }
 
-    /// Bytes of budget remaining.
+    /// Bytes of budget remaining (0 when a restored snapshot holds more
+    /// than this store's budget).
     pub fn free_bytes(&self) -> usize {
-        self.budget - self.used
+        self.budget.saturating_sub(self.used)
     }
 
     /// Access an area record (state serialization).
@@ -282,8 +283,12 @@ mod tests {
         nv.write(7, 0, b"persist", true).unwrap();
         let area = nv.area(7).unwrap().clone();
         let mut nv2 = NvStore::new(128);
-        nv2.restore_area(7, area);
+        nv2.restore_area(7, area.clone());
         assert_eq!(nv2.read(7, 0, 7, false, &bank()).unwrap(), b"persist");
         assert_eq!(nv2.free_bytes(), 120);
+        // A snapshot larger than this store's budget leaves none free.
+        let mut small = NvStore::new(4);
+        small.restore_area(7, area);
+        assert_eq!(small.free_bytes(), 0);
     }
 }

@@ -26,7 +26,8 @@ const MAGIC: &[u8; 4] = b"VTS1";
 /// Errors from snapshot parsing.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum StateError {
-    /// Bad magic/version or truncated data.
+    /// Bad magic/version, truncated or trailing data, or a field outside
+    /// the canonical form [`Tpm::serialize_state`] writes.
     Malformed,
 }
 
@@ -38,15 +39,51 @@ impl std::fmt::Display for StateError {
 
 impl std::error::Error for StateError {}
 
+impl From<BufError> for StateError {
+    fn from(_: BufError) -> Self {
+        StateError::Malformed
+    }
+}
+
 fn write_private_key(w: &mut Writer, key: &RsaPrivateKey) {
     w.sized_u32(&key.p.to_bytes_be());
     w.sized_u32(&key.public.n.to_bytes_be());
 }
 
-fn read_private_key(r: &mut Reader) -> Result<RsaPrivateKey, BufError> {
-    let p = BigUint::from_bytes_be(r.sized_u32()?);
-    let n = BigUint::from_bytes_be(r.sized_u32()?);
-    rebuild(p, n).ok_or(BufError::BadLength)
+fn read_private_key(r: &mut Reader) -> Result<RsaPrivateKey, StateError> {
+    let p = read_int(r)?;
+    let n = read_int(r)?;
+    rebuild(p, n).ok_or(StateError::Malformed)
+}
+
+/// A nonzero key integer in minimal big-endian form: no leading zero
+/// byte, as `BigUint::to_bytes_be` writes it.
+fn read_int(r: &mut Reader) -> Result<BigUint, StateError> {
+    let bytes = r.sized_u32()?;
+    match bytes.first() {
+        Some(&top) if top != 0 => Ok(BigUint::from_bytes_be(bytes)),
+        _ => Err(StateError::Malformed),
+    }
+}
+
+/// A flag or presence byte: 0 or 1, nothing else.
+fn read_bool(r: &mut Reader) -> Result<bool, StateError> {
+    match r.u8()? {
+        0 => Ok(false),
+        1 => Ok(true),
+        _ => Err(StateError::Malformed),
+    }
+}
+
+/// The next index of a strictly ascending sequence, as the snapshot's
+/// ordered maps write them: a repeat or a step back is malformed.
+fn read_ascending(r: &mut Reader, last: &mut Option<u32>) -> Result<u32, StateError> {
+    let v = r.u32()?;
+    if last.is_some_and(|l| v <= l) {
+        return Err(StateError::Malformed);
+    }
+    *last = Some(v);
+    Ok(v)
 }
 
 fn rebuild(p: BigUint, n: BigUint) -> Option<RsaPrivateKey> {
@@ -130,27 +167,34 @@ impl Tpm {
 
     /// Rebuild a TPM from a snapshot. `seed` re-seeds the DRBG (randomness
     /// is not part of permanent state).
+    ///
+    /// The bytes are untrusted (a Clear migration package, a cleartext
+    /// mirror Dom0 can write), so only the canonical form is accepted:
+    /// flag and presence bytes are 0 or 1, key integers minimal, NV
+    /// indices and counter handles strictly ascending, a PCR selection
+    /// the 3-byte bitmap [`PcrSelection::encode`] writes, and nothing
+    /// after the last counter. Whatever decodes re-serializes to the
+    /// same bytes.
     pub fn restore_state(data: &[u8], seed: &[u8], cfg: crate::tpm::TpmConfig) -> Result<Tpm, StateError> {
         let mut r = Reader::new(data);
-        let magic = r.bytes(4).map_err(|_| StateError::Malformed)?;
-        if magic != MAGIC {
+        if r.bytes(4)? != MAGIC {
             return Err(StateError::Malformed);
         }
-        let started = r.u8().map_err(|_| StateError::Malformed)? != 0;
-        let owned = r.u8().map_err(|_| StateError::Malformed)? != 0;
-        let owner_auth: [u8; DIGEST_LEN] = r.digest().map_err(|_| StateError::Malformed)?;
-        let tpm_proof: [u8; DIGEST_LEN] = r.digest().map_err(|_| StateError::Malformed)?;
-        let ek = read_private_key(&mut r).map_err(|_| StateError::Malformed)?;
-        let srk = if r.u8().map_err(|_| StateError::Malformed)? == 1 {
-            let private = read_private_key(&mut r).map_err(|_| StateError::Malformed)?;
-            let usage_auth = r.digest().map_err(|_| StateError::Malformed)?;
+        let started = read_bool(&mut r)?;
+        let owned = read_bool(&mut r)?;
+        let owner_auth: [u8; DIGEST_LEN] = r.digest()?;
+        let tpm_proof: [u8; DIGEST_LEN] = r.digest()?;
+        let ek = read_private_key(&mut r)?;
+        let srk = if read_bool(&mut r)? {
+            let private = read_private_key(&mut r)?;
+            let usage_auth = r.digest()?;
             Some(LoadedKey { usage: KeyUsage::Storage, private, usage_auth, pcr_binding: None })
         } else {
             None
         };
         let mut pcr_values = [[0u8; DIGEST_LEN]; NUM_PCRS];
         for v in pcr_values.iter_mut() {
-            *v = r.digest().map_err(|_| StateError::Malformed)?;
+            *v = r.digest()?;
         }
         let pcrs = PcrBank::restore(pcr_values);
 
@@ -158,25 +202,26 @@ impl Tpm {
             cfg, seed, started, owned, owner_auth, tpm_proof, ek, srk, pcrs,
         );
 
-        let n_areas = r.u32().map_err(|_| StateError::Malformed)?;
+        let n_areas = r.u32()?;
+        let mut last_idx = None;
         for _ in 0..n_areas {
-            let idx = r.u32().map_err(|_| StateError::Malformed)?;
-            let size = r.u32().map_err(|_| StateError::Malformed)? as usize;
-            let owner_write = r.u8().map_err(|_| StateError::Malformed)? != 0;
-            let owner_read = r.u8().map_err(|_| StateError::Malformed)? != 0;
-            let write_once = r.u8().map_err(|_| StateError::Malformed)? != 0;
-            let written = r.u8().map_err(|_| StateError::Malformed)? != 0;
-            let read_pcr = if r.u8().map_err(|_| StateError::Malformed)? == 1 {
-                let pos = r.position();
-                let (sel, used) =
-                    PcrSelection::decode(&data[pos..]).ok_or(StateError::Malformed)?;
-                r.bytes(used).map_err(|_| StateError::Malformed)?;
-                let digest = r.digest().map_err(|_| StateError::Malformed)?;
-                Some((sel, digest))
+            let idx = read_ascending(&mut r, &mut last_idx)?;
+            let size = r.u32()? as usize;
+            let owner_write = read_bool(&mut r)?;
+            let owner_read = read_bool(&mut r)?;
+            let write_once = read_bool(&mut r)?;
+            let written = read_bool(&mut r)?;
+            let read_pcr = if read_bool(&mut r)? {
+                let encoded = r.bytes(5)?;
+                let (sel, _) = PcrSelection::decode(encoded).ok_or(StateError::Malformed)?;
+                if sel.encode() != encoded {
+                    return Err(StateError::Malformed);
+                }
+                Some((sel, r.digest()?))
             } else {
                 None
             };
-            let area_data = r.sized_u32().map_err(|_| StateError::Malformed)?.to_vec();
+            let area_data = r.sized_u32()?.to_vec();
             if area_data.len() != size {
                 return Err(StateError::Malformed);
             }
@@ -190,17 +235,19 @@ impl Tpm {
                 },
             );
         }
-        let n_counters = r.u32().map_err(|_| StateError::Malformed)?;
+        let n_counters = r.u32()?;
+        let mut last_handle = None;
         for _ in 0..n_counters {
-            let h = r.u32().map_err(|_| StateError::Malformed)?;
-            let value = r.u32().map_err(|_| StateError::Malformed)?;
-            let auth = r.digest().map_err(|_| StateError::Malformed)?;
-            let label: [u8; 4] = r
-                .bytes(4)
-                .map_err(|_| StateError::Malformed)?
-                .try_into()
-                .expect("4 bytes");
-            tpm.counters_mut().restore(h, crate::counter::Counter { value, auth, label });
+            let h = read_ascending(&mut r, &mut last_handle)?;
+            let value = r.u32()?;
+            let auth = r.digest()?;
+            let label: [u8; 4] = r.bytes(4)?.try_into().expect("4 bytes");
+            tpm.counters_mut()
+                .restore(h, crate::counter::Counter { value, auth, label })
+                .map_err(|_| StateError::Malformed)?;
+        }
+        if r.remaining() != 0 {
+            return Err(StateError::Malformed);
         }
         Ok(tpm)
     }
@@ -293,6 +340,31 @@ mod tests {
         assert!(Tpm::restore_state(b"", b"s", TpmConfig::default()).is_err());
         // Right magic, truncated body.
         assert!(Tpm::restore_state(b"VTS1\x01", b"s", TpmConfig::default()).is_err());
+    }
+
+    #[test]
+    fn noncanonical_snapshots_refused() {
+        let snap = Tpm::new(b"state-strict").serialize_state();
+        let restore = |bytes: &[u8]| Tpm::restore_state(bytes, b"s", TpmConfig::default());
+        assert!(restore(&snap).is_ok());
+        // A trailing byte.
+        let mut trailing = snap.clone();
+        trailing.push(0);
+        assert!(restore(&trailing).is_err());
+        // A `started` flag byte of 2.
+        let mut flag = snap.clone();
+        flag[4] = 2;
+        assert!(restore(&flag).is_err());
+        // One counter at handle u32::MAX: no handle can follow it.
+        let mut counter = snap[..snap.len() - 4].to_vec();
+        counter.extend_from_slice(&1u32.to_be_bytes());
+        counter.extend_from_slice(&u32::MAX.to_be_bytes());
+        counter.extend_from_slice(&[0; 4 + 20 + 4]);
+        assert!(restore(&counter).is_err());
+        // The same counter one handle lower is accepted.
+        let at = snap.len();
+        counter[at..at + 4].copy_from_slice(&(u32::MAX - 1).to_be_bytes());
+        assert!(restore(&counter).is_ok());
     }
 
     #[test]

@@ -75,11 +75,6 @@ pub mod ordinal {
     /// TPM_ReleaseCounter.
     pub const RELEASE_COUNTER: u32 = 0x000000DF;
 
-    /// Ordinals that require owner privilege (subset used by the policy
-    /// engine's "owner commands" group).
-    pub const OWNER_PRIVILEGED: &[u32] =
-        &[TAKE_OWNERSHIP, OWNER_CLEAR, NV_DEFINE_SPACE];
-
     /// Human-readable ordinal name (diagnostics, audit logs, reports).
     pub fn name(ord: u32) -> &'static str {
         match ord {
@@ -124,8 +119,6 @@ pub mod rc {
     pub const BADINDEX: u32 = 2;
     /// Bad parameter.
     pub const BAD_PARAMETER: u32 = 3;
-    /// TPM disabled or not owned where ownership required.
-    pub const DEACTIVATED: u32 = 6;
     /// TPM already has an owner.
     pub const OWNER_SET: u32 = 0x14;
     /// No space / resource exhaustion.
@@ -138,8 +131,6 @@ pub mod rc {
     pub const BAD_ORDINAL: u32 = 0x0A;
     /// Command size field disagrees with the buffer.
     pub const BAD_PARAM_SIZE: u32 = 0x19;
-    /// The TPM does not have an EK where one is required.
-    pub const NO_ENDORSEMENT: u32 = 0x23;
     /// PCR composite disagrees (unseal against wrong PCR state).
     pub const WRONGPCRVAL: u32 = 0x18;
     /// Key usage not permitted (e.g. signing with a storage key).

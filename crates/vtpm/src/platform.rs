@@ -165,7 +165,7 @@ impl Platform {
 
     /// Extend the instance's EK digest into the hardware binding PCR and
     /// append it to the registration log.
-    pub fn register_attestation_identity(&self, instance: InstanceId) -> XenResult<()> {
+    fn register_attestation_identity(&self, instance: InstanceId) -> XenResult<()> {
         let ek = self
             .instance_ek_modulus(instance)
             .ok_or(XenError::BadImage("no such instance"))?;
@@ -316,53 +316,6 @@ impl Platform {
         Ok(report)
     }
 
-    /// Migrate a whole VM — domain memory image *and* its vTPM — to
-    /// `destination`, using the sealed vTPM protocol. Returns the new
-    /// (domain, instance) pair; the destination must still provision and
-    /// connect a device for the restored domain (as real toolstacks do on
-    /// the resume path) — [`Platform::attach_migrated_guest`] does both.
-    pub fn migrate_vm(
-        &self,
-        guest: Guest,
-        destination: &Platform,
-    ) -> XenResult<(DomainId, InstanceId)> {
-        let Guest { domain, instance, front } = guest;
-        // Quiesce the device before harvesting memory.
-        front.disconnect();
-        // Ship the domain image.
-        let image = self.hv.save_domain(DomainId::DOM0, domain)?;
-        self.hv.complete_save(DomainId::DOM0, domain)?;
-        let new_domain = destination.hv.restore_domain(DomainId::DOM0, &image)?;
-        // Ship the vTPM, destination-bound.
-        let package = self
-            .export_instance(instance, true, Some(&destination.hw_ek_public()))
-            .ok_or(XenError::BadImage("instance export"))?;
-        let new_instance = destination
-            .import_instance(&package)
-            .map_err(|_| XenError::BadImage("instance import"))?;
-        destination.register_attestation_identity(new_instance)?;
-        Ok((new_domain, new_instance))
-    }
-
-    /// Resume path after [`Platform::migrate_vm`]: provision and connect
-    /// the vTPM device for a restored domain, with a serving backend.
-    pub fn attach_migrated_guest(
-        &self,
-        domain: DomainId,
-        instance: InstanceId,
-    ) -> XenResult<Guest> {
-        provision_device(&self.hv, domain, instance)?;
-        let mut front = TpmFront::connect(Arc::clone(&self.hv), domain)?;
-        front.scrub = self.scrub_rings;
-        let mut back = TpmBack::connect(Arc::clone(&self.hv), Arc::clone(&self.manager), domain)?;
-        back.scrub = self.scrub_rings;
-        let shutdown = Arc::new(AtomicBool::new(false));
-        let sd = Arc::clone(&shutdown);
-        let handle = std::thread::spawn(move || back.run(&sd));
-        self.backends.lock().push(BackendThread { shutdown, handle: Some(handle) });
-        Ok(Guest { domain, instance, front })
-    }
-
     /// Stop every backend thread (also done on drop).
     pub fn shutdown(&self) {
         let mut backends = self.backends.lock();
@@ -495,49 +448,6 @@ mod tests {
         );
         // The rightful destination still succeeds.
         assert!(dst.import_instance(&package).is_ok());
-    }
-
-    #[test]
-    fn whole_vm_migration_with_vtpm() {
-        let src = Platform::improved(b"plat-vm-src").unwrap();
-        let dst = Platform::improved(b"plat-vm-dst").unwrap();
-
-        let mut g = src.launch_guest("moving").unwrap();
-        // Give both the domain memory and the vTPM distinguishable state.
-        let gf = src.hv.domain_info(g.domain).unwrap().frames[0];
-        src.hv.page_write(g.domain, gf, 0, b"APP-MEMORY-STATE").unwrap();
-        {
-            let mut c = g.client(b"c");
-            c.startup_clear().unwrap();
-            c.extend(6, &[0x66; 20]).unwrap();
-        }
-        let pcr6 = src
-            .manager
-            .with_instance(g.instance, |i| i.tpm.pcrs().read(6).unwrap())
-            .unwrap();
-        let old_domain = g.domain;
-
-        let (new_domain, new_instance) = src.migrate_vm(g, &dst).unwrap();
-        // Source no longer has the domain.
-        assert!(src.hv.domain_info(old_domain).is_err());
-
-        // Destination: domain memory arrived...
-        let df = dst.hv.domain_info(new_domain).unwrap().frames[0];
-        let mut buf = [0u8; 16];
-        dst.hv.page_read(new_domain, df, 0, &mut buf).unwrap();
-        assert_eq!(&buf, b"APP-MEMORY-STATE");
-        // ...and the vTPM resumed with its PCRs intact, usable over a
-        // freshly attached device.
-        let mut g2 = dst.attach_migrated_guest(new_domain, new_instance).unwrap();
-        let mut c2 = g2.client(b"c2");
-        c2.startup_state().unwrap();
-        assert_eq!(c2.pcr_read(6).unwrap(), pcr6);
-        // The migrated instance is registered for deep attestation at the
-        // destination.
-        let ek = dst.instance_ek_modulus(new_instance).unwrap();
-        assert!(dst
-            .registration_log()
-            .contains(&crate::deep_quote::registration_digest(&ek)));
     }
 
     #[test]

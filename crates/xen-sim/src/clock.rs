@@ -3,8 +3,9 @@
 //! The simulator separates *virtual* time (what the modelled hardware
 //! would take — e.g. a hardware TPM spending milliseconds on an RSA
 //! signature) from wall-clock time (what our Rust code actually costs,
-//! measured by Criterion). Components charge virtual time onto this clock;
-//! experiment harnesses read both.
+//! measured by the `repro` experiments and the end-to-end benchmark).
+//! Components charge virtual time onto this clock; experiment harnesses
+//! read both.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -31,37 +32,6 @@ impl VirtualClock {
     pub fn advance_ns(&self, ns: u64) -> u64 {
         self.now_ns.fetch_add(ns, Ordering::Relaxed) + ns
     }
-
-    /// Advance by microseconds.
-    pub fn advance_us(&self, us: u64) -> u64 {
-        self.advance_ns(us * 1_000)
-    }
-
-    /// Advance by milliseconds.
-    pub fn advance_ms(&self, ms: u64) -> u64 {
-        self.advance_ns(ms * 1_000_000)
-    }
-
-    /// Reset to zero (between experiment repetitions).
-    pub fn reset(&self) {
-        self.now_ns.store(0, Ordering::Relaxed);
-    }
-}
-
-/// A span of virtual time with start/end stamps, for latency accounting.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct VirtualSpan {
-    /// Start stamp (ns).
-    pub start_ns: u64,
-    /// End stamp (ns).
-    pub end_ns: u64,
-}
-
-impl VirtualSpan {
-    /// Duration of the span in nanoseconds.
-    pub fn duration_ns(&self) -> u64 {
-        self.end_ns.saturating_sub(self.start_ns)
-    }
 }
 
 #[cfg(test)]
@@ -77,17 +47,8 @@ mod tests {
     fn advance_accumulates() {
         let c = VirtualClock::new();
         assert_eq!(c.advance_ns(10), 10);
-        assert_eq!(c.advance_us(2), 10 + 2_000);
-        assert_eq!(c.advance_ms(1), 10 + 2_000 + 1_000_000);
-        assert_eq!(c.now_ns(), 1_002_010);
-    }
-
-    #[test]
-    fn reset_zeroes() {
-        let c = VirtualClock::new();
-        c.advance_ns(500);
-        c.reset();
-        assert_eq!(c.now_ns(), 0);
+        assert_eq!(c.advance_ns(2_000), 10 + 2_000);
+        assert_eq!(c.now_ns(), 2_010);
     }
 
     #[test]
@@ -108,13 +69,5 @@ mod tests {
             h.join().unwrap();
         }
         assert_eq!(c.now_ns(), 8 * 1000 * 3);
-    }
-
-    #[test]
-    fn span_duration() {
-        let s = VirtualSpan { start_ns: 100, end_ns: 350 };
-        assert_eq!(s.duration_ns(), 250);
-        let backwards = VirtualSpan { start_ns: 350, end_ns: 100 };
-        assert_eq!(backwards.duration_ns(), 0);
     }
 }

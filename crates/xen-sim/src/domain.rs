@@ -22,17 +22,12 @@ impl fmt::Display for DomainId {
     }
 }
 
-/// Lifecycle state of a domain, mirroring Xen's coarse states.
+/// Lifecycle state of a domain: a domain runs from creation until it is
+/// destroyed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DomainState {
-    /// Being constructed by the domain builder; not yet schedulable.
-    Building,
     /// Runnable.
     Running,
-    /// Paused by the toolstack; memory retained.
-    Paused,
-    /// Suspended for save/migration; memory about to be harvested.
-    Suspended,
     /// Destroyed; resources released.
     Dead,
 }
@@ -44,16 +39,12 @@ pub struct DomainConfig {
     pub name: String,
     /// Number of memory pages to allocate at build time.
     pub memory_pages: usize,
-    /// Number of virtual CPUs (informs the scheduler's weighting only).
-    pub vcpus: u32,
-    /// Credit-scheduler weight (Xen default 256).
-    pub weight: u32,
 }
 
 impl DomainConfig {
-    /// A small default guest: 16 pages, 1 vcpu, default weight.
+    /// A small default guest: 16 pages.
     pub fn small(name: &str) -> Self {
-        DomainConfig { name: name.to_string(), memory_pages: 16, vcpus: 1, weight: 256 }
+        DomainConfig { name: name.to_string(), memory_pages: 16 }
     }
 }
 
@@ -75,18 +66,12 @@ pub struct Domain {
     /// Machine frame numbers owned by this domain, in pseudo-physical order:
     /// `frames[pfn]` is the machine frame backing guest page `pfn`.
     pub frames: Vec<usize>,
-    /// vcpus configured.
-    pub vcpus: u32,
-    /// Scheduler weight.
-    pub weight: u32,
-    /// Cumulative CPU time charged by the scheduler (virtual ns).
-    pub cpu_time_ns: u64,
 }
 
 impl Domain {
     /// Whether the domain can currently execute hypercalls.
     pub fn is_alive(&self) -> bool {
-        matches!(self.state, DomainState::Running | DomainState::Paused | DomainState::Building)
+        self.state == DomainState::Running
     }
 }
 
@@ -106,7 +91,6 @@ mod tests {
         let c = DomainConfig::small("web1");
         assert_eq!(c.name, "web1");
         assert_eq!(c.memory_pages, 16);
-        assert_eq!(c.weight, 256);
     }
 
     #[test]
@@ -116,16 +100,9 @@ mod tests {
             name: "t".into(),
             state: DomainState::Running,
             frames: vec![],
-            vcpus: 1,
-            weight: 256,
-            cpu_time_ns: 0,
         };
         assert!(d.is_alive());
-        d.state = DomainState::Paused;
-        assert!(d.is_alive());
         d.state = DomainState::Dead;
-        assert!(!d.is_alive());
-        d.state = DomainState::Suspended;
         assert!(!d.is_alive());
     }
 }

@@ -35,7 +35,9 @@ pub enum XenError {
     RingEmpty,
     /// Ring message too large for a slot.
     MessageTooLarge,
-    /// Domain save/restore image is malformed.
+    /// A stored or exchanged image (a mirror page, a XenStore device
+    /// record, a migration package) is malformed or a toolstack step on
+    /// it failed; the payload names which.
     BadImage(&'static str),
     /// A state image exceeds what its store can hold: `bytes` is its
     /// size, `max` the store's limit.

@@ -1,6 +1,6 @@
 //! The hypervisor: one value tying together memory, domains, grants,
-//! event channels, XenStore and the scheduler, with Xen's privilege rules
-//! enforced at the API boundary.
+//! event channels and XenStore, with Xen's privilege rules enforced at
+//! the API boundary.
 //!
 //! The struct is internally synchronized (fine-grained locks per
 //! subsystem) so `Arc<Hypervisor>` can be shared by frontend threads, the
@@ -19,26 +19,7 @@ use crate::event::EventChannels;
 use crate::fault::{FaultState, RingFault, WriteCrash};
 use crate::grant::{GrantAccess, GrantRef, GrantTables};
 use crate::memory::{MachineMemory, PageProtection, PAGE_SIZE};
-use crate::sched::CreditScheduler;
 use crate::xenstore::{Perms, XenStore};
-
-/// A serialized domain: what `xm save` produces and migration ships.
-///
-/// Note what it contains: *every normal page in cleartext*. Saving a
-/// domain is itself a memory-dump primitive — one of the reasons the
-/// paper's improved vTPM never lets instance secrets live in guest-visible
-/// or Dom0-visible pages.
-#[derive(Debug, Clone)]
-pub struct DomainImage {
-    /// Original name.
-    pub name: String,
-    /// vcpus configured.
-    pub vcpus: u32,
-    /// Scheduler weight.
-    pub weight: u32,
-    /// Page contents in pseudo-physical order.
-    pub pages: Vec<[u8; PAGE_SIZE]>,
-}
 
 /// One dumped frame: (mfn, owner, contents).
 pub type DumpedFrame = (usize, DomainId, Box<[u8; PAGE_SIZE]>);
@@ -71,7 +52,6 @@ pub struct Hypervisor {
     domains: RwLock<HashMap<DomainId, Domain>>,
     grants: Mutex<GrantTables>,
     xenstore: Mutex<XenStore>,
-    sched: Mutex<CreditScheduler>,
     next_domid: AtomicU32,
     /// Injected-fault state (chaos harness); `faults_armed` keeps the
     /// write hot path lock-free while nothing is armed.
@@ -96,7 +76,6 @@ impl Hypervisor {
             domains: RwLock::new(HashMap::new()),
             grants: Mutex::new(GrantTables::new()),
             xenstore: Mutex::new(XenStore::new()),
-            sched: Mutex::new(CreditScheduler::new()),
             next_domid: AtomicU32::new(1),
             fault: Mutex::new(FaultState::default()),
             faults_armed: AtomicBool::new(false),
@@ -111,12 +90,8 @@ impl Hypervisor {
                 name: "Domain-0".to_string(),
                 state: DomainState::Running,
                 frames,
-                vcpus: 1,
-                weight: 256,
-                cpu_time_ns: 0,
             },
         );
-        hv.sched.lock().add_domain(DomainId::DOM0, 256);
         hv.xenstore.lock().write(DomainId::DOM0, "/local/domain/0/name", b"Domain-0")?;
         Ok(hv)
     }
@@ -142,29 +117,25 @@ impl Hypervisor {
     // ---- domain lifecycle -------------------------------------------------
 
     /// Create a guest domain (Dom0-only, like the toolstack).
+    ///
+    /// The name check and the insert happen under one `domains` write
+    /// lock, taken after the memory lock (the order `alloc_pages` uses),
+    /// so two concurrent creates with one name cannot both succeed.
     pub fn create_domain(&self, caller: DomainId, cfg: DomainConfig) -> Result<DomainId> {
         self.require_dom0(caller)?;
-        {
-            let domains = self.domains.read();
-            if domains.values().any(|d| d.name == cfg.name) {
-                return Err(XenError::BadDomainState(DomainId(0), "duplicate name"));
-            }
+        let mut mem = self.memory.write();
+        let mut domains = self.domains.write();
+        if domains.values().any(|d| d.name == cfg.name) {
+            return Err(XenError::BadDomainState(DomainId(0), "duplicate name"));
         }
         let id = DomainId(self.next_domid.fetch_add(1, Ordering::Relaxed));
-        let frames = self.memory.write().alloc_frames(id, cfg.memory_pages)?;
-        self.domains.write().insert(
+        let frames = mem.alloc_frames(id, cfg.memory_pages)?;
+        drop(mem);
+        domains.insert(
             id,
-            Domain {
-                id,
-                name: cfg.name.clone(),
-                state: DomainState::Running,
-                frames,
-                vcpus: cfg.vcpus,
-                weight: cfg.weight,
-                cpu_time_ns: 0,
-            },
+            Domain { id, name: cfg.name.clone(), state: DomainState::Running, frames },
         );
-        self.sched.lock().add_domain(id, cfg.weight);
+        drop(domains);
         // Provision the XenStore home directory, owned by the guest.
         let mut xs = self.xenstore.lock();
         let home = format!("/local/domain/{}", id.0);
@@ -199,54 +170,13 @@ impl Hypervisor {
         self.grants.lock().purge_domain(id);
         self.events.purge_domain(id);
         self.xenstore.lock().purge_domain(id);
-        self.sched.lock().remove_domain(id);
         self.domains.write().remove(&id);
         Ok(())
-    }
-
-    /// Pause a running domain.
-    pub fn pause_domain(&self, caller: DomainId, id: DomainId) -> Result<()> {
-        self.require_dom0(caller)?;
-        let mut domains = self.domains.write();
-        let d = domains.get_mut(&id).ok_or(XenError::NoSuchDomain(id))?;
-        match d.state {
-            DomainState::Running => {
-                d.state = DomainState::Paused;
-                Ok(())
-            }
-            _ => Err(XenError::BadDomainState(id, "not running")),
-        }
-    }
-
-    /// Unpause a paused domain.
-    pub fn unpause_domain(&self, caller: DomainId, id: DomainId) -> Result<()> {
-        self.require_dom0(caller)?;
-        let mut domains = self.domains.write();
-        let d = domains.get_mut(&id).ok_or(XenError::NoSuchDomain(id))?;
-        match d.state {
-            DomainState::Paused => {
-                d.state = DomainState::Running;
-                Ok(())
-            }
-            _ => Err(XenError::BadDomainState(id, "not paused")),
-        }
     }
 
     /// Snapshot of a domain record.
     pub fn domain_info(&self, id: DomainId) -> Result<Domain> {
         self.domains.read().get(&id).cloned().ok_or(XenError::NoSuchDomain(id))
-    }
-
-    /// Look up a domain id by name.
-    pub fn domain_by_name(&self, name: &str) -> Option<DomainId> {
-        self.domains.read().values().find(|d| d.name == name).map(|d| d.id)
-    }
-
-    /// All live domain ids, sorted.
-    pub fn list_domains(&self) -> Vec<DomainId> {
-        let mut v: Vec<DomainId> = self.domains.read().keys().copied().collect();
-        v.sort_unstable();
-        v
     }
 
     // ---- memory -----------------------------------------------------------
@@ -522,113 +452,6 @@ impl Hypervisor {
     pub fn xs_exists(&self, path: &str) -> bool {
         self.xenstore.lock().exists(path)
     }
-
-    /// Begin a XenStore transaction.
-    pub fn xs_txn_begin(&self, caller: DomainId) -> Result<u32> {
-        self.require_alive(caller)?;
-        Ok(self.xenstore.lock().txn_begin(caller))
-    }
-
-    /// Transactional read.
-    pub fn xs_txn_read(&self, txn: u32, path: &str) -> Result<Vec<u8>> {
-        self.xenstore.lock().txn_read(txn, path)
-    }
-
-    /// Transactional (buffered) write.
-    pub fn xs_txn_write(&self, txn: u32, path: &str, value: &[u8]) -> Result<()> {
-        self.xenstore.lock().txn_write(txn, path, value)
-    }
-
-    /// Commit: `Ok(false)` means a conflict — retry the whole transaction.
-    pub fn xs_txn_commit(&self, txn: u32) -> Result<bool> {
-        self.xenstore.lock().txn_commit(txn)
-    }
-
-    // ---- scheduling -------------------------------------------------------
-
-    /// Charge virtual CPU time to a domain and advance the host clock.
-    pub fn charge_cpu(&self, id: DomainId, ns: u64) -> Result<()> {
-        self.sched.lock().charge(id, ns).ok_or(XenError::NoSuchDomain(id))?;
-        if let Some(d) = self.domains.write().get_mut(&id) {
-            d.cpu_time_ns += ns;
-        }
-        self.clock.advance_ns(ns);
-        Ok(())
-    }
-
-    /// Scheduler dispatch order (diagnostics/experiments).
-    pub fn dispatch_order(&self) -> Vec<DomainId> {
-        self.sched.lock().dispatch_order()
-    }
-
-    // ---- save / restore / migrate ------------------------------------------
-
-    /// Suspend a domain and harvest its image (`xm save`).
-    pub fn save_domain(&self, caller: DomainId, id: DomainId) -> Result<DomainImage> {
-        self.require_dom0(caller)?;
-        if id.is_dom0() {
-            return Err(XenError::BadDomainState(id, "cannot save Dom0"));
-        }
-        let (name, vcpus, weight, frames) = {
-            let mut domains = self.domains.write();
-            let d = domains.get_mut(&id).ok_or(XenError::NoSuchDomain(id))?;
-            if !matches!(d.state, DomainState::Running | DomainState::Paused) {
-                return Err(XenError::BadDomainState(id, "not running or paused"));
-            }
-            d.state = DomainState::Suspended;
-            (d.name.clone(), d.vcpus, d.weight, d.frames.clone())
-        };
-        let mem = self.memory.read();
-        let mut pages = Vec::with_capacity(frames.len());
-        for mfn in &frames {
-            // Note: protected frames would fail here; guests cannot own
-            // protected frames in this model (only the manager's vault).
-            pages.push(mem.dump_frame(*mfn)?);
-        }
-        Ok(DomainImage { name, vcpus, weight, pages })
-    }
-
-    /// Tear down the suspended source domain after a successful save.
-    pub fn complete_save(&self, caller: DomainId, id: DomainId) -> Result<()> {
-        self.require_dom0(caller)?;
-        {
-            let domains = self.domains.read();
-            let d = domains.get(&id).ok_or(XenError::NoSuchDomain(id))?;
-            if d.state != DomainState::Suspended {
-                return Err(XenError::BadDomainState(id, "not suspended"));
-            }
-        }
-        // destroy_domain refuses dead domains only; suspended is fine.
-        {
-            let mut domains = self.domains.write();
-            let d = domains.get_mut(&id).expect("checked");
-            d.state = DomainState::Paused; // make destroy's state machine happy
-        }
-        self.destroy_domain(caller, id)
-    }
-
-    /// Build a domain from an image (`xm restore`), returning the new id.
-    pub fn restore_domain(&self, caller: DomainId, image: &DomainImage) -> Result<DomainId> {
-        self.require_dom0(caller)?;
-        if image.pages.is_empty() {
-            return Err(XenError::BadImage("no pages"));
-        }
-        let id = self.create_domain(
-            caller,
-            DomainConfig {
-                name: image.name.clone(),
-                memory_pages: image.pages.len(),
-                vcpus: image.vcpus,
-                weight: image.weight,
-            },
-        )?;
-        let frames = self.domain_info(id)?.frames;
-        let mut mem = self.memory.write();
-        for (mfn, page) in frames.iter().zip(&image.pages) {
-            mem.write(*mfn, 0, &page[..])?;
-        }
-        Ok(id)
-    }
 }
 
 #[cfg(test)]
@@ -647,7 +470,6 @@ mod tests {
         let d0 = hv.domain_info(D0).unwrap();
         assert_eq!(d0.name, "Domain-0");
         assert_eq!(d0.frames.len(), 16);
-        assert_eq!(hv.list_domains(), vec![D0]);
         assert_eq!(hv.xs_read_string(D0, "/local/domain/0/name").unwrap(), "Domain-0");
     }
 
@@ -656,7 +478,6 @@ mod tests {
         let hv = host();
         let g = hv.create_domain(D0, DomainConfig::small("web1")).unwrap();
         assert_eq!(hv.domain_info(g).unwrap().state, DomainState::Running);
-        assert_eq!(hv.domain_by_name("web1"), Some(g));
         assert!(hv.xs_exists(&format!("/local/domain/{}", g.0)));
         hv.destroy_domain(D0, g).unwrap();
         assert!(hv.domain_info(g).is_err());
@@ -678,25 +499,15 @@ mod tests {
     fn duplicate_names_rejected() {
         let hv = host();
         hv.create_domain(D0, DomainConfig::small("web1")).unwrap();
+        let free = hv.with_memory(|m| m.free_frames());
         assert!(hv.create_domain(D0, DomainConfig::small("web1")).is_err());
+        assert_eq!(hv.with_memory(|m| m.free_frames()), free, "a refused create keeps no frames");
     }
 
     #[test]
     fn dom0_indestructible() {
         let hv = host();
         assert!(hv.destroy_domain(D0, D0).is_err());
-    }
-
-    #[test]
-    fn pause_unpause_cycle() {
-        let hv = host();
-        let g = hv.create_domain(D0, DomainConfig::small("g")).unwrap();
-        hv.pause_domain(D0, g).unwrap();
-        assert_eq!(hv.domain_info(g).unwrap().state, DomainState::Paused);
-        assert!(hv.pause_domain(D0, g).is_err());
-        hv.unpause_domain(D0, g).unwrap();
-        assert_eq!(hv.domain_info(g).unwrap().state, DomainState::Running);
-        assert!(hv.unpause_domain(D0, g).is_err());
     }
 
     #[test]
@@ -795,47 +606,6 @@ mod tests {
         let g = hv.create_domain(D0, DomainConfig::small("g")).unwrap();
         let gf = hv.domain_info(g).unwrap().frames[0];
         assert_eq!(hv.protect_frame(g, gf), Err(XenError::NotPrivileged(g)));
-    }
-
-    #[test]
-    fn charge_cpu_advances_clock() {
-        let hv = host();
-        let g = hv.create_domain(D0, DomainConfig::small("g")).unwrap();
-        hv.charge_cpu(g, 5_000).unwrap();
-        hv.charge_cpu(D0, 2_000).unwrap();
-        assert_eq!(hv.clock.now_ns(), 7_000);
-        assert_eq!(hv.domain_info(g).unwrap().cpu_time_ns, 5_000);
-    }
-
-    #[test]
-    fn save_restore_roundtrip_on_second_host() {
-        let src = host();
-        let g = src.create_domain(D0, DomainConfig::small("mig")).unwrap();
-        let gf = src.domain_info(g).unwrap().frames[1];
-        src.page_write(g, gf, 0, b"travels with the vm").unwrap();
-
-        let image = src.save_domain(D0, g).unwrap();
-        src.complete_save(D0, g).unwrap();
-        assert!(src.domain_info(g).is_err());
-
-        let dst = host();
-        let g2 = dst.restore_domain(D0, &image).unwrap();
-        let d = dst.domain_info(g2).unwrap();
-        assert_eq!(d.name, "mig");
-        let mut buf = [0u8; 19];
-        dst.page_read(g2, d.frames[1], 0, &mut buf).unwrap();
-        assert_eq!(&buf, b"travels with the vm");
-    }
-
-    #[test]
-    fn save_requires_privilege_and_valid_state() {
-        let hv = host();
-        let g = hv.create_domain(D0, DomainConfig::small("g")).unwrap();
-        assert_eq!(hv.save_domain(g, g).err(), Some(XenError::NotPrivileged(g)));
-        assert!(hv.save_domain(D0, D0).is_err());
-        // After suspension you cannot save again.
-        hv.save_domain(D0, g).unwrap();
-        assert!(hv.save_domain(D0, g).is_err());
     }
 
     #[test]

@@ -10,8 +10,8 @@
 //! * [`memory`] — machine frames with ownership and a protection tag; the
 //!   [`Hypervisor::dump_memory`] facility reproduces Dom0 memory-dump
 //!   tooling (the paper's stated attack vector).
-//! * [`domain`] + [`hypervisor`] — domain lifecycle with Dom0 privilege
-//!   checks, save/restore images for migration.
+//! * [`domain`] + [`hypervisor`] — domain create/destroy with Dom0
+//!   privilege checks.
 //! * [`grant`] — grant tables, the authorization mechanism for shared
 //!   pages.
 //! * [`event`] — event channels with blocking waits for driver threads.
@@ -20,7 +20,6 @@
 //! * [`xenstore`] — the hierarchical store with real xenstored permission
 //!   semantics, including the Dom0 override that enables the rebinding
 //!   attack the paper's AC1 defends against.
-//! * [`sched`] — a simplified credit scheduler for CPU-time accounting.
 //! * [`clock`] — virtual time, kept separate from wall-clock benchmarks.
 
 pub mod clock;
@@ -32,7 +31,6 @@ pub mod grant;
 pub mod hypervisor;
 pub mod memory;
 pub mod ring;
-pub mod sched;
 pub mod xenstore;
 
 pub use clock::VirtualClock;
@@ -41,8 +39,7 @@ pub use error::{Result, XenError};
 pub use event::{Endpoint, EventChannels, Port};
 pub use fault::RingFault;
 pub use grant::{GrantAccess, GrantRef, GrantTables};
-pub use hypervisor::{DomainImage, DumpEvent, Hypervisor};
+pub use hypervisor::{DumpEvent, Hypervisor};
 pub use memory::{MachineMemory, PageProtection, PAGE_SIZE};
 pub use ring::{ByteRing, PageRegion, RingDir};
-pub use sched::{CreditScheduler, Priority};
-pub use xenstore::{Perms, WatchEvent, XenStore};
+pub use xenstore::{Perms, XenStore};

@@ -6,10 +6,11 @@
 #      then a release build of every target (the examples use APIs
 #      tier-1 does not compile), which must print no `warning:` line,
 #      and the dead-code guard: `scripts/dead_pub_fns.sh` must find no
-#      `pub fn` whose name occurs only in its own definition across
-#      crates/ src/ tests/ examples/ e2ebench/src/ (a deletion that
-#      strands a private helper trips the first check, an API nothing
-#      calls the second), then the end-to-end benchmark's smoke
+#      `pub fn`, and no `pub struct|enum|trait|type|const|static`, whose
+#      name occurs only in its own definition across crates/ src/
+#      tests/ examples/ e2ebench/src/ (a deletion that strands a private
+#      helper trips the first check, an API or constant nothing uses the
+#      second), then the end-to-end benchmark's smoke
 #      tests (`e2ebench/` is its own workspace, so tier-1 cannot see an
 #      API break there), then one 1 s `tenants-64` run: 64 resident
 #      guests, each with its own backend thread blocked on its event
@@ -111,9 +112,9 @@ if grep -q '^warning:' target/all-targets-build.log; then
     exit 1
 fi
 
-echo "== dead code: no pub fn that nothing calls =="
+echo "== dead code: no pub item that nothing uses =="
 if ! dead=$(scripts/dead_pub_fns.sh); then
-    echo "pub fns whose only occurrence is their definition:" >&2
+    echo "pub items whose only occurrence is their definition:" >&2
     echo "$dead" >&2
     exit 1
 fi

@@ -1,17 +1,19 @@
 #!/usr/bin/env bash
-# List every `pub fn` whose name occurs, as a whole word, exactly once
+# List every public item name that occurs, as a whole word, exactly once
 # across the Rust sources of crates/, src/, tests/, examples/ and
-# e2ebench/src/ — that is, only in its own definition. Nothing calls,
-# re-exports or tests such a function. Prints one name per line; exits
-# 1 if it printed any.
+# e2ebench/src/ — that is, only in its own definition. The items are
+# `pub fn`s and the names of `pub struct|enum|trait|type|const|static`
+# declarations. Nothing calls, names, re-exports or tests such an item.
+# Prints one name per line; exits 1 if it printed any.
 #
 # Usage: scripts/dead_pub_fns.sh
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 dirs=(crates src tests examples e2ebench/src)
-dead=$(grep -rhoE --include='*.rs' '\bpub (const |unsafe )*fn [A-Za-z_][A-Za-z0-9_]*' "${dirs[@]}" \
-    | sed -E 's/.* fn //' | sort -u | while read -r name; do
+item='\bpub ((const |unsafe )*fn|struct|enum|trait|type|const|static( mut)?) [A-Za-z_][A-Za-z0-9_]*'
+dead=$(grep -rhoE --include='*.rs' "$item" "${dirs[@]}" \
+    | sed -E 's/.* //' | sort -u | while read -r name; do
         if [ "$(grep -rhow --include='*.rs' -- "$name" "${dirs[@]}" | wc -l)" -le 1 ]; then
             echo "$name"
         fi

@@ -576,6 +576,185 @@ proptest! {
     }
 }
 
+// ---- TPM state snapshots: untrusted bytes, canonical form ----------------------
+
+/// Snapshots of two real TPMs, built once (RSA keygen is too slow
+/// per-case): a fresh unowned one and an owned one with an SRK and a
+/// measured PCR. Each holds no NV area and no counter and is cut before
+/// its NV count, so a case appends the areas and counters it draws.
+fn state_prefixes() -> &'static [Vec<u8>; 2] {
+    use std::sync::OnceLock;
+    use vtpm_xen::tpm12::{DirectTransport, Tpm, TpmClient, TpmConfig};
+    static PREFIXES: OnceLock<[Vec<u8>; 2]> = OnceLock::new();
+    PREFIXES.get_or_init(|| {
+        let cfg = TpmConfig { root_key_bits: 512, ..TpmConfig::default() };
+        let fresh = Tpm::manufacture(b"prop-state-fresh", cfg.clone());
+        let mut owned = Tpm::manufacture(b"prop-state-owned", cfg);
+        {
+            let mut c = TpmClient::new(DirectTransport { tpm: &mut owned, locality: 0 }, b"c");
+            c.startup_clear().unwrap();
+            c.take_ownership(&[1; 20], &[2; 20]).unwrap();
+            c.extend(3, &[0x33; 20]).unwrap();
+        }
+        [fresh, owned].map(|tpm| {
+            let snap = tpm.serialize_state();
+            let (prefix, counts) = snap.split_at(snap.len() - 8);
+            assert_eq!(counts, [0; 8], "no NV area and no counter");
+            prefix.to_vec()
+        })
+    })
+}
+
+/// An NV area: index, the four attribute flags as bits, an optional PCR
+/// binding, and its data.
+type StateArea = (u32, u8, Option<(PcrSelection, [u8; 20])>, Vec<u8>);
+/// A counter: handle, value, auth, label.
+type StateCounter = (u32, u32, [u8; 20], [u8; 4]);
+
+fn state_area() -> impl Strategy<Value = StateArea> {
+    (any::<u32>(), 0u8..16, pcr_binding(), proptest::collection::vec(any::<u8>(), 0..12))
+}
+
+fn state_counter() -> impl Strategy<Value = StateCounter> {
+    use proptest::array::{uniform20, uniform4};
+    (any::<u32>(), any::<u32>(), uniform20(any::<u8>()), uniform4(any::<u8>()))
+}
+
+/// A snapshot in the layout `Tpm::serialize_state` writes: `prefix`, then
+/// the areas and counters in ascending index/handle order, one per index
+/// or handle.
+fn state_snapshot(
+    prefix: &[u8],
+    mut areas: Vec<StateArea>,
+    mut counters: Vec<StateCounter>,
+) -> Vec<u8> {
+    areas.sort_by_key(|a| a.0);
+    areas.dedup_by_key(|a| a.0);
+    counters.sort_by_key(|c| c.0);
+    counters.dedup_by_key(|c| c.0);
+    let mut w = Writer::new();
+    w.bytes(prefix).u32(areas.len() as u32);
+    for (index, flags, binding, data) in &areas {
+        w.u32(*index).u32(data.len() as u32);
+        for bit in 0..4 {
+            w.u8(flags >> bit & 1);
+        }
+        match binding {
+            Some((sel, digest)) => w.u8(1).bytes(&sel.encode()).bytes(digest),
+            None => w.u8(0),
+        };
+        w.sized_u32(data);
+    }
+    w.u32(counters.len() as u32);
+    for (handle, value, auth, label) in &counters {
+        w.u32(*handle).u32(*value).bytes(auth).bytes(label);
+    }
+    w.into_vec()
+}
+
+/// Restore `bytes`; when they decode, they must re-serialize to
+/// themselves.
+fn restore_canonical(bytes: &[u8]) -> Result<bool, TestCaseError> {
+    use vtpm_xen::tpm12::{Tpm, TpmConfig};
+    match Tpm::restore_state(bytes, b"prop-state", TpmConfig::default()) {
+        Ok(tpm) => {
+            prop_assert_eq!(tpm.serialize_state(), bytes.to_vec());
+            Ok(true)
+        }
+        Err(_) => Ok(false),
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// A snapshot in the serialized layout restores and re-serializes to
+    /// the same bytes, unless a counter sits at handle `u32::MAX` (no
+    /// handle can follow it): that one is refused, never a panic.
+    #[test]
+    fn state_restore_roundtrip(
+        owned in any::<bool>(),
+        areas in proptest::collection::vec(state_area(), 0..4),
+        counters in proptest::collection::vec(state_counter(), 0..4),
+    ) {
+        let last_handle = counters.iter().any(|c| c.0 == u32::MAX);
+        let snap = state_snapshot(&state_prefixes()[owned as usize], areas, counters);
+        prop_assert_eq!(restore_canonical(&snap)?, !last_handle);
+    }
+
+    /// Arbitrary bytes never panic the decoder, and whatever decodes is
+    /// canonical. The bytes follow one of three heads (none, the magic,
+    /// or the valid head of a snapshot) and come as big-endian words, half
+    /// of them 0 or 1, so counts and flags often land on values the
+    /// decoder must judge, then up to 3 loose bytes.
+    #[test]
+    fn state_restore_never_panics_on_arbitrary_bytes(
+        head in 0usize..4,
+        words in proptest::collection::vec(
+            (0u32..4, any::<u32>()).prop_map(|(k, w)| if k < 2 { k } else { w }),
+            0..160,
+        ),
+        tail in proptest::collection::vec(any::<u8>(), 0..4),
+    ) {
+        let mut bytes = match head {
+            0 => Vec::new(),
+            1 => b"VTS1".to_vec(),
+            _ => state_prefixes()[head - 2].clone(),
+        };
+        for w in &words {
+            bytes.extend_from_slice(&w.to_be_bytes());
+        }
+        bytes.extend_from_slice(&tail);
+        restore_canonical(&bytes)?;
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(8))]
+
+    /// Canonical form under mutation: each byte of a valid snapshot in
+    /// turn is overwritten with `byte`, and each is deleted; no mutation
+    /// panics, and any that decodes re-serializes byte-identically (so a
+    /// flag byte of 2, a padded key integer or a short PCR selection is
+    /// refused, not normalized).
+    #[test]
+    fn state_restore_is_canonical_under_mutation(
+        owned in any::<bool>(),
+        areas in proptest::collection::vec(state_area(), 0..3),
+        counters in proptest::collection::vec(state_counter(), 0..3),
+        byte in any::<u8>(),
+    ) {
+        let snap = state_snapshot(&state_prefixes()[owned as usize], areas, counters);
+        for at in 0..snap.len() {
+            let mut mutated = snap.clone();
+            mutated[at] = byte;
+            restore_canonical(&mutated)?;
+            mutated.remove(at);
+            restore_canonical(&mutated)?;
+        }
+    }
+
+    /// Framing: every strict prefix of a valid snapshot and the snapshot
+    /// with one trailing byte are refused.
+    #[test]
+    fn state_restore_refuses_truncation_and_a_trailing_byte(
+        owned in any::<bool>(),
+        areas in proptest::collection::vec(state_area(), 0..3),
+        counters in proptest::collection::vec(state_counter(), 0..3),
+        tail in any::<u8>(),
+    ) {
+        let counters: Vec<_> = counters.into_iter().filter(|c| c.0 != u32::MAX).collect();
+        let snap = state_snapshot(&state_prefixes()[owned as usize], areas, counters);
+        prop_assert!(restore_canonical(&snap)?);
+        for cut in 0..snap.len() {
+            prop_assert!(!restore_canonical(&snap[..cut])?);
+        }
+        let mut trailing = snap;
+        trailing.push(tail);
+        prop_assert!(!restore_canonical(&trailing)?);
+    }
+}
+
 // ---- mirror hygiene under random mutation sequences ------------------------------
 
 fn dump_dom0(hv: &vtpm_xen::xen::Hypervisor) -> Vec<u8> {
