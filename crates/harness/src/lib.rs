@@ -500,7 +500,7 @@ impl Scenario for ChaosConfig {
                 let (rec, rec_report) = VtpmManager::recover(Arc::clone(&hv), seed, mgr_cfg.clone())?;
                 let rec = Arc::new(rec);
                 rec.enable_nonce_audit();
-                back = back.rebind(Arc::clone(&rec));
+                back.rebind(Arc::clone(&rec));
                 mgr = rec;
                 report.crash_recoveries += 1;
                 sentinel.observe(StreamEvent::CrashRecovery { host: 0, at_ns: hv.clock.now_ns() });

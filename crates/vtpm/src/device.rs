@@ -9,15 +9,23 @@
 //! Because the ring pages are guest memory mapped into Dom0, every
 //! command and response transits dumpable RAM — the `scrub` flag (part of
 //! the improved configuration) wipes consumed messages behind itself.
+//!
+//! Dom0 runs one tpmback service loop (`TpmBackLoop`) for every guest,
+//! as the paper's manager multiplexes all of its instances: one thread
+//! blocks on Dom0's fired-port queue and serves whichever ring signalled.
+//! Ring service is therefore serial on that thread.
 
+use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
+use std::thread::JoinHandle;
 use std::time::Duration;
 
+use parking_lot::{Mutex, MutexGuard};
 use tpm::Transport;
 use xen_sim::{
-    ByteRing, DomainId, Endpoint, GrantAccess, GrantRef, Hypervisor, PageRegion, Perms,
-    Result as XenResult, RingDir, RingFault, XenError,
+    ByteRing, DomainId, Endpoint, Fired, GrantAccess, GrantRef, Hypervisor, PageRegion, Perms,
+    Port, Result as XenResult, RingDir, RingFault, XenError,
 };
 
 use crate::instance::InstanceId;
@@ -192,8 +200,12 @@ impl TpmFront {
             if std::time::Instant::now() >= deadline {
                 return Err(XenError::BadPort);
             }
-            // Block until the backend signals, then re-check.
-            let _ = self.hv.events.wait(self.port, Duration::from_millis(10))?;
+            // Block on this domain's queue until the backend signals, then
+            // re-check.
+            let fired = self.hv.events.pending(self.domain, Duration::from_millis(10));
+            if fired == Some(Fired::Closed(self.port)) {
+                return Err(XenError::BadPort);
+            }
         }
     }
 
@@ -275,8 +287,8 @@ impl TpmBack {
     /// in the (simulated) kernel and survive a manager-process restart;
     /// only the service behind them is replaced, so the guest's frontend
     /// never reconnects. Pair with [`VtpmManager::recover`].
-    pub fn rebind(self, manager: Arc<VtpmManager>) -> TpmBack {
-        TpmBack { manager, ..self }
+    pub fn rebind(&mut self, manager: Arc<VtpmManager>) {
+        self.manager = manager;
     }
 
     /// Drain and answer every queued request; returns how many were served.
@@ -339,18 +351,89 @@ impl TpmBack {
         }
         Ok(served)
     }
+}
 
-    /// Serve until `shutdown` is set. Designed to run on its own thread.
-    pub fn run(&self, shutdown: &AtomicBool) {
-        while !shutdown.load(Ordering::Relaxed) {
-            match self.hv.events.wait(self.port, Duration::from_millis(10)) {
-                Ok(_) => {
-                    if self.serve_pending().is_err() {
-                        break;
-                    }
+/// How long the loop blocks on Dom0's queue before re-checking its stop
+/// flag.
+const LOOP_POLL: Duration = Duration::from_millis(10);
+
+type Backends = HashMap<Port, TpmBack>;
+
+/// Dom0's one tpmback service loop: owns every registered [`TpmBack`],
+/// keyed by its Dom0 port, and serves each ring whose port fires. The
+/// thread starts with the first registered backend and runs until
+/// [`TpmBackLoop::shutdown`]; a later registration starts it again.
+pub(crate) struct TpmBackLoop {
+    hv: Arc<Hypervisor>,
+    /// The loop serves a ring only while it holds this lock, so holding
+    /// it pauses all ring service.
+    backends: Arc<Mutex<Backends>>,
+    stop: Arc<AtomicBool>,
+    thread: Mutex<Option<JoinHandle<()>>>,
+}
+
+impl TpmBackLoop {
+    pub(crate) fn new(hv: Arc<Hypervisor>) -> Self {
+        Self {
+            hv,
+            backends: Arc::default(),
+            stop: Arc::default(),
+            thread: Mutex::new(None),
+        }
+    }
+
+    /// Hand `back` to the loop, starting the loop thread if it is not
+    /// running.
+    pub(crate) fn register(&self, back: TpmBack) {
+        let mut thread = self.thread.lock();
+        self.backends.lock().insert(back.port.port, back);
+        if thread.is_none() {
+            self.stop.store(false, Ordering::Relaxed);
+            let (hv, backends, stop) =
+                (Arc::clone(&self.hv), Arc::clone(&self.backends), Arc::clone(&self.stop));
+            *thread = Some(std::thread::spawn(move || serve_loop(&hv, &backends, &stop)));
+        }
+    }
+
+    /// Pause ring service for as long as the guard lives. A port that
+    /// fires meanwhile stays queued and is served after the guard drops.
+    pub(crate) fn pause(&self) -> MutexGuard<'_, Backends> {
+        self.backends.lock()
+    }
+
+    /// Stop the loop thread and drop every backend. Idempotent.
+    pub(crate) fn shutdown(&self) {
+        let mut thread = self.thread.lock();
+        if let Some(handle) = thread.take() {
+            self.stop.store(true, Ordering::Relaxed);
+            let _ = handle.join();
+        }
+        self.backends.lock().clear();
+    }
+}
+
+impl Drop for TpmBackLoop {
+    fn drop(&mut self) {
+        self.shutdown();
+    }
+}
+
+/// The loop body. A ring whose channel closed, whose grants were revoked,
+/// or whose service failed loses its backend; every other ring is still
+/// served.
+fn serve_loop(hv: &Hypervisor, backends: &Mutex<Backends>, stop: &AtomicBool) {
+    while !stop.load(Ordering::Relaxed) {
+        match hv.events.pending(DomainId::DOM0, LOOP_POLL) {
+            Some(Fired::Event(ep)) => {
+                let mut backends = backends.lock();
+                if backends.get(&ep.port).is_some_and(|back| back.serve_pending().is_err()) {
+                    backends.remove(&ep.port);
                 }
-                Err(_) => break, // channel closed: frontend gone
             }
+            Some(Fired::Closed(ep)) => {
+                backends.lock().remove(&ep.port);
+            }
+            None => {}
         }
     }
 }
@@ -385,26 +468,26 @@ mod tests {
         (guest, front, back)
     }
 
+    /// Dom0's loop serving `backs`, so the frontend's blocking wait is
+    /// exercised for real.
+    fn serve(hv: &Arc<Hypervisor>, backs: impl IntoIterator<Item = TpmBack>) -> TpmBackLoop {
+        let lp = TpmBackLoop::new(Arc::clone(hv));
+        backs.into_iter().for_each(|b| lp.register(b));
+        lp
+    }
+
     #[test]
     fn end_to_end_startup_over_ring() {
         let (hv, mgr) = platform();
         let (_guest, mut front, back) = launch(&hv, &mgr, "g1");
-
-        // Drive the backend on a thread so the frontend's blocking wait is
-        // exercised for real.
-        let shutdown = Arc::new(AtomicBool::new(false));
-        let sd = Arc::clone(&shutdown);
-        let t = std::thread::spawn(move || {
-            back.run(&sd);
-        });
+        let lp = serve(&hv, [back]);
 
         let mut client = TpmClient::new(&mut front, b"guest-client");
         client.startup_clear().unwrap();
         let random = client.get_random(16).unwrap();
         assert_eq!(random.len(), 16);
 
-        shutdown.store(true, Ordering::Relaxed);
-        t.join().unwrap();
+        lp.shutdown();
         assert_eq!(mgr.stats_snapshot().handled, 2);
     }
 
@@ -421,16 +504,8 @@ mod tests {
         let (_g1, mut f1, b1) = launch(&hv, &mgr, "g1");
         let (_g2, mut f2, b2) = launch(&hv, &mgr, "g2");
         assert_ne!(f1.instance, f2.instance);
-
-        let shutdown = Arc::new(AtomicBool::new(false));
-        let t1 = {
-            let sd = Arc::clone(&shutdown);
-            std::thread::spawn(move || b1.run(&sd))
-        };
-        let t2 = {
-            let sd = Arc::clone(&shutdown);
-            std::thread::spawn(move || b2.run(&sd))
-        };
+        // One loop serves both rings.
+        let _lp = serve(&hv, [b1, b2]);
 
         let mut c1 = TpmClient::new(&mut f1, b"c1");
         let mut c2 = TpmClient::new(&mut f2, b"c2");
@@ -442,10 +517,6 @@ mod tests {
         let v2 = c2.pcr_read(0).unwrap();
         assert_ne!(v1, v2);
         assert_eq!(v2, [0; 20]);
-
-        shutdown.store(true, Ordering::Relaxed);
-        t1.join().unwrap();
-        t2.join().unwrap();
     }
 
     #[test]
@@ -491,16 +562,11 @@ mod tests {
         let (_g, mut front, back) = launch(&hv, &mgr, "g1");
         front.set_credential(b"guest-credential".to_vec());
         assert!(front.has_credential());
-
-        let shutdown = Arc::new(AtomicBool::new(false));
-        let sd = Arc::clone(&shutdown);
-        let t = std::thread::spawn(move || back.run(&sd));
+        let _lp = serve(&hv, [back]);
 
         // StockHook ignores tags, so tagged traffic still succeeds.
         let mut client = TpmClient::new(&mut front, b"c");
         client.startup_clear().unwrap();
-        shutdown.store(true, Ordering::Relaxed);
-        t.join().unwrap();
     }
 
     #[test]
@@ -508,10 +574,7 @@ mod tests {
         let (hv, mgr) = platform();
         let (_g, mut front, back) = launch(&hv, &mgr, "g1");
         front.timeout = Duration::from_millis(300);
-
-        let shutdown = Arc::new(AtomicBool::new(false));
-        let sd = Arc::clone(&shutdown);
-        let t = std::thread::spawn(move || back.run(&sd));
+        let _lp = serve(&hv, [back]);
 
         let mut client = TpmClient::new(&mut front, b"c");
         client.startup_clear().unwrap();
@@ -524,19 +587,13 @@ mod tests {
         // creates on real hardware.
         let v = client.pcr_read(2).unwrap();
         assert_ne!(v, [0u8; 20]);
-
-        shutdown.store(true, Ordering::Relaxed);
-        t.join().unwrap();
     }
 
     #[test]
     fn duplicated_response_is_dropped_as_stale() {
         let (hv, mgr) = platform();
         let (_g, mut front, back) = launch(&hv, &mgr, "g1");
-
-        let shutdown = Arc::new(AtomicBool::new(false));
-        let sd = Arc::clone(&shutdown);
-        let t = std::thread::spawn(move || back.run(&sd));
+        let _lp = serve(&hv, [back]);
 
         let mut client = TpmClient::new(&mut front, b"c");
         client.startup_clear().unwrap();
@@ -548,9 +605,6 @@ mod tests {
         let v = client.pcr_read(1).unwrap();
         assert_ne!(v, [0u8; 20]);
         assert_eq!(v, client.pcr_read(1).unwrap());
-
-        shutdown.store(true, Ordering::Relaxed);
-        t.join().unwrap();
     }
 
     #[test]
@@ -574,42 +628,46 @@ mod tests {
     fn rebind_survives_manager_restart() {
         let (hv, mgr) = platform();
         let (_g, mut front, back) = launch(&hv, &mgr, "g1");
+        let lp = serve(&hv, [back]);
+        let mut client = TpmClient::new(&mut front, b"c");
+        client.startup_clear().unwrap();
+        client.extend(4, &[0x33; 20]).unwrap();
 
+        // Manager process dies; recover from Dom0 frames and re-point the
+        // surviving backend at the new manager while ring service pauses.
         {
-            let shutdown = Arc::new(AtomicBool::new(false));
-            let sd = Arc::clone(&shutdown);
-            let t = std::thread::spawn(move || {
-                back.run(&sd);
-                back
-            });
-            let mut client = TpmClient::new(&mut front, b"c");
-            client.startup_clear().unwrap();
-            client.extend(4, &[0x33; 20]).unwrap();
-            shutdown.store(true, Ordering::Relaxed);
-            let back = t.join().unwrap();
-
-            // Manager process dies; recover from Dom0 frames and re-point
-            // the surviving backend at the new manager.
+            let mut backends = lp.pause();
             drop(mgr);
-            let (rec, report) = VtpmManager::recover(
-                Arc::clone(&hv),
-                b"device-test",
-                ManagerConfig::default(),
-            )
-            .unwrap();
+            let (rec, report) =
+                VtpmManager::recover(Arc::clone(&hv), b"device-test", ManagerConfig::default())
+                    .unwrap();
             assert_eq!(report.resumed.len(), 1);
-            let back = back.rebind(Arc::new(rec));
+            let rec = Arc::new(rec);
+            backends.values_mut().for_each(|b| b.rebind(Arc::clone(&rec)));
+        }
+        // Same frontend, same ring, same channel: the guest resumes where
+        // it left off, state intact.
+        let v = client.pcr_read(4).unwrap();
+        assert_ne!(v, [0u8; 20]);
+    }
 
-            let shutdown = Arc::new(AtomicBool::new(false));
-            let sd = Arc::clone(&shutdown);
-            let t = std::thread::spawn(move || back.run(&sd));
-            // Same frontend, same ring, same channel: the guest resumes
-            // where it left off, state intact.
-            let mut client = TpmClient::new(&mut front, b"c");
-            let v = client.pcr_read(4).unwrap();
-            assert_ne!(v, [0u8; 20]);
-            shutdown.store(true, Ordering::Relaxed);
-            t.join().unwrap();
+    #[test]
+    fn a_failed_ring_loses_only_its_backend() {
+        let (hv, mgr) = platform();
+        let (_ga, mut fa, ba) = launch(&hv, &mgr, "a");
+        let (_gb, mut fb, bb) = launch(&hv, &mgr, "b");
+        let lp = serve(&hv, [ba, bb]);
+        fa.timeout = Duration::from_millis(200);
+        hv.inject_ring_fault(xen_sim::RingFault::RevokeGrants);
+        assert!(TpmClient::new(&mut fa, b"a").startup_clear().is_err());
+        TpmClient::new(&mut fb, b"b").startup_clear().unwrap();
+        assert_eq!(lp.pause().len(), 1, "the revoked ring's backend is gone");
+        // A closed channel also drops its backend.
+        fb.disconnect();
+        let deadline = std::time::Instant::now() + Duration::from_secs(5);
+        while !lp.pause().is_empty() {
+            assert!(std::time::Instant::now() < deadline, "closed ring still registered");
+            std::thread::sleep(Duration::from_millis(1));
         }
     }
 

@@ -21,6 +21,9 @@
 //!                                     hardware TPM (seals master key)
 //! ```
 //!
+//! Dom0 serves every guest's ring from one tpmback loop (see [`device`]),
+//! woken by Dom0's fired-port event queue.
+//!
 //! The crate exposes the [`hook::AccessHook`] seam: the manager consults
 //! it before dispatching every request. [`hook::StockHook`] (allow
 //! everything) is the baseline; the `vtpm-ac` crate implements the

@@ -282,6 +282,11 @@ impl VtpmManager {
         *self.hook.write() = hook;
     }
 
+    /// The active hook (a manager restart re-installs it).
+    pub(crate) fn hook(&self) -> Arc<dyn AccessHook> {
+        Arc::clone(&self.hook.read())
+    }
+
     /// Name of the active hook.
     pub fn hook_name(&self) -> String {
         self.hook.read().name().to_string()

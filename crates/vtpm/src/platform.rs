@@ -1,5 +1,5 @@
 //! The assembled platform: hypervisor + hardware TPM + vTPM manager +
-//! per-guest devices, with backend threads running.
+//! per-guest devices, served by Dom0's one tpmback loop.
 //!
 //! This is the top-level object examples, experiments, and attacks work
 //! against. [`Platform::baseline`] is the stock Xen vTPM system;
@@ -7,9 +7,7 @@
 //! the mechanism layer (encrypted mirror, ring scrubbing) and is where
 //! the `vtpm-ac` crate installs its hook and credentials.
 
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use std::thread::JoinHandle;
 
 use parking_lot::Mutex;
 
@@ -18,7 +16,7 @@ use tpm_crypto::drbg::Drbg;
 use tpm_crypto::rsa::RsaPublicKey;
 use xen_sim::{DomainConfig, DomainId, Hypervisor, Result as XenResult, XenError};
 
-use crate::device::{provision_device, TpmBack, TpmFront};
+use crate::device::{provision_device, TpmBack, TpmBackLoop, TpmFront};
 use crate::instance::{InstanceId, VtpmInstance};
 use crate::manager::{ManagerConfig, VtpmManager};
 use crate::migration::{self, MigrationPackage};
@@ -28,11 +26,6 @@ use crate::mirror::MirrorMode;
 pub const HW_OWNER_AUTH: [u8; 20] = [0x11; 20];
 /// Well-known hardware-TPM SRK auth for simulated platforms.
 pub const HW_SRK_AUTH: [u8; 20] = [0x22; 20];
-
-struct BackendThread {
-    shutdown: Arc<AtomicBool>,
-    handle: Option<JoinHandle<()>>,
-}
 
 /// The hardware attestation identity key, created lazily.
 struct HwAik {
@@ -68,7 +61,8 @@ pub struct Platform {
     pub manager: Arc<VtpmManager>,
     /// Whether devices are provisioned with ring scrubbing.
     pub scrub_rings: bool,
-    backends: Mutex<Vec<BackendThread>>,
+    /// Dom0's tpmback loop, serving every guest's ring.
+    backends: TpmBackLoop,
     seed: Vec<u8>,
     hw_aik: Mutex<Option<HwAik>>,
     registration_log: Mutex<Vec<[u8; 20]>>,
@@ -95,11 +89,11 @@ impl Platform {
         }
         let manager = Arc::new(VtpmManager::new(Arc::clone(&hv), seed, cfg)?);
         Ok(Platform {
+            backends: TpmBackLoop::new(Arc::clone(&hv)),
             hv,
             hw_tpm: Arc::new(Mutex::new(hw)),
             manager,
             scrub_rings,
-            backends: Mutex::new(Vec::new()),
             seed: seed.to_vec(),
             hw_aik: Mutex::new(None),
             registration_log: Mutex::new(Vec::new()),
@@ -129,8 +123,8 @@ impl Platform {
         )
     }
 
-    /// Launch a guest VM with a provisioned, connected vTPM device and a
-    /// serving backend thread.
+    /// Launch a guest VM with a provisioned, connected vTPM device whose
+    /// backend is registered with Dom0's tpmback loop.
     pub fn launch_guest(&self, name: &str) -> XenResult<Guest> {
         let domain = self.hv.create_domain(
             DomainId::DOM0,
@@ -142,11 +136,7 @@ impl Platform {
         front.scrub = self.scrub_rings;
         let mut back = TpmBack::connect(Arc::clone(&self.hv), Arc::clone(&self.manager), domain)?;
         back.scrub = self.scrub_rings;
-
-        let shutdown = Arc::new(AtomicBool::new(false));
-        let sd = Arc::clone(&shutdown);
-        let handle = std::thread::spawn(move || back.run(&sd));
-        self.backends.lock().push(BackendThread { shutdown, handle: Some(handle) });
+        self.backends.register(back);
 
         // Register the instance's identity with the hardware TPM for deep
         // attestation: extend its EK digest into the binding PCR and log it.
@@ -297,43 +287,43 @@ impl Platform {
         &self.seed
     }
 
-    /// Simulate a Dom0 vTPM-manager crash + restart: stop the backends,
-    /// drop the in-memory manager, and rebuild one from the mirror frames
-    /// alone ([`VtpmManager::recover`]). Volatile per-instance flags (the
-    /// migration quiesce bit) do not survive — callers holding durable
-    /// migration state must re-assert them.
+    /// Simulate a Dom0 vTPM-manager crash + restart: drop the in-memory
+    /// manager, rebuild one from the mirror frames alone
+    /// ([`VtpmManager::recover`]) with the same access hook installed,
+    /// and [`TpmBack::rebind`] every backend to it, so launched guests
+    /// keep their rings and are served again under the same policy.
+    /// Ring service is paused throughout: no request reaches the dropped
+    /// manager, and none reaches the recovered one before every backend
+    /// points at it; it resumes as this returns. If recovery fails, the
+    /// backends are dropped. Volatile per-instance flags (the migration
+    /// quiesce bit) do not survive — callers holding durable migration
+    /// state must re-assert them.
     pub fn recover_manager(&mut self) -> XenResult<crate::manager::RecoveryReport> {
-        self.shutdown();
-        let (mgr, report) = VtpmManager::recover(
-            Arc::clone(&self.hv),
-            &self.seed,
-            self.manager.config().clone(),
-        )?;
+        let mut backends = self.backends.pause();
+        let recovered =
+            VtpmManager::recover(Arc::clone(&self.hv), &self.seed, self.manager.config().clone());
+        let (mgr, report) = match recovered {
+            Ok(r) => r,
+            Err(e) => {
+                backends.clear();
+                return Err(e);
+            }
+        };
         // Publish the recovered manager. Existing Arc clones of the old
         // manager keep their dead view, exactly like stale handles into
         // a crashed daemon.
-        self.manager = Arc::new(mgr);
+        mgr.set_hook(self.manager.hook());
+        let mgr = Arc::new(mgr);
+        backends.values_mut().for_each(|b| b.rebind(Arc::clone(&mgr)));
+        drop(backends);
+        self.manager = mgr;
         Ok(report)
     }
 
-    /// Stop every backend thread (also done on drop).
+    /// Stop ring service and drop every backend (also done on drop).
+    /// Guests launched later are served again.
     pub fn shutdown(&self) {
-        let mut backends = self.backends.lock();
-        for b in backends.iter() {
-            b.shutdown.store(true, Ordering::Relaxed);
-        }
-        for b in backends.iter_mut() {
-            if let Some(h) = b.handle.take() {
-                let _ = h.join();
-            }
-        }
-        backends.clear();
-    }
-}
-
-impl Drop for Platform {
-    fn drop(&mut self) {
-        self.shutdown();
+        self.backends.shutdown();
     }
 }
 
@@ -532,6 +522,15 @@ mod tests {
         // The hardware PCR matches the replayed log.
         let hw_pcr = p.hw_tpm.lock().pcrs().read(deep_quote::BINDING_PCR).unwrap();
         assert_eq!(deep_quote::replay_log(&log), hw_pcr);
+    }
+
+    #[test]
+    fn launch_after_shutdown_is_served_again() {
+        let p = Platform::baseline(b"plat-relaunch").unwrap();
+        let _g = p.launch_guest("a").unwrap();
+        p.shutdown();
+        let mut g = p.launch_guest("b").unwrap();
+        g.client(b"c").startup_clear().unwrap();
     }
 
     #[test]

@@ -1,22 +1,27 @@
 //! Event channels: Xen's virtual-interrupt primitive. The split driver
 //! signals "request produced" / "response produced" over an interdomain
-//! channel; workers block on their local port.
+//! channel.
 //!
 //! The simulator implements the three-step Xen dance: the backend
 //! allocates an *unbound* port naming the peer, the peer *binds* to it to
 //! complete the interdomain pair, and thereafter `notify` on either end
 //! raises the pending flag on the other end.
 //!
-//! Waiting is per port, as Xen delivers an upcall only to the vCPU bound
-//! to the signalled port: every port record owns its own condvar, used
-//! under the table mutex. `notify` wakes only the remote port's waiter,
-//! `close` only the two ends it closes, and `purge_domain` only the ports
-//! it removes and their peers. A host with many idle backends therefore
-//! pays one wake-up per event, not one per backend.
+//! Delivery is per domain, like one libxenevtchn handle that has every
+//! port of the domain bound: a notify raises the remote port's pending
+//! flag and, on the rising edge only, appends the port to its domain's
+//! fired-port queue, so repeated notifies coalesce into one entry until
+//! [`EventChannels::pending`] hands the port out (the analogue of
+//! `xenevtchn_pending()` plus unmask). Each domain has one wake-up path:
+//! a notify wakes the domain's waiter only if one is blocked, and only
+//! after the table lock is dropped. Dom0's tpmback loop serves every
+//! guest ring from one such queue; a guest frontend waits on its own
+//! domain's queue. `close` and `purge_domain` queue the ends they kill,
+//! which `pending` reports as [`Fired::Closed`].
 
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use parking_lot::{Condvar, Mutex};
 
@@ -35,6 +40,16 @@ pub struct Endpoint {
     pub port: Port,
 }
 
+/// A port handed out by [`EventChannels::pending`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Fired {
+    /// An event arrived; the port's pending flag is consumed, so the next
+    /// notify queues it again.
+    Event(Endpoint),
+    /// The port's channel was closed or its domain purged. Reported once.
+    Closed(Endpoint),
+}
+
 #[derive(Debug)]
 enum ChannelState {
     /// Allocated by `owner` for `peer` to bind to.
@@ -47,30 +62,68 @@ enum ChannelState {
 
 struct PortRecord {
     state: ChannelState,
+    /// Set by a notify or a close. While set, the port sits in its
+    /// domain's fired queue exactly once; `pending` clears it for an open
+    /// port and leaves it set on a closed one, which is never queued again.
     pending: bool,
-    /// Waiters blocked in [`EventChannels::wait`] on this port.
-    waiter: Arc<Condvar>,
-    /// Times a waiter on this port returned from its condvar.
-    #[cfg(test)]
-    wakes: u32,
 }
 
-impl PortRecord {
-    fn new(state: ChannelState) -> Self {
-        Self {
-            state,
-            pending: false,
-            waiter: Arc::default(),
-            #[cfg(test)]
-            wakes: 0,
-        }
-    }
+/// One domain's event state.
+#[derive(Default)]
+struct DomainEvents {
+    next_port: Port,
+    /// Ports whose pending flag rose, oldest first.
+    fired: VecDeque<Port>,
+    /// Waiters blocked in [`EventChannels::pending`] on this domain.
+    blocked: u32,
+    wake: Arc<Condvar>,
+    /// Times a waiter on this domain returned from its condvar.
+    #[cfg(test)]
+    wakes: u32,
 }
 
 #[derive(Default)]
 struct Inner {
     ports: HashMap<Endpoint, PortRecord>,
-    next_port: HashMap<DomainId, Port>,
+    domains: HashMap<DomainId, DomainEvents>,
+}
+
+impl Inner {
+    fn alloc_port(&mut self, domain: DomainId, state: ChannelState) -> Endpoint {
+        let d = self.domains.entry(domain).or_default();
+        d.next_port += 1;
+        let ep = Endpoint { domain, port: d.next_port };
+        self.ports.insert(ep, PortRecord { state, pending: false });
+        ep
+    }
+
+    /// Raise `ep`'s pending flag and, on the rising edge, queue it on its
+    /// domain. Returns the domain's condvar when a waiter is blocked on
+    /// it, to be notified once the table lock is dropped.
+    fn fire(&mut self, ep: Endpoint) -> Option<Arc<Condvar>> {
+        let rec = self.ports.get_mut(&ep)?;
+        if std::mem::replace(&mut rec.pending, true) {
+            return None;
+        }
+        let d = self.domains.entry(ep.domain).or_default();
+        d.fired.push_back(ep.port);
+        (d.blocked > 0).then(|| Arc::clone(&d.wake))
+    }
+
+    /// Mark `local` closed and, if it was bound, its remote end too,
+    /// queueing each newly closed end. Returns the condvars to notify.
+    fn close(&mut self, local: Endpoint) -> Option<Vec<Arc<Condvar>>> {
+        let rec = self.ports.get_mut(&local)?;
+        let state = std::mem::replace(&mut rec.state, ChannelState::Closed);
+        let mut wake: Vec<_> = self.fire(local).into_iter().collect();
+        if let ChannelState::Bound { remote } = state {
+            if let Some(rrec) = self.ports.get_mut(&remote) {
+                rrec.state = ChannelState::Closed;
+                wake.extend(self.fire(remote));
+            }
+        }
+        Some(wake)
+    }
 }
 
 /// The host-wide event-channel table. Clone-able handle (Arc inside).
@@ -85,19 +138,9 @@ impl EventChannels {
         Self::default()
     }
 
-    fn alloc_port(inner: &mut Inner, domain: DomainId) -> Endpoint {
-        let counter = inner.next_port.entry(domain).or_insert(1);
-        let port = *counter;
-        *counter += 1;
-        Endpoint { domain, port }
-    }
-
     /// Allocate an unbound port on `owner` that only `peer` may bind.
     pub fn alloc_unbound(&self, owner: DomainId, peer: DomainId) -> Endpoint {
-        let mut inner = self.inner.lock();
-        let ep = Self::alloc_port(&mut inner, owner);
-        inner.ports.insert(ep, PortRecord::new(ChannelState::Unbound { peer }));
-        ep
+        self.inner.lock().alloc_port(owner, ChannelState::Unbound { peer })
     }
 
     /// `binder` connects a new local port to the remote unbound port,
@@ -108,8 +151,7 @@ impl EventChannels {
             Some(PortRecord { state: ChannelState::Unbound { peer }, .. }) if *peer == binder => {}
             _ => return Err(XenError::BadPort),
         }
-        let local = Self::alloc_port(&mut inner, binder);
-        inner.ports.insert(local, PortRecord::new(ChannelState::Bound { remote }));
+        let local = inner.alloc_port(binder, ChannelState::Bound { remote });
         let rec = inner.ports.get_mut(&remote).expect("checked above");
         rec.state = ChannelState::Bound { remote: local };
         Ok(local)
@@ -122,88 +164,77 @@ impl EventChannels {
             Some(PortRecord { state: ChannelState::Bound { remote }, .. }) => *remote,
             _ => return Err(XenError::BadPort),
         };
-        let rec = inner.ports.get_mut(&remote).ok_or(XenError::BadPort)?;
-        rec.pending = true;
-        let waiter = Arc::clone(&rec.waiter);
+        // A bound port's remote record exists: purging a domain closes
+        // the peers of the ports it removes.
+        let wake = inner.fire(remote);
         drop(inner);
-        waiter.notify_all();
+        if let Some(w) = wake {
+            w.notify_all();
+        }
         Ok(())
     }
 
-    /// Consume the pending flag on `local`, returning whether it was set.
-    pub fn poll(&self, local: Endpoint) -> Result<bool> {
+    /// Hand out the next fired port of `domain`, blocking until one fires
+    /// or `timeout` elapses (`None`). An open port's pending flag is
+    /// consumed here, so a notify that lands while the caller serves the
+    /// port queues it again and is never lost.
+    pub fn pending(&self, domain: DomainId, timeout: Duration) -> Option<Fired> {
+        let mut deadline = None;
         let mut inner = self.inner.lock();
-        let rec = inner.ports.get_mut(&local).ok_or(XenError::BadPort)?;
-        let was = rec.pending;
-        rec.pending = false;
-        Ok(was)
-    }
-
-    /// Block until an event is pending on `local` (consuming it), or until
-    /// `timeout` elapses. Returns whether an event arrived.
-    pub fn wait(&self, local: Endpoint, timeout: Duration) -> Result<bool> {
-        let mut inner = self.inner.lock();
-        let deadline = std::time::Instant::now() + timeout;
+        let mut timed_out = false;
         loop {
-            let rec = inner.ports.get_mut(&local).ok_or(XenError::BadPort)?;
-            if rec.pending {
-                rec.pending = false;
-                return Ok(true);
+            let Inner { ports, domains } = &mut *inner;
+            let d = domains.entry(domain).or_default();
+            if let Some(port) = d.fired.pop_front() {
+                let ep = Endpoint { domain, port };
+                return Some(match ports.get_mut(&ep) {
+                    Some(rec) if !matches!(rec.state, ChannelState::Closed) => {
+                        rec.pending = false;
+                        Fired::Event(ep)
+                    }
+                    _ => Fired::Closed(ep),
+                });
             }
-            if matches!(rec.state, ChannelState::Closed) {
-                return Err(XenError::BadPort);
+            if timed_out {
+                return None;
             }
-            let waiter = Arc::clone(&rec.waiter);
-            if waiter.wait_until(&mut inner, deadline).timed_out() {
-                return Ok(false);
-            }
+            d.blocked += 1;
+            let wake = Arc::clone(&d.wake);
+            let deadline = *deadline.get_or_insert_with(|| Instant::now() + timeout);
+            timed_out = wake.wait_until(&mut inner, deadline).timed_out();
+            let d = inner.domains.get_mut(&domain).expect("domain records are never removed");
+            d.blocked -= 1;
             #[cfg(test)]
-            if let Some(rec) = inner.ports.get_mut(&local) {
-                rec.wakes += 1;
+            {
+                d.wakes += 1;
             }
         }
     }
 
-    /// Mark `local` closed and, if it was bound, its remote end too.
-    /// Returns the waiters of every end it closed, to be woken once the
-    /// table lock is dropped.
-    fn close_locked(inner: &mut Inner, local: Endpoint) -> Option<Vec<Arc<Condvar>>> {
-        let rec = inner.ports.get_mut(&local)?;
-        let state = std::mem::replace(&mut rec.state, ChannelState::Closed);
-        let mut waiters = vec![Arc::clone(&rec.waiter)];
-        if let ChannelState::Bound { remote } = state {
-            if let Some(rrec) = inner.ports.get_mut(&remote) {
-                rrec.state = ChannelState::Closed;
-                waiters.push(Arc::clone(&rrec.waiter));
-            }
-        }
-        Some(waiters)
-    }
-
-    /// Close `local`, marking both ends dead. Waiters on either end are
-    /// woken and see [`XenError::BadPort`].
+    /// Close `local`, marking both ends dead. Each end is queued on its
+    /// domain, whose waiter is woken and sees [`Fired::Closed`].
     pub fn close(&self, local: Endpoint) -> Result<()> {
         let mut inner = self.inner.lock();
-        let waiters = Self::close_locked(&mut inner, local).ok_or(XenError::BadPort)?;
+        let wake = inner.close(local).ok_or(XenError::BadPort)?;
         drop(inner);
-        waiters.iter().for_each(|w| w.notify_all());
+        wake.iter().for_each(|w| w.notify_all());
         Ok(())
     }
 
-    /// Tear down every port owned by `domain` (domain destruction).
-    /// Waiters on the removed ports and on their peers are woken and see
-    /// [`XenError::BadPort`].
+    /// Tear down every port owned by `domain` (domain destruction). The
+    /// removed ports and their peers are queued as [`Fired::Closed`], and
+    /// the waiters of both domains are woken.
     pub fn purge_domain(&self, domain: DomainId) {
         let mut inner = self.inner.lock();
         let locals: Vec<Endpoint> =
             inner.ports.keys().filter(|ep| ep.domain == domain).copied().collect();
-        let mut waiters = Vec::new();
+        let mut wake = Vec::new();
         for local in locals {
-            waiters.extend(Self::close_locked(&mut inner, local).into_iter().flatten());
+            wake.extend(inner.close(local).into_iter().flatten());
             inner.ports.remove(&local);
         }
         drop(inner);
-        waiters.iter().for_each(|w| w.notify_all());
+        wake.iter().for_each(|w| w.notify_all());
     }
 }
 
@@ -214,25 +245,28 @@ mod tests {
     const D0: DomainId = DomainId::DOM0;
     const D1: DomainId = DomainId(1);
     const D2: DomainId = DomainId(2);
+    const NOW: Duration = Duration::ZERO;
 
-    fn pair(ev: &EventChannels) -> (Endpoint, Endpoint) {
-        let back = ev.alloc_unbound(D0, D1);
-        let front = ev.bind_interdomain(D1, back).unwrap();
+    fn pair(ev: &EventChannels, guest: DomainId) -> (Endpoint, Endpoint) {
+        let back = ev.alloc_unbound(D0, guest);
+        let front = ev.bind_interdomain(guest, back).unwrap();
         (back, front)
     }
 
     #[test]
     fn notify_sets_remote_pending() {
         let ev = EventChannels::new();
-        let (back, front) = pair(&ev);
-        assert!(!ev.poll(front).unwrap());
+        let (back, front) = pair(&ev, D1);
+        assert_eq!(ev.pending(D1, NOW), None);
         ev.notify(back).unwrap();
-        assert!(ev.poll(front).unwrap());
+        assert_eq!(ev.pending(D1, NOW), Some(Fired::Event(front)));
         // Consumed.
-        assert!(!ev.poll(front).unwrap());
+        assert_eq!(ev.pending(D1, NOW), None);
+        // The notifier's own domain saw nothing.
+        assert_eq!(ev.pending(D0, NOW), None);
         // And the reverse direction.
         ev.notify(front).unwrap();
-        assert!(ev.poll(back).unwrap());
+        assert_eq!(ev.pending(D0, NOW), Some(Fired::Event(back)));
     }
 
     #[test]
@@ -256,25 +290,23 @@ mod tests {
     #[test]
     fn wait_returns_on_notify() {
         let ev = EventChannels::new();
-        let (back, front) = pair(&ev);
-        let ev2 = ev.clone();
-        let t = std::thread::spawn(move || ev2.wait(front, Duration::from_secs(5)));
-        std::thread::sleep(Duration::from_millis(20));
+        let (back, front) = pair(&ev, D1);
+        let t = blocked_waiter(&ev, D1);
         ev.notify(back).unwrap();
-        assert_eq!(t.join().unwrap().unwrap(), true);
+        assert_eq!(t.join().unwrap().0, Some(Fired::Event(front)));
     }
 
     #[test]
     fn wait_times_out() {
         let ev = EventChannels::new();
-        let (_back, front) = pair(&ev);
-        assert_eq!(ev.wait(front, Duration::from_millis(20)).unwrap(), false);
+        let _ = pair(&ev, D1);
+        assert_eq!(ev.pending(D1, Duration::from_millis(20)), None);
     }
 
     #[test]
     fn close_propagates() {
         let ev = EventChannels::new();
-        let (back, front) = pair(&ev);
+        let (back, front) = pair(&ev, D1);
         ev.close(front).unwrap();
         assert_eq!(ev.notify(back), Err(XenError::BadPort));
     }
@@ -282,82 +314,123 @@ mod tests {
     #[test]
     fn purge_kills_peer_channels() {
         let ev = EventChannels::new();
-        let (back, _front) = pair(&ev);
+        let (back, _front) = pair(&ev, D1);
         ev.purge_domain(D1);
         assert_eq!(ev.notify(back), Err(XenError::BadPort));
     }
 
-    fn wakes(ev: &EventChannels, ep: Endpoint) -> u32 {
-        ev.inner.lock().ports[&ep].wakes
+    #[test]
+    fn events_coalesce() {
+        let ev = EventChannels::new();
+        let (back, front) = pair(&ev, D1);
+        // Three notifies, one queue entry: Xen's coalescing.
+        for _ in 0..3 {
+            ev.notify(back).unwrap();
+        }
+        assert_eq!(ev.inner.lock().domains[&D1].fired.len(), 1);
+        assert_eq!(ev.pending(D1, NOW), Some(Fired::Event(front)));
+        assert_eq!(ev.pending(D1, NOW), None);
+        // Once consumed, the next notify queues the port again: a notify
+        // that lands while the waiter serves the port is not lost.
+        ev.notify(back).unwrap();
+        assert_eq!(ev.pending(D1, NOW), Some(Fired::Event(front)));
     }
 
-    /// Block `ep`'s waiter in a thread and return it once it is parked on
-    /// the port's condvar (it holds a clone of the waiter only while
-    /// blocked, and takes it under the table lock).
+    #[test]
+    fn one_domain_queue_multiplexes_every_port_in_firing_order() {
+        let ev = EventChannels::new();
+        let (back_a, front_a) = pair(&ev, D1);
+        let (back_b, front_b) = pair(&ev, D2);
+        ev.notify(front_b).unwrap();
+        ev.notify(front_a).unwrap();
+        ev.notify(front_b).unwrap();
+        assert_eq!(ev.pending(D0, NOW), Some(Fired::Event(back_b)));
+        assert_eq!(ev.pending(D0, NOW), Some(Fired::Event(back_a)));
+        assert_eq!(ev.pending(D0, NOW), None);
+    }
+
+    fn wakes(ev: &EventChannels, domain: DomainId) -> u32 {
+        ev.inner.lock().domains.get(&domain).map_or(0, |d| d.wakes)
+    }
+
+    /// Block a waiter on `domain`'s queue in a thread and return it once
+    /// it is parked on the domain's condvar.
     fn blocked_waiter(
         ev: &EventChannels,
-        ep: Endpoint,
-    ) -> std::thread::JoinHandle<(Result<bool>, Duration)> {
+        domain: DomainId,
+    ) -> std::thread::JoinHandle<(Option<Fired>, Duration)> {
         let ev2 = ev.clone();
         let t = std::thread::spawn(move || {
-            let start = std::time::Instant::now();
-            (ev2.wait(ep, Duration::from_secs(5)), start.elapsed())
+            let start = Instant::now();
+            (ev2.pending(domain, Duration::from_secs(5)), start.elapsed())
         });
-        while Arc::strong_count(&ev.inner.lock().ports[&ep].waiter) < 2 {
+        while ev.inner.lock().domains.get(&domain).map_or(0, |d| d.blocked) == 0 {
             std::thread::yield_now();
         }
         t
     }
 
     #[test]
-    fn notify_wakes_only_the_remote_port() {
+    fn notify_wakes_only_the_remote_domain() {
         let ev = EventChannels::new();
-        let (back_a, _front_a) = pair(&ev);
-        let back_b = ev.alloc_unbound(D0, D2);
-        let front_b = ev.bind_interdomain(D2, back_b).unwrap();
-        let t = blocked_waiter(&ev, front_b);
+        let (back_a, _front_a) = pair(&ev, D1);
+        let (back_b, front_b) = pair(&ev, D2);
+        let t = blocked_waiter(&ev, D2);
         for _ in 0..1000 {
             ev.notify(back_a).unwrap();
         }
-        assert_eq!(wakes(&ev, front_b), 0, "a notify on channel A woke channel B's waiter");
+        assert_eq!(wakes(&ev, D2), 0, "a notify to domain 1 woke domain 2's waiter");
         ev.notify(back_b).unwrap();
-        assert_eq!(t.join().unwrap().0, Ok(true));
-        assert_eq!(wakes(&ev, front_b), 1);
+        assert_eq!(t.join().unwrap().0, Some(Fired::Event(front_b)));
+        assert_eq!(wakes(&ev, D2), 1);
     }
 
     #[test]
-    fn close_wakes_the_other_end_with_bad_port() {
+    fn notify_without_a_blocked_waiter_wakes_nobody() {
         let ev = EventChannels::new();
-        let (back, front) = pair(&ev);
-        let t = blocked_waiter(&ev, front);
+        let (back, front) = pair(&ev, D1);
+        ev.notify(back).unwrap();
+        assert_eq!(ev.pending(D1, NOW), Some(Fired::Event(front)));
+        assert_eq!(wakes(&ev, D1), 0, "a queued port is taken without blocking");
+    }
+
+    #[test]
+    fn close_wakes_both_domains_with_closed_ports_once() {
+        let ev = EventChannels::new();
+        let (back, front) = pair(&ev, D1);
+        let t = blocked_waiter(&ev, D1);
         ev.close(back).unwrap();
-        let (res, waited) = t.join().unwrap();
-        assert_eq!(res, Err(XenError::BadPort));
+        let (fired, waited) = t.join().unwrap();
+        assert_eq!(fired, Some(Fired::Closed(front)));
         assert!(waited < Duration::from_secs(1), "close took {waited:?} to wake the peer");
+        assert_eq!(ev.pending(D0, NOW), Some(Fired::Closed(back)));
+        // A dead port is reported once and never queued again.
+        assert_eq!(ev.close(front), Ok(()));
+        assert_eq!(ev.pending(D0, NOW), None);
+        assert_eq!(ev.pending(D1, NOW), None);
     }
 
     #[test]
-    fn purge_wakes_purged_ports_and_their_peers_with_bad_port() {
+    fn a_pending_port_that_closes_is_reported_closed() {
         let ev = EventChannels::new();
-        let (back, front) = pair(&ev);
-        let peer = blocked_waiter(&ev, back);
-        let purged = blocked_waiter(&ev, front);
+        let (back, front) = pair(&ev, D1);
+        ev.notify(front).unwrap();
+        ev.close(front).unwrap();
+        assert_eq!(ev.pending(D0, NOW), Some(Fired::Closed(back)));
+        assert_eq!(ev.pending(D0, NOW), None);
+    }
+
+    #[test]
+    fn purge_wakes_purged_ports_and_their_peers_as_closed() {
+        let ev = EventChannels::new();
+        let (back, front) = pair(&ev, D1);
+        let peer = blocked_waiter(&ev, D0);
+        let purged = blocked_waiter(&ev, D1);
         ev.purge_domain(D1);
-        for t in [peer, purged] {
-            let (res, waited) = t.join().unwrap();
-            assert_eq!(res, Err(XenError::BadPort));
+        for (t, ep) in [(peer, back), (purged, front)] {
+            let (fired, waited) = t.join().unwrap();
+            assert_eq!(fired, Some(Fired::Closed(ep)));
             assert!(waited < Duration::from_secs(1), "purge took {waited:?} to wake a waiter");
         }
-    }
-
-    #[test]
-    fn events_coalesce() {
-        let ev = EventChannels::new();
-        let (back, front) = pair(&ev);
-        ev.notify(back).unwrap();
-        ev.notify(back).unwrap();
-        // Two notifies, one pending bit — exactly Xen's semantics.
-        assert!(ev.poll(front).unwrap());
-        assert!(!ev.poll(front).unwrap());
     }
 }

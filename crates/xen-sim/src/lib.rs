@@ -14,7 +14,8 @@
 //!   privilege checks.
 //! * [`grant`] — grant tables, the authorization mechanism for shared
 //!   pages.
-//! * [`event`] — event channels with blocking waits for driver threads.
+//! * [`event`] — event channels with a per-domain fired-port queue that
+//!   driver loops block on.
 //! * [`ring`] — byte-stream shared rings (the split-driver transport),
 //!   stored *inside* simulated memory so ring traffic is dumpable.
 //! * [`xenstore`] — the hierarchical store with real xenstored permission
@@ -36,7 +37,7 @@ pub mod xenstore;
 pub use clock::VirtualClock;
 pub use domain::{Domain, DomainConfig, DomainId, DomainState};
 pub use error::{Result, XenError};
-pub use event::{Endpoint, EventChannels, Port};
+pub use event::{Endpoint, EventChannels, Fired, Port};
 pub use fault::RingFault;
 pub use grant::{GrantAccess, GrantRef, GrantTables};
 pub use hypervisor::{DumpEvent, Hypervisor};

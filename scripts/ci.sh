@@ -13,11 +13,11 @@
 #      second), then the end-to-end benchmark's smoke
 #      tests (`e2ebench/` is its own workspace, so tier-1 cannot see an
 #      API break there), then one 1 s `tenants-64` run: 64 resident
-#      guests, each with its own backend thread blocked on its event
-#      channel, so the per-port wake-up path runs at consolidation
-#      scale (the smoke tests stop at 4 guests). The run exits nonzero
-#      if an output check fails: audit chain verify, resident ==
-#      exported state, sent == finished == audited (~15 s, mostly
+#      guests, all served by Dom0's one tpmback loop blocked on Dom0's
+#      fired-port queue, so the multiplexed wake-up path runs at
+#      consolidation scale (the smoke tests stop at 4 guests). The run
+#      exits nonzero if an output check fails: audit chain verify,
+#      resident == exported state, sent == finished == audited (~15 s, mostly
 #      set-up); then one 1 s `measure-1vm` run with the same output
 #      checks: one guest on the Extend/Seal write path, ~0.41 encrypted
 #      mirror updates per command, so the payload-sized mirror

@@ -370,6 +370,45 @@ fn concurrent_creates_with_one_name_admit_exactly_one() {
     }
 }
 
+/// Dom0 serves every ring from one loop. A notify that lands while the
+/// loop serves another guest's ring must still be served: 16 guests on 4
+/// client threads, each frontend giving up after 2 s, and every command
+/// succeeds.
+#[test]
+fn one_backend_loop_loses_no_wakeups() {
+    let sp = SecurePlatform::full(b"conc-wakeups").unwrap();
+    let mut guests: Vec<Guest> = (0..16).map(|i| sp.launch_guest(&format!("g{i}")).unwrap()).collect();
+    for g in &mut guests {
+        g.front.timeout = std::time::Duration::from_secs(2);
+    }
+    let mut groups: Vec<Vec<Guest>> = (0..4).map(|_| Vec::new()).collect();
+    for (i, g) in guests.into_iter().enumerate() {
+        groups[i % 4].push(g);
+    }
+    let workers: Vec<_> = groups
+        .into_iter()
+        .enumerate()
+        .map(|(w, mut group)| {
+            std::thread::spawn(move || {
+                for (i, g) in group.iter_mut().enumerate() {
+                    g.client(format!("w{w}g{i}").as_bytes()).startup_clear().unwrap();
+                }
+                for r in 0..25u8 {
+                    for (i, g) in group.iter_mut().enumerate() {
+                        let mut tpm = g.client(format!("w{w}g{i}r{r}").as_bytes());
+                        tpm.extend(2, &[r; 20]).unwrap();
+                        assert_eq!(tpm.get_random(8).unwrap().len(), 8);
+                    }
+                }
+            })
+        })
+        .collect();
+    for w in workers {
+        w.join().unwrap();
+    }
+    assert_eq!(sp.platform.manager.stats_snapshot().handled, 16 * (1 + 25 * 2));
+}
+
 #[test]
 fn launches_and_destroys_race_with_traffic() {
     let p = Platform::baseline(b"conc-churn").unwrap();

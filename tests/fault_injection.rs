@@ -69,6 +69,34 @@ fn dead_backend_times_out_cleanly() {
 }
 
 #[test]
+fn revoked_grants_on_one_guest_leave_the_others_served() {
+    use vtpm_xen::xen::RingFault;
+    let p = Platform::baseline(b"fault-isolation").unwrap();
+    let mut a = p.launch_guest("a").unwrap();
+    let mut b = p.launch_guest("b").unwrap();
+    a.client(b"a").startup_clear().unwrap();
+    b.client(b"b").startup_clear().unwrap();
+    // Guest A yanks its ring grants mid-exchange: its request dies with
+    // the ring and Dom0's loop drops A's backend.
+    a.front.timeout = Duration::from_millis(200);
+    p.hv.inject_ring_fault(RingFault::RevokeGrants);
+    assert!(matches!(
+        a.client(b"a2").get_random(8),
+        Err(vtpm_xen::tpm12::ClientError::Tpm(_))
+    ));
+    // Guest B, served by the same loop, never notices.
+    b.front.timeout = Duration::from_secs(2);
+    let mut tpm = b.client(b"b2");
+    for r in 0..10u8 {
+        tpm.extend(3, &[r; 20]).unwrap();
+    }
+    assert_eq!(tpm.get_random(8).unwrap().len(), 8);
+    // And a guest launched afterwards is served too.
+    let mut c = p.launch_guest("c").unwrap();
+    c.client(b"c").startup_clear().unwrap();
+}
+
+#[test]
 fn frame_exhaustion_fails_gracefully() {
     use vtpm_xen::vtpm_stack::ManagerConfig;
     // A host too small for many guests: launches fail with OutOfMemory,

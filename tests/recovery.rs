@@ -12,7 +12,9 @@
 //! platform per k ∈ [0, n] crashes after exactly k writes and recovers.
 
 use std::sync::Arc;
+use std::time::Duration;
 
+use vtpm_xen::access_control::SecurePlatform;
 use vtpm_xen::bench_workload::TpmOracle;
 use vtpm_xen::tpm12::TpmConfig;
 use vtpm_xen::vtpm_stack::{ManagerConfig, MirrorMode, Platform, VtpmManager};
@@ -304,6 +306,54 @@ fn export_crash_before_destroy_leaves_source_usable() {
     assert!(platform.export_instance(id, true, Some(&dst_ek)).is_some());
     assert!(platform.manager.export_instance_state(id).is_none());
     platform.shutdown();
+}
+
+/// A manager restart must not strand the guests launched before it:
+/// every backend is rebound to the recovered manager, the same frontend
+/// is served again without reconnecting, and no request reaches the
+/// dropped manager.
+#[test]
+fn recover_manager_keeps_launched_guests_served() {
+    let mut platform = Platform::improved(b"recover-serves-guests").unwrap();
+    let mut guest = platform.launch_guest("g").unwrap();
+    // Bounded, so a stranded guest fails fast instead of hanging.
+    guest.front.timeout = Duration::from_secs(2);
+    let mut client = guest.client(b"c");
+    client.startup_clear().unwrap();
+    client.get_random(8).unwrap();
+    client.extend(5, &[0x5A; 20]).unwrap();
+
+    let dropped = Arc::clone(&platform.manager);
+    let handled_before = dropped.stats_snapshot().handled;
+    let report = platform.recover_manager().unwrap();
+    assert_eq!(report.resumed.len(), 1);
+
+    assert_eq!(client.get_random(8).unwrap().len(), 8);
+    assert_ne!(client.pcr_read(5).unwrap(), [0; 20], "state survived the restart");
+    assert_eq!(platform.manager.stats_snapshot().handled, 2, "the recovered manager served");
+    assert_eq!(dropped.stats_snapshot().handled, handled_before, "the dropped manager served");
+}
+
+/// Service resumes after a restart under the same access control: the
+/// recovered manager runs the installed hook, so a credentialed guest is
+/// still served and audited, and a guest without a credential is still
+/// refused.
+#[test]
+fn recover_manager_keeps_the_access_hook() {
+    let mut sp = SecurePlatform::full(b"recover-keeps-hook").unwrap();
+    let mut guest = sp.launch_guest("g").unwrap();
+    let mut rogue = sp.platform.launch_guest("rogue").unwrap();
+    guest.front.timeout = Duration::from_secs(2);
+    rogue.front.timeout = Duration::from_secs(2);
+    guest.client(b"c").startup_clear().unwrap();
+    let hook = sp.platform.manager.hook_name();
+
+    sp.platform.recover_manager().unwrap();
+    assert_eq!(sp.platform.manager.hook_name(), hook);
+    let audited = sp.hook.audit.len();
+    assert_eq!(guest.client(b"c2").get_random(8).unwrap().len(), 8);
+    assert!(sp.hook.audit.len() > audited, "the recovered manager skipped the hook");
+    assert!(rogue.client(b"r").startup_clear().is_err());
 }
 
 #[test]
