@@ -33,14 +33,11 @@ use vtpm::deep_quote::DeepQuote;
 use vtpm::{InstanceId, Platform};
 use vtpm_telemetry::{AttestTelemetry, QuoteSpanRecord};
 
-use crate::wire::{window_nonce, Evidence};
+use crate::wire::{window_nonce, Evidence, WINDOW_NS};
 
 /// Issuer tuning.
 #[derive(Debug, Clone)]
 pub struct IssuerConfig {
-    /// Width of one nonce-window in (virtual) nanoseconds. Everything
-    /// asking within one window shares a nonce and therefore evidence.
-    pub window_ns: u64,
     /// PCRs a quote covers.
     pub selection: Vec<usize>,
     /// Whether the issued-quote cache is consulted. Disabled, every
@@ -50,7 +47,7 @@ pub struct IssuerConfig {
 
 impl Default for IssuerConfig {
     fn default() -> Self {
-        IssuerConfig { window_ns: 1_000_000_000, selection: vec![0, 1], cache: true }
+        IssuerConfig { selection: vec![0, 1], cache: true }
     }
 }
 
@@ -124,9 +121,9 @@ impl QuoteIssuer {
         PcrSelection::of(&self.cfg.selection)
     }
 
-    /// Nonce-window index for a timestamp under this issuer's config.
+    /// Nonce-window index for a timestamp.
     pub fn window_of(&self, now_ns: u64) -> u64 {
-        now_ns / self.cfg.window_ns
+        now_ns / WINDOW_NS
     }
 
     /// Enroll an instance whose TPM is *already owned*, creating and

@@ -11,7 +11,7 @@
 //! the plane into two halves:
 //!
 //! * **Issuer** ([`QuoteIssuer`]) — deep quotes are issued against
-//!   *nonce-windows* (`window = now_ns / window_ns`, nonce derived
+//!   *nonce-windows* (`window = now_ns / WINDOW_NS`, nonce derived
 //!   from the window index), so every verifier asking during the same
 //!   window receives the same evidence. Concurrent requests against
 //!   one instance coalesce behind a per-instance single-flight lock
@@ -25,9 +25,9 @@
 //!   chain verification across identical evidence via a digest-keyed
 //!   memo (a chain that differs anywhere — wrong EK, tampered log —
 //!   has a different digest and is judged on its own), enforces a
-//!   configurable freshness-window policy, and keeps a `(verifier,
-//!   evidence)` replay ledger so a re-presented quote is refused with
-//!   an audited per-reason denial. Per-verifier admission control
+//!   two-window freshness policy, and keeps a `(verifier, evidence)`
+//!   replay ledger, pruned to that horizon, so a re-presented quote is
+//!   refused with an audited per-reason denial. Per-verifier admission control
 //!   (same EWMA machinery as the manager's ring-ingress throttle)
 //!   closes the loop with the sentinel's quote-storm detector.
 //!
@@ -42,7 +42,7 @@ mod wire;
 
 pub use issuer::{IssueError, IssuerConfig, QuoteIssuer};
 pub use verifier::{Submission, Verdict, VerifierConfig, VerifierPool};
-pub use wire::{window_nonce, Evidence, WireError};
+pub use wire::{window_nonce, Evidence, WireError, WINDOW_NS};
 
 /// One verification outcome, as the pool's drainable event stream
 /// reports it: who submitted, what they submitted, when, and how it

@@ -29,7 +29,7 @@ use vtpm::{AdmissionController, DenyReason};
 use vtpm_ac::{AuditLog, AuditOutcome};
 use vtpm_telemetry::{AttestTelemetry, Telemetry};
 
-use crate::wire::{window_nonce, Evidence, WireError};
+use crate::wire::{window_nonce, Evidence, WireError, WINDOW_NS};
 use crate::AttestEvent;
 
 /// How one submission was judged.
@@ -108,35 +108,57 @@ impl Submission {
     }
 }
 
+/// Maximum age, in nonce-windows, of acceptable evidence: evidence
+/// from the current and the previous window passes; anything older is
+/// [`Verdict::Stale`].
+const FRESHNESS_WINDOWS: u64 = 2;
+
+/// Chain-memo entry cap; the memo is cleared when it grows past this
+/// (bounds memory under adversarial unique-blob floods).
+const MEMO_CAP: usize = 4096;
+
 /// Verifier-pool policy.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct VerifierConfig {
-    /// Nonce-window width (must match the issuer's).
-    pub window_ns: u64,
-    /// Maximum age, in windows, of acceptable evidence. With the
-    /// default of 2, evidence from the current and previous window
-    /// passes; anything older is [`Verdict::Stale`].
-    pub freshness_windows: u64,
     /// Per-verifier admission control (disabled by default, like the
     /// manager's ring-ingress throttle).
     pub admission: bool,
     /// Expected PCR values for accepted quotes, when the relying party
     /// pins a golden measurement.
     pub golden_pcrs: Option<Vec<[u8; 20]>>,
-    /// Chain-memo entry cap; the memo is cleared when it grows past
-    /// this (bounds memory under adversarial unique-blob floods).
-    pub memo_cap: usize,
 }
 
-impl Default for VerifierConfig {
-    fn default() -> Self {
-        VerifierConfig {
-            window_ns: 1_000_000_000,
-            freshness_windows: 2,
-            admission: false,
-            golden_pcrs: None,
-            memo_cap: 4096,
+/// The replay ledger: accepted `(verifier, evidence digest)` pairs by
+/// nonce-window, holding only the windows inside the freshness
+/// horizon. An older window can never matter again — its evidence is
+/// [`Verdict::Stale`] before the ledger is read — so it is dropped, and
+/// the watermark keeps it stale even for a caller whose `now_ns` runs
+/// backwards.
+#[derive(Default)]
+struct Ledger {
+    windows: BTreeMap<u64, BTreeSet<(u32, [u8; 32])>>,
+    /// Every window below this one has been pruned.
+    pruned_below: u64,
+}
+
+impl Ledger {
+    /// Record one presentation of `digest` by `verifier`; `false` if it
+    /// was presented before. Then drop the windows that fell out of the
+    /// freshness horizon at window `current`.
+    fn admit(&mut self, verifier: u32, window: u64, digest: [u8; 32], current: u64) -> bool {
+        let first = self.windows.entry(window).or_default().insert((verifier, digest));
+        let horizon = (current + 1).saturating_sub(FRESHNESS_WINDOWS);
+        if horizon > self.pruned_below {
+            self.windows = self.windows.split_off(&horizon);
+            self.pruned_below = horizon;
         }
+        first
+    }
+
+    /// Entries held, across every window.
+    #[cfg(test)]
+    fn len(&self) -> usize {
+        self.windows.values().map(BTreeSet::len).sum()
     }
 }
 
@@ -147,8 +169,8 @@ pub struct VerifierPool {
     cfg: VerifierConfig,
     /// Chain-verification memo keyed on evidence digest.
     memo: Mutex<BTreeMap<[u8; 32], Result<(), DeepQuoteError>>>,
-    /// Every `(verifier, evidence digest)` ever accepted or judged.
-    ledger: Mutex<BTreeSet<(u32, [u8; 32])>>,
+    /// Accepted `(verifier, evidence digest)` pairs in the horizon.
+    ledger: Mutex<Ledger>,
     /// Hardware AIK moduli the pool trusts. Empty set = trust-on-parse
     /// (chain validity alone decides), for deployments that pin trust
     /// via the golden measurement instead.
@@ -173,7 +195,7 @@ impl VerifierPool {
         VerifierPool {
             cfg,
             memo: Mutex::new(BTreeMap::new()),
-            ledger: Mutex::new(BTreeSet::new()),
+            ledger: Mutex::new(Ledger::default()),
             trusted_hw_aiks: Mutex::new(BTreeSet::new()),
             admission,
             events: Mutex::new(Vec::new()),
@@ -269,11 +291,12 @@ impl VerifierPool {
         };
 
         // Freshness: the claimed window must be the current one or at
-        // most `freshness_windows - 1` behind it — and never ahead of
-        // the verifier's clock.
-        let current = now_ns / self.cfg.window_ns;
+        // most `FRESHNESS_WINDOWS - 1` behind it — never ahead of the
+        // verifier's clock, and never one the ledger already pruned.
+        let current = now_ns / WINDOW_NS;
         if evidence.window > current
-            || current - evidence.window >= self.cfg.freshness_windows
+            || current - evidence.window >= FRESHNESS_WINDOWS
+            || evidence.window < self.ledger.lock().pruned_below
         {
             return Verdict::Stale;
         }
@@ -289,7 +312,7 @@ impl VerifierPool {
                 None => {
                     let r = deep_quote::verify(&evidence.quote, &window_nonce(evidence.window));
                     let mut memo = self.memo.lock();
-                    if memo.len() >= self.cfg.memo_cap {
+                    if memo.len() >= MEMO_CAP {
                         memo.clear();
                     }
                     memo.insert(digest, r);
@@ -316,7 +339,7 @@ impl VerifierPool {
 
         // Replay ledger: one presentation per (verifier, evidence).
         // Insert-last so only otherwise-acceptable evidence is burned.
-        if !self.ledger.lock().insert((submission.verifier, digest)) {
+        if !self.ledger.lock().admit(submission.verifier, evidence.window, digest, current) {
             return Verdict::Replayed;
         }
         Verdict::Accepted
@@ -385,7 +408,7 @@ mod tests {
         let pool = VerifierPool::new(VerifierConfig::default());
         let e = issuer.issue(&p, inst, 10).unwrap();
         let sub = Submission::from_evidence(1, &e);
-        // Two windows later (freshness_windows = 2): stale.
+        // Two windows later (FRESHNESS_WINDOWS = 2): stale.
         assert_eq!(pool.verify_one(&sub, 2_000_000_010), Verdict::Stale);
         // One window later: still fresh.
         assert_eq!(pool.verify_one(&sub, 1_000_000_010), Verdict::Accepted);
@@ -397,6 +420,34 @@ mod tests {
             pool.verify_one(&Submission::from_evidence(1, &future), 10),
             Verdict::Stale
         );
+    }
+
+    #[test]
+    fn replay_ledger_holds_only_the_freshness_horizon() {
+        let (p, inst, issuer) = farm();
+        let pool = VerifierPool::new(VerifierConfig::default());
+        let at = |w: u64| w * WINDOW_NS + 10;
+        let mut issued = Vec::new();
+        for w in 0..12 {
+            let e = issuer.issue(&p, inst, at(w)).unwrap();
+            for v in 0..3 {
+                let sub = Submission::from_evidence(v, &e);
+                assert_eq!(pool.verify_one(&sub, at(w)), Verdict::Accepted, "window {w}");
+            }
+            let held = pool.ledger.lock().len();
+            assert!(held <= 3 * FRESHNESS_WINDOWS as usize, "window {w}: ledger holds {held}");
+            issued.push(e);
+        }
+        // A replay inside the horizon is still caught by the ledger...
+        let last = Submission::from_evidence(0, &issued[11]);
+        assert_eq!(pool.verify_one(&last, at(11)), Verdict::Replayed);
+        let previous = Submission::from_evidence(1, &issued[10]);
+        assert_eq!(pool.verify_one(&previous, at(11)), Verdict::Replayed);
+        // ...and one whose window was pruned stays stale, even for a
+        // caller whose clock reads that window again.
+        let pruned = Submission::from_evidence(0, &issued[0]);
+        assert_eq!(pool.verify_one(&pruned, at(11)), Verdict::Stale);
+        assert_eq!(pool.verify_one(&pruned, at(0)), Verdict::Stale);
     }
 
     #[test]

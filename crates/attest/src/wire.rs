@@ -54,6 +54,12 @@ impl std::fmt::Display for WireError {
 
 impl std::error::Error for WireError {}
 
+/// Width of one nonce-window in (virtual) nanoseconds: the issuer's
+/// `window = now_ns / WINDOW_NS`, and the unit the verifier judges
+/// freshness in. Everything asking within one window shares a nonce
+/// and therefore evidence.
+pub const WINDOW_NS: u64 = 1_000_000_000;
+
 /// The nonce every quote in window `window` is issued against:
 /// `SHA1("VTPM-ATTEST-WINDOW" || window_be)`. Deriving the nonce from
 /// the window index is what lets one signing pass serve every verifier

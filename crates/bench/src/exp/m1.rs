@@ -1,13 +1,14 @@
 //! R-M1: live-migration latency and guest-visible downtime versus state
 //! size, clear vs sealed transfer, measured on the multi-host cluster.
 //!
-//! Unlike R-F3 (which wall-clocks `export`+`import` in isolation), R-M1
-//! drives the full staged protocol — prepare → quiesce → sealed transfer
-//! → verify → commit → release — across the simulated fabric and reads
-//! the numbers back from the cluster's migration telemetry, in the same
-//! deterministic virtual time the chaos harness replays. *Downtime* is
-//! the headline: the source-quiesce → destination-commit window during
-//! which the instance answers on no host.
+//! R-M1 drives the full staged protocol — prepare → quiesce → sealed
+//! transfer → verify → commit → release — across the simulated fabric
+//! and reads the numbers back from the cluster's migration telemetry,
+//! in the same deterministic virtual time the chaos harness replays.
+//! R-F3 runs the same hand-offs through the same [`measure`] and
+//! reports their wall-clock time and what the wiretap exposes.
+//! *Downtime* is the headline: the source-quiesce → destination-commit
+//! window during which the instance answers on no host.
 //!
 //! Expected shape: both curves grow linearly with state size (the wire
 //! charges per byte); sealing pays a near-constant premium (one RSA-OAEP
@@ -21,8 +22,12 @@
 //! cap (~800 KiB serialized): the destination must be able to adopt —
 //! and durably mirror — the incoming instance before it commits.
 
+use std::time::Instant;
+
+use attacks::high_entropy_fragments;
+use vtpm::migration::MigrationPackage;
 use vtpm::MirrorMode;
-use vtpm_cluster::{Cluster, ClusterConfig, MigrateOutcome};
+use vtpm_cluster::{Cluster, ClusterConfig, MigMessage, MigrateOutcome};
 use vtpm_telemetry::MigrationOutcome;
 
 use crate::{gate, Outcome};
@@ -65,9 +70,31 @@ impl M1Point {
     }
 }
 
-/// Migrate one VM `reps` times between two hosts and average the
-/// committed spans. Returns (state, package bytes, downtime us, total us).
-fn measure(nv_kib: usize, sealed: bool, reps: usize) -> (u64, u64, f64, f64) {
+/// What [`measure`] reads back from `reps` hand-offs of one VM in one
+/// transfer mode.
+#[derive(Debug)]
+pub struct Handoffs {
+    /// Serialized instance state at transfer time (plaintext bytes).
+    pub state_bytes: u64,
+    /// Encoded package as shipped on the fabric.
+    pub package_bytes: u64,
+    /// Mean guest-visible blackout (virtual us).
+    pub downtime_us: f64,
+    /// Mean whole-attempt latency (virtual us).
+    pub total_us: f64,
+    /// Mean wall-clock time of one `Cluster::migrate` call (us).
+    pub wall_us: f64,
+    /// High-entropy state fragments probed for on the wire.
+    pub probes: usize,
+    /// How many of them some `Transfer` frame on the wiretap exposes.
+    pub probes_exposed: usize,
+}
+
+/// Migrate one VM `reps` times between the two hosts of a fresh
+/// cluster, its state inflated by `nv_kib` KiB of NV data, and read
+/// back the committed spans, the wall time of the `migrate` calls, and
+/// which state probes the `Transfer` frames on the wiretap expose.
+pub fn measure(nv_kib: usize, sealed: bool, reps: usize) -> Handoffs {
     let seed = format!("m1-{nv_kib}-{}", if sealed { "sealed" } else { "clear" });
     let mut c = Cluster::new(
         seed.as_bytes(),
@@ -81,27 +108,49 @@ fn measure(nv_kib: usize, sealed: bool, reps: usize) -> (u64, u64, f64, f64) {
     )
     .expect("cluster");
     let vm = c.create_vm().expect("vm");
-    // Inflate the state with NV areas of pseudo-random data, as in R-F3.
-    c.with_vm(vm, |i| {
-        let mut rng = tpm_crypto::Drbg::new(b"m1-nv");
-        for k in 0..nv_kib {
-            i.tpm.provision_nv(0x100 + k as u32, &rng.bytes(1024)).expect("nv budget fits");
-        }
-    })
-    .expect("vm is live");
+    // Inflate the state with NV areas of pseudo-random data.
+    let state = c
+        .with_vm(vm, |i| {
+            let mut rng = tpm_crypto::Drbg::new(b"m1-nv");
+            for k in 0..nv_kib {
+                i.tpm.provision_nv(0x100 + k as u32, &rng.bytes(1024)).expect("nv budget fits");
+            }
+            i.tpm.serialize_state()
+        })
+        .expect("vm is live");
+    let t0 = Instant::now();
     for rep in 0..reps {
         assert_eq!(c.migrate(vm, (rep + 1) % 2), MigrateOutcome::Committed, "{seed} rep {rep}");
     }
+    let wall_us = t0.elapsed().as_nanos() as f64 / 1e3 / reps as f64;
     let spans = c.telemetry().spans();
     assert_eq!(spans.len(), reps, "{seed}: every attempt commits first try");
     assert!(spans.iter().all(|s| s.outcome == MigrationOutcome::Committed));
+
+    let probes: Vec<&[u8]> =
+        high_entropy_fragments(&state, 4).into_iter().map(|(a, b)| &state[a..b]).collect();
+    let packages: Vec<MigrationPackage> = c
+        .fabric
+        .wiretap()
+        .iter()
+        .filter_map(|f| match MigMessage::decode(f.get(1..)?) {
+            Some(MigMessage::Transfer { package, .. }) => MigrationPackage::decode(&package).ok(),
+            _ => None,
+        })
+        .collect();
+    let probes_exposed =
+        probes.iter().filter(|p| packages.iter().any(|pkg| pkg.exposes(p))).count();
+
     let n = reps as f64;
-    (
-        spans[0].state_bytes,
-        spans[0].package_bytes,
-        spans.iter().map(|s| s.downtime_ns as f64 / 1e3).sum::<f64>() / n,
-        spans.iter().map(|s| s.total_ns as f64 / 1e3).sum::<f64>() / n,
-    )
+    Handoffs {
+        state_bytes: spans[0].state_bytes,
+        package_bytes: spans[0].package_bytes,
+        downtime_us: spans.iter().map(|s| s.downtime_ns as f64 / 1e3).sum::<f64>() / n,
+        total_us: spans.iter().map(|s| s.total_ns as f64 / 1e3).sum::<f64>() / n,
+        wall_us,
+        probes: probes.len(),
+        probes_exposed,
+    }
 }
 
 /// Run the sweep over NV payload sizes (KiB), `reps` hand-offs per mode.
@@ -109,16 +158,15 @@ pub fn run(nv_kib: &[usize], reps: usize) -> Vec<M1Point> {
     nv_kib
         .iter()
         .map(|&kib| {
-            let (state, clear_pkg, clear_down, clear_total) = measure(kib, false, reps);
-            let (_, sealed_pkg, sealed_down, sealed_total) = measure(kib, true, reps);
+            let (clear, sealed) = (measure(kib, false, reps), measure(kib, true, reps));
             M1Point {
-                state_bytes: state,
-                clear_pkg_bytes: clear_pkg,
-                sealed_pkg_bytes: sealed_pkg,
-                clear_downtime_us: clear_down,
-                sealed_downtime_us: sealed_down,
-                clear_total_us: clear_total,
-                sealed_total_us: sealed_total,
+                state_bytes: clear.state_bytes,
+                clear_pkg_bytes: clear.package_bytes,
+                sealed_pkg_bytes: sealed.package_bytes,
+                clear_downtime_us: clear.downtime_us,
+                sealed_downtime_us: sealed.downtime_us,
+                clear_total_us: clear.total_us,
+                sealed_total_us: sealed.total_us,
             }
         })
         .collect()

@@ -47,7 +47,7 @@
 use std::time::Instant;
 
 use vtpm_cluster::{Cluster, ClusterConfig};
-use vtpm_fleet::{FailureDetectorConfig, Fleet, FleetConfig, PhiAccrualDetector};
+use vtpm_fleet::{Fleet, FleetConfig, PhiAccrualDetector, BOOTSTRAP_FLOOR_NS};
 use vtpm_harness::json::Field;
 use vtpm_harness::{replay, FleetChaosConfig, FleetChaosReport};
 use vtpm_sentinel::SentinelConfig;
@@ -144,7 +144,6 @@ fn scale_config(hosts: usize, vms: usize, rounds: usize) -> FleetChaosConfig {
         // the planner's per-tick submissions with the fleet.
         max_in_flight: (hosts / 4).clamp(8, 32),
         max_plan_per_tick: (hosts / 8).clamp(4, 16),
-        ..FleetConfig::default()
     };
     FleetChaosConfig {
         hosts,
@@ -229,7 +228,7 @@ pub fn control_cost(
 ) -> ControlCost {
     let (mut ingest, mut query) = (Vec::with_capacity(reps), Vec::with_capacity(reps));
     for _ in 0..reps {
-        let mut d = PhiAccrualDetector::new(FailureDetectorConfig::default());
+        let mut d = PhiAccrualDetector::new(BOOTSTRAP_FLOOR_NS);
         for h in 0..detector_hosts {
             d.register(h, 0);
         }

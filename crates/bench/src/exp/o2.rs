@@ -38,10 +38,10 @@
 use std::time::Instant;
 
 use vtpm_cluster::{Cluster, ClusterConfig};
-use vtpm_fleet::{Fleet, FleetConfig, CONTROLLER_HOST};
+use vtpm_fleet::{Fleet, FleetConfig, CONTROLLER_HOST, HEARTBEAT_INTERVAL_NS};
 use vtpm_harness::json::Field;
 use vtpm_harness::{replay, Actuator, FleetChaosConfig, Levers};
-use vtpm_observatory::{BurnEvent, Observatory, ObservatoryConfig};
+use vtpm_observatory::{BurnEvent, Observatory};
 use vtpm_sentinel::{AlertKind, Sentinel, SentinelConfig, StreamEvent};
 use vtpm_telemetry::Histogram;
 use workload::generate_trace;
@@ -209,7 +209,7 @@ fn fidelity(hosts: usize, vms_per_host: usize, rounds: usize, events: usize) -> 
         cluster.create_vm().expect("vm");
     }
     let mut fleet = Fleet::new(FleetConfig::default(), &cluster);
-    let mut obs = Observatory::new(ObservatoryConfig::default());
+    let mut obs = Observatory::default();
     for round in 0..rounds as u32 {
         for vm in 0..vms {
             let seed =
@@ -261,7 +261,7 @@ fn closed_loop() -> O2Loop {
     let cluster = Cluster::new(b"o2-loop", ClusterConfig::default()).expect("cluster");
     let mut fleet = Fleet::new(FleetConfig::default(), &cluster);
     let mut sentinel = Sentinel::new(SentinelConfig::default());
-    let mut obs = Observatory::new(ObservatoryConfig::default());
+    let mut obs = Observatory::default();
 
     // Healthy baseline: 200 blackouts at 5 ms — nothing burns.
     let h = Histogram::new();
@@ -313,7 +313,7 @@ fn overhead(hosts: usize, reps: usize) -> (f64, f64) {
         cluster.create_vm().expect("vm");
     }
     let mut fleet = Fleet::new(FleetConfig::default(), &cluster);
-    let mut obs = Observatory::new(ObservatoryConfig::default());
+    let mut obs = Observatory::default();
     fn traffic(cluster: &mut Cluster, vms: u32, rep: u32) {
         for vm in 0..vms.min(8) {
             let seed = [b"o2/overhead/" as &[u8], &rep.to_be_bytes(), &vm.to_be_bytes()].concat();
@@ -360,7 +360,7 @@ pub fn run(hosts: usize, vms: usize, rounds: usize, seeds: usize) -> O2Report {
         overhead_hosts,
         scrape_wall_ns,
         scrape_virtual_ns,
-        period_ns: FleetConfig::default().heartbeat_interval_ns,
+        period_ns: HEARTBEAT_INTERVAL_NS,
     }
 }
 

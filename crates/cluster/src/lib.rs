@@ -100,6 +100,50 @@ mod tests {
     }
 
     #[test]
+    fn tapped_transfer_opens_only_where_its_mode_allows() {
+        use vtpm::migration::{MigrationError, MigrationPackage};
+        for sealed in [true, false] {
+            let mut cluster =
+                Cluster::new(b"cluster-t9", ClusterConfig { sealed, ..small() }).unwrap();
+            let vm = cluster.create_vm().unwrap();
+            assert_eq!(cluster.home_of(vm), Some(0));
+            let state = cluster.with_vm(vm, |i| i.tpm.serialize_state()).unwrap();
+            assert_eq!(cluster.migrate(vm, 1), MigrateOutcome::Committed);
+            let local = cluster.hosts[0].journal.local_of(vm);
+            assert_eq!(local, None, "the source released the vm");
+
+            // The 0→1 hand-off's Transfer frame, as a wiretap saw it.
+            let pkg = cluster
+                .fabric
+                .wiretap()
+                .iter()
+                .find_map(|f| match MigMessage::decode(&f[1..]) {
+                    Some(MigMessage::Transfer { package, .. }) => {
+                        Some(MigrationPackage::decode(&package).unwrap())
+                    }
+                    _ => None,
+                })
+                .unwrap();
+            assert_eq!(matches!(pkg, MigrationPackage::Sealed { .. }), sealed);
+            assert_eq!(pkg.exposes(&state), !sealed, "sealed={sealed}");
+
+            // Host 2 never prepared this hand-off: a sealed package is
+            // bound to host 1's hardware TPM and host 2's refuses it;
+            // the clear baseline opens anywhere.
+            let stolen = cluster.hosts[2].platform.open_migration_package(&pkg);
+            if sealed {
+                assert_eq!(stolen, Err(MigrationError::WrongDestination));
+            } else {
+                assert!(stolen.is_ok());
+            }
+            let payload = cluster.hosts[1].platform.open_migration_package(&pkg).unwrap();
+            let (pvm, epoch, opened) = decode_payload(&payload).unwrap();
+            assert_eq!((pvm, epoch), (vm, 1));
+            assert_eq!(opened, state);
+        }
+    }
+
+    #[test]
     fn replayed_transfer_is_rejected_and_epoch_burned() {
         let mut cluster = Cluster::new(b"cluster-t3", small()).unwrap();
         let vm = cluster.create_vm().unwrap();

@@ -2,12 +2,14 @@
 //! metrics frames and migration protocol messages): encode∘decode must
 //! be the identity, and the decoders must never panic (and must reject
 //! truncations and trailing garbage) on hostile bytes. Migration
-//! messages must also decode canonically.
+//! messages must also decode canonically. The `(vm, epoch)` header
+//! bound inside every `Transfer` payload gets the same treatment: a
+//! clear package's payload comes straight off the fabric.
 
 use proptest::collection::vec;
 use proptest::prelude::*;
 use proptest::proptest;
-use vtpm_cluster::{HeartbeatFrame, MetricsFrame, MigMessage};
+use vtpm_cluster::{decode_payload, encode_payload, HeartbeatFrame, MetricsFrame, MigMessage};
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
@@ -199,5 +201,36 @@ proptest! {
         let mut input = if headed { vec![tag; 21] } else { Vec::new() };
         input.extend_from_slice(&bytes);
         let _ = MigMessage::decode(&input);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// decode_payload ∘ encode_payload == identity for every
+    /// (vm, epoch, state).
+    #[test]
+    fn payload_roundtrip(
+        vm in any::<u32>(),
+        epoch in any::<u64>(),
+        state in vec(any::<u8>(), 0..96),
+    ) {
+        let payload = encode_payload(vm, epoch, &state);
+        prop_assert_eq!(decode_payload(&payload), Some((vm, epoch, state)));
+    }
+
+    /// Arbitrary bytes never panic the payload decoder; whatever it
+    /// accepts re-encodes to the very bytes it came from.
+    #[test]
+    fn payload_decode_never_panics(bytes in vec(any::<u8>(), 0..64)) {
+        if let Some((vm, epoch, state)) = decode_payload(&bytes) {
+            prop_assert_eq!(encode_payload(vm, epoch, &state), bytes);
+        }
+    }
+
+    /// Every input shorter than the 12-byte header is refused.
+    #[test]
+    fn payload_shorter_than_header_refused(bytes in vec(any::<u8>(), 0..12)) {
+        prop_assert_eq!(decode_payload(&bytes), None);
     }
 }

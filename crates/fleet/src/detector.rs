@@ -7,8 +7,8 @@
 //! the last heartbeat, scaled by the host's own observed inter-arrival
 //! history. A host whose heartbeats always landed 1 ms apart becomes
 //! suspicious after a few milliseconds of silence; a host that was
-//! always jittery earns more patience. Callers pick the threshold
-//! (`suspect_phi`) that matches how expensive a false positive is.
+//! always jittery earns more patience. The threshold
+//! ([`SUSPECT_PHI`]) sets how much silence a false positive costs.
 //!
 //! Everything here runs on the cluster's virtual clock, so suspicion
 //! scores are a pure function of the heartbeat arrival times — chaos
@@ -24,37 +24,23 @@
 
 use std::collections::{BTreeMap, VecDeque};
 
-/// Tuning for [`PhiAccrualDetector`].
-#[derive(Debug, Clone, Copy)]
-pub struct FailureDetectorConfig {
-    /// Inter-arrival samples kept per host.
-    pub window: usize,
-    /// Samples required before the host's own history replaces the
-    /// bootstrap interval.
-    pub min_samples: usize,
-    /// Assumed mean inter-arrival until `min_samples` real ones exist.
-    pub bootstrap_interval_ns: u64,
-    /// Floor on the mean inter-arrival, so a burst of back-to-back
-    /// heartbeats cannot collapse the scale to zero and make every
-    /// subsequent silence look infinitely suspicious.
-    pub min_mean_ns: u64,
-    /// Suspicion threshold: `phi >= suspect_phi` marks the host
-    /// suspected. phi ≈ 1 after one decade of silence past the mean
-    /// (base-10, like the original paper's formulation).
-    pub suspect_phi: f64,
-}
-
-impl Default for FailureDetectorConfig {
-    fn default() -> Self {
-        FailureDetectorConfig {
-            window: 16,
-            min_samples: 3,
-            bootstrap_interval_ns: 1_000_000,
-            min_mean_ns: 1_000,
-            suspect_phi: 3.0,
-        }
-    }
-}
+/// Inter-arrival samples kept per host.
+const WINDOW: usize = 16;
+/// Samples required before the host's own history replaces the
+/// bootstrap interval.
+const MIN_SAMPLES: usize = 3;
+/// The least bootstrap interval a fleet uses: the assumed mean
+/// inter-arrival until [`MIN_SAMPLES`] real ones exist. `Fleet::new`
+/// raises it with the fleet's size.
+pub const BOOTSTRAP_FLOOR_NS: u64 = 1_000_000;
+/// Floor on the mean inter-arrival, so a burst of back-to-back
+/// heartbeats cannot collapse the scale to zero and make every
+/// subsequent silence look infinitely suspicious.
+const MIN_MEAN_NS: u64 = 1_000;
+/// Suspicion threshold: `phi >= SUSPECT_PHI` marks the host suspected.
+/// phi ≈ 1 after one decade of silence past the mean (base-10, like
+/// the original paper's formulation).
+const SUSPECT_PHI: f64 = 3.0;
 
 struct HostHistory {
     last_ns: u64,
@@ -63,14 +49,16 @@ struct HostHistory {
 
 /// Per-host suspicion scores accrued from heartbeat arrivals.
 pub struct PhiAccrualDetector {
-    cfg: FailureDetectorConfig,
+    /// Assumed mean inter-arrival until a host has [`MIN_SAMPLES`].
+    bootstrap_interval_ns: u64,
     hosts: BTreeMap<usize, HostHistory>,
 }
 
 impl PhiAccrualDetector {
-    /// An empty detector.
-    pub fn new(cfg: FailureDetectorConfig) -> Self {
-        PhiAccrualDetector { cfg, hosts: BTreeMap::new() }
+    /// An empty detector that assumes `bootstrap_interval_ns` between
+    /// heartbeats until a host has a history of its own.
+    pub fn new(bootstrap_interval_ns: u64) -> Self {
+        PhiAccrualDetector { bootstrap_interval_ns, hosts: BTreeMap::new() }
     }
 
     /// Start (or restart) tracking `host`, treating `now_ns` as a
@@ -105,7 +93,7 @@ impl PhiAccrualDetector {
             return;
         }
         h.intervals.push_back(at_ns - h.last_ns);
-        while h.intervals.len() > self.cfg.window {
+        while h.intervals.len() > WINDOW {
             h.intervals.pop_front();
         }
         h.last_ns = at_ns;
@@ -115,12 +103,12 @@ impl PhiAccrualDetector {
     /// history once it has enough samples, the bootstrap interval
     /// before that, floored either way.
     fn mean_ns(&self, h: &HostHistory) -> u64 {
-        let mean = if h.intervals.len() >= self.cfg.min_samples {
+        let mean = if h.intervals.len() >= MIN_SAMPLES {
             h.intervals.iter().sum::<u64>() / h.intervals.len() as u64
         } else {
-            self.cfg.bootstrap_interval_ns
+            self.bootstrap_interval_ns
         };
-        mean.max(self.cfg.min_mean_ns.max(1))
+        mean.max(MIN_MEAN_NS)
     }
 
     /// Suspicion score for `host` at `now_ns`; `None` if untracked.
@@ -136,10 +124,10 @@ impl PhiAccrualDetector {
         Some(elapsed as f64 / (self.mean_ns(h) as f64 * std::f64::consts::LN_10))
     }
 
-    /// Whether `host`'s suspicion has crossed the configured threshold.
+    /// Whether `host`'s suspicion has crossed [`SUSPECT_PHI`].
     /// Untracked hosts are not suspected (they are simply unknown).
     pub fn is_suspect(&self, host: usize, now_ns: u64) -> bool {
-        self.phi(host, now_ns).is_some_and(|p| p >= self.cfg.suspect_phi)
+        self.phi(host, now_ns).is_some_and(|p| p >= SUSPECT_PHI)
     }
 }
 
@@ -149,7 +137,7 @@ mod tests {
 
     #[test]
     fn silence_accrues_suspicion_and_a_heartbeat_resets_it() {
-        let mut d = PhiAccrualDetector::new(FailureDetectorConfig::default());
+        let mut d = PhiAccrualDetector::new(BOOTSTRAP_FLOOR_NS);
         d.register(0, 0);
         // Steady 1 ms heartbeats build history.
         for k in 1..=8u64 {
@@ -169,8 +157,8 @@ mod tests {
 
     #[test]
     fn jittery_hosts_earn_patience() {
-        let mut slow = PhiAccrualDetector::new(FailureDetectorConfig::default());
-        let mut fast = PhiAccrualDetector::new(FailureDetectorConfig::default());
+        let mut slow = PhiAccrualDetector::new(BOOTSTRAP_FLOOR_NS);
+        let mut fast = PhiAccrualDetector::new(BOOTSTRAP_FLOOR_NS);
         slow.register(0, 0);
         fast.register(0, 0);
         for k in 1..=8u64 {
@@ -187,7 +175,7 @@ mod tests {
 
     #[test]
     fn reregistration_wipes_the_suspicion() {
-        let mut d = PhiAccrualDetector::new(FailureDetectorConfig::default());
+        let mut d = PhiAccrualDetector::new(BOOTSTRAP_FLOOR_NS);
         d.register(3, 0);
         for k in 1..=4u64 {
             d.heartbeat(3, k * 1_000_000);
@@ -202,7 +190,7 @@ mod tests {
 
     #[test]
     fn reordered_heartbeats_never_rewind_the_clock() {
-        let mut d = PhiAccrualDetector::new(FailureDetectorConfig::default());
+        let mut d = PhiAccrualDetector::new(BOOTSTRAP_FLOOR_NS);
         d.register(0, 0);
         d.heartbeat(0, 5_000_000);
         let before = d.phi(0, 6_000_000).unwrap();

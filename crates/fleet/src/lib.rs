@@ -47,41 +47,35 @@ use vtpm_cluster::{Cluster, ControlFrame, MetricsFrame, FABRIC_MSG_NS};
 use vtpm_observatory::Observatory;
 use vtpm_telemetry::{FleetTelemetry, RegistrySnapshot, Series};
 
-pub use detector::{FailureDetectorConfig, PhiAccrualDetector};
+pub use detector::{PhiAccrualDetector, BOOTSTRAP_FLOOR_NS};
 pub use driver::{DriveDecision, DriveOutcome, DriveReason, DriverPool, Submitted};
 
 /// Tuning for a [`Fleet`].
 #[derive(Debug, Clone, Copy)]
 pub struct FleetConfig {
-    /// Failure-detector tuning.
-    pub detector: FailureDetectorConfig,
     /// Concurrent migration runs the pool holds.
     pub max_in_flight: usize,
     /// Plans submitted per tick (evacuation + rebalance combined).
     pub max_plan_per_tick: usize,
-    /// Rebalance when the VM-count spread between the most- and
-    /// least-loaded eligible hosts exceeds this.
-    pub skew_threshold: usize,
-    /// Minimum virtual-time gap between heartbeat rounds emitted by
-    /// [`Fleet::pump_heartbeats`]. The embedding calls `pump` from its
-    /// traffic loops; this floor keeps a 100-host fleet from spamming
-    /// the control plane (each round costs `hosts × FABRIC_MSG_NS` of
-    /// shared virtual time) while still bounding heartbeat silence —
-    /// the phased-gap silence that used to manufacture false suspects.
-    pub heartbeat_interval_ns: u64,
 }
 
 impl Default for FleetConfig {
     fn default() -> Self {
-        FleetConfig {
-            detector: FailureDetectorConfig::default(),
-            max_in_flight: 8,
-            max_plan_per_tick: 4,
-            skew_threshold: 1,
-            heartbeat_interval_ns: 25_000_000,
-        }
+        FleetConfig { max_in_flight: 8, max_plan_per_tick: 4 }
     }
 }
+
+/// Rebalance when the VM-count spread between the most- and
+/// least-loaded eligible hosts exceeds this.
+const SKEW_THRESHOLD: isize = 1;
+
+/// Minimum virtual-time gap between heartbeat rounds emitted by
+/// [`Fleet::pump_heartbeats`]. The embedding calls `pump` from its
+/// traffic loops; this floor keeps a 100-host fleet from spamming the
+/// control plane (each round costs `hosts × FABRIC_MSG_NS` of shared
+/// virtual time) while still bounding heartbeat silence — the
+/// phased-gap silence that used to manufacture false suspects.
+pub const HEARTBEAT_INTERVAL_NS: u64 = 25_000_000;
 
 /// Synthetic host id under which the controller's own registries
 /// (cluster-wide migration telemetry, the fleet stage histograms) are
@@ -124,19 +118,17 @@ pub struct Fleet {
 impl Fleet {
     /// A controller over `cluster`'s current hosts, all presumed live.
     ///
-    /// The detector's bootstrap interval is floored at
-    /// `4 × hosts × FABRIC_MSG_NS`: one fleet-wide heartbeat round
-    /// serializes on the shared virtual clock, so by the time the
+    /// The detector's bootstrap interval is [`BOOTSTRAP_FLOOR_NS`],
+    /// raised to `4 × hosts × FABRIC_MSG_NS`: one fleet-wide heartbeat
+    /// round serializes on the shared virtual clock, so by the time the
     /// controller evaluates suspicion the *first* host's beacon is
     /// already `hosts × FABRIC_MSG_NS` old — a cold 1 ms bootstrap at
     /// 100 hosts would indict live hosts on pure send-order skew
     /// (the R-M2 false-suspect finding).
     pub fn new(cfg: FleetConfig, cluster: &Cluster) -> Self {
-        let mut det_cfg = cfg.detector;
-        det_cfg.bootstrap_interval_ns = det_cfg
-            .bootstrap_interval_ns
-            .max(4 * cluster.hosts.len() as u64 * FABRIC_MSG_NS);
-        let mut detector = PhiAccrualDetector::new(det_cfg);
+        let mut detector = PhiAccrualDetector::new(
+            BOOTSTRAP_FLOOR_NS.max(4 * cluster.hosts.len() as u64 * FABRIC_MSG_NS),
+        );
         let now = cluster.clock.now_ns();
         for h in 0..cluster.hosts.len() {
             detector.register(h, now);
@@ -329,7 +321,7 @@ impl Fleet {
     }
 
     /// Emit a heartbeat round *between* ticks if at least
-    /// [`FleetConfig::heartbeat_interval_ns`] of virtual time has
+    /// [`HEARTBEAT_INTERVAL_NS`] of virtual time has
     /// passed since the last round. Embeddings call this from their
     /// traffic loops so long drive/traffic stages no longer starve the
     /// detector into false suspicion (the R-M2 finding); the interval
@@ -337,7 +329,7 @@ impl Fleet {
     /// heartbeats observed (0 when the round was skipped).
     pub fn pump_heartbeats(&mut self, cluster: &mut Cluster) -> u64 {
         let now = cluster.clock.now_ns();
-        if now.saturating_sub(self.last_pump_ns) < self.cfg.heartbeat_interval_ns {
+        if now.saturating_sub(self.last_pump_ns) < HEARTBEAT_INTERVAL_NS {
             return 0;
         }
         self.observe(cluster)
@@ -447,7 +439,7 @@ impl Fleet {
                 break;
             };
             let Some((&min_h, &min)) = load.iter().min_by_key(|&(&h, &c)| (c, h)) else { break };
-            if max - min <= self.cfg.skew_threshold as isize {
+            if max - min <= SKEW_THRESHOLD {
                 break;
             }
             let Some(vm) = cluster.hosts[max_h]
@@ -550,16 +542,7 @@ mod tests {
                 cluster.migrate(vm, 0);
             }
         }
-        let mut fleet = Fleet::new(
-            FleetConfig {
-                detector: FailureDetectorConfig {
-                    bootstrap_interval_ns: 200_000,
-                    ..Default::default()
-                },
-                ..Default::default()
-            },
-            &cluster,
-        );
+        let mut fleet = Fleet::new(FleetConfig::default(), &cluster);
         fleet.pause_rebalance();
         cluster.fabric.crash_host(0);
         fleet.host_down(&mut cluster, 0);
@@ -626,7 +609,7 @@ mod tests {
         assert_eq!(fleet.pump_heartbeats(&mut cluster), 0);
         assert_eq!(fleet.pump_heartbeats(&mut cluster), 0);
         // Past the interval, one round fires (all 4 hosts beacon)...
-        cluster.clock.advance_ns(fleet.cfg.heartbeat_interval_ns);
+        cluster.clock.advance_ns(HEARTBEAT_INTERVAL_NS);
         assert_eq!(fleet.pump_heartbeats(&mut cluster), cluster.hosts.len() as u64);
         // ...and re-arms the floor.
         assert_eq!(fleet.pump_heartbeats(&mut cluster), 0);
@@ -634,7 +617,7 @@ mod tests {
         // suspicion: interleave advance+pump well past where silence
         // alone would have indicted everyone.
         for _ in 0..40 {
-            cluster.clock.advance_ns(fleet.cfg.heartbeat_interval_ns);
+            cluster.clock.advance_ns(HEARTBEAT_INTERVAL_NS);
             fleet.pump_heartbeats(&mut cluster);
         }
         let now = cluster.clock.now_ns();
@@ -652,7 +635,7 @@ mod tests {
         for _ in 0..12 {
             fleet.tick(&mut cluster);
         }
-        let mut obs = Observatory::new(Default::default());
+        let mut obs = Observatory::default();
         fleet.scrape(&mut cluster, &mut obs);
         // Every live host shipped a frame; the controller's own
         // registries landed under the synthetic id.

@@ -5,10 +5,10 @@
 use proptest::collection::vec;
 use proptest::prelude::*;
 use proptest::proptest;
-use vtpm_fleet::{FailureDetectorConfig, PhiAccrualDetector};
+use vtpm_fleet::{PhiAccrualDetector, BOOTSTRAP_FLOOR_NS};
 
 fn detector_with(history: &[u64]) -> (PhiAccrualDetector, u64) {
-    let mut d = PhiAccrualDetector::new(FailureDetectorConfig::default());
+    let mut d = PhiAccrualDetector::new(BOOTSTRAP_FLOOR_NS);
     d.register(0, 0);
     let mut t = 0u64;
     for &gap in history {

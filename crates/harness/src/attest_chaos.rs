@@ -42,7 +42,7 @@ use tpm_crypto::sha256;
 use vtpm::Platform;
 use vtpm_ac::AuditLog;
 use vtpm_attest::{
-    IssuerConfig, QuoteIssuer, Submission, Verdict, VerifierConfig, VerifierPool,
+    IssuerConfig, QuoteIssuer, Submission, Verdict, VerifierConfig, VerifierPool, WINDOW_NS,
 };
 use vtpm_sentinel::{Alert, AlertKind, Sentinel, SentinelConfig};
 use vtpm_telemetry::{AttestTelemetry, Telemetry};
@@ -69,8 +69,6 @@ pub struct AttestChaosConfig {
     pub stale_injections: usize,
     /// Whether to run the scripted quote storm.
     pub storm: bool,
-    /// Nonce-window width (virtual ns), shared by issuer and pool.
-    pub window_ns: u64,
 }
 
 impl Default for AttestChaosConfig {
@@ -82,7 +80,6 @@ impl Default for AttestChaosConfig {
             replay_injections: 3,
             stale_injections: 4,
             storm: true,
-            window_ns: 1_000_000_000,
         }
     }
 }
@@ -199,7 +196,7 @@ impl Scenario for AttestChaosConfig {
             guests.push(platform.launch_guest(&format!("attest-{i}"))?);
         }
 
-        let issuer = QuoteIssuer::new(IssuerConfig { window_ns: self.window_ns, ..Default::default() });
+        let issuer = QuoteIssuer::new(IssuerConfig::default());
         for g in &guests {
             issuer
                 .provision(&platform, g.instance)
@@ -207,11 +204,7 @@ impl Scenario for AttestChaosConfig {
         }
 
         let mut pool = VerifierPool::with_telemetry(
-            VerifierConfig {
-                window_ns: self.window_ns,
-                admission: true,
-                ..Default::default()
-            },
+            VerifierConfig { admission: true, ..Default::default() },
             Arc::clone(issuer.telemetry()),
         );
         let telemetry = Arc::new(Telemetry::new());
@@ -246,7 +239,7 @@ impl Scenario for AttestChaosConfig {
         // submissions are replayed immediately while still fresh.
         let mut held: Vec<Vec<u8>> = Vec::new();
         for round in 0..self.rounds {
-            clock.advance_ns(self.window_ns);
+            clock.advance_ns(WINDOW_NS);
             for v in 0..self.verifiers as u32 {
                 let pick = rng.below(guests.len() as u64) as usize;
                 let instance = guests[pick].instance;
@@ -318,7 +311,7 @@ impl Scenario for AttestChaosConfig {
         // present round-0 evidence after the clock has rolled well past
         // the freshness window, packed tight enough to trip the sentinel's
         // stale-quote watch.
-        clock.advance_ns(self.window_ns * 4);
+        clock.advance_ns(WINDOW_NS * 4);
         for i in 0..self.stale_injections.min(held.len()) {
             clock.advance_ns(1_000);
             let verifier = 100_000 + i as u32;
@@ -338,7 +331,7 @@ impl Scenario for AttestChaosConfig {
         // admission loop closes on it.
         const STORM_VERIFIER: u32 = 999_999;
         if self.storm {
-            clock.advance_ns(self.window_ns);
+            clock.advance_ns(WINDOW_NS);
             let instance = guests[0].instance;
             for _ in 0..80 {
                 clock.advance_ns(1_000);

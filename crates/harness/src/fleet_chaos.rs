@@ -276,7 +276,7 @@ impl Scenario for FleetChaosConfig {
         )?;
         let mut fleet = Fleet::new(self.fleet, &cluster);
         let mut sentinel = Sentinel::new(self.sentinel);
-        let mut observatory = self.observatory.then(|| Observatory::new(Default::default()));
+        let mut observatory = self.observatory.then(Observatory::default);
 
         let mut report =
             FleetChaosReport { seed: hex(seed), rounds: self.rounds, ..Default::default() };

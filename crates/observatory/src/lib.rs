@@ -47,22 +47,6 @@ use std::fmt::Write as _;
 use slo::BurnState;
 use vtpm_telemetry::{hist_json, prom_summary, Histogram, RollupSeries, DEFAULT_ROLLUP_TIERS};
 
-/// Tuning for one [`Observatory`].
-#[derive(Debug, Clone)]
-pub struct ObservatoryConfig {
-    /// Rollup tier layout, finest first (see
-    /// [`vtpm_telemetry::RollupSeries::new`]).
-    pub tiers: Vec<(u64, usize)>,
-    /// The SLO rules to evaluate ([`default_rules`] by default).
-    pub rules: Vec<SloRule>,
-}
-
-impl Default for ObservatoryConfig {
-    fn default() -> Self {
-        ObservatoryConfig { tiers: DEFAULT_ROLLUP_TIERS.to_vec(), rules: default_rules() }
-    }
-}
-
 /// Per-host scrape state: previous cumulative histograms (for
 /// delta-diffing), rolled-up deltas, and counter baselines.
 struct HostState {
@@ -87,8 +71,11 @@ impl HostState {
 
 /// The fleet-wide metrics plane. One per controller; single-threaded
 /// by design (it lives on the control loop, not the hot path).
+///
+/// Every series rolls up through [`DEFAULT_ROLLUP_TIERS`], and the SLO
+/// rules evaluated are [`default_rules`].
 pub struct Observatory {
-    cfg: ObservatoryConfig,
+    rules: Vec<SloRule>,
     hosts: BTreeMap<u32, HostState>,
     /// Fleet-wide merged series (same deltas the hosts absorb).
     fleet: BTreeMap<String, RollupSeries>,
@@ -105,16 +92,10 @@ pub struct Observatory {
 }
 
 impl Default for Observatory {
+    /// An empty plane.
     fn default() -> Self {
-        Self::new(ObservatoryConfig::default())
-    }
-}
-
-impl Observatory {
-    /// An empty plane with the given tiers and rules.
-    pub fn new(cfg: ObservatoryConfig) -> Self {
         Observatory {
-            cfg,
+            rules: default_rules(),
             hosts: BTreeMap::new(),
             fleet: BTreeMap::new(),
             counter_rollups: BTreeMap::new(),
@@ -126,7 +107,9 @@ impl Observatory {
             host_resets: 0,
         }
     }
+}
 
+impl Observatory {
     /// Ingest one host's scrape: named sparse histogram encodings plus
     /// cumulative counters, as carried by a fabric metrics frame. The
     /// fields are passed apart from the frame type itself so this
@@ -170,7 +153,7 @@ impl Observatory {
     }
 
     fn ingest_cumulative(&mut self, host: u32, at_ns: u64, name: &str, cur: Histogram) {
-        let tiers = self.cfg.tiers.clone();
+        let tiers = &DEFAULT_ROLLUP_TIERS;
         let state = self.hosts.entry(host).or_insert_with(HostState::new);
         let delta = match state.prev.get(name) {
             Some(prev) => match cur.delta_since(prev) {
@@ -197,11 +180,11 @@ impl Observatory {
         state
             .series
             .entry(name.to_string())
-            .or_insert_with(|| RollupSeries::new(&tiers))
+            .or_insert_with(|| RollupSeries::new(tiers))
             .observe(at_ns, &delta);
         self.fleet
             .entry(name.to_string())
-            .or_insert_with(|| RollupSeries::new(&tiers))
+            .or_insert_with(|| RollupSeries::new(tiers))
             .observe(at_ns, &delta);
     }
 
@@ -224,10 +207,9 @@ impl Observatory {
         let total = self.counter_totals.entry(name.to_string()).or_insert(0);
         *total = total.saturating_add(increment);
         if increment > 0 {
-            let tiers = &self.cfg.tiers;
             self.counter_rollups
                 .entry(name.to_string())
-                .or_insert_with(|| RollupSeries::new(tiers))
+                .or_insert_with(|| RollupSeries::new(&DEFAULT_ROLLUP_TIERS))
                 .record(at_ns, increment);
         }
     }
@@ -244,7 +226,7 @@ impl Observatory {
     /// a rule starts burning, one clear when it recovers.
     pub fn evaluate(&mut self, now_ns: u64) -> Vec<BurnEvent> {
         let mut events = Vec::new();
-        for rule in &self.cfg.rules {
+        for rule in &self.rules {
             // Burn ratio per window = (observed error rate) /
             // (budget × multiplier); the rule burns when every window
             // is ≥ 1. Report the *smallest* window ratio — the
@@ -317,8 +299,7 @@ impl Observatory {
 
     /// Rules currently latched as burning, in rule order.
     pub fn burning(&self) -> Vec<&'static str> {
-        self.cfg
-            .rules
+        self.rules
             .iter()
             .filter(|r| self.burns.get(r.name).is_some_and(|b| b.raised))
             .map(|r| r.name)
@@ -373,7 +354,7 @@ impl Observatory {
             let _ = writeln!(out, "vtpm_fleet_counter_total{{counter=\"{name}\"}} {total}");
         }
         out.push_str("# TYPE vtpm_slo_burning gauge\n");
-        for rule in &self.cfg.rules {
+        for rule in &self.rules {
             let b = self.burns.get(rule.name).map_or(false, |b| b.raised);
             let _ = writeln!(out, "vtpm_slo_burning{{rule=\"{}\"}} {}", rule.name, b as u8);
         }
@@ -418,7 +399,7 @@ impl Observatory {
             let _ = write!(out, "\"{name}\": {total}");
         }
         out.push_str("},\n  \"slo\": [");
-        for (i, rule) in self.cfg.rules.iter().enumerate() {
+        for (i, rule) in self.rules.iter().enumerate() {
             if i > 0 {
                 out.push_str(", ");
             }

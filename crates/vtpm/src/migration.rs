@@ -13,6 +13,13 @@
 //!   platform holding that physical TPM can open the package — plus a
 //!   SHA-256 integrity digest.
 //!
+//! This module holds the package format only. A vTPM leaves a host
+//! through one path, the cluster migration protocol (`vtpm-cluster`):
+//! its transfer step builds the package with [`package_clear`] or
+//! [`package_sealed`], and the destination opens it with
+//! [`open_package`] through [`crate::Platform::open_migration_package`]
+//! before it commits.
+//!
 //! ## Session key and nonce are single-use
 //!
 //! The (session key, CTR nonce) pair of a sealed package must never be
@@ -26,7 +33,7 @@
 
 use tpm_crypto::aes::AesCtr;
 use tpm_crypto::drbg::Drbg;
-use tpm_crypto::rsa::{RsaPrivateKey, RsaPublicKey};
+use tpm_crypto::rsa::RsaPublicKey;
 use tpm_crypto::sha256;
 
 use tpm::buffer::{BufError, Reader, Writer};
@@ -95,42 +102,13 @@ pub fn package_sealed(
     MigrationPackage::Sealed { enc_session_key, nonce, ciphertext, digest: sha256(state) }
 }
 
-/// Open a package on the destination. `dst_ek_private` is the destination
-/// hardware TPM's EK (in the full stack this decryption happens *inside*
-/// that TPM; the key never leaves it).
-pub fn open_package(
-    package: &MigrationPackage,
-    dst_ek_private: &RsaPrivateKey,
-) -> Result<Vec<u8>, MigrationError> {
+/// Open a package on the destination with its *hardware TPM*: the
+/// session key is decrypted inside the TPM ([`tpm::Tpm::ek_decrypt_oaep`]),
+/// so the EK private key never leaves it. Clear packages open anywhere —
+/// the baseline has no destination binding.
+pub fn open_package(package: &MigrationPackage, hw: &tpm::Tpm) -> Result<Vec<u8>, MigrationError> {
     match package {
         MigrationPackage::Clear(state) => Ok(state.clone()),
-        MigrationPackage::Sealed { enc_session_key, nonce, ciphertext, digest } => {
-            let key_bytes = dst_ek_private
-                .decrypt_oaep(enc_session_key, b"TCPA")
-                .map_err(|_| MigrationError::WrongDestination)?;
-            let key: [u8; 16] =
-                key_bytes.try_into().map_err(|_| MigrationError::WrongDestination)?;
-            let mut state = ciphertext.clone();
-            AesCtr::new(&key, *nonce).apply_keystream(&mut state);
-            if &sha256(&state) != digest {
-                return Err(MigrationError::Corrupted);
-            }
-            Ok(state)
-        }
-    }
-}
-
-/// Open a package with the destination platform's *hardware TPM*: the
-/// session key is decrypted inside the TPM ([`tpm::Tpm::ek_decrypt_oaep`]),
-/// so the EK private key never leaves it. This is the path real
-/// destinations take; [`open_package`] with a bare [`RsaPrivateKey`] only
-/// exists for tests that hold the key directly.
-pub fn open_package_with_tpm(
-    package: &MigrationPackage,
-    hw: &tpm::Tpm,
-) -> Result<Vec<u8>, MigrationError> {
-    match package {
-        MigrationPackage::Clear(s) => Ok(s.clone()),
         MigrationPackage::Sealed { enc_session_key, nonce, ciphertext, digest } => {
             let key_bytes = hw
                 .ek_decrypt_oaep(enc_session_key)
@@ -214,44 +192,43 @@ impl MigrationPackage {
 mod tests {
     use super::*;
 
-    fn ek() -> RsaPrivateKey {
-        let mut rng = Drbg::new(b"dst-ek");
-        RsaPrivateKey::generate(1024, &mut rng)
+    /// The destination's hardware TPM.
+    fn dst_tpm() -> tpm::Tpm {
+        tpm::Tpm::new(b"dst-ek")
     }
 
     #[test]
     fn clear_package_roundtrip_and_leaks() {
         let state = b"EK-PRIVATE-PRIME-FACTORS";
         let p = package_clear(state);
-        assert_eq!(open_package(&p, &ek()).unwrap(), state);
+        assert_eq!(open_package(&p, &dst_tpm()).unwrap(), state);
         assert!(p.exposes(state), "baseline package is cleartext");
     }
 
     #[test]
     fn sealed_package_roundtrip_and_hides() {
-        let dst = ek();
+        let dst = dst_tpm();
         let mut rng = Drbg::new(b"mig");
         let state = b"EK-PRIVATE-PRIME-FACTORS";
-        let p = package_sealed(state, &dst.public, &mut rng);
+        let p = package_sealed(state, &dst.ek_public(), &mut rng);
         assert!(!p.exposes(state), "sealed package must hide the state");
         assert_eq!(open_package(&p, &dst).unwrap(), state);
     }
 
     #[test]
     fn sealed_package_bound_to_destination() {
-        let dst = ek();
+        let dst = dst_tpm();
         let mut rng = Drbg::new(b"mig2");
-        let p = package_sealed(b"state", &dst.public, &mut rng);
-        let mut other_rng = Drbg::new(b"other-ek");
-        let other = RsaPrivateKey::generate(1024, &mut other_rng);
+        let p = package_sealed(b"state", &dst.ek_public(), &mut rng);
+        let other = tpm::Tpm::new(b"other-ek");
         assert_eq!(open_package(&p, &other), Err(MigrationError::WrongDestination));
     }
 
     #[test]
     fn tampered_ciphertext_detected() {
-        let dst = ek();
+        let dst = dst_tpm();
         let mut rng = Drbg::new(b"mig3");
-        let p = package_sealed(b"some vtpm state bytes", &dst.public, &mut rng);
+        let p = package_sealed(b"some vtpm state bytes", &dst.ek_public(), &mut rng);
         if let MigrationPackage::Sealed { enc_session_key, nonce, mut ciphertext, digest } = p {
             ciphertext[0] ^= 1;
             let tampered =
@@ -264,9 +241,9 @@ mod tests {
 
     #[test]
     fn wire_roundtrip_both_kinds() {
-        let dst = ek();
+        let dst = dst_tpm();
         let mut rng = Drbg::new(b"mig4");
-        for p in [package_clear(b"abc"), package_sealed(b"abc", &dst.public, &mut rng)] {
+        for p in [package_clear(b"abc"), package_sealed(b"abc", &dst.ek_public(), &mut rng)] {
             let bytes = p.encode();
             assert_eq!(MigrationPackage::decode(&bytes).unwrap(), p);
         }
@@ -276,10 +253,10 @@ mod tests {
 
     #[test]
     fn session_keys_are_fresh() {
-        let dst = ek();
+        let dst = dst_tpm();
         let mut rng = Drbg::new(b"mig5");
-        let p1 = package_sealed(b"s", &dst.public, &mut rng);
-        let p2 = package_sealed(b"s", &dst.public, &mut rng);
+        let p1 = package_sealed(b"s", &dst.ek_public(), &mut rng);
+        let p2 = package_sealed(b"s", &dst.ek_public(), &mut rng);
         assert_ne!(p1, p2, "each migration uses a fresh session key/nonce");
     }
 
@@ -289,12 +266,12 @@ mod tests {
         // `package_sealed` calls — same state, same destination, same
         // DRBG — must never repeat a CTR nonce or a wrapped session
         // key. A repeat would turn CTR into a two-time pad.
-        let dst = ek();
+        let dst = dst_tpm();
         let mut rng = Drbg::new(b"mig-nonce-freshness");
         let mut nonces = std::collections::HashSet::new();
         let mut keys = std::collections::HashSet::new();
         for _ in 0..16 {
-            match package_sealed(b"identical state bytes", &dst.public, &mut rng) {
+            match package_sealed(b"identical state bytes", &dst.ek_public(), &mut rng) {
                 MigrationPackage::Sealed { enc_session_key, nonce, .. } => {
                     assert!(nonces.insert(nonce), "CTR nonce reused across packages");
                     assert!(keys.insert(enc_session_key), "wrapped session key repeated");
@@ -306,9 +283,9 @@ mod tests {
 
     #[test]
     fn decode_rejects_trailing_bytes() {
-        let dst = ek();
+        let dst = dst_tpm();
         let mut rng = Drbg::new(b"mig-trailing");
-        for p in [package_clear(b"abc"), package_sealed(b"abc", &dst.public, &mut rng)] {
+        for p in [package_clear(b"abc"), package_sealed(b"abc", &dst.ek_public(), &mut rng)] {
             let mut bytes = p.encode();
             assert_eq!(MigrationPackage::decode(&bytes).unwrap(), p);
             bytes.push(0x00);
@@ -331,12 +308,12 @@ mod tests {
         let mut rng = Drbg::new(b"mig-two-hw");
         let state = b"EK-PRIVATE-PRIME-FACTORS";
         let p = package_sealed(state, &tpm_a.ek_public(), &mut rng);
-        assert_eq!(open_package_with_tpm(&p, &tpm_a).unwrap(), state);
+        assert_eq!(open_package(&p, &tpm_a).unwrap(), state);
         assert_eq!(
-            open_package_with_tpm(&p, &tpm_b),
+            open_package(&p, &tpm_b),
             Err(MigrationError::WrongDestination)
         );
         // Clear packages open anywhere — the baseline has no binding.
-        assert_eq!(open_package_with_tpm(&package_clear(state), &tpm_b).unwrap(), state);
+        assert_eq!(open_package(&package_clear(state), &tpm_b).unwrap(), state);
     }
 }

@@ -6,18 +6,23 @@
 //! [`Platform::improved`] flips on the paper's mechanisms that live at
 //! the mechanism layer (encrypted mirror, ring scrubbing) and is where
 //! the `vtpm-ac` crate installs its hook and credentials.
+//!
+//! A platform has no migration path of its own: a vTPM moves between
+//! hosts only through the cluster protocol (`vtpm-cluster`). The
+//! platform's share of it is [`Platform::hw_ek_public`], the key a
+//! source seals to, and [`Platform::open_migration_package`], which
+//! opens a package inside this host's hardware TPM.
 
 use std::sync::Arc;
 
 use parking_lot::Mutex;
 
 use tpm::{DirectTransport, Tpm, TpmClient};
-use tpm_crypto::drbg::Drbg;
 use tpm_crypto::rsa::RsaPublicKey;
 use xen_sim::{DomainConfig, DomainId, Hypervisor, Result as XenResult, XenError};
 
 use crate::device::{provision_device, TpmBack, TpmBackLoop, TpmFront};
-use crate::instance::{InstanceId, VtpmInstance};
+use crate::instance::InstanceId;
 use crate::manager::{ManagerConfig, VtpmManager};
 use crate::migration::{self, MigrationPackage};
 use crate::mirror::MirrorMode;
@@ -229,46 +234,6 @@ impl Platform {
         self.hw_tpm.lock().ek_public()
     }
 
-    /// Export instance `id` for migration. `secure` selects the sealed
-    /// protocol; `dst_ek` must be the destination's [`Platform::hw_ek_public`].
-    pub fn export_instance(
-        &self,
-        id: InstanceId,
-        secure: bool,
-        dst_ek: Option<&RsaPublicKey>,
-    ) -> Option<MigrationPackage> {
-        let state = self.manager.export_instance_state(id)?;
-        let package = if secure {
-            let mut rng = Drbg::new(&[self.seed.as_slice(), b"/migration", &id.to_be_bytes()].concat());
-            migration::package_sealed(&state, dst_ek?, &mut rng)
-        } else {
-            migration::package_clear(&state)
-        };
-        self.manager.destroy_instance(id).ok()?;
-        Some(package)
-    }
-
-    /// Import a migrated instance; returns its new local id.
-    pub fn import_instance(
-        &self,
-        package: &MigrationPackage,
-    ) -> Result<InstanceId, migration::MigrationError> {
-        let state = match package {
-            MigrationPackage::Clear(s) => s.clone(),
-            MigrationPackage::Sealed { .. } => {
-                // EK decryption happens inside the hardware TPM.
-                let hw = self.hw_tpm.lock();
-                migration::open_package_with_tpm(package, &hw)?
-            }
-        };
-        let instance =
-            VtpmInstance::from_state(0, &state, &self.seed, self.manager.config().vtpm_config.clone())
-                .map_err(|_| migration::MigrationError::Malformed)?;
-        self.manager
-            .adopt_instance(instance)
-            .map_err(|_| migration::MigrationError::Malformed)
-    }
-
     /// Open a migration package with this host's hardware TPM without
     /// adopting it — the cluster migration driver verifies the payload
     /// (destination binding, integrity, epoch header) *before* deciding
@@ -277,8 +242,7 @@ impl Platform {
         &self,
         package: &MigrationPackage,
     ) -> Result<Vec<u8>, migration::MigrationError> {
-        let hw = self.hw_tpm.lock();
-        migration::open_package_with_tpm(package, &hw)
+        migration::open_package(package, &self.hw_tpm.lock())
     }
 
     /// The seed this platform was built from (deterministic derivations —
@@ -383,64 +347,6 @@ mod tests {
     }
 
     #[test]
-    fn secure_migration_between_platforms() {
-        let src = Platform::improved(b"src-host").unwrap();
-        let dst = Platform::improved(b"dst-host").unwrap();
-
-        // Give the source instance recognizable state.
-        let mut g = src.launch_guest("mig").unwrap();
-        let instance = g.instance;
-        {
-            let mut c = g.client(b"c");
-            c.startup_clear().unwrap();
-            c.extend(9, &[3; 20]).unwrap();
-        }
-        let pcr9 = src
-            .manager
-            .with_instance(instance, |i| i.tpm.pcrs().read(9).unwrap())
-            .unwrap();
-        let state_probe = src.manager.export_instance_state(instance).unwrap();
-
-        let dst_ek = dst.hw_ek_public();
-        let package = src.export_instance(instance, true, Some(&dst_ek)).unwrap();
-        // Sealed package hides the state...
-        assert!(!package.exposes(&state_probe[..64]));
-        // ...and the source no longer has the instance.
-        assert!(!src.manager.instance_ids().contains(&instance));
-
-        let new_id = dst.import_instance(&package).unwrap();
-        let pcr9_dst = dst
-            .manager
-            .with_instance(new_id, |i| i.tpm.pcrs().read(9).unwrap())
-            .unwrap();
-        assert_eq!(pcr9, pcr9_dst);
-    }
-
-    #[test]
-    fn clear_migration_exposes_state() {
-        let src = Platform::baseline(b"src-clear").unwrap();
-        let g = src.launch_guest("mig").unwrap();
-        let state = src.manager.export_instance_state(g.instance).unwrap();
-        let package = src.export_instance(g.instance, false, None).unwrap();
-        assert!(package.exposes(&state[..64]), "baseline migration ships cleartext");
-    }
-
-    #[test]
-    fn sealed_package_rejected_by_wrong_platform() {
-        let src = Platform::improved(b"src-x").unwrap();
-        let dst = Platform::improved(b"dst-x").unwrap();
-        let mallory = Platform::improved(b"mallory").unwrap();
-        let g = src.launch_guest("mig").unwrap();
-        let package = src.export_instance(g.instance, true, Some(&dst.hw_ek_public())).unwrap();
-        assert_eq!(
-            mallory.import_instance(&package).err(),
-            Some(migration::MigrationError::WrongDestination)
-        );
-        // The rightful destination still succeeds.
-        assert!(dst.import_instance(&package).is_ok());
-    }
-
-    #[test]
     fn deep_attestation_end_to_end() {
         use crate::deep_quote::{self, DeepQuote, DeepQuoteError};
 
@@ -522,6 +428,36 @@ mod tests {
         // The hardware PCR matches the replayed log.
         let hw_pcr = p.hw_tpm.lock().pcrs().read(deep_quote::BINDING_PCR).unwrap();
         assert_eq!(deep_quote::replay_log(&log), hw_pcr);
+    }
+
+    #[test]
+    fn clear_migration_exposes_state() {
+        let src = Platform::baseline(b"src-clear").unwrap();
+        let g = src.launch_guest("mig").unwrap();
+        let state = src.manager.export_instance_state(g.instance).unwrap();
+        let package = migration::package_clear(&state);
+        assert!(package.exposes(&state[..64]), "baseline migration ships cleartext");
+        // No destination binding: any platform opens it.
+        let anyone = Platform::baseline(b"anyone").unwrap();
+        assert_eq!(anyone.open_migration_package(&package).unwrap(), state);
+    }
+
+    #[test]
+    fn sealed_package_rejected_by_wrong_platform() {
+        let src = Platform::improved(b"src-x").unwrap();
+        let dst = Platform::improved(b"dst-x").unwrap();
+        let mallory = Platform::improved(b"mallory").unwrap();
+        let g = src.launch_guest("mig").unwrap();
+        let state = src.manager.export_instance_state(g.instance).unwrap();
+        let mut rng = tpm_crypto::drbg::Drbg::new(b"src-x/migration");
+        let package = migration::package_sealed(&state, &dst.hw_ek_public(), &mut rng);
+        assert!(!package.exposes(&state[..64]));
+        assert_eq!(
+            mallory.open_migration_package(&package).err(),
+            Some(migration::MigrationError::WrongDestination)
+        );
+        // The rightful destination still opens it.
+        assert_eq!(dst.open_migration_package(&package).unwrap(), state);
     }
 
     #[test]

@@ -34,7 +34,7 @@ fn main() {
         cluster.create_vm().expect("vm");
     }
     let mut fleet = Fleet::new(
-        FleetConfig { max_in_flight: 16, max_plan_per_tick: 8, ..FleetConfig::default() },
+        FleetConfig { max_in_flight: 16, max_plan_per_tick: 8 },
         &cluster,
     );
     let mut sentinel = Sentinel::new(SentinelConfig::default());

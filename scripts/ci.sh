@@ -33,9 +33,14 @@
 #   4. R-O1: the telemetry self-overhead budget. `repro o1` exits
 #      nonzero if the enabled-vs-disabled registry increment exceeds
 #      3% of the modelled deployment command latency, failing the gate;
-#   5. R-M1: the migration downtime budget. `repro m1` exits nonzero
-#      if sealed (destination-bound) transfer adds more than 7 ms of
+#   5. R-M1 + R-F3: the migration downtime budget and the sealed-wire
+#      check, one `repro m1 f3 --quick`. `repro m1` exits nonzero if
+#      sealed (destination-bound) transfer adds more than 7 ms of
 #      guest-visible blackout over clear transfer at any state size;
+#      `repro f3` exits nonzero if any sealed `Transfer` frame on the
+#      fabric wiretap exposes a high-entropy fragment of the state at
+#      any size, or if the clear hand-off of the same size fails to
+#      expose every such probe (a probe set that matches nothing);
 #   6. R-D1: the sentinel smoke. `repro d1 --quick` replays a small
 #      attack-free chaos sweep with the detection plane consuming every
 #      span, audit record, gauge, and dump-trail entry, then injects
@@ -144,8 +149,8 @@ cargo run --release -p vtpm-harness --bin chaos -- \
 echo "== R-O1: telemetry overhead budget (hard 3% gate) =="
 cargo run --release -p vtpm-bench --bin repro -- o1 --out target/bench
 
-echo "== R-M1: migration downtime budget (sealing premium <= 7ms) =="
-cargo run --release -p vtpm-bench --bin repro -- m1 --quick --out target/bench
+echo "== R-M1 + R-F3: migration downtime budget (sealing premium <= 7ms), sealed wire hides state =="
+cargo run --release -p vtpm-bench --bin repro -- m1 f3 --quick --out target/bench
 
 echo "== R-D1: sentinel smoke (zero clean-seed FPs, all injections detected) =="
 cargo run --release -p vtpm-bench --bin repro -- d1 --quick --out target/bench

@@ -80,7 +80,7 @@ pub mod prelude {
     };
     pub use vtpm_cluster::{Cluster, ClusterConfig, MigrateOutcome};
     pub use vtpm_fleet::{Fleet, FleetConfig};
-    pub use vtpm_observatory::{Observatory, ObservatoryConfig, SloRule};
+    pub use vtpm_observatory::{Observatory, SloRule};
     pub use vtpm_sentinel::{AlertKind, Sentinel, SentinelConfig, StreamEvent};
     pub use workload::{run_concurrent, CommandMix, GuestSession, Op};
     pub use xen_sim::{DomainConfig, DomainId, Hypervisor};

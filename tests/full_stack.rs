@@ -147,34 +147,30 @@ fn manager_reboot_cycle_via_persistence() {
 
 #[test]
 fn migration_preserves_sealed_data() {
-    let src = SecurePlatform::full(b"it-mig-src").unwrap();
-    let dst = SecurePlatform::full(b"it-mig-dst").unwrap();
+    use vtpm_xen::tpm12::DirectTransport;
 
-    let mut g = src.launch_guest("it").unwrap();
-    let instance = g.instance;
-    let blob = {
-        let mut tpm = g.client(b"it");
-        tpm.startup_clear().unwrap();
-        tpm.take_ownership(&OWNER, &SRK).unwrap();
-        tpm.seal(handle::SRK, &SRK, &[5; 20], None, b"travels").unwrap()
-    };
-
-    let pkg = src
-        .platform
-        .export_instance(instance, true, Some(&dst.platform.hw_ek_public()))
+    // A blob sealed under the vTPM's SRK on the source host unseals on
+    // the destination after a sealed (destination-bound) hand-off.
+    let mut cluster = Cluster::new(b"it-mig", ClusterConfig::default()).unwrap();
+    assert!(cluster.config().sealed);
+    let vm = cluster.create_vm().unwrap();
+    let src = cluster.home_of(vm).unwrap();
+    let blob = cluster
+        .with_vm(vm, |i| {
+            let mut tpm = TpmClient::new(DirectTransport { tpm: &mut i.tpm, locality: 0 }, b"it");
+            tpm.startup_clear().unwrap();
+            tpm.take_ownership(&OWNER, &SRK).unwrap();
+            tpm.seal(handle::SRK, &SRK, &[5; 20], None, b"travels").unwrap()
+        })
         .unwrap();
-    let new_id = dst.platform.import_instance(&pkg).unwrap();
 
-    // Attach a fresh guest to the migrated instance on the destination
-    // and unseal the blob sealed on the source.
-    let unsealed = dst
-        .platform
-        .manager
-        .with_instance(new_id, |i| {
-            let mut c = vtpm_xen::tpm12::TpmClient::new(
-                vtpm_xen::tpm12::DirectTransport { tpm: &mut i.tpm, locality: 0 },
-                b"dst",
-            );
+    let dst = (src + 1) % cluster.config().hosts;
+    assert_eq!(cluster.migrate(vm, dst), MigrateOutcome::Committed);
+    assert_eq!(cluster.runnable_hosts(vm), vec![dst]);
+
+    let unsealed = cluster
+        .with_vm(vm, |i| {
+            let mut c = TpmClient::new(DirectTransport { tpm: &mut i.tpm, locality: 0 }, b"dst");
             c.startup_state().unwrap();
             c.unseal(handle::SRK, &SRK, &[5; 20], &blob).unwrap()
         })

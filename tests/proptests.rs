@@ -5,7 +5,7 @@ use proptest::prelude::*;
 
 use vtpm_xen::crypto::{BigUint, Drbg};
 use vtpm_xen::tpm12::buffer::{Reader, Writer};
-use vtpm_xen::tpm12::PcrSelection;
+use vtpm_xen::tpm12::{PcrSelection, Tpm};
 use vtpm_xen::vtpm_stack::{Envelope, ResponseEnvelope, ResponseStatus};
 use vtpm_xen::xen::{ByteRing, DomainId, MachineMemory, PageRegion, RingDir};
 
@@ -856,25 +856,19 @@ proptest! {
 
 // ---- migration package robustness ------------------------------------------------
 
-/// A valid sealed package + its EK and plaintext, built once (RSA keygen
-/// is too slow per-case).
-fn sealed_fixture() -> &'static (
-    vtpm_xen::vtpm_stack::MigrationPackage,
-    vtpm_xen::crypto::RsaPrivateKey,
-    Vec<u8>,
-) {
+/// A valid sealed package, the destination hardware TPM it is bound to,
+/// and its plaintext, built once (EK generation is too slow per-case).
+fn sealed_fixture() -> &'static (vtpm_xen::vtpm_stack::MigrationPackage, Tpm, Vec<u8>) {
     use std::sync::OnceLock;
-    static FIXTURE: OnceLock<(
-        vtpm_xen::vtpm_stack::MigrationPackage,
-        vtpm_xen::crypto::RsaPrivateKey,
-        Vec<u8>,
-    )> = OnceLock::new();
+    static FIXTURE: OnceLock<(vtpm_xen::vtpm_stack::MigrationPackage, Tpm, Vec<u8>)> =
+        OnceLock::new();
     FIXTURE.get_or_init(|| {
-        let mut rng = Drbg::new(b"prop-mig-ek");
-        let ek = vtpm_xen::crypto::RsaPrivateKey::generate(1024, &mut rng);
+        let dst = Tpm::new(b"prop-mig-ek");
+        let mut rng = Drbg::new(b"prop-mig-session");
         let state: Vec<u8> = (0..700u32).map(|i| (i * 31 % 251) as u8).collect();
-        let pkg = vtpm_xen::vtpm_stack::migration::package_sealed(&state, &ek.public, &mut rng);
-        (pkg, ek, state)
+        let pkg =
+            vtpm_xen::vtpm_stack::migration::package_sealed(&state, &dst.ek_public(), &mut rng);
+        (pkg, dst, state)
     })
 }
 
@@ -890,14 +884,14 @@ proptest! {
         truncate_at in any::<u16>(),
     ) {
         use vtpm_xen::vtpm_stack::MigrationPackage;
-        let (pkg, ek, state) = sealed_fixture();
+        let (pkg, dst, state) = sealed_fixture();
         let good = pkg.encode();
 
         // Truncation: decode must reject or the opened result must be an
         // error — a short read can never produce the original state.
         let t = truncate_at as usize % good.len();
         if let Ok(p) = MigrationPackage::decode(&good[..t]) {
-            prop_assert!(vtpm_xen::vtpm_stack::migration::open_package(&p, ek).is_err());
+            prop_assert!(vtpm_xen::vtpm_stack::migration::open_package(&p, dst).is_err());
         }
 
         // Single-bit corruption anywhere in the package: every byte of a
@@ -906,7 +900,7 @@ proptest! {
         let at = flip_at as usize % bad.len();
         bad[at] ^= 1 << flip_bit;
         if let Ok(p) = MigrationPackage::decode(&bad) {
-            match vtpm_xen::vtpm_stack::migration::open_package(&p, ek) {
+            match vtpm_xen::vtpm_stack::migration::open_package(&p, dst) {
                 Ok(opened) => prop_assert_ne!(
                     opened, state.clone(),
                     "corrupted package opened to the original state"

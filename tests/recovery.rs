@@ -277,37 +277,6 @@ fn crash_during_destroy_then_recovery_keeps_instance() {
     assert_eq!(rec.export_instance_state(id).unwrap(), state);
 }
 
-#[test]
-fn export_crash_before_destroy_leaves_source_usable() {
-    // Migration source side: a crash between building the sealed package
-    // and destroying the source instance must leave the source instance
-    // intact and serving — the package is simply not handed out.
-    let platform = Platform::improved(b"mig-crash-host").unwrap();
-    let guest = platform.launch_guest("mig-src").unwrap();
-    let id = guest.instance;
-    let state = platform.manager.export_instance_state(id).unwrap();
-    let dst_ek = platform.hw_ek_public();
-
-    platform.hv.inject_write_crash(DomainId::DOM0, 0);
-    assert!(
-        platform.export_instance(id, true, Some(&dst_ek)).is_none(),
-        "export must fail while the scrub cannot complete"
-    );
-    platform.hv.clear_faults();
-
-    // Source untouched and still mutable.
-    assert_eq!(platform.manager.export_instance_state(id).unwrap(), state);
-    platform
-        .manager
-        .with_instance(id, |i| i.tpm.pcrs_mut().extend(2, &[0x21; 20]).unwrap())
-        .unwrap();
-
-    // With the fault gone the export completes and the source is gone.
-    assert!(platform.export_instance(id, true, Some(&dst_ek)).is_some());
-    assert!(platform.manager.export_instance_state(id).is_none());
-    platform.shutdown();
-}
-
 /// A manager restart must not strand the guests launched before it:
 /// every backend is rebound to the recovered manager, the same frontend
 /// is served again without reconnecting, and no request reaches the
