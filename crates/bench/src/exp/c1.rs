@@ -27,10 +27,20 @@
 //! byte-identically: a hardware kernel that drifts from its portable
 //! reference fails the run, not just the test suite.
 //!
-//! Two ungated context figures show what the request path pays: the
+//! Ungated context figures show what the request path pays: the
 //! RSA-512 private op (the signing-key size `GuestSession::prepare`
-//! creates, so the cost of every Quote and Sign in the e2e workloads)
-//! and RSA-1024 key generation (guest setup).
+//! creates, so the cost of every Quote and Sign in the e2e workloads),
+//! RSA-1024 key generation (guest setup: each vTPM's EK and SRK) and
+//! RSA-2048 key generation (the TPM 1.2 production size).
+//!
+//! Key generation is also counted, which repeats exactly where its
+//! timing does not: [`RsaPrivateKey::generate_counted`] reports the
+//! prime search's work, and the means over [`KEYGEN_WORK_KEYS`] fixed
+//! RSA-1024 seeds are gated. Mean Miller–Rabin exponentiations per key
+//! must stay at most [`MAX_KEYGEN_EXPS`] (a sieve that lets more
+//! composites through, or a search that draws more candidates, raises
+//! it), and mean primes searched at most [`MAX_KEYGEN_PRIMES`] (two per
+//! key: a search that throws prime pairs away raises it).
 //!
 //! All timed sections take the **median of several passes** — the gate
 //! ratios compare medians measured in the same process, which is robust
@@ -40,7 +50,7 @@
 
 use tpm_crypto::sha1::Sha1;
 use tpm_crypto::sha256::Sha256;
-use tpm_crypto::{Aes128, Aes256, AesCtr, BigUint, Digest, Drbg, RsaPrivateKey};
+use tpm_crypto::{Aes128, Aes256, AesCtr, BigUint, Digest, Drbg, KeygenWork, RsaPrivateKey};
 use vtpm_harness::json::Field;
 
 use crate::{gate, median, Outcome};
@@ -60,6 +70,22 @@ pub const MIN_AES_CTR_MBPS: f64 = 40.0;
 /// Seeds of the RSA-1024 keys each keygen pass generates.
 const KEYGEN_SEEDS: [&[u8]; 2] = [b"r-c1 keygen a", b"r-c1 keygen b"];
 
+/// Seed of the RSA-2048 key each 2048-bit keygen pass generates.
+const KEYGEN_2048_SEED: &[u8] = b"r-c1 keygen 2048";
+
+/// Fixed-seed RSA-1024 keys whose prime-search work R-C1 counts.
+pub const KEYGEN_WORK_KEYS: u32 = 32;
+
+/// Ceiling on mean Miller–Rabin exponentiations per RSA-1024 key over
+/// the [`KEYGEN_WORK_KEYS`] seeds: ~10% above the 95.0 the top-two-bit,
+/// 2^10-sieve search does on them (a search that set only the top bit
+/// and trial-divided by the primes up to 113 did 211.8).
+pub const MAX_KEYGEN_EXPS: f64 = 105.0;
+
+/// Ceiling on mean prime searches per RSA-1024 key: two per key, with a
+/// margin for the rare pair discarded because `e` divides `phi`.
+pub const MAX_KEYGEN_PRIMES: f64 = 2.05;
+
 /// One R-C1 measurement set (all medians over the run's passes).
 #[derive(Debug, Clone)]
 pub struct C1Report {
@@ -76,6 +102,17 @@ pub struct C1Report {
     /// RSA-1024 key generation, ms (fixed seeds, so every pass does the
     /// same prime search).
     pub rsa1024_keygen_ms: f64,
+    /// RSA-2048 key generation, ms (one fixed seed).
+    pub rsa2048_keygen_ms: f64,
+    /// Mean prime searches per RSA-1024 key over the
+    /// [`KEYGEN_WORK_KEYS`] fixed seeds (this and the next three).
+    pub keygen_primes: f64,
+    /// Mean candidates drawn per key.
+    pub keygen_candidates: f64,
+    /// Mean candidates the sieve removed per key.
+    pub keygen_sieved: f64,
+    /// Mean Miller–Rabin exponentiations per key.
+    pub keygen_exps: f64,
     /// AES-128-CTR keystream through the selected kernel, MB/s.
     pub aes_ctr_mbps: f64,
     /// AES-128-CTR keystream through the portable T-table kernel, MB/s.
@@ -180,6 +217,19 @@ pub fn run(passes: usize, rsa_reps: usize, schoolbook_reps: usize, aes_mib: usiz
             std::hint::black_box(RsaPrivateKey::generate(1024, &mut Drbg::new(seed)));
         }
     }) / 1e3;
+    let rsa2048_keygen_ms = med_us_per_op(passes, 1, || {
+        std::hint::black_box(RsaPrivateKey::generate(2048, &mut Drbg::new(KEYGEN_2048_SEED)));
+    }) / 1e3;
+    let mut work = KeygenWork::default();
+    for i in 0..KEYGEN_WORK_KEYS {
+        let seed = format!("r-c1 keygen work {i}");
+        let (_, w) = RsaPrivateKey::generate_counted(1024, &mut Drbg::new(seed.as_bytes()));
+        work.primes_searched += w.primes_searched;
+        work.candidates += w.candidates;
+        work.sieved += w.sieved;
+        work.exponentiations += w.exponentiations;
+    }
+    let keys = f64::from(KEYGEN_WORK_KEYS);
 
     let mut buf = vec![0u8; aes_mib.max(1) << 20];
     let ctr = AesCtr::new(&[7u8; 16], *b"r-c1ctr!");
@@ -237,6 +287,11 @@ pub fn run(passes: usize, rsa_reps: usize, schoolbook_reps: usize, aes_mib: usiz
         rsa_pub_us,
         rsa512_priv_us,
         rsa1024_keygen_ms,
+        rsa2048_keygen_ms,
+        keygen_primes: work.primes_searched as f64 / keys,
+        keygen_candidates: work.candidates as f64 / keys,
+        keygen_sieved: work.sieved as f64 / keys,
+        keygen_exps: work.exponentiations as f64 / keys,
         aes_ctr_mbps,
         aes_ctr_portable_mbps,
         aes_ctr_scalar_mbps,
@@ -255,6 +310,8 @@ pub fn gate_failed(r: &C1Report) -> bool {
         || r.rsa_priv_us > MAX_RSA_PRIV_US
         || r.aes_ctr_mbps < MIN_AES_CTR_MBPS
         || !r.kernels_identical
+        || r.keygen_primes > MAX_KEYGEN_PRIMES
+        || r.keygen_exps > MAX_KEYGEN_EXPS
 }
 
 /// Render the table.
@@ -284,6 +341,18 @@ pub fn render(r: &C1Report) -> String {
     out.push_str(&format!(
         "rsa-1024 keygen:                        {:>9.1} ms\n",
         r.rsa1024_keygen_ms
+    ));
+    out.push_str(&format!(
+        "rsa-2048 keygen:                        {:>9.1} ms\n",
+        r.rsa2048_keygen_ms
+    ));
+    out.push_str(&format!(
+        "rsa-1024 keygen work (mean of {KEYGEN_WORK_KEYS} keys):\n  \
+         primes searched                       {:>9.2}      (ceiling {MAX_KEYGEN_PRIMES})\n  \
+         candidates drawn                      {:>9.1}\n  \
+         removed by the sieve                  {:>9.1}\n  \
+         miller-rabin exponentiations          {:>9.1}      (ceiling {MAX_KEYGEN_EXPS:.0})\n",
+        r.keygen_primes, r.keygen_candidates, r.keygen_sieved, r.keygen_exps
     ));
     out.push_str(&format!(
         "aes-ctr keystream (selected kernel):    {:>9.1} MB/s (floor {:.0} MB/s)\n",
@@ -331,8 +400,15 @@ pub fn repro(quick: bool) -> Outcome {
             format!(
                 "R-C1 crypto floor: RSA speedup {:.2}x (>= {MIN_RSA_SPEEDUP}x), private op \
                  {:.0} us (<= {MAX_RSA_PRIV_US} us), AES-CTR {:.1} MB/s (>= {MIN_AES_CTR_MBPS}), \
-                 {} kernels identical to portable: {}",
-                r.rsa_speedup, r.rsa_priv_us, r.aes_ctr_mbps, r.kernels, r.kernels_identical
+                 {} kernels identical to portable: {}, RSA-1024 keygen {:.2} primes \
+                 (<= {MAX_KEYGEN_PRIMES}) and {:.1} exponentiations (<= {MAX_KEYGEN_EXPS}) per key",
+                r.rsa_speedup,
+                r.rsa_priv_us,
+                r.aes_ctr_mbps,
+                r.kernels,
+                r.kernels_identical,
+                r.keygen_primes,
+                r.keygen_exps
             )
         }),
         fields: vec![
@@ -342,6 +418,11 @@ pub fn repro(quick: bool) -> Outcome {
             ("rsa_pub_us", Field::Float(r.rsa_pub_us, 2)),
             ("rsa512_priv_us", Field::Float(r.rsa512_priv_us, 2)),
             ("rsa1024_keygen_ms", Field::Float(r.rsa1024_keygen_ms, 2)),
+            ("rsa2048_keygen_ms", Field::Float(r.rsa2048_keygen_ms, 2)),
+            ("keygen_primes_per_key", Field::Float(r.keygen_primes, 3)),
+            ("keygen_candidates_per_key", Field::Float(r.keygen_candidates, 2)),
+            ("keygen_sieved_per_key", Field::Float(r.keygen_sieved, 2)),
+            ("keygen_exps_per_key", Field::Float(r.keygen_exps, 2)),
             ("aes_ctr_mbps", Field::Float(r.aes_ctr_mbps, 1)),
             ("aes_ctr_portable_mbps", Field::Float(r.aes_ctr_portable_mbps, 1)),
             ("aes_ctr_scalar_mbps", Field::Float(r.aes_ctr_scalar_mbps, 1)),
@@ -354,6 +435,8 @@ pub fn repro(quick: bool) -> Outcome {
             ("min_rsa_speedup", Field::Float(MIN_RSA_SPEEDUP, 1)),
             ("max_rsa_priv_us", Field::Float(MAX_RSA_PRIV_US, 0)),
             ("min_aes_ctr_mbps", Field::Float(MIN_AES_CTR_MBPS, 0)),
+            ("max_keygen_primes", Field::Float(MAX_KEYGEN_PRIMES, 2)),
+            ("max_keygen_exps", Field::Float(MAX_KEYGEN_EXPS, 0)),
         ],
     }
 }
@@ -371,7 +454,10 @@ mod tests {
         // comfortably when CRT+Montgomery are in place.
         assert!(r.rsa_speedup > 2.0, "speedup {:.1}", r.rsa_speedup);
         assert!(r.rsa512_priv_us > 0.0 && r.rsa512_priv_us < r.rsa_priv_us);
-        assert!(r.rsa1024_keygen_ms > 0.0);
+        assert!(r.rsa1024_keygen_ms > 0.0 && r.rsa2048_keygen_ms > r.rsa1024_keygen_ms);
+        assert!((2.0..=MAX_KEYGEN_PRIMES).contains(&r.keygen_primes), "{}", r.keygen_primes);
+        assert!(r.keygen_sieved < r.keygen_candidates);
+        assert!(r.keygen_exps <= MAX_KEYGEN_EXPS, "exps {}", r.keygen_exps);
         assert!(r.aes_ctr_mbps > r.aes_ctr_scalar_mbps, "pipeline must beat scalar");
         assert!(r.kernels_identical, "kernels {} disagree with portable", r.kernels);
         let table = render(&r);

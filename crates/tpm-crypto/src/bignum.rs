@@ -432,6 +432,21 @@ impl BigUint {
         self.div_rem(m).1
     }
 
+    /// `self mod m` for a one-word modulus, allocating nothing: the value
+    /// is reduced in 32-bit half-limbs, most significant first, so every
+    /// step is one `u64 % u64` division whose dividend (the running
+    /// residue shifted up 32 bits, plus the next half-limb) cannot
+    /// overflow. Panics if `m` is zero.
+    pub(crate) fn rem_u32(&self, m: u32) -> u32 {
+        let m = u64::from(m);
+        let mut r = 0u64;
+        for &limb in self.limbs.iter().rev() {
+            r = ((r << 32) | (limb >> 32)) % m;
+            r = ((r << 32) | (limb & 0xffff_ffff)) % m;
+        }
+        r as u32
+    }
+
     /// `self * other mod m` via full product + reduction (cold path).
     pub fn mul_mod(&self, other: &BigUint, m: &BigUint) -> BigUint {
         self.mul(other).rem(m)

@@ -6,6 +6,9 @@
 
 use crate::hash::sha256;
 
+/// Blocks generated between two ratchets of the working state (32 MiB).
+const RATCHET_BLOCKS: u64 = 1 << 20;
+
 /// Deterministic generator; never blocks, never fails.
 ///
 /// Output is a *stream*: requesting 10 bytes then 22 bytes yields exactly
@@ -29,12 +32,18 @@ impl Drbg {
 
     /// Mix fresh entropy into the state. Discards any buffered output.
     pub fn reseed(&mut self, entropy: &[u8]) {
+        self.mix(entropy);
+        self.pending_len = 0;
+    }
+
+    /// Replace the working state with `H(v || entropy)` and restart the
+    /// block counter.
+    fn mix(&mut self, entropy: &[u8]) {
         let mut buf = Vec::with_capacity(32 + entropy.len());
         buf.extend_from_slice(&self.v);
         buf.extend_from_slice(entropy);
         self.v = sha256(&buf);
         self.counter = 0;
-        self.pending_len = 0;
     }
 
     /// Fill `out` with pseudo-random bytes.
@@ -61,12 +70,16 @@ impl Drbg {
                 self.pending_len = 32 - take;
             }
             done += take;
-        }
-        // Ratchet the state forward so earlier output cannot be recomputed
-        // from a captured state (backtracking resistance).
-        if self.counter >= 1 << 20 {
-            let v = self.v;
-            self.reseed(&v);
+            // Every RATCHET_BLOCKS blocks, ratchet the state forward so
+            // earlier output cannot be recomputed from a captured state
+            // (backtracking resistance). It happens at a block boundary
+            // and keeps the buffered tail, so the stream does not depend
+            // on how it is drawn.
+            if self.counter >= RATCHET_BLOCKS {
+                let v = self.v;
+                self.mix(&v);
+                block_in[..32].copy_from_slice(&self.v);
+            }
         }
     }
 
@@ -149,6 +162,30 @@ mod tests {
         pieced.extend(b.bytes(40));
         pieced.extend(b.bytes(52));
         assert_eq!(bulk, pieced, "stream semantics: chunking must not matter");
+    }
+
+    #[test]
+    fn chunking_does_not_matter_across_the_ratchet() {
+        // Two blocks before the ratchet: the 100-byte draw spans it.
+        let near_ratchet = || {
+            let mut d = Drbg::new(b"s");
+            d.counter = RATCHET_BLOCKS - 2;
+            d
+        };
+        let (mut a, mut b) = (near_ratchet(), near_ratchet());
+        let bulk = a.bytes(100);
+        let mut pieced = b.bytes(7);
+        pieced.extend(b.bytes(1));
+        pieced.extend(b.bytes(40));
+        pieced.extend(b.bytes(52));
+        assert_eq!(bulk, pieced, "stream semantics hold across the ratchet");
+        assert_eq!(a.bytes(64), b.bytes(64));
+        // The ratchet did run: the stream after it is not the pre-ratchet
+        // state's blocks 2^20 and on.
+        let mut block_in = [0u8; 40];
+        block_in[..32].copy_from_slice(&near_ratchet().v);
+        block_in[32..].copy_from_slice(&RATCHET_BLOCKS.to_be_bytes());
+        assert_ne!(bulk[64..96], sha256(&block_in)[..]);
     }
 
     #[test]

@@ -15,10 +15,13 @@
 //!   fixed-width Montgomery engine (one CIOS product monomorphized for
 //!   4 to 64 limbs, fixed 4-bit window exponentiation) plus a retained
 //!   schoolbook reference path.
-//! * [`rsa`] — key generation (Miller–Rabin), CRT private ops with Garner
-//!   recombination (and [`rsa::RsaPrivateKey::raw_schoolbook`] as the
-//!   differential baseline), OAEP-SHA1 and PKCS#1 v1.5-SHA1 padding
-//!   (the TPM 1.2 schemes).
+//! * [`rsa`] — key generation (top-two-bit candidates, a single-word sieve
+//!   over the odd primes below 2^10, 20-round Miller–Rabin on one
+//!   Montgomery context, with the work counted in [`rsa::KeygenWork`]),
+//!   CRT private ops with Garner recombination (and
+//!   [`rsa::RsaPrivateKey::raw_schoolbook`] as the differential
+//!   baseline), OAEP-SHA1 and PKCS#1 v1.5-SHA1 padding (the TPM 1.2
+//!   schemes).
 //! * [`aes`] — AES-128/256 CTR for vTPM state protection (AC3): an
 //!   AES-NI keystream kernel, a portable T-table kernel with a 4-block
 //!   interleaved CTR pipeline, and the original byte-wise rounds as the
@@ -67,4 +70,4 @@ pub use bignum::BigUint;
 pub use drbg::Drbg;
 pub use hash::{sha1, sha256, Digest};
 pub use hmac::{ct_eq, hmac_sha1, hmac_sha256, Hmac};
-pub use rsa::{RsaError, RsaPrivateKey, RsaPublicKey};
+pub use rsa::{KeygenWork, RsaError, RsaPrivateKey, RsaPublicKey};

@@ -1,4 +1,4 @@
-//! RSA for the TPM 1.2 emulator: key generation (Miller–Rabin), CRT
+//! RSA for the TPM 1.2 emulator: key generation (sieved Miller–Rabin), CRT
 //! private operations, OAEP encryption padding (the TPM_ES_RSAESOAEP_SHA1_MGF1
 //! scheme) and PKCS#1 v1.5 signature padding (TPM_SS_RSASSAPKCS1v15_SHA1).
 //!
@@ -7,7 +7,7 @@
 //! comparison (the simulated attacker model here is memory disclosure, not
 //! power analysis).
 
-use crate::bignum::BigUint;
+use crate::bignum::{BigUint, MontgomeryCtx};
 use crate::drbg::Drbg;
 use crate::hash::sha1;
 
@@ -135,11 +135,19 @@ impl RsaPublicKey {
 impl RsaPrivateKey {
     /// Generate a key with a modulus of `bits` bits (must be even, >= 512).
     pub fn generate(bits: usize, rng: &mut Drbg) -> Self {
+        Self::generate_counted(bits, rng).0
+    }
+
+    /// [`generate`](Self::generate), also returning the work the prime
+    /// search did. The count is a by-product of the one key-generation
+    /// path, so it is exact and repeats for a given seed.
+    pub fn generate_counted(bits: usize, rng: &mut Drbg) -> (Self, KeygenWork) {
         assert!(bits >= 512 && bits.is_multiple_of(2), "unsupported RSA size {bits}");
         let e = BigUint::from_u64(E);
+        let mut work = KeygenWork::default();
         loop {
-            let p = gen_prime(bits / 2, rng);
-            let q = gen_prime(bits / 2, rng);
+            let p = gen_prime(bits / 2, rng, &mut work);
+            let q = gen_prime(bits / 2, rng, &mut work);
             if p == q {
                 continue;
             }
@@ -151,14 +159,13 @@ impl RsaPrivateKey {
                 continue;
             }
             let n = p.mul(&q);
-            if n.bits() != bits {
-                continue;
-            }
+            // p, q >= 1.5 * 2^(bits/2 - 1), so n >= 2.25 * 2^(bits - 2).
+            assert_eq!(n.bits(), bits, "top-two-bit primes give an exact-size modulus");
             let d = e.mod_inverse(&phi).expect("e invertible mod phi");
             let dp = d.rem(&p1);
             let dq = d.rem(&q1);
             let qinv = q.mod_inverse(&p).expect("q invertible mod p");
-            return RsaPrivateKey {
+            let key = RsaPrivateKey {
                 public: RsaPublicKey { n, e },
                 d,
                 p,
@@ -167,6 +174,7 @@ impl RsaPrivateKey {
                 dq,
                 qinv,
             };
+            return (key, work);
         }
     }
 
@@ -285,9 +293,31 @@ fn mgf1(seed: &[u8], len: usize) -> Vec<u8> {
     out
 }
 
-/// Generate a probable prime of exactly `bits` bits.
-fn gen_prime(bits: usize, rng: &mut Drbg) -> BigUint {
-    search_prime(bits, rng, |candidate, rng| miller_rabin(candidate, 20, rng))
+/// Work one key generation did, counted as the prime search runs.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct KeygenWork {
+    /// Prime searches run: two per key, plus two per discarded pair
+    /// (`p == q`, or `e` not coprime to `phi`).
+    pub primes_searched: u64,
+    /// Random candidates drawn.
+    pub candidates: u64,
+    /// Candidates the small-prime sieve removed before Miller–Rabin.
+    pub sieved: u64,
+    /// Miller–Rabin modular exponentiations `a^d mod n`, one per witness
+    /// tried.
+    pub exponentiations: u64,
+}
+
+/// Miller–Rabin rounds: random witnesses a candidate must pass to be
+/// taken as prime.
+const MR_ROUNDS: usize = 20;
+
+/// Generate a probable prime of exactly `bits` bits whose top two bits
+/// are set.
+fn gen_prime(bits: usize, rng: &mut Drbg, work: &mut KeygenWork) -> BigUint {
+    search_prime(bits, rng, work, |candidate, rng, work| {
+        miller_rabin(candidate, MR_ROUNDS, rng, work)
+    })
 }
 
 /// Random odd `bits`-bit candidates [`search_prime`] may draw per bit of
@@ -297,28 +327,37 @@ fn gen_prime(bits: usize, rng: &mut Drbg) -> BigUint {
 const PRIME_CANDIDATES_PER_BIT: usize = 100;
 
 /// Draw random odd `bits`-bit candidates until `is_prime` accepts one.
+///
+/// Each candidate has its top two bits set, so the product of two
+/// `k`-bit primes always has exactly `2k` bits (FIPS 186-4 B.3.3 asks
+/// for primes of at least `sqrt(2) * 2^(k-1)`; these are at least
+/// `1.5 * 2^(k-1)`). The sieve removes every candidate with an odd prime
+/// factor below [`SIEVE_BOUND`] before `is_prime` draws a witness, and
+/// since `bits >= 12` no candidate is itself a table prime.
+///
 /// Panics after `PRIME_CANDIDATES_PER_BIT * max(bits, 16)` draws: only a
 /// broken primality test (in practice, wrong modular exponentiation)
 /// gets there, and it should fail loudly rather than spin forever.
 fn search_prime(
     bits: usize,
     rng: &mut Drbg,
-    mut is_prime: impl FnMut(&BigUint, &mut Drbg) -> bool,
+    work: &mut KeygenWork,
+    mut is_prime: impl FnMut(&BigUint, &mut Drbg, &mut KeygenWork) -> bool,
 ) -> BigUint {
+    assert!(bits >= 12, "prime search below 12 bits");
+    work.primes_searched += 1;
     let limit = PRIME_CANDIDATES_PER_BIT * bits.max(16);
     for _ in 0..limit {
         let mut candidate = random_bits(bits, rng);
-        // Force top bit (exact size) and low bit (odd).
         candidate.set_bit(bits - 1);
+        candidate.set_bit(bits - 2);
         candidate.set_bit(0);
-        // Quick trial division before Miller–Rabin.
-        if SMALL_PRIMES.iter().any(|&sp| {
-            candidate.rem(&BigUint::from_u64(sp)).is_zero()
-                && candidate != BigUint::from_u64(sp)
-        }) {
+        work.candidates += 1;
+        if has_small_factor(&candidate) {
+            work.sieved += 1;
             continue;
         }
-        if is_prime(&candidate, rng) {
+        if is_prime(&candidate, rng, work) {
             return candidate;
         }
     }
@@ -329,10 +368,58 @@ fn search_prime(
     );
 }
 
-const SMALL_PRIMES: [u64; 30] = [
-    2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67, 71, 73, 79, 83,
-    89, 97, 101, 103, 107, 109, 113,
-];
+/// The sieve tests candidates against every odd prime below this bound.
+const SIEVE_BOUND: u32 = 1 << 10;
+
+/// The 171 odd primes below [`SIEVE_BOUND`], ascending.
+const SIEVE_PRIMES: [u32; 171] = {
+    let mut primes = [0u32; 171];
+    let (mut n, mut found) = (3u32, 0usize);
+    while n < SIEVE_BOUND {
+        let mut d = 3;
+        while d * d <= n && n % d != 0 {
+            d += 2;
+        }
+        if d * d > n {
+            primes[found] = n;
+            found += 1;
+        }
+        n += 2;
+    }
+    assert!(found == primes.len());
+    primes
+};
+
+/// [`SIEVE_PRIMES`] packed, in order, into the 51 runs whose product fits
+/// in a `u32`: `(product, start, end)` for `SIEVE_PRIMES[start..end]`.
+const SIEVE_GROUPS: [(u32, usize, usize); 51] = {
+    let mut groups = [(0u32, 0usize, 0usize); 51];
+    let (mut count, mut start) = (0, 0);
+    while start < SIEVE_PRIMES.len() {
+        let (mut product, mut end) = (1u64, start);
+        while end < SIEVE_PRIMES.len() && product * SIEVE_PRIMES[end] as u64 <= u32::MAX as u64 {
+            product *= SIEVE_PRIMES[end] as u64;
+            end += 1;
+        }
+        groups[count] = (product as u32, start, end);
+        count += 1;
+        start = end;
+    }
+    assert!(count == groups.len());
+    groups
+};
+
+/// True if an odd prime below [`SIEVE_BOUND`] divides `candidate`. One
+/// single-word remainder per group ([`BigUint::rem_u32`]) gives the
+/// residue every prime of the group is tested against; no `BigUint` is
+/// built. Groups run smallest primes first, so most composites leave
+/// after the first.
+fn has_small_factor(candidate: &BigUint) -> bool {
+    SIEVE_GROUPS.iter().any(|&(product, start, end)| {
+        let r = candidate.rem_u32(product);
+        SIEVE_PRIMES[start..end].iter().any(|&p| r.is_multiple_of(p))
+    })
+}
 
 /// Uniform value with at most `bits` bits.
 fn random_bits(bits: usize, rng: &mut Drbg) -> BigUint {
@@ -358,8 +445,11 @@ fn random_range(low: &BigUint, high: &BigUint, rng: &mut Drbg) -> BigUint {
     }
 }
 
-/// Miller–Rabin probabilistic primality test with `rounds` random bases.
-pub fn miller_rabin(n: &BigUint, rounds: usize, rng: &mut Drbg) -> bool {
+/// Miller–Rabin probabilistic primality test with `rounds` random
+/// bases, counting each exponentiation into `work`. One Montgomery
+/// context serves every witness's `a^d mod n` and the squarings after
+/// it.
+fn miller_rabin(n: &BigUint, rounds: usize, rng: &mut Drbg, work: &mut KeygenWork) -> bool {
     let one = BigUint::one();
     let two = BigUint::from_u64(2);
     if n < &two {
@@ -379,14 +469,16 @@ pub fn miller_rabin(n: &BigUint, rounds: usize, rng: &mut Drbg) -> bool {
         d = d.shr(1);
         s += 1;
     }
+    let ctx = MontgomeryCtx::new(n);
     'witness: for _ in 0..rounds {
         let a = random_range(&two, &n1, rng);
-        let mut x = a.mod_pow(&d, n);
+        work.exponentiations += 1;
+        let mut x = ctx.pow(&a, &d);
         if x == one || x == n1 {
             continue;
         }
         for _ in 0..s - 1 {
-            x = x.mul_mod(&x, n);
+            x = ctx.pow(&x, &two);
             if x == n1 {
                 continue 'witness;
             }
@@ -411,29 +503,109 @@ mod tests {
     fn prime_search_is_bounded() {
         // A primality test that never succeeds stands in for a broken
         // modular exponentiation: the search must panic, not spin.
-        search_prime(64, &mut Drbg::new(b"never prime"), |_, _| false);
+        let mut work = KeygenWork::default();
+        search_prime(64, &mut Drbg::new(b"never prime"), &mut work, |_, _, _| false);
+    }
+
+    /// True if a table prime divides `candidate`, by one [`BigUint::rem`]
+    /// per prime: the reference the sieve is held to.
+    fn table_divides(candidate: &BigUint) -> bool {
+        SIEVE_PRIMES
+            .iter()
+            .any(|&p| candidate.rem(&BigUint::from_u64(p.into())).is_zero())
+    }
+
+    #[test]
+    fn sieve_table_is_every_odd_prime_below_the_bound_packed_into_u32_groups() {
+        let mut rng = Drbg::new(b"sieve table");
+        let mut work = KeygenWork::default();
+        let odd_primes: Vec<u32> = (3..SIEVE_BOUND)
+            .step_by(2)
+            .filter(|&n| miller_rabin(&BigUint::from_u64(n.into()), 16, &mut rng, &mut work))
+            .collect();
+        assert_eq!(SIEVE_PRIMES.to_vec(), odd_primes);
+        let mut next = 0;
+        for &(product, start, end) in &SIEVE_GROUPS {
+            assert_eq!(start, next, "groups cover the table in order");
+            assert!(end > start);
+            let exact: u64 = SIEVE_PRIMES[start..end].iter().map(|&p| u64::from(p)).product();
+            assert_eq!(u64::from(product), exact, "product fits in u32");
+            next = end;
+        }
+        assert_eq!(next, SIEVE_PRIMES.len());
+    }
+
+    #[test]
+    fn sieve_matches_bigint_rem_on_random_odd_candidates() {
+        let mut rng = Drbg::new(b"sieve differential");
+        let mut rejected = 0;
+        for i in 0..600 {
+            let bits = 256 + rng.below(2048 - 256 + 1) as usize;
+            let mut odd = random_bits(bits, &mut rng);
+            odd.set_bit(bits - 1);
+            odd.set_bit(0);
+            // 1021 is the last table prime and 1031 the first prime past it.
+            let candidate = match i % 3 {
+                0 => odd,
+                1 => odd.mul(&BigUint::from_u64(1021)),
+                _ => odd.mul(&BigUint::from_u64(1031)),
+            };
+            for &(product, start, end) in &SIEVE_GROUPS {
+                let r = candidate.rem_u32(product);
+                let want = candidate.rem(&BigUint::from_u64(product.into()));
+                assert_eq!(BigUint::from_u64(r.into()), want, "group product {product}");
+                for &p in &SIEVE_PRIMES[start..end] {
+                    let want = candidate.rem(&BigUint::from_u64(p.into()));
+                    assert_eq!(BigUint::from_u64((r % p).into()), want, "prime {p}");
+                }
+            }
+            assert_eq!(has_small_factor(&candidate), table_divides(&candidate), "{candidate:?}");
+            if i % 3 == 1 {
+                assert!(has_small_factor(&candidate), "1021 * r must be rejected");
+            }
+            rejected += usize::from(has_small_factor(&candidate));
+        }
+        // Every 1021 multiple, and ~84% of the other odd numbers (an odd
+        // factor below 2^10): ~540 of 600.
+        assert!((480..600).contains(&rejected), "{rejected} of 600 rejected");
+    }
+
+    #[test]
+    fn sieve_passes_products_of_primes_past_the_table() {
+        let mut rng = Drbg::new(b"sieve pass");
+        let mut work = KeygenWork::default();
+        for bits in [256, 512, 1024] {
+            let r = gen_prime(bits, &mut rng, &mut work);
+            let c = r.mul(&BigUint::from_u64(1031));
+            assert!(!has_small_factor(&c), "1031 * prime must pass the sieve");
+            assert!(has_small_factor(&r.mul(&BigUint::from_u64(1021))));
+            assert!(!has_small_factor(&r.mul(&r)));
+        }
     }
 
     #[test]
     fn miller_rabin_knowns() {
         let mut rng = Drbg::new(b"mr");
+        let mut work = KeygenWork::default();
         for p in [2u64, 3, 5, 7, 97, 65537, 2147483647] {
-            assert!(miller_rabin(&BigUint::from_u64(p), 16, &mut rng), "{p} is prime");
+            assert!(miller_rabin(&BigUint::from_u64(p), 16, &mut rng, &mut work), "{p} is prime");
         }
         for c in [0u64, 1, 4, 9, 15, 561, 41041, 65536, 2147483649] {
-            assert!(!miller_rabin(&BigUint::from_u64(c), 16, &mut rng), "{c} is composite");
+            let composite = !miller_rabin(&BigUint::from_u64(c), 16, &mut rng, &mut work);
+            assert!(composite, "{c} is composite");
         }
     }
 
     #[test]
     fn miller_rabin_large_prime() {
         let mut rng = Drbg::new(b"mr2");
+        let mut work = KeygenWork::default();
         // 2^127 - 1 (Mersenne prime)
         let p = BigUint::one().shl(127).sub(&BigUint::one());
-        assert!(miller_rabin(&p, 16, &mut rng));
+        assert!(miller_rabin(&p, 16, &mut rng, &mut work));
         // 2^128 - 1 is composite.
         let c = BigUint::one().shl(128).sub(&BigUint::one());
-        assert!(!miller_rabin(&c, 16, &mut rng));
+        assert!(!miller_rabin(&c, 16, &mut rng, &mut work));
     }
 
     #[test]

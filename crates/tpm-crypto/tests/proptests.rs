@@ -134,6 +134,39 @@ proptest! {
 }
 
 proptest! {
+    #![proptest_config(ProptestConfig::with_cases(8))]
+
+    /// Keygen from any seed, at 512 and 1024 bits: both primes have their
+    /// top two bits set, so the modulus has exactly the asked size with
+    /// no retry; the primes differ; and the CRT private op matches
+    /// schoolbook `c^d mod n`.
+    #[test]
+    fn keygen_primes_have_top_two_bits_and_exact_modulus(
+        seed in vec(any::<u8>(), 1..32),
+        msg in vec(any::<u8>(), 1..64),
+    ) {
+        for bits in [512, 1024] {
+            let (key, work) = RsaPrivateKey::generate_counted(bits, &mut Drbg::new(&seed));
+            for prime in [&key.p, &key.q] {
+                prop_assert_eq!(prime.bits(), bits / 2);
+                prop_assert!(prime.bit(bits / 2 - 2), "second-highest bit clear");
+            }
+            prop_assert!(key.p != key.q);
+            prop_assert_eq!(key.public.n.bits(), bits);
+            prop_assert_eq!(key.p.mul(&key.q), key.public.n.clone());
+            prop_assert!(work.primes_searched >= 2 && work.primes_searched % 2 == 0);
+            prop_assert!(work.sieved < work.candidates);
+            // Every prime found costs its 20 witnesses.
+            prop_assert!(work.exponentiations >= 20 * work.primes_searched);
+            let m = BigUint::from_bytes_be(&msg).rem(&key.public.n);
+            let c = key.public.raw(&m);
+            prop_assert_eq!(key.raw(&c).to_bytes_be(), key.raw_schoolbook(&c).to_bytes_be());
+            prop_assert_eq!(key.raw(&c), m);
+        }
+    }
+}
+
+proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     /// Montgomery fixed-window mod_pow == schoolbook on random odd moduli

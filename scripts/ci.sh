@@ -54,10 +54,14 @@
 #      RSA-1024 private op (CRT + fixed-width Montgomery + fixed window)
 #      against the retained schoolbook reference, the selected AES-CTR
 #      keystream and SHA-1/SHA-256 kernels beside the portable ones (and
-#      reports the RSA-512 sign and RSA-1024 keygen ungated), and exits
-#      nonzero if the RSA speedup drops below 4x, the private op exceeds
-#      2 ms, CTR throughput falls below 40 MB/s, or 1 MiB through the
-#      selected and the portable kernels hashes or encrypts differently.
+#      reports the RSA-512 sign and RSA-1024/RSA-2048 keygen ungated),
+#      counts the prime-search work of 32 fixed-seed RSA-1024 keys, and
+#      exits nonzero if the RSA speedup drops below 4x, the private op
+#      exceeds 2 ms, CTR throughput falls below 40 MB/s, 1 MiB through
+#      the selected and the portable kernels hashes or encrypts
+#      differently, or a key takes on average more than 105 Miller–Rabin
+#      exponentiations or 2.05 prime searches (the counts repeat
+#      exactly: 95.0 and 2.00).
 #      Then, on a CPU whose /proc/cpuinfo lists `sha_ni` and `aes`, the
 #      step fails unless BENCH_c1.json reports `"kernels":"sha-ni+aes-ni"`:
 #      a dispatch that silently fell back to the portable kernels passes
@@ -158,7 +162,7 @@ cargo run --release -p vtpm-bench --bin repro -- d1 --quick --out target/bench
 echo "== R-P1: manager scaling budget (10k/100-instance read path <= 1.5x) =="
 cargo run --release -p vtpm-bench --bin repro -- p1 --quick --out target/bench
 
-echo "== R-C1: crypto floor (RSA speedup >= 4x, CTR >= 40 MB/s, kernels agree) =="
+echo "== R-C1: crypto floor (RSA speedup >= 4x, CTR >= 40 MB/s, kernels agree, keygen work) =="
 cargo run --release -p vtpm-bench --bin repro -- c1 --quick --out target/bench
 if grep -qw sha_ni /proc/cpuinfo 2>/dev/null && grep -qw aes /proc/cpuinfo 2>/dev/null \
     && ! grep -q '"kernels":"sha-ni+aes-ni"' target/bench/BENCH_c1.json; then
@@ -189,7 +193,7 @@ echo "== chaos transcript hash: all families + matrix, byte-identical =="
 # does or reports, and say why in that change. Example: a newly scraped
 # counter lengthens every host's scrape frame, the fabric charges frames
 # to virtual time by size, and so the fleet downtimes move.
-CHAOS_SHA256=c362a72514608163808e49fa09735a5cca0bd9ab8cd4e7bbd7f5f6bd26d5c6d4
+CHAOS_SHA256=a527a87395132c48035db57f07065ec4e9a512bb3f7eb5be154acf6b8bb54463
 got=$(cargo run --release -q -p vtpm-harness --bin chaos -- \
     --seeds 8 --base pr14 --family all --matrix --json | sha256sum | cut -d' ' -f1)
 if [ "$got" != "$CHAOS_SHA256" ]; then
