@@ -31,7 +31,7 @@ use parking_lot::Mutex;
 use tpm::{DirectTransport, PcrSelection, TpmClient};
 use vtpm::deep_quote::DeepQuote;
 use vtpm::{InstanceId, Platform};
-use vtpm_telemetry::{AttestTelemetry, QuoteSpanRecord};
+use vtpm_telemetry::AttestTelemetry;
 
 use crate::wire::{window_nonce, Evidence, WINDOW_NS};
 
@@ -286,17 +286,14 @@ impl QuoteIssuer {
             cache.insert((instance, generation, window), Arc::clone(&evidence));
         }
 
-        self.telemetry.record_issue(QuoteSpanRecord {
-            instance,
-            window,
-            generation,
-            stage_ns: [
+        self.telemetry.record_issue(
+            [
                 (t1 - t0).as_nanos() as u64,
                 (t2 - t1).as_nanos() as u64,
                 (t3 - t2).as_nanos() as u64,
             ],
-            total_ns: (t3 - t0).as_nanos() as u64,
-        });
+            (t3 - t0).as_nanos() as u64,
+        );
         Ok(evidence)
     }
 }

@@ -1,15 +1,29 @@
 //! R-F1 (Figure 1): aggregate throughput versus number of guest VMs,
 //! baseline vs improved.
 //!
-//! Closed-loop mixed workload per guest; the series shows both curves
-//! climbing with VM count until the manager saturates, with the improved
-//! curve tracking the baseline within the per-command overhead band.
+//! Each guest runs a closed loop of the light mix (GetRandom, PcrRead,
+//! Extend: one TPM command per operation) through its own frontend, and
+//! Dom0's one tpmback loop serves every guest ring, as in the deployed
+//! stack. So the aggregate wall-clock rate is bounded by that one Dom0
+//! thread: it should level off rather than collapse as guests are added
+//! (the per-command Dom0 cost stays flat), and the per-guest rate falls
+//! as the guests share it. The paper-shaped claim lives in virtual time:
+//! the improved curve tracks the baseline within the per-command
+//! overhead band.
+//!
+//! Gate: every operation on both sides succeeds, and improved
+//! virtual-time throughput is at least [`MIN_VIRT_RATIO`] of the
+//! baseline at every VM count.
 
 use vtpm::{Guest, Platform};
 use vtpm_ac::SecurePlatform;
+use vtpm_harness::json::Field;
 use workload::{run_concurrent, CommandMix};
 
 use crate::Outcome;
+
+/// Floor on improved / baseline virtual-time throughput at any VM count.
+pub const MIN_VIRT_RATIO: f64 = 0.9;
 
 /// One point on the figure.
 #[derive(Debug, Clone)]
@@ -24,6 +38,8 @@ pub struct F1Point {
     pub base_ops_vs: f64,
     /// Improved virtual-time throughput.
     pub imp_ops_vs: f64,
+    /// Operations that failed, both sides together.
+    pub errors: u64,
 }
 
 /// Run the sweep.
@@ -47,7 +63,6 @@ pub fn run(vm_counts: &[usize], ops_per_guest: usize) -> Vec<F1Point> {
                 ops_per_guest,
                 b"f1",
             );
-            assert_eq!(b.errors + i.errors, 0, "workload must run clean");
 
             F1Point {
                 vms,
@@ -55,6 +70,7 @@ pub fn run(vm_counts: &[usize], ops_per_guest: usize) -> Vec<F1Point> {
                 imp_ops_s: i.throughput_wall(),
                 base_ops_vs: b.throughput_virtual(),
                 imp_ops_vs: i.throughput_virtual(),
+                errors: b.errors + i.errors,
             }
         })
         .collect()
@@ -64,23 +80,65 @@ pub fn run(vm_counts: &[usize], ops_per_guest: usize) -> Vec<F1Point> {
 pub fn render(points: &[F1Point]) -> String {
     let mut out = String::new();
     out.push_str(
-        "R-F1  Aggregate throughput vs concurrent VMs (light mix)\n\
-         vms   base(ops/s wall)  impr(ops/s wall)   base(ops/s virt)  impr(ops/s virt)\n",
+        "R-F1  Aggregate throughput vs concurrent VMs (light mix, one command per op)\n\
+         vms   base(ops/s wall)  impr(ops/s wall)  impr/guest(cmd/s wall)   base(ops/s virt)  impr(ops/s virt)  errors\n",
     );
     for p in points {
         out.push_str(&format!(
-            "{:<5} {:>17.0} {:>17.0} {:>18.1} {:>17.1}\n",
-            p.vms, p.base_ops_s, p.imp_ops_s, p.base_ops_vs, p.imp_ops_vs
+            "{:<5} {:>17.0} {:>17.0} {:>23.0} {:>18.1} {:>17.1} {:>7}\n",
+            p.vms,
+            p.base_ops_s,
+            p.imp_ops_s,
+            p.imp_ops_s / p.vms as f64,
+            p.base_ops_vs,
+            p.imp_ops_vs,
+            p.errors
         ));
     }
     out
 }
 
+/// The first point that fails the gate, with the reason.
+fn violation(points: &[F1Point]) -> Option<String> {
+    points.iter().find_map(|p| {
+        if p.errors > 0 {
+            Some(format!("R-F1 {} workload errors at {} VMs", p.errors, p.vms))
+        } else if p.imp_ops_vs < p.base_ops_vs * MIN_VIRT_RATIO {
+            Some(format!(
+                "R-F1 improved virtual throughput {:.1} < {MIN_VIRT_RATIO}x baseline {:.1} at {} VMs",
+                p.imp_ops_vs, p.base_ops_vs, p.vms
+            ))
+        } else {
+            None
+        }
+    })
+}
+
 /// The `repro` entry: this experiment at CI size (`quick`) or full size.
 pub fn repro(quick: bool) -> Outcome {
     let (vms, ops): (&[usize], usize) =
-        if quick { (&[1, 2, 4], 10) } else { (&[1, 2, 4, 8, 16, 32], 60) };
-    Outcome::table(render(&run(vms, ops)))
+        if quick { (&[1, 2, 4], 10) } else { (&[1, 2, 4, 8, 16, 32, 64], 60) };
+    let points = run(vms, ops);
+    let rows = points.iter().map(|p| {
+        Field::Obj(vec![
+            ("vms", p.vms.into()),
+            ("base_ops_s", Field::Float(p.base_ops_s, 0)),
+            ("imp_ops_s", Field::Float(p.imp_ops_s, 0)),
+            ("imp_cmds_s_per_guest", Field::Float(p.imp_ops_s / p.vms as f64, 0)),
+            ("base_ops_vs", Field::Float(p.base_ops_vs, 1)),
+            ("imp_ops_vs", Field::Float(p.imp_ops_vs, 1)),
+            ("errors", p.errors.into()),
+        ])
+    });
+    Outcome {
+        text: render(&points),
+        fields: vec![
+            ("ops_per_guest", ops.into()),
+            ("points", Field::List(rows.collect())),
+            ("min_virt_ratio", Field::Float(MIN_VIRT_RATIO, 2)),
+        ],
+        gate: violation(&points).map_or(Ok(()), Err),
+    }
 }
 
 #[cfg(test)]
@@ -97,10 +155,28 @@ mod tests {
             assert!(p.base_ops_s > 0.0 && p.imp_ops_s > 0.0);
             // The paper-shaped claim lives in virtual time: improved
             // within a few percent of baseline.
-            assert!(p.imp_ops_vs > p.base_ops_vs * 0.9, "{p:?}");
+            assert!(p.imp_ops_vs > p.base_ops_vs * MIN_VIRT_RATIO, "{p:?}");
             // Wall-clock carries software AC cost; just sanity-bound it.
             assert!(p.imp_ops_s > p.base_ops_s / 5.0, "{p:?}");
         }
+        assert_eq!(violation(&points), None);
         assert!(render(&points).contains("R-F1"));
+    }
+
+    #[test]
+    fn gate_names_the_failing_point() {
+        let point = |vms, imp_ops_vs, errors| F1Point {
+            vms,
+            base_ops_s: 1.0,
+            imp_ops_s: 1.0,
+            base_ops_vs: 100.0,
+            imp_ops_vs,
+            errors,
+        };
+        assert_eq!(violation(&[point(1, 95.0, 0), point(2, 90.0, 0)]), None);
+        let slow = violation(&[point(1, 95.0, 0), point(2, 89.0, 0)]).unwrap();
+        assert!(slow.contains("at 2 VMs"), "{slow}");
+        let failed = violation(&[point(4, 99.0, 3)]).unwrap();
+        assert!(failed.contains("3 workload errors at 4 VMs"), "{failed}");
     }
 }

@@ -1,13 +1,13 @@
 //! R-P1: the Dom0 manager's hot path at scale — wall-clock per-command
 //! overhead versus resident instance count.
 //!
-//! The routing table is sharded (64-way striped instance/region maps),
-//! so the read-path cost of `handle` should stay flat from 100 to
-//! 10 000 resident instances: the gate ([`overhead_ratio`] vs
+//! The routing table is one hash map (the instance map and the mirror's
+//! region map), so the read-path cost of `handle` should stay flat from
+//! 100 to 10 000 resident instances: the gate ([`overhead_ratio`] vs
 //! [`BUDGET_RATIO`]) fails the build if the largest count's ns/cmd
 //! exceeds 1.5x the smallest's. The read phase round-robins over a
-//! fixed-size active set (64 instances, spread across the id range so
-//! every shard is exercised) while the *resident* count scales — that
+//! fixed-size active set (64 instances, spread across the id range)
+//! while the *resident* count scales — that
 //! isolates the routing/lookup cost from the unavoidable cache
 //! footprint of touching 10k distinct multi-KiB TPM states, which is a
 //! property of DRAM, not of the manager. The mutate phase drives
@@ -73,8 +73,8 @@ struct World {
     _hv: Arc<Hypervisor>,
     mgr: VtpmManager,
     ids: Vec<u32>,
-    /// Fixed-size active set, evenly spaced so all 64 shards see
-    /// traffic regardless of the resident count.
+    /// Fixed-size active set, evenly spaced over the id range
+    /// regardless of the resident count.
     active: Vec<u32>,
     seq: u64,
 }

@@ -17,7 +17,6 @@
 //! | [`exp::f2`] | R-F2: overhead breakdown of the improved path |
 //! | [`exp::t3`] | R-T3: policy-engine latency vs rule count |
 //! | [`exp::f3`] | R-F3: migration time vs state size |
-//! | [`exp::f4`] | R-F4: manager throughput vs worker threads |
 //! | [`exp::t4`] | R-T4: per-mechanism ablation |
 //! | [`exp::f5`] | R-F5: dump-scan at scale |
 //! | [`exp::r1`] | R-R1: chaos + crash/recovery of the mirror pipeline |
@@ -38,7 +37,6 @@ pub mod exp {
     pub mod f1;
     pub mod f2;
     pub mod f3;
-    pub mod f4;
     pub mod f5;
     pub mod f6;
     pub mod m1;
@@ -56,14 +54,13 @@ pub mod exp {
 use vtpm_harness::json::Field;
 
 /// Every experiment `repro` knows, in `repro all` order.
-pub const EXPERIMENTS: [(&str, fn(bool) -> Outcome); 19] = [
+pub const EXPERIMENTS: [(&str, fn(bool) -> Outcome); 18] = [
     ("t1", exp::t1::repro),
     ("f1", exp::f1::repro),
     ("t2", exp::t2::repro),
     ("f2", exp::f2::repro),
     ("t3", exp::t3::repro),
     ("f3", exp::f3::repro),
-    ("f4", exp::f4::repro),
     ("t4", exp::t4::repro),
     ("f5", exp::f5::repro),
     ("f6", exp::f6::repro),

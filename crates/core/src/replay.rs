@@ -6,30 +6,17 @@
 //! sequence number; the guard accepts an envelope only if its sequence
 //! exceeds the highest accepted so far.
 //!
-//! The table is lock-striped: a single mutex over the whole map would
-//! serialize every guest's fast path through one lock even though
-//! distinct (domain, instance) bindings never interact. Bindings hash to
-//! one of [`SHARDS`] independently locked sub-maps, so contention only
-//! arises between requests for bindings that land on the same shard.
+//! The table is one mutex over one map. Dom0's one tpmback loop is the
+//! only thread on the request path, so the lock is uncontended there.
 
 use std::collections::HashMap;
 
 use parking_lot::Mutex;
 
-/// Number of lock stripes. Power of two so shard selection is a mask.
-const SHARDS: usize = 16;
-
 /// The per-binding sequence tracker.
+#[derive(Default)]
 pub struct ReplayGuard {
-    shards: [Mutex<HashMap<(u32, u32), u64>>; SHARDS],
-}
-
-impl Default for ReplayGuard {
-    fn default() -> Self {
-        ReplayGuard {
-            shards: std::array::from_fn(|_| Mutex::new(HashMap::new())),
-        }
-    }
+    last: Mutex<HashMap<(u32, u32), u64>>,
 }
 
 impl ReplayGuard {
@@ -38,19 +25,10 @@ impl ReplayGuard {
         Self::default()
     }
 
-    /// Map a binding to its stripe. Fibonacci-style multiplicative
-    /// hashing keeps sequentially allocated domain/instance ids from
-    /// clustering on a few shards.
-    fn shard(&self, domain: u32, instance: u32) -> &Mutex<HashMap<(u32, u32), u64>> {
-        let h = (domain as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15)
-            ^ (instance as u64).wrapping_mul(0xC2B2_AE3D_27D4_EB4F);
-        &self.shards[(h >> 32) as usize & (SHARDS - 1)]
-    }
-
     /// Accept `seq` for (domain, instance) iff it advances; updates the
     /// watermark on acceptance.
     pub fn check_and_advance(&self, domain: u32, instance: u32, seq: u64) -> bool {
-        let mut last = self.shard(domain, instance).lock();
+        let mut last = self.last.lock();
         let entry = last.entry((domain, instance)).or_insert(0);
         if seq > *entry {
             *entry = seq;
@@ -62,21 +40,17 @@ impl ReplayGuard {
 
     /// Current watermark for a binding.
     pub fn watermark(&self, domain: u32, instance: u32) -> u64 {
-        self.shard(domain, instance)
-            .lock()
-            .get(&(domain, instance))
-            .copied()
-            .unwrap_or(0)
+        self.last.lock().get(&(domain, instance)).copied().unwrap_or(0)
     }
 
     /// Forget a binding (domain destruction / re-provision).
     pub fn reset(&self, domain: u32, instance: u32) {
-        self.shard(domain, instance).lock().remove(&(domain, instance));
+        self.last.lock().remove(&(domain, instance));
     }
 
-    /// Total bindings tracked across all shards (diagnostics).
+    /// Bindings tracked (diagnostics).
     pub fn len(&self) -> usize {
-        self.shards.iter().map(|s| s.lock().len()).sum()
+        self.last.lock().len()
     }
 
     /// True when no binding is tracked.
@@ -150,8 +124,8 @@ mod tests {
 
     #[test]
     fn striping_preserves_per_binding_isolation() {
-        // Many bindings spread over shards; watermarks never bleed into
-        // each other even when bindings collide on a stripe.
+        // Many bindings in one table; watermarks never bleed into each
+        // other.
         let g = ReplayGuard::new();
         for domain in 0..64u32 {
             for instance in 0..4u32 {

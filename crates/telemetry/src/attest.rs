@@ -1,4 +1,4 @@
-//! Attestation-plane observability: quote-issue stage spans and
+//! Attestation-plane observability: quote-issue stage histograms and
 //! verification latency histograms.
 //!
 //! The attestation plane (crate `vtpm-attest`) has two hot paths worth
@@ -6,9 +6,9 @@
 //! ops (the instance vTPM quote plus the hardware countersign) unless
 //! the issued-quote cache absorbs the request — and *verification* —
 //! where a `VerifierPool` grinds through batches of submitted quote
-//! chains. Each signing pass is summarized into a [`QuoteSpanRecord`]
-//! with per-stage durations; cache hits and coalesced waiters only
-//! bump counters (that is the whole point of the cache). Verification
+//! chains. Each signing pass records its per-stage durations into the
+//! stage histograms; cache hits and coalesced waiters only bump
+//! counters (that is the whole point of the cache). Verification
 //! records one latency sample per submission plus the batch-size
 //! distribution, so the R-A1 experiment can report a meaningful p99.
 //!
@@ -17,29 +17,7 @@
 //! request path); nothing from this module feeds a chaos transcript,
 //! so replay determinism is unaffected.
 
-use std::sync::Mutex;
-
 use crate::registry::{Counter, Registry, RegistrySnapshot, Schema, Series};
-
-/// Issue-stage labels, in signing-pass order. Indexes into
-/// [`QuoteSpanRecord::stage_ns`] and [`AttestTelemetry::STAGES`].
-pub const QUOTE_STAGE_LABELS: [&str; 3] = ["vtpm-quote", "hw-countersign", "assemble"];
-
-/// One deep-quote signing pass, summarized.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct QuoteSpanRecord {
-    /// Instance the quote covers.
-    pub instance: u32,
-    /// Nonce-window the quote was issued against.
-    pub window: u64,
-    /// Permanent-state generation of the instance at quote time (the
-    /// cache key component that invalidates on PCR extends).
-    pub generation: u64,
-    /// Per-stage durations (ns), indexed per [`QUOTE_STAGE_LABELS`].
-    pub stage_ns: [u64; 3],
-    /// Whole signing pass (ns).
-    pub total_ns: u64,
-}
 
 static SCHEMA: Schema<7, 6> = {
     type A = AttestTelemetry;
@@ -56,11 +34,10 @@ static SCHEMA: Schema<7, 6> = {
 };
 
 /// Plane-wide attestation metrics: issuance counters + stage
-/// histograms, verification latency, batch sizes, and the retained
-/// signing-pass spans. Shared by the issuer and the verifier pool.
+/// histograms, verification latency and batch sizes. Shared by the
+/// issuer and the verifier pool.
 pub struct AttestTelemetry {
     registry: Registry<7, 6>,
-    spans: Mutex<Vec<QuoteSpanRecord>>,
 }
 
 impl Default for AttestTelemetry {
@@ -84,7 +61,8 @@ impl AttestTelemetry {
     pub const ACCEPTED: Counter = Counter::new(5, "attest_accepted");
     /// Submissions refused (any reason).
     pub const REFUSED: Counter = Counter::new(6, "attest_refused");
-    /// Per-stage signing-pass durations, per [`QUOTE_STAGE_LABELS`].
+    /// Per-stage signing-pass durations, in signing-pass order: the
+    /// vTPM quote, the hardware countersign, assembly.
     pub const STAGES: [Series; 3] = [
         Series::new(0, "attest_vtpm-quote"),
         Series::new(1, "attest_hw-countersign"),
@@ -100,7 +78,7 @@ impl AttestTelemetry {
 
     /// Empty registry.
     pub fn new() -> Self {
-        AttestTelemetry { registry: Registry::new(&SCHEMA), spans: Mutex::new(Vec::new()) }
+        AttestTelemetry { registry: Registry::new(&SCHEMA) }
     }
 
     /// Note one quote request arriving at the issuer (hit or miss).
@@ -119,16 +97,16 @@ impl AttestTelemetry {
         self.registry.add(Self::COALESCED, 1);
     }
 
-    /// Fold one signing pass into the stage histograms and retain it.
-    pub fn record_issue(&self, span: QuoteSpanRecord) {
+    /// Fold one signing pass into the stage histograms: per-stage
+    /// durations (ns) indexed like [`Self::STAGES`], and the whole pass.
+    pub fn record_issue(&self, stage_ns: [u64; 3], total_ns: u64) {
         self.registry.add(Self::SIGNING_PASSES, 1);
-        for (stage, ns) in Self::STAGES.into_iter().zip(span.stage_ns) {
+        for (stage, ns) in Self::STAGES.into_iter().zip(stage_ns) {
             if ns > 0 {
                 self.registry.record(stage, ns);
             }
         }
-        self.registry.record(Self::ISSUE_TOTAL, span.total_ns);
-        self.spans.lock().expect("span store poisoned").push(span);
+        self.registry.record(Self::ISSUE_TOTAL, total_ns);
     }
 
     /// Record one verified submission and its wall latency.
@@ -141,11 +119,6 @@ impl AttestTelemetry {
     /// Record the size of one verification batch.
     pub fn note_batch(&self, size: u64) {
         self.registry.record(Self::BATCH_SIZE, size);
-    }
-
-    /// Retained signing-pass spans, oldest first.
-    pub fn spans(&self) -> Vec<QuoteSpanRecord> {
-        self.spans.lock().expect("span store poisoned").clone()
     }
 
     /// Coherent-at-quiescence snapshot; index it with this type's
@@ -161,15 +134,7 @@ mod tests {
 
     type T = AttestTelemetry;
 
-    fn span(instance: u32) -> QuoteSpanRecord {
-        QuoteSpanRecord {
-            instance,
-            window: 7,
-            generation: 3,
-            stage_ns: [40_000, 60_000, 1_000],
-            total_ns: 101_000,
-        }
-    }
+    const STAGE_NS: [u64; 3] = [40_000, 60_000, 1_000];
 
     #[test]
     fn issuance_counters_and_stages_accumulate() {
@@ -177,8 +142,8 @@ mod tests {
         for _ in 0..10 {
             t.note_requested();
         }
-        t.record_issue(span(1));
-        t.record_issue(span(2));
+        t.record_issue(STAGE_NS, 101_000);
+        t.record_issue(STAGE_NS, 101_000);
         for _ in 0..6 {
             t.note_cache_hit();
         }
@@ -192,7 +157,6 @@ mod tests {
         assert_eq!(T::STAGES[0].name(), "attest_vtpm-quote");
         assert_eq!(s[T::STAGES[0]].count, 2);
         assert_eq!(s[T::ISSUE_TOTAL].count, 2);
-        assert_eq!(t.spans().len(), 2);
     }
 
     #[test]
@@ -211,9 +175,7 @@ mod tests {
     #[test]
     fn unreached_stages_stay_out_of_histograms() {
         let t = AttestTelemetry::new();
-        let mut sp = span(1);
-        sp.stage_ns[2] = 0;
-        t.record_issue(sp);
+        t.record_issue([40_000, 60_000, 0], 100_000);
         let s = t.snapshot();
         assert_eq!(s[T::STAGES[1]].count, 1);
         assert_eq!(s[T::STAGES[2]].count, 0);
@@ -221,8 +183,7 @@ mod tests {
 
     #[test]
     fn stage_series_follow_the_stage_labels() {
-        for (stage, label) in T::STAGES.iter().zip(QUOTE_STAGE_LABELS) {
-            assert_eq!(stage.name(), format!("attest_{label}"));
-        }
+        let names = T::STAGES.map(|stage| stage.name());
+        assert_eq!(names, ["attest_vtpm-quote", "attest_hw-countersign", "attest_assemble"]);
     }
 }

@@ -1,8 +1,8 @@
 //! # vtpm-telemetry
 //!
-//! Lock-free tracing, metrics, and audit-correlated observability for
-//! the vTPM stack. Deliberately dependency-free (std only) so it can
-//! sit below every other crate in the workspace.
+//! Tracing, metrics, and audit-correlated observability for the vTPM
+//! stack. Deliberately dependency-free (std only) so it can sit below
+//! every other crate in the workspace.
 //!
 //! The crate provides four pieces, mirroring the request path:
 //!
@@ -13,10 +13,9 @@
 //!   clock is *injected* (plain `u64` nanoseconds), so instrumented
 //!   code can feed the xen-sim virtual clock and stay byte-
 //!   deterministic under the chaos harness.
-//! * **Event pipeline** — finished spans are pushed into a striped,
-//!   bounded, allocation-free MPMC [`SpanRing`] (16 stripes, like
-//!   `ReplayGuard`), with an *exact* [`Telemetry::dropped_events`]
-//!   counter on overflow.
+//! * **Event pipeline** — finished spans are pushed into one bounded,
+//!   preallocated [`SpanRing`], with an *exact*
+//!   [`Telemetry::dropped_events`] counter on overflow.
 //! * **Metrics registry** — one [`Registry`] type: a fixed array of
 //!   atomic counters plus a fixed array of log-linear [`Histogram`]s
 //!   (p50/p90/p99/p99.9), laid out by a static [`Schema`] and addressed
@@ -27,9 +26,9 @@
 //!   single consistent read) and a Chrome trace-event dump
 //!   ([`chrome_trace`]) loadable in `chrome://tracing` / Perfetto.
 //!
-//! The hot path costs a handful of relaxed atomic ops and never
-//! allocates; everything heavier (drain, snapshot, export) happens on
-//! the observer's thread.
+//! The hot path costs a handful of relaxed atomic ops plus one
+//! uncontended lock per finished span, and never allocates; everything
+//! heavier (drain, snapshot, export) happens on the observer's thread.
 
 mod attest;
 mod deny_rate;
@@ -41,7 +40,7 @@ mod registry;
 mod ring;
 mod rollup;
 
-pub use attest::{AttestTelemetry, QuoteSpanRecord, QUOTE_STAGE_LABELS};
+pub use attest::AttestTelemetry;
 pub use deny_rate::DenyRate;
 pub use export::{chrome_trace, cluster_chrome_trace, hist_json, prom_summary};
 pub use fleet::{FleetTelemetry, FLEET_STAGE_LABELS};
@@ -51,7 +50,7 @@ pub use migration::{
     MIGRATION_STAGE_LABELS,
 };
 pub use registry::{Counter, Registry, RegistrySnapshot, Schema, Series};
-pub use ring::{SpanRing, DEFAULT_SPAN_CAPACITY, SPAN_SHARDS};
+pub use ring::{SpanRing, DEFAULT_SPAN_CAPACITY};
 pub use rollup::{RollupSeries, DEFAULT_ROLLUP_TIERS};
 
 use std::sync::atomic::Ordering;
@@ -352,18 +351,17 @@ impl Telemetry {
     pub const MIRROR_BYTES: Series = Series::new(5, "mirror_bytes");
 
     /// Registry with the default span-ring capacity
-    /// ([`DEFAULT_SPAN_CAPACITY`] slots × [`SPAN_SHARDS`] stripes).
+    /// ([`DEFAULT_SPAN_CAPACITY`] slots).
     pub fn new() -> Self {
         Self::with_span_capacity(DEFAULT_SPAN_CAPACITY)
     }
 
-    /// Registry with `per_stripe` span slots per stripe (rounded up to
-    /// a power of two). Small capacities are how tests provoke exact,
-    /// countable overflow.
-    pub fn with_span_capacity(per_stripe: usize) -> Self {
+    /// Registry with `capacity` span slots in total. Small capacities
+    /// are how tests provoke exact, countable overflow.
+    pub fn with_span_capacity(capacity: usize) -> Self {
         Telemetry {
             registry: Registry::new(&SCHEMA),
-            spans: Some(SpanRing::with_capacity(per_stripe)),
+            spans: Some(SpanRing::with_capacity(capacity)),
         }
     }
 
@@ -716,9 +714,8 @@ mod tests {
     #[test]
     fn dropped_events_exact_under_overflow() {
         let t = Telemetry::with_span_capacity(4);
-        // 16 stripes x 4 slots = 64 total, but all spans from one
-        // telemetry share ids that spread across stripes; force exact
-        // accounting instead by checking kept + dropped == finished.
+        // 4 slots for 500 spans: the ring overflows, and the accounting
+        // must stay exact, kept + dropped == finished.
         for i in 0..500 {
             run_one(&t, Outcome::Ok, i * 10);
         }

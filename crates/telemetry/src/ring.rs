@@ -1,147 +1,52 @@
-//! Bounded, lock-free span rings.
+//! The bounded span ring.
 //!
-//! Completed [`SpanRecord`](crate::SpanRecord)s are pushed into a set of
-//! fixed-capacity ring buffers, striped 16 ways by `RequestId` exactly
-//! like `vtpm-ac`'s `ReplayGuard` stripes its replay windows, so
-//! concurrent producers on different requests land on different cache
-//! lines. Each stripe is a Vyukov-style bounded MPMC queue: every slot
-//! carries its own sequence atomic, a push is one CAS plus one store,
-//! and a full ring is detected *exactly* (the CAS loop observes
-//! `seq == head` only when the consumer lags a full lap), which is what
-//! makes the `dropped_events` counter exact rather than heuristic.
-//!
-//! Nothing allocates after construction; push never blocks and never
-//! spins unboundedly (a failed claim means either "full" → counted
-//! drop, or "lost the race" → retry with a fresh tail).
+//! Completed [`SpanRecord`](crate::SpanRecord)s are pushed into one
+//! fixed-capacity FIFO behind one mutex. Dom0's one tpmback loop is the
+//! only producer on the request path, so the lock is uncontended there.
+//! The queue's storage is reserved at construction and a push into a
+//! full ring is refused, never grown, which is what makes the
+//! `dropped_events` counter exact rather than heuristic: every finished
+//! span is either kept or counted dropped.
 
-use std::cell::UnsafeCell;
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::collections::VecDeque;
+use std::sync::Mutex;
 
 use crate::SpanRecord;
 
-/// Stripe count; matches `ReplayGuard`'s 16-way striping.
-pub const SPAN_SHARDS: usize = 16;
+/// Default capacity (slots).
+pub const DEFAULT_SPAN_CAPACITY: usize = 16 * 1024;
 
-/// Default per-stripe capacity (slots). Power of two.
-pub const DEFAULT_SPAN_CAPACITY: usize = 1024;
-
-struct Slot {
-    seq: AtomicUsize,
-    value: UnsafeCell<SpanRecord>,
-}
-
-/// One bounded MPMC stripe.
-struct Stripe {
-    slots: Box<[Slot]>,
-    mask: usize,
-    head: AtomicUsize,
-    tail: AtomicUsize,
-}
-
-unsafe impl Sync for Stripe {}
-unsafe impl Send for Stripe {}
-
-impl Stripe {
-    fn new(capacity: usize) -> Self {
-        assert!(capacity.is_power_of_two(), "stripe capacity must be a power of two");
-        let slots: Box<[Slot]> = (0..capacity)
-            .map(|i| Slot { seq: AtomicUsize::new(i), value: UnsafeCell::new(SpanRecord::default()) })
-            .collect();
-        Stripe { slots, mask: capacity - 1, head: AtomicUsize::new(0), tail: AtomicUsize::new(0) }
-    }
-
-    /// Push a record; `false` means the stripe is full and the record
-    /// was dropped.
-    fn push(&self, record: SpanRecord) -> bool {
-        let mut tail = self.tail.load(Ordering::Relaxed);
-        loop {
-            let slot = &self.slots[tail & self.mask];
-            let seq = slot.seq.load(Ordering::Acquire);
-            if seq == tail {
-                // Slot free for this lap; claim it.
-                match self.tail.compare_exchange_weak(tail, tail + 1, Ordering::Relaxed, Ordering::Relaxed) {
-                    Ok(_) => {
-                        // Sole owner of the slot until we publish seq.
-                        unsafe { *slot.value.get() = record };
-                        slot.seq.store(tail + 1, Ordering::Release);
-                        return true;
-                    }
-                    Err(actual) => tail = actual,
-                }
-            } else if seq < tail {
-                // Consumer is a full lap behind: ring is full.
-                return false;
-            } else {
-                // Another producer advanced past us; catch up.
-                tail = self.tail.load(Ordering::Relaxed);
-            }
-        }
-    }
-
-    /// Pop the oldest record, if any.
-    fn pop(&self) -> Option<SpanRecord> {
-        let mut head = self.head.load(Ordering::Relaxed);
-        loop {
-            let slot = &self.slots[head & self.mask];
-            let seq = slot.seq.load(Ordering::Acquire);
-            let expected = head + 1;
-            if seq == expected {
-                match self.head.compare_exchange_weak(head, head + 1, Ordering::Relaxed, Ordering::Relaxed) {
-                    Ok(_) => {
-                        let value = unsafe { (*slot.value.get()).clone() };
-                        // Free the slot for the producer's next lap.
-                        slot.seq.store(head + self.mask + 1, Ordering::Release);
-                        return Some(value);
-                    }
-                    Err(actual) => head = actual,
-                }
-            } else if seq < expected {
-                // Empty.
-                return None;
-            } else {
-                head = self.head.load(Ordering::Relaxed);
-            }
-        }
-    }
-}
-
-/// The striped span ring: 16 bounded MPMC stripes. `push` reports
-/// overflow so the owner can count every drop exactly.
+/// The span ring. `push` reports overflow so the owner can count every
+/// drop exactly.
 pub struct SpanRing {
-    stripes: Box<[Stripe]>,
+    capacity: usize,
+    queue: Mutex<VecDeque<SpanRecord>>,
 }
 
 impl SpanRing {
-    /// A ring with `per_stripe` slots in each of the 16 stripes
-    /// (rounded up to a power of two, minimum 2).
-    pub fn with_capacity(per_stripe: usize) -> Self {
-        let cap = per_stripe.max(2).next_power_of_two();
-        SpanRing { stripes: (0..SPAN_SHARDS).map(|_| Stripe::new(cap)).collect() }
+    /// A ring with `capacity` slots in total (minimum 1).
+    pub fn with_capacity(capacity: usize) -> Self {
+        let capacity = capacity.max(1);
+        SpanRing { capacity, queue: Mutex::new(VecDeque::with_capacity(capacity)) }
     }
 
-    #[inline]
-    fn stripe_for(&self, request_id: u64) -> &Stripe {
-        // Fibonacci multiplicative hash, same idiom as ReplayGuard.
-        let h = request_id.wrapping_mul(0x9E37_79B9_7F4A_7C15);
-        &self.stripes[(h >> 60) as usize & (SPAN_SHARDS - 1)]
-    }
-
-    /// Push a completed span. Returns false when its stripe is full and
-    /// the record was dropped.
+    /// Push a completed span. Returns false when the ring is full and the
+    /// record was dropped.
     #[inline]
     pub fn push(&self, record: SpanRecord) -> bool {
-        self.stripe_for(record.request_id).push(record)
+        let mut queue = self.queue.lock().expect("span ring poisoned");
+        if queue.len() == self.capacity {
+            return false;
+        }
+        queue.push_back(record);
+        true
     }
 
-    /// Drain every buffered span, oldest-first per stripe, sorted by
-    /// ingress timestamp across stripes (stable for equal stamps).
+    /// Drain every buffered span, sorted by ingress timestamp, then by
+    /// request id.
     pub fn drain(&self) -> Vec<SpanRecord> {
-        let mut out = Vec::new();
-        for stripe in self.stripes.iter() {
-            while let Some(r) = stripe.pop() {
-                out.push(r);
-            }
-        }
+        let mut out: Vec<SpanRecord> =
+            self.queue.lock().expect("span ring poisoned").drain(..).collect();
         out.sort_by_key(|r| (r.ingress_ns, r.request_id));
         out
     }
@@ -169,11 +74,14 @@ mod tests {
     }
 
     #[test]
-    fn exact_drop_count_single_stripe() {
+    fn drops_are_the_pushes_past_capacity() {
+        // While the ring is undrained, drops == pushes - capacity.
         let ring = SpanRing::with_capacity(4);
-        // Same request id → same stripe; capacity 4 → exactly 6 drops.
-        let dropped = (0..10).filter(|_| !ring.push(span(7))).count();
-        assert_eq!(dropped, 6);
+        let mut dropped = 0u64;
+        for pushes in 1..=10u64 {
+            dropped += u64::from(!ring.push(span(pushes)));
+            assert_eq!(dropped, pushes.saturating_sub(4));
+        }
         assert_eq!(ring.drain().len(), 4);
     }
 
@@ -211,7 +119,7 @@ mod tests {
 
     #[test]
     fn concurrent_push_and_drain() {
-        use std::sync::atomic::AtomicBool;
+        use std::sync::atomic::{AtomicBool, Ordering};
         use std::sync::Arc;
         let ring = Arc::new(SpanRing::with_capacity(64));
         let stop = Arc::new(AtomicBool::new(false));

@@ -64,7 +64,7 @@ struct DomainState {
 }
 
 /// The per-domain admission controller. One per manager; all methods
-/// take `&self` and are safe from any worker thread.
+/// take `&self` and are safe from any thread.
 pub struct AdmissionController {
     /// Master switch. Off by default: baseline experiments and the
     /// existing test matrix see no behaviour change.

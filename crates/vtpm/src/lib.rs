@@ -45,7 +45,6 @@ pub mod migration;
 pub mod mirror;
 pub mod persist;
 pub mod platform;
-pub mod server;
 pub mod transport;
 
 pub use admission::{AdmissionController, AdmissionError};
@@ -58,5 +57,4 @@ pub use migration::{MigrationError, MigrationPackage};
 pub use mirror::{MirrorIoStats, MirrorMode, MirrorRecovery, StateMirror};
 pub use persist::{persist, restore, PersistError};
 pub use platform::{Guest, Platform, HW_OWNER_AUTH, HW_SRK_AUTH};
-pub use server::ManagerServer;
 pub use transport::{Envelope, ResponseEnvelope, ResponseStatus, TAG_LEN};

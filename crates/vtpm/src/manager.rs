@@ -1,13 +1,14 @@
 //! The vTPM manager: the Dom0 service that owns every vTPM instance,
 //! routes guest commands to them, and holds their state.
 //!
-//! The manager is deliberately concurrency-first: instances live behind
-//! individual `parking_lot::Mutex`es inside an N-way sharded routing
-//! table, so requests for *different* instances execute on different
-//! cores with no shared lock on the hot path, and create/destroy churn
-//! locks only the id's shard instead of one global table lock (per the
-//! session's concurrency guides — one lock per resource, never a global
-//! lock around work).
+//! Dom0 serves every guest ring from one tpmback loop, so one thread
+//! calls [`VtpmManager::handle`] on the deployed path. Each structure
+//! has one lock: the routing table is one `RwLock<HashMap>`, held only to
+//! clone an instance's handle, and each instance sits behind its own
+//! `parking_lot::Mutex`, held for the command's work. Toolstack calls
+//! (create, destroy, migration) from other threads contend only on the
+//! instance they touch. The table lock is always released before an
+//! instance lock is taken.
 //!
 //! Per-domain admission control ([`crate::admission`]) rides on that
 //! shape: it refuses traffic from persistently denied domains at ring
@@ -48,8 +49,8 @@ pub struct ManagerConfig {
     /// counters behind [`VtpmManager::stats_snapshot`]) but records no
     /// latencies and buffers no spans.
     pub telemetry_enabled: bool,
-    /// Span-ring slots per stripe (16 stripes). Small values let tests
-    /// provoke exact, countable overflow.
+    /// Span-ring slots in total. Small values let tests provoke exact,
+    /// countable overflow.
     pub telemetry_span_capacity: usize,
     /// Per-domain admission control at ring ingress (default: disabled).
     pub admission: bool,
@@ -100,52 +101,10 @@ pub struct ManagerStatsSnapshot {
     pub finished: u64,
 }
 
-/// Shards in the striped instance-routing table (a power of two: ids
-/// map to shards with a mask).
-const INSTANCE_SHARDS: usize = 64;
-
-/// The N-way sharded routing table. Lookup on the hot path takes one
-/// shard's read lock; create/destroy take one shard's write lock — so
-/// mass instance churn on a consolidation host stops serializing on a
-/// single global table lock.
-struct InstanceTable {
-    shards: Vec<RwLock<HashMap<InstanceId, Arc<Mutex<VtpmInstance>>>>>,
-}
-
-impl InstanceTable {
-    fn new() -> Self {
-        InstanceTable {
-            shards: (0..INSTANCE_SHARDS).map(|_| RwLock::new(HashMap::new())).collect(),
-        }
-    }
-
-    fn shard(&self, id: InstanceId) -> &RwLock<HashMap<InstanceId, Arc<Mutex<VtpmInstance>>>> {
-        &self.shards[id as usize & (INSTANCE_SHARDS - 1)]
-    }
-
-    fn get(&self, id: InstanceId) -> Option<Arc<Mutex<VtpmInstance>>> {
-        self.shard(id).read().get(&id).cloned()
-    }
-
-    fn insert(&self, id: InstanceId, instance: Arc<Mutex<VtpmInstance>>) {
-        self.shard(id).write().insert(id, instance);
-    }
-
-    fn remove(&self, id: InstanceId) -> Option<Arc<Mutex<VtpmInstance>>> {
-        self.shard(id).write().remove(&id)
-    }
-
-    /// Every routed id, ascending.
-    fn ids(&self) -> Vec<InstanceId> {
-        let mut v: Vec<InstanceId> = self
-            .shards
-            .iter()
-            .flat_map(|s| s.read().keys().copied().collect::<Vec<_>>())
-            .collect();
-        v.sort_unstable();
-        v
-    }
-}
+/// The routing table: id → instance. Lookup on the hot path takes the
+/// read lock only long enough to clone the instance's handle; the work
+/// itself runs under that instance's own mutex.
+type InstanceTable = RwLock<HashMap<InstanceId, Arc<Mutex<VtpmInstance>>>>;
 
 /// The manager.
 pub struct VtpmManager {
@@ -212,7 +171,7 @@ impl VtpmManager {
             admission: AdmissionController::new(cfg.admission),
             cfg,
             hook: RwLock::new(Arc::new(StockHook)),
-            instances: InstanceTable::new(),
+            instances: InstanceTable::default(),
             mirror,
             next_instance: AtomicU32::new(1),
             mirror_skipped: AtomicU64::new(0),
@@ -245,7 +204,7 @@ impl VtpmManager {
             admission: AdmissionController::new(cfg.admission),
             cfg,
             hook: RwLock::new(Arc::new(StockHook)),
-            instances: InstanceTable::new(),
+            instances: InstanceTable::default(),
             mirror,
             next_instance: AtomicU32::new(1),
             mirror_skipped: AtomicU64::new(0),
@@ -266,7 +225,7 @@ impl VtpmManager {
                     // The mirror is current by construction — the image
                     // just came from it.
                     instance.mirrored_generation = instance.tpm.state_generation();
-                    mgr.instances.insert(id, Arc::new(Mutex::new(instance)));
+                    mgr.instances.write().insert(id, Arc::new(Mutex::new(instance)));
                     mgr.next_instance.fetch_max(id + 1, Ordering::Relaxed);
                     report.resumed.push(id);
                 }
@@ -401,7 +360,7 @@ impl VtpmManager {
         let state = instance.tpm.serialize_state();
         self.mirror_initial(id, &state)?;
         instance.mirrored_generation = instance.tpm.state_generation();
-        self.instances.insert(id, Arc::new(Mutex::new(instance)));
+        self.instances.write().insert(id, Arc::new(Mutex::new(instance)));
         Ok(id)
     }
 
@@ -413,7 +372,7 @@ impl VtpmManager {
         let state = instance.tpm.serialize_state();
         self.mirror_initial(id, &state)?;
         instance.mirrored_generation = instance.tpm.state_generation();
-        self.instances.insert(id, Arc::new(Mutex::new(instance)));
+        self.instances.write().insert(id, Arc::new(Mutex::new(instance)));
         Ok(id)
     }
 
@@ -424,7 +383,7 @@ impl VtpmManager {
         let state = instance.tpm.serialize_state();
         self.mirror_initial(id, &state)?;
         instance.mirrored_generation = instance.tpm.state_generation();
-        self.instances.insert(id, Arc::new(Mutex::new(instance)));
+        self.instances.write().insert(id, Arc::new(Mutex::new(instance)));
         self.next_instance.fetch_max(id + 1, Ordering::Relaxed);
         Ok(())
     }
@@ -442,12 +401,8 @@ impl VtpmManager {
     /// fault, host trouble) the instance is re-registered and stays
     /// usable — its mirror region is likewise retained for a re-scrub on
     /// retry — instead of losing state or leaking frames.
-    ///
-    /// Sharding does not weaken the ordering: all three steps touch only
-    /// the id's own shard, and the shard's write lock serializes racing
-    /// destroys of the same id exactly as the global lock did.
     pub fn destroy_instance(&self, id: InstanceId) -> XenResult<bool> {
-        let Some(handle) = self.instances.remove(id) else {
+        let Some(handle) = self.instances.write().remove(&id) else {
             return Ok(false);
         };
         let mut instance = handle.lock();
@@ -455,7 +410,7 @@ impl VtpmManager {
         if let Err(e) = self.mirror.remove(id) {
             instance.destroyed = false;
             drop(instance);
-            self.instances.insert(id, handle);
+            self.instances.write().insert(id, handle);
             return Err(e);
         }
         Ok(true)
@@ -473,7 +428,7 @@ impl VtpmManager {
     /// driver must re-quiesce from its durable journal before the guest
     /// can race in a command.
     pub fn set_quiesced(&self, id: InstanceId, quiesced: bool) -> bool {
-        let Some(handle) = self.instances.get(id) else {
+        let Some(handle) = self.instances.read().get(&id).cloned() else {
             return false;
         };
         let mut guard = handle.lock();
@@ -486,7 +441,7 @@ impl VtpmManager {
 
     /// Whether instance `id` is currently quiesced for migration.
     pub fn is_quiesced(&self, id: InstanceId) -> Option<bool> {
-        let handle = self.instances.get(id)?;
+        let handle = self.instances.read().get(&id).cloned()?;
         let guard = handle.lock();
         if guard.destroyed {
             return None;
@@ -494,9 +449,11 @@ impl VtpmManager {
         Some(guard.quiesced)
     }
 
-    /// Instance ids currently live.
+    /// Instance ids currently live, ascending.
     pub fn instance_ids(&self) -> Vec<InstanceId> {
-        self.instances.ids()
+        let mut ids: Vec<InstanceId> = self.instances.read().keys().copied().collect();
+        ids.sort_unstable();
+        ids
     }
 
     /// Run `f` with exclusive access to instance `id` (toolstack paths:
@@ -506,7 +463,7 @@ impl VtpmManager {
         id: InstanceId,
         f: impl FnOnce(&mut VtpmInstance) -> R,
     ) -> Option<R> {
-        let handle = self.instances.get(id)?;
+        let handle = self.instances.read().get(&id).cloned()?;
         let mut guard = handle.lock();
         if guard.destroyed {
             return None;
@@ -652,7 +609,7 @@ impl VtpmManager {
             .encode();
         }
 
-        let handle = self.instances.get(envelope.instance);
+        let handle = self.instances.read().get(&envelope.instance).cloned();
         let handle = match handle {
             Some(h) => h,
             None => {
@@ -1490,12 +1447,11 @@ mod tests {
     }
 
     #[test]
-    fn cross_shard_destroys_race_handles_without_orphaning_mirror_state() {
-        // Instances spread across distinct shards of the routing table
-        // are destroyed while worker threads hammer all of them. The
-        // PR-2 destroy ordering (unroute → tombstone → scrub) must hold
-        // per shard: destroyed ids leave no mirror frames behind and
-        // recovery resurrects exactly the survivors.
+    fn destroys_race_handles_without_orphaning_mirror_state() {
+        // Instances are destroyed while worker threads hammer all of
+        // them. The destroy ordering (unroute → tombstone → scrub) must
+        // hold: destroyed ids leave no mirror frames behind and recovery
+        // resurrects exactly the survivors.
         let hv = Arc::new(Hypervisor::boot(16384, 16).unwrap());
         let mgr = Arc::new(
             VtpmManager::new(
@@ -1513,8 +1469,7 @@ mod tests {
         for &id in &ids {
             mgr.handle(DomainId(1), &envelope(1, id, 1, startup_cmd()));
         }
-        // Destroy every other instance (ids span many shards: sequential
-        // ids land in sequential shards with the 64-way split).
+        // Destroy every other instance.
         let doomed: Vec<u32> = ids.iter().copied().step_by(2).collect();
         let survivors: Vec<u32> = ids.iter().copied().skip(1).step_by(2).collect();
 
@@ -1530,7 +1485,7 @@ mod tests {
                     let status = ResponseEnvelope::decode(&resp).unwrap().status;
                     assert!(
                         status == ResponseStatus::Ok || status == ResponseStatus::NoInstance,
-                        "unexpected status during cross-shard race: {status:?}"
+                        "unexpected status during destroy race: {status:?}"
                     );
                 }
             }));

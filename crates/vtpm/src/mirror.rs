@@ -152,51 +152,9 @@ struct Region {
     spare: Vec<usize>,
 }
 
-/// Shards in the striped region table (a power of two: ids map to
-/// shards with a mask).
-const REGION_SHARDS: usize = 64;
-
-/// N-way striped id → region map. Create/destroy of one instance takes
-/// only its shard's lock, so mass churn stops serializing on a single
-/// global table lock.
-struct RegionTable {
-    shards: Vec<RwLock<HashMap<u32, Arc<Mutex<Region>>>>>,
-}
-
-impl RegionTable {
-    fn new() -> Self {
-        RegionTable {
-            shards: (0..REGION_SHARDS).map(|_| RwLock::new(HashMap::new())).collect(),
-        }
-    }
-
-    fn shard(&self, id: u32) -> &RwLock<HashMap<u32, Arc<Mutex<Region>>>> {
-        &self.shards[id as usize & (REGION_SHARDS - 1)]
-    }
-
-    fn get(&self, id: u32) -> Option<Arc<Mutex<Region>>> {
-        self.shard(id).read().get(&id).cloned()
-    }
-
-    fn contains(&self, id: u32) -> bool {
-        self.shard(id).read().contains_key(&id)
-    }
-
-    fn insert(&self, id: u32, region: Arc<Mutex<Region>>) {
-        self.shard(id).write().insert(id, region);
-    }
-
-    /// Every tracked id, ascending.
-    fn ids(&self) -> Vec<u32> {
-        let mut ids: Vec<u32> = self
-            .shards
-            .iter()
-            .flat_map(|s| s.read().keys().copied().collect::<Vec<_>>())
-            .collect();
-        ids.sort_unstable();
-        ids
-    }
-}
+/// id → region. Every accessor that needs both locks takes this one
+/// first, then the region's.
+type RegionTable = RwLock<HashMap<u32, Arc<Mutex<Region>>>>;
 
 /// A parsed per-page metadata entry.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -327,10 +285,10 @@ struct IoCounters {
 
 /// The mirror. One per manager.
 ///
-/// Concurrency shape: the region table is read-mostly (`RwLock`); each
-/// instance's region sits behind its own `Mutex`, so concurrent requests
-/// to *different* instances mirror their state in parallel — the manager
-/// hot path never funnels through a global lock.
+/// Concurrency shape: the region table is read-mostly (`RwLock`) and
+/// each instance's region sits behind its own `Mutex`, taken after the
+/// table lock when both are held. An update holds the table lock only to
+/// fetch its region's handle.
 pub struct StateMirror {
     hv: Arc<Hypervisor>,
     mode: MirrorMode,
@@ -395,7 +353,7 @@ impl StateMirror {
         Ok(StateMirror {
             hv,
             mode,
-            regions: RegionTable::new(),
+            regions: RegionTable::default(),
             master_cipher: key.as_ref().map(Aes128::new),
             master_key: key,
             key_frame,
@@ -472,14 +430,12 @@ impl StateMirror {
         }
     }
 
-    /// Fetch or create the per-instance region handle. Only the id's
-    /// shard is locked.
+    /// Fetch or create the per-instance region handle.
     fn region_handle(&self, id: u32) -> Arc<Mutex<Region>> {
-        let shard = self.regions.shard(id);
-        if let Some(r) = shard.read().get(&id) {
+        if let Some(r) = self.regions.read().get(&id) {
             return Arc::clone(r);
         }
-        let mut table = shard.write();
+        let mut table = self.regions.write();
         Arc::clone(table.entry(id).or_insert_with(|| {
             Arc::new(Mutex::new(Region {
                 meta_mfn: None,
@@ -727,18 +683,14 @@ impl StateMirror {
     /// live region (e.g. a restore onto a recovered id) keeps its
     /// committed image and the ordinary burn-on-retry semantics.
     pub fn discard_uncommitted(&self, id: u32) -> XenResult<()> {
-        let committed = match self.regions.get(id) {
-            None => return Ok(()),
-            Some(handle) => handle.lock().generation > 0,
-        };
-        if committed {
-            return Ok(());
-        }
-        let mut table = self.regions.shard(id).write();
+        let mut table = self.regions.write();
         let Some(handle) = table.get(&id).cloned() else {
             return Ok(());
         };
         let region = handle.lock();
+        if region.generation > 0 {
+            return Ok(());
+        }
         for mfn in region
             .meta_mfn
             .into_iter()
@@ -760,7 +712,7 @@ impl StateMirror {
     /// corruption of the resident frames surfaces as
     /// [`XenError::BadImage`] instead of silently decoding garbage.
     pub fn read(&self, id: u32) -> XenResult<Vec<u8>> {
-        let handle = self.regions.get(id).ok_or(XenError::BadFrame)?;
+        let handle = self.regions.read().get(&id).cloned().ok_or(XenError::BadFrame)?;
         let region = handle.lock();
         let meta_mfn = region.meta_mfn.ok_or(XenError::BadFrame)?;
         let mut meta = [0u8; PAGE_SIZE];
@@ -808,11 +760,11 @@ impl StateMirror {
     /// metadata frame is scrubbed first for the same reason — once it is
     /// gone, no crash or partial failure can resurrect the image.
     pub fn remove(&self, id: u32) -> XenResult<()> {
-        // Shard lock before region lock, like every other table
-        // accessor; holding the shard's write lock across the scrub also
+        // Table lock before region lock, like every other table
+        // accessor; holding the table's write lock across the scrub also
         // keeps a concurrent `update` from re-creating the region
         // mid-removal.
-        let mut table = self.regions.shard(id).write();
+        let mut table = self.regions.write();
         let Some(handle) = table.get(&id).cloned() else {
             return Ok(());
         };
@@ -831,7 +783,7 @@ impl StateMirror {
     /// ground truth). The first entry is the metadata frame; the rest
     /// are the active data slots in page order.
     pub fn region_frames(&self, id: u32) -> Option<Vec<usize>> {
-        self.regions.get(id).map(|r| {
+        self.regions.read().get(&id).map(|r| {
             let region = r.lock();
             let mut mfns: Vec<usize> = region.meta_mfn.into_iter().collect();
             mfns.extend(
@@ -843,12 +795,14 @@ impl StateMirror {
 
     /// Committed generation of instance `id`, if it has a region.
     pub fn generation(&self, id: u32) -> Option<u64> {
-        self.regions.get(id).map(|r| r.lock().generation)
+        self.regions.read().get(&id).map(|r| r.lock().generation)
     }
 
     /// Ids with a live region, ascending.
     pub fn instance_ids(&self) -> Vec<u32> {
-        self.regions.ids()
+        let mut ids: Vec<u32> = self.regions.read().keys().copied().collect();
+        ids.sort_unstable();
+        ids
     }
 
     /// Rebuild a mirror from the Dom0 frames alone — the manager
@@ -878,7 +832,7 @@ impl StateMirror {
             let Some((id, generation, len, key_check, entries)) = parse_meta(&page[..]) else {
                 continue;
             };
-            if mirror.regions.contains(id) {
+            if mirror.regions.read().contains_key(&id) {
                 continue;
             }
             let expected_key_check = mirror.key_check_tag(id);
@@ -913,7 +867,7 @@ impl StateMirror {
             mirror.hv.page_write(DomainId::DOM0, *mfn, 0, &meta)?;
             mirror.io.meta_pages_written.fetch_add(1, Ordering::Relaxed);
             mirror.io.bytes_written.fetch_add(PAGE_SIZE as u64, Ordering::Relaxed);
-            mirror.regions.insert(id, Arc::new(Mutex::new(region)));
+            mirror.regions.write().insert(id, Arc::new(Mutex::new(region)));
             report.recovered.push(id);
         }
         report.recovered.sort_unstable();

@@ -130,24 +130,51 @@ impl Platform {
 
     /// Launch a guest VM with a provisioned, connected vTPM device whose
     /// backend is registered with Dom0's tpmback loop.
+    ///
+    /// A launch that fails part-way is undone in reverse: the instance is
+    /// destroyed (mirror scrub included), then the domain (its frames,
+    /// grants and event channels). The backend is registered last, so a
+    /// failed launch never leaves one with the loop. The launch's own
+    /// error is returned; an undo step that fails too leaves what it
+    /// could not remove (a refused instance destroy keeps the instance
+    /// listed in [`VtpmManager::instance_ids`]).
     pub fn launch_guest(&self, name: &str) -> XenResult<Guest> {
         let domain = self.hv.create_domain(
             DomainId::DOM0,
             DomainConfig { memory_pages: 32, ..DomainConfig::small(name) },
         )?;
-        let instance = self.manager.create_instance()?;
+        let launched = self.manager.create_instance().and_then(|instance| {
+            self.connect_guest(domain, instance).inspect_err(|_| {
+                let _ = self.manager.destroy_instance(instance);
+            })
+        });
+        match launched {
+            Ok((guest, back)) => {
+                self.backends.register(back);
+                Ok(guest)
+            }
+            Err(e) => {
+                let _ = self.hv.destroy_domain(DomainId::DOM0, domain);
+                Err(e)
+            }
+        }
+    }
+
+    /// The launch steps between instance creation and backend
+    /// registration: provision and connect the device, then register the
+    /// instance's attestation identity.
+    fn connect_guest(&self, domain: DomainId, instance: InstanceId) -> XenResult<(Guest, TpmBack)> {
         provision_device(&self.hv, domain, instance)?;
         let mut front = TpmFront::connect(Arc::clone(&self.hv), domain)?;
         front.scrub = self.scrub_rings;
         let mut back = TpmBack::connect(Arc::clone(&self.hv), Arc::clone(&self.manager), domain)?;
         back.scrub = self.scrub_rings;
-        self.backends.register(back);
 
         // Register the instance's identity with the hardware TPM for deep
         // attestation: extend its EK digest into the binding PCR and log it.
         self.register_attestation_identity(instance)?;
 
-        Ok(Guest { domain, instance, front })
+        Ok((Guest { domain, instance, front }, back))
     }
 
     // ---- deep attestation ---------------------------------------------------
@@ -475,5 +502,42 @@ mod tests {
         let _g = p.launch_guest("a").unwrap();
         p.shutdown();
         p.shutdown();
+    }
+
+    #[test]
+    fn failed_launch_undoes_its_domain_and_instance() {
+        let seed = b"plat-starved";
+        let cfg = ManagerConfig::default();
+        let probe = Platform::with_config(seed, 8192, cfg.clone(), false).unwrap();
+        let booted = probe.hv.with_memory(|m| m.total_frames() - m.free_frames());
+        // Frames for the guest domain and nothing else: the domain is
+        // created, then `create_instance` finds no frame for the mirror.
+        let p = Platform::with_config(seed, booted + 32, cfg.clone(), false).unwrap();
+        let free = p.hv.with_memory(|m| m.free_frames());
+        let ids = p.manager.instance_ids();
+        assert_eq!(p.launch_guest("starved").err(), Some(XenError::OutOfMemory));
+        assert_eq!(p.hv.with_memory(|m| m.free_frames()), free, "the domain's frames came back");
+        assert_eq!(p.manager.instance_ids(), ids);
+
+        // A launch that fails at any later step hands back every frame
+        // too, except those the destroyed instance's mirror region keeps
+        // (scrubbed) in Dom0.
+        let mut failures = 0;
+        for spare in 1.. {
+            let p = Platform::with_config(seed, booted + 32 + spare, cfg.clone(), false).unwrap();
+            let held = || {
+                let dom0 = p.hv.domain_info(DomainId::DOM0).unwrap().frames.len();
+                p.hv.with_memory(|m| m.free_frames()) + dom0
+            };
+            let before = held();
+            match p.launch_guest("starved") {
+                Ok(_) => break,
+                Err(e) => assert_eq!(e, XenError::OutOfMemory),
+            }
+            failures += 1;
+            assert_eq!(held(), before, "with {spare} spare frames");
+            assert_eq!(p.manager.instance_ids(), ids, "with {spare} spare frames");
+        }
+        assert!(failures > 0, "some launch must fail after the instance exists");
     }
 }

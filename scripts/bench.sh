@@ -10,9 +10,13 @@
 #   BENCH_p1.json — Dom0 manager scaling: read/mutate wall ns per command
 #     and mirror data pages written at 100/1k/10k resident instances, and
 #     the 1.5x read-path scaling ratio.
+#   BENCH_f1.json — throughput against guests, every ring served by
+#     Dom0's one tpmback loop: aggregate and per-guest wall cmd/s,
+#     baseline and improved virtual-time throughput, failed operations.
 #   BENCH_c1.json — crypto floor: optimized vs schoolbook RSA-1024 and the
-#     speedup, the RSA-512 sign and RSA-1024 keygen, pipelined vs scalar
-#     AES-128-CTR, SHA-256, and the floors.
+#     speedup, the RSA-512 sign, RSA-1024 keygen (mean over the 32
+#     fixed seeds whose prime-search work is counted), pipelined vs
+#     scalar AES-128-CTR, SHA-256, and the floors.
 #   BENCH_a1.json — attestation plane: per-request vs cached issuance qps,
 #     farm-scale verification p50/p99, and the seeded defense counts.
 #   BENCH_m2.json — fleet control plane: the churn sweep (exactly-once
@@ -42,4 +46,4 @@ if [ "${1:-}" = "--quick" ]; then
 fi
 
 cargo run --release -p vtpm-bench --bin repro -- \
-    d1 p1 c1 a1 m2 o2 o1 "${quick[@]}" --out "$out_dir"
+    d1 p1 f1 c1 a1 m2 o2 o1 "${quick[@]}" --out "$out_dir"

@@ -46,10 +46,15 @@
 #      span, audit record, gauge, and dump-trail entry, then injects
 #      A1/A7/replay-storm. It exits nonzero on any clean-seed critical
 #      alert (a false positive) or any missed injection;
-#   7. R-P1: the manager scaling budget. `repro p1 --quick` measures the
-#      routing hot path (PcrRead over a fixed active set) at 100 and
-#      10 000 resident instances and exits nonzero if the per-command
-#      cost degrades by more than 1.5x between the endpoints;
+#   7. R-P1 + R-F1: the manager scaling budget and throughput against
+#      guests. `repro p1 --quick` measures the routing hot path (PcrRead
+#      over a fixed active set) at 100 and 10 000 resident instances and
+#      exits nonzero if the per-command cost degrades by more than 1.5x
+#      between the endpoints; `repro f1 --quick` runs 1, 2 and 4
+#      guests, baseline and improved, each on Dom0's one tpmback loop,
+#      and exits nonzero on any failed guest operation or if improved
+#      virtual-time throughput falls below 0.9x the baseline at any
+#      guest count;
 #   8. R-C1: the crypto floor. `repro c1 --quick` measures the optimized
 #      RSA-1024 private op (CRT + fixed-width Montgomery + fixed window)
 #      against the retained schoolbook reference, the selected AES-CTR
@@ -161,6 +166,9 @@ cargo run --release -p vtpm-bench --bin repro -- d1 --quick --out target/bench
 
 echo "== R-P1: manager scaling budget (10k/100-instance read path <= 1.5x) =="
 cargo run --release -p vtpm-bench --bin repro -- p1 --quick --out target/bench
+
+echo "== R-F1: throughput vs guests on one tpmback loop (no failed op, virtual >= 0.9x baseline) =="
+cargo run --release -p vtpm-bench --bin repro -- f1 --quick --out target/bench
 
 echo "== R-C1: crypto floor (RSA speedup >= 4x, CTR >= 40 MB/s, kernels agree, keygen work) =="
 cargo run --release -p vtpm-bench --bin repro -- c1 --quick --out target/bench

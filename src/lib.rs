@@ -17,7 +17,7 @@
 //!   [`vtpm_ac::SecurePlatform`] ([`vtpm_ac`]);
 //! * [`attack`] — the evaluation's attacker toolkit ([`attacks`]);
 //! * [`bench_workload`] — command mixes, drivers, runners ([`workload`]);
-//! * [`telemetry`] — lock-free spans, metrics, and exporters threaded
+//! * [`telemetry`] — spans, metrics, and exporters threaded
 //!   through the whole request path ([`vtpm_telemetry`]);
 //! * [`cluster`] — multi-host fabric and the live-migration protocol:
 //!   exactly-once hand-off, epoch anti-rollback, placement/rebalance

@@ -103,8 +103,8 @@ fn telemetry_conserves_and_counts_drops_exactly() {
             b"conc-telemetry",
             ManagerConfig {
                 charge_virtual_time: false,
-                // 16 stripes x 4 slots: far fewer than the spans this
-                // test finishes, so the ring must overflow.
+                // 4 slots in total: far fewer than the spans this test
+                // finishes, so the ring must overflow.
                 telemetry_span_capacity: 4,
                 ..Default::default()
             },
