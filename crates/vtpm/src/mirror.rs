@@ -152,6 +152,15 @@ struct Region {
     spare: Vec<usize>,
 }
 
+impl Region {
+    /// Every frame the region holds: metadata first, then the data
+    /// slots, then the spares.
+    fn frames(&self) -> Vec<usize> {
+        let slots = self.slots.iter().flatten().copied();
+        self.meta_mfn.into_iter().chain(slots).chain(self.spare.iter().copied()).collect()
+    }
+}
+
 /// id → region. Every accessor that needs both locks takes this one
 /// first, then the region's.
 type RegionTable = RwLock<HashMap<u32, Arc<Mutex<Region>>>>;
@@ -473,11 +482,13 @@ impl StateMirror {
     /// Best-effort scrub for post-commit hygiene: the generation already
     /// committed, so a failure must not fail the update — count it and
     /// move on (the bytes linger until the frame is reused or `recover`
-    /// re-scrubs the shadow slots).
-    fn scrub_frame_best_effort(&self, mfn: usize) {
-        if self.scrub_frame(mfn).is_err() {
+    /// re-scrubs the shadow slots). Returns whether the scrub succeeded.
+    fn scrub_frame_best_effort(&self, mfn: usize) -> bool {
+        let scrubbed = self.scrub_frame(mfn).is_ok();
+        if !scrubbed {
             self.io.scrub_failures.fetch_add(1, Ordering::Relaxed);
         }
+        scrubbed
     }
 
     /// Durably burn the nonces a failed earlier update may have consumed:
@@ -560,7 +571,9 @@ impl StateMirror {
         }
         while region.slots.len() < data_pages {
             let a = self.take_frame(region)?;
-            let b = self.take_frame(region)?;
+            // Keep `a` tracked if `b` cannot be had, so a discard or
+            // remove still returns it to the pool.
+            let b = self.take_frame(region).inspect_err(|_| region.spare.push(a))?;
             region.slots.push([a, b]);
             // New pages are written below; slot 0 becomes active at
             // commit (the placeholder 1 makes the target math uniform).
@@ -682,6 +695,9 @@ impl StateMirror {
     /// committed generation are left untouched: a failed re-update of a
     /// live region (e.g. a restore onto a recovered id) keeps its
     /// committed image and the ordinary burn-on-retry semantics.
+    ///
+    /// The frames go back to the host's pool only if every scrub
+    /// succeeded; otherwise they stay allocated to Dom0, untracked.
     pub fn discard_uncommitted(&self, id: u32) -> XenResult<()> {
         let mut table = self.regions.write();
         let Some(handle) = table.get(&id).cloned() else {
@@ -691,16 +707,16 @@ impl StateMirror {
         if region.generation > 0 {
             return Ok(());
         }
-        for mfn in region
-            .meta_mfn
-            .into_iter()
-            .chain(region.slots.iter().flatten().copied())
-            .chain(region.spare.iter().copied())
-        {
-            self.scrub_frame_best_effort(mfn);
+        let frames = region.frames();
+        let mut scrubbed = true;
+        for &mfn in &frames {
+            scrubbed &= self.scrub_frame_best_effort(mfn);
         }
         drop(region);
         table.remove(&id);
+        if scrubbed {
+            self.hv.free_pages(DomainId::DOM0, &frames)?;
+        }
         Ok(())
     }
 
@@ -751,7 +767,8 @@ impl StateMirror {
         Ok(image)
     }
 
-    /// Drop instance `id`'s region, scrubbing its frames.
+    /// Drop instance `id`'s region, scrubbing its frames and returning
+    /// them to the host's pool.
     ///
     /// The region stays in the table until every frame scrub succeeds: a
     /// partial failure must leave the region re-scrubbable by a retry,
@@ -770,10 +787,11 @@ impl StateMirror {
         };
         let region = handle.lock();
         let zeros = [0u8; PAGE_SIZE];
-        let slot_frames = region.slots.iter().flatten().copied();
-        for mfn in region.meta_mfn.into_iter().chain(slot_frames).chain(region.spare.iter().copied()) {
+        let frames = region.frames();
+        for &mfn in &frames {
             self.hv.page_write(DomainId::DOM0, mfn, 0, &zeros)?;
         }
+        self.hv.free_pages(DomainId::DOM0, &frames)?;
         drop(region);
         table.remove(&id);
         Ok(())

@@ -520,24 +520,41 @@ mod tests {
         assert_eq!(p.manager.instance_ids(), ids);
 
         // A launch that fails at any later step hands back every frame
-        // too, except those the destroyed instance's mirror region keeps
-        // (scrubbed) in Dom0.
+        // too, the destroyed instance's mirror frames included, and
+        // leaves no backend entry in Dom0's XenStore tree. Each fresh
+        // platform gives its first guest domain id 1.
+        let backend = "/local/domain/0/backend/vtpm/1";
         let mut failures = 0;
         for spare in 1.. {
             let p = Platform::with_config(seed, booted + 32 + spare, cfg.clone(), false).unwrap();
-            let held = || {
-                let dom0 = p.hv.domain_info(DomainId::DOM0).unwrap().frames.len();
-                p.hv.with_memory(|m| m.free_frames()) + dom0
-            };
-            let before = held();
+            let free = p.hv.with_memory(|m| m.free_frames());
             match p.launch_guest("starved") {
-                Ok(_) => break,
+                Ok(g) => {
+                    assert_eq!(g.domain, DomainId(1));
+                    assert!(p.hv.xs_exists(backend));
+                    break;
+                }
                 Err(e) => assert_eq!(e, XenError::OutOfMemory),
             }
             failures += 1;
-            assert_eq!(held(), before, "with {spare} spare frames");
+            assert_eq!(p.hv.with_memory(|m| m.free_frames()), free, "with {spare} spare frames");
             assert_eq!(p.manager.instance_ids(), ids, "with {spare} spare frames");
+            assert!(!p.hv.xs_exists(backend), "with {spare} spare frames");
         }
         assert!(failures > 0, "some launch must fail after the instance exists");
+    }
+
+    #[test]
+    fn instance_churn_returns_every_frame() {
+        let p = Platform::baseline(b"plat-churn").unwrap();
+        let free = p.hv.with_memory(|m| m.free_frames());
+        let dom0 = p.hv.domain_info(DomainId::DOM0).unwrap().frames.len();
+        for _ in 0..10 {
+            let id = p.manager.create_instance().unwrap();
+            assert!(p.hv.with_memory(|m| m.free_frames()) < free, "the instance's mirror holds frames");
+            assert!(p.manager.destroy_instance(id).unwrap());
+        }
+        assert_eq!(p.hv.with_memory(|m| m.free_frames()), free);
+        assert_eq!(p.hv.domain_info(DomainId::DOM0).unwrap().frames.len(), dom0);
     }
 }

@@ -189,6 +189,28 @@ impl Hypervisor {
         Ok(frames)
     }
 
+    /// Return `mfns` to the free pool: each is scrubbed and dropped from
+    /// `owner`'s frame list. All-or-nothing: if any frame is not
+    /// `owner`'s, or is listed twice, none is freed.
+    pub fn free_pages(&self, owner: DomainId, mfns: &[usize]) -> Result<()> {
+        // Memory before domains, the order `create_domain` takes them;
+        // holding both keeps a concurrent `alloc_pages` from reusing a
+        // freed frame before it leaves the frame list.
+        let mut mem = self.memory.write();
+        let mut domains = self.domains.write();
+        let d = domains.get_mut(&owner).ok_or(XenError::NoSuchDomain(owner))?;
+        for (i, &mfn) in mfns.iter().enumerate() {
+            if mem.owner(mfn)? != owner || mfns[..i].contains(&mfn) {
+                return Err(XenError::BadFrame);
+            }
+        }
+        for &mfn in mfns {
+            mem.free_frame(mfn)?;
+        }
+        d.frames.retain(|f| !mfns.contains(f));
+        Ok(())
+    }
+
     /// Write into a frame as `caller`; the frame must be owned by the
     /// caller (mapped-grant writes go through [`Hypervisor::grant_write`]).
     pub fn page_write(&self, caller: DomainId, mfn: usize, off: usize, data: &[u8]) -> Result<()> {
@@ -606,6 +628,31 @@ mod tests {
         let g = hv.create_domain(D0, DomainConfig::small("g")).unwrap();
         let gf = hv.domain_info(g).unwrap().frames[0];
         assert_eq!(hv.protect_frame(g, gf), Err(XenError::NotPrivileged(g)));
+    }
+
+    #[test]
+    fn free_pages_returns_frames_to_the_pool() {
+        let hv = host();
+        let g = hv.create_domain(D0, DomainConfig::small("g")).unwrap();
+        let free = hv.with_memory(|m| m.free_frames());
+        let dom0 = hv.domain_info(D0).unwrap().frames.len();
+        let mfns = hv.alloc_pages(D0, 3).unwrap();
+        hv.page_write(D0, mfns[1], 0, b"left-behind").unwrap();
+        // Refused whole: a frame of another owner, or one listed twice.
+        let gf = hv.domain_info(g).unwrap().frames[0];
+        assert_eq!(hv.free_pages(D0, &[mfns[0], gf]), Err(XenError::BadFrame));
+        assert_eq!(hv.free_pages(D0, &[mfns[0], mfns[0]]), Err(XenError::BadFrame));
+        assert_eq!(hv.with_memory(|m| m.free_frames()), free - 3);
+
+        hv.free_pages(D0, &mfns).unwrap();
+        assert_eq!(hv.with_memory(|m| m.free_frames()), free);
+        assert_eq!(hv.domain_info(D0).unwrap().frames.len(), dom0);
+        let again = hv.alloc_pages(g, 3).unwrap();
+        for mfn in again {
+            let mut buf = [0xEEu8; 11];
+            hv.page_read(g, mfn, 0, &mut buf).unwrap();
+            assert_eq!(buf, [0; 11], "a freed frame comes back zeroed");
+        }
     }
 
     #[test]

@@ -8,6 +8,13 @@
 //! frame in the machine; a frame tagged [`PageProtection::Protected`]
 //! models memory the hypervisor withholds even from Dom0 (the mechanism
 //! the paper's improvement relies on for its key material, AC3).
+//!
+//! A frame's 4 KiB page is allocated on first write: an allocated frame
+//! nobody has written reads (and dumps) as zeros without holding any
+//! host memory, so a host's footprint follows the frames its domains
+//! actually touch, not its configured RAM. Allocation and free zero the
+//! pages that exist, so every frame still reads "allocated zeroed,
+//! scrubbed on free" byte for byte.
 
 use crate::domain::DomainId;
 use crate::error::{Result, XenError};
@@ -26,9 +33,10 @@ pub enum PageProtection {
     Protected,
 }
 
-/// One machine frame.
+/// One machine frame. `data` is `None` until the first write; an absent
+/// page reads as zeros.
 struct Frame {
-    data: Box<[u8; PAGE_SIZE]>,
+    data: Option<Box<[u8; PAGE_SIZE]>>,
     owner: DomainId,
     protection: PageProtection,
     allocated: bool,
@@ -37,10 +45,17 @@ struct Frame {
 impl Frame {
     fn free() -> Self {
         Frame {
-            data: Box::new([0; PAGE_SIZE]),
+            data: None,
             owner: DomainId::DOM0,
             protection: PageProtection::Normal,
             allocated: false,
+        }
+    }
+
+    /// Zero the page, if one exists.
+    fn scrub(&mut self) {
+        if let Some(page) = &mut self.data {
+            page.fill(0);
         }
     }
 }
@@ -78,7 +93,7 @@ impl MachineMemory {
     pub fn alloc_frame(&mut self, owner: DomainId) -> Result<usize> {
         let mfn = self.free_list.pop().ok_or(XenError::OutOfMemory)?;
         let f = &mut self.frames[mfn];
-        f.data.fill(0);
+        f.scrub();
         f.owner = owner;
         f.protection = PageProtection::Normal;
         f.allocated = true;
@@ -100,7 +115,7 @@ impl MachineMemory {
         if !f.allocated {
             return Err(XenError::BadFrame);
         }
-        f.data.fill(0);
+        f.scrub();
         f.allocated = false;
         f.protection = PageProtection::Normal;
         self.free_list.push(mfn);
@@ -143,11 +158,15 @@ impl MachineMemory {
         if !f.allocated || offset + buf.len() > PAGE_SIZE {
             return Err(XenError::BadFrame);
         }
-        buf.copy_from_slice(&f.data[offset..offset + buf.len()]);
+        match &f.data {
+            Some(page) => buf.copy_from_slice(&page[offset..offset + buf.len()]),
+            None => buf.fill(0),
+        }
         Ok(())
     }
 
     /// Write bytes at `offset` within frame `mfn` (same caveat as [`read`]).
+    /// The frame's page is allocated here if this is its first write.
     ///
     /// [`read`]: MachineMemory::read
     pub fn write(&mut self, mfn: usize, offset: usize, data: &[u8]) -> Result<()> {
@@ -155,13 +174,15 @@ impl MachineMemory {
         if !f.allocated || offset + data.len() > PAGE_SIZE {
             return Err(XenError::BadFrame);
         }
-        f.data[offset..offset + data.len()].copy_from_slice(data);
+        let page = f.data.get_or_insert_with(|| Box::new([0; PAGE_SIZE]));
+        page[offset..offset + data.len()].copy_from_slice(data);
         Ok(())
     }
 
     /// Dump a frame *with protection enforced*: returns the 4 KiB contents
-    /// unless the frame is [`PageProtection::Protected`], which models the
-    /// hypervisor refusing the foreign mapping.
+    /// (zeros for a frame never written) unless the frame is
+    /// [`PageProtection::Protected`], which models the hypervisor refusing
+    /// the foreign mapping.
     pub fn dump_frame(&self, mfn: usize) -> Result<[u8; PAGE_SIZE]> {
         let f = self.frames.get(mfn).ok_or(XenError::BadFrame)?;
         if !f.allocated {
@@ -170,7 +191,7 @@ impl MachineMemory {
         if f.protection == PageProtection::Protected {
             return Err(XenError::ProtectedFrame);
         }
-        Ok(*f.data)
+        Ok(f.data.as_deref().copied().unwrap_or([0; PAGE_SIZE]))
     }
 
     /// All allocated frame numbers owned by `owner`.
@@ -191,6 +212,12 @@ impl MachineMemory {
             .filter(|(_, f)| f.allocated)
             .map(|(i, _)| i)
             .collect()
+    }
+
+    /// Frames that hold a page: the host memory the store commits.
+    #[cfg(test)]
+    fn pages_held(&self) -> usize {
+        self.frames.iter().filter(|f| f.data.is_some()).count()
     }
 
     /// Transfer ownership of a frame (grant-transfer / ballooning path).
@@ -311,5 +338,61 @@ mod tests {
         m.free_frame(f).unwrap();
         let f2 = m.alloc_frame(D2).unwrap();
         assert_eq!(m.protection(f2).unwrap(), PageProtection::Normal);
+    }
+
+    #[test]
+    fn unwritten_frame_reads_and_dumps_zeros_without_a_page() {
+        let mut m = MachineMemory::new(2);
+        let f = m.alloc_frame(D1).unwrap();
+        let mut buf = [0xEEu8; 64];
+        m.read(f, 100, &mut buf).unwrap();
+        assert_eq!(buf, [0; 64]);
+        assert_eq!(m.dump_frame(f).unwrap(), [0; PAGE_SIZE]);
+        assert!(m.frames[f].data.is_none(), "reads and dumps commit no page");
+        assert_eq!(m.pages_held(), 0);
+    }
+
+    #[test]
+    fn written_freed_reallocated_frame_reads_zeros() {
+        let mut m = MachineMemory::new(1);
+        let f = m.alloc_frame(D1).unwrap();
+        m.write(f, PAGE_SIZE - 6, b"secret").unwrap();
+        m.free_frame(f).unwrap();
+        let f2 = m.alloc_frame(D2).unwrap();
+        assert_eq!(f, f2);
+        assert_eq!(m.dump_frame(f2).unwrap(), [0; PAGE_SIZE]);
+        let mut buf = [0xEEu8; 6];
+        m.read(f2, PAGE_SIZE - 6, &mut buf).unwrap();
+        assert_eq!(buf, [0; 6]);
+    }
+
+    #[test]
+    fn protected_frame_with_a_page_refuses_dump() {
+        let mut m = MachineMemory::new(2);
+        let written = m.alloc_frame(D1).unwrap();
+        let blank = m.alloc_frame(D1).unwrap();
+        m.write(written, 0, b"k").unwrap();
+        assert!(m.frames[written].data.is_some());
+        for f in [written, blank] {
+            m.set_protection(f, PageProtection::Protected).unwrap();
+            assert_eq!(m.dump_frame(f), Err(XenError::ProtectedFrame));
+        }
+    }
+
+    #[test]
+    fn pages_held_counts_distinct_frames_written() {
+        let mut m = MachineMemory::new(8);
+        let frames = m.alloc_frames(D1, 6).unwrap();
+        for &f in &frames[..3] {
+            m.write(f, 0, b"a").unwrap();
+            m.write(f, 9, b"b").unwrap();
+        }
+        m.write(frames[0], 1, b"again").unwrap();
+        let mut buf = [0u8; 4];
+        m.read(frames[4], 0, &mut buf).unwrap();
+        assert_eq!(m.pages_held(), 3);
+
+        let hv = crate::hypervisor::Hypervisor::boot(8192, 32).unwrap();
+        assert_eq!(hv.with_memory(|m| m.pages_held()), 0, "booting writes no frame");
     }
 }

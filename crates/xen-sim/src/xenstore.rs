@@ -179,12 +179,18 @@ impl XenStore {
         self.nodes.contains_key(path)
     }
 
-    /// Remove the entire `/local/domain/<id>` subtree of a destroyed
-    /// domain.
+    /// Remove a destroyed domain's entries: its `/local/domain/<id>`
+    /// home and every backend directory Dom0 keeps for it
+    /// (`/local/domain/0/backend/<type>/<id>`).
     pub fn purge_domain(&mut self, domain: DomainId) {
         let home = format!("/local/domain/{}", domain.0);
         let prefix = format!("{home}/");
-        self.nodes.retain(|k, _| *k != home && !k.starts_with(&prefix));
+        let id = domain.0.to_string();
+        self.nodes.retain(|k, _| {
+            let backend_of =
+                k.strip_prefix("/local/domain/0/backend/").and_then(|r| r.split('/').nth(1));
+            *k != home && !k.starts_with(&prefix) && backend_of != Some(id.as_str())
+        });
     }
 }
 
@@ -275,6 +281,27 @@ mod tests {
         assert!(!s.exists("/local/domain/1/device"));
         // A sibling whose id shares the prefix survives.
         assert_eq!(s.read(D0, "/local/domain/10/name").unwrap(), b"neighbour");
+    }
+
+    #[test]
+    fn purge_domain_clears_its_backend_entries() {
+        let mut s = store();
+        s.write(D0, "/local/domain/0/name", b"Domain-0").unwrap();
+        for id in [1, 10] {
+            for ty in ["vtpm", "vif"] {
+                s.write(D0, &format!("/local/domain/0/backend/{ty}/{id}/0/frontend-id"), b"x").unwrap();
+            }
+        }
+        s.purge_domain(D1);
+        for ty in ["vtpm", "vif"] {
+            assert!(!s.exists(&format!("/local/domain/0/backend/{ty}/1")), "{ty}");
+            assert!(!s.exists(&format!("/local/domain/0/backend/{ty}/1/0/frontend-id")), "{ty}");
+            // Id 10 shares the prefix and keeps its entries; the type
+            // directory itself stays.
+            assert!(s.exists(&format!("/local/domain/0/backend/{ty}/10/0/frontend-id")), "{ty}");
+            assert!(s.exists(&format!("/local/domain/0/backend/{ty}")), "{ty}");
+        }
+        assert_eq!(s.read(D0, "/local/domain/0/name").unwrap(), b"Domain-0");
     }
 
     #[test]

@@ -18,7 +18,10 @@
 #      consolidation scale (the smoke tests stop at 4 guests). The run
 #      exits nonzero if an output check fails: audit chain verify,
 #      resident == exported state, sent == finished == audited (~15 s, mostly
-#      set-up); then one 1 s `measure-1vm` run with the same output
+#      set-up), and the step fails if the result line's `peak_rss_mb`
+#      exceeds 16 MB: machine frames commit host memory only when first
+#      written (~7 MB here), so a store that commits every frame up front
+#      again (~39 MB) trips it; then one 1 s `measure-1vm` run with the same output
 #      checks: one guest on the Extend/Seal write path, ~0.41 encrypted
 #      mirror updates per command, so the payload-sized mirror
 #      encrypt/digest path runs end to end at load (~5 s); then one 1 s
@@ -136,9 +139,14 @@ fi
 echo "== e2ebench: end-to-end benchmark smoke tests =="
 cargo test --offline --manifest-path e2ebench/Cargo.toml
 
-echo "== e2ebench: tenants-64, 64 concurrent backends =="
+echo "== e2ebench: tenants-64, 64 concurrent backends, peak RSS <= 16 MB =="
 cargo run --release --offline --manifest-path e2ebench/Cargo.toml --bin e2e -- \
-    --workload tenants-64 --seed 1 --seconds 1
+    --workload tenants-64 --seed 1 --seconds 1 | tee target/e2e-tenants-64.log
+rss=$(tail -n 1 target/e2e-tenants-64.log | sed -n 's/.*"peak_rss_mb": {"value": \([0-9.]*\).*/\1/p')
+if [ -z "$rss" ] || awk -v rss="$rss" 'BEGIN { exit !(rss > 16) }'; then
+    echo "tenants-64 peak_rss_mb ${rss:-missing} exceeds the 16 MB ceiling" >&2
+    exit 1
+fi
 
 echo "== e2ebench: measure-1vm, encrypted mirror write path =="
 cargo run --release --offline --manifest-path e2ebench/Cargo.toml --bin e2e -- \
