@@ -13,11 +13,26 @@
 //! fired-port queue, so repeated notifies coalesce into one entry until
 //! [`EventChannels::pending`] hands the port out (the analogue of
 //! `xenevtchn_pending()` plus unmask). Each domain has one wake-up path:
-//! a notify wakes the domain's waiter only if one is blocked, and only
-//! after the table lock is dropped. Dom0's tpmback loop serves every
-//! guest ring from one such queue; a guest frontend waits on its own
-//! domain's queue. `close` and `purge_domain` queue the ends they kill,
-//! which `pending` reports as [`Fired::Closed`].
+//! a notify wakes the domain's waiters only if one is blocked, only
+//! after the table lock is dropped, and only once per sleep: a second
+//! port that fires before the woken waiter runs is drained by that same
+//! wake-up. Dom0's tpmback loop serves every guest ring from one such
+//! queue; a guest frontend waits on its own domain's queue. `close` and
+//! `purge_domain` queue the ends they kill, which `pending` reports as
+//! [`Fired::Closed`].
+//!
+//! Yield before parking: a waiter that finds its queue empty yields the
+//! CPU `YIELDS_BEFORE_PARK` times, re-checking the queue after each,
+//! before it blocks on the domain's condvar. A ring round trip is a
+//! notify followed at once by a wait for the answer, so the peer just
+//! notified is usually the thread the yield runs. It serves and answers
+//! while the caller is not blocked, which costs no futex wake, and the
+//! caller finds its port already fired. On one pinned CPU a
+//! `sched_yield` hand-off measured 1.0 µs against 1.5 µs for a
+//! park/unpark, and a bare echo round trip over a ring and this table
+//! took 2.5–2.7 µs with two futex sleeps. The waiter never spins: on one
+//! CPU a spin only burns the peer's timeslice. A zero timeout is a pure
+//! poll and never yields.
 
 use std::collections::{HashMap, VecDeque};
 use std::sync::Arc;
@@ -27,6 +42,13 @@ use parking_lot::{Condvar, Mutex};
 
 use crate::domain::DomainId;
 use crate::error::{Result, XenError};
+
+/// Times [`EventChannels::pending`] yields the CPU and re-checks an
+/// empty queue before it blocks. On one CPU the peer just notified
+/// answers within its first turn, and 1 to 16 yields gave the same
+/// throughput. With a second core idle a yield returns at once, so each
+/// further one is a poll; the count stays small to keep that bounded.
+const YIELDS_BEFORE_PARK: u32 = 2;
 
 /// A port number, local to a domain.
 pub type Port = u32;
@@ -76,10 +98,24 @@ struct DomainEvents {
     fired: VecDeque<Port>,
     /// Waiters blocked in [`EventChannels::pending`] on this domain.
     blocked: u32,
+    /// A wake-up has been sent since a waiter last blocked. Every waiter
+    /// blocked by then is woken by it and drains the queue, so later
+    /// fires need not signal again.
+    signalled: bool,
     wake: Arc<Condvar>,
     /// Times a waiter on this domain returned from its condvar.
     #[cfg(test)]
     wakes: u32,
+}
+
+impl DomainEvents {
+    /// Count a waiter about to block and return the condvar to wait on.
+    /// The next fire signals it.
+    fn block(&mut self) -> Arc<Condvar> {
+        self.blocked += 1;
+        self.signalled = false;
+        Arc::clone(&self.wake)
+    }
 }
 
 #[derive(Default)]
@@ -99,7 +135,8 @@ impl Inner {
 
     /// Raise `ep`'s pending flag and, on the rising edge, queue it on its
     /// domain. Returns the domain's condvar when a waiter is blocked on
-    /// it, to be notified once the table lock is dropped.
+    /// it and no wake-up has been sent since it blocked, to be notified
+    /// once the table lock is dropped.
     fn fire(&mut self, ep: Endpoint) -> Option<Arc<Condvar>> {
         let rec = self.ports.get_mut(&ep)?;
         if std::mem::replace(&mut rec.pending, true) {
@@ -107,7 +144,7 @@ impl Inner {
         }
         let d = self.domains.entry(ep.domain).or_default();
         d.fired.push_back(ep.port);
-        (d.blocked > 0).then(|| Arc::clone(&d.wake))
+        (d.blocked > 0 && !std::mem::replace(&mut d.signalled, true)).then(|| Arc::clone(&d.wake))
     }
 
     /// Mark `local` closed and, if it was bound, its remote end too,
@@ -174,12 +211,15 @@ impl EventChannels {
         Ok(())
     }
 
-    /// Hand out the next fired port of `domain`, blocking until one fires
-    /// or `timeout` elapses (`None`). An open port's pending flag is
-    /// consumed here, so a notify that lands while the caller serves the
-    /// port queues it again and is never lost.
+    /// Hand out the next fired port of `domain`, waiting until one fires
+    /// or `timeout` elapses (`None`). An empty queue is re-checked after
+    /// each of `YIELDS_BEFORE_PARK` yields before the caller blocks; a
+    /// zero timeout only polls. An open port's pending flag is consumed
+    /// here, so a notify that lands while the caller serves the port
+    /// queues it again and is never lost.
     pub fn pending(&self, domain: DomainId, timeout: Duration) -> Option<Fired> {
         let mut deadline = None;
+        let mut yields = 0;
         let mut inner = self.inner.lock();
         let mut timed_out = false;
         loop {
@@ -195,12 +235,18 @@ impl EventChannels {
                     _ => Fired::Closed(ep),
                 });
             }
-            if timed_out {
+            if timed_out || timeout.is_zero() {
                 return None;
             }
-            d.blocked += 1;
-            let wake = Arc::clone(&d.wake);
             let deadline = *deadline.get_or_insert_with(|| Instant::now() + timeout);
+            if yields < YIELDS_BEFORE_PARK {
+                yields += 1;
+                drop(inner);
+                std::thread::yield_now();
+                inner = self.inner.lock();
+                continue;
+            }
+            let wake = d.block();
             timed_out = wake.wait_until(&mut inner, deadline).timed_out();
             let d = inner.domains.get_mut(&domain).expect("domain records are never removed");
             d.blocked -= 1;
@@ -383,6 +429,52 @@ mod tests {
         ev.notify(back_b).unwrap();
         assert_eq!(t.join().unwrap().0, Some(Fired::Event(front_b)));
         assert_eq!(wakes(&ev, D2), 1);
+    }
+
+    #[test]
+    fn zero_timeout_polls_without_waiting() {
+        let ev = EventChannels::new();
+        let _ = pair(&ev, D1);
+        assert_eq!(ev.pending(D1, NOW), None);
+        assert_eq!(wakes(&ev, D1), 0, "a zero timeout waited on the condvar");
+    }
+
+    #[test]
+    fn one_wake_per_sleep() {
+        let ev = EventChannels::new();
+        let (back_a, _) = pair(&ev, D1);
+        let (back_b, _) = pair(&ev, D2);
+        let mut inner = ev.inner.lock();
+        let _ = inner.domains.get_mut(&D0).unwrap().block();
+        // Two of domain 0's ports fire while its waiter is blocked.
+        assert!(inner.fire(back_a).is_some(), "the first fire wakes the blocked waiter");
+        assert!(inner.fire(back_b).is_none(), "the woken waiter drains the second port too");
+        assert_eq!(inner.domains[&D0].fired.len(), 2);
+        // Once the waiter blocks again, the next fire signals it.
+        inner.ports.get_mut(&back_a).unwrap().pending = false;
+        let _ = inner.domains.get_mut(&D0).unwrap().block();
+        assert!(inner.fire(back_a).is_some());
+    }
+
+    #[test]
+    fn ping_pong_loses_no_wakeups() {
+        const ROUND_TRIPS: u32 = 20_000;
+        let ev = EventChannels::new();
+        let (back, front) = pair(&ev, D1);
+        let ev2 = ev.clone();
+        let echo = std::thread::spawn(move || {
+            for i in 0..ROUND_TRIPS {
+                let fired = ev2.pending(D0, Duration::from_secs(5));
+                assert_eq!(fired, Some(Fired::Event(back)), "backend round trip {i}");
+                ev2.notify(back).unwrap();
+            }
+        });
+        for i in 0..ROUND_TRIPS {
+            ev.notify(front).unwrap();
+            let fired = ev.pending(D1, Duration::from_secs(5));
+            assert_eq!(fired, Some(Fired::Event(front)), "frontend round trip {i}");
+        }
+        echo.join().unwrap();
     }
 
     #[test]

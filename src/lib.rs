@@ -9,7 +9,7 @@
 //! * [`crypto`] — from-scratch SHA-1/SHA-256, HMAC, bignum/RSA, AES-CTR,
 //!   DRBG ([`tpm_crypto`]);
 //! * [`xen`] — the Xen simulator: domains, memory + dump facility, grant
-//!   tables, event channels, rings, XenStore, scheduler ([`xen_sim`]);
+//!   tables, event channels, rings, XenStore ([`xen_sim`]);
 //! * [`tpm12`] — the software TPM 1.2 emulator and client ([`tpm`]);
 //! * [`vtpm_stack`] — the stock vTPM subsystem: manager, split driver,
 //!   persistence, migration, platform assembly ([`vtpm`]);
