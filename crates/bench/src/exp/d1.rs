@@ -186,8 +186,10 @@ fn inject_a1() -> AttackRow {
 
     let outcome = dump_instance_state(&sp.platform, &victim);
 
-    let post_audit = sp.hook.audit.entries();
-    let stream = post_audit[context.len()..]
+    let stream = sp
+        .hook
+        .audit
+        .entries_since(context.len())
         .iter()
         .map(|e| audit_event(0, e))
         .chain(hv.dump_events().iter().map(|d| dump_event(0, d)))
@@ -303,7 +305,9 @@ fn inject_replay_storm() -> AttackRow {
 
     let stream = (0..2u32)
         .flat_map(|h| {
-            cluster.hosts[h as usize].audit.entries()[context[h as usize]..]
+            cluster.hosts[h as usize]
+                .audit
+                .entries_since(context[h as usize])
                 .iter()
                 .map(|e| audit_event(h, e))
                 .collect::<Vec<_>>()

@@ -12,10 +12,10 @@
 //! footprint of touching 10k distinct multi-KiB TPM states, which is a
 //! property of DRAM, not of the manager. The mutate phase drives
 //! dirty-page traffic through the mirror write path (each update
-//! writes its dirty shadow pages and commits one metadata frame) and
-//! reports the data pages written. It first sends every instance one
-//! untimed Extend, so each count times warm writes rather than the
-//! first write to a fresh shadow slot.
+//! writes its dirty shadow pages and commits one metadata frame) over
+//! the same active set and reports the data pages written. It first
+//! sends every active instance one untimed Extend, so each count times
+//! warm writes rather than the first write to a fresh shadow slot.
 //!
 //! Worlds are fanned out from one template instance: a single
 //! `create_instance` pays the RSA keygen, then `restore_instance`
@@ -41,8 +41,8 @@ pub struct P1Point {
     /// Wall ns per PcrRead command over the fixed active set (routing
     /// hot path).
     pub read_ns_per_cmd: f64,
-    /// Wall ns per Extend round-robin command (mirror write path), each
-    /// instance already written once.
+    /// Wall ns per Extend round-robin over the fixed active set (mirror
+    /// write path), each active instance already written once.
     pub mutate_ns_per_cmd: f64,
     /// Data pages written during the mutate phase.
     pub data_pages_written: u64,
@@ -75,7 +75,8 @@ fn envelope(instance: u32, seq: u64, command: Vec<u8>) -> Vec<u8> {
 struct World {
     _hv: Arc<Hypervisor>,
     mgr: VtpmManager,
-    ids: Vec<u32>,
+    /// Resident instance count.
+    instances: usize,
     /// Fixed-size active set, evenly spaced over the id range
     /// regardless of the resident count.
     active: Vec<u32>,
@@ -118,7 +119,7 @@ impl World {
         }
         let active =
             (0..64.min(ids.len())).map(|i| ids[i * ids.len() / 64.min(ids.len())]).collect();
-        World { _hv: hv, mgr, ids, active, seq: 1 }
+        World { _hv: hv, mgr, instances: ids.len(), active, seq: 1 }
     }
 
     /// One timed pass of `cmds` PcrReads round-robin over the active
@@ -134,12 +135,13 @@ impl World {
         t0.elapsed().as_nanos() as f64 / cmds.max(1) as f64
     }
 
-    /// `cmds` Extends round-robin over every instance, timed after one
-    /// untimed Extend per instance: every count then times warm writes,
-    /// not the first write to a fresh shadow slot and its page.
+    /// `cmds` Extends round-robin over the active set, timed after one
+    /// untimed Extend per active instance: every count then times warm
+    /// writes to the same number of instances, not the first write to a
+    /// fresh shadow slot and its page.
     fn mutate_phase(&mut self, read_ns_per_cmd: f64, cmds: usize) -> P1Point {
         let ext = extend_cmd(3);
-        for j in 0..self.ids.len() {
+        for j in 0..self.active.len() {
             self.extend(j, &ext);
         }
         let io_before = self.mgr.mirror_io_stats();
@@ -150,17 +152,17 @@ impl World {
         let mutate_ns_per_cmd = t1.elapsed().as_nanos() as f64 / cmds.max(1) as f64;
         let io = self.mgr.mirror_io_stats();
         P1Point {
-            instances: self.ids.len(),
+            instances: self.instances,
             read_ns_per_cmd,
             mutate_ns_per_cmd,
             data_pages_written: io.data_pages_written - io_before.data_pages_written,
         }
     }
 
-    /// Send `ext` to the `j`-th instance, round-robin.
+    /// Send `ext` to the `j`-th active instance, round-robin.
     fn extend(&mut self, j: usize, ext: &[u8]) {
         self.seq += 1;
-        let instance = self.ids[j % self.ids.len()];
+        let instance = self.active[j % self.active.len()];
         self.mgr.handle(DomainId(1), &envelope(instance, self.seq, ext.to_vec()));
     }
 }

@@ -499,11 +499,11 @@ impl Scenario for FleetChaosConfig {
             // loop: the actuator holds the rebalance pause while a churn
             // storm or a migration-blackout burn is raised.
             for (h, fed) in audit_fed.iter_mut().enumerate() {
-                let entries = cluster.hosts[h].audit.entries();
-                for e in &entries[*fed..] {
+                let new = cluster.hosts[h].audit.entries_since(*fed);
+                for e in &new {
                     sentinel.observe(audit_event(h as u32, e));
                 }
-                *fed = entries.len();
+                *fed += new.len();
             }
             let spans = cluster.telemetry().spans();
             for m in &spans[spans_fed..] {

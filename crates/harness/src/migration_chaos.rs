@@ -302,11 +302,11 @@ impl Scenario for MigrationChaosConfig {
             // every host's new audit entries, then new migration spans,
             // then the crash marker if one fired.
             for (h, fed) in audit_fed.iter_mut().enumerate() {
-                let entries = cluster.hosts[h].audit.entries();
-                for e in &entries[*fed..] {
+                let new = cluster.hosts[h].audit.entries_since(*fed);
+                for e in &new {
                     sentinel.observe(audit_event(h as u32, e));
                 }
-                *fed = entries.len();
+                *fed += new.len();
             }
             let spans = cluster.telemetry().spans();
             for m in &spans[spans_fed..] {

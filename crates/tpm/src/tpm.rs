@@ -677,22 +677,23 @@ impl Tpm {
         if !(512..=4096).contains(&bits) || !bits.is_multiple_of(2) {
             return Err(rc::BAD_PARAMETER);
         }
-        let parent = self.key(parent_handle)?.clone();
+        let parent = self.key(parent_handle)?;
         if !parent.usage.can_store() {
             return Err(rc::INVALID_KEYUSAGE);
         }
+        let parent_auth = parent.usage_auth;
         // The new key's usageAuth arrives ADIP-encrypted: XOR with
         // SHA1(sharedSecret || nonceEven). Requires an OSAP session.
         let session = self.sessions.get(auth.handle).ok_or(rc::INVALID_AUTHHANDLE)?;
         let nonce_even_before = session.nonce_even;
         let key = self
             .sessions
-            .resolve_key(auth.handle, (entity::KEYHANDLE, parent_handle), &parent.usage_auth)
+            .resolve_key(auth.handle, (entity::KEYHANDLE, parent_handle), &parent_auth)
             .ok_or(rc::AUTHFAIL)?;
         let (check, fresh) = self.sessions.verify(
             auth.handle,
             (entity::KEYHANDLE, parent_handle),
-            &parent.usage_auth,
+            &parent_auth,
             &param_digest(ord, params),
             &auth.nonce_odd,
             auth.continue_session,
@@ -702,8 +703,9 @@ impl Tpm {
         self.auth_ok(check)?;
         let usage_auth = adip_decrypt(&key, &nonce_even_before, &enc_usage_auth);
 
+        let parent = loaded_key(&self.srk, &self.keys, parent_handle)?;
         let blob =
-            keys::create_wrap_key(&parent, usage, bits, usage_auth, pcr_binding, &mut self.rng)
+            keys::create_wrap_key(parent, usage, bits, usage_auth, pcr_binding, &mut self.rng)
                 .map_err(key_rc)?;
         let mut out = Writer::new();
         out.sized_u32(&blob.encode());
@@ -722,8 +724,7 @@ impl Tpm {
         let mut r = Reader::new(params);
         let parent_handle = r.u32().map_err(|_| rc::BAD_PARAM_SIZE)?;
         let blob_bytes = r.sized_u32().map_err(|_| rc::BAD_PARAM_SIZE)?;
-        let parent = self.key(parent_handle)?.clone();
-        let parent_auth = parent.usage_auth;
+        let parent_auth = self.key(parent_handle)?.usage_auth;
         let (key, fresh) = self.check_auth1(
             &auth,
             (entity::KEYHANDLE, parent_handle),
@@ -735,7 +736,7 @@ impl Tpm {
             Ok((blob, used)) if used == blob_bytes.len() => blob,
             _ => return Err(rc::BAD_PARAMETER),
         };
-        let loaded = keys::unwrap_key(&parent, &blob).map_err(key_rc)?;
+        let loaded = keys::unwrap_key(self.key(parent_handle)?, &blob).map_err(key_rc)?;
         let new_handle = self.keys.load(loaded).map_err(key_rc)?;
         let mut out = Writer::new();
         out.u32(new_handle);
@@ -749,20 +750,21 @@ impl Tpm {
         let pcr_binding = self.read_pcr_binding(&mut r, params)?;
         let data = r.sized_u32().map_err(|_| rc::BAD_PARAM_SIZE)?.to_vec();
 
-        let storage = self.key(key_handle)?.clone();
+        let storage = self.key(key_handle)?;
         if !storage.usage.can_store() {
             return Err(rc::INVALID_KEYUSAGE);
         }
+        let storage_auth = storage.usage_auth;
         let session = self.sessions.get(auth.handle).ok_or(rc::INVALID_AUTHHANDLE)?;
         let nonce_even_before = session.nonce_even;
         let key = self
             .sessions
-            .resolve_key(auth.handle, (entity::KEYHANDLE, key_handle), &storage.usage_auth)
+            .resolve_key(auth.handle, (entity::KEYHANDLE, key_handle), &storage_auth)
             .ok_or(rc::AUTHFAIL)?;
         let (check, fresh) = self.sessions.verify(
             auth.handle,
             (entity::KEYHANDLE, key_handle),
-            &storage.usage_auth,
+            &storage_auth,
             &param_digest(ord, params),
             &auth.nonce_odd,
             auth.continue_session,
@@ -777,7 +779,7 @@ impl Tpm {
         payload.bytes(&self.tpm_proof);
         payload.bytes(&data_auth);
         payload.sized_u16(&data);
-        let enc_data = storage
+        let enc_data = loaded_key(&self.srk, &self.keys, key_handle)?
             .public()
             .encrypt_oaep(payload.as_slice(), &keys::binding_label(&pcr_binding), &mut self.rng)
             .map_err(|_| rc::BAD_PARAMETER /* data too large for key */)?;
@@ -809,10 +811,8 @@ impl Tpm {
             Ok((blob, used)) if used == blob_bytes.len() => blob,
             _ => return Err(rc::BAD_PARAMETER),
         };
-        let storage = self.key(key_handle)?.clone();
-
         // First session authorizes the key.
-        let storage_auth = storage.usage_auth;
+        let storage_auth = self.key(key_handle)?.usage_auth;
         let (_k1, fresh1) = self.check_auth1(
             &auth_key,
             (entity::KEYHANDLE, key_handle),
@@ -822,7 +822,8 @@ impl Tpm {
         )?;
 
         // Decrypt and validate the blob.
-        let payload = storage
+        let payload = self
+            .key(key_handle)?
             .private
             .decrypt_oaep(&blob.enc_data, &keys::binding_label(&blob.pcr_binding))
             .map_err(|_| rc::DECRYPT_ERROR)?;
@@ -868,13 +869,10 @@ impl Tpm {
         let external_data = r.digest().map_err(|_| rc::BAD_PARAM_SIZE)?;
         let (sel, _) =
             PcrSelection::decode(&params[r.position()..]).ok_or(rc::BAD_PARAM_SIZE)?;
-        let signing = self.key(key_handle)?.clone();
-        if !signing.usage.can_sign() {
-            return Err(rc::INVALID_KEYUSAGE);
-        }
-        let signing_auth = signing.usage_auth;
+        let signing_auth = self.signing_auth(key_handle)?;
         let (key, fresh) =
             self.check_auth1(&auth, (entity::KEYHANDLE, key_handle), &signing_auth, ord, params)?;
+        let signing = self.key(key_handle)?;
         self.binding_holds(&signing.pcr_binding)?;
 
         let composite = self.pcrs.composite_hash(&sel);
@@ -897,13 +895,10 @@ impl Tpm {
         let mut r = Reader::new(params);
         let key_handle = r.u32().map_err(|_| rc::BAD_PARAM_SIZE)?;
         let data = r.sized_u32().map_err(|_| rc::BAD_PARAM_SIZE)?.to_vec();
-        let signing = self.key(key_handle)?.clone();
-        if !signing.usage.can_sign() {
-            return Err(rc::INVALID_KEYUSAGE);
-        }
-        let signing_auth = signing.usage_auth;
+        let signing_auth = self.signing_auth(key_handle)?;
         let (key, fresh) =
             self.check_auth1(&auth, (entity::KEYHANDLE, key_handle), &signing_auth, ord, params)?;
+        let signing = self.key(key_handle)?;
         self.binding_holds(&signing.pcr_binding)?;
         let sig = signing.private.sign_pkcs1_sha1(&data).map_err(|_| rc::BAD_PARAMETER)?;
         let mut out = Writer::new();
@@ -1102,10 +1097,18 @@ impl Tpm {
 
     /// Resolve a key handle (SRK or transient).
     fn key(&self, h: u32) -> Result<&LoadedKey, u32> {
-        if h == handle::SRK {
-            return self.srk.as_ref().ok_or(rc::NOSRK);
+        loaded_key(&self.srk, &self.keys, h)
+    }
+
+    /// The usage auth of signing key `h`, copied out so the session
+    /// check can borrow `self` mutably; the key is borrowed again for
+    /// the RSA step.
+    fn signing_auth(&self, h: u32) -> Result<[u8; DIGEST_LEN], u32> {
+        let signing = self.key(h)?;
+        if !signing.usage.can_sign() {
+            return Err(rc::INVALID_KEYUSAGE);
         }
-        self.keys.get(h).map_err(|_| rc::INVALID_KEYHANDLE)
+        Ok(signing.usage_auth)
     }
 
     /// Normalize an OSAP entity and fetch its auth secret.
@@ -1366,6 +1369,15 @@ pub fn parse_response(resp: &[u8]) -> Result<(u16, u32, &[u8]), BufError> {
         return Err(BufError::BadLength);
     }
     Ok((tag_v, code, &resp[10..]))
+}
+
+/// Key handle lookup over the two fields it reads, so a caller can hold
+/// the key while it borrows `rng` mutably.
+fn loaded_key<'a>(srk: &'a Option<LoadedKey>, keys: &'a KeyStore, h: u32) -> Result<&'a LoadedKey, u32> {
+    if h == handle::SRK {
+        return srk.as_ref().ok_or(rc::NOSRK);
+    }
+    keys.get(h).map_err(|_| rc::INVALID_KEYHANDLE)
 }
 
 #[cfg(test)]

@@ -24,7 +24,11 @@
 #      again (~39 MB) trips it; then one 1 s `measure-1vm` run with the same output
 #      checks: one guest on the Extend/Seal write path, ~0.41 encrypted
 #      mirror updates per command, so the payload-sized mirror
-#      encrypt/digest path runs end to end at load (~5 s); then one 1 s
+#      encrypt/digest path runs end to end at load (~5 s), and the step
+#      fails if its `peak_rss_mb` exceeds 9 MB: the AC4 audit log keeps
+#      every entry but stores ~8 bytes of chain material per command
+#      (~7 MB here), so a log that holds a 72-byte record per command
+#      again (~12 MB) trips it; then one 1 s
 #      `attest-1vm` run with the same output checks: one guest on the
 #      Quote-heavy mix, so OIAP sessions and the RSA-512 CRT sign over
 #      the fixed-width Montgomery kernel run end to end at load (~5 s);
@@ -148,9 +152,14 @@ if [ -z "$rss" ] || awk -v rss="$rss" 'BEGIN { exit !(rss > 16) }'; then
     exit 1
 fi
 
-echo "== e2ebench: measure-1vm, encrypted mirror write path =="
+echo "== e2ebench: measure-1vm, encrypted mirror write path, peak RSS <= 9 MB =="
 cargo run --release --offline --manifest-path e2ebench/Cargo.toml --bin e2e -- \
-    --workload measure-1vm --seed 1 --seconds 1
+    --workload measure-1vm --seed 1 --seconds 1 | tee target/e2e-measure-1vm.log
+rss=$(tail -n 1 target/e2e-measure-1vm.log | sed -n 's/.*"peak_rss_mb": {"value": \([0-9.]*\).*/\1/p')
+if [ -z "$rss" ] || awk -v rss="$rss" 'BEGIN { exit !(rss > 9) }'; then
+    echo "measure-1vm peak_rss_mb ${rss:-missing} exceeds the 9 MB ceiling" >&2
+    exit 1
+fi
 
 echo "== e2ebench: attest-1vm, Quote/OIAP/RSA signing path =="
 cargo run --release --offline --manifest-path e2ebench/Cargo.toml --bin e2e -- \

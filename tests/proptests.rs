@@ -996,3 +996,109 @@ proptest! {
         prop_assert_eq!(bulk, pieced);
     }
 }
+
+// ---- AC4 audit log: the stored form round-trips -----------------------------
+
+use vtpm_xen::access_control::{AuditEntry, AuditLog, AuditOutcome, MigrationStage};
+use vtpm_xen::vtpm_stack::DenyReason;
+
+/// Every outcome the log can record: allow, each deny reason, each
+/// migration stage.
+fn audit_outcomes() -> Vec<AuditOutcome> {
+    use DenyReason::*;
+    use MigrationStage::*;
+    let mut all = vec![AuditOutcome::Allowed];
+    all.extend(
+        [
+            NoCredential,
+            BadTag,
+            Replay,
+            BindingMismatch,
+            OrdinalDenied,
+            SourceMismatch,
+            LocalityDenied,
+            StaleQuote,
+            QuoteReplay,
+        ]
+        .map(AuditOutcome::Denied),
+    );
+    all.extend(
+        [Prepared, Quiesced, Transferred, Verified, Committed, Released, Aborted, RejectedStale]
+            .map(AuditOutcome::Migration),
+    );
+    all
+}
+
+/// One generated record: timestamp, request id, (domain, instance,
+/// ordinal), and an index into [`audit_outcomes`].
+type AuditRecord = (u64, u64, (u32, u32, u32), usize);
+
+/// The entries a log of `records` must export, built independently of
+/// the log: `chain_i = SHA256(chain_{i-1} ‖ material_i)` with the
+/// 37-byte big-endian material and outcome code.
+fn reference_entries(records: &[AuditRecord]) -> Vec<AuditEntry> {
+    use vtpm_xen::crypto::{sha256::Sha256, Digest};
+    let outcomes = audit_outcomes();
+    let mut prev = [0u8; 32];
+    let mut out = Vec::new();
+    for (i, &(timestamp_ns, request_id, (domain, instance, ordinal), o)) in
+        records.iter().enumerate()
+    {
+        let outcome = outcomes[o];
+        let code = match outcome {
+            AuditOutcome::Allowed => 0,
+            AuditOutcome::Denied(r) => 1 + r as u8,
+            AuditOutcome::Migration(s) => 32 + s as u8,
+        };
+        let mut h = Sha256::new();
+        h.update(&prev);
+        h.update(&(i as u64).to_be_bytes());
+        h.update(&timestamp_ns.to_be_bytes());
+        h.update(&request_id.to_be_bytes());
+        h.update(&domain.to_be_bytes());
+        h.update(&instance.to_be_bytes());
+        h.update(&ordinal.to_be_bytes());
+        h.update(&[code]);
+        h.finalize_into(&mut prev);
+        out.push(AuditEntry {
+            index: i as u64,
+            timestamp_ns,
+            request_id,
+            domain,
+            instance,
+            ordinal,
+            outcome,
+            chain: prev,
+        });
+    }
+    out
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    #[test]
+    fn audit_log_round_trips_arbitrary_records(
+        records in proptest::collection::vec(
+            (any::<u64>(), any::<u64>(), (any::<u32>(), any::<u32>(), any::<u32>()), 0usize..18),
+            0..600,
+        ),
+    ) {
+        let log = AuditLog::new();
+        let outcomes = audit_outcomes();
+        for &(t, id, (d, i, ord), o) in &records {
+            log.record(t, id, d, i, ord, outcomes[o]);
+        }
+        let want = reference_entries(&records);
+        let got = log.entries();
+        prop_assert_eq!(&got, &want);
+        prop_assert!(AuditLog::verify(&got));
+        for k in 0..=records.len() + 1 {
+            prop_assert_eq!(log.entries_since(k), want[k.min(want.len())..].to_vec());
+        }
+        prop_assert_eq!(log.head(), want.last().map_or([0; 32], |e| e.chain));
+        let denials = want.iter().filter(|e| matches!(e.outcome, AuditOutcome::Denied(_))).count();
+        prop_assert_eq!(log.denials(), denials);
+        prop_assert_eq!(log.len(), records.len());
+    }
+}
